@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .grids import make_grid, StateField
-from .systems import (inner_weight, system_from_json, validate_system)
+from .systems import PROFILES, system_from_json, validate_system
 from .kernels import estimate_bound, threshold_margin
 from .solver import SolveOptions, solve_local
 from .dyson import result_to_csv, result_to_json
@@ -56,6 +57,10 @@ _OPTION_KEYS = {
 
 _KERNEL_KEYS = {"kind", "chi0", "c1", "c2", "delta"}
 
+_SYSTEM_KEYS = {"grid", "A0", "Aj", "S0", "beta", "name"}
+
+_GRID_KEYS = {"dim", "extent", "points", "fiber"}
+
 
 @dataclasses.dataclass
 class RunConfig:
@@ -71,6 +76,90 @@ def _check_keys(doc: dict, allowed: set, path: str) -> None:
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path}{key}'")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require(ok: bool, path: str, what: str) -> None:
+    if not ok:
+        raise ConfigError(f"'{path}' {what}")
+
+
+def _validate_profile(spec: dict, path: str) -> None:
+    """A named built-in profile: {"profile": name, "params": {...}}."""
+    _check_keys(spec, {"profile", "params"}, f"{path}.")
+    name = spec.get("profile")
+    _require(name in PROFILES, f"{path}.profile",
+             f"must be one of {sorted(PROFILES)}")
+    params = spec.get("params")
+    _require(isinstance(params, dict), f"{path}.params", "must be an object")
+    names = set(inspect.signature(PROFILES[name]).parameters) - {"grid"}
+    _check_keys(params, names, f"{path}.params.")
+    for key in sorted(names):
+        _require(_is_number(params.get(key)), f"{path}.params.{key}",
+                 "must be a number")
+
+
+def _validate_coefficient(spec, path: str, fiber: int) -> None:
+    """A constant fiber matrix of [re, im] pairs, or a named profile."""
+    _require(isinstance(spec, dict), path, "must be an object")
+    if "profile" in spec:
+        _validate_profile(spec, path)
+        return
+    _require("matrix" in spec, path, "needs 'matrix' or 'profile'")
+    _check_keys(spec, {"matrix"}, f"{path}.")
+    m = spec["matrix"]
+    ok = isinstance(m, list) and len(m) == fiber and all(
+        isinstance(row, list) and len(row) == fiber and all(
+            isinstance(c, list) and len(c) == 2 and all(map(_is_number, c))
+            for c in row)
+        for row in m)
+    _require(ok, f"{path}.matrix",
+             f"must be {fiber} rows of {fiber} [re, im] pairs")
+
+
+def _validate_system(doc, path: str) -> None:
+    """Keys and shapes of a serialized system (see system_from_json)."""
+    _require(isinstance(doc, dict), path, "must be an object")
+    _check_keys(doc, _SYSTEM_KEYS, f"{path}.")
+    for key in ("grid", "A0", "Aj"):
+        _require(key in doc, f"{path}.{key}", "is required")
+    grid = doc["grid"]
+    _require(isinstance(grid, dict), f"{path}.grid", "must be an object")
+    _check_keys(grid, _GRID_KEYS, f"{path}.grid.")
+    dim, fiber = grid.get("dim"), grid.get("fiber")
+    _require(_is_int(dim) and dim in (1, 3), f"{path}.grid.dim", "must be 1 or 3")
+    _require(_is_int(grid.get("points")) and grid["points"] >= 8,
+             f"{path}.grid.points", "must be an integer >= 8")
+    _require(_is_number(grid.get("extent")) and grid["extent"] > 0,
+             f"{path}.grid.extent", "must be a positive number")
+    _require(_is_int(fiber) and fiber >= 1, f"{path}.grid.fiber",
+             "must be an integer >= 1")
+    _validate_coefficient(doc["A0"], f"{path}.A0", fiber)
+    aj = doc["Aj"]
+    _require(isinstance(aj, list) and len(aj) == dim, f"{path}.Aj",
+             f"must be a list of {dim} coefficients")
+    for j, a in enumerate(aj):
+        _validate_coefficient(a, f"{path}.Aj[{j}]", fiber)
+    if "S0" in doc:
+        _validate_coefficient(doc["S0"], f"{path}.S0", fiber)
+    if "beta" in doc:
+        beta = doc["beta"]
+        _require(isinstance(beta, dict), f"{path}.beta", "must be an object")
+        if "profile" in beta:
+            _validate_profile(beta, f"{path}.beta")
+        else:
+            _check_keys(beta, {"constant"}, f"{path}.beta.")
+            _require(_is_number(beta.get("constant")), f"{path}.beta.constant",
+                     "must be a number")
+    if "name" in doc:
+        _require(isinstance(doc["name"], str), f"{path}.name", "must be a string")
 
 
 def _validate_doc(doc: dict, path: str = "") -> RunConfig:
@@ -110,6 +199,7 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
         if "system" not in options:
             raise ConfigError(f"'{path}options.system' is required for "
                               "custom runs")
+        _validate_system(options["system"], f"{path}options.system")
         kern = options.get("kernel")
         if kern is not None:
             if not isinstance(kern, dict):

@@ -137,8 +137,8 @@ def exponential_bound(sys: SystemSpec, tr: Trajectory, D: float, M: float,
                       tolerance=slack)
 
 
-def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0), probes: int = 16,
-              seed: int = 0) -> float:
+def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0),
+              probes: int = 16) -> float:
     """Uniform bound of the zero-order operator over the time window. The
     operator is a per-site multiplication, so its slice-norm is the max over
     sites of the weight-conjugated matrix spectral norm — computed exactly;
@@ -160,7 +160,6 @@ def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0), probes: int = 16,
         conj = root @ z @ iroot
         s = np.linalg.svd(conj, compute_uv=False)
         best = max(best, float(np.max(s)))
-    del seed
     return best
 
 

@@ -13,17 +13,14 @@ equation residual of the partial sum is tracked by centered time differencing.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import (StateField, Trajectory, frame_norms_sq, norm_strip,
-                    sup_norm, trapezoid_sum)
-from .kernels import TimeKernel, estimate_bound, weighted
+from .grids import StateField, Trajectory, frame_norms_sq, trapezoid_sum
+from .kernels import TimeKernel, estimate_bound
 from .solver import SolveAborted, SolveOptions, solve_local
 from .systems import SystemSpec, apply_S, inner_weight
 from .diagnostics import measure_D
@@ -88,34 +85,41 @@ def _aligned_source_values(phi: Optional[Trajectory], tr: Trajectory) -> np.ndar
     return out
 
 
-def residual(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
-             phi: Optional[Trajectory],
-             strip: Optional[tuple] = None) -> float:
-    """Strip norm of (S - B) psi - phi over the inner strip, with d_t psi by
-    centered frame differences (O(dt^2)); endpoint frames are excluded."""
+def equation_defect(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
+                    phi: Optional[Trajectory],
+                    strip: Optional[tuple] = None) -> Trajectory:
+    """(S - B) psi - phi on the interior frames of psi (those inside `strip`
+    when given), with d_t psi by centered frame differences (O(dt^2))."""
     F = psi.n_frames
     if F < 3:
         raise DysonError("need at least 3 frames for the centered residual")
     dt = psi.dt
-    b_all = k.apply_all(psi) if k is not None else np.zeros_like(psi.values)
-    phi_vals = _aligned_source_values(phi, psi)
-    w = inner_weight(sys)
     lo, hi = 1, F - 2
     if strip is not None:
         lo = max(lo, int(math.ceil(strip[0] / dt - 1e-9)) - psi.index0)
         hi = min(hi, int(math.floor(strip[1] / dt + 1e-9)) - psi.index0)
     if hi < lo:
         raise DysonError("empty residual strip (insufficient padding)")
-    series = np.empty(hi - lo + 1)
+    b_all = k.apply_all(psi) if k is not None else np.zeros_like(psi.values)
+    phi_vals = _aligned_source_values(phi, psi)
+    out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber), dtype=complex)
     for i in range(lo, hi + 1):
         dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * dt)
-        r = (apply_S(sys, psi.values[i], dpsi, psi.time(i))
-             - b_all[i] - phi_vals[i])
-        f = StateField(sys.grid, psi.time(i), r)
-        series[i - lo] = (np.einsum("sf,sfg,sg->", np.conj(r), w.weight, r).real
-                          * sys.grid.cell_volume)
-        del f
-    return math.sqrt(max(trapezoid_sum(series, dt), 0.0))
+        out[i - lo] = (apply_S(sys, psi.values[i], dpsi, psi.time(i))
+                       - b_all[i] - phi_vals[i])
+    return Trajectory(sys.grid, dt, psi.index0 + lo, out)
+
+
+def residual(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
+             phi: Optional[Trajectory],
+             strip: Optional[tuple] = None) -> float:
+    """Strip norm of the equation defect (S - B) psi - phi over the inner
+    strip; endpoint frames are excluded."""
+    defect = equation_defect(sys, k, psi, phi, strip)
+    w = inner_weight(sys).weight
+    series = np.array([np.einsum("sf,sfg,sg->", np.conj(r), w, r).real
+                       for r in defect.values]) * sys.grid.cell_volume
+    return math.sqrt(max(trapezoid_sum(series, psi.dt), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +221,6 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                    short_range, W, n_min, monitor, constants):
     if short_range:
         t_lo, t_hi = -W, T + W
-        lat = round((T + W) / opts.dt) * opts.dt  # ensure lattice alignment
-        del lat
         solve = lambda src, d: _two_sided_solve(sys, src, d, t_lo, t_hi, opts)
     else:
         t_lo, t_hi = 0.0, T
@@ -318,8 +320,7 @@ def _measure_constants(sys, k, phi, data, T, constants, window, seed):
     out = dict(constants or {})
     w = inner_weight(sys)
     if "D" not in out:
-        out["D"] = measure_D(sys, window=(window[0], window[1]), probes=16,
-                             seed=seed)
+        out["D"] = measure_D(sys, window=(window[0], window[1]), probes=16)
     if "C_est" not in out:
         out["C_est"] = estimate_bound(k, sys, probes=32, t_window=window,
                                       D=0.0, seed=seed).C_est

@@ -10,10 +10,8 @@ across thread counts.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,13 +167,6 @@ class Trajectory:
         return Trajectory(self.grid, self.dt, self.index0, self.values + other.values)
 
 
-def trajectory_from_frames(frames: list[StateField], dt: float) -> Trajectory:
-    grid = frames[0].grid
-    index0 = round(frames[0].time / dt)
-    vals = np.stack([f.values for f in frames])
-    return Trajectory(grid, dt, index0, vals)
-
-
 def sample_trajectory(grid: Grid, fn, dt: float, index0: int, n_frames: int) -> Trajectory:
     """Sample fn(t, x) -> (sites, fiber) values on a frame lattice."""
     x = grid.coords()
@@ -319,33 +310,3 @@ def ko_dissipation(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     for ax in range(grid.dim):
         out -= fourth_difference(grid, values, ax)
     return (eps / (16.0 * grid.spacing)) * out
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def grid_descriptor(grid: Grid) -> dict:
-    return {"dim": grid.dim, "extent": grid.extent, "points": grid.points,
-            "fiber": grid.fiber, "spacing": grid.spacing}
-
-
-def export_trajectory(tr: Trajectory, outdir: str, prefix: str = "frame") -> None:
-    """One CSV per frame (site_index, re_0, im_0, ...) plus a manifest JSON."""
-    os.makedirs(outdir, exist_ok=True)
-    f = tr.grid.fiber
-    header = "site_index," + ",".join(
-        f"re_{k},im_{k}" for k in range(f))
-    for i in range(tr.n_frames):
-        rows = np.empty((tr.grid.sites, 1 + 2 * f))
-        rows[:, 0] = np.arange(tr.grid.sites)
-        rows[:, 1::2] = tr.values[i].real
-        rows[:, 2::2] = tr.values[i].imag
-        path = os.path.join(outdir, f"{prefix}_{i:05d}.csv")
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for r in rows:
-                fh.write(f"{int(r[0])}," + ",".join(f"{v:.17g}" for v in r[1:]) + "\n")
-    manifest = {"dt": tr.dt, "t_start": tr.t_start, "frames": tr.n_frames,
-                "grid": grid_descriptor(tr.grid)}
-    with open(os.path.join(outdir, f"{prefix}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)

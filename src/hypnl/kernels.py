@@ -3,12 +3,13 @@
 Three kinds are supported:
   * separable: B_{t,tau} = sum_a g_a(t) <h_a(tau), .>  (rank-r spacetime pairs)
   * convolution: B_{t,tau} = chi_dot(t - tau) * projector, retarded memory
-  * dense: an arbitrary callback (t, tau) -> spatial operator
+  * dense: a callback op(t, tau, values), vectorized over (t, tau) pairs
 
 Kernels carry structural flags (retarded / advanced, time range delta,
-switch-on time) that the application honors by slicing the tau lattice, so
-perturbing out-of-range frames changes nothing bitwise. Time integrals use
-the composite trapezoidal rule on the frame lattice.
+switch-on time) that the application honors by restricting each time
+integral to the admitted tau frames. `TimeKernel.apply_all` is the one
+integrator: the composite trapezoidal rule on the frame lattice, for every
+output frame at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import Grid, StateField, Trajectory
+from .grids import Grid, Trajectory
 from .systems import SystemSpec, inner_weight
 
 INF = math.inf
@@ -27,6 +28,16 @@ INF = math.inf
 
 class KernelError(ValueError):
     pass
+
+
+def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Fiber matrices applied to values of shape (..., sites, f): `m` is None
+    (identity), one (f, f) matrix, or a per-site (sites, f, f) stack."""
+    if m is None:
+        return values
+    if m.ndim == 2:
+        return values @ m.T
+    return np.einsum("sfg,...sg->...sf", m, values)
 
 
 @dataclass(frozen=True)
@@ -45,25 +56,7 @@ class TimeKernel:
     switch_on: float = -INF
     post: Optional[np.ndarray] = None   # (sites, f, f)
 
-    # -- tau-lattice slicing -------------------------------------------------
-
-    def _slice(self, tr: Trajectory, t: float):
-        """Inclusive frame index range [j0, j1] the flags admit, or None."""
-        tol = 1e-9 * tr.dt
-        j0, j1 = 0, tr.n_frames - 1
-        if self.retarded:
-            j1 = min(j1, int(math.floor((t - tr.t_start) / tr.dt + 1e-9)))
-        if self.advanced:
-            j0 = max(j0, int(math.ceil((t - tr.t_start) / tr.dt - 1e-9)))
-        if math.isfinite(self.delta):
-            j0 = max(j0, int(math.ceil((t - self.delta - tr.t_start) / tr.dt - 1e-9)))
-            j1 = min(j1, int(math.floor((t + self.delta - tr.t_start) / tr.dt + 1e-9)))
-        if math.isfinite(self.switch_on):
-            j0 = max(j0, int(math.ceil((self.switch_on - tr.t_start) / tr.dt - 1e-9)))
-        if j1 <= j0:
-            return None  # zero or single frame: trapezoid measure zero
-        del tol
-        return j0, j1
+    # -- tau-lattice support -------------------------------------------------
 
     def _admissible(self, t: float, tau: float) -> bool:
         eps = 1e-12 * (1.0 + abs(t) + abs(tau))
@@ -77,93 +70,9 @@ class TimeKernel:
             return False
         return True
 
-    def _post_apply(self, values: np.ndarray) -> np.ndarray:
-        if self.post is None:
-            return values
-        return np.einsum("sfg,sg->sf", self.post, values)
-
-    # -- application ---------------------------------------------------------
-
-    def apply(self, tr: Trajectory, t: float) -> np.ndarray:
-        """(B psi)(t) = int B_{t,tau} psi_tau d tau over the admitted range."""
-        out = np.zeros((self.grid.sites, self.grid.fiber), dtype=complex)
-        rng = self._slice(tr, t)
-        if rng is None:
-            return out
-        j0, j1 = rng
-        w = np.ones(j1 - j0 + 1)
-        w[0] = w[-1] = 0.5
-        w = w * tr.dt
-        taus = tr.times()[j0:j1 + 1]
-        psis = tr.values[j0:j1 + 1]
-        if self.kind == "separable":
-            dv = self.grid.cell_volume
-            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
-                oh = tr.index0 - h_tr.index0
-                c = np.einsum("t,tsf,tsf->", w,
-                              np.conj(h_tr.values[j0 + oh:j1 + 1 + oh]),
-                              psis) * dv
-                out += c * g_tr.values[g_tr.index_of(t)]
-        elif self.kind == "convolution":
-            out += self._conv_sum(t, taus, w, psis)
-        elif self.kind == "dense":
-            slab = self.data.get("apply_slab")
-            if slab is not None:
-                out += slab(t, taus, w, psis)
-            else:
-                op = self.data["op"]
-                for j, tau in enumerate(taus):
-                    out += w[j] * op(t, float(tau), psis[j])
-        else:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
-        return self._post_apply(out)
-
-    def _conv_sum(self, t, taus, w, psis):
-        chi_dot = self.data["chi_dot"]
-        lag = (taus - t) if self.advanced else (t - taus)
-        vals = np.asarray([chi_dot(float(u)) for u in lag], dtype=complex)
-        if self.data.get("conj"):
-            vals = np.conj(vals)
-        acc = np.einsum("t,t,tsf->sf", w, vals, psis)
-        return self._proj_apply(acc)
-
-    def _proj_apply(self, values: np.ndarray) -> np.ndarray:
-        proj = self.data["projector"]
-        if proj is None:
-            return values
-        proj = np.asarray(proj, dtype=complex)
-        if proj.ndim == 2:
-            return values @ proj.T
-        return np.einsum("sfg,sg->sf", proj, values)
-
-    def pair_apply(self, t: float, tau: float, values: np.ndarray) -> np.ndarray:
-        """The frame operator B_{t,tau} alone (no time integration)."""
-        if not self._admissible(t, tau):
-            return np.zeros_like(values)
-        if self.kind == "separable":
-            dv = self.grid.cell_volume
-            out = np.zeros_like(values)
-            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
-                h = h_tr.values[h_tr.index_of(tau)]
-                c = complex(np.einsum("sf,sf->", np.conj(h), values)) * dv
-                out += c * g_tr.values[g_tr.index_of(t)]
-        elif self.kind == "convolution":
-            u = (tau - t) if self.advanced else (t - tau)
-            v = complex(self.data["chi_dot"](float(u)))
-            if self.data.get("conj"):
-                v = np.conj(v)
-            out = self._proj_apply(v * values)
-        elif self.kind == "dense":
-            out = self.data["op"](t, tau, values)
-        else:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
-        return self._post_apply(out)
-
-    def apply_field(self, tr: Trajectory, t: float) -> StateField:
-        return StateField(self.grid, t, self.apply(tr, t))
-
     def _slice_arrays(self, tr: Trajectory):
-        """Vectorized counterpart of _slice: inclusive (j0, j1) per frame."""
+        """Inclusive tau-frame range (j0, j1) the flags admit for each output
+        frame; a frame with j1 <= j0 has trapezoid measure zero."""
         F = tr.n_frames
         i = np.arange(F)
         j0 = np.zeros(F, dtype=int)
@@ -181,19 +90,50 @@ class TimeKernel:
             j0 = np.maximum(j0, jt0)
         return j0, j1
 
+    # -- application ---------------------------------------------------------
+
+    def pair_apply(self, t: float, tau: float, values: np.ndarray) -> np.ndarray:
+        """The frame operator B_{t,tau} alone (no time integration)."""
+        if not self._admissible(t, tau):
+            return np.zeros_like(values)
+        if self.kind == "separable":
+            dv = self.grid.cell_volume
+            out = np.zeros_like(values)
+            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
+                h = h_tr.values[h_tr.index_of(tau)]
+                c = complex(np.einsum("sf,sf->", np.conj(h), values)) * dv
+                out += c * g_tr.values[g_tr.index_of(t)]
+        elif self.kind == "convolution":
+            u = (tau - t) if self.advanced else (t - tau)
+            v = complex(self.data["chi_dot"](float(u)))
+            if self.data.get("conj"):
+                v = np.conj(v)
+            out = _fiber_apply(self.data["projector"], v * values)
+        elif self.kind == "dense":
+            out = self.data["op"](np.array([float(t)]), np.array([float(tau)]),
+                                  values[None])[0]
+        else:
+            raise KernelError(f"unknown kernel kind {self.kind!r}")
+        return _fiber_apply(self.post, out)
+
+    def apply(self, tr: Trajectory, t: float) -> np.ndarray:
+        """(B psi)(t) at a lattice time t of tr: one frame of apply_all."""
+        return self.apply_all(tr)[tr.index_of(t)]
+
     def apply_all(self, tr: Trajectory) -> np.ndarray:
-        """(B psi)(t_i) for every frame of tr at once; same quadrature as
-        apply() with kind-specific vectorization (prefix sums for separable,
-        FFT convolution for memory kernels)."""
+        """(B psi)(t_i) = int B_{t_i,tau} psi_tau d tau for every frame t_i of
+        tr: the composite trapezoid over the tau frames [j0, j1] that
+        _slice_arrays admits. Separable kernels use prefix sums, memory
+        kernels an FFT convolution, dense kernels a sweep over the lag band."""
         F = tr.n_frames
         out = np.zeros((F, self.grid.sites, self.grid.fiber), dtype=complex)
         j0, j1 = self._slice_arrays(tr)
         live = j1 > j0
         if not np.any(live):
             return out
-        j0c = np.clip(j0, 0, F - 1)
-        j1c = np.clip(j1, 0, F - 1)
         if self.kind == "separable":
+            j0c = np.clip(j0, 0, F - 1)
+            j1c = np.clip(j1, 0, F - 1)
             dv = self.grid.cell_volume
             for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
                 off = tr.index0 - g_tr.index0
@@ -211,63 +151,68 @@ class TimeKernel:
                 out += s[:, None, None] * g_tr.values[np.arange(F) + off]
         elif self.kind == "convolution":
             out += self._conv_all(tr, j0, j1, live)
+        elif self.kind == "dense":
+            self._dense_sweep(tr, j0, j1, live, out)
         else:
-            for i in range(F):
-                if live[i]:
-                    out[i] = self.apply(tr, float(tr.time(i)))
-            return out  # dense path already post-applied frame by frame
-        if self.post is not None:
-            out = np.einsum("sfg,tsg->tsf", self.post, out)
-        return out
+            raise KernelError(f"unknown kernel kind {self.kind!r}")
+        return _fiber_apply(self.post, out)
 
     def _conv_all(self, tr: Trajectory, j0, j1, live):
-        """Causal FFT convolution with trapezoid endpoint corrections; only
-        the retarded (non-conjugated) orientation is vectorized."""
+        """FFT convolution (cf. Hairer, Lubich & Schlichte 1985) with the
+        trapezoid endpoint corrections at j0 and j1. An advanced kernel is the
+        retarded convolution of the time-reversed frames; `conj` (set by
+        adjoint) conjugates chi_dot."""
         F = tr.n_frames
-        if self.advanced or self.data.get("conj"):
-            out = np.zeros((F, self.grid.sites, self.grid.fiber), dtype=complex)
-            for i in range(F):
-                if live[i]:
-                    out[i] = self._conv_sum_single(tr, int(j0[i]), int(j1[i]), i)
-            return out
         chi_dot = self.data["chi_dot"]
         lags = np.arange(F) * tr.dt
         chi = np.asarray([chi_dot(float(u)) for u in lags], dtype=complex)
+        if self.data.get("conj"):
+            chi = np.conj(chi)
         if math.isfinite(self.delta):
             d = int(math.floor(self.delta / tr.dt + 1e-9))
             chi[d + 1:] = 0.0
         psi = tr.values.copy()
-        jt0 = int(np.min(j0[live])) if np.any(live) else 0
-        psi[:jt0] = 0.0
+        psi[:int(np.min(j0[live]))] = 0.0
+        if self.advanced:
+            psi = psi[::-1]
         n_fft = 1
         while n_fft < 2 * F:
             n_fft *= 2
         conv = np.fft.ifft(
             np.fft.fft(psi, n=n_fft, axis=0)
             * np.fft.fft(chi, n=n_fft)[:, None, None], axis=0)[:F]
+        if self.advanced:
+            conv = conv[::-1]
         i = np.arange(F)
         j0c = np.clip(j0, 0, F - 1)
-        lag_low = np.clip(i - j0c, 0, F - 1)
-        corr = (0.5 * chi[lag_low][:, None, None] * tr.values[j0c]
-                + 0.5 * chi[0] * tr.values)
+        j1c = np.clip(j1, 0, F - 1)
+        corr = (0.5 * chi[np.abs(i - j0c)][:, None, None] * tr.values[j0c]
+                + 0.5 * chi[np.abs(j1c - i)][:, None, None] * tr.values[j1c])
         out = (conv - corr) * tr.dt
         out[~live] = 0.0
-        return self._proj_all(out)
+        return _fiber_apply(self.data["projector"], out)
 
-    def _conv_sum_single(self, tr: Trajectory, a: int, b: int, i: int):
-        w = np.ones(b - a + 1)
-        w[0] = w[-1] = 0.5
-        return self._conv_sum(float(tr.time(i)), tr.times()[a:b + 1],
-                              w * tr.dt, tr.values[a:b + 1])
-
-    def _proj_all(self, values: np.ndarray) -> np.ndarray:
-        proj = self.data["projector"]
-        if proj is None:
-            return values
-        proj = np.asarray(proj, dtype=complex)
-        if proj.ndim == 2:
-            return values @ proj.T
-        return np.einsum("sfg,tsg->tsf", proj, values)
+    def _dense_sweep(self, tr: Trajectory, j0, j1, live, out) -> None:
+        """Add the dense kernel into out one lag l = j - i at a time: the
+        frames i that admit tau frame i + l form one contiguous run [a, b),
+        so op sees slices of shape (b - a, sites, fiber), never the whole
+        (lags, frames) band at once."""
+        op = self.data["op"]
+        times = tr.times()
+        i = np.arange(tr.n_frames)
+        lo, hi = j0 - i, j1 - i
+        for lag in range(int(np.min(lo[live])), int(np.max(hi[live])) + 1):
+            admits = live & (lo <= lag) & (lag <= hi)
+            rows = np.flatnonzero(admits)
+            if rows.size == 0:
+                continue
+            a, b = int(rows[0]), int(rows[-1]) + 1
+            # trapezoid weight: half where tau is an endpoint j0 or j1
+            w = (tr.dt * admits[a:b] * np.where(lo[a:b] == lag, 0.5, 1.0)
+                 * np.where(hi[a:b] == lag, 0.5, 1.0))
+            out[a:b] += w[:, None, None] * op(times[a:b],
+                                              times[a + lag:b + lag],
+                                              tr.values[a + lag:b + lag])
 
 
 # ---------------------------------------------------------------------------
@@ -317,44 +262,25 @@ def make_convolution(chi_dot: Callable[[float], complex], projector,
     chi_dot(t - tau) psi_tau d tau, pointwise in space."""
     if delta_eff <= 0:
         raise KernelError("delta_eff must be positive")
+    if projector is not None:
+        projector = np.asarray(projector, dtype=complex)
     return TimeKernel(grid=grid, kind="convolution",
                       data={"chi_dot": chi_dot, "projector": projector},
                       retarded=True, delta=delta_eff, switch_on=t0)
 
 
-def make_dense(grid: Grid, op, adj_op=None, apply_slab=None,
-               retarded: bool = False, advanced: bool = False,
-               delta: float = INF, switch_on: float = -INF) -> TimeKernel:
-    """Dense kernel from a callback op(t, tau, values) -> values. An optional
-    vectorized `apply_slab(t, taus, weights, psi_slab)` speeds up apply."""
+def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
+               advanced: bool = False, delta: float = INF,
+               switch_on: float = -INF) -> TimeKernel:
+    """Dense kernel from a callback op(t, tau, values) -> B_{t,tau} values,
+    vectorized over P (t, tau) pairs: t and tau have shape (P,), values and
+    the result (P, sites, fiber). `adj_op` has the same contract and is
+    needed by `adjoint`."""
     data = {"op": op}
     if adj_op is not None:
         data["adj_op"] = adj_op
-    if apply_slab is not None:
-        data["apply_slab"] = apply_slab
     return TimeKernel(grid=grid, kind="dense", data=data, retarded=retarded,
                       advanced=advanced, delta=delta, switch_on=switch_on)
-
-
-def dense_from_array(grid: Grid, dt: float, index0: int, mats: np.ndarray,
-                     **flags) -> TimeKernel:
-    """Test adapter: stored array of per-pair fiber matrices
-    mats[i, j] = multiplication matrix of B at (t_i, tau_j)."""
-    def op(t, tau, values):
-        i = round(t / dt) - index0
-        j = round(tau / dt) - index0
-        if not (0 <= i < mats.shape[0] and 0 <= j < mats.shape[1]):
-            return np.zeros_like(values)
-        return values @ mats[i, j].T
-
-    def adj_op(t, tau, values):
-        i = round(tau / dt) - index0
-        j = round(t / dt) - index0
-        if not (0 <= i < mats.shape[0] and 0 <= j < mats.shape[1]):
-            return np.zeros_like(values)
-        return values @ np.conj(mats[i, j])
-
-    return make_dense(grid, op, adj_op=adj_op, **flags)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .systems import SystemSpec, apply_S, inner_weight, make_system
 from .kernels import (TimeKernel, estimate_bound, make_convolution,
                       make_dense, make_separable, threshold_margin)
 from .solver import SolveOptions, solve_local
-from .dyson import dyson_retarded, dyson_short_range
+from .dyson import dyson_retarded, dyson_short_range, equation_defect
 from .diagnostics import (cone_violation, energy_identity, measure_D,
                           support_mask)
 
@@ -180,7 +180,7 @@ def counterexample_report(cfg: CounterexampleConfig,
                 total_holder.append(psi)
             else:
                 total_holder[0] = total_holder[0].plus(psi)
-            d = _equation_defect(sys, k, total_holder[0], f_tr)
+            d = equation_defect(sys, k, total_holder[0], f_tr)
             obstruction.append(_strip_pair(d, f_tr, w))
         return mon
 
@@ -228,23 +228,6 @@ def counterexample_report(cfg: CounterexampleConfig,
         "diag_cone": cone,
         "D": measure_D(sys),
     }
-
-
-def _equation_defect(sys: SystemSpec, k: Optional[TimeKernel],
-                     psi: Trajectory, phi: Optional[Trajectory]) -> Trajectory:
-    """(S - B) psi - phi on interior frames (centered time differencing)."""
-    F = psi.n_frames
-    b_all = k.apply_all(psi) if k is not None else np.zeros_like(psi.values)
-    out = np.zeros((F - 2, sys.grid.sites, sys.grid.fiber), dtype=complex)
-    for i in range(1, F - 1):
-        dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * psi.dt)
-        out[i - 1] = apply_S(sys, psi.values[i], dpsi, psi.time(i)) - b_all[i]
-    tr = Trajectory(sys.grid, psi.dt, psi.index0 + 1, out)
-    if phi is not None:
-        from .dyson import _aligned_source_values
-        tr = Trajectory(sys.grid, tr.dt, tr.index0,
-                        tr.values - _aligned_source_values(phi, tr))
-    return tr
 
 
 def _strip_pair(a: Trajectory, b: Trajectory, w: InnerWeight) -> complex:
@@ -488,33 +471,6 @@ def maxwell_constraints_3d(cfg: MaxwellConfig) -> dict:
             "opts": opts}
 
 
-def maxwell_data_from_charge(grid: Grid, rho: np.ndarray) -> np.ndarray:
-    """E with stencil divergence exactly 4 pi rho, via the spectral inverse of
-    the stencil Laplacian (torus: rho must have zero mean)."""
-    if grid.dim != 3:
-        raise ScenarioError("charge construction is 3D")
-    n = grid.points
-    r = np.asarray(rho, dtype=complex).reshape((n, n, n))
-    mean = complex(np.mean(r))
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(r)))):
-        raise ScenarioError("torus charge must have zero mean")
-    rhat = np.fft.fftn(r)
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
-    kt = np.array([stencil_wavenumber(abs(kk), grid.spacing) * np.sign(kk)
-                   for kk in k])
-    k2 = (kt[:, None, None] ** 2 + kt[None, :, None] ** 2
-          + kt[None, None, :] ** 2)
-    k2[0, 0, 0] = 1.0
-    phihat = 4.0 * math.pi * rhat / k2
-    phihat[0, 0, 0] = 0.0
-    E = np.zeros((grid.sites, 3), dtype=complex)
-    for ax, kax in enumerate([kt[:, None, None], kt[None, :, None],
-                              kt[None, None, :]]):
-        comp = np.fft.ifftn(-1j * kax * phihat)
-        E[:, ax] = comp.reshape(-1)
-    return E
-
-
 def volterra_oracle(chi_dot: Callable[[float], float], T: float, dt: float,
                     e0: complex = 1.0) -> np.ndarray:
     """Independent scalar solver for E' = -int_0^t chi_dot(t-tau) E(tau) dtau
@@ -600,17 +556,6 @@ def maxwell_run(cfg: MaxwellConfig) -> dict:
         raise ScenarioError(f"unknown Maxwell mode {cfg.mode!r}")
     out = modes[cfg.mode](cfg)
     out["mode"] = cfg.mode
-    return out
-
-
-def continuity_residual(rho: Trajectory, j: Trajectory) -> float:
-    """max |d_t rho + div j| on interior frames (3D sources)."""
-    grid = rho.grid
-    out = 0.0
-    for i in range(1, rho.n_frames - 1):
-        drho = (rho.values[i + 1] - rho.values[i - 1])[:, 0] / (2.0 * rho.dt)
-        dj = div4(Grid(3, grid.extent, grid.points, 3), j.values[i])
-        out = max(out, float(np.max(np.abs(drho + dj))))
     return out
 
 
@@ -733,27 +678,15 @@ def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
         out = np.zeros_like(values)
         mid, z = 0.5 * (t + tau), tau - t
         for envelope, window, gam in pots:
-            fac = scale * envelope(float(mid), x) * complex(window(float(z)))
-            out += fac[:, None] * (values @ gam.T)
-        return out
-
-    def apply_slab(t, taus, wts, psis, pots=pots, scale=scale):
-        out = np.zeros((grid.sites, grid.fiber), dtype=complex)
-        mids = 0.5 * (t + np.asarray(taus))
-        zs = np.asarray(taus) - t
-        for envelope, window, gam in pots:
-            env = np.asarray([envelope(float(m), x) for m in mids])  # (T, sites)
-            win = window(zs)                                          # (T,)
-            out += scale * np.einsum("t,ts,tsf->sf", wts * win, env,
-                                     psis @ gam.T)
+            fac = scale * envelope(mid, x) * window(z)[:, None]  # (P, sites)
+            out += fac[..., None] * (values @ gam.T)
         return out
 
     def adj_op(t, tau, values):
         # B(tau, t)^+ = -B(t, tau) pointwise
         return -op(t, tau, values)
 
-    kern = make_dense(grid, op, adj_op=adj_op, apply_slab=apply_slab,
-                      delta=cfg.delta)
+    kern = make_dense(grid, op, adj_op=adj_op, delta=cfg.delta)
     return kern, scale * c_unit
 
 
@@ -807,21 +740,19 @@ def surface_layer_product(tr: Trajectory, k: Optional[TimeKernel],
         d = int(math.floor(k.delta / tr.dt + 1e-9))
     else:
         d = tr.n_frames - 1
-    i_lo = max(0, iN - d)
     if iN - d < 0 or iN + d > tr.n_frames - 1:
         raise ScenarioError("trajectory does not cover the delta-slab of t_N")
-    # future side, with a half weight on the t_N frame itself
-    fut = tr.values.copy()
-    fut[:iN] = 0.0
-    fut[iN] *= 0.5
-    fut_tr = Trajectory(grid, tr.dt, tr.index0, fut)
-    corr = 0.0
-    for i in range(i_lo, iN + 1):
-        w_i = tr.dt * (0.5 if i in (i_lo, iN) else 1.0)
-        bf = k.apply(fut_tr, tr.time(i))
-        corr += w_i * float(np.einsum("sf,sf->", np.conj(tr.values[i]),
-                                      bf).real * dv)
-    return nsq - 2.0 * corr
+    # the delta-slab around t_N; future side only, with a half weight on the
+    # t_N frame itself
+    fut = tr.values[iN - d:iN + d + 1].copy()
+    fut[:d] = 0.0
+    fut[d] *= 0.5
+    bf = k.apply_all(Trajectory(grid, tr.dt, tr.index0 + iN - d, fut))[:d + 1]
+    w = np.full(d + 1, tr.dt)
+    w[0] = w[-1] = 0.5 * tr.dt
+    per = np.einsum("isf,isf->i", np.conj(tr.values[iN - d:iN + 1]),
+                    bf).real * dv
+    return nsq - 2.0 * float(np.dot(w, per))
 
 
 def _dirac_data(grid: Grid) -> StateField:

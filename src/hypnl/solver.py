@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Grid, StateField, Trajectory, ko_dissipation
+from .grids import StateField, Trajectory, ko_dissipation
 from .systems import SystemSpec, evolution_rhs
 
 

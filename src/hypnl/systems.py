@@ -13,13 +13,12 @@ with A0, A^j Hermitian per site, A0 positive definite, and D_j the module's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import (Grid, InnerWeight, StateField, diff4, diff_upwind,
-                    GridError)
+from .grids import Grid, InnerWeight, StateField, diff4, diff_upwind
 
 
 class SystemError(ValueError):
@@ -105,14 +104,6 @@ class SystemSpec:
             return _per_site(self.grid, self.S0_t(t))
         return self.S0
 
-    def constant_coefficients(self) -> bool:
-        """True when every coefficient is site-independent."""
-        def const(m):
-            return bool(np.all(m == m[0]))
-        return (const(self.A0) and all(const(a) for a in self.Aj)
-                and (self.S0 is None or const(self.S0))
-                and bool(np.all(self.beta == self.beta[0])))
-
 
 def make_system(grid: Grid, A0, Aj: Sequence, S0=None, S0_t=None, beta=None,
                 dA0_dt=None, name: str = "system") -> SystemSpec:
@@ -191,22 +182,6 @@ def symbol_divergence(sys: SystemSpec, t: float) -> np.ndarray:
         d = diff4(Grid(g.dim, g.extent, g.points, f * f), flatmat, j)
         out += d.reshape(g.sites, f, f)
     return out
-
-
-def zero_order_Z(sys: SystemSpec, values: np.ndarray, t: float) -> np.ndarray:
-    """Z psi = beta * (beta A0)^{-1} (S + S^dagger) psi from the closed form
-
-        (S + S^dagger) psi = -(S0 + S0^dagger) psi - (d_mu A^mu) psi,
-
-    flat-metric Christoffel terms being zero on the periodic lattice."""
-    acc = np.zeros_like(values)
-    s0 = sys.S0_at(t)
-    if s0 is not None:
-        acc -= _mat_apply(s0 + np.conj(np.swapaxes(s0, 1, 2)), values)
-    div = symbol_divergence(sys, t)
-    if np.any(div):
-        acc -= _mat_apply(div, values)
-    return _mat_apply(sys.A0_inv, acc)
 
 
 def zero_order_matrices(sys: SystemSpec, t: float) -> np.ndarray:

@@ -4,9 +4,11 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from hypnl.cli import ConfigError, cli_run, config_hash, load_config
+from hypnl.systems import system_from_json
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -65,6 +67,74 @@ def test_schema_version_checked(tmp_path):
     doc["schema"] = 99
     with pytest.raises(ConfigError, match="schema"):
         load_config(_write(tmp_path, doc))
+
+
+def _drop(key):
+    def edit(system):
+        del system[key]
+    return edit
+
+
+def _put(key, value):
+    def edit(system):
+        system[key] = value
+    return edit
+
+
+def _put_grid(key, value):
+    def edit(system):
+        system["grid"][key] = value
+    return edit
+
+
+_OFFSET_SIN = {"profile": "offset_sin", "params": {"c0": 1.0, "c1": 0.1, "k": 1.0}}
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_drop("grid"), r"options\.system\.grid'"),
+    (_drop("A0"), r"options\.system\.A0'"),
+    (_put("bogus", 1), r"options\.system\.bogus"),
+    (_put("grid", [1, 6.28, 64, 1]), r"options\.system\.grid'"),
+    (_put_grid("points", 4), r"options\.system\.grid\.points"),
+    (_put_grid("dim", 2), r"options\.system\.grid\.dim"),
+    (_put_grid("spacing", 0.1), r"options\.system\.grid\.spacing"),
+    (_put("A0", {"matrix": [[[1.0, 0.0], [0.0, 0.0]]]}),
+     r"options\.system\.A0\.matrix"),
+    (_put("A0", {"matrix": [[[1.0, 0.0]]], "scale": 2}),
+     r"options\.system\.A0\.scale"),
+    (_put("Aj", []), r"options\.system\.Aj'"),
+    (_put("Aj", [{"profile": "wiggle", "params": {}}]),
+     r"options\.system\.Aj\[0\]\.profile"),
+    (_put("Aj", [{"profile": "offset_sin", "params": {"c0": 1.0}}]),
+     r"options\.system\.Aj\[0\]\.params\.c1"),
+    (_put("S0", {}), r"options\.system\.S0'"),
+    (_put("beta", {"profile": "offset_sin"}), r"options\.system\.beta\.params"),
+    (_put("beta", {"constant": "one"}), r"options\.system\.beta\.constant"),
+    (_put("name", 7), r"options\.system\.name"),
+])
+def test_invalid_system_reports_field_path(tmp_path, edit, path):
+    doc = _base_doc()
+    edit(doc["options"]["system"])
+    with pytest.raises(ConfigError, match=path):
+        load_config(_write(tmp_path, doc))
+
+
+def test_valid_system_with_profiles_loads(tmp_path):
+    doc = _base_doc()
+    system = doc["options"]["system"]
+    system["Aj"] = [_OFFSET_SIN]
+    system["S0"] = {"matrix": [[[0.0, 0.5]]]}
+    system["beta"] = _OFFSET_SIN
+    cfg = load_config(_write(tmp_path, doc))
+    sys_spec = system_from_json(cfg.options["system"])
+    assert sys_spec.S0 is not None and not np.all(sys_spec.beta == 1.0)
+
+
+def test_validate_without_grid_exits_1(tmp_path, capsys):
+    doc = _base_doc()
+    del doc["options"]["system"]["grid"]
+    assert cli_run(["validate", "--config", _write(tmp_path, doc)]) == 1
+    assert "options.system.grid" in capsys.readouterr().err
 
 
 def test_config_hash_key_order_invariant(tmp_path):

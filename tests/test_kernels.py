@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypnl.grids import Trajectory, make_grid, sample_trajectory
+from hypnl.grids import GridError, Trajectory, make_grid, sample_trajectory
 from hypnl.kernels import (KernelError, adjoint, estimate_bound,
                            make_convolution, make_dense, make_separable,
                            threshold_margin, weighted)
@@ -61,6 +61,20 @@ def _apply_oracle(k, tr, t):
     return out
 
 
+def _assert_matches_oracle(k, tr, atol=1e-12):
+    """apply_all against the pair_apply trapezoid on every frame."""
+    allv = k.apply_all(tr)
+    for i in range(tr.n_frames):
+        np.testing.assert_allclose(allv[i], _apply_oracle(k, tr, tr.time(i)),
+                                   rtol=0, atol=atol)
+
+
+def _rot_op(t, tau, values):
+    """Dense test operator cos(t - tau) * rotation, vectorized over pairs."""
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
+    return np.cos(t - tau)[:, None, None] * (values @ m.T)
+
+
 # ---------------------------------------------------------------------------
 # application vs oracle
 
@@ -71,14 +85,12 @@ def _apply_oracle(k, tr, t):
     {"delta": 0.5,
      "g_gate": lambda t: 0.0 <= t <= 0.375,
      "h_gate": lambda t: 0.125 <= t <= 0.5},
+    {"switch_on": 0.5, "h_gate": lambda t: t >= 0.5},
 ])
 def test_separable_apply_matches_oracle(flags):
     g = _grid()
     k = _sep_kernel(g, **flags)
-    tr = _traj(g, 11)
-    for t in (0.0, 0.375, 1.0, 2.0):
-        np.testing.assert_allclose(k.apply(tr, t), _apply_oracle(k, tr, t),
-                                   rtol=0, atol=1e-12)
+    _assert_matches_oracle(k, _traj(g, 11))
 
 
 def test_separable_pair_apply_is_rank_one():
@@ -97,44 +109,55 @@ def test_convolution_apply_matches_oracle():
     g = _grid()
     k = make_convolution(lambda u: math.exp(-u) * math.sin(2.0 * u),
                          np.diag([1.0, 0.0]), g, t0=0.0, delta_eff=1.0)
-    tr = _traj(g, 13)
-    for t in (0.25, 1.0, 1.875):
-        np.testing.assert_allclose(k.apply(tr, t), _apply_oracle(k, tr, t),
-                                   rtol=0, atol=1e-12)
+    _assert_matches_oracle(k, _traj(g, 13))
 
 
 def test_dense_apply_matches_oracle():
     g = _grid()
-    m = np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
-
-    def op(t, tau, values):
-        return math.cos(t - tau) * (values @ m.T)
-
-    k = make_dense(g, op, delta=0.75)
-    tr = _traj(g, 14)
-    for t in (0.0, 0.5, 1.5):
-        np.testing.assert_allclose(k.apply(tr, t), _apply_oracle(k, tr, t),
-                                   rtol=0, atol=1e-12)
+    k = make_dense(g, _rot_op, delta=0.75)
+    _assert_matches_oracle(k, _traj(g, 14))
 
 
-@pytest.mark.parametrize("maker", ["separable", "convolution", "dense"])
-def test_apply_all_matches_per_frame_apply(maker):
+def _oracle_case(name, g):
+    if name == "separable":
+        return _sep_kernel(g, delta=1.0,
+                           g_gate=lambda t: 0.0 <= t <= 0.75,
+                           h_gate=lambda t: 0.0 <= t <= 0.75)
+    if name == "convolution":
+        return make_convolution(lambda u: math.exp(-u), None, g, t0=0.0,
+                                delta_eff=0.75)
+    if name == "convolution_adjoint":
+        k = make_convolution(lambda u: math.exp(-u) * (0.3 + 1j * u),
+                             np.array([[1.0, 0.5j], [0.0, 2.0]]), g, t0=0.25,
+                             delta_eff=0.625)
+        return adjoint(k)
+    if name == "dense":
+        return make_dense(g, lambda t, tau, v: (t - tau)[:, None, None] * v,
+                          retarded=True, delta=0.5)
+    if name == "dense_infinite_range":
+        return make_dense(g, _rot_op)
+    if name == "dense_advanced_switch_on":
+        return make_dense(g, _rot_op, advanced=True, delta=0.5,
+                          switch_on=0.75)
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "separable", "convolution", "convolution_adjoint", "dense",
+    "dense_infinite_range", "dense_advanced_switch_on"])
+def test_apply_all_matches_oracle(name):
     g = _grid()
-    if maker == "separable":
-        k = _sep_kernel(g, delta=1.0,
-                        g_gate=lambda t: 0.0 <= t <= 0.75,
-                        h_gate=lambda t: 0.0 <= t <= 0.75)
-    elif maker == "convolution":
-        k = make_convolution(lambda u: math.exp(-u), None, g, t0=0.0,
-                             delta_eff=0.75)
-    else:
-        k = make_dense(g, lambda t, tau, v: (t - tau) * v, retarded=True,
-                       delta=0.5)
-    tr = _traj(g, 15)
-    allv = k.apply_all(tr)
-    for i in range(tr.n_frames):
-        np.testing.assert_allclose(allv[i], k.apply(tr, tr.time(i)),
-                                   rtol=0, atol=1e-11)
+    _assert_matches_oracle(_oracle_case(name, g), _traj(g, 15, index0=-3),
+                           atol=1e-11)
+
+
+def test_apply_is_one_frame_of_apply_all():
+    g = _grid()
+    k = make_dense(g, _rot_op, delta=0.5)
+    tr = _traj(g, 16)
+    np.testing.assert_array_equal(k.apply(tr, 0.75), k.apply_all(tr)[6])
+    with pytest.raises(GridError):
+        k.apply(tr, 0.3)
 
 
 # ---------------------------------------------------------------------------

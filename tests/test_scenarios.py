@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hypnl.grids import (StateField, frame_norms_sq, make_grid, norm_strip,
-                         sample_trajectory)
+from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
+                         norm_strip, sample_trajectory)
 from hypnl.systems import inner_weight, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
-                             CounterexampleConfig, bump, bump_dot,
+                             CounterexampleConfig, DiracConfig, bump,
+                             bump_dot,
                              build_counterexample, clifford_defect,
-                             counterexample_oracle, curl4, dirac_system, div4,
+                             counterexample_oracle, curl4, dirac_kernel,
+                             dirac_system, div4,
                              drude_lorentz, extended_system_check,
                              maxwell_system_1d, maxwell_system_3d,
                              spin_symmetry_defect, stencil_wavenumber,
@@ -189,6 +191,41 @@ def test_surface_product_without_kernel_is_slice_norm():
     t_n = 16 * opts.dt
     val = surface_layer_product(tr, None, t_n)
     assert val == pytest.approx(frame_norms_sq(tr, w)[16], rel=1e-12)
+
+
+def test_surface_product_with_dirac_kernel_matches_double_sum():
+    """The delta-slab apply_all against the double trapezoid of the formula,
+    written with the frame operator over the whole trajectory: the inner
+    integral runs over the tau frames the kernel admits (half weights at
+    their ends) with the t_N frame halved, the outer one over the slab
+    [t_N - delta, t_N]."""
+    cfg = DiracConfig(points=32, delta=0.25, T=0.5)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    kern, _ = dirac_kernel(cfg, g)
+    dt = 0.25 * g.spacing
+    d = int(math.floor(cfg.delta / dt + 1e-9))
+    rng = np.random.default_rng(np.random.Philox(4))
+    n = 4 * d + 3
+    vals = (rng.standard_normal((n, g.sites, 2))
+            + 1j * rng.standard_normal((n, g.sites, 2)))
+    tr = Trajectory(g, dt, -2 * d, vals)
+    iN = 2 * d + 1
+    dv = g.cell_volume
+    corr = 0.0
+    for i in range(iN - d, iN + 1):
+        w_i = dt * (0.5 if i in (iN - d, iN) else 1.0)
+        js = [j for j in range(n) if kern._admissible(tr.time(i), tr.time(j))]
+        for pos, j in enumerate(js):
+            if j < iN:
+                continue
+            w_j = dt * (0.5 if pos in (0, len(js) - 1) else 1.0)
+            w_j *= 0.5 if j == iN else 1.0
+            bv = kern.pair_apply(tr.time(i), tr.time(j), vals[j])
+            corr += w_i * w_j * np.vdot(vals[i], bv).real * dv
+    nsq = np.vdot(vals[iN], vals[iN]).real * dv
+    val = surface_layer_product(tr, kern, tr.time(iN))
+    assert corr != 0.0
+    assert val == pytest.approx(nsq - 2.0 * corr, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
