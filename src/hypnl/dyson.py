@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import StateField, Trajectory, frame_norms_sq, trapezoid_sum
+from .grids import (StateField, Trajectory, frame_norms_sq, norm_strip,
+                    trapezoid_sum)
 from .kernels import TimeKernel, estimate_bound
 from .solver import SolveAborted, SolveOptions, solve_local
 from .systems import SystemSpec, apply_S, inner_weight
@@ -28,6 +29,11 @@ from .diagnostics import measure_D
 
 class DysonError(RuntimeError):
     pass
+
+
+# values per stacked apply_S call in equation_defect (0.5 MB): larger chunks
+# leave their temporaries in the heap and raise the peak RSS of 3D runs
+_CHUNK_VALUES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +95,8 @@ def equation_defect(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
                     phi: Optional[Trajectory],
                     strip: Optional[tuple] = None) -> Trajectory:
     """(S - B) psi - phi on the interior frames of psi (those inside `strip`
-    when given), with d_t psi by centered frame differences (O(dt^2))."""
+    when given), with d_t psi by centered frame differences (O(dt^2)). S is
+    applied to stacks of frames, at most _CHUNK_VALUES values at a time."""
     F = psi.n_frames
     if F < 3:
         raise DysonError("need at least 3 frames for the centered residual")
@@ -102,11 +109,14 @@ def equation_defect(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
         raise DysonError("empty residual strip (insufficient padding)")
     b_all = k.apply_all(psi) if k is not None else np.zeros_like(psi.values)
     phi_vals = _aligned_source_values(phi, psi)
+    v, times = psi.values, psi.times()
     out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber), dtype=complex)
-    for i in range(lo, hi + 1):
-        dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * dt)
-        out[i - lo] = (apply_S(sys, psi.values[i], dpsi, psi.time(i))
-                       - b_all[i] - phi_vals[i])
+    step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
+    for a in range(lo, hi + 1, step):
+        b = min(a + step, hi + 1)
+        dpsi = (v[a + 1:b + 1] - v[a - 1:b - 1]) / (2.0 * dt)
+        out[a - lo:b - lo] = (apply_S(sys, v[a:b], dpsi, times[a:b])
+                              - b_all[a:b] - phi_vals[a:b])
     return Trajectory(sys.grid, dt, psi.index0 + lo, out)
 
 
@@ -115,11 +125,8 @@ def residual(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
              strip: Optional[tuple] = None) -> float:
     """Strip norm of the equation defect (S - B) psi - phi over the inner
     strip; endpoint frames are excluded."""
-    defect = equation_defect(sys, k, psi, phi, strip)
-    w = inner_weight(sys).weight
-    series = np.array([np.einsum("sf,sfg,sg->", np.conj(r), w, r).real
-                       for r in defect.values]) * sys.grid.cell_volume
-    return math.sqrt(max(trapezoid_sum(series, psi.dt), 0.0))
+    return norm_strip(equation_defect(sys, k, psi, phi, strip),
+                      inner_weight(sys))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ across thread counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,6 +184,7 @@ class InnerWeight:
     grid: Grid
     weight: np.ndarray  # (sites, fiber, fiber) Hermitian > 0
     lapse: np.ndarray   # (sites,) real > 0
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=complex)
@@ -202,22 +203,14 @@ class InnerWeight:
             raise GridError("lapse not positive")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "lapse", lp)
+        object.__setattr__(self, "is_identity",
+                           bool(np.all(w == np.eye(f)) and np.all(lp == 1.0)))
 
     @classmethod
     def identity(cls, grid: Grid) -> "InnerWeight":
         w = np.broadcast_to(np.eye(grid.fiber, dtype=complex),
                             (grid.sites, grid.fiber, grid.fiber)).copy()
         return cls(grid, w, np.ones(grid.sites))
-
-    @property
-    def is_identity(self) -> bool:
-        eye = np.eye(self.grid.fiber)
-        return (np.array_equal(self.weight, np.broadcast_to(eye, self.weight.shape))
-                and np.all(self.lapse == 1.0))
-
-
-def _resolve_weight(w, t: float) -> InnerWeight:
-    return w(t) if callable(w) else w
 
 
 def inner_t(a: StateField, b: StateField, w: InnerWeight) -> complex:
@@ -242,12 +235,19 @@ def norm_t(a: StateField, w: InnerWeight) -> float:
 
 
 def frame_norms_sq(tr: Trajectory, w) -> np.ndarray:
-    """Per-frame squared slice norms, fixed summation order."""
-    out = np.empty(tr.n_frames)
-    for i in range(tr.n_frames):
-        wt = _resolve_weight(w, tr.time(i))
-        out[i] = inner_t(tr.frame(i), tr.frame(i), wt).real
-    return out
+    """Per-frame squared slice norms, fixed summation order: one einsum over
+    all frames for an InnerWeight, one inner_t per frame for a callable
+    t -> InnerWeight."""
+    if callable(w):
+        return np.array([inner_t(fr, fr, w(fr.time)).real for fr in tr])
+    if w.grid != tr.grid:
+        raise GridError("weight grid mismatch")
+    v = tr.values
+    if w.is_identity:
+        s = np.einsum("tsf,tsf->t", np.conj(v), v)
+    else:
+        s = np.einsum("tsf,sfg,tsg->t", np.conj(v), w.weight, v)
+    return s.real * tr.grid.cell_volume
 
 
 def trapezoid_sum(series: np.ndarray, dt: float) -> float:
@@ -275,17 +275,27 @@ def sup_norm(tr: Trajectory, w) -> float:
 # ---------------------------------------------------------------------------
 # spatial stencils (4th-order central; skew-symmetric on the periodic lattice)
 
-_D4_COEF = ((1, 8.0), (2, -1.0))  # (offset, weight); antisymmetric pair
-
 
 def diff4(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """4th-order central derivative along a spatial axis. Exactly
-    skew-symmetric w.r.t. the plain lattice inner product."""
-    v = grid.shaped(values)
-    out = np.zeros_like(v)
-    for off, c in _D4_COEF:
-        out += c * (np.roll(v, -off, axis=axis) - np.roll(v, off, axis=axis))
-    return grid.flat(out / (12.0 * grid.spacing))
+    """4th-order central derivative along a spatial axis of (sites, fiber)
+    values or of a (frames, sites, fiber) stack. Exactly skew-symmetric
+    w.r.t. the plain lattice inner product.
+
+    The periodic wrap is two ghost points per side; the slices then give
+    8 (v[i+1] - v[i-1]) - (v[i+2] - v[i-2]), summed in that order."""
+    lead = values.shape[:-2]
+    v = values.reshape(lead + (grid.points,) * grid.dim + (grid.fiber,))
+    ax = len(lead) + axis
+    n = grid.points
+    pre = (slice(None),) * ax
+    p = np.concatenate([v[pre + (slice(n - 2, n),)], v,
+                        v[pre + (slice(0, 2),)]], axis=ax)
+
+    def shift(off):  # v[i + off] for every i, read from the padded copy
+        return p[pre + (slice(2 + off, n + 2 + off),)]
+
+    out = 8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))
+    return (out / (12.0 * grid.spacing)).reshape(values.shape)
 
 
 def diff_upwind(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:

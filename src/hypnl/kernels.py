@@ -21,23 +21,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import Grid, Trajectory
-from .systems import SystemSpec, inner_weight
+from .systems import SystemSpec, _fiber_apply, inner_weight
 
 INF = math.inf
 
 
 class KernelError(ValueError):
     pass
-
-
-def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """Fiber matrices applied to values of shape (..., sites, f): `m` is None
-    (identity), one (f, f) matrix, or a per-site (sites, f, f) stack."""
-    if m is None:
-        return values
-    if m.ndim == 2:
-        return values @ m.T
-    return np.einsum("sfg,...sg->...sf", m, values)
 
 
 @dataclass(frozen=True)
@@ -59,16 +49,21 @@ class TimeKernel:
     # -- tau-lattice support -------------------------------------------------
 
     def _admissible(self, t: float, tau: float) -> bool:
-        eps = 1e-12 * (1.0 + abs(t) + abs(tau))
-        if self.retarded and tau > t + eps:
-            return False
-        if self.advanced and tau < t - eps:
-            return False
-        if math.isfinite(self.delta) and abs(t - tau) > self.delta + eps:
-            return False
-        if math.isfinite(self.switch_on) and tau < self.switch_on - eps:
-            return False
-        return True
+        return bool(self._admissible_mask(np.float64(t), np.float64(tau)))
+
+    def _admissible_mask(self, t, tau):
+        """Whether the flags admit each (t, tau) pair (arrays broadcast)."""
+        eps = 1e-12 * (1.0 + np.abs(t) + np.abs(tau))
+        ok = np.ones(np.broadcast(t, tau).shape, dtype=bool)
+        if self.retarded:
+            ok &= ~(tau > t + eps)
+        if self.advanced:
+            ok &= ~(tau < t - eps)
+        if math.isfinite(self.delta):
+            ok &= ~(np.abs(t - tau) > self.delta + eps)
+        if math.isfinite(self.switch_on):
+            ok &= ~(tau < self.switch_on - eps)
+        return ok
 
     def _slice_arrays(self, tr: Trajectory):
         """Inclusive tau-frame range (j0, j1) the flags admit for each output
@@ -371,6 +366,24 @@ def _weight_transforms(sys: SystemSpec):
     return root, iroot
 
 
+def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
+              times: np.ndarray, idx: np.ndarray, D: float) -> tuple:
+    """(sup, count) over the admissible pairs (t_i, tau_j), i and j in idx,
+    of the rank-r operator norm sqrt(max eig(Gg_i Hh_j)) weighted by
+    e^{D|tau_j|/2}; one admissibility mask for all pairs."""
+    ii, jj = np.nonzero(V._admissible_mask(times[idx][:, None],
+                                           times[idx][None, :]))
+    if ii.size == 0:
+        return 0.0, 0
+    ii, jj = idx[ii], idx[jj]
+    if Gg.shape[1] == 1:
+        sq = (Gg[ii, 0, 0] * Hh[jj, 0, 0]).real
+    else:
+        sq = np.max(np.linalg.eigvals(Gg[ii] @ Hh[jj]).real, axis=-1)
+    decay = np.array([math.exp(-D * abs(float(tau)) / 2.0) for tau in times])
+    return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), ii.size
+
+
 def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
                    t_window: Optional[tuple] = None, D: float = 0.0,
                    seed: int = 0) -> BoundEstimate:
@@ -400,7 +413,6 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
         else:
             sel = np.ones(len(times), dtype=bool)
         idx = np.nonzero(sel)[0]
-        r = len(g_list)
         # per-frame Gram data: output side in H_t, input side in the dual norm
         gtil = np.stack([np.einsum("sfg,tsg->tsf", V.post, ga.values)
                          for ga in g_list]) if V.post is not None else \
@@ -410,19 +422,7 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
         hw = np.einsum("sfg,atsg->atsf", wiroot, htil)
         Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
         Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
-        for i in idx:
-            t = float(times[i])
-            for j in idx:
-                tau = float(times[j])
-                if not V._admissible(t, tau):
-                    continue
-                if r == 1:
-                    nrm = math.sqrt(max((Gg[i, 0, 0] * Hh[j, 0, 0]).real, 0.0))
-                else:
-                    ev = np.linalg.eigvals(Gg[i] @ Hh[j])
-                    nrm = math.sqrt(max(float(np.max(ev.real)), 0.0))
-                n_samples += 1
-                best = max(best, nrm / math.exp(-D * abs(tau) / 2.0))
+        best, n_samples = _pair_sup(V, Gg, Hh, times, idx, D)
         pair_times = [(float(times[i]), float(times[j]))
                       for i in idx[:: max(1, len(idx) // 16)]
                       for j in idx[:: max(1, len(idx) // 16)]

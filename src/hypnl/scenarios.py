@@ -653,16 +653,15 @@ def _dirac_sup_C(cfg: DiracConfig, pots, grid: Grid) -> float:
     x = grid.coords()[:, 0]
     mids = np.linspace(-cfg.T, 2.0 * cfg.T, 121)
     zs = np.linspace(-cfg.delta, cfg.delta, 81)
+    # (midpoint, site) envelopes and lag windows, one call per potential
+    tables = [(envelope(mids, x), window(zs)) for envelope, window, _ in pots]
     worst = 0.0
-    for mid in mids:
-        for z in zs:
-            d = []
-            for envelope, window, gam in pots:
-                d.append(envelope(float(mid), x) * window(float(z)))
-            d1 = d[0] if len(d) > 0 else 0.0
-            d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
-            nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
-            worst = max(worst, float(np.max(nrm)))
+    for m in range(len(mids)):
+        d = [env[m][None, :] * win[:, None] for env, win in tables]
+        d1 = d[0] if len(d) > 0 else 0.0
+        d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
+        nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
+        worst = max(worst, float(np.max(nrm)))
     return worst
 
 
@@ -923,13 +922,11 @@ def extended_system_check(n_fields: int = 20, seed: int = 0, points: int = 64,
 
     g_tr = [vec_traj(gs[a], dirs[a]) for a in range(rank)]
     gd_tr = [vec_traj(gds[a], dirs[a]) for a in range(rank)]
-    gx_tr = [Trajectory(grid, dt, 0,
-                        np.stack([diff4(grid, fr, 0) for fr in g_tr[a].values]))
+    gx_tr = [Trajectory(grid, dt, 0, diff4(grid, g_tr[a].values, 0))
              for a in range(rank)]
     h_tr = [vec_traj(hs[a], hdirs[a]) for a in range(rank)]
     hd_tr = [vec_traj(hds[a], hdirs[a]) for a in range(rank)]
-    hx_tr = [Trajectory(grid, dt, 0,
-                        np.stack([diff4(grid, fr, 0) for fr in h_tr[a].values]))
+    hx_tr = [Trajectory(grid, dt, 0, diff4(grid, h_tr[a].values, 0))
              for a in range(rank)]
 
     kern = make_separable(g_tr, h_tr)
@@ -997,23 +994,21 @@ def extended_system_check(n_fields: int = 20, seed: int = 0, points: int = 64,
                             np.stack([psi_f(i * dt) for i in range(frames)]))
         dpsi = np.stack([psi_dt(i * dt) for i in range(frames)])
         ddpsi = np.stack([psi_dt(i * dt, 2) for i in range(frames)])
-        dxpsi = np.stack([diff4(grid, fr, 0) for fr in psi_tr.values])
-        dxdpsi = np.stack([diff4(grid, fr, 0) for fr in dpsi])
+        dxpsi = diff4(grid, psi_tr.values, 0)
+        dxdpsi = diff4(grid, dpsi, 0)
+        times = psi_tr.times()
 
         b_psi = kern.apply_all(psi_tr)
         bdot_psi = kern_gdot.apply_all(psi_tr)
-        phi = np.stack([apply_S(sys, psi_tr.values[i], dpsi[i], i * dt)
-                        for i in range(frames)]) - b_psi
-        dphi = np.stack([apply_S(sys, dpsi[i], ddpsi[i], i * dt)
-                         for i in range(frames)]) - bdot_psi
-        dxphi = np.stack([diff4(grid, fr, 0) for fr in phi])
+        phi = apply_S(sys, psi_tr.values, dpsi, times) - b_psi
+        dphi = apply_S(sys, dpsi, ddpsi, times) - bdot_psi
+        dxphi = diff4(grid, phi, 0)
 
         Psi = np.concatenate([psi_tr.values, dpsi, dxpsi], axis=2)
         dPsi = np.concatenate([dpsi, ddpsi, dxdpsi], axis=2)
         Psi_tr = Trajectory(grid3, dt, 0, Psi)
         b1 = kern1.apply_all(Psi_tr)
-        lhs = np.stack([apply_S(sys1, Psi[i], dPsi[i], i * dt)
-                        for i in range(frames)]) - b1
+        lhs = apply_S(sys1, Psi, dPsi, times) - b1
         Phi = np.concatenate([phi, dphi, dxphi], axis=2)
         diff_tr = Trajectory(grid3, dt, 0, lhs - Phi)
         phi_tr = Trajectory(grid3, dt, 0, Phi)

@@ -3,9 +3,14 @@ on the periodic grid, plus the evolution operator U(t, tau) and the retarded
 Green operator.
 
 Sources live on the solve's own frame lattice; RK4 stage values use linear
-interpolation between source frames (O(dt^2) floor for sourced runs, full
-4th order for phi = 0). Backward solves (t1 < t0) are supported; frames are
-always returned in increasing-time order on the integer lattice i * dt.
+interpolation between source frames, one interpolation at t + h/2 shared by
+the k2 and k3 stages. That sets an O(dt^2) floor for sourced runs, and
+phi = 0 keeps full 4th order. Measured over [0, 2], halving dt from 0.05
+to 0.025 cuts the error of d_t psi = -psi + cos(3t) from zero data by
+2^2.0, and that of d_t psi = -psi from psi = 1 by 2^4.0
+(tests/test_solver.py::test_green_retarded_order_floor).
+Backward solves (t1 < t0) are supported; frames are always returned in
+increasing-time order on the integer lattice i * dt.
 """
 
 from __future__ import annotations
@@ -96,9 +101,9 @@ class _SourceSampler:
         return (1.0 - w) * phi.values[i] + w * phi.values[i + 1]
 
 
-def _rhs(sys: SystemSpec, y: np.ndarray, t: float, src: _SourceSampler,
-         eps: float) -> np.ndarray:
-    out = evolution_rhs(sys, y, t, src(t))
+def _rhs(sys: SystemSpec, y: np.ndarray, t: float,
+         source: Optional[np.ndarray], eps: float) -> np.ndarray:
+    out = evolution_rhs(sys, y, t, source)
     if eps > 0.0:
         out = out + ko_dissipation(sys.grid, y, eps)
     return out
@@ -106,10 +111,11 @@ def _rhs(sys: SystemSpec, y: np.ndarray, t: float, src: _SourceSampler,
 
 def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
               src: _SourceSampler, eps: float) -> np.ndarray:
-    k1 = _rhs(sys, y, t, src, eps)
-    k2 = _rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, src, eps)
-    k3 = _rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, src, eps)
-    k4 = _rhs(sys, y + h * k3, t + h, src, eps)
+    mid = src(t + 0.5 * h)      # shared by the k2 and k3 stages
+    k1 = _rhs(sys, y, t, src(t), eps)
+    k2 = _rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, mid, eps)
+    k3 = _rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, mid, eps)
+    k4 = _rhs(sys, y + h * k3, t + h, src(t + h), eps)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -13,8 +13,8 @@ with A0, A^j Hermitian per site, A0 positive definite, and D_j the module's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,38 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - np.conj(np.swapaxes(m, 1, 2)))))
 
 
+def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Fiber matrices applied to values of shape (..., sites, f): `m` is None
+    (identity), one (f, f) matrix, or a per-site (sites, f, f) stack."""
+    if m is None:
+        return values
+    if m.ndim == 2:
+        return values @ m.T
+    return np.einsum("sfg,...sg->...sf", m, values)
+
+
+def _site_constant(m: np.ndarray) -> np.ndarray:
+    """One (f, f) matrix when every site holds the same one, else the stack."""
+    return m[0] if np.all(m == m[0]) else m
+
+
+def _compact(m: np.ndarray) -> Optional[np.ndarray]:
+    """A per-site stack in the cheapest form `_fiber_apply` takes: None for
+    the identity, else as `_site_constant`."""
+    c = _site_constant(m)
+    return None if c.ndim == 2 and np.array_equal(c, np.eye(len(c))) else c
+
+
+class StepPlan(NamedTuple):
+    """The coefficients the hot path applies, each in `_fiber_apply` form.
+    Spatial terms that are identically zero are dropped, and so is a zero S0."""
+
+    A0: Optional[np.ndarray]
+    A0_inv: Optional[np.ndarray]
+    Aj: tuple                      # (axis, coefficient) of every live A^j
+    S0: Optional[np.ndarray]       # constant-in-time S0; None if absent or 0
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Coefficient data of a symmetric hyperbolic system on a periodic grid.
@@ -57,6 +89,7 @@ class SystemSpec:
     beta: Optional[np.ndarray] = None  # (sites,) positive lapse, default 1
     dA0_dt: Optional[Callable[[float], np.ndarray]] = None
     name: str = "system"
+    plan: StepPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -79,6 +112,12 @@ class SystemSpec:
         if np.min(np.linalg.eigvalsh(self.A0)) <= 0:
             raise SystemError("A0 not positive definite")
         object.__setattr__(self, "_A0_inv", np.linalg.inv(self.A0))
+        live_S0 = self.S0 is not None and np.any(self.S0)
+        object.__setattr__(self, "plan", StepPlan(
+            A0=_compact(self.A0), A0_inv=_compact(self._A0_inv),
+            Aj=tuple((j, _compact(a)) for j, a in enumerate(self.Aj)
+                     if np.any(a)),
+            S0=_site_constant(self.S0) if live_S0 else None))
         # max |eigenvalue| of A0^{-1} A^j over sites and axes = signal speed
         vmax = 0.0
         for a in self.Aj:
@@ -126,16 +165,21 @@ def ode_system(grid: Grid, S0, name: str = "ode") -> SystemSpec:
     return make_system(grid, eye, [np.zeros((f, f))] * grid.dim, S0=S0, name=name)
 
 
-def _mat_apply(m: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
-    if m is None:
-        return np.zeros_like(v)
-    return np.einsum("sfg,sg->sf", m, v)
-
-
 def inner_weight(sys: SystemSpec) -> InnerWeight:
     """Slice weight beta * A0 (the time symbol of the conformally scaled
     metric composed with the bundle metric)."""
     return InnerWeight(sys.grid, sys.beta[:, None, None] * sys.A0, sys.beta)
+
+
+def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
+    """S0 psi, or None when S0 is absent; `t` is one time, or one time per
+    frame when `values` is a (frames, sites, fiber) stack."""
+    if sys.S0_t is None:
+        return None if sys.plan.S0 is None else _fiber_apply(sys.plan.S0, values)
+    if np.ndim(t) == 0:
+        return _fiber_apply(sys.S0_at(t), values)
+    return np.stack([_fiber_apply(sys.S0_at(float(ti)), v)
+                     for ti, v in zip(t, values)])
 
 
 def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
@@ -147,23 +191,24 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
     acc = np.zeros_like(values)
     if source is not None:
         acc += source
-    s0 = sys.S0_at(t)
+    s0 = _S0_apply(sys, values, t)
     if s0 is not None:
-        acc += _mat_apply(s0, values)
-    for j, a in enumerate(sys.Aj):
-        acc -= _mat_apply(a, diff4(sys.grid, values, j))
-    return _mat_apply(sys.A0_inv, acc)
+        acc += s0
+    for j, a in sys.plan.Aj:
+        acc -= _fiber_apply(a, diff4(sys.grid, values, j))
+    return _fiber_apply(sys.plan.A0_inv, acc)
 
 
 def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
-            t: float) -> np.ndarray:
-    """S psi given the field and its time derivative on one slice."""
-    out = _mat_apply(sys.A0, dpsi_dt)
-    for j, a in enumerate(sys.Aj):
-        out += _mat_apply(a, diff4(sys.grid, values, j))
-    s0 = sys.S0_at(t)
+            t) -> np.ndarray:
+    """S psi given the field and its time derivative on one slice, or on a
+    (frames, sites, fiber) stack with `t` holding one time per frame."""
+    out = _fiber_apply(sys.plan.A0, dpsi_dt)
+    for j, a in sys.plan.Aj:
+        out = out + _fiber_apply(a, diff4(sys.grid, values, j))
+    s0 = _S0_apply(sys, values, t)
     if s0 is not None:
-        out -= _mat_apply(s0, values)
+        out = out - s0
     return out
 
 
@@ -219,16 +264,16 @@ def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField, t: float,
 
     sa = np.zeros_like(a.values)
     for j, m in enumerate(sys.Aj):
-        sa += _mat_apply(m, deriv(g, a.values, j))
+        sa += _fiber_apply(m, deriv(g, a.values, j))
     if s0 is not None:
-        sa -= _mat_apply(s0, a.values)
+        sa -= _fiber_apply(s0, a.values)
 
     sdb = np.zeros_like(b.values)
     for j, m in enumerate(sys.Aj):
-        sdb -= _mat_apply(m, deriv(g, b.values, j))
-    sdb -= _mat_apply(symbol_divergence(sys, t), b.values)
+        sdb -= _fiber_apply(m, deriv(g, b.values, j))
+    sdb -= _fiber_apply(symbol_divergence(sys, t), b.values)
     if s0 is not None:
-        sdb -= _mat_apply(np.conj(np.swapaxes(s0, 1, 2)), b.values)
+        sdb -= _fiber_apply(np.conj(np.swapaxes(s0, 1, 2)), b.values)
 
     return abs(_plain_inner(g, sa, b.values) - _plain_inner(g, a.values, sdb))
 

@@ -9,13 +9,17 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import gaussian_pulse
-from hypnl.grids import StateField, make_grid, norm_strip, sample_trajectory
-from hypnl.systems import inner_weight, ode_system, transport_system
+from hypnl import dyson
+from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
+                         sample_trajectory)
+from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
+                           transport_system)
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.kernels import make_convolution
 from hypnl.dyson import (DysonError, bound_retarded, bound_short,
                          bound_short_log, dyson_retarded, dyson_short_range,
-                         residual, result_to_csv, result_to_json)
+                         equation_defect, residual, result_to_csv,
+                         result_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,38 @@ def test_residual_detects_wrong_solution():
         grid, lambda t, c: gaussian_pulse(grid, t), 0.01, 0, n)
     assert residual(sys, None, wrong, None) > 100.0 * residual(
         sys, None, right, None)
+
+
+@pytest.mark.parametrize("chunk_frames", [1, 3, 100])
+def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
+    """Stacked apply_S over frame chunks against the per-frame loop, with a
+    time-dependent S0, a memory kernel, a shifted source and a strip."""
+    grid = make_grid(1, 2.0, 16, 2)
+    rng = np.random.default_rng(np.random.Philox(11))
+    sig1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sys = make_system(grid, np.diag([2.0, 1.0]), [sig1],
+                      S0_t=lambda t: np.array([[t, 1j], [-1j, -t]]))
+    k = make_convolution(lambda u: math.exp(-u), None, grid, t0=0.0)
+
+    def traj(index0, n):
+        v = rng.standard_normal((n, grid.sites, 2)) \
+            + 1j * rng.standard_normal((n, grid.sites, 2))
+        return Trajectory(grid, 0.125, index0, v)
+
+    psi, phi = traj(-2, 14), traj(1, 6)
+    monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
+    got = equation_defect(sys, k, psi, phi, strip=(0.0, 1.0))
+
+    b_all = k.apply_all(psi)
+    ref = []
+    for i in range(2, 11):                        # frames at t = 0 .. 1
+        dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * psi.dt)
+        src = phi.values[i - 3] if 3 <= i < 9 else 0.0
+        ref.append(apply_S(sys, psi.values[i], dpsi, psi.time(i))
+                   - b_all[i] - src)
+    assert got.index0 == 0 and got.n_frames == len(ref)
+    np.testing.assert_allclose(got.values, np.stack(ref), rtol=0,
+                               atol=1e-14 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

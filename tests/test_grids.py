@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypnl.grids import (GridError, InnerWeight, StateField, Trajectory,
-                         diff4, diff_upwind, fourth_difference, inner_t,
-                         ko_dissipation, make_grid, norm_t, sample_trajectory,
-                         trapezoid_sum, zero_field)
+                         diff4, diff_upwind, fourth_difference, frame_norms_sq,
+                         inner_t, ko_dissipation, make_grid, norm_t,
+                         sample_trajectory, trapezoid_sum, zero_field)
 
 
 def _rand(grid, seed):
@@ -104,6 +104,39 @@ def test_inner_t_weighted():
     assert norm_t(a, iw) == pytest.approx(math.sqrt(10.0))
 
 
+def _weights(g):
+    """Identity, non-identity and callable (time-dependent) slice weights."""
+    x = g.coords()[:, 0]
+    herm = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    w = (1.0 + 0.5 * np.sin(x))[:, None, None] * herm
+    lapse = 1.0 + 0.25 * np.cos(x)
+    fixed = InnerWeight(g, lapse[:, None, None] * w, lapse)
+    return {"identity": InnerWeight.identity(g), "weighted": fixed,
+            "callable": lambda t: InnerWeight(g, (1.0 + t * t) * fixed.weight,
+                                              lapse)}
+
+
+@pytest.mark.parametrize("kind", ["identity", "weighted", "callable"])
+def test_frame_norms_sq_matches_per_frame_inner_t(kind):
+    """The batched einsum over all frames gives each frame's inner_t."""
+    g = make_grid(1, 2.0, 16, 2)
+    rng = np.random.default_rng(np.random.Philox(3))
+    tr = Trajectory(g, 0.125, -3, rng.standard_normal((9, g.sites, 2))
+                    + 1j * rng.standard_normal((9, g.sites, 2)))
+    w = _weights(g)[kind]
+    ref = np.array([inner_t(fr, fr, w(fr.time) if callable(w) else w).real
+                    for fr in tr])
+    np.testing.assert_allclose(frame_norms_sq(tr, w), ref, rtol=1e-14, atol=0)
+
+
+def test_inner_weight_identity_flag():
+    g = make_grid(1, 2.0, 16, 2)
+    assert InnerWeight.identity(g).is_identity
+    assert not _weights(g)["weighted"].is_identity
+    w = np.broadcast_to(np.eye(2), (g.sites, 2, 2))
+    assert not InnerWeight(g, w, 2.0 * np.ones(g.sites)).is_identity
+
+
 def test_trapezoid_sum_matches_reference():
     rng = np.random.default_rng(np.random.Philox(7))
     s = rng.standard_normal(33)
@@ -113,6 +146,28 @@ def test_trapezoid_sum_matches_reference():
 
 # ---------------------------------------------------------------------------
 # stencils
+
+def _diff4_roll(grid, values, axis):
+    """Reference: the np.roll form of the stencil, summed in the same order."""
+    v = grid.shaped(values)
+    out = np.zeros_like(v)
+    for off, c in ((1, 8.0), (2, -1.0)):
+        out += c * (np.roll(v, -off, axis=axis) - np.roll(v, off, axis=axis))
+    return grid.flat(out / (12.0 * grid.spacing))
+
+
+@pytest.mark.parametrize("dim,points,fiber", [(1, 64, 1), (1, 256, 2),
+                                              (3, 16, 6)])
+def test_diff4_matches_roll_reference_bitwise(dim, points, fiber):
+    g = make_grid(dim, 1.3, points, fiber)
+    rng = np.random.default_rng(np.random.Philox(points + fiber))
+    stack = (rng.standard_normal((3, g.sites, fiber))
+             + 1j * rng.standard_normal((3, g.sites, fiber)))
+    for axis in range(dim):
+        ref = np.stack([_diff4_roll(g, v, axis) for v in stack])
+        assert np.array_equal(diff4(g, stack[0], axis), ref[0])
+        assert np.array_equal(diff4(g, stack, axis), ref)
+
 
 def test_diff4_is_circulant_symbol():
     """On e^{ikx} the 4th-order stencil acts as multiplication by the exact

@@ -307,6 +307,82 @@ def test_estimate_bound_deterministic():
     assert e1.C_est == e2.C_est and e1.samples == e2.samples
 
 
+def _pair_sup_loop(V, Gg, Hh, times, idx, D):
+    """Reference for kernels._pair_sup: the per-pair double loop, one
+    _admissible call per pair."""
+    best, n = 0.0, 0
+    for i in idx:
+        t = float(times[i])
+        for j in idx:
+            tau = float(times[j])
+            if not V._admissible(t, tau):
+                continue
+            if Gg.shape[1] == 1:
+                nrm = math.sqrt(max((Gg[i, 0, 0] * Hh[j, 0, 0]).real, 0.0))
+            else:
+                ev = np.linalg.eigvals(Gg[i] @ Hh[j])
+                nrm = math.sqrt(max(float(np.max(ev.real)), 0.0))
+            n += 1
+            best = max(best, nrm / math.exp(-D * abs(tau) / 2.0))
+    return best, n
+
+
+def _separable_case(rank, flags):
+    g = _grid()
+    rng = np.random.default_rng(np.random.Philox(rank))
+    gate = {"retarded": (lambda t: t >= 0.0, lambda t: -0.5 <= t <= 0.0),
+            "delta": (lambda t: abs(t) <= 0.5, lambda t: abs(t) <= 0.5)}
+    g_gate, h_gate = next((gate[f] for f in flags if f in gate), (None, None))
+    prof = {"g": [], "h": []}
+    for side, keep in (("g", g_gate), ("h", h_gate)):
+        for _ in range(rank):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a, b = rng.uniform(0.5, 2.0, size=2)
+
+            def fn(t, x, c=c, a=a, b=b, keep=keep):
+                on = keep is None or keep(t)
+                return on * math.exp(-a * t * t) * np.cos(b * x[:, :1]) * c
+            prof[side].append(_profile(g, fn))
+    return g, make_separable(prof["g"], prof["h"], **flags)
+
+
+SEPARABLE_BOUND_CASES = [
+    (1, {}, 0.0, None),
+    (1, {"delta": 1.0}, 0.3, (-0.5, 1.0)),
+    (2, {"retarded": True, "switch_on": -0.5}, 0.0, None),
+    (2, {"delta": 1.0}, 0.7, (0.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
+def test_pair_sup_matches_loop_bitwise(rank, flags, D, window):
+    from hypnl.kernels import _pair_sup
+    _, k = _separable_case(rank, flags)
+    rng = np.random.default_rng(np.random.Philox(7))
+    times = k.data["g"][0].times()
+    F = len(times)
+    m = rng.standard_normal((2, F, rank, rank)) \
+        + 1j * rng.standard_normal((2, F, rank, rank))
+    Gg, Hh = (np.einsum("tab,tcb->tac", x, x.conj()) for x in m)
+    idx = np.arange(F) if window is None else np.arange(3, F - 5)
+    assert _pair_sup(k, Gg, Hh, times, idx, D) \
+        == _pair_sup_loop(k, Gg, Hh, times, idx, D)
+
+
+@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
+def test_estimate_bound_separable_matches_loop(monkeypatch, rank, flags, D,
+                                               window):
+    """C_est and samples are bitwise those of the per-pair loop."""
+    from hypnl import kernels
+    g, k = _separable_case(rank, flags)
+    sys = make_system(g, np.diag([2.0, 1.0]), [np.zeros((2, 2))])
+    est = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    monkeypatch.setattr(kernels, "_pair_sup", _pair_sup_loop)
+    ref = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    assert (est.C_est, est.samples) == (ref.C_est, ref.samples)
+    assert est.samples > 0
+
+
 def test_weighted_applies_A0_inverse():
     g = _grid()
     sys = make_system(g, np.diag([2.0, 4.0]), [np.zeros((2, 2))])

@@ -12,7 +12,8 @@ from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
 from hypnl.systems import inner_weight, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
-                             CounterexampleConfig, DiracConfig, bump,
+                             CounterexampleConfig, DiracConfig,
+                             _dirac_potentials, _dirac_sup_C, bump,
                              bump_dot,
                              build_counterexample, clifford_defect,
                              counterexample_oracle, curl4, dirac_kernel,
@@ -226,6 +227,33 @@ def test_surface_product_with_dirac_kernel_matches_double_sum():
     val = surface_layer_product(tr, kern, tr.time(iN))
     assert corr != 0.0
     assert val == pytest.approx(nsq - 2.0 * corr, rel=1e-12)
+
+
+def _dirac_sup_C_loop(cfg, pots, grid):
+    """Reference for scenarios._dirac_sup_C: one envelope and one window call
+    per (midpoint, lag) sample and potential."""
+    x = grid.coords()[:, 0]
+    worst = 0.0
+    for mid in np.linspace(-cfg.T, 2.0 * cfg.T, 121):
+        for z in np.linspace(-cfg.delta, cfg.delta, 81):
+            d = [envelope(float(mid), x) * window(float(z))
+                 for envelope, window, _ in pots]
+            d1 = d[0] if len(d) > 0 else 0.0
+            d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
+            nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
+            worst = max(worst, float(np.max(nrm)))
+    return worst
+
+
+@pytest.mark.parametrize("n_pot", [1, 2])
+def test_dirac_sup_C_matches_loop(n_pot):
+    """np.cos on the midpoint vector and math.cos per sample may differ by
+    one ulp, hence the 1e-14 relative tolerance."""
+    cfg = DiracConfig(points=64, n_pot=n_pot, T=0.75, delta=0.2)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    pots = _dirac_potentials(cfg)
+    assert _dirac_sup_C(cfg, pots, g) == pytest.approx(
+        _dirac_sup_C_loop(cfg, pots, g), rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,34 @@ def test_green_retarded_solves_equation():
     assert cone.passed
 
 
+def test_green_retarded_order_floor():
+    """The linearly interpolated source makes a sourced solve second order;
+    the same system without a source keeps RK4's fourth order. Model
+    problem: d_t psi = -psi + cos(3t), errors at dt = 0.05 and 0.025."""
+    grid = make_grid(1, 1.0, 8, 1)
+    sys = ode_system(grid, np.array([[-1.0]]))
+    T = 2.0
+
+    def sourced_error(dt):
+        phi = sample_trajectory(
+            grid, lambda t, c: np.full((grid.sites, 1), math.cos(3.0 * t),
+                                       complex), dt, 0, round(T / dt) + 1)
+        tr = green_retarded(sys, phi, SolveOptions(dt=dt))
+        t = tr.times()
+        exact = (np.cos(3.0 * t) + 3.0 * np.sin(3.0 * t) - np.exp(-t)) / 10.0
+        return float(np.max(np.abs(tr.values[:, 0, 0] - exact)))
+
+    def free_error(dt):
+        data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+        tr = solve_local(sys, None, data, 0.0, T, SolveOptions(dt=dt))
+        return float(np.max(np.abs(tr.values[:, 0, 0] - np.exp(-tr.times()))))
+
+    sourced = math.log2(sourced_error(0.05) / sourced_error(0.025))
+    free = math.log2(free_error(0.05) / free_error(0.025))
+    assert 1.8 <= sourced <= 2.3
+    assert free >= 3.5
+
+
 def test_nan_abort():
     """Blowup is reported with the partial trajectory attached."""
     from hypnl.solver import SolveAborted

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypnl.grids import StateField, make_grid
-from hypnl.systems import (SystemError, adjoint_defect, inner_weight,
-                           make_system, ode_system, symbol_divergence,
-                           system_from_json, system_to_json, transport_system,
-                           validate_system, zero_order_matrices)
+from hypnl.grids import StateField, diff4, make_grid
+from hypnl.scenarios import CounterexampleConfig, build_counterexample
+from hypnl.systems import (PROFILES, SystemError, adjoint_defect, apply_S,
+                           evolution_rhs, inner_weight, make_system,
+                           ode_system, symbol_divergence, system_from_json,
+                           system_to_json, transport_system, validate_system,
+                           zero_order_matrices)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], complex)
@@ -122,3 +124,116 @@ def test_json_varying_coefficient_needs_profile():
     sys = make_system(g, np.ones((1, 1)), [a])
     with pytest.raises(SystemError):
         system_to_json(sys)
+
+
+# ---------------------------------------------------------------------------
+# the stepping plan against the per-site reference formulas
+
+def _site_apply(m, v):
+    return np.einsum("sfg,sg->sf", m, v)
+
+
+def _rhs_reference(sys, values, t, source):
+    acc = np.zeros_like(values)
+    if source is not None:
+        acc += source
+    s0 = sys.S0_at(t)
+    if s0 is not None:
+        acc += _site_apply(s0, values)
+    for j, a in enumerate(sys.Aj):
+        acc -= _site_apply(a, diff4(sys.grid, values, j))
+    return _site_apply(sys.A0_inv, acc)
+
+
+def _apply_S_reference(sys, values, dpsi_dt, t):
+    out = _site_apply(sys.A0, dpsi_dt)
+    for j, a in enumerate(sys.Aj):
+        out += _site_apply(a, diff4(sys.grid, values, j))
+    s0 = sys.S0_at(t)
+    if s0 is not None:
+        out -= _site_apply(s0, values)
+    return out
+
+
+def _herm(rng, f):
+    m = rng.standard_normal((f, f)) + 1j * rng.standard_normal((f, f))
+    return 0.5 * (m + m.conj().T)
+
+
+def _plan_case(name):
+    """Random systems covering each way the plan compacts a coefficient."""
+    rng = np.random.default_rng(np.random.Philox(sum(map(ord, name))))
+    dim = 3 if name == "zero_axis_3d" else 1
+    g = make_grid(dim, 2.0, 8 if dim == 3 else 32, 2)
+    x = g.coords()[:, 0]
+    h = _herm(rng, 2)
+    pos = h @ h + np.eye(2)
+    A0, Aj, kw = np.eye(2), [_herm(rng, 2) for _ in range(dim)], {}
+    if name == "zero_axis_3d":
+        Aj[1] = np.zeros((2, 2))
+        kw["S0"] = _herm(rng, 2) + 0.3j * np.eye(2)
+    elif name == "zero_Aj":
+        A0, Aj = pos, [np.zeros((2, 2))]
+    elif name == "offset_sin":
+        Aj = [PROFILES["offset_sin"](g, 0.3, 0.2, math.pi)]
+        kw["S0"] = _herm(rng, 2)
+    elif name == "site_A0":
+        A0 = (1.5 + np.sin(math.pi * x))[:, None, None] * pos
+        kw["S0"] = (np.cos(x)[:, None, None] * _herm(rng, 2)).astype(complex)
+    elif name == "S0_t":
+        s0 = _herm(rng, 2)
+        kw["S0_t"] = lambda t: np.broadcast_to(np.cos(t) * s0 + 1j * t * np.eye(2),
+                                               (g.sites, 2, 2))
+    elif name == "beta":
+        A0 = pos
+        kw["beta"] = 1.0 + 0.5 * np.cos(math.pi * x)
+        kw["S0"] = np.eye(2)
+    return make_system(g, A0, Aj, **kw), rng
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("name", ["zero_Aj", "zero_axis_3d", "offset_sin",
+                                  "site_A0", "S0_t", "beta"])
+def test_plan_matches_per_site_formulas(name):
+    sys, rng = _plan_case(name)
+    g = sys.grid
+
+    def field(*lead):
+        shape = lead + (g.sites, g.fiber)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v, src = field(), field()
+    for t, source in ((0.3, None), (0.7, src)):
+        assert _close(evolution_rhs(sys, v, t, source),
+                      _rhs_reference(sys, v, t, source))
+    stack, dstack = field(4), field(4)
+    times = np.array([-0.5, 0.0, 0.25, 1.5])
+    ref = np.stack([_apply_S_reference(sys, a, b, t)
+                    for a, b, t in zip(stack, dstack, times)])
+    assert _close(apply_S(sys, stack[1], dstack[1], 0.0), ref[1])
+    assert _close(apply_S(sys, stack, dstack, times), ref)
+
+
+def test_plan_compacts_coefficients():
+    g = make_grid(1, 1.0, 16, 2)
+    plan = make_system(g, np.eye(2), [SIGMA1], S0=np.eye(2)).plan
+    assert plan.A0 is None and plan.A0_inv is None
+    assert [j for j, _ in plan.Aj] == [0] and plan.Aj[0][1].shape == (2, 2)
+    # an identity S0 is a live term, not an absent one
+    np.testing.assert_array_equal(plan.S0, np.eye(2))
+    plan = make_system(g, np.diag([2.0, 4.0]), [np.zeros((2, 2))],
+                       S0=np.zeros((2, 2))).plan
+    assert plan.Aj == () and plan.S0 is None
+    np.testing.assert_array_equal(plan.A0_inv, np.diag([0.5, 0.25]))
+    assert transport_system(make_grid(1, 1.0, 16, 1)).plan.Aj[0][1] is None
+
+
+def test_counterexample_plan_has_no_spatial_term():
+    sys, _, _, _ = build_counterexample(
+        CounterexampleConfig(points=16, steps_per_delta=16, T=0.5, W=0.5))
+    plan = sys.plan
+    assert plan.Aj == () and plan.S0 is None
+    assert plan.A0 is None and plan.A0_inv is None
