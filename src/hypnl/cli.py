@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .grids import make_grid, StateField
-from .systems import PROFILES, system_from_json, validate_system
+from .systems import PROFILES, SystemSpec, system_from_json, validate_system
+from .systems import SystemError as SystemSpecError
 from .kernels import estimate_bound, threshold_margin
 from .solver import SolveOptions, solve_local
 from .dyson import result_to_csv, result_to_json
@@ -70,6 +71,7 @@ class RunConfig:
     options: dict
     members: Optional[list] = None
     raw: dict = dataclasses.field(default_factory=dict)
+    path: str = ""          # field path prefix of this document in its file
 
 
 def _check_keys(doc: dict, allowed: set, path: str) -> None:
@@ -83,7 +85,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number (bools are not numbers)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _require(ok: bool, path: str, what: str) -> None:
@@ -95,7 +99,7 @@ def _validate_profile(spec: dict, path: str) -> None:
     """A named built-in profile: {"profile": name, "params": {...}}."""
     _check_keys(spec, {"profile", "params"}, f"{path}.")
     name = spec.get("profile")
-    _require(name in PROFILES, f"{path}.profile",
+    _require(isinstance(name, str) and name in PROFILES, f"{path}.profile",
              f"must be one of {sorted(PROFILES)}")
     params = spec.get("params")
     _require(isinstance(params, dict), f"{path}.params", "must be an object")
@@ -166,8 +170,9 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config at '{path or '.'}' must be an object")
     _check_keys(doc, _TOP_KEYS, path)
-    if doc.get("schema") != SCHEMA_VERSION:
+    if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"'{path}schema' must be {SCHEMA_VERSION}")
+    _require(_is_int(doc.get("seed", 0)), f"{path}seed", "must be an integer")
     members = doc.get("members")
     if members is not None:
         if not isinstance(members, list) or not members:
@@ -191,6 +196,9 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
             if not isinstance(val, str):
                 raise ConfigError(f"'{path}options.mode' must be a string")
             continue
+        if scenario == "custom":        # every custom option is a number
+            _require(_is_number(val), f"{path}options.{key}", "must be a number")
+            continue
         if isinstance(val, bool) or val is None:
             continue
         if not isinstance(val, (int, float)):
@@ -208,10 +216,13 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
             if kern.get("kind") not in ("none", "drude_lorentz"):
                 raise ConfigError(f"'{path}options.kernel.kind' must be "
                                   "'none' or 'drude_lorentz'")
+            for key in sorted(set(kern) - {"kind"}):
+                _require(_is_number(kern[key]), f"{path}options.kernel.{key}",
+                         "must be a number")
     return RunConfig(scenario=scenario,
                      name=str(doc.get("name", scenario)),
                      seed=int(doc.get("seed", 0)),
-                     options=dict(options), raw=doc)
+                     options=dict(options), raw=doc, path=path)
 
 
 def load_config(path: str) -> RunConfig:
@@ -239,10 +250,20 @@ def _seeded_options(cfg: RunConfig) -> dict:
     return opts
 
 
+def _custom_system(cfg: RunConfig) -> SystemSpec:
+    """The validated `options.system` of a custom config; what only the
+    built system can reject (A0 not Hermitian positive definite, a lapse
+    that is not positive) is a ConfigError on that path."""
+    try:
+        return system_from_json(cfg.options["system"])
+    except SystemSpecError as exc:
+        raise ConfigError(f"'{cfg.path}options.system' {exc}") from exc
+
+
 def _build_custom(cfg: RunConfig):
     """(system, kernel-or-None, SolveOptions, T) for a custom config."""
     opts = cfg.options
-    sys_spec = system_from_json(opts["system"])
+    sys_spec = _custom_system(cfg)
     dt = opts.get("dt")
     cfl = float(opts.get("cfl", 0.25))
     if dt is None:

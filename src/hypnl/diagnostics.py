@@ -163,19 +163,31 @@ def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0),
     return best
 
 
+# pair entries per chunk of _torus_distance rows (0.5 MB of float64)
+_PAIR_CHUNK = 1 << 16
+
+
 def _torus_distance(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Per-site Euclidean torus distance to the masked support set."""
+    """Per-site Euclidean torus distance to the masked support set: zero on
+    the support, and for the other sites the minimum over support sites,
+    computed in row chunks of at most _PAIR_CHUNK (site, support) pairs."""
     if not np.any(mask):
         return np.full(grid.sites, math.inf)
     x = grid.coords()
     supp = x[mask]
     L = grid.extent
-    dist_sq = np.zeros((grid.sites, supp.shape[0]))
-    for ax in range(grid.dim):
-        d = np.abs(x[:, ax][:, None] - supp[None, :, ax])
-        d = np.minimum(d, L - d)
-        dist_sq += d * d
-    return np.sqrt(np.min(dist_sq, axis=1))
+    out = np.zeros(grid.sites)
+    rows = np.flatnonzero(~mask)
+    step = max(1, _PAIR_CHUNK // supp.shape[0])
+    for a in range(0, rows.size, step):
+        xr = x[rows[a:a + step]]
+        dist_sq = np.zeros((xr.shape[0], supp.shape[0]))
+        for ax in range(grid.dim):
+            d = np.abs(xr[:, ax][:, None] - supp[None, :, ax])
+            d = np.minimum(d, L - d)
+            dist_sq += d * d
+        out[rows[a:a + step]] = np.sqrt(np.min(dist_sq, axis=1))
+    return out
 
 
 def cone_violation(tr: Trajectory, data_support_mask: np.ndarray,

@@ -8,6 +8,10 @@ Two regimes:
 Per-iterate norms are recorded against the closed-form theoretical bounds, a
 ratio diagnostic drives the Converged / Stalled / Diverged verdict, and the
 equation residual of the partial sum is tracked by centered time differencing.
+The kernel is applied once per iterate: B psi^(n) is the next source, and by
+linearity the running sum of these sources is B applied to the partial sum,
+which the residual uses (residual histories agree with re-applying B to the
+partial sum to 1e-12 of each series' maximum).
 """
 
 from __future__ import annotations
@@ -77,12 +81,10 @@ def bound_short(n: int, C: float, delta: float, D: float, t: float,
 # ---------------------------------------------------------------------------
 # residual of a candidate solution
 
-def _aligned_source_values(phi: Optional[Trajectory], tr: Trajectory) -> np.ndarray:
-    out = np.zeros_like(tr.values)
-    if phi is None:
-        return out
+def _aligned_source_values(phi: Trajectory, tr: Trajectory) -> np.ndarray:
     if abs(phi.dt - tr.dt) > 1e-12 * tr.dt:
         raise DysonError("source lattice mismatch")
+    out = np.zeros_like(tr.values)
     off = phi.index0 - tr.index0
     lo = max(0, off)
     hi = min(tr.n_frames, off + phi.n_frames)
@@ -91,15 +93,20 @@ def _aligned_source_values(phi: Optional[Trajectory], tr: Trajectory) -> np.ndar
     return out
 
 
-def equation_defect(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
-                    phi: Optional[Trajectory],
+def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
+                    psi: Trajectory, phi: Optional[Trajectory],
                     strip: Optional[tuple] = None) -> Trajectory:
     """(S - B) psi - phi on the interior frames of psi (those inside `strip`
-    when given), with d_t psi by centered frame differences (O(dt^2)). S is
-    applied to stacks of frames, at most _CHUNK_VALUES values at a time."""
+    when given), with d_t psi by centered frame differences (O(dt^2)).
+    `b_psi` is B psi on every frame of psi (None without a kernel): a caller
+    holding a kernel k passes k.apply_all(psi), the Dyson loop passes the
+    running sum of its sources, which equals it by linearity. S is applied
+    to stacks of frames, at most _CHUNK_VALUES values at a time."""
     F = psi.n_frames
     if F < 3:
         raise DysonError("need at least 3 frames for the centered residual")
+    if b_psi is not None and b_psi.shape != psi.values.shape:
+        raise DysonError("B psi does not match the frames of psi")
     dt = psi.dt
     lo, hi = 1, F - 2
     if strip is not None:
@@ -107,25 +114,30 @@ def equation_defect(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
         hi = min(hi, int(math.floor(strip[1] / dt + 1e-9)) - psi.index0)
     if hi < lo:
         raise DysonError("empty residual strip (insufficient padding)")
-    b_all = k.apply_all(psi) if k is not None else np.zeros_like(psi.values)
-    phi_vals = _aligned_source_values(phi, psi)
+    phi_vals = _aligned_source_values(phi, psi) if phi is not None else None
     v, times = psi.values, psi.times()
     out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber), dtype=complex)
     step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
     for a in range(lo, hi + 1, step):
-        b = min(a + step, hi + 1)
-        dpsi = (v[a + 1:b + 1] - v[a - 1:b - 1]) / (2.0 * dt)
-        out[a - lo:b - lo] = (apply_S(sys, v[a:b], dpsi, times[a:b])
-                              - b_all[a:b] - phi_vals[a:b])
+        e = min(a + step, hi + 1)
+        dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
+        d = apply_S(sys, v[a:e], dpsi, times[a:e])
+        if b_psi is not None:
+            d -= b_psi[a:e]
+        if phi_vals is not None:
+            d -= phi_vals[a:e]
+        out[a - lo:e - lo] = d
     return Trajectory(sys.grid, dt, psi.index0 + lo, out)
 
 
-def residual(sys: SystemSpec, k: Optional[TimeKernel], psi: Trajectory,
+def residual(sys: SystemSpec, b_psi: Optional[np.ndarray], psi: Trajectory,
              phi: Optional[Trajectory],
              strip: Optional[tuple] = None) -> float:
     """Strip norm of the equation defect (S - B) psi - phi over the inner
-    strip; endpoint frames are excluded."""
-    return norm_strip(equation_defect(sys, k, psi, phi, strip),
+    strip; endpoint frames are excluded. `b_psi` is B psi as in
+    equation_defect: for a Dyson partial sum, the sum of the iterates'
+    sources by linearity (equal to k.apply_all(psi) to round-off)."""
+    return norm_strip(equation_defect(sys, b_psi, psi, phi, strip),
                       inner_weight(sys))
 
 
@@ -250,13 +262,17 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         constants["K_T"] = K_T
         bound_fn = lambda n: bound_retarded(n, K_T, T, M * math.exp(D * T / 2.0))
     bounds = [bound_fn(0)]
-    residuals = [residual(sys, k, total, phi, strip=(0.0, T))]
     ratios = []
     verdict = None
     n_used = 0
 
     if monitor is not None:
         monitor(0, psi, None)
+    # b = B psi^(n) is the source of iterate n + 1, and by linearity the
+    # running sum b_sum of these is B applied to the partial sum
+    b = k.apply_all(psi) if k is not None else None
+    b_sum = b
+    residuals = [residual(sys, b_sum, total, phi, strip=(0.0, T))]
 
     plateau = 0
     blowup = 0
@@ -265,8 +281,7 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
             verdict = ("Converged"
                        if residuals[-1] <= tol_residual else "Stalled")
             break
-        src_vals = k.apply_all(psi)
-        src = Trajectory(sys.grid, psi.dt, psi.index0, src_vals)
+        src = Trajectory(sys.grid, psi.dt, psi.index0, b)
         if short_range and _window_contamination(src, n, delta, W, T, n_max):
             raise DysonError(f"window exhausted at iterate {n}: support "
                              f"reaches the clipped boundary of [-{W}, {T + W}]")
@@ -285,10 +300,15 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         sup_norms.append(sup_n)
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
-        residuals.append(residual(sys, k, total, phi, strip=(0.0, T)))
         n_used = n
         if monitor is not None:
             monitor(n, psi, src)
+        src = b = None          # release the old source before B psi^(n)
+        b = k.apply_all(psi)
+        # b_sum is B psi^(0), the source just used, until it gets its own
+        # array here; later terms are added in place
+        b_sum = b_sum + b if n == 1 else np.add(b_sum, b, out=b_sum)
+        residuals.append(residual(sys, b_sum, total, phi, strip=(0.0, T)))
 
         prev = strip_norms[-2]
         r = strip_n / prev if prev > 0 else math.inf

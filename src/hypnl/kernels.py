@@ -205,9 +205,13 @@ class TimeKernel:
             # trapezoid weight: half where tau is an endpoint j0 or j1
             w = (tr.dt * admits[a:b] * np.where(lo[a:b] == lag, 0.5, 1.0)
                  * np.where(hi[a:b] == lag, 0.5, 1.0))
-            out[a:b] += w[:, None, None] * op(times[a:b],
-                                              times[a + lag:b + lag],
-                                              tr.values[a + lag:b + lag])
+            term = op(times[a:b], times[a + lag:b + lag],
+                      tr.values[a + lag:b + lag])
+            if np.may_share_memory(term, tr.values):
+                term = term.copy()      # op handed back (part of) its input
+            np.multiply(w[:, None, None], term, out=term)
+            out[a:b] += term
+            del term            # free before the next lag's op result
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,8 @@ def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
                switch_on: float = -INF) -> TimeKernel:
     """Dense kernel from a callback op(t, tau, values) -> B_{t,tau} values,
     vectorized over P (t, tau) pairs: t and tau have shape (P,), values and
-    the result (P, sites, fiber). `adj_op` has the same contract and is
+    the result (P, sites, fiber), which `apply_all` scales in place unless
+    it shares memory with `values`. `adj_op` has the same contract and is
     needed by `adjoint`."""
     data = {"op": op}
     if adj_op is not None:

@@ -180,7 +180,8 @@ def counterexample_report(cfg: CounterexampleConfig,
                 total_holder.append(psi)
             else:
                 total_holder[0] = total_holder[0].plus(psi)
-            d = equation_defect(sys, k, total_holder[0], f_tr)
+            total = total_holder[0]
+            d = equation_defect(sys, k.apply_all(total), total, f_tr)
             obstruction.append(_strip_pair(d, f_tr, w))
         return mon
 
@@ -678,7 +679,9 @@ def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
         mid, z = 0.5 * (t + tau), tau - t
         for envelope, window, gam in pots:
             fac = scale * envelope(mid, x) * window(z)[:, None]  # (P, sites)
-            out += fac[..., None] * (values @ gam.T)
+            term = values @ gam.T
+            np.multiply(fac[..., None], term, out=term)
+            out += term
         return out
 
     def adj_op(t, tau, values):

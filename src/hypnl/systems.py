@@ -107,6 +107,9 @@ class SystemSpec:
             if np.min(b) <= 0:
                 raise SystemError("lapse must be positive")
         object.__setattr__(self, "beta", b)
+        coeffs = (self.A0, b) + self.Aj + (() if self.S0 is None else (self.S0,))
+        if not all(np.all(np.isfinite(c)) for c in coeffs):
+            raise SystemError("coefficients must be finite")
         if _hermiticity_defect(self.A0) > 1e-12:
             raise SystemError("A0 not Hermitian")
         if np.min(np.linalg.eigvalsh(self.A0)) <= 0:

@@ -1,14 +1,19 @@
 """Config validation, subcommand exit codes, and output artifacts."""
 
+import copy
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from hypnl.cli import ConfigError, cli_run, config_hash, load_config
-from hypnl.systems import system_from_json
+from hypnl.cli import (ConfigError, _custom_system, _validate_doc, cli_run,
+                       config_hash, load_config)
+from hypnl.systems import SystemSpec, system_from_json
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -119,6 +124,22 @@ def test_invalid_system_reports_field_path(tmp_path, edit, path):
         load_config(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("base,edit,path", [
+    ("transport.json", lambda o: o.update(T=None), r"options\.T'"),
+    ("transport.json", lambda o: o.update(dt=True), r"options\.dt'"),
+    ("transport_dispersive.json", lambda o: o["kernel"].update(chi0="abc"),
+     r"options\.kernel\.chi0'"),
+])
+def test_invalid_custom_option_reports_field_path(tmp_path, base, edit, path):
+    """A custom run's options are numbers; a null or a string used to pass
+    validation and fail inside float() when the run was assembled."""
+    with open(os.path.join(CONFIGS, base)) as fh:
+        doc = json.load(fh)
+    edit(doc["options"])
+    with pytest.raises(ConfigError, match=path):
+        load_config(_write(tmp_path, doc))
+
+
 def test_valid_system_with_profiles_loads(tmp_path):
     doc = _base_doc()
     system = doc["options"]["system"]
@@ -200,3 +221,154 @@ def test_check_bounds_subcommand(capsys):
     assert rc == 0
     assert "C_est" in out and "margin" in out
     assert "refuse" in out        # delta = 0.5 is far outside the threshold
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every rejection is a ConfigError that names a field path
+
+def _fuzz_bases():
+    docs = []
+    for name in ("transport.json", "transport_dispersive.json",
+                 "suite_small.json", "dirac.json"):
+        with open(os.path.join(CONFIGS, name)) as fh:
+            docs.append(json.load(fh))
+    two = _base_doc()
+    two["options"]["system"] = {
+        "grid": {"dim": 1, "extent": 2.0, "points": 8, "fiber": 2},
+        "A0": {"matrix": [[[2.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [1.0, 0.0]]]},
+        "Aj": [copy.deepcopy(_OFFSET_SIN)],
+        "S0": {"matrix": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]},
+        "beta": copy.deepcopy(_OFFSET_SIN), "name": "two"}
+    docs.append(two)
+    return docs
+
+
+_FUZZ_BASES = _fuzz_bases()
+_KEYS = st.from_regex(r"[a-z_A-Z0-9]{1,8}", fullmatch=True)
+_NUMBERS = (st.sampled_from([0, -1, 2 ** 63, 1e-308, 1e308, -1e308,
+                             float("nan"), float("inf")])
+            | st.integers(-3, 300) | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(_KEYS, kids, max_size=3)),
+    max_leaves=8)
+
+
+def _nodes(doc, path=()):
+    """Every (container path, key) in doc, depth first."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield path, key
+        yield from _nodes(val, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        path, key = draw(st.sampled_from(nodes))
+        parent = _at(doc, path)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[key] = draw(_JSON)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(_KEYS)] = draw(_JSON)
+        else:
+            parent.append(draw(_JSON))
+    if draw(st.booleans()):     # now and then the whole document is replaced
+        doc = draw(_JSON) if draw(st.integers(0, 9)) == 0 else doc
+    return doc
+
+
+_PATH_PART = re.compile(r"([^.\[\]]+)((?:\[\d+\])*)")
+
+
+def _names_a_field(doc, message: str) -> bool:
+    """The first quoted string of the message is a field path into doc: it
+    follows doc's dicts and lists until it names a key that is absent
+    (a missing required field, possibly with its parents)."""
+    m = re.search(r"'([^']*)'", message)
+    if m is None:
+        return False
+    path = m.group(1).rstrip(".")
+    if path in ("", "."):
+        return True
+    steps = []
+    for part in path.split("."):
+        pm = _PATH_PART.fullmatch(part)
+        if pm is None:
+            return False
+        steps.append(pm.group(1))
+        steps += [int(i) for i in re.findall(r"\d+", pm.group(2))]
+    node = doc
+    for step in steps:
+        ok = (isinstance(node, dict) and step in node) or (
+            isinstance(node, list) and isinstance(step, int)
+            and step < len(node))
+        if not ok:
+            return isinstance(node, dict) and isinstance(step, str)
+        node = node[step]
+    return True
+
+
+def _small_system(spec) -> bool:
+    g = spec["grid"]
+    return g["points"] ** g["dim"] * g["fiber"] ** 2 <= 1 << 14
+
+
+def _edited(base, edit):
+    doc = copy.deepcopy(_FUZZ_BASES[base])
+    edit(doc)
+    return doc
+
+
+def _system_params(doc, **params):
+    doc["options"]["system"]["Aj"][0]["params"].update(params)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_docs())
+# findings of earlier fuzzing: a non-integer seed (TypeError), a list as
+# profile name (unhashable), a NaN profile parameter and an overflowing
+# profile (LinAlgError while the system was built)
+@example(_edited(3, lambda d: d.update(seed=None)))
+@example(_edited(4, lambda d: d["options"]["system"]["beta"].update(
+    profile=[])))
+@example(_edited(4, lambda d: _system_params(d, k=float("nan"))))
+@example(_edited(4, lambda d: _system_params(d, c0=1e308, c1=1e308)))
+def test_fuzzed_config_rejected_with_field_path(doc):
+    """Mutated configs (values replaced by arbitrary JSON, keys deleted or
+    added): _validate_doc and the custom-system loader either accept or
+    raise a ConfigError naming a field path of the document, never a
+    KeyError, TypeError or other exception."""
+    try:
+        cfg = _validate_doc(doc)
+    except ConfigError as exc:
+        assert _names_a_field(doc, str(exc)), str(exc)
+        return
+    members = cfg.members if cfg.members is not None else [cfg]
+    for member in members:
+        if member.scenario != "custom":
+            continue
+        spec = member.options["system"]
+        if not _small_system(spec):
+            continue
+        try:
+            assert isinstance(_custom_system(member), SystemSpec)
+        except ConfigError as exc:
+            assert _names_a_field(doc, str(exc)), str(exc)

@@ -1,11 +1,13 @@
 """Energy balance, decay bounds, and support/cone checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_pulse
+from hypnl import diagnostics
 from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
                          sample_trajectory)
 from hypnl.systems import inner_weight, make_system, ode_system, transport_system
@@ -130,6 +132,51 @@ def test_cone_violation_flags_teleported_amplitude():
     bad_vals[-1, 0, 0] += 0.5
     bad = cone_violation(Trajectory(grid, dt, 0, bad_vals), mask, v_max=1.0)
     assert not bad.passed
+
+
+def _torus_distance_all_pairs(grid, mask):
+    """Reference: the full (sites x support) distance table on every row."""
+    if not np.any(mask):
+        return np.full(grid.sites, math.inf)
+    x = grid.coords()
+    supp = x[mask]
+    L = grid.extent
+    dist_sq = np.zeros((grid.sites, supp.shape[0]))
+    for ax in range(grid.dim):
+        d = np.abs(x[:, ax][:, None] - supp[None, :, ax])
+        d = np.minimum(d, L - d)
+        dist_sq += d * d
+    return np.sqrt(np.min(dist_sq, axis=1))
+
+
+def _plane(points, extent):
+    """A 2D torus with the attributes `_torus_distance` reads (Grid itself
+    is 1D or 3D only)."""
+    x = extent / points * np.arange(points)
+    xs = np.meshgrid(x, x, indexing="ij")
+    coords = np.stack([a.ravel() for a in xs], axis=-1)
+    return SimpleNamespace(dim=2, extent=extent, sites=points ** 2,
+                           coords=lambda: coords)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["empty", "full", "single", "random"])
+def test_torus_distance_matches_all_pairs_bitwise(monkeypatch, dim, kind,
+                                                   chunk):
+    grid = {1: make_grid(1, 2.0 * math.pi, 64, 1), 2: _plane(16, 3.0),
+            3: make_grid(3, 1.0, 8, 1)}[dim]
+    rng = np.random.default_rng(np.random.Philox(dim))
+    mask = {"empty": np.zeros(grid.sites, bool),
+            "full": np.ones(grid.sites, bool),
+            "single": np.arange(grid.sites) == grid.sites // 3,
+            "random": rng.random(grid.sites) < 0.2}[kind]
+    if chunk is not None:       # many small row chunks, one cut mid-row set
+        monkeypatch.setattr(diagnostics, "_PAIR_CHUNK", chunk * mask.sum())
+    got = diagnostics._torus_distance(grid, mask)
+    ref = _torus_distance_all_pairs(grid, mask)
+    assert got.shape == (grid.sites,)
+    assert np.array_equal(got, ref)
 
 
 def test_support_mask():

@@ -14,12 +14,13 @@ from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
                          sample_trajectory)
 from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
                            transport_system)
-from hypnl.solver import SolveOptions, solve_local
-from hypnl.kernels import make_convolution
+from hypnl.solver import SolveAborted, SolveOptions, solve_local
+from hypnl.kernels import TimeKernel, make_convolution, make_dense
 from hypnl.dyson import (DysonError, bound_retarded, bound_short,
                          bound_short_log, dyson_retarded, dyson_short_range,
                          equation_defect, residual, result_to_csv,
                          result_to_json)
+from hypnl.scenarios import CounterexampleConfig, build_counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +176,9 @@ def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
 
     psi, phi = traj(-2, 14), traj(1, 6)
     monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
-    got = equation_defect(sys, k, psi, phi, strip=(0.0, 1.0))
-
     b_all = k.apply_all(psi)
+    got = equation_defect(sys, b_all, psi, phi, strip=(0.0, 1.0))
+
     ref = []
     for i in range(2, 11):                        # frames at t = 0 .. 1
         dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * psi.dt)
@@ -187,6 +188,161 @@ def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
     assert got.index0 == 0 and got.n_frames == len(ref)
     np.testing.assert_allclose(got.values, np.stack(ref), rtol=0,
                                atol=1e-14 * np.max(np.abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# one kernel application per iterate (linearity)
+
+def _linearity_case(name):
+    """(kernel, run): `run(**kw)` is one Dyson run with that kernel, keyword
+    arguments passed on to the driver."""
+    if name == "retarded":
+        grid, sys, k = _memory_setup()
+        opts = SolveOptions(dt=1.0 / 128.0)
+        data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+        phi = sample_trajectory(
+            grid, lambda t, x: np.full((grid.sites, 1), math.sin(3.0 * t),
+                                       complex), opts.dt, 0, 129)
+        return k, lambda **kw: dyson_retarded(sys, k, phi, data, 1.0, opts,
+                                              n_max=20, **kw)
+    if name == "short_range":
+        # scalar ODE with a two-sided dense kernel of range 0.25
+        grid = make_grid(1, 1.0, 8, 1)
+        sys = ode_system(grid, np.array([[-0.5]]))
+        prof = (1.0 + 0.5 * np.sin(2.0 * math.pi * grid.coords()[:, 0]))
+        k = make_dense(grid, lambda t, tau, v: (
+            0.8 * np.cos(3.0 * (t - tau)))[:, None, None] * prof[:, None] * v,
+            delta=0.25)
+        opts = SolveOptions(dt=1.0 / 64.0)
+        data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+        phi = sample_trajectory(
+            grid, lambda t, x: math.sin(2.0 * math.pi * t) ** 2
+            * np.cos(2.0 * math.pi * x).astype(complex), opts.dt, 0, 33)
+        return k, lambda **kw: dyson_short_range(
+            sys, k, phi, data, 0.5, opts, n_max=10, tol=1e-4,
+            tol_residual=1e-2, constants={"C_est": 0.8, "D": 0.5}, **kw)
+    if name == "separable_n_max":
+        # the divergent rank-one counterexample, held to the full budget
+        cfg = CounterexampleConfig(points=16, steps_per_delta=64, T=0.25,
+                                   W=0.5, n_max=6)
+        sys, k, f_tr, opts = build_counterexample(cfg)
+        data = StateField(sys.grid, 0.0, sys.grid.zeros())
+        return k, lambda **kw: dyson_short_range(
+            sys, k, f_tr, data, cfg.T, opts, n_max=cfg.n_max, W=cfg.W,
+            n_min=cfg.n_max + 1, constants={"C_est": 1.0, "D": 0.0}, **kw)
+    raise ValueError(name)
+
+
+def _count_apply_all(monkeypatch) -> list:
+    calls = []
+    inner = TimeKernel.apply_all
+
+    def counted(self, tr):
+        calls.append(tr.n_frames)
+        return inner(self, tr)
+
+    monkeypatch.setattr(TimeKernel, "apply_all", counted)
+    return calls
+
+
+def _recording_monitor(seen: list, kept: list):
+    """Copies of each monitor call's (n, psi, src) in `seen`; the src
+    arrays themselves with their copies in `kept`."""
+    def mon(n, psi, src):
+        seen.append((n, psi.values.copy(),
+                     None if src is None else src.values.copy()))
+        if src is not None:
+            kept.append((src.values, seen[-1][2]))
+    return mon
+
+
+@pytest.mark.parametrize("name,verdict", [("retarded", "Converged"),
+                                          ("short_range", "Converged"),
+                                          ("separable_n_max", "Stalled")])
+def test_one_apply_all_per_iterate(monkeypatch, name, verdict):
+    k, run = _linearity_case(name)
+    calls = _count_apply_all(monkeypatch)
+    res = run()
+    assert res.verdict == verdict
+    assert len(calls) == res.n_used + 1
+
+
+def test_one_apply_all_on_zero_source_exit(monkeypatch):
+    """A kernel switched on after T gives B psi = 0: the loop stops at
+    iterate 1 after the single application to psi^(0)."""
+    grid, sys, _ = _memory_setup()
+    k = make_convolution(lambda u: math.exp(-u), None, grid, t0=5.0)
+    data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+    calls = _count_apply_all(monkeypatch)
+    res = dyson_retarded(sys, k, None, data, 1.0,
+                         SolveOptions(dt=1.0 / 128.0), n_max=20,
+                         constants={"C_est": 1.0, "D": 0.5, "M": 1.0})
+    assert res.n_used == 0 and len(calls) == 1
+
+
+def test_one_apply_all_on_solve_aborted(monkeypatch):
+    """SolveAborted in iterate 2 ends the run as Diverged with n_used = 1:
+    psi^(0) and psi^(1) were each given to the kernel once."""
+    k, run = _linearity_case("retarded")
+    calls = _count_apply_all(monkeypatch)
+    solves = []
+
+    def aborting(*args, **kwargs):
+        solves.append(1)
+        if len(solves) == 3:
+            raise SolveAborted("forced", None, 0)
+        return solve_local(*args, **kwargs)
+
+    monkeypatch.setattr(dyson, "solve_local", aborting)
+    res = run()
+    assert res.verdict == "Diverged" and res.n_used == 1
+    assert len(calls) == res.n_used + 1
+
+
+@pytest.mark.parametrize("name", ["retarded", "short_range",
+                                  "separable_n_max"])
+def test_linearity_matches_reapplied_kernel(monkeypatch, name):
+    """The residual from the running sum of sources against the reference
+    that applies B to the whole partial sum: residual histories to 1e-12 of
+    the series maximum, every other result field and every source the
+    monitor sees bitwise (and unchanged after the call)."""
+    k, run = _linearity_case(name)
+    seen, kept = [], []
+    res = run(monitor=_recording_monitor(seen, kept))
+    for src, at_call in kept:   # the loop never writes into a used source
+        assert np.array_equal(src, at_call)
+
+    def reference_residual(sys, b_psi, psi, phi, strip=None):
+        return norm_strip(equation_defect(sys, k.apply_all(psi), psi, phi,
+                                          strip), inner_weight(sys))
+
+    monkeypatch.setattr(dyson, "residual", reference_residual)
+    ref_seen = []
+    ref = run(monitor=_recording_monitor(ref_seen, []))
+
+    scale = max(ref.residual_history)
+    np.testing.assert_allclose(res.residual_history, ref.residual_history,
+                               rtol=0, atol=1e-12 * scale)
+    assert res.verdict == ref.verdict and res.n_used == ref.n_used
+    assert res.n_used >= 3
+    for key in ("iterate_sup_norms", "iterate_strip_norms", "bound_values",
+                "ratios", "config"):
+        assert getattr(res, key) == getattr(ref, key), key
+    assert res.partial_sum.index0 == ref.partial_sum.index0
+    assert np.array_equal(res.partial_sum.values, ref.partial_sum.values)
+    assert [n for n, _, _ in seen] == [n for n, _, _ in ref_seen]
+    for (_, psi, src), (_, psi_ref, src_ref) in zip(seen, ref_seen):
+        assert np.array_equal(psi, psi_ref)
+        assert (src is None) == (src_ref is None)
+        if src is not None:
+            assert np.array_equal(src, src_ref)
+
+
+def test_equation_defect_checks_b_psi_shape():
+    grid, sys, k = _memory_setup()
+    psi = Trajectory(grid, 0.125, 0, np.ones((9, grid.sites, 1), complex))
+    with pytest.raises(DysonError, match="B psi"):
+        equation_defect(sys, np.zeros((8, grid.sites, 1), complex), psi, None)
 
 
 # ---------------------------------------------------------------------------

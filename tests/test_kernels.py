@@ -62,8 +62,11 @@ def _apply_oracle(k, tr, t):
 
 
 def _assert_matches_oracle(k, tr, atol=1e-12):
-    """apply_all against the pair_apply trapezoid on every frame."""
+    """apply_all against the pair_apply trapezoid on every frame; the input
+    frames are left as they were."""
+    before = tr.values.copy()
     allv = k.apply_all(tr)
+    np.testing.assert_array_equal(tr.values, before)
     for i in range(tr.n_frames):
         np.testing.assert_allclose(allv[i], _apply_oracle(k, tr, tr.time(i)),
                                    rtol=0, atol=atol)
@@ -134,6 +137,8 @@ def _oracle_case(name, g):
     if name == "dense":
         return make_dense(g, lambda t, tau, v: (t - tau)[:, None, None] * v,
                           retarded=True, delta=0.5)
+    if name == "dense_identity":        # op hands back its input array
+        return make_dense(g, lambda t, tau, v: v, delta=0.5)
     if name == "dense_infinite_range":
         return make_dense(g, _rot_op)
     if name == "dense_advanced_switch_on":
@@ -144,7 +149,7 @@ def _oracle_case(name, g):
 
 @pytest.mark.parametrize("name", [
     "separable", "convolution", "convolution_adjoint", "dense",
-    "dense_infinite_range", "dense_advanced_switch_on"])
+    "dense_identity", "dense_infinite_range", "dense_advanced_switch_on"])
 def test_apply_all_matches_oracle(name):
     g = _grid()
     _assert_matches_oracle(_oracle_case(name, g), _traj(g, 15, index0=-3),
