@@ -166,6 +166,15 @@ def _validate_system(doc, path: str) -> None:
         _require(isinstance(doc["name"], str), f"{path}.name", "must be a string")
 
 
+# the SolveOptions ranges, checked where the config names the field
+_CUSTOM_RANGES = {
+    "dt": (lambda v: v > 0, "must be positive"),
+    "T": (lambda v: v > 0, "must be positive"),
+    "cfl": (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5]"),
+    "dissipation": (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]"),
+}
+
+
 def _validate_doc(doc: dict, path: str = "") -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config at '{path or '.'}' must be an object")
@@ -198,6 +207,9 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
             continue
         if scenario == "custom":        # every custom option is a number
             _require(_is_number(val), f"{path}options.{key}", "must be a number")
+            if key in _CUSTOM_RANGES:
+                in_range, what = _CUSTOM_RANGES[key]
+                _require(in_range(val), f"{path}options.{key}", what)
             continue
         if isinstance(val, bool) or val is None:
             continue

@@ -86,7 +86,10 @@ class CounterexampleConfig:
 
 def _counterexample_profiles(cfg: CounterexampleConfig):
     """(grid, sys, f-trajectory, f_dot-trajectory, normalization c_n) on the
-    full solve lattice; ||f||_strip = 1 after normalization."""
+    full solve lattice; ||f||_strip = 1 after normalization. They do not
+    depend on epsilon."""
+    if cfg.delta <= 0:
+        raise ScenarioError("need delta > 0")
     grid = make_grid(1, cfg.extent, cfg.points, 1)
     sys = make_system(grid, np.ones((1, 1)), [np.zeros((1, 1))],
                       name="time-derivative")
@@ -117,21 +120,31 @@ def _counterexample_profiles(cfg: CounterexampleConfig):
     return grid, sys, f_tr.scaled(c_n), fdot_tr.scaled(c_n), c_n
 
 
+def _counterexample_kernel(cfg: CounterexampleConfig, profiles) -> TimeKernel:
+    """The rank-one kernel at cfg.epsilon, built from `profiles`."""
+    if cfg.epsilon < 0:
+        raise ScenarioError("need epsilon >= 0")
+    _, _, f_tr, fdot_tr, _ = profiles
+    return make_separable([f_tr.scaled(-cfg.epsilon)], [fdot_tr],
+                          delta=cfg.delta)
+
+
 def build_counterexample(cfg: CounterexampleConfig):
     """(system, kernel, normalized source trajectory, options)."""
-    if cfg.delta <= 0 or cfg.epsilon < 0:
-        raise ScenarioError("need delta > 0 and epsilon >= 0")
-    grid, sys, f_tr, fdot_tr, _ = _counterexample_profiles(cfg)
-    k = make_separable([f_tr.scaled(-cfg.epsilon)], [fdot_tr],
-                       delta=cfg.delta)
-    opts = SolveOptions(dt=cfg.dt)
-    return sys, k, f_tr, opts
+    profiles = _counterexample_profiles(cfg)
+    _, sys, f_tr, _, _ = profiles
+    return (sys, _counterexample_kernel(cfg, profiles), f_tr,
+            SolveOptions(dt=cfg.dt))
 
 
 def counterexample_oracle(cfg: CounterexampleConfig) -> Trajectory:
     """Closed-form psi^(0): F(t, x) = c_n b_x(x) int_0^t b_t, by fine
     cumulative quadrature (16x oversampled trapezoid)."""
-    grid, sys, f_tr, _, c_n = _counterexample_profiles(cfg)
+    return _counterexample_oracle(cfg, _counterexample_profiles(cfg))
+
+
+def _counterexample_oracle(cfg: CounterexampleConfig, profiles) -> Trajectory:
+    grid, _, f_tr, _, c_n = profiles
     dt = cfg.dt
     sub = 16
     d4 = cfg.delta / 4.0
@@ -155,8 +168,10 @@ def counterexample_report(cfg: CounterexampleConfig,
     """Full diagnostic bundle: exact bound constant and threshold margin,
     the divergent unit-strength run with its obstruction pairing, and the
     convergent geometric family."""
-    sys, k, f_tr, opts = build_counterexample(cfg)
-    grid = sys.grid
+    profiles = _counterexample_profiles(cfg)     # shared by every run below
+    grid, sys, f_tr, fdot_tr, _ = profiles
+    k = _counterexample_kernel(cfg, profiles)
+    opts = SolveOptions(dt=cfg.dt)
     w = inner_weight(sys)
     dlt = cfg.delta
 
@@ -164,9 +179,8 @@ def counterexample_report(cfg: CounterexampleConfig,
     margin = threshold_margin(est.C_est, dlt)
 
     # witness: some t0 in (0, delta/2) has ||f_t0|| * ||f_dot_t0|| >= 2/delta^2
-    _, _, f_n, fdot_n, _ = _counterexample_profiles(cfg)
-    nf = np.sqrt(np.maximum(frame_norms_sq(f_n, w), 0.0))
-    nfd = np.sqrt(np.maximum(frame_norms_sq(fdot_n, w), 0.0))
+    nf = np.sqrt(np.maximum(frame_norms_sq(f_tr, w), 0.0))
+    nfd = np.sqrt(np.maximum(frame_norms_sq(fdot_tr, w), 0.0))
     witness = float(np.max(nf * nfd))
 
     data0 = StateField(grid, 0.0, grid.zeros())
@@ -194,12 +208,12 @@ def counterexample_report(cfg: CounterexampleConfig,
                                 monitor=pairing_monitor(holder))
 
     # convergent geometric family against the closed form F / (1 - eps)
-    oracle = counterexample_oracle(cfg)
+    oracle = _counterexample_oracle(cfg, profiles)
     family = {}
     for eps in eps_family:
         cfg_eps = CounterexampleConfig(**{**cfg.__dict__, "epsilon": eps})
-        sys_e, k_e, f_e, opts_e = build_counterexample(cfg_eps)
-        r = dyson_short_range(sys_e, k_e, f_e, data0, cfg.T, opts_e,
+        k_e = _counterexample_kernel(cfg_eps, profiles)
+        r = dyson_short_range(sys, k_e, f_tr, data0, cfg.T, opts,
                               tol=cfg.tol, tol_residual=cfg.tol_residual,
                               n_max=cfg.n_max, W=cfg.W,
                               constants={"C_est": eps * est.C_est / max(cfg.epsilon, 1e-300)
@@ -831,6 +845,8 @@ def dirac_run(cfg: DiracConfig) -> dict:
     free = solve_local(sys, None, data, 0.0, T_cross, opts)
     nsq = frame_norms_sq(free, w)
     free_drift = float(np.max(np.abs(nsq - nsq[0])) / nsq[0])
+    free_energy = energy_identity(sys, free, None, tolerance=math.inf)
+    del free    # released before the nonlocal run
 
     out = _dirac_single(cfg)
     out.update({
@@ -839,7 +855,7 @@ def dirac_run(cfg: DiracConfig) -> dict:
         "kernel_symmetry_defect": kernel_symmetry_defect(out["kernel"], grid,
                                                          seed=cfg.seed),
         "free_norm_drift": free_drift,
-        "free_energy": energy_identity(sys, free, None, tolerance=math.inf),
+        "free_energy": free_energy,
         "D": measure_D(sys),
     })
     if cfg.refine:

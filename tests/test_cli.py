@@ -129,10 +129,22 @@ def test_invalid_system_reports_field_path(tmp_path, edit, path):
     ("transport.json", lambda o: o.update(dt=True), r"options\.dt'"),
     ("transport_dispersive.json", lambda o: o["kernel"].update(chi0="abc"),
      r"options\.kernel\.chi0'"),
+    *(pytest.param("transport.json", lambda o, k=key, v=val: o.update({k: v}),
+                   rf"options\.{key}' {what}", id=f"{key}={val}")
+      for key, val, what in (
+          ("dt", 0.0, "must be positive"),
+          ("dt", -0.01, "must be positive"),
+          ("cfl", 0, r"must lie in \(0, 0\.5\]"),
+          ("cfl", 0.6, r"must lie in \(0, 0\.5\]"),
+          ("dissipation", -0.1, r"must lie in \[0, 0\.5\]"),
+          ("dissipation", 0.7, r"must lie in \[0, 0\.5\]"),
+          ("T", 0, "must be positive"),
+          ("T", -1.0, "must be positive"))),
 ])
 def test_invalid_custom_option_reports_field_path(tmp_path, base, edit, path):
-    """A custom run's options are numbers; a null or a string used to pass
-    validation and fail inside float() when the run was assembled."""
+    """A custom run's options are numbers in the solver's ranges; a null or a
+    string used to pass validation and fail inside float() when the run was
+    assembled, and "cfl": 0 used to fail there as "dt must be positive"."""
     with open(os.path.join(CONFIGS, base)) as fh:
         doc = json.load(fh)
     edit(doc["options"])

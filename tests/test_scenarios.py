@@ -178,6 +178,35 @@ def test_counterexample_oracle_is_time_integral(coarse_cx):
     assert gap <= 1e-3 * scale
 
 
+def test_counterexample_report_samples_profiles_once(coarse_cx, monkeypatch):
+    """The divergent run, the witness, the oracle and the family share one
+    sampling of the profiles; the kernels and the oracle built from it equal
+    those of the public builders bitwise."""
+    from hypnl import scenarios
+    calls = []
+    sample = scenarios._counterexample_profiles
+
+    def counted(cfg):
+        calls.append(cfg)
+        return sample(cfg)
+
+    monkeypatch.setattr(scenarios, "_counterexample_profiles", counted)
+    rep = scenarios.counterexample_report(coarse_cx)
+    assert len(calls) == 1
+    assert set(rep["family"]) == {0.1, 0.25, 0.5}
+
+    profiles = sample(coarse_cx)
+    f_tr = profiles[2]
+    for eps in (coarse_cx.epsilon, 0.25):
+        cfg = CounterexampleConfig(**{**coarse_cx.__dict__, "epsilon": eps})
+        shared = scenarios._counterexample_kernel(cfg, profiles)
+        public = build_counterexample(cfg)[1]
+        assert np.array_equal(shared.apply_all(f_tr), public.apply_all(f_tr))
+    assert np.array_equal(
+        scenarios._counterexample_oracle(coarse_cx, profiles).values,
+        counterexample_oracle(coarse_cx).values)
+
+
 # ---------------------------------------------------------------------------
 # surface-layer product
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_pulse
-from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
-                         sample_trajectory)
-from hypnl.systems import inner_weight, ode_system, transport_system
-from hypnl.solver import (SolveOptions, SolverError, evolution_op,
-                          green_retarded, solve_local)
+from hypnl.grids import (StateField, Trajectory, ko_dissipation, make_grid,
+                         norm_strip, sample_trajectory)
+from hypnl.systems import (evolution_rhs, inner_weight, make_system,
+                           ode_system, transport_system)
+from hypnl.solver import (SolveAborted, SolveOptions, SolverError,
+                          _lattice_index, evolution_op, green_retarded,
+                          solve_local)
 from hypnl.dyson import residual
 from hypnl.diagnostics import cone_violation, support_mask
 
@@ -195,10 +197,271 @@ def test_green_retarded_order_floor():
 
 def test_nan_abort():
     """Blowup is reported with the partial trajectory attached."""
-    from hypnl.solver import SolveAborted
     grid = make_grid(1, 1.0, 8, 1)
     sys = ode_system(grid, np.array([[400.0]]))   # stiff exponential growth
     data = StateField(grid, 0.0, 1e300 * np.ones((grid.sites, 1), complex))
     with pytest.raises(SolveAborted) as exc:
         solve_local(sys, None, data, 0.0, 10.0, SolveOptions(dt=0.1))
     assert isinstance(exc.value.partial, Trajectory)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-step source sampler and RK4 loop that solve_local
+# replaced, kept verbatim. solve_local must reproduce them bitwise, on the
+# state-free running sum and on the stepping path alike.
+
+class _SourceSampler:
+    """Linear-in-time interpolation of a frame-sampled source, zero outside
+    the covered window."""
+
+    def __init__(self, phi, dt):
+        if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
+            raise SolverError(f"source lattice dt={phi.dt} != solver dt={dt}")
+        self.phi = phi
+        self.dt = dt
+
+    def __call__(self, t):
+        phi = self.phi
+        if phi is None:
+            return None
+        u = t / self.dt - phi.index0
+        if u < -1e-9 or u > phi.n_frames - 1 + 1e-9:
+            return None
+        i = int(math.floor(u))
+        i = min(max(i, 0), phi.n_frames - 2) if phi.n_frames > 1 else 0
+        if phi.n_frames == 1:
+            return phi.values[0]
+        w = u - i
+        w = min(max(w, 0.0), 1.0)
+        if w == 0.0:
+            return phi.values[i]
+        return (1.0 - w) * phi.values[i] + w * phi.values[i + 1]
+
+
+def _ref_rhs(sys, y, t, source, eps):
+    out = evolution_rhs(sys, y, t, source)
+    if eps > 0.0:
+        out = out + ko_dissipation(sys.grid, y, eps)
+    return out
+
+
+def _ref_rk4_step(sys, y, t, h, src, eps):
+    mid = src(t + 0.5 * h)      # shared by the k2 and k3 stages
+    k1 = _ref_rhs(sys, y, t, src(t), eps)
+    k2 = _ref_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, mid, eps)
+    k3 = _ref_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, mid, eps)
+    k4 = _ref_rhs(sys, y + h * k3, t + h, src(t + h), eps)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_solve_local(sys, phi, data, t0, t1, opts):
+    dt = opts.dt
+    i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
+    src = _SourceSampler(phi, dt)
+    eps = opts.dissipation
+
+    n_steps = abs(i1 - i0)
+    sgn = 1 if i1 >= i0 else -1
+    h = sgn * dt
+    y = data.values.copy()
+    frames = [y]
+    stored_idx = [i0]
+    for s in range(n_steps):
+        t = (i0 + sgn * s) * dt
+        y = _ref_rk4_step(sys, y, t, h, src, eps)
+        if not np.all(np.isfinite(y.view(float))):
+            vals = np.stack(frames[::sgn])
+            partial = Trajectory(sys.grid, dt * opts.store_every,
+                                 min(stored_idx) // opts.store_every
+                                 if opts.store_every > 1 else min(stored_idx),
+                                 vals)
+            raise SolveAborted(
+                f"non-finite field after step {s + 1} (t={t + h:.6g})",
+                partial, last_stable=stored_idx[-1])
+        if (s + 1) % opts.store_every == 0 or s + 1 == n_steps:
+            frames.append(y)
+            stored_idx.append(i0 + sgn * (s + 1))
+
+    if opts.store_every > 1:
+        keep = [k for k, idx in enumerate(stored_idx)
+                if (idx - i0) % opts.store_every == 0]
+        frames = [frames[k] for k in keep]
+        stored_idx = [stored_idx[k] for k in keep]
+        out_dt = dt * opts.store_every
+        out_index0 = min(stored_idx) // opts.store_every
+        order = np.argsort(stored_idx)
+        vals = np.stack([frames[k] for k in order])
+        return Trajectory(sys.grid, out_dt, out_index0, vals)
+
+    if sgn < 0:
+        frames = frames[::-1]
+        stored_idx = stored_idx[::-1]
+    return Trajectory(sys.grid, dt, stored_idx[0], np.stack(frames))
+
+
+def _bits(a):
+    """Raw bytes, so that -0.0 and NaN payloads count as differences too."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _random_field(rng, grid, frames=None):
+    shape = (grid.sites, grid.fiber) if frames is None \
+        else (frames, grid.sites, grid.fiber)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _counterexample_case():
+    from hypnl.scenarios import CounterexampleConfig, build_counterexample
+    sys, _, f_tr, opts = build_counterexample(CounterexampleConfig(
+        points=16, steps_per_delta=32, T=0.25, W=0.25))
+    return sys, opts, f_tr
+
+
+def _solver_case(name):
+    """(system, options, reference dt) of a named solver test case; the
+    first four plans are state-free, the others step."""
+    grid1 = make_grid(1, 1.0, 16, 1)
+    grid2 = make_grid(1, 2.0 * math.pi, 32, 2)
+    rng = np.random.default_rng(7)
+    if name == "counterexample":
+        sys, opts, _ = _counterexample_case()
+        return sys, opts
+    if name == "ode_zero_S0":
+        return ode_system(grid2, np.zeros((2, 2))), SolveOptions(dt=0.1 / 7)
+    if name == "A0_matrix":
+        a0 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.5]])
+        return (make_system(grid2, a0, [np.zeros((2, 2))]),
+                SolveOptions(dt=0.1 / 7))
+    if name == "A0_per_site":
+        scale = 1.0 + 0.5 * rng.random(grid2.sites)
+        a0 = scale[:, None, None] * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        return (make_system(grid2, a0, [np.zeros((2, 2))]),
+                SolveOptions(dt=0.1 / 7))
+    if name == "transport":
+        sys = transport_system(grid1)
+        return sys, SolveOptions(dt=0.2 * grid1.spacing)
+    if name == "dirac":
+        from hypnl.scenarios import dirac_system
+        sys = dirac_system(grid2, 0.7)
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "S0_t":
+        sys = make_system(grid2, np.eye(2), [np.zeros((2, 2))],
+                          S0_t=lambda t: np.array([[-1.0, t], [-t, 0.5j]]))
+        return sys, SolveOptions(dt=0.1 / 7)
+    if name == "dissipation":
+        sys = ode_system(grid2, np.zeros((2, 2)))
+        return sys, SolveOptions(dt=0.1 / 7, dissipation=0.2)
+    raise KeyError(name)
+
+
+_STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
+_STEPPING = ("transport", "dirac", "S0_t", "dissipation")
+
+
+def _source(sys, dt, kind, sgn, steps, rng):
+    """A source for a solve from 0 over `steps` steps in direction `sgn`,
+    with signed zeros at one site (a kernel's output has them)."""
+    grid = sys.grid
+    if kind == "none":
+        return None
+    lo, n = {"full": (-steps if sgn < 0 else 0, steps + 1),
+             # covers only the middle of the window
+             "partial": (-(2 * steps) // 3 if sgn < 0 else steps // 4,
+                         steps // 3 + 1),
+             "single": (sgn * (steps // 2), 1)}[kind]
+    vals = _random_field(rng, grid, n)
+    vals[:, 1] = complex(-0.0, -0.0)
+    return Trajectory(grid, dt, lo, vals)
+
+
+def _count_rk4_steps(monkeypatch):
+    from hypnl import solver
+    calls = []
+    step = solver._rk4_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rk4_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", ["full", "partial", "single", "none"])
+@pytest.mark.parametrize("name", _STATE_FREE + _STEPPING)
+def test_solve_local_matches_reference_loop(monkeypatch, name, kind, sgn,
+                                            store_every):
+    """Bitwise equal to the per-step loop on both paths; a state-free plan
+    makes no RK4 step call, every other plan makes one per step."""
+    sys, opts = _solver_case(name)
+    opts = SolveOptions(dt=opts.dt, cfl=opts.cfl,
+                        dissipation=opts.dissipation, store_every=store_every)
+    rng = np.random.default_rng(11)
+    steps = 30
+    phi = _source(sys, opts.dt, kind, sgn, steps, rng)
+    if name == "counterexample" and kind == "full":
+        phi = _counterexample_case()[2]
+    values = _random_field(rng, sys.grid)
+    values[1] = complex(-0.0, -0.0)   # where the source has signed zeros
+    data = StateField(sys.grid, 0.0, values)
+    t1 = sgn * steps * opts.dt
+    want = _ref_solve_local(sys, phi, data, 0.0, t1, opts)
+    calls = _count_rk4_steps(monkeypatch)
+    got = solve_local(sys, phi, data, 0.0, t1, opts)
+    assert (got.dt, got.index0, got.values.shape) == \
+        (want.dt, want.index0, want.values.shape)
+    assert _bits(got.values) == _bits(want.values)
+    assert len(calls) == (0 if name in _STATE_FREE else steps)
+
+
+def test_counterexample_solve_matches_reference_loop():
+    """The solve the counterexample runs: its normalized source over the
+    whole [-W, T + W] window, both directions from zero data."""
+    sys, opts, f_tr = _counterexample_case()
+    data = StateField(sys.grid, 0.0, sys.grid.zeros())
+    for t1 in (f_tr.t_end, f_tr.t_start):
+        want = _ref_solve_local(sys, f_tr, data, 0.0, t1, opts)
+        got = solve_local(sys, f_tr, data, 0.0, t1, opts)
+        assert got.index0 == want.index0
+        assert _bits(got.values) == _bits(want.values)
+
+
+def test_zero_step_solve_returns_data():
+    for name in ("ode_zero_S0", "transport"):
+        sys, opts = _solver_case(name)
+        data = StateField(sys.grid, 0.0, _random_field(
+            np.random.default_rng(3), sys.grid))
+        tr = solve_local(sys, None, data, 0.0, 0.0, opts)
+        assert tr.n_frames == 1 and tr.index0 == 0
+        assert _bits(tr.values[0]) == _bits(data.values)
+
+
+@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", ["ode_zero_S0", "A0_matrix", "dirac",
+                                  "dissipation"])
+def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
+    """A non-finite source frame aborts both paths at the step the loop
+    aborts, with its message, partial frames, index0 and last_stable."""
+    sys, opts = _solver_case(name)
+    opts = SolveOptions(dt=opts.dt, cfl=opts.cfl,
+                        dissipation=opts.dissipation, store_every=store_every)
+    rng = np.random.default_rng(5)
+    steps = 30
+    phi = _source(sys, opts.dt, "full", sgn, steps, rng)
+    phi.values[phi.index_of(sgn * 13 * opts.dt), 3, 0] = complex(np.inf, 0.0)
+    data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
+    t1 = sgn * steps * opts.dt
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolveAborted) as ref:
+            _ref_solve_local(sys, phi, data, 0.0, t1, opts)
+        with pytest.raises(SolveAborted) as got:
+            solve_local(sys, phi, data, 0.0, t1, opts)
+    want, have = ref.value, got.value
+    assert str(have) == str(want)
+    assert have.last_stable == want.last_stable
+    assert (have.partial.dt, have.partial.index0) == \
+        (want.partial.dt, want.partial.index0)
+    assert _bits(have.partial.values) == _bits(want.partial.values)
