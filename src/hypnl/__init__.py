@@ -9,9 +9,10 @@ from .grids import (Grid, InnerWeight, StateField, Trajectory, make_grid,
                     sample_trajectory, zero_field)
 from .systems import (SystemSpec, make_system, ode_system, transport_system,
                       system_from_json, system_to_json, validate_system)
-from .kernels import (BoundEstimate, TimeKernel, adjoint, estimate_bound,
-                      make_convolution, make_dense, make_separable,
-                      threshold_margin, weighted)
+from .kernels import (BoundEstimate, ConvTerm, TimeKernel, adjoint,
+                      estimate_bound, make_convolution, make_dense,
+                      make_modulated, make_separable, threshold_margin,
+                      weighted)
 from .solver import (SolveAborted, SolveOptions, evolution_op, green_retarded,
                      solve_local)
 from .dyson import (DysonResult, bound_retarded, bound_short, dyson_retarded,
@@ -30,9 +31,9 @@ __all__ = [
     "sample_trajectory", "zero_field",
     "SystemSpec", "make_system", "ode_system", "transport_system",
     "system_from_json", "system_to_json", "validate_system",
-    "BoundEstimate", "TimeKernel", "adjoint", "estimate_bound",
-    "make_convolution", "make_dense", "make_separable", "threshold_margin",
-    "weighted",
+    "BoundEstimate", "ConvTerm", "TimeKernel", "adjoint", "estimate_bound",
+    "make_convolution", "make_dense", "make_modulated", "make_separable",
+    "threshold_margin", "weighted",
     "SolveAborted", "SolveOptions", "evolution_op", "green_retarded",
     "solve_local",
     "DysonResult", "bound_retarded", "bound_short", "dyson_retarded",

@@ -2,21 +2,26 @@
 
 Three kinds are supported:
   * separable: B_{t,tau} = sum_a g_a(t) <h_a(tau), .>  (rank-r spacetime pairs)
-  * convolution: B_{t,tau} = chi_dot(t - tau) * projector, retarded memory
-  * dense: a callback op(t, tau, values), vectorized over (t, tau) pairs
+  * convolution: B_{t,tau} = sum_k m_k(t) c_k(tau - t) n_k(tau) M_k, a sum of
+    modulated convolution terms (`ConvTerm`): scalar time factors m_k and
+    n_k, a lag function c_k and a fiber operator M_k, the same at all times
+  * dense: a callback op(t, tau, values), vectorized over (t, tau) pairs; only
+    for kernels that have no term form
 
 Kernels carry structural flags (retarded / advanced, time range delta,
 switch-on time) that the application honors by restricting each time
 integral to the admitted tau frames. `TimeKernel.apply_all` is the one
 integrator: the composite trapezoidal rule on the frame lattice, for every
-output frame at once.
+output frame at once. Convolution terms are integrated by FFT (the fast
+convolution of Hairer, Lubich & Schlichte 1985; cf. Lubich's convolution
+quadrature), with the trapezoid end corrections taken per term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,9 +30,62 @@ from .systems import SystemSpec, _fiber_apply, inner_weight
 
 INF = math.inf
 
+# upper bound on the bytes of one FFT buffer in `_conv_all`: the columns are
+# transformed in chunks of sites that fit it
+FFT_CHUNK_BYTES = 1 << 20
+
 
 class KernelError(ValueError):
     pass
+
+
+class ConvTerm(NamedTuple):
+    """One term m(t) c(tau - t) n(tau) M of a convolution kernel.
+
+    `m`, `c` and `n` take a float array and return values of its shape (or
+    a scalar, which is broadcast); `m` or `n` None stands for 1. `M` is None
+    (the identity) or a pair (profile, matrix): a per-site factor of shape
+    (sites,) or None, times a fiber matrix of shape (f, f) or (sites, f, f)."""
+
+    m: Optional[Callable]
+    c: Callable
+    n: Optional[Callable]
+    M: Optional[tuple] = None
+
+
+def _sample(fn: Optional[Callable], x: np.ndarray) -> Optional[np.ndarray]:
+    """fn on the array x as a complex array of x's shape; None for fn None."""
+    if fn is None:
+        return None
+    return np.broadcast_to(np.asarray(fn(x), dtype=complex), x.shape)
+
+
+def _apply_M(M: Optional[tuple], values: np.ndarray) -> np.ndarray:
+    """M applied to values of shape (..., sites, k), where k is the number of
+    columns the matrix has (all f, or the ones it reads)."""
+    if M is None:
+        return values
+    prof, mat = M
+    out = _fiber_apply(mat, values)
+    return out if prof is None else out * prof[:, None]
+
+
+def _fft_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a fast FFT length."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -99,11 +157,15 @@ class TimeKernel:
                 c = complex(np.einsum("sf,sf->", np.conj(h), values)) * dv
                 out += c * g_tr.values[g_tr.index_of(t)]
         elif self.kind == "convolution":
-            u = (tau - t) if self.advanced else (t - tau)
-            v = complex(self.data["chi_dot"](float(u)))
-            if self.data.get("conj"):
-                v = np.conj(v)
-            out = _fiber_apply(self.data["projector"], v * values)
+            out = np.zeros_like(values)
+            t_a, tau_a = np.array([float(t)]), np.array([float(tau)])
+            for m, c, n, M in self.data["terms"]:
+                s = _sample(c, tau_a - t_a)[0]
+                if m is not None:
+                    s = s * _sample(m, t_a)[0]
+                if n is not None:
+                    s = s * _sample(n, tau_a)[0]
+                out += s * _apply_M(M, values)
         elif self.kind == "dense":
             out = self.data["op"](np.array([float(t)]), np.array([float(tau)]),
                                   values[None])[0]
@@ -118,8 +180,9 @@ class TimeKernel:
     def apply_all(self, tr: Trajectory) -> np.ndarray:
         """(B psi)(t_i) = int B_{t_i,tau} psi_tau d tau for every frame t_i of
         tr: the composite trapezoid over the tau frames [j0, j1] that
-        _slice_arrays admits. Separable kernels use prefix sums, memory
-        kernels an FFT convolution, dense kernels a sweep over the lag band."""
+        _slice_arrays admits. Separable kernels use prefix sums, convolution
+        kernels one FFT convolution per term, dense kernels a sweep over the
+        lag band."""
         F = tr.n_frames
         out = np.zeros((F, self.grid.sites, self.grid.fiber), dtype=complex)
         j0, j1 = self._slice_arrays(tr)
@@ -145,47 +208,94 @@ class TimeKernel:
                 s = np.where(live, s, 0.0) * tr.dt
                 out += s[:, None, None] * g_tr.values[np.arange(F) + off]
         elif self.kind == "convolution":
-            out += self._conv_all(tr, j0, j1, live)
+            self._conv_all(tr, j0, j1, live, out)
         elif self.kind == "dense":
             self._dense_sweep(tr, j0, j1, live, out)
         else:
             raise KernelError(f"unknown kernel kind {self.kind!r}")
         return _fiber_apply(self.post, out)
 
-    def _conv_all(self, tr: Trajectory, j0, j1, live):
-        """FFT convolution (cf. Hairer, Lubich & Schlichte 1985) with the
-        trapezoid endpoint corrections at j0 and j1. An advanced kernel is the
-        retarded convolution of the time-reversed frames; `conj` (set by
-        adjoint) conjugates chi_dot."""
-        F = tr.n_frames
-        chi_dot = self.data["chi_dot"]
-        lags = np.arange(F) * tr.dt
-        chi = np.asarray([chi_dot(float(u)) for u in lags], dtype=complex)
-        if self.data.get("conj"):
-            chi = np.conj(chi)
-        if math.isfinite(self.delta):
-            d = int(math.floor(self.delta / tr.dt + 1e-9))
-            chi[d + 1:] = 0.0
-        psi = tr.values.copy()
-        psi[:int(np.min(j0[live]))] = 0.0
-        if self.advanced:
-            psi = psi[::-1]
-        n_fft = 1
-        while n_fft < 2 * F:
-            n_fft *= 2
-        conv = np.fft.ifft(
-            np.fft.fft(psi, n=n_fft, axis=0)
-            * np.fft.fft(chi, n=n_fft)[:, None, None], axis=0)[:F]
-        if self.advanced:
-            conv = conv[::-1]
+    def _conv_all(self, tr: Trajectory, j0, j1, live, out) -> None:
+        """Add every convolution term into out by FFT (cf. Hairer, Lubich &
+        Schlichte 1985). For output frame i a term contributes
+
+            m(t_i) M sum_{j=j0}^{j1} w_j c((j - i) dt) n(tau_j) psi_j dt,
+
+        w the trapezoid weights. The live frames admit the lags l = j - i in
+        [lo, hi]; with the lag table c_l halved at lo and hi, the sum over
+        all of them is one correlation of n psi with that table. It is taken
+        by FFT on a zero-padded lattice long enough that no lag wraps onto a
+        frame, so retarded, advanced and two-sided windows take the same
+        path. Frames before the first admitted tau frame (switch-on) are
+        zeroed first. Where the window is cut short (j0 - i > lo or
+        j1 - i < hi, near the ends and the switch-on) the end frame got a
+        full weight, and half of it is subtracted after.
+
+        Only the columns that M reads are transformed, in chunks of sites
+        whose FFT buffers fit FFT_CHUNK_BYTES; the columns are independent,
+        so the chunking does not change the result. A term with the same n
+        and columns as the one before reuses its forward transform, and
+        consecutive terms with the same M share one application of M."""
+        F, f = tr.n_frames, self.grid.fiber
         i = np.arange(F)
-        j0c = np.clip(j0, 0, F - 1)
-        j1c = np.clip(j1, 0, F - 1)
-        corr = (0.5 * chi[np.abs(i - j0c)][:, None, None] * tr.values[j0c]
-                + 0.5 * chi[np.abs(j1c - i)][:, None, None] * tr.values[j1c])
-        out = (conv - corr) * tr.dt
-        out[~live] = 0.0
-        return _fiber_apply(self.data["projector"], out)
+        lo = int(np.min((j0 - i)[live]))
+        hi = int(np.max((j1 - i)[live]))
+        n_fft = _fft_len(F + max(-lo, hi, 0))
+        lags = np.arange(lo, hi + 1)
+        times = tr.times()
+        j_first = int(np.min(j0[live]))
+        cut0 = np.flatnonzero(live & (j0 - i > lo))
+        cut1 = np.flatnonzero(live & (j1 - i < hi))
+        terms = self.data["terms"]
+        plans = []
+        for m, c, n, M in terms:
+            prof, mat = (None, None) if M is None else M
+            cols = (np.arange(f) if mat is None else np.flatnonzero(
+                np.any(mat.reshape(-1, f) != 0, axis=0)))
+            sel = slice(None) if cols.size == f else cols
+            ctab = _sample(c, lags * tr.dt)
+            g = np.zeros(n_fft, dtype=complex)
+            g[(-lags) % n_fft] = ctab
+            g[-lo % n_fft] *= 0.5
+            g[-hi % n_fft] *= 0.5
+            nv, mv = _sample(n, times), _sample(m, times)
+            plans.append((
+                cols, sel, prof, None if mat is None else mat[..., sel],
+                np.fft.fft(g)[:, None, None],
+                None if nv is None else nv[:, None, None],
+                tr.dt if mv is None else (tr.dt * mv)[:, None, None],
+                (0.5 * ctab[j0[cut0] - cut0 - lo])[:, None, None],
+                (0.5 * ctab[j1[cut1] - cut1 - lo])[:, None, None]))
+        width = max(1, max(plan[0].size for plan in plans))
+        step = max(1, FFT_CHUNK_BYTES // (16 * n_fft * width))
+        for sa in range(0, self.grid.sites, step):
+            sb = min(sa + step, self.grid.sites)
+            acc = source = None
+            for k, plan in enumerate(plans):
+                cols, sel, prof, mat, g_hat, nv, w, half0, half1 = plan
+                if cols.size == 0:
+                    continue
+                if source != (id(terms[k].n), cols.tobytes()):
+                    source = (id(terms[k].n), cols.tobytes())
+                    phi = tr.values[:, sa:sb, sel] * (1.0 if nv is None else nv)
+                    phi[:j_first] = 0.0
+                    spec = np.fft.fft(phi, n=n_fft, axis=0)
+                conv = np.fft.ifft(spec * g_hat, axis=0)[:F]
+                conv[cut0] -= half0 * phi[j0[cut0]]
+                conv[cut1] -= half1 * phi[j1[cut1]]
+                conv *= w
+                if acc is None:
+                    acc = conv
+                else:
+                    acc += conv
+                if k + 1 < len(terms) and terms[k + 1].M is terms[k].M:
+                    continue            # the next term shares M: apply once
+                acc[~live] = 0.0
+                out[:, sa:sb] += _apply_M(
+                    (None if prof is None else prof[sa:sb],
+                     mat if mat is None or mat.ndim == 2 else mat[sa:sb]),
+                    acc)
+                acc = None
 
     def _dense_sweep(self, tr: Trajectory, j0, j1, live, out) -> None:
         """Add the dense kernel into out one lag l = j - i at a time: the
@@ -254,18 +364,65 @@ def make_separable(g_list, h_list, retarded: bool = False, delta: float = INF,
                       retarded=retarded, delta=delta, switch_on=switch_on)
 
 
+def _checked_M(M, grid: Grid) -> Optional[tuple]:
+    """M as None or (profile or None, complex matrix or None), shapes checked."""
+    if M is None:
+        return None
+    prof, mat = M
+    f, sites = grid.fiber, grid.sites
+    if prof is not None:
+        prof = np.asarray(prof, dtype=complex)
+        if prof.shape != (sites,):
+            raise KernelError(f"site profile shape {prof.shape} is not "
+                              f"({sites},)")
+    if mat is not None:
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape not in ((f, f), (sites, f, f)):
+            raise KernelError(f"fiber matrix shape {mat.shape} is not "
+                              f"({f}, {f}) or ({sites}, {f}, {f})")
+    return None if prof is None and mat is None else (prof, mat)
+
+
+def make_modulated(grid: Grid, terms, retarded: bool = False,
+                   advanced: bool = False, delta: float = INF,
+                   switch_on: float = -INF) -> TimeKernel:
+    """Convolution kernel B_{t,tau} = sum_k m_k(t) c_k(tau - t) n_k(tau) M_k
+    from a nonempty list of `ConvTerm`s (or 4-tuples (m, c, n, M)); the
+    flags restrict the admitted (t, tau) pairs as for every kind."""
+    terms = [ConvTerm(*term) for term in terms]
+    if not terms:
+        raise KernelError("need at least one convolution term")
+    shared = {}     # id of a given M -> its checked form: shared M stay shared
+    checked = []
+    for m, c, n, M in terms:
+        if not callable(c):
+            raise KernelError("a convolution term needs a callable lag "
+                              "function c")
+        if id(M) not in shared:
+            shared[id(M)] = _checked_M(M, grid)
+        checked.append(ConvTerm(m, c, n, shared[id(M)]))
+    return TimeKernel(grid=grid, kind="convolution", data={"terms": checked},
+                      retarded=retarded, advanced=advanced, delta=delta,
+                      switch_on=switch_on)
+
+
 def make_convolution(chi_dot: Callable[[float], complex], projector,
                      grid: Grid, t0: float = 0.0,
                      delta_eff: float = INF) -> TimeKernel:
     """Retarded memory kernel: projector * int_{max(t0, t-delta_eff)}^{t}
-    chi_dot(t - tau) psi_tau d tau, pointwise in space."""
+    chi_dot(t - tau) psi_tau d tau, pointwise in space. The one-term case
+    m = n = 1 of `make_modulated`, with c(z) = chi_dot(-z) called once per
+    lag and M the projector (None for the identity)."""
     if delta_eff <= 0:
         raise KernelError("delta_eff must be positive")
-    if projector is not None:
-        projector = np.asarray(projector, dtype=complex)
-    return TimeKernel(grid=grid, kind="convolution",
-                      data={"chi_dot": chi_dot, "projector": projector},
-                      retarded=True, delta=delta_eff, switch_on=t0)
+
+    def c(z):
+        return np.array([chi_dot(float(u)) for u in -np.ravel(z)],
+                        dtype=complex).reshape(np.shape(z))
+
+    M = None if projector is None else (None, projector)
+    return make_modulated(grid, [ConvTerm(None, c, None, M)], retarded=True,
+                          delta=delta_eff, switch_on=t0)
 
 
 def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
@@ -275,7 +432,8 @@ def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
     vectorized over P (t, tau) pairs: t and tau have shape (P,), values and
     the result (P, sites, fiber), which `apply_all` scales in place unless
     it shares memory with `values`. `adj_op` has the same contract and is
-    needed by `adjoint`."""
+    needed by `adjoint`. For generic kernels only: one with a term form
+    belongs in `make_modulated`, which integrates it by FFT."""
     data = {"op": op}
     if adj_op is not None:
         data["adj_op"] = adj_op
@@ -312,20 +470,27 @@ def adjoint(k: TimeKernel) -> TimeKernel:
                           retarded=k.advanced, advanced=k.retarded,
                           delta=k.delta, switch_on=-INF)
     if k.kind == "convolution":
-        proj = k.data["projector"]
-        proj = np.eye(k.grid.fiber) if proj is None else np.asarray(proj, dtype=complex)
-        if k.post is not None:
-            if proj.ndim == 2:
-                proj = k.post @ proj
-            else:
-                proj = np.einsum("sfg,sgh->sfh", k.post, proj)
-        proj_adj = np.conj(np.swapaxes(proj, -1, -2))
-        return TimeKernel(grid=k.grid, kind="convolution",
-                          data={"chi_dot": k.data["chi_dot"],
-                                "projector": proj_adj,
-                                "conj": not k.data.get("conj", False)},
-                          retarded=k.advanced, advanced=k.retarded,
-                          delta=k.delta, switch_on=-INF)
+        # (post m c n M)^dagger at (tau, t) is
+        # conj(n)(t) conj(c(t - tau)) conj(m)(tau) M^dagger post^dagger
+        post_adj = (None if k.post is None
+                    else np.conj(np.swapaxes(k.post, -1, -2)))
+        adj_M = {}      # one adjoint per distinct M, so shared M stay shared
+        for M in (term.M for term in k.data["terms"]):
+            prof, mat = (None, None) if M is None else M
+            if mat is not None:
+                mat = np.conj(np.swapaxes(mat, -1, -2))
+            if post_adj is not None:
+                mat = post_adj if mat is None else mat @ post_adj
+            adj_M[id(M)] = (None if prof is None and mat is None
+                            else (None if prof is None else np.conj(prof), mat))
+        terms = [ConvTerm(None if n is None else (lambda t, n=n: np.conj(n(t))),
+                          lambda z, c=c: np.conj(c(-np.asarray(z))),
+                          None if m is None else
+                          (lambda tau, m=m: np.conj(m(tau))),
+                          adj_M[id(M)])
+                 for m, c, n, M in k.data["terms"]]
+        return make_modulated(k.grid, terms, retarded=k.advanced,
+                              advanced=k.retarded, delta=k.delta)
     if k.kind == "dense":
         if "adj_op" not in k.data:
             raise KernelError("dense kernel adjoint needs an adj_op callback")
@@ -355,11 +520,6 @@ class BoundEstimate:
     samples: int
     decay_D: float
     delta: float
-
-    def recompute_margin(self) -> float:
-        if not math.isfinite(self.delta):
-            return INF
-        return threshold_margin(self.C_est, self.delta)
 
 
 def _weight_transforms(sys: SystemSpec):

@@ -19,10 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (Grid, InnerWeight, StateField, Trajectory, frame_norms_sq,
-                    diff4, make_grid, norm_strip, sample_trajectory)
+                    diff4, make_grid, norm_strip)
 from .systems import SystemSpec, apply_S, inner_weight, make_system
-from .kernels import (TimeKernel, estimate_bound, make_convolution,
-                      make_dense, make_separable, threshold_margin)
+from .kernels import (ConvTerm, TimeKernel, estimate_bound, make_convolution,
+                      make_modulated, make_separable, threshold_margin)
 from .solver import SolveOptions, solve_local
 from .dyson import dyson_retarded, dyson_short_range, equation_defect
 from .diagnostics import (cone_violation, energy_identity, measure_D,
@@ -98,23 +98,14 @@ def _counterexample_profiles(cfg: CounterexampleConfig):
     n_frames = round((cfg.T + 2 * cfg.W) / dt) + 1
     d4, L = cfg.delta / 4.0, cfg.extent
 
-    def b_t(t):
-        return bump((np.asarray(t) - d4) / d4)
-
-    def b_t_dot(t):
-        return bump_dot((np.asarray(t) - d4) / d4) / d4
-
-    def b_x(x):
-        return bump((x - L / 2.0) / (L / 4.0))
-
-    def f_fn(t, x):
-        return (b_t(t) * b_x(x[:, 0]))[:, None].astype(complex)
-
-    def fdot_fn(t, x):
-        return (b_t_dot(t) * b_x(x[:, 0]))[:, None].astype(complex)
-
-    f_tr = sample_trajectory(grid, f_fn, dt, i_lo, n_frames)
-    fdot_tr = sample_trajectory(grid, fdot_fn, dt, i_lo, n_frames)
+    x = grid.coords()[:, 0]
+    b_x = bump((x - L / 2.0) / (L / 4.0))
+    u = ((i_lo + np.arange(n_frames)) * dt - d4) / d4
+    f_tr = Trajectory(grid, dt, i_lo,
+                      (bump(u)[:, None] * b_x)[..., None].astype(complex))
+    fdot_tr = Trajectory(grid, dt, i_lo,
+                         ((bump_dot(u) / d4)[:, None] * b_x)[..., None]
+                         .astype(complex))
     w = inner_weight(sys)
     c_n = 1.0 / norm_strip(f_tr, w)
     return grid, sys, f_tr.scaled(c_n), fdot_tr.scaled(c_n), c_n
@@ -636,11 +627,15 @@ class DiracConfig:
 
 
 def _dirac_potentials(cfg: DiracConfig):
-    """Per-potential (envelope(t, x), window(z), fiber matrix). Envelopes are
-    real and windows satisfy conj l(z) = l(-z); the fiber matrices are the
-    first-order images -i gamma0 G of spin-Hermitian couplings G in {I, s3},
-    so the kernel obeys B(tau, t) = -B(t, tau)^+ in the plain slice product —
-    the anti-symmetry that makes the surface-layer product conserved."""
+    """Per-potential (amp, om, sp, window, fiber matrix): the potential is
+
+        amp cos(om (t + tau) / 2) sp(x) window(tau - t) gam,
+
+    with a real site profile sp(x) and a window with conj l(z) = l(-z).
+    The fiber matrices are the first-order images -i gamma0 G of
+    spin-Hermitian couplings G in {I, s3}, so the kernel obeys
+    B(tau, t) = -B(t, tau)^+ in the plain slice product — the anti-symmetry
+    that makes the surface-layer product conserved."""
     L = cfg.extent
     dlt = cfg.delta
     pots = []
@@ -649,16 +644,13 @@ def _dirac_potentials(cfg: DiracConfig):
     for a in range(cfg.n_pot):
         amp, om, m_x, om_l, gam = params[a % len(params)]
 
-        def envelope(t, x, amp=amp, om=om, m_x=m_x):
-            t = np.asarray(t, dtype=float)
-            sp = 1.0 + 0.5 * np.cos(2.0 * math.pi * m_x * x / L)
-            return amp * np.cos(om * t)[..., None] * sp[None, ...] \
-                if t.ndim else amp * math.cos(float(om * t)) * sp
+        def sp(x, m_x=m_x):
+            return 1.0 + 0.5 * np.cos(2.0 * math.pi * m_x * x / L)
 
         def window(z, om_l=om_l, dlt=dlt):
             return bump(np.asarray(z) / dlt) * np.exp(1.0j * om_l * np.asarray(z))
 
-        pots.append((envelope, window, gam))
+        pots.append((amp, om, sp, window, gam))
     return pots
 
 
@@ -669,7 +661,8 @@ def _dirac_sup_C(cfg: DiracConfig, pots, grid: Grid) -> float:
     mids = np.linspace(-cfg.T, 2.0 * cfg.T, 121)
     zs = np.linspace(-cfg.delta, cfg.delta, 81)
     # (midpoint, site) envelopes and lag windows, one call per potential
-    tables = [(envelope(mids, x), window(zs)) for envelope, window, _ in pots]
+    tables = [(amp * np.cos(om * mids)[:, None] * sp(x)[None, :], window(zs))
+              for amp, om, sp, window, _ in pots]
     worst = 0.0
     for m in range(len(mids)):
         d = [env[m][None, :] * win[:, None] for env, win in tables]
@@ -682,27 +675,34 @@ def _dirac_sup_C(cfg: DiracConfig, pots, grid: Grid) -> float:
 
 def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
     """(kernel, exact C) with amplitudes scaled so the short-range threshold
-    margin 8 e delta^2 C equals cfg.target_margin."""
+    margin 8 e delta^2 C equals cfg.target_margin.
+
+    Each potential, scale * amp cos(om (t + tau) / 2) sp(x) window(tau - t)
+    gam, becomes two convolution terms m(t) c(tau - t) with n = 1 and
+    M = (scale amp sp / 2, gam), one for each sign s = +1, -1:
+
+        m(t) = exp(i s om t),   c(z) = window(z) exp(i s om z / 2).
+
+    With z = tau - t, om (t + tau) / 2 = om t + om z / 2, so the two terms
+    sum to the potential by cos a = (exp(i a) + exp(-i a)) / 2. Both
+    identities are exact; only the rounding of the products differs from
+    evaluating the cosine at the midpoint, by a few ulp of the envelope.
+    Splitting the time dependence between t and the lag leaves n = 1 in
+    every term, so all terms share one forward FFT of the trajectory."""
     pots = _dirac_potentials(cfg)
     c_unit = _dirac_sup_C(cfg, pots, grid)
     scale = cfg.target_margin / threshold_margin(c_unit, cfg.delta)
     x = grid.coords()[:, 0]
-
-    def op(t, tau, values, pots=pots, scale=scale):
-        out = np.zeros_like(values)
-        mid, z = 0.5 * (t + tau), tau - t
-        for envelope, window, gam in pots:
-            fac = scale * envelope(mid, x) * window(z)[:, None]  # (P, sites)
-            term = values @ gam.T
-            np.multiply(fac[..., None], term, out=term)
-            out += term
-        return out
-
-    def adj_op(t, tau, values):
-        # B(tau, t)^+ = -B(t, tau) pointwise
-        return -op(t, tau, values)
-
-    kern = make_dense(grid, op, adj_op=adj_op, delta=cfg.delta)
+    terms = []
+    for amp, om, sp, window, gam in pots:
+        M = (0.5 * scale * amp * sp(x), gam)
+        for s in (1.0, -1.0):
+            terms.append(ConvTerm(
+                lambda t, w=s * om: np.exp(1.0j * w * np.asarray(t)),
+                lambda z, w=0.5 * s * om, window=window:
+                    window(z) * np.exp(1.0j * w * np.asarray(z)),
+                None, M))
+    kern = make_modulated(grid, terms, delta=cfg.delta)
     return kern, scale * c_unit
 
 

@@ -1,16 +1,20 @@
 """Time-kernel application against brute-force quadrature oracles, adjoint
 identities, and the bound/threshold arithmetic."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypnl import kernels
 from hypnl.grids import GridError, Trajectory, make_grid, sample_trajectory
-from hypnl.kernels import (KernelError, adjoint, estimate_bound,
-                           make_convolution, make_dense, make_separable,
-                           threshold_margin, weighted)
+from hypnl.kernels import (ConvTerm, KernelError, adjoint, estimate_bound,
+                           make_convolution, make_dense, make_modulated,
+                           make_separable, threshold_margin, weighted)
+from hypnl.scenarios import (DiracConfig, _dirac_potentials, dirac_kernel,
+                             drude_lorentz, maxwell_kernel)
 from hypnl.systems import make_system
 
 
@@ -144,12 +148,49 @@ def _oracle_case(name, g):
     if name == "dense_advanced_switch_on":
         return make_dense(g, _rot_op, advanced=True, delta=0.5,
                           switch_on=0.75)
+    if name == "terms_two_sided":
+        return make_modulated(g, _terms(g), delta=0.5)
+    if name == "terms_retarded_switch_on":
+        return make_modulated(g, _terms(g)[1:2], retarded=True, delta=0.625,
+                              switch_on=0.25)
+    if name == "terms_advanced":
+        return make_modulated(g, _terms(g)[2:], advanced=True, delta=0.375)
+    if name == "terms_infinite_range":
+        return make_modulated(g, _terms(g))
+    if name == "terms_adjoint_post":
+        post = np.stack([np.array([[1.0 + 0.1 * s, 0.3j], [0.0, 0.5]])
+                         for s in range(g.sites)])
+        k = make_modulated(g, _terms(g), delta=0.5, switch_on=0.0)
+        return adjoint(dataclasses.replace(k, post=post))
     raise ValueError(name)
+
+
+def _terms(g):
+    """Three modulated terms: a complex two-sided lag function with time
+    factors and a profile times a constant matrix, an unmodulated term with
+    the identity M, and a term with only n and a per-site matrix that reads
+    one column."""
+    x = g.coords()[:, 0]
+    per_site = np.zeros((g.sites, 2, 2), complex)
+    per_site[:, 0, 1] = 1.0 + 0.5 * np.sin(math.pi * x)
+    per_site[:, 1, 1] = 0.25j
+    return [
+        ConvTerm(lambda t: np.cos(1.3 * t),
+                 lambda z: np.exp(-z * z) * (1.0 + 0.4j * z),
+                 lambda tau: 0.5 + np.sin(0.7 * tau) * 1j,
+                 (1.0 + 0.3 * np.cos(math.pi * x),
+                  np.array([[0.0, 1.0], [-2.0j, 0.5]]))),
+        ConvTerm(None, lambda z: 1.0 / (1.0 + z * z), None, None),
+        ConvTerm(None, lambda z: np.cos(3.0 * z) + 0.2j, np.exp,
+                 (None, per_site)),
+    ]
 
 
 @pytest.mark.parametrize("name", [
     "separable", "convolution", "convolution_adjoint", "dense",
-    "dense_identity", "dense_infinite_range", "dense_advanced_switch_on"])
+    "dense_identity", "dense_infinite_range", "dense_advanced_switch_on",
+    "terms_two_sided", "terms_retarded_switch_on", "terms_advanced",
+    "terms_infinite_range", "terms_adjoint_post"])
 def test_apply_all_matches_oracle(name):
     g = _grid()
     _assert_matches_oracle(_oracle_case(name, g), _traj(g, 15, index0=-3),
@@ -163,6 +204,242 @@ def test_apply_is_one_frame_of_apply_all():
     np.testing.assert_array_equal(k.apply(tr, 0.75), k.apply_all(tr)[6])
     with pytest.raises(GridError):
         k.apply(tr, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# convolution terms
+
+def test_pair_apply_evaluates_terms():
+    g = _grid()
+    terms = _terms(g)
+    k = make_modulated(g, terms, delta=0.5)
+    v = _traj(g, 17).values[3]
+    t, tau = 0.5, 0.125
+    expect = np.zeros_like(v)
+    for m, c, n, (prof, mat) in (terms[0], terms[2]):
+        s = c(np.array([tau - t]))[0] * (1.0 if m is None else m(t)) \
+            * (1.0 if n is None else n(tau))
+        mv = (v @ mat.T if mat.ndim == 2
+              else np.einsum("sfg,sg->sf", mat, v))
+        expect += s * (mv if prof is None else mv * prof[:, None])
+    expect += terms[1].c(tau - t) * v
+    np.testing.assert_allclose(k.pair_apply(t, tau, v), expect,
+                               rtol=0, atol=1e-14)
+    assert not np.any(k.pair_apply(0.0, 0.75, v))      # outside delta
+
+
+def test_adjoint_of_terms_is_pointwise_adjoint():
+    """<a, B^+_{t,tau} b> = <B_{tau,t} a, b> at every sampled pair, for a
+    multi-term kernel with a per-site post folded in."""
+    g = _grid()
+    post = np.stack([np.array([[2.0, 0.5j], [0.1 * s, 1.0]])
+                     for s in range(g.sites)])
+    k = dataclasses.replace(make_modulated(g, _terms(g), delta=0.75),
+                            post=post)
+    ka = adjoint(k)
+    assert ka.post is None
+    a, b = _traj(g, 18).values[:2]
+    for t, tau in ((0.25, 0.5), (0.5, 0.25), (-0.3, 0.1), (1.0, 1.0)):
+        lhs = np.vdot(a, ka.pair_apply(t, tau, b))
+        rhs = np.vdot(k.pair_apply(tau, t, a), b)
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
+    tr = _traj(g, 19)
+    np.testing.assert_allclose(adjoint(ka).apply_all(tr), k.apply_all(tr),
+                               rtol=0, atol=1e-12)
+
+
+def _dirac_dense_op(cfg, grid):
+    """The Dirac kernel as the dense callback it was before it had a term
+    form: every potential evaluated at the midpoint (t + tau) / 2, one
+    envelope and window table per call."""
+    from hypnl.scenarios import _dirac_sup_C
+    pots = _dirac_potentials(cfg)
+    scale = cfg.target_margin / threshold_margin(
+        _dirac_sup_C(cfg, pots, grid), cfg.delta)
+    x = grid.coords()[:, 0]
+
+    def op(t, tau, values):
+        out = np.zeros_like(values)
+        mid, z = 0.5 * (t + tau), tau - t
+        for amp, om, sp, window, gam in pots:
+            env = amp * np.cos(om * mid)[:, None] * sp(x)[None, :]
+            fac = scale * env * window(z)[:, None]          # (P, sites)
+            term = values @ gam.T
+            np.multiply(fac[..., None], term, out=term)
+            out += term
+        return out
+
+    return op
+
+
+def _assert_frames_close(got, ref, rel):
+    """Every frame within rel of that frame's maximum modulus."""
+    for i in range(len(ref)):
+        scale = float(np.max(np.abs(ref[i])))
+        np.testing.assert_allclose(got[i], ref[i], rtol=0, atol=rel * scale)
+
+
+@pytest.mark.parametrize("n_pot,delta,index0", [(2, 0.25, -40), (1, 0.3, 7),
+                                                (2, 0.1, 0)])
+def test_dirac_kernel_matches_dense_op(n_pot, delta, index0):
+    """The term form of the Dirac kernel against the old dense callback
+    through the dense lag sweep: every frame, the ends included, within
+    1e-12 of the frame's maximum; pair_apply and the adjoint likewise."""
+    cfg = DiracConfig(points=64, n_pot=n_pot, delta=delta, T=0.5)
+    grid = make_grid(1, cfg.extent, cfg.points, 2)
+    kern, _ = dirac_kernel(cfg, grid)
+    op = _dirac_dense_op(cfg, grid)
+    dense = make_dense(grid, op, adj_op=lambda t, tau, v: -op(t, tau, v),
+                       delta=cfg.delta)
+    dt = cfg.cfl * grid.spacing
+    tr = _traj(grid, 41, dt=dt, index0=index0, n=90)
+    _assert_frames_close(kern.apply_all(tr), dense.apply_all(tr), 1e-12)
+    _assert_frames_close(adjoint(kern).apply_all(tr),
+                         adjoint(dense).apply_all(tr), 1e-12)
+    v = tr.values[5]
+    for t, tau in ((0.1, 0.1 + 0.9 * delta), (1.3, 1.3 - 0.5 * delta),
+                   (-0.4, -0.4)):
+        ref = dense.pair_apply(t, tau, v)
+        np.testing.assert_allclose(kern.pair_apply(t, tau, v), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", ["dirac", "terms", "maxwell"])
+def test_chunked_fft_is_bitwise_one_pass(monkeypatch, case):
+    """Transforming the columns a few sites at a time gives the bytes of one
+    pass over all sites."""
+    if case == "dirac":
+        cfg = DiracConfig(points=64, delta=0.25)
+        g = make_grid(1, cfg.extent, cfg.points, 2)
+        k = dirac_kernel(cfg, g)[0]
+        tr = _traj(g, 51, dt=cfg.cfl * g.spacing, index0=-20, n=120)
+    elif case == "terms":
+        g = _grid()
+        k = make_modulated(g, _terms(g), delta=0.5)
+        tr = _traj(g, 52, index0=-3)
+    else:
+        g = make_grid(3, 1.0, 8, 6)
+        k = maxwell_kernel(g, drude_lorentz(0.4, 1.0, 2.0)[1])
+        tr = _traj(g, 53, dt=0.05, n=40)
+    monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", 1 << 40)
+    one_pass = k.apply_all(tr)
+    for budget in (1, 3 * 16 * 64, 16 * 128 * 7):
+        monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", budget)
+        assert np.array_equal(k.apply_all(tr), one_pass)
+
+
+def test_unread_columns_are_not_transformed():
+    """Columns M never reads do not enter the output: filling them with NaN
+    leaves the output bitwise unchanged (a transformed NaN column would
+    spread through the fiber product)."""
+    g = make_grid(1, 2.0, 16, 3)
+    mat = np.array([[1.0, 0.0, 2.0], [0.5j, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    k = make_modulated(g, [ConvTerm(np.cos, lambda z: np.exp(-z * z), None,
+                                    (None, mat))], delta=0.5)
+    tr = _traj(g, 54)
+    ref = k.apply_all(tr)
+    poisoned = tr.values.copy()
+    poisoned[:, :, 1] = np.nan
+    got = k.apply_all(Trajectory(g, tr.dt, tr.index0, poisoned))
+    assert np.array_equal(got, ref)
+    _assert_matches_oracle(k, tr)
+    # the Maxwell projector reads the E columns only
+    g6 = make_grid(1, 2.0, 8, 6)
+    km = maxwell_kernel(g6, drude_lorentz(0.4, 1.0, 2.0)[1])
+    tr6 = _traj(g6, 55)
+    poisoned = tr6.values.copy()
+    poisoned[:, :, 3:] = np.inf
+    assert np.array_equal(
+        km.apply_all(Trajectory(g6, tr6.dt, tr6.index0, poisoned)),
+        km.apply_all(tr6))
+
+
+def _old_conv_all(k, chi_dot, projector, tr, conj=False):
+    """The one-term FFT integrator of memory kernels before they became sums
+    of terms: chi_dot on the lags 0..F-1, an advanced kernel as the retarded
+    convolution of the time-reversed frames, all columns transformed at
+    once, the projector applied after."""
+    F = tr.n_frames
+    j0, j1 = k._slice_arrays(tr)
+    live = j1 > j0
+    chi = np.asarray([chi_dot(float(u)) for u in np.arange(F) * tr.dt],
+                     dtype=complex)
+    if conj:
+        chi = np.conj(chi)
+    if math.isfinite(k.delta):
+        chi[int(math.floor(k.delta / tr.dt + 1e-9)) + 1:] = 0.0
+    psi = tr.values.copy()
+    psi[:int(np.min(j0[live]))] = 0.0
+    if k.advanced:
+        psi = psi[::-1]
+    n_fft = 1
+    while n_fft < 2 * F:
+        n_fft *= 2
+    conv = np.fft.ifft(np.fft.fft(psi, n=n_fft, axis=0)
+                       * np.fft.fft(chi, n=n_fft)[:, None, None], axis=0)[:F]
+    if k.advanced:
+        conv = conv[::-1]
+    i = np.arange(F)
+    j0c, j1c = np.clip(j0, 0, F - 1), np.clip(j1, 0, F - 1)
+    corr = (0.5 * chi[np.abs(i - j0c)][:, None, None] * tr.values[j0c]
+            + 0.5 * chi[np.abs(j1c - i)][:, None, None] * tr.values[j1c])
+    out = (conv - corr) * tr.dt
+    out[~live] = 0.0
+    proj = None if projector is None else np.asarray(projector, complex)
+    return out if proj is None else out @ proj.T
+
+
+# Maxwell's one-term path against the old integrator: the FFT length and the
+# transformed columns differ, so the sums round differently
+MAXWELL_OLD_PATH_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("dim,points,delta_eff,n,adj", [
+    (1, 16, math.inf, 60, False), (1, 16, 0.4, 60, False),
+    (3, 8, math.inf, 41, False), (1, 16, math.inf, 60, True),
+    (3, 8, 0.3, 41, True)])
+def test_maxwell_term_matches_old_conv_all(dim, points, delta_eff, n, adj):
+    """Within MAXWELL_OLD_PATH_RTOL of the largest output modulus."""
+    g = make_grid(dim, 1.0, points, 6)
+    chi_dot = drude_lorentz(0.4, 1.0, 2.0)[1]
+    k = maxwell_kernel(g, chi_dot, delta_eff=delta_eff)
+    proj = np.zeros((6, 6))
+    proj[:3, :3] = -np.eye(3)
+    tr = _traj(g, 56, dt=0.05, index0=-4, n=n)
+    if adj:
+        k = adjoint(k)
+        proj = proj.T
+    ref = _old_conv_all(k, chi_dot, proj, tr, conj=adj)
+    got = k.apply_all(tr)
+    np.testing.assert_allclose(got, ref, rtol=0,
+                               atol=MAXWELL_OLD_PATH_RTOL * np.max(np.abs(ref)))
+
+
+def test_make_modulated_rejects_bad_terms():
+    g = _grid()
+    c = lambda z: np.exp(-z * z)
+    with pytest.raises(KernelError):
+        make_modulated(g, [])
+    with pytest.raises(KernelError):
+        make_modulated(g, [ConvTerm(None, 1.0, None, None)])
+    with pytest.raises(KernelError):
+        make_modulated(g, [ConvTerm(None, c, None, (np.ones(3), None))])
+    with pytest.raises(KernelError):
+        make_modulated(g, [ConvTerm(None, c, None, (None, np.eye(3)))])
+    k = make_convolution(lambda u: 1.0, np.eye(2), g)
+    assert list(k.data) == ["terms"] and len(k.data["terms"]) == 1
+
+
+def test_fft_len_is_smallest_5_smooth():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    for n in range(1, 700):
+        got = kernels._fft_len(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(m) for m in range(n, got))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
                          norm_strip, sample_trajectory)
-from hypnl.systems import inner_weight, validate_system
+from hypnl.systems import inner_weight, make_system, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
                              CounterexampleConfig, DiracConfig,
@@ -207,6 +207,50 @@ def test_counterexample_report_samples_profiles_once(coarse_cx, monkeypatch):
         counterexample_oracle(coarse_cx).values)
 
 
+def _counterexample_profiles_per_frame(cfg):
+    """Reference for scenarios._counterexample_profiles: f and f_dot sampled
+    through sample_trajectory, one fn(t, x) call per frame."""
+    grid = make_grid(1, cfg.extent, cfg.points, 1)
+    dt = cfg.dt
+    i_lo = -round(cfg.W / dt)
+    n_frames = round((cfg.T + 2 * cfg.W) / dt) + 1
+    d4, L = cfg.delta / 4.0, cfg.extent
+
+    def b_x(x):
+        return bump((x - L / 2.0) / (L / 4.0))
+
+    def f_fn(t, x):
+        return (bump((np.asarray(t) - d4) / d4)
+                * b_x(x[:, 0]))[:, None].astype(complex)
+
+    def fdot_fn(t, x):
+        return (bump_dot((np.asarray(t) - d4) / d4) / d4
+                * b_x(x[:, 0]))[:, None].astype(complex)
+
+    f_tr = sample_trajectory(grid, f_fn, dt, i_lo, n_frames)
+    fdot_tr = sample_trajectory(grid, fdot_fn, dt, i_lo, n_frames)
+    sys = make_system(grid, np.ones((1, 1)), [np.zeros((1, 1))])
+    c_n = 1.0 / norm_strip(f_tr, inner_weight(sys))
+    return f_tr.scaled(c_n), fdot_tr.scaled(c_n), c_n
+
+
+@pytest.mark.parametrize("cfg", [
+    CounterexampleConfig(),
+    CounterexampleConfig(points=48, delta=0.3, T=0.5, W=0.25,
+                         steps_per_delta=40)])
+def test_counterexample_profiles_match_per_frame_sampling(cfg):
+    """One bump and one bump_dot call over all frame times give the bytes of
+    the per-frame sample_trajectory path."""
+    from hypnl.scenarios import _counterexample_profiles
+    _, _, f_tr, fdot_tr, c_n = _counterexample_profiles(cfg)
+    f_ref, fdot_ref, c_ref = _counterexample_profiles_per_frame(cfg)
+    assert c_n == c_ref
+    for got, ref in ((f_tr, f_ref), (fdot_tr, fdot_ref)):
+        assert (got.dt, got.index0) == (ref.dt, ref.index0)
+        assert got.values.dtype == ref.values.dtype
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # surface-layer product
 
@@ -265,8 +309,8 @@ def _dirac_sup_C_loop(cfg, pots, grid):
     worst = 0.0
     for mid in np.linspace(-cfg.T, 2.0 * cfg.T, 121):
         for z in np.linspace(-cfg.delta, cfg.delta, 81):
-            d = [envelope(float(mid), x) * window(float(z))
-                 for envelope, window, _ in pots]
+            d = [amp * math.cos(om * float(mid)) * sp(x) * window(float(z))
+                 for amp, om, sp, window, _ in pots]
             d1 = d[0] if len(d) > 0 else 0.0
             d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
             nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
