@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import typing
 from typing import Optional
 
 import numpy as np
@@ -29,12 +30,12 @@ from .kernels import estimate_bound, threshold_margin
 from .solver import SolveOptions, solve_local
 from .dyson import result_to_csv, result_to_json
 from .diagnostics import energy_identity, measure_D
-from .scenarios import (CounterexampleConfig, DiracConfig, MaxwellConfig,
-                        build_counterexample, counterexample_report,
-                        dirac_kernel, dirac_system, dirac_run, drude_lorentz,
-                        extended_system_check, maxwell_kernel,
-                        maxwell_system_1d, maxwell_system_3d, maxwell_run,
-                        bump)
+from .scenarios import (MAXWELL_MODES, CounterexampleConfig, DiracConfig,
+                        MaxwellConfig, build_counterexample,
+                        counterexample_report, dirac_kernel, dirac_system,
+                        dirac_run, drude_lorentz, extended_system_check,
+                        maxwell_kernel, maxwell_system_1d, maxwell_system_3d,
+                        maxwell_run, bump)
 
 
 class ConfigError(ValueError):
@@ -47,13 +48,22 @@ _SCENARIOS = ("custom", "counterexample", "maxwell", "dirac", "extended_check")
 
 _TOP_KEYS = {"schema", "scenario", "name", "seed", "options", "members"}
 
-_OPTION_KEYS = {
-    "counterexample": {f.name for f in dataclasses.fields(CounterexampleConfig)},
-    "maxwell": {f.name for f in dataclasses.fields(MaxwellConfig)},
-    "dirac": {f.name for f in dataclasses.fields(DiracConfig)},
-    "extended_check": {"n_fields", "seed", "points", "fiber", "frames", "rank"},
-    "custom": {"system", "dt", "cfl", "dissipation", "T", "kernel",
-               "data_width"},
+
+def _option_types(fn) -> dict:
+    """Option key -> type for the parameters of a config dataclass or of a
+    scenario function, as annotated (e.g. `Optional[float]`)."""
+    hints = typing.get_type_hints(fn)
+    return {key: hints[key] for key in inspect.signature(fn).parameters}
+
+
+_OPTION_TYPES = {
+    "counterexample": _option_types(CounterexampleConfig),
+    "maxwell": _option_types(MaxwellConfig),
+    "dirac": _option_types(DiracConfig),
+    "extended_check": _option_types(extended_system_check),
+    "custom": {"system": dict, "kernel": Optional[dict], "dt": float,
+               "cfl": float, "dissipation": float, "T": float,
+               "data_width": float},
 }
 
 _KERNEL_KEYS = {"kind", "chi0", "c1", "c2", "delta"}
@@ -85,9 +95,25 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number (bools are not numbers)."""
+    """A finite JSON number that fits a float (bools are not numbers)."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", dict: "an object", type(None): "null"}
+
+
+def _has_type(val, tp) -> bool:
+    """Whether a JSON value fits an option type: bool, int (not a bool),
+    float (a finite number), str, dict, or an Optional of one of them."""
+    if typing.get_origin(tp) is typing.Union:
+        return any(_has_type(val, arg) for arg in typing.get_args(tp))
+    if tp is int:
+        return _is_int(val)
+    if tp is float:
+        return _is_number(val)
+    return isinstance(val, tp)
 
 
 def _require(ok: bool, path: str, what: str) -> None:
@@ -166,12 +192,18 @@ def _validate_system(doc, path: str) -> None:
         _require(isinstance(doc["name"], str), f"{path}.name", "must be a string")
 
 
-# the SolveOptions ranges, checked where the config names the field
-_CUSTOM_RANGES = {
+# option ranges, checked for every scenario whose options name the key
+# (after its type, and not on null): the SolveOptions ranges, the grid size,
+# the kernel range and the Maxwell mode table
+_RANGES = {
     "dt": (lambda v: v > 0, "must be positive"),
     "T": (lambda v: v > 0, "must be positive"),
     "cfl": (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5]"),
     "dissipation": (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]"),
+    "points": (lambda v: v >= 8, "must be at least 8"),
+    "delta": (lambda v: v > 0, "must be positive"),
+    "mode": (lambda v: v in MAXWELL_MODES,
+             f"must be one of {sorted(MAXWELL_MODES)}"),
 }
 
 
@@ -197,24 +229,16 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError(f"'{path}options' must be an object")
-    _check_keys(options, _OPTION_KEYS[scenario], f"{path}options.")
+    types = _OPTION_TYPES[scenario]
+    _check_keys(options, types, f"{path}options.")
     for key, val in options.items():
-        if key in ("system", "kernel"):
-            continue
-        if key == "mode":
-            if not isinstance(val, str):
-                raise ConfigError(f"'{path}options.mode' must be a string")
-            continue
-        if scenario == "custom":        # every custom option is a number
-            _require(_is_number(val), f"{path}options.{key}", "must be a number")
-            if key in _CUSTOM_RANGES:
-                in_range, what = _CUSTOM_RANGES[key]
-                _require(in_range(val), f"{path}options.{key}", what)
-            continue
-        if isinstance(val, bool) or val is None:
-            continue
-        if not isinstance(val, (int, float)):
-            raise ConfigError(f"'{path}options.{key}' must be a number")
+        tp = types[key]
+        what = " or ".join(_TYPE_NAMES[arg]
+                           for arg in typing.get_args(tp) or (tp,))
+        _require(_has_type(val, tp), f"{path}options.{key}", f"must be {what}")
+        if key in _RANGES and val is not None:
+            in_range, what = _RANGES[key]
+            _require(in_range(val), f"{path}options.{key}", what)
     if scenario == "custom":
         if "system" not in options:
             raise ConfigError(f"'{path}options.system' is required for "
@@ -629,46 +653,17 @@ def cmd_check_bounds(args) -> int:
     return 0
 
 
-def cmd_counterexample(args) -> int:
-    opts = {"delta": args.delta} if args.delta is not None else {}
-    cfg = RunConfig(scenario="counterexample", name="counterexample",
-                    seed=args.seed, options=opts,
-                    raw={"schema": 1, "scenario": "counterexample",
+def cmd_shortcut(args) -> int:
+    """A scenario subcommand: `hypnl run` on the schema-1 config made of its
+    --seed and of the option flags that are set, under the subcommand's run
+    name (its `{option}` fields filled in)."""
+    opts = {key: val for key, val in vars(args).items()
+            if key in _OPTION_TYPES[args.scenario] and key != "seed"
+            and val is not None}
+    cfg = _validate_doc({"schema": SCHEMA_VERSION, "scenario": args.scenario,
                          "seed": args.seed, "options": opts})
-    return _execute(cfg, args.out)
-
-
-def cmd_maxwell(args) -> int:
-    opts = {"mode": args.mode}
-    if args.points is not None:
-        opts["points"] = args.points
-    cfg = RunConfig(scenario="maxwell", name=f"maxwell-{args.mode}",
-                    seed=args.seed, options=opts,
-                    raw={"schema": 1, "scenario": "maxwell",
-                         "seed": args.seed, "options": opts})
-    return _execute(cfg, args.out)
-
-
-def cmd_dirac(args) -> int:
-    opts = {}
-    if args.points is not None:
-        opts["points"] = args.points
-    if args.no_refine:
-        opts["refine"] = False
-    cfg = RunConfig(scenario="dirac", name="dirac", seed=args.seed,
-                    options=opts,
-                    raw={"schema": 1, "scenario": "dirac", "seed": args.seed,
-                         "options": opts})
-    return _execute(cfg, args.out)
-
-
-def cmd_extended_check(args) -> int:
-    opts = {"n_fields": args.n_fields}
-    cfg = RunConfig(scenario="extended_check", name="extended-check",
-                    seed=args.seed, options=opts,
-                    raw={"schema": 1, "scenario": "extended_check",
-                         "seed": args.seed, "options": opts})
-    return _execute(cfg, args.out)
+    return _execute(dataclasses.replace(cfg, name=args.run_name.format(**opts)),
+                    args.out)
 
 
 def cmd_validate(args) -> int:
@@ -703,35 +698,30 @@ def _parser() -> argparse.ArgumentParser:
     cb.add_argument("--config", required=True)
     cb.set_defaults(fn=cmd_check_bounds)
 
-    cx = sub.add_parser("counterexample", help="run the rank-one divergence "
-                                               "scenario")
-    cx.add_argument("--delta", type=float, default=None)
-    cx.add_argument("--seed", type=int, default=0)
-    cx.add_argument("--out", default="out-counterexample")
-    cx.set_defaults(fn=cmd_counterexample)
+    def shortcut(command, scenario, text, out, run_name=None):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", default=out)
+        sp.set_defaults(fn=cmd_shortcut, scenario=scenario,
+                        run_name=run_name or command)
+        return sp
 
-    mx = sub.add_parser("maxwell", help="run a dispersive Maxwell scenario")
-    mx.add_argument("--mode", default="vacuum_1d",
-                    choices=["vacuum_1d", "vacuum_3d", "constraints_3d",
-                             "volterra", "dispersive_1d"])
-    mx.add_argument("--points", type=int, default=None)
-    mx.add_argument("--seed", type=int, default=0)
-    mx.add_argument("--out", default="out-maxwell")
-    mx.set_defaults(fn=cmd_maxwell)
-
-    dr = sub.add_parser("dirac", help="run the nonlocal Dirac scenario")
-    dr.add_argument("--points", type=int, default=None)
-    dr.add_argument("--no-refine", action="store_true")
-    dr.add_argument("--seed", type=int, default=0)
-    dr.add_argument("--out", default="out-dirac")
-    dr.set_defaults(fn=cmd_dirac)
-
-    ex = sub.add_parser("extended-check", help="first-derivative extended "
-                                               "system consistency check")
+    cx = shortcut("counterexample", "counterexample",
+                  "run the rank-one divergence scenario", "out-counterexample")
+    cx.add_argument("--delta", type=float)
+    mx = shortcut("maxwell", "maxwell", "run a dispersive Maxwell scenario",
+                  "out-maxwell", run_name="maxwell-{mode}")
+    mx.add_argument("--mode", default="vacuum_1d", choices=list(MAXWELL_MODES))
+    mx.add_argument("--points", type=int)
+    dr = shortcut("dirac", "dirac", "run the nonlocal Dirac scenario",
+                  "out-dirac")
+    dr.add_argument("--points", type=int)
+    dr.add_argument("--no-refine", dest="refine", action="store_false",
+                    default=None)
+    ex = shortcut("extended-check", "extended_check",
+                  "first-derivative extended system consistency check",
+                  "out-extended")
     ex.add_argument("--n-fields", type=int, default=20)
-    ex.add_argument("--seed", type=int, default=0)
-    ex.add_argument("--out", default="out-extended")
-    ex.set_defaults(fn=cmd_extended_check)
 
     va = sub.add_parser("validate", help="structural checks of the configured "
                                          "system only")

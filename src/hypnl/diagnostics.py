@@ -149,15 +149,11 @@ def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0),
         times = [0.0]
     else:
         times = np.linspace(window[0], window[1], probes)
-    w = inner_weight(sys).weight
-    evals, vecs = np.linalg.eigh(w)
-    root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
-    iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
-                      np.conj(vecs))
+    root, iroot = inner_weight(sys).roots()
     best = 0.0
     for t in times:
         z = zero_order_matrices(sys, float(t))
-        conj = root @ z @ iroot
+        conj = z if root is None else root @ z @ iroot
         s = np.linalg.svd(conj, compute_uv=False)
         best = max(best, float(np.max(s)))
     return best

@@ -24,10 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (StateField, Trajectory, frame_norms_sq, norm_strip,
-                    trapezoid_sum)
+                    norm_t, trapezoid_sum)
 from .kernels import TimeKernel, estimate_bound
 from .solver import SolveAborted, SolveOptions, solve_local
-from .systems import SystemSpec, apply_S, inner_weight
+from .systems import SystemSpec, _fiber_apply, apply_S, inner_weight
 from .diagnostics import measure_D
 
 
@@ -352,15 +352,13 @@ def _measure_constants(sys, k, phi, data, T, constants, window, seed):
         out["C_est"] = estimate_bound(k, sys, probes=32, t_window=window,
                                       D=0.0, seed=seed).C_est
     if "M" not in out:
-        m = math.sqrt(max(
-            (np.einsum("sf,sfg,sg->", np.conj(data.values), w.weight,
-                       data.values).real * sys.grid.cell_volume), 0.0))
+        m = norm_t(data, w)
         if phi is not None:
             # + int ||A0^{-1} phi||_t dt over the source window
-            nv = np.einsum("sfg,tsg->tsf", sys.A0_inv, phi.values)
-            sq = np.einsum("tsf,sfg,tsg->t", np.conj(nv), w.weight, nv).real \
-                * sys.grid.cell_volume
-            m += trapezoid_sum(np.sqrt(np.maximum(sq, 0.0)), phi.dt)
+            nv = Trajectory(phi.grid, phi.dt, phi.index0,
+                            _fiber_apply(sys.plan.A0_inv, phi.values))
+            m += trapezoid_sum(np.sqrt(np.maximum(frame_norms_sq(nv, w), 0.0)),
+                               phi.dt)
         out["M"] = m
     return out
 

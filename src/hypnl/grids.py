@@ -212,6 +212,17 @@ class InnerWeight:
                             (grid.sites, grid.fiber, grid.fiber)).copy()
         return cls(grid, w, np.ones(grid.sites))
 
+    def roots(self) -> tuple:
+        """(W^{1/2}, W^{-1/2}) per site, in the form `systems._fiber_apply`
+        takes: (None, None) for the identity weight, else (sites, f, f)."""
+        if self.is_identity:
+            return None, None
+        evals, vecs = np.linalg.eigh(self.weight)
+        root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
+        iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
+                          np.conj(vecs))
+        return root, iroot
+
 
 def inner_t(a: StateField, b: StateField, w: InnerWeight) -> complex:
     """Weighted slice inner product: sum over sites of conj(a).W.b * cell

@@ -92,8 +92,10 @@ def _fft_len(n: int) -> int:
 class TimeKernel:
     """Operator family B_{t,tau} with structural support flags.
 
-    `post` is an optional per-site fiber matrix applied to every output (the
-    weighted potential is the underlying kernel with post = A0^{-1})."""
+    `post` is a fiber operator applied to every output, in one of the three
+    forms `_fiber_apply` takes: None (the identity), one (f, f) matrix, or a
+    per-site (sites, f, f) stack. The weighted potential is the underlying
+    kernel with post = A0^{-1} (see `weighted`)."""
 
     grid: Grid
     kind: str                       # 'separable' | 'convolution' | 'dense'
@@ -102,7 +104,7 @@ class TimeKernel:
     advanced: bool = False
     delta: float = INF
     switch_on: float = -INF
-    post: Optional[np.ndarray] = None   # (sites, f, f)
+    post: Optional[np.ndarray] = None   # None, (f, f) or (sites, f, f)
 
     # -- tau-lattice support -------------------------------------------------
 
@@ -445,11 +447,16 @@ def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
 # weighting, adjoints, bounds
 
 def weighted(k: TimeKernel, sys: SystemSpec) -> TimeKernel:
-    """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B."""
+    """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B. Its
+    `post` takes the form of the stepping plan's A0^{-1}: None when A0 is
+    the identity (and k has no post), one (f, f) matrix when A0 and k's
+    post are the same at every site, else a per-site stack."""
     if sys.grid != k.grid:
         raise KernelError("kernel / system grid mismatch")
-    post = sys.A0_inv if k.post is None else sys.A0_inv @ k.post
-    return replace(k, post=post)
+    a0_inv = sys.plan.A0_inv
+    if a0_inv is None:
+        return k
+    return replace(k, post=a0_inv if k.post is None else a0_inv @ k.post)
 
 
 def adjoint(k: TimeKernel) -> TimeKernel:
@@ -458,13 +465,10 @@ def adjoint(k: TimeKernel) -> TimeKernel:
     switch-on turns into an output-time condition carried implicitly by the
     profile supports."""
     if k.kind == "separable":
-        if k.post is None:
-            new_h = k.data["g"]
-        else:
-            pd = np.conj(np.swapaxes(k.post, 1, 2))
-            new_h = [Trajectory(g.grid, g.dt, g.index0,
-                                np.einsum("sfg,tsg->tsf", np.conj(np.swapaxes(pd, 1, 2)), g.values))
-                     for g in k.data["g"]]
+        # (post g(tau) <h(t), .>)^dagger = h(t) <post g(tau), .>
+        new_h = [Trajectory(g.grid, g.dt, g.index0,
+                            _fiber_apply(k.post, g.values))
+                 for g in k.data["g"]]
         return TimeKernel(grid=k.grid, kind="separable",
                           data={"g": k.data["h"], "h": new_h},
                           retarded=k.advanced, advanced=k.retarded,
@@ -522,15 +526,6 @@ class BoundEstimate:
     delta: float
 
 
-def _weight_transforms(sys: SystemSpec):
-    """W^{1/2}, W^{-1/2} per site for the slice weight W = beta A0."""
-    w = inner_weight(sys).weight
-    evals, vecs = np.linalg.eigh(w)
-    root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
-    iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals), np.conj(vecs))
-    return root, iroot
-
-
 def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
               times: np.ndarray, idx: np.ndarray, D: float) -> tuple:
     """(sup, count) over the admissible pairs (t_i, tau_j), i and j in idx,
@@ -549,68 +544,35 @@ def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
     return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), ii.size
 
 
-def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
-                   t_window: Optional[tuple] = None, D: float = 0.0,
-                   seed: int = 0) -> BoundEstimate:
-    """Estimate C = sup ||V_{t,tau} psi||_t / (e^{-D|tau|/2} ||psi||_tau) for
-    the weighted potential V = A0^{-1} B. Separable kernels get an exact
-    rank-r branch per sampled pair; all kinds get a random-probe branch."""
-    if probes < 16:
-        raise KernelError("need at least 16 probes")
-    V = weighted(k, sys) if k.post is None else k
-    g = sys.grid
-    wroot, wiroot = _weight_transforms(sys)
+def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
+               probes: int, D: float, seed: int) -> tuple:
+    """(sup, count) of ||V_{t,tau} psi||_t e^{D|tau|/2} over 4 random unit
+    fields psi at each of `probes` random admissible pairs in the window and
+    at the admissible pairs (t, t) of 9 evenly spaced times, one pair at a
+    time; `wroot` is W^{1/2} in `_fiber_apply` form."""
+    g = V.grid
     dv = g.cell_volume
+    rng = np.random.Generator(np.random.Philox(seed))
+    lo, hi = t_window
+    if hi <= lo:
+        raise KernelError("empty window")
+    pair_times = []
+    while len(pair_times) < probes:
+        t = float(rng.uniform(lo, hi))
+        if math.isfinite(V.delta):
+            tau = float(rng.uniform(max(lo, t - V.delta), min(hi, t + V.delta)))
+        else:
+            tau = float(rng.uniform(lo, hi))
+        if V._admissible(t, tau):
+            pair_times.append((t, tau))
+    pair_times += [(t, t) for t in np.linspace(lo, hi, 9)
+                   if V._admissible(t, t)]
 
     def h_norm(values):
-        tv = np.einsum("sfg,sg->sf", wroot, values)
+        tv = _fiber_apply(wroot, values)
         return math.sqrt(max((np.vdot(tv, tv) * dv).real, 0.0))
 
-    best = 0.0
-    n_samples = 0
-
-    if V.kind == "separable":
-        g_list, h_list = V.data["g"], V.data["h"]
-        lat = g_list[0]
-        times = lat.times()
-        if t_window is not None:
-            sel = (times >= t_window[0] - 1e-12) & (times <= t_window[1] + 1e-12)
-        else:
-            sel = np.ones(len(times), dtype=bool)
-        idx = np.nonzero(sel)[0]
-        # per-frame Gram data: output side in H_t, input side in the dual norm
-        gtil = np.stack([np.einsum("sfg,tsg->tsf", V.post, ga.values)
-                         for ga in g_list]) if V.post is not None else \
-            np.stack([ga.values for ga in g_list])
-        htil = np.stack([ha.values for ha in h_list])
-        gw = np.einsum("sfg,atsg->atsf", wroot, gtil)
-        hw = np.einsum("sfg,atsg->atsf", wiroot, htil)
-        Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
-        Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
-        best, n_samples = _pair_sup(V, Gg, Hh, times, idx, D)
-        pair_times = [(float(times[i]), float(times[j]))
-                      for i in idx[:: max(1, len(idx) // 16)]
-                      for j in idx[:: max(1, len(idx) // 16)]
-                      if V._admissible(float(times[i]), float(times[j]))]
-    else:
-        if t_window is None:
-            raise KernelError("non-separable kernels need an explicit window")
-        rng = np.random.Generator(np.random.Philox(seed))
-        lo, hi = t_window
-        if hi <= lo:
-            raise KernelError("empty window")
-        pair_times = []
-        while len(pair_times) < probes:
-            t = float(rng.uniform(lo, hi))
-            if math.isfinite(V.delta):
-                tau = float(rng.uniform(max(lo, t - V.delta), min(hi, t + V.delta)))
-            else:
-                tau = float(rng.uniform(lo, hi))
-            if V._admissible(t, tau):
-                pair_times.append((t, tau))
-        pair_times += [(t, t) for t in np.linspace(lo, hi, 9)
-                       if V._admissible(t, t)]
-
+    best, n_samples = 0.0, 0
     rng = np.random.Generator(np.random.Philox(seed + 1))
     for (t, tau) in pair_times:
         for _ in range(4):
@@ -623,7 +585,39 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
             out = V.pair_apply(t, tau, psi)
             n_samples += 1
             best = max(best, h_norm(out) / math.exp(-D * abs(tau) / 2.0))
+    return best, n_samples
 
+
+def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
+                   t_window: Optional[tuple] = None, D: float = 0.0,
+                   seed: int = 0) -> BoundEstimate:
+    """Estimate C = sup ||V_{t,tau} psi||_t / (e^{-D|tau|/2} ||psi||_tau) for
+    the weighted potential V = A0^{-1} B. Separable kernels are exact: the
+    rank-r operator norm at every admissible pair of profile frames in the
+    window (all frames without one), and `samples` counts those pairs. The
+    other kinds need a window and are probed (see `_probe_sup`)."""
+    if probes < 16:
+        raise KernelError("need at least 16 probes")
+    V = weighted(k, sys) if k.post is None else k
+    wroot, wiroot = inner_weight(sys).roots()
+    if V.kind == "separable":
+        times = V.data["g"][0].times()
+        idx = np.arange(len(times))
+        if t_window is not None:
+            idx = np.flatnonzero((times >= t_window[0] - 1e-12)
+                                 & (times <= t_window[1] + 1e-12))
+        # per-frame Gram data: output side in H_t, input side in the dual norm
+        dv = sys.grid.cell_volume
+        gw = _fiber_apply(wroot, np.stack([_fiber_apply(V.post, ga.values)
+                                           for ga in V.data["g"]]))
+        hw = _fiber_apply(wiroot, np.stack([ha.values for ha in V.data["h"]]))
+        Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
+        Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
+        best, n_samples = _pair_sup(V, Gg, Hh, times, idx, D)
+    elif t_window is None:
+        raise KernelError("non-separable kernels need an explicit window")
+    else:
+        best, n_samples = _probe_sup(V, wroot, t_window, probes, D, seed)
     margin = threshold_margin(best, k.delta) if math.isfinite(k.delta) else INF
     return BoundEstimate(C_est=best, margin=margin, samples=n_samples,
                          decay_D=D, delta=k.delta)

@@ -333,7 +333,7 @@ def stencil_wavenumber(k: float, h: float) -> float:
 
 @dataclass
 class MaxwellConfig:
-    mode: str = "vacuum_1d"   # vacuum_1d | vacuum_3d | constraints_3d | volterra | dispersive_1d
+    mode: str = "vacuum_1d"   # a key of MAXWELL_MODES
     points: int = 512
     extent: float = 2.0 * math.pi
     chi0: float = 0.2
@@ -553,14 +553,17 @@ def maxwell_dispersive_1d(cfg: MaxwellConfig) -> dict:
             "opts": opts}
 
 
+# the Maxwell modes by name; the CLI's --mode choices and config check read it
+MAXWELL_MODES = {"vacuum_1d": maxwell_vacuum_1d, "vacuum_3d": maxwell_vacuum_3d,
+                 "constraints_3d": maxwell_constraints_3d,
+                 "volterra": maxwell_volterra,
+                 "dispersive_1d": maxwell_dispersive_1d}
+
+
 def maxwell_run(cfg: MaxwellConfig) -> dict:
-    modes = {"vacuum_1d": maxwell_vacuum_1d, "vacuum_3d": maxwell_vacuum_3d,
-             "constraints_3d": maxwell_constraints_3d,
-             "volterra": maxwell_volterra,
-             "dispersive_1d": maxwell_dispersive_1d}
-    if cfg.mode not in modes:
+    if cfg.mode not in MAXWELL_MODES:
         raise ScenarioError(f"unknown Maxwell mode {cfg.mode!r}")
-    out = modes[cfg.mode](cfg)
+    out = MAXWELL_MODES[cfg.mode](cfg)
     out["mode"] = cfg.mode
     return out
 

@@ -1,6 +1,7 @@
 """Config validation, subcommand exit codes, and output artifacts."""
 
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -139,7 +140,8 @@ def test_invalid_system_reports_field_path(tmp_path, edit, path):
           ("dissipation", -0.1, r"must lie in \[0, 0\.5\]"),
           ("dissipation", 0.7, r"must lie in \[0, 0\.5\]"),
           ("T", 0, "must be positive"),
-          ("T", -1.0, "must be positive"))),
+          ("T", -1.0, "must be positive"),
+          ("T", 10 ** 400, "must be a number"))),
 ])
 def test_invalid_custom_option_reports_field_path(tmp_path, base, edit, path):
     """A custom run's options are numbers in the solver's ranges; a null or a
@@ -150,6 +152,117 @@ def test_invalid_custom_option_reports_field_path(tmp_path, base, edit, path):
     edit(doc["options"])
     with pytest.raises(ConfigError, match=path):
         load_config(_write(tmp_path, doc))
+
+
+def _scenario_doc(scenario, **options):
+    return {"schema": 1, "scenario": scenario, "options": options}
+
+
+def _batch_doc(**options):
+    return {"schema": 1, "members": [_scenario_doc("counterexample"),
+                                     _scenario_doc("dirac", **options)]}
+
+
+@pytest.mark.parametrize("doc,path,what", [
+    (_scenario_doc("dirac", points=None), "options.points",
+     "must be an integer"),
+    (_scenario_doc("dirac", points=True), "options.points",
+     "must be an integer"),
+    (_scenario_doc("dirac", points=64.0), "options.points",
+     "must be an integer"),
+    (_scenario_doc("dirac", refine=3), "options.refine",
+     "must be true or false"),
+    (_scenario_doc("dirac", mass="heavy"), "options.mass", "must be a number"),
+    (_scenario_doc("maxwell", mode="bogus"), "options.mode",
+     "must be one of"),
+    (_scenario_doc("maxwell", mode=None), "options.mode", "must be a string"),
+    (_scenario_doc("maxwell", T="long"), "options.T",
+     "must be a number or null"),
+    (_scenario_doc("counterexample", delta=-1), "options.delta",
+     "must be positive"),
+    (_scenario_doc("counterexample", seed=None), "options.seed",
+     "must be an integer"),
+    (_scenario_doc("extended_check", points=4), "options.points",
+     "must be at least 8"),
+    (_scenario_doc("extended_check", n_fields=2.5), "options.n_fields",
+     "must be an integer"),
+    (_batch_doc(delta=0), "members[1].options.delta", "must be positive"),
+])
+def test_invalid_scenario_option_exits_1_with_field_path(tmp_path, capsys,
+                                                         doc, path, what):
+    """Scenario options are checked against the types of the config
+    dataclass fields (or the scenario function's parameters) and the shared
+    range table; each of these used to pass validation or fail later
+    without a field path."""
+    assert cli_run(["validate", "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: '{path}' {what}")
+
+
+def test_scenario_options_accept_null_where_optional(tmp_path):
+    cfg = load_config(_write(tmp_path, _scenario_doc(
+        "maxwell", T=None, dt=None, points=8, extent=1.0, mode="volterra")))
+    assert cfg.options["T"] is None
+
+
+# ---------------------------------------------------------------------------
+# scenario shortcuts: `hypnl run` on a generated config
+
+@pytest.mark.parametrize("argv,scenario,name,options", [
+    (["counterexample"], "counterexample", "counterexample", {}),
+    (["counterexample", "--delta", "0.25"], "counterexample",
+     "counterexample", {"delta": 0.25}),
+    (["maxwell"], "maxwell", "maxwell-vacuum_1d", {"mode": "vacuum_1d"}),
+    (["maxwell", "--mode", "volterra", "--points", "16"], "maxwell",
+     "maxwell-volterra", {"mode": "volterra", "points": 16}),
+    (["dirac"], "dirac", "dirac", {}),
+    (["dirac", "--points", "64", "--no-refine"], "dirac", "dirac",
+     {"points": 64, "refine": False}),
+    (["extended-check"], "extended_check", "extended-check",
+     {"n_fields": 20}),
+    (["extended-check", "--n-fields", "2"], "extended_check",
+     "extended-check", {"n_fields": 2}),
+])
+@pytest.mark.parametrize("seed", [None, 7])
+def test_shortcut_runs_the_validated_config(monkeypatch, argv, scenario,
+                                            name, options, seed):
+    """Each shortcut hands _execute the RunConfig that _validate_doc makes
+    of its schema-1 doc, under the shortcut's run name; the doc (and so the
+    manifest's config_hash) holds no name."""
+    from hypnl import cli
+    seen = []
+    monkeypatch.setattr(cli, "_execute",
+                        lambda cfg, outdir: seen.append((cfg, outdir)) or 0)
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert cli_run(argv + flags + ["--out", "somewhere"]) == 0
+    doc = {"schema": 1, "scenario": scenario,
+           "seed": 0 if seed is None else seed, "options": options}
+    [(cfg, outdir)] = seen
+    assert cfg == dataclasses.replace(_validate_doc(doc), name=name)
+    assert outdir == "somewhere"
+
+
+def test_shortcut_rejects_out_of_range_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli_run(["maxwell", "--points", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: 'options.points' must be at least 8")
+    assert not out.exists()
+
+
+def test_extended_check_shortcut_run(tmp_path):
+    out = str(tmp_path / "ext")
+    assert cli_run(["extended-check", "--n-fields", "2", "--out", out]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        rep = json.load(fh)
+    assert rep["pass"] is True and rep["n_fields"] == 2
+    with open(os.path.join(out, "manifest.json")) as fh:
+        man = json.load(fh)
+    assert man["name"] == "extended-check"
+    assert man["config_hash"] == config_hash(_validate_doc(
+        {"schema": 1, "scenario": "extended_check", "seed": 0,
+         "options": {"n_fields": 2}}))
+    with open(os.path.join(out, "residuals.csv")) as fh:
+        assert len(fh.read().splitlines()) == 3
 
 
 def test_valid_system_with_profiles_loads(tmp_path):

@@ -115,6 +115,52 @@ def test_measure_D_weighted():
     assert measure_D(sys) == pytest.approx(3.0, abs=1e-12)
 
 
+def _old_measure_D(sys, window=(0.0, 0.0), probes=16):
+    """Reference for measure_D: the weight roots built for every weight,
+    the identity included, and applied as per-site stacks."""
+    times = [0.0] if sys.constant_in_time else np.linspace(*window, probes)
+    evals, vecs = np.linalg.eigh(inner_weight(sys).weight)
+    root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
+    iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
+                      np.conj(vecs))
+    return max(float(np.max(np.linalg.svd(
+        root @ diagnostics.zero_order_matrices(sys, float(t)) @ iroot,
+        compute_uv=False))) for t in times)
+
+
+def _D_systems():
+    from hypnl.scenarios import dirac_system, maxwell_system_3d
+    g1 = make_grid(1, 2.0 * math.pi, 32, 2)
+    x = g1.coords()[:, 0]
+    per_site = np.zeros((g1.sites, 2, 2), complex)
+    per_site[:, 0, 0] = 2.0 + np.sin(x)
+    per_site[:, 1, 1] = 1.0
+    per_site[:, 0, 1] = 0.3j
+    per_site[:, 1, 0] = -0.3j
+    s0 = np.array([[0.5, 1.0 - 0.2j], [0.1j, -0.7]])
+    return {
+        "dirac": dirac_system(g1, 0.5),
+        "maxwell_3d": maxwell_system_3d(make_grid(3, 2.0 * math.pi, 8, 6)),
+        "identity": make_system(g1, np.eye(2), [np.zeros((2, 2))], S0=s0),
+        "diag": make_system(g1, np.diag([2.0, 1.0]), [np.zeros((2, 2))],
+                            S0=s0),
+        "per_site_lapse": make_system(g1, per_site, [0.5 * per_site],
+                                      S0=s0, beta=1.0 + 0.25 * np.cos(x)),
+        "time_dependent": make_system(
+            g1, per_site, [np.zeros((2, 2))],
+            S0_t=lambda t: math.cos(t) * s0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_D_systems()))
+def test_measure_D_matches_old_root_form(name):
+    """D is bitwise that of the root form built for every weight; the
+    identity weight now skips its roots."""
+    sys = _D_systems()[name]
+    assert measure_D(sys, window=(0.0, 1.0)) == \
+        _old_measure_D(sys, window=(0.0, 1.0))
+
+
 def test_cone_violation_flags_teleported_amplitude():
     grid = make_grid(1, 2.0 * math.pi, 128, 1)
     prof = gaussian_pulse(grid, width_frac=64.0)

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from conftest import gaussian_pulse
 from hypnl import dyson
 from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
-                         sample_trajectory)
+                         sample_trajectory, trapezoid_sum)
 from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
                            transport_system)
 from hypnl.solver import SolveAborted, SolveOptions, solve_local
@@ -343,6 +343,43 @@ def test_equation_defect_checks_b_psi_shape():
     psi = Trajectory(grid, 0.125, 0, np.ones((9, grid.sites, 1), complex))
     with pytest.raises(DysonError, match="B psi"):
         equation_defect(sys, np.zeros((8, grid.sites, 1), complex), psi, None)
+
+
+def _old_M(sys, data, phi):
+    """Reference for the data norm M of _measure_constants: the weight and
+    A0^{-1} applied as per-site stacks in three-operand einsums."""
+    w = inner_weight(sys).weight
+    dv = sys.grid.cell_volume
+    m = math.sqrt(max((np.einsum("sf,sfg,sg->", np.conj(data.values), w,
+                                 data.values).real * dv), 0.0))
+    nv = np.einsum("sfg,tsg->tsf", sys.A0_inv, phi.values)
+    sq = np.einsum("tsf,sfg,tsg->t", np.conj(nv), w, nv).real * dv
+    return m + trapezoid_sum(np.sqrt(np.maximum(sq, 0.0)), phi.dt)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_data_norm_matches_old_einsums(weighted):
+    """M = ||data|| + int ||A0^{-1} phi||_t dt agrees with the per-site
+    einsums to 1e-14 relative (the sums run in another order)."""
+    grid = make_grid(1, 2.0 * math.pi, 32, 2)
+    x = grid.coords()[:, 0]
+    if weighted:
+        A0 = np.zeros((grid.sites, 2, 2), complex)
+        A0[:, 0, 0] = 2.0 + np.sin(x)
+        A0[:, 1, 1] = 1.0
+        A0[:, 0, 1], A0[:, 1, 0] = 0.3j, -0.3j
+        sys = make_system(grid, A0, [np.zeros((2, 2))],
+                          beta=1.0 + 0.25 * np.cos(x))
+    else:
+        sys = make_system(grid, np.eye(2), [np.zeros((2, 2))])
+    rng = np.random.default_rng(np.random.Philox(9))
+    data = StateField(grid, 0.0, rng.standard_normal((grid.sites, 2))
+                      + 1j * rng.standard_normal((grid.sites, 2)))
+    phi = Trajectory(grid, 0.125, 0, rng.standard_normal((9, grid.sites, 2))
+                     + 1j * rng.standard_normal((9, grid.sites, 2)))
+    M = dyson._measure_constants(sys, None, phi, data, 1.0,
+                                 {"D": 0.0, "C_est": 0.0}, (0.0, 1.0), 0)["M"]
+    assert M == pytest.approx(_old_M(sys, data, phi), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------

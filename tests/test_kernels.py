@@ -15,7 +15,7 @@ from hypnl.kernels import (ConvTerm, KernelError, adjoint, estimate_bound,
                            make_separable, threshold_margin, weighted)
 from hypnl.scenarios import (DiracConfig, _dirac_potentials, dirac_kernel,
                              drude_lorentz, maxwell_kernel)
-from hypnl.systems import make_system
+from hypnl.systems import inner_weight, make_system
 
 
 def _grid():
@@ -674,6 +674,183 @@ def test_weighted_applies_A0_inverse():
     wk = weighted(k, sys)
     np.testing.assert_allclose(wk.apply(tr, 0.5),
                                plain @ np.diag([0.5, 0.25]), atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the bound constant against the per-site forms it replaced
+
+def _old_weight_transforms(sys):
+    """W^{1/2}, W^{-1/2} per site for the slice weight W = beta A0, built
+    for every weight, the identity included."""
+    w = inner_weight(sys).weight
+    evals, vecs = np.linalg.eigh(w)
+    root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
+    iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
+                      np.conj(vecs))
+    return root, iroot
+
+
+def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
+    """Reference for estimate_bound: every coefficient and weight root as a
+    per-site stack, and the random-probe loop run for separable kernels too
+    (after the exact per-pair branch). Returns (C_est, samples)."""
+    V = dataclasses.replace(k, post=sys.A0_inv) if k.post is None else k
+    g = sys.grid
+    wroot, wiroot = _old_weight_transforms(sys)
+    dv = g.cell_volume
+
+    def h_norm(values):
+        tv = np.einsum("sfg,sg->sf", wroot, values)
+        return math.sqrt(max((np.vdot(tv, tv) * dv).real, 0.0))
+
+    if V.kind == "separable":
+        times = V.data["g"][0].times()
+        sel = np.ones(len(times), dtype=bool) if t_window is None else (
+            (times >= t_window[0] - 1e-12) & (times <= t_window[1] + 1e-12))
+        idx = np.nonzero(sel)[0]
+        gtil = np.stack([np.einsum("sfg,tsg->tsf", V.post, ga.values)
+                         for ga in V.data["g"]])
+        htil = np.stack([ha.values for ha in V.data["h"]])
+        gw = np.einsum("sfg,atsg->atsf", wroot, gtil)
+        hw = np.einsum("sfg,atsg->atsf", wiroot, htil)
+        Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
+        Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
+        best, n_samples = kernels._pair_sup(V, Gg, Hh, times, idx, D)
+        pair_times = [(float(times[i]), float(times[j]))
+                      for i in idx[:: max(1, len(idx) // 16)]
+                      for j in idx[:: max(1, len(idx) // 16)]
+                      if V._admissible(float(times[i]), float(times[j]))]
+    else:
+        best, n_samples = 0.0, 0
+        rng = np.random.Generator(np.random.Philox(seed))
+        lo, hi = t_window
+        pair_times = []
+        while len(pair_times) < probes:
+            t = float(rng.uniform(lo, hi))
+            if math.isfinite(V.delta):
+                tau = float(rng.uniform(max(lo, t - V.delta),
+                                        min(hi, t + V.delta)))
+            else:
+                tau = float(rng.uniform(lo, hi))
+            if V._admissible(t, tau):
+                pair_times.append((t, tau))
+        pair_times += [(t, t) for t in np.linspace(lo, hi, 9)
+                       if V._admissible(t, t)]
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    for t, tau in pair_times:
+        for _ in range(4):
+            psi = (rng.normal(size=(g.sites, g.fiber))
+                   + 1j * rng.normal(size=(g.sites, g.fiber)))
+            n = h_norm(psi)
+            if n == 0:
+                continue
+            psi /= n
+            out = V.pair_apply(t, tau, psi)
+            n_samples += 1
+            best = max(best, h_norm(out) / math.exp(-D * abs(tau) / 2.0))
+    return best, n_samples
+
+
+def _weighted_system(g):
+    """A site-varying, non-diagonal Hermitian A0 > 0 and a non-unit lapse."""
+    x = g.coords()[:, 0]
+    A0 = np.zeros((g.sites, 2, 2), complex)
+    A0[:, 0, 0] = 2.0 + np.sin(x)
+    A0[:, 1, 1] = 1.5
+    A0[:, 0, 1] = 0.4 + 0.3j * np.cos(x)
+    A0[:, 1, 0] = np.conj(A0[:, 0, 1])
+    return make_system(g, A0, [np.zeros((2, 2))], beta=1.0 + 0.25 * np.cos(x))
+
+
+@pytest.mark.parametrize("A0", [np.eye(2), np.diag([2.0, 1.0])],
+                         ids=["identity", "diag"])
+@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
+def test_estimate_bound_separable_matches_old(A0, rank, flags, D, window):
+    """C_est is bitwise that of the per-site stacks with the probe loop:
+    every probe pair is one of the frame pairs the exact branch takes."""
+    g, k = _separable_case(rank, flags)
+    sys = make_system(g, A0, [np.zeros((2, 2))])
+    est = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, D=D)
+    assert est.C_est == C_ref
+    assert 0 < est.samples < n_ref
+
+
+def _counterexample_bound_case(**options):
+    from hypnl.scenarios import CounterexampleConfig, build_counterexample
+    cfg = CounterexampleConfig(**options)
+    sys, k, _, _ = build_counterexample(cfg)
+    return k, sys, (0.0, cfg.delta)
+
+
+def _maxwell_bound_case():
+    from hypnl.scenarios import maxwell_system_3d
+    g = make_grid(3, 2.0 * math.pi, 8, 6)
+    _, chi_dot = drude_lorentz(0.2, 1.0, 2.0)
+    return maxwell_kernel(g, chi_dot), maxwell_system_3d(g), (0.0, 1.5)
+
+
+def _weighted_convolution_case():
+    g = _grid()
+    k = make_convolution(lambda u: math.exp(-u) * math.sin(2.0 * u),
+                         np.array([[1.0, 0.5j], [-0.5j, 2.0]]), g, t0=0.0,
+                         delta_eff=0.75)
+    return k, _weighted_system(g), (0.0, 1.5)
+
+
+@pytest.mark.parametrize("case", [
+    _counterexample_bound_case,
+    lambda: _counterexample_bound_case(T=0.25, W=0.5, delta=0.25),
+    _maxwell_bound_case,
+    _weighted_convolution_case,
+], ids=["counterexample", "counterexample_short", "maxwell_8cubed",
+        "convolution_weighted"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_estimate_bound_matches_old(case, seed):
+    k, sys, window = case()
+    est = estimate_bound(k, sys, probes=32, t_window=window, seed=seed)
+    C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, seed=seed)
+    assert est.C_est == C_ref
+    assert est.samples <= n_ref
+
+
+def test_weighted_post_takes_the_plan_form():
+    """A0 = I leaves post None; a site-constant A0 gives one (f, f) post
+    that applies as the per-site stack did, to round-off."""
+    g = _grid()
+    k = make_modulated(g, _terms(g), delta=0.5)
+    assert weighted(k, make_system(g, np.eye(2), [np.zeros((2, 2))])) is k
+    A0 = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    sys = make_system(g, A0, [np.zeros((2, 2))])
+    wk = weighted(k, sys)
+    assert wk.post.shape == (2, 2)
+    stack = dataclasses.replace(k, post=sys.A0_inv)
+    tr = _traj(g, 32)
+    ref = stack.apply_all(tr)
+    np.testing.assert_allclose(wk.apply_all(tr), ref, rtol=0,
+                               atol=1e-14 * np.max(np.abs(ref)))
+    v = tr.values[4]
+    ref = stack.pair_apply(0.5, 0.25, v)
+    np.testing.assert_allclose(wk.pair_apply(0.5, 0.25, v), ref, rtol=0,
+                               atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("A0", [np.array([[2.0, 0.5j], [-0.5j, 1.0]]), None],
+                         ids=["site_constant", "per_site"])
+def test_separable_adjoint_of_weighted_matches_old(A0):
+    """The adjoint's new h profiles are post g, as the double
+    conjugate-transpose einsum computed them."""
+    g = _grid()
+    sys = (_weighted_system(g) if A0 is None
+           else make_system(g, A0, [np.zeros((2, 2))]))
+    k = weighted(_sep_kernel(g), sys)
+    post = sys.A0_inv
+    pd = np.conj(np.swapaxes(post, 1, 2))
+    for new, gp in zip(adjoint(k).data["h"], k.data["g"]):
+        ref = np.einsum("sfg,tsg->tsf", np.conj(np.swapaxes(pd, 1, 2)),
+                        gp.values)
+        np.testing.assert_allclose(new.values, ref, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
 
 
 @given(st.floats(0.01, 10.0), st.floats(0.01, 2.0))
