@@ -288,14 +288,14 @@ def sup_norm(tr: Trajectory, w) -> float:
 
 
 def diff4(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """4th-order central derivative along a spatial axis of (sites, fiber)
-    values or of a (frames, sites, fiber) stack. Exactly skew-symmetric
-    w.r.t. the plain lattice inner product.
+    """4th-order central derivative along a spatial axis of (sites, c)
+    values or of a (frames, sites, c) stack, for any number c of fiber
+    columns. Exactly skew-symmetric w.r.t. the plain lattice inner product.
 
     The periodic wrap is two ghost points per side; the slices then give
     8 (v[i+1] - v[i-1]) - (v[i+2] - v[i-2]), summed in that order."""
     lead = values.shape[:-2]
-    v = values.reshape(lead + (grid.points,) * grid.dim + (grid.fiber,))
+    v = values.reshape(lead + (grid.points,) * grid.dim + values.shape[-1:])
     ax = len(lead) + axis
     n = grid.points
     pre = (slice(None),) * ax
@@ -307,6 +307,12 @@ def diff4(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
 
     out = 8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))
     return (out / (12.0 * grid.spacing)).reshape(values.shape)
+
+
+def stencil_wavenumber(k: float, h: float) -> float:
+    """Effective wavenumber of the 4th-order central stencil on spacing h:
+    diff4 multiplies the Fourier mode exp(i k x) by i stencil_wavenumber(k, h)."""
+    return (8.0 * math.sin(k * h) - math.sin(2.0 * k * h)) / (6.0 * h)
 
 
 def diff_upwind(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (Grid, InnerWeight, StateField, Trajectory, frame_norms_sq,
-                    diff4, make_grid, norm_strip)
+                    diff4, make_grid, norm_strip, stencil_wavenumber)
 from .systems import SystemSpec, apply_S, inner_weight, make_system
 from .kernels import (ConvTerm, TimeKernel, estimate_bound, make_convolution,
                       make_modulated, make_separable, threshold_margin)
@@ -324,11 +324,6 @@ def div4(grid3: Grid, vec: np.ndarray) -> np.ndarray:
     """4th-order stencil divergence of a (sites, 3) field."""
     g3 = Grid(3, grid3.extent, grid3.points, 3)
     return sum(diff4(g3, vec, ax)[:, ax] for ax in range(3))
-
-
-def stencil_wavenumber(k: float, h: float) -> float:
-    """Effective wavenumber of the 4th-order central stencil on spacing h."""
-    return (8.0 * math.sin(k * h) - math.sin(2.0 * k * h)) / (6.0 * h)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +41,8 @@ def _hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """Fiber matrices applied to values of shape (..., sites, f): `m` is None
-    (identity), one (f, f) matrix, or a per-site (sites, f, f) stack."""
+    """Fiber matrices applied to values of shape (..., sites, g): `m` is None
+    (identity), one (f, g) matrix, or a per-site (sites, f, g) stack."""
     if m is None:
         return values
     if m.ndim == 2:
@@ -62,6 +62,13 @@ def _compact(m: np.ndarray) -> Optional[np.ndarray]:
     return None if c.ndim == 2 and np.array_equal(c, np.eye(len(c))) else c
 
 
+def _read_columns(m: np.ndarray) -> Optional[np.ndarray]:
+    """The fiber columns a per-site stack reads (those with a nonzero entry
+    at some site), or None when it reads every column."""
+    cols = np.flatnonzero(np.any(m != 0, axis=(0, 1)))
+    return None if len(cols) == m.shape[-1] else cols
+
+
 class StepPlan(NamedTuple):
     """The coefficients the hot path applies, each in `_fiber_apply` form.
     Spatial terms that are identically zero are dropped, and so is a zero S0."""
@@ -70,6 +77,7 @@ class StepPlan(NamedTuple):
     A0_inv: Optional[np.ndarray]
     Aj: tuple                      # (axis, coefficient) of every live A^j
     S0: Optional[np.ndarray]       # constant-in-time S0; None if absent or 0
+    reads: tuple                   # per live A^j: _read_columns of it
 
 
 @dataclass(frozen=True)
@@ -116,11 +124,12 @@ class SystemSpec:
             raise SystemError("A0 not positive definite")
         object.__setattr__(self, "_A0_inv", np.linalg.inv(self.A0))
         live_S0 = self.S0 is not None and np.any(self.S0)
+        live = [(j, a) for j, a in enumerate(self.Aj) if np.any(a)]
         object.__setattr__(self, "plan", StepPlan(
             A0=_compact(self.A0), A0_inv=_compact(self._A0_inv),
-            Aj=tuple((j, _compact(a)) for j, a in enumerate(self.Aj)
-                     if np.any(a)),
-            S0=_site_constant(self.S0) if live_S0 else None))
+            Aj=tuple((j, _compact(a)) for j, a in live),
+            S0=_site_constant(self.S0) if live_S0 else None,
+            reads=tuple(_read_columns(a) for _, a in live)))
         # max |eigenvalue| of A0^{-1} A^j over sites and axes = signal speed
         vmax = 0.0
         for a in self.Aj:
@@ -185,6 +194,18 @@ def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
                      for ti, v in zip(t, values)])
 
 
+def _spatial_terms(sys: SystemSpec, values: np.ndarray) -> Iterator:
+    """A^j D_j psi for every live A^j, each differentiating only the fiber
+    columns its A^j reads: equal to the full product except where a zero
+    column's term would add a signed zero or carry a non-finite value."""
+    for (j, a), cols in zip(sys.plan.Aj, sys.plan.reads):
+        if cols is None:
+            yield _fiber_apply(a, diff4(sys.grid, values, j))
+        else:
+            yield _fiber_apply(a[..., cols],
+                               diff4(sys.grid, values[..., cols], j))
+
+
 def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
                   source: Optional[np.ndarray] = None) -> np.ndarray:
     """Method-of-lines right-hand side of S psi = source:
@@ -197,8 +218,8 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
     s0 = _S0_apply(sys, values, t)
     if s0 is not None:
         acc += s0
-    for j, a in sys.plan.Aj:
-        acc -= _fiber_apply(a, diff4(sys.grid, values, j))
+    for term in _spatial_terms(sys, values):
+        acc -= term
     return _fiber_apply(sys.plan.A0_inv, acc)
 
 
@@ -207,8 +228,8 @@ def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
     """S psi given the field and its time derivative on one slice, or on a
     (frames, sites, fiber) stack with `t` holding one time per frame."""
     out = _fiber_apply(sys.plan.A0, dpsi_dt)
-    for j, a in sys.plan.Aj:
-        out = out + _fiber_apply(a, diff4(sys.grid, values, j))
+    for term in _spatial_terms(sys, values):
+        out = out + term
     s0 = _S0_apply(sys, values, t)
     if s0 is not None:
         out = out - s0

@@ -237,3 +237,44 @@ def test_counterexample_plan_has_no_spatial_term():
     plan = sys.plan
     assert plan.Aj == () and plan.S0 is None
     assert plan.A0 is None and plan.A0_inv is None
+
+
+def _full_column_terms(sys, values):
+    """A^j D_j psi for every live A^j with every column differentiated."""
+    from hypnl.systems import _fiber_apply
+    return [_fiber_apply(a, diff4(sys.grid, values, j)) for j, a in sys.plan.Aj]
+
+
+def test_spatial_terms_read_only_live_columns():
+    """Each A^j differentiates only the columns it reads (Maxwell: 4 of 6
+    per axis), and apply_S and evolution_rhs equal the full products, with
+    == (so up to signed zeros) on finite values: the dropped terms are exact
+    zeros, and the kept ones are summed in the same order."""
+    from hypnl.scenarios import maxwell_system_3d
+    from hypnl.systems import _spatial_terms
+    g3 = make_grid(3, 2.0 * math.pi, 8, 6)
+    g1 = make_grid(1, 2.0, 16, 3)
+    a = np.zeros((g1.sites, 3, 3), complex)
+    a[:, 0, 2] = a[:, 2, 0] = 1.0 + 0.5 * np.sin(math.pi * g1.coords()[:, 0])
+    cases = [(maxwell_system_3d(g3), ([1, 2, 4, 5], [0, 2, 3, 5], [0, 1, 3, 4])),
+             (make_system(g1, np.eye(3), [a]), ([0, 2],)),
+             (make_system(g1, np.eye(3), [np.ones((3, 3))]), (None,)),
+             # not Hermitian, so its rows and columns differ: reads column 1
+             (make_system(g1, np.eye(3), [np.diag([1.0, 0.0], k=1)]), ([1],))]
+    rng = np.random.default_rng(4)
+    for sys, reads in cases:
+        assert [None if c is None else c.tolist() for c in sys.plan.reads] \
+            == list(reads)
+        for lead in ((), (3,)):
+            shape = lead + (sys.grid.sites, sys.grid.fiber)
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            full = _full_column_terms(sys, v)
+            for got, want in zip(_spatial_terms(sys, v), full):
+                assert np.all(got == want)
+            s_psi, rhs = d, d
+            for term in full:        # in the order apply_S and the rhs sum
+                s_psi, rhs = s_psi + term, rhs - term
+            t = np.zeros(lead) if lead else 0.0
+            assert np.all(apply_S(sys, v, d, t) == s_psi)
+            assert np.all(evolution_rhs(sys, v, 0.0, d) == rhs)
