@@ -12,11 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Grid, Trajectory, frame_norms_sq
+from .grids import _CHUNK_VALUES, Grid, Trajectory, frame_norms_sq
 from .systems import SystemSpec, _fiber_apply, inner_weight, zero_order_matrices
-
-# values per stacked balance-term call in energy_identity (1 MB)
-_CHUNK_VALUES = 1 << 16
 
 
 class DiagnosticsError(ValueError):

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import (StateField, Trajectory, frame_norms_sq, norm_strip,
-                    norm_t, trapezoid_sum)
+from .grids import (_CHUNK_VALUES, StateField, Trajectory, frame_norms_sq,
+                    norm_strip, norm_t, trapezoid_sum)
 from .kernels import TimeKernel, estimate_bound
 from .solver import SolveAborted, SolveOptions, solve_local
 from .systems import SystemSpec, _fiber_apply, apply_S, inner_weight
@@ -33,11 +33,6 @@ from .diagnostics import measure_D
 
 class DysonError(RuntimeError):
     pass
-
-
-# values per stacked apply_S call in equation_defect (0.5 MB): larger chunks
-# leave their temporaries in the heap and raise the peak RSS of 3D runs
-_CHUNK_VALUES = 1 << 15
 
 
 # ---------------------------------------------------------------------------

@@ -36,30 +36,26 @@ Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
 (tests/test_solver.py::test_solve_local_matches_reference_loop and
 test_non_finite_source_aborts_like_reference_loop). The recurrence reads the
-source frames at the lattice times themselves, where the loop's t / dt can
-round to a blend with a 1e-16 weight on the next frame; so with a non-finite
-source frame the loop may abort one step earlier. On the Fourier modes, a
-solve within a factor of `sites` of overflow may abort one step earlier
-than the loop, and real data picks up imaginary round-off.
+source frames themselves, while the loop's t / dt can round to a blend with
+a 1e-16 weight on the next frame; so the recurrence stops where the loop's
+stages, sampled as the loop samples them, first read a non-finite source
+frame. On the Fourier modes, a solve within a factor of `sites` of overflow
+may abort one step earlier than the loop, and real data picks up imaginary
+round-off.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .grids import (Grid, StateField, Trajectory, ko_dissipation,
-                    stencil_wavenumber)
+from .grids import (_CHUNK_VALUES, Grid, StateField, Trajectory,
+                    ko_dissipation, stencil_wavenumber)
 from .systems import SystemSpec, _fiber_apply, evolution_rhs
-
-
-# values per Fourier transform call and per block of source terms (0.5 MB),
-# so that a solve holds no second array the size of its trajectory; 1 MB
-# blocks left more temporaries in the heap and raised maxwell3d's peak RSS
-_CHUNK_VALUES = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -397,6 +393,25 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     return n_ok
 
 
+def _source_abort_step(phi: Optional[Trajectory], index,
+                       n_steps: int) -> int:
+    """The first step whose RK4 stages, sampled at `index`, read a
+    non-finite source frame (n_steps when none does). A stage inside the
+    window reads frame i, and frame i + 1 too where it blends (w != 0: a zero
+    weight on a non-finite value still gives NaN)."""
+    if phi is None:
+        return n_steps
+    bad = ~np.isfinite(phi.values).all(axis=(1, 2))
+    if not bad.any():
+        return n_steps
+    last = phi.n_frames - 1
+    hit = np.zeros(n_steps, dtype=bool)
+    for inside, i, w in index:
+        hit |= inside & (bad[i] | ((w != 0.0) & bad[np.minimum(i + 1, last)]))
+    steps = np.flatnonzero(hit)
+    return int(steps[0]) if steps.size else n_steps
+
+
 def _first_non_finite(frames: np.ndarray) -> Optional[int]:
     """Index of the first frame of a (frames, sites, f) stack with a
     non-finite value, None when all are finite."""
@@ -466,8 +481,9 @@ def solve_local(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     stored = vals[::sgn]
     stored[0] = data.values
     if basis is not None:
-        n_ok = _recurrence(sys, phi, data, basis, eps, h, i0, sgn, n_steps,
-                           se, stored)
+        n_run = _source_abort_step(phi, index, n_steps)
+        n_ok = _recurrence(sys, phi, data, basis, eps, h, i0, sgn, n_run, se,
+                           stored)
         bad = _first_non_finite(stored[1:n_ok // se + 1])
         if bad is not None:
             n_ok = (bad + 1) * se - 1
@@ -489,13 +505,18 @@ def solve_local(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
 
 def evolution_op(sys: SystemSpec, tau: float, t: float, data: StateField,
                  opts: SolveOptions) -> StateField:
-    """U(t, tau) data: the last frame of the source-free solve from tau to t."""
+    """U(t, tau) data: the last frame of the source-free solve from tau to t.
+    The solve keeps only the frames on the coarsest lattice that holds tau
+    and t (its step is gcd(i0, steps) in units of dt), so from tau = 0 it
+    stores two frames, not the whole trajectory."""
     if abs(t - tau) < 1e-15:
         return StateField(sys.grid, t, data.values.copy())
+    i0, i1 = _lattice_index(tau, opts.dt), _lattice_index(t, opts.dt)
+    se = max(1, math.gcd(i0, i1 - i0))
     tr = solve_local(sys, None, StateField(sys.grid, tau, data.values), tau, t,
-                     replace(opts, store_every=1))
+                     replace(opts, store_every=se))
     i = -1 if t > tau else 0
-    return StateField(sys.grid, tr.time(i), tr.values[i].copy())
+    return StateField(sys.grid, i1 * opts.dt, tr.values[i].copy())
 
 
 def green_retarded(sys: SystemSpec, phi: Trajectory,
