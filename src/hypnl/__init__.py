@@ -23,7 +23,7 @@ from .diagnostics import (DiagReport, cone_violation, energy_identity,
 from .scenarios import (CounterexampleConfig, DiracConfig, MaxwellConfig,
                         counterexample_report, dirac_run,
                         extended_system_check, maxwell_run,
-                        surface_layer_product)
+                        surface_layer_product, surface_layer_series)
 from .cli import cli_run, load_config
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "measure_D", "order_estimate", "support_mask",
     "CounterexampleConfig", "DiracConfig", "MaxwellConfig",
     "counterexample_report", "dirac_run", "extended_system_check",
-    "maxwell_run", "surface_layer_product",
+    "maxwell_run", "surface_layer_product", "surface_layer_series",
     "cli_run", "load_config",
     "__version__",
 ]

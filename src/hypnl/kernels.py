@@ -15,6 +15,9 @@ integrator: the composite trapezoidal rule on the frame lattice, for every
 output frame at once. Convolution terms are integrated by FFT (the fast
 convolution of Hairer, Lubich & Schlichte 1985; cf. Lubich's convolution
 quadrature), with the trapezoid end corrections taken per term.
+`TimeKernel.pair_band` gives the kernel's quadratic form
+psi_i^+ B_{t_i, t_{i+l}} psi_{i+l} for the lags l = 0..d at every frame i,
+without time integration (the surface-layer products read it).
 """
 
 from __future__ import annotations
@@ -68,6 +71,15 @@ def _apply_M(M: Optional[tuple], values: np.ndarray) -> np.ndarray:
     prof, mat = M
     out = _fiber_apply(mat, values)
     return out if prof is None else out * prof[:, None]
+
+
+def _profile_frames(prof: Trajectory, tr: Trajectory) -> np.ndarray:
+    """The frames of a separable profile at the frame times of tr."""
+    off = tr.index0 - prof.index0
+    if off < 0 or off + tr.n_frames > prof.n_frames:
+        raise KernelError("profile lattice does not cover the trajectory "
+                          "window")
+    return prof.values[off:off + tr.n_frames]
 
 
 def _fft_len(n: int) -> int:
@@ -196,19 +208,13 @@ class TimeKernel:
             j1c = np.clip(j1, 0, F - 1)
             dv = self.grid.cell_volume
             for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
-                off = tr.index0 - g_tr.index0
-                off_h = tr.index0 - h_tr.index0
-                if (off < 0 or off + F > g_tr.n_frames
-                        or off_h < 0 or off_h + F > h_tr.n_frames):
-                    raise KernelError("profile lattice does not cover the "
-                                      "trajectory window")
-                hv = h_tr.values[np.arange(F) + off_h]
+                hv = _profile_frames(h_tr, tr)
                 c = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
                 P = np.concatenate([[0.0 + 0.0j], np.cumsum(c)])
                 # trapezoid over [j0, j1]: full prefix sum minus half endpoints
                 s = P[j1c + 1] - P[j0c] - 0.5 * c[j0c] - 0.5 * c[j1c]
                 s = np.where(live, s, 0.0) * tr.dt
-                out += s[:, None, None] * g_tr.values[np.arange(F) + off]
+                out += s[:, None, None] * _profile_frames(g_tr, tr)
         elif self.kind == "convolution":
             self._conv_all(tr, j0, j1, live, out)
         elif self.kind == "dense":
@@ -216,6 +222,90 @@ class TimeKernel:
         else:
             raise KernelError(f"unknown kernel kind {self.kind!r}")
         return _fiber_apply(self.post, out)
+
+    def pair_band(self, tr: Trajectory, d: int) -> np.ndarray:
+        """The future band of the kernel's quadratic form on tr, shape
+        (d + 1, frames):
+
+            G[l, i] = dv sum_sites psi_i^+ (post B_{t_i, t_{i+l}}) psi_{i+l}
+
+        for the lags l = 0..d, and 0 where frame i + l is not among the tau
+        frames [j0, j1] that _slice_arrays admits for frame i (or lies past
+        the last frame). Separable kernels take a rank-r product of per-frame
+        scalars, convolution kernels one product per lag and group of terms
+        sharing an M (see _conv_band), dense kernels one op call per lag."""
+        F = tr.n_frames
+        i = np.arange(F)
+        j0, j1 = self._slice_arrays(tr)
+        band = np.zeros((d + 1, F), dtype=complex)
+        if self.kind == "separable":
+            dv = self.grid.cell_volume
+            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
+                gv = _fiber_apply(self.post, _profile_frames(g_tr, tr))
+                hv = _profile_frames(h_tr, tr)
+                u = np.einsum("tsf,tsf->t", np.conj(tr.values), gv)
+                v = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
+                for lag in range(min(d, F - 1) + 1):
+                    band[lag, :F - lag] += u[:F - lag] * v[lag:]
+        elif self.kind == "convolution":
+            self._conv_band(tr, band)
+        elif self.kind == "dense":
+            op = self.data["op"]
+            times = tr.times()
+            for lag in range(min(d, F - 1) + 1):
+                rows = np.flatnonzero((j0 <= i + lag) & (i + lag <= j1))
+                if rows.size == 0:
+                    continue
+                a, b = int(rows[0]), int(rows[-1]) + 1
+                term = _fiber_apply(self.post, op(times[a:b],
+                                                  times[a + lag:b + lag],
+                                                  tr.values[a + lag:b + lag]))
+                band[lag, a:b] = np.einsum("isf,isf->i",
+                                           np.conj(tr.values[a:b]), term)
+        else:
+            raise KernelError(f"unknown kernel kind {self.kind!r}")
+        band *= self.grid.cell_volume
+        j = i + np.arange(d + 1)[:, None]
+        band[(j < j0) | (j > j1)] = 0.0
+        return band
+
+    def _conv_band(self, tr: Trajectory, band: np.ndarray) -> None:
+        """Add the convolution terms' band into `band` (without dv): for each
+        group of terms with the same M, M and post are applied once to a
+        chunk of frames, and lag l adds
+
+            (sum_i conj(psi_i) . post M psi_{i+l})
+                * sum_k m_k(t_i) c_k(l dt) n_k(t_{i+l}).
+
+        The output frames are taken in chunks of at least d + 1 whose frames
+        (with the d after them) fit FFT_CHUNK_BYTES, so only one chunk's
+        M-applied copy is held at a time."""
+        F, d = tr.n_frames, band.shape[0] - 1
+        times = tr.times()
+        lag_times = np.arange(d + 1) * tr.dt
+        ones = np.ones(F, dtype=complex)
+        groups: dict = {}       # id of M -> (M, [(m, c, n) samples])
+        for m, c, n, M in self.data["terms"]:
+            mv, nv = _sample(m, times), _sample(n, times)
+            groups.setdefault(id(M), (M, []))[1].append(
+                (ones if mv is None else mv, _sample(c, lag_times),
+                 ones if nv is None else nv))
+        step = max(d + 1, FFT_CHUNK_BYTES
+                   // (16 * self.grid.sites * self.grid.fiber))
+        for a in range(0, F, step):
+            b = min(a + step, F)
+            e = min(b + d, F)
+            psi_c = np.conj(tr.values[a:b])
+            for M, samples in groups.values():
+                y = _fiber_apply(self.post, _apply_M(M, tr.values[a:e]))
+                for lag in range(min(d, e - 1 - a) + 1):
+                    rows = min(b, e - lag) - a
+                    fac = sum(mv[a:a + rows] * cv[lag]
+                              * nv[a + lag:a + lag + rows]
+                              for mv, cv, nv in samples)
+                    band[lag, a:a + rows] += fac * np.einsum(
+                        "isf,isf->i", psi_c[:rows], y[lag:lag + rows])
+                del y               # free before the next group's copy
 
     def _conv_all(self, tr: Trajectory, j0, j1, live, out) -> None:
         """Add every convolution term into out by FFT (cf. Hairer, Lubich &

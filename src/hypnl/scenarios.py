@@ -6,7 +6,8 @@
   * dispersive Maxwell on the torus (Drude-Lorentz memory, constraint
     monitors, vacuum wave oracles, constant-field Volterra reduction),
   * a nonlocal 1+1 Dirac system with the conserved surface-layer inner
-    product,
+    product, whose whole series over t_N is read from one
+    `TimeKernel.pair_band` (`surface_layer_series`),
   * the first-derivative extended-system consistency check.
 """
 
@@ -18,8 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import (Grid, InnerWeight, StateField, Trajectory, frame_norms_sq,
-                    diff4, make_grid, norm_strip, stencil_wavenumber)
+from .grids import (_CHUNK_VALUES, Grid, InnerWeight, StateField, Trajectory,
+                    diff4, frame_norms_sq, make_grid, norm_strip,
+                    stencil_wavenumber)
 from .systems import SystemSpec, apply_S, inner_weight, make_system
 from .kernels import (ConvTerm, TimeKernel, estimate_bound, make_convolution,
                       make_modulated, make_separable, threshold_margin)
@@ -654,19 +656,28 @@ def _dirac_potentials(cfg: DiracConfig):
 
 def _dirac_sup_C(cfg: DiracConfig, pots, grid: Grid) -> float:
     """Exact sup over (t, tau) of the per-site multiplication-operator norm:
-    the fiber matrix is d1 sigma3 + d2 I, with norm max |d2 +- d1|."""
+    the fiber matrix is d1 sigma3 + d2 I, with norm max |d2 +- d1|. The
+    (midpoint, lag, site) products are formed for chunks of midpoints of at
+    most _CHUNK_VALUES values each."""
     x = grid.coords()[:, 0]
     mids = np.linspace(-cfg.T, 2.0 * cfg.T, 121)
     zs = np.linspace(-cfg.delta, cfg.delta, 81)
     # (midpoint, site) envelopes and lag windows, one call per potential
     tables = [(amp * np.cos(om * mids)[:, None] * sp(x)[None, :], window(zs))
-              for amp, om, sp, window, _ in pots]
+              for amp, om, sp, window, _ in pots[:2]]
+    if not tables:
+        return 0.0
+    step = max(1, _CHUNK_VALUES // (zs.size * x.size))
     worst = 0.0
-    for m in range(len(mids)):
-        d = [env[m][None, :] * win[:, None] for env, win in tables]
-        d1 = d[0] if len(d) > 0 else 0.0
-        d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
-        nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
+    for a in range(0, mids.size, step):
+        d = [env[a:a + step, None, :] * win[None, :, None]
+             for env, win in tables]
+        if len(d) == 1:
+            nrm = np.abs(d[0])          # |0 + d1| = |0 - d1| = |d1|
+        else:
+            nrm = np.abs(d[1] + d[0])
+            np.maximum(nrm, np.abs(np.subtract(d[1], d[0], out=d[1])),
+                       out=nrm)
         worst = max(worst, float(np.max(nrm)))
     return worst
 
@@ -733,40 +744,67 @@ def kernel_symmetry_defect(k: TimeKernel, grid: Grid, pairs: int = 16,
     return worst * k.grid.cell_volume
 
 
-def surface_layer_product(tr: Trajectory, k: Optional[TimeKernel],
-                          t_N: float) -> float:
-    """Slice norm squared corrected by the two-sided cross-surface double
-    integral:
+def surface_layer_series(tr: Trajectory, k: Optional[TimeKernel],
+                         times) -> np.ndarray:
+    """The surface-layer inner product at every lattice time t_N in `times`:
+    the slice norm squared corrected by the two-sided cross-surface double
+    integral,
 
         <psi|psi>_N = (psi|psi)_{t_N}
                       - 2 Re  int_{t<t_N} int_{t'>t_N} psi_t^+ B_{t,t'} psi_t' ,
 
-    truncated to the kernel's delta-slab, trapezoid weights with half-frames
-    at t_N on both sides. Reduces to the slice norm exactly when k is None."""
-    grid = tr.grid
-    dv = grid.cell_volume
-    iN = tr.index_of(t_N)
-    nsq = float(np.einsum("sf,sf->", np.conj(tr.values[iN]),
-                          tr.values[iN]).real * dv)
+    truncated to the kernel's delta-slab (d = floor(delta / dt) frames on
+    each side of t_N). The outer integral is the trapezoid over [N - d, N],
+    halved at both ends; the inner one takes the tau frames of [N, N + d]
+    that the kernel admits, with half weights at the ends of the window that
+    `_slice_arrays` gives and at j = N. Reduces to the slice norm exactly
+    when k is None.
+
+    Every pair (i, i + l) the slab integrals touch has lag 0 <= l <= d, so
+    all t_N share one `TimeKernel.pair_band` over the frames they span, and
+    each t_N reads it through per-lag prefix sums over i in [N - l, N]."""
+    idx = np.array([tr.index_of(t) for t in times], dtype=int)
+    dv = tr.grid.cell_volume
+    nsq = np.array([float(np.einsum("sf,sf->", np.conj(tr.values[i]),
+                                    tr.values[i]).real * dv) for i in idx])
     if k is None:
         return nsq
     if math.isfinite(k.delta):
         d = int(math.floor(k.delta / tr.dt + 1e-9))
     else:
         d = tr.n_frames - 1
-    if iN - d < 0 or iN + d > tr.n_frames - 1:
+    lo, hi = int(np.min(idx)) - d, int(np.max(idx)) + d
+    if lo < 0 or hi > tr.n_frames - 1:
         raise ScenarioError("trajectory does not cover the delta-slab of t_N")
-    # the delta-slab around t_N; future side only, with a half weight on the
-    # t_N frame itself
-    fut = tr.values[iN - d:iN + d + 1].copy()
-    fut[:d] = 0.0
-    fut[d] *= 0.5
-    bf = k.apply_all(Trajectory(grid, tr.dt, tr.index0 + iN - d, fut))[:d + 1]
-    w = np.full(d + 1, tr.dt)
-    w[0] = w[-1] = 0.5 * tr.dt
-    per = np.einsum("isf,isf->i", np.conj(tr.values[iN - d:iN + 1]),
-                    bf).real * dv
-    return nsq - 2.0 * float(np.dot(w, per))
+    slab = Trajectory(tr.grid, tr.dt, tr.index0 + lo, tr.values[lo:hi + 1])
+    j0, j1 = k._slice_arrays(slab)
+    lags = np.arange(d + 1)[:, None]
+    j = np.arange(slab.n_frames) + lags
+    # the pair weights that do not depend on t_N: tau trapezoid halves at the
+    # window ends, 0 on frames whose window has measure zero
+    c = (k.pair_band(slab, d).real * tr.dt * tr.dt
+         * np.where(j == j0, 0.5, 1.0) * np.where(j == j1, 0.5, 1.0)
+         * (j1 > j0))
+    prefix = np.concatenate([np.zeros((d + 1, 1)), np.cumsum(c, axis=1)],
+                            axis=1)
+    n = idx - lo
+    # the weights that do: a pair at i = N takes the outer half (and at
+    # l = 0 the tau half at j = N too), a pair at i = N - l, l >= 1, the tau
+    # half at j = N (and at l = d the outer half at N - d too). d = 0 leaves
+    # no window of positive measure, so c is 0 there.
+    w_top = 0.5 * np.where(lags == 0, 0.5, 1.0)
+    w_bottom = 0.5 * np.where(lags == d, 0.5, 1.0)
+    corr = (prefix[lags, n + 1] - prefix[lags, n - lags]
+            - (1.0 - w_top) * c[lags, n]
+            - np.where(lags > 0, (1.0 - w_bottom) * c[lags, n - lags], 0.0))
+    return nsq - 2.0 * np.sum(corr, axis=0)
+
+
+def surface_layer_product(tr: Trajectory, k: Optional[TimeKernel],
+                          t_N: float) -> float:
+    """The surface-layer inner product at one lattice time t_N: the
+    one-point case of `surface_layer_series`."""
+    return float(surface_layer_series(tr, k, [t_N])[0])
 
 
 def _dirac_data(grid: Grid) -> StateField:
@@ -801,11 +839,10 @@ def _dirac_single(cfg: DiracConfig) -> dict:
     step = max(1, (i_last - i_first) // 24)
     idx = list(range(i_first, i_last + 1, step))
     times = [tr.time(i) for i in idx]
-    series = [surface_layer_product(tr, kern, t) for t in times]
+    series = surface_layer_series(tr, kern, times)
     plain = [float(np.einsum("sf,sf->", np.conj(tr.values[i]),
                              tr.values[i]).real * grid.cell_volume)
              for i in idx]
-    series = np.asarray(series)
     plain = np.asarray(plain)
     drift = float(np.max(np.abs(series - series[0])) / abs(series[0]))
 

@@ -98,6 +98,9 @@ class SystemSpec:
     dA0_dt: Optional[Callable[[float], np.ndarray]] = None
     name: str = "system"
     plan: StepPlan = field(init=False, repr=False, compare=False)
+    # the slice weight, built by the first `inner_weight` call
+    _weight: Optional[InnerWeight] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -179,8 +182,13 @@ def ode_system(grid: Grid, S0, name: str = "ode") -> SystemSpec:
 
 def inner_weight(sys: SystemSpec) -> InnerWeight:
     """Slice weight beta * A0 (the time symbol of the conformally scaled
-    metric composed with the bundle metric)."""
-    return InnerWeight(sys.grid, sys.beta[:, None, None] * sys.A0, sys.beta)
+    metric composed with the bundle metric). Built and checked once per
+    system; every call returns that one weight, with a read-only matrix."""
+    if sys._weight is None:
+        w = InnerWeight(sys.grid, sys.beta[:, None, None] * sys.A0, sys.beta)
+        w.weight.flags.writeable = False
+        object.__setattr__(sys, "_weight", w)
+    return sys._weight
 
 
 def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import hypnl
 from conftest import gaussian_pulse
 from hypnl.grids import (StateField, frame_norms_sq, make_grid, norm_strip,
                          sample_trajectory)
@@ -248,10 +249,15 @@ def test_criterion_13_extended_system(capsys, extended_rep):
 
 def test_criterion_14_determinism(capsys, tmp_path):
     cfg = os.path.join(CONFIGS, "suite_small.json")
+    # the child imports the package this process imports, also where it is
+    # on the path only through pytest's `pythonpath` setting
+    pkg_root = os.path.dirname(os.path.dirname(hypnl.__file__))
+    path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH"))
+                           if p)
     outs = []
     for threads in ("1", "4"):
         out = str(tmp_path / f"suite{threads}")
-        env = dict(os.environ, HYPNL_THREADS=threads)
+        env = dict(os.environ, HYPNL_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "hypnl.cli", "run", "--config", cfg,
              "--out", out],

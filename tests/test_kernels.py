@@ -148,6 +148,9 @@ def _oracle_case(name, g):
     if name == "dense_advanced_switch_on":
         return make_dense(g, _rot_op, advanced=True, delta=0.5,
                           switch_on=0.75)
+    if name == "dense_post":
+        return dataclasses.replace(make_dense(g, _rot_op, delta=0.5),
+                                   post=np.array([[1.0, 0.5j], [0.0, 2.0]]))
     if name == "terms_two_sided":
         return make_modulated(g, _terms(g), delta=0.5)
     if name == "terms_retarded_switch_on":
@@ -189,12 +192,51 @@ def _terms(g):
 @pytest.mark.parametrize("name", [
     "separable", "convolution", "convolution_adjoint", "dense",
     "dense_identity", "dense_infinite_range", "dense_advanced_switch_on",
-    "terms_two_sided", "terms_retarded_switch_on", "terms_advanced",
-    "terms_infinite_range", "terms_adjoint_post"])
+    "dense_post", "terms_two_sided", "terms_retarded_switch_on",
+    "terms_advanced", "terms_infinite_range", "terms_adjoint_post"])
 def test_apply_all_matches_oracle(name):
     g = _grid()
     _assert_matches_oracle(_oracle_case(name, g), _traj(g, 15, index0=-3),
                            atol=1e-11)
+
+
+@pytest.mark.parametrize("d", [0, 6, 20])
+@pytest.mark.parametrize("name", [
+    "separable", "convolution", "convolution_adjoint", "dense_identity",
+    "dense_infinite_range", "dense_advanced_switch_on", "dense_post",
+    "terms_two_sided", "terms_retarded_switch_on", "terms_advanced",
+    "terms_infinite_range", "terms_adjoint_post"])
+def test_pair_band_matches_pair_apply(name, d):
+    """pair_band against dv <psi_i, pair_apply(t_i, t_{i+l}) psi_{i+l}>,
+    pair by pair: the admitted lags match, all others (outside the flags or
+    past the last frame) are 0. d = 20 runs past the trajectory."""
+    g = _grid()
+    k = _oracle_case(name, g)
+    tr = _traj(g, 18, index0=-3)
+    band = k.pair_band(tr, d)
+    assert band.shape == (d + 1, tr.n_frames)
+    ref = np.zeros_like(band)
+    for i in range(tr.n_frames):
+        for lag in range(min(d, tr.n_frames - 1 - i) + 1):
+            j = i + lag
+            bv = k.pair_apply(tr.time(i), tr.time(j), tr.values[j])
+            ref[lag, i] = np.vdot(tr.values[i], bv) * g.cell_volume
+    assert np.any(ref)
+    np.testing.assert_allclose(band, ref, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    np.testing.assert_array_equal(band[ref == 0], 0.0)
+
+
+def test_pair_band_chunks_hold_every_lag(monkeypatch):
+    """Convolution bands taken in frame chunks of d + 1 (the least allowed)
+    match one chunk over all frames."""
+    g = _grid()
+    k = _oracle_case("terms_two_sided", g)
+    tr = _traj(g, 19, index0=-3, n=40)
+    whole = k.pair_band(tr, 6)
+    monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", 1)
+    np.testing.assert_allclose(k.pair_band(tr, 6), whole, rtol=0,
+                               atol=1e-14 * np.max(np.abs(whole)))
 
 
 def test_apply_is_one_frame_of_apply_all():

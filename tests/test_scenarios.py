@@ -1,6 +1,7 @@
 """Scenario-level invariants that do not need the heavy baseline bundles:
 algebraic identities, closed-form profiles, and small-size oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import solve_ivp
 
 from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
                          norm_strip, sample_trajectory)
+from hypnl.kernels import adjoint, make_dense, make_separable
 from hypnl.systems import inner_weight, make_system, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
@@ -19,9 +21,11 @@ from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
                              counterexample_oracle, curl4, dirac_kernel,
                              dirac_system, div4,
                              drude_lorentz, extended_system_check,
-                             maxwell_system_1d, maxwell_system_3d,
+                             maxwell_kernel, maxwell_system_1d,
+                             maxwell_system_3d, ScenarioError,
                              spin_symmetry_defect, stencil_wavenumber,
-                             surface_layer_product, volterra_oracle)
+                             surface_layer_product, surface_layer_series,
+                             volterra_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,128 @@ def test_surface_product_with_dirac_kernel_matches_double_sum():
     val = surface_layer_product(tr, kern, tr.time(iN))
     assert corr != 0.0
     assert val == pytest.approx(nsq - 2.0 * corr, rel=1e-12)
+
+
+def _slab_surface_product(tr, k, t_N):
+    """Reference for surface_layer_series: the delta-slab apply_all it
+    replaced, one t_N at a time. The future half of the slab around t_N,
+    with the t_N frame halved, goes through apply_all; the outer trapezoid
+    runs over [t_N - delta, t_N]."""
+    dv = tr.grid.cell_volume
+    iN = tr.index_of(t_N)
+    nsq = float(np.einsum("sf,sf->", np.conj(tr.values[iN]),
+                          tr.values[iN]).real * dv)
+    d = int(math.floor(k.delta / tr.dt + 1e-9))
+    fut = tr.values[iN - d:iN + d + 1].copy()
+    fut[:d] = 0.0
+    fut[d] *= 0.5
+    bf = k.apply_all(Trajectory(tr.grid, tr.dt, tr.index0 + iN - d,
+                                fut))[:d + 1]
+    w = np.full(d + 1, tr.dt)
+    w[0] = w[-1] = 0.5 * tr.dt
+    per = np.einsum("isf,isf->i", np.conj(tr.values[iN - d:iN + 1]),
+                    bf).real * dv
+    return nsq - 2.0 * float(np.dot(w, per))
+
+
+_POST = np.array([[1.0, 0.5j], [-0.25, 2.0]])
+
+
+def _surface_case(name, g, t_mid):
+    """Kernels of every kind and flag combination on the Dirac grid; the
+    ones with a post carry a part of B_{t,t} that is not anti-Hermitian, so
+    the lag-0 pairs add to the product."""
+    cfg = DiracConfig(points=g.points, delta=0.25, T=0.5)
+    _, chi_dot = drude_lorentz(2.0, 1.0, 2.0)
+    if name == "dirac":
+        return dirac_kernel(cfg, g)[0]
+    if name == "dirac_post":
+        return dataclasses.replace(dirac_kernel(cfg, g)[0], post=_POST)
+    if name == "retarded":
+        return dataclasses.replace(maxwell_kernel(g, chi_dot, 0.2),
+                                   post=_POST, switch_on=-math.inf)
+    if name == "advanced":
+        return adjoint(maxwell_kernel(g, chi_dot, 0.3))
+    if name == "switch_on":
+        return dataclasses.replace(dirac_kernel(cfg, g)[0], post=_POST,
+                                   switch_on=t_mid)
+    if name in ("dense", "dense_retarded_switch_on"):
+        x = g.coords()[:, 0]
+        mat = np.array([[0.5, 1.0], [-2.0j, 1.0]])
+
+        def op(t, tau, v):
+            fac = (np.cos(3.0 * (t - tau))[:, None]
+                   + 1j * np.sin((t + tau)[:, None] + x))
+            return 20.0 * fac[..., None] * (v @ mat.T)
+        if name == "dense":
+            return make_dense(g, op, delta=0.2)
+        return dataclasses.replace(
+            make_dense(g, op, retarded=True, delta=0.25, switch_on=t_mid),
+            post=_POST)
+    if name == "separable":
+        x = g.coords()[:, 0]
+
+        def gfn(t, coords):
+            return np.stack([np.exp(-t * t) * np.sin(x), 1j * np.cos(t + x)],
+                            axis=1)
+
+        def hfn(t, coords):
+            return np.stack([np.cos(2.0 * t) + 0.0 * x,
+                             1.0 + 0.3 * np.cos(x - t)], axis=1)
+        prof = [sample_trajectory(g, fn, 0.25 * g.spacing, -40, 200)
+                for fn in (gfn, hfn)]
+        k = make_separable(prof, prof[::-1])
+        return dataclasses.replace(k, delta=0.2, post=20.0 * _POST)
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "dirac", "dirac_post", "retarded", "advanced", "switch_on", "dense",
+    "dense_retarded_switch_on", "separable"])
+def test_surface_series_matches_slab_oracle(name):
+    """The one-band series against the slab apply_all at every admissible
+    t_N, the first and the last included, to 1e-12 of the series maximum;
+    the correction to the slice norm is far above that tolerance."""
+    g = make_grid(1, 2.0 * math.pi, 32, 2)
+    dt = 0.25 * g.spacing
+    rng = np.random.default_rng(np.random.Philox(21))
+    n = 40
+    vals = (rng.standard_normal((n, g.sites, 2))
+            + 1j * rng.standard_normal((n, g.sites, 2)))
+    tr = Trajectory(g, dt, -17, vals)
+    k = _surface_case(name, g, tr.time(n // 2))
+    d = int(math.floor(k.delta / dt + 1e-9))
+    times = [tr.time(i) for i in range(d, n - d)]
+    ref = np.array([_slab_surface_product(tr, k, t) for t in times])
+    got = surface_layer_series(tr, k, times)
+    scale = float(np.max(np.abs(ref)))
+    corr = ref - surface_layer_series(tr, None, times)
+    assert float(np.max(np.abs(corr))) > 1e-5 * scale
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_surface_product_is_one_point_series():
+    """surface_layer_product is the series at one t_N, and agrees with that
+    t_N's entry of a longer series; a t_N whose slab leaves the trajectory
+    is refused."""
+    g = make_grid(1, 2.0 * math.pi, 32, 2)
+    dt = 0.25 * g.spacing
+    rng = np.random.default_rng(np.random.Philox(22))
+    vals = (rng.standard_normal((30, g.sites, 2))
+            + 1j * rng.standard_normal((30, g.sites, 2)))
+    tr = Trajectory(g, dt, 3, vals)
+    k = _surface_case("dirac_post", g, 0.0)
+    d = int(math.floor(k.delta / dt + 1e-9))
+    times = [tr.time(i) for i in range(d, 30 - d)]
+    series = surface_layer_series(tr, k, times)
+    for t, s in zip(times, series):
+        one = surface_layer_product(tr, k, t)
+        assert one == float(surface_layer_series(tr, k, [t])[0])
+        assert one == pytest.approx(
+            s, rel=0, abs=1e-12 * np.max(np.abs(series)))
+    for i in (d - 1, 30 - d):
+        with pytest.raises(ScenarioError):
+            surface_layer_product(tr, k, tr.time(i))
 
 
 def _dirac_sup_C_loop(cfg, pots, grid):

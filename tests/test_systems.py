@@ -1,12 +1,14 @@
 """Coefficient validation, adjoint identities, and JSON round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypnl.grids import StateField, diff4, make_grid
+from hypnl import systems
+from hypnl.grids import InnerWeight, StateField, diff4, make_grid
 from hypnl.scenarios import CounterexampleConfig, build_counterexample
 from hypnl.systems import (PROFILES, SystemError, adjoint_defect, apply_S,
                            evolution_rhs, inner_weight, make_system,
@@ -96,6 +98,22 @@ def test_inner_weight_is_beta_A0():
     w = inner_weight(sys)
     np.testing.assert_allclose(
         w.weight, np.broadcast_to(3.0 * A0, w.weight.shape), atol=1e-14)
+
+
+def test_inner_weight_is_built_once_per_system(monkeypatch):
+    """One InnerWeight per system, with a read-only matrix; a system made by
+    dataclasses.replace builds its own."""
+    g = make_grid(1, 1.0, 8, 2)
+    sys = make_system(g, np.diag([2.0, 1.0]), [np.zeros((2, 2))])
+    built = []
+    monkeypatch.setattr(systems, "InnerWeight",
+                        lambda *a: built.append(a) or InnerWeight(*a))
+    w = inner_weight(sys)
+    assert inner_weight(sys) is w and len(built) == 1
+    assert not w.weight.flags.writeable
+    other = dataclasses.replace(sys, beta=2.0 * np.ones(g.sites))
+    np.testing.assert_array_equal(inner_weight(other).weight, 2.0 * w.weight)
+    assert len(built) == 2
 
 
 def test_indefinite_A0_rejected():
