@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import os
+import platform
 import sys
 import typing
 from typing import Optional
@@ -369,6 +370,20 @@ def _series_csv(path: str, header: list, columns: list) -> None:
                          for v in row])
 
 
+# the thread settings a run's manifest records (None where unset)
+_THREAD_VARS = ("HYPNL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The interpreter, numpy, platform and thread settings of this run;
+    only the manifest records it, never the CSVs or report.json."""
+    doc = {"python": platform.python_version(), "numpy": np.__version__,
+           "platform": platform.platform()}
+    doc.update((name, os.environ.get(name)) for name in _THREAD_VARS)
+    return doc
+
+
 def _manifest(cfg: RunConfig, outdir: str, constants: dict,
               extra: Optional[dict] = None) -> None:
     doc = {
@@ -379,6 +394,7 @@ def _manifest(cfg: RunConfig, outdir: str, constants: dict,
         "seed": cfg.seed,
         "constants": {k: (v if math.isfinite(v) else str(v))
                       for k, v in constants.items()},
+        "env": _environment(),
     }
     if extra:
         doc.update(extra)

@@ -12,6 +12,18 @@ The kernel is applied once per iterate: B psi^(n) is the next source, and by
 linearity the running sum of these sources is B applied to the partial sum,
 which the residual uses (residual histories agree with re-applying B to the
 partial sum to 1e-12 of each series' maximum).
+
+Loop basis: a run keeps its iterates, sources, B psi, the running sums and
+the partial sum on the Fourier modes when the plan's recurrence runs on the
+modes, the kernel commutes with translations
+(`TimeKernel.translation_invariant`) and the inner weight is the same at
+every site; otherwise on the sites. The transform is the unitary
+`grids.to_modes`: the local solves, B and S (with D_j the stencil symbol,
+`grids.mode_diff4`) commute with it, and by Parseval every norm the loop
+takes is unchanged, so the two bases give the same series to round-off.
+The data and source are transformed once per run; only the partial sum
+goes back to the sites, and whatever a monitor or the short-range window
+check reads.
 """
 
 from __future__ import annotations
@@ -23,10 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import (_CHUNK_VALUES, StateField, Trajectory, frame_norms_sq,
-                    norm_strip, norm_t, trapezoid_sum)
+from .grids import (_CHUNK_VALUES, StateField, Trajectory, diff4,
+                    frame_norms_sq, mode_diff4, norm_t, to_modes,
+                    trapezoid_sum)
 from .kernels import TimeKernel, estimate_bound
-from .solver import SolveAborted, SolveOptions, solve_local
+from .solver import LocalSolver, SolveAborted, SolveOptions
 from .systems import SystemSpec, _fiber_apply, apply_S, inner_weight
 from .diagnostics import measure_D
 
@@ -88,15 +101,12 @@ def _aligned_source_values(phi: Trajectory, tr: Trajectory) -> np.ndarray:
     return out
 
 
-def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
-                    psi: Trajectory, phi: Optional[Trajectory],
-                    strip: Optional[tuple] = None) -> Trajectory:
-    """(S - B) psi - phi on the interior frames of psi (those inside `strip`
-    when given), with d_t psi by centered frame differences (O(dt^2)).
-    `b_psi` is B psi on every frame of psi (None without a kernel): a caller
-    holding a kernel k passes k.apply_all(psi), the Dyson loop passes the
-    running sum of its sources, which equals it by linearity. S is applied
-    to stacks of frames, at most _CHUNK_VALUES values at a time."""
+def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
+                   psi: Trajectory, phi: Optional[Trajectory],
+                   strip: Optional[tuple], deriv: Callable) -> tuple:
+    """(lo, hi, chunks) of equation_defect: the first and last interior
+    frame of psi in the strip, and an iterator over the defect on
+    consecutive stacks of those frames, at most _CHUNK_VALUES values each."""
     F = psi.n_frames
     if F < 3:
         raise DysonError("need at least 3 frames for the centered residual")
@@ -111,29 +121,58 @@ def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
         raise DysonError("empty residual strip (insufficient padding)")
     phi_vals = _aligned_source_values(phi, psi) if phi is not None else None
     v, times = psi.values, psi.times()
-    out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber), dtype=complex)
     step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
-    for a in range(lo, hi + 1, step):
-        e = min(a + step, hi + 1)
-        dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
-        d = apply_S(sys, v[a:e], dpsi, times[a:e])
-        if b_psi is not None:
-            d -= b_psi[a:e]
-        if phi_vals is not None:
-            d -= phi_vals[a:e]
-        out[a - lo:e - lo] = d
-    return Trajectory(sys.grid, dt, psi.index0 + lo, out)
+
+    def chunks():
+        for a in range(lo, hi + 1, step):
+            e = min(a + step, hi + 1)
+            dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
+            d = apply_S(sys, v[a:e], dpsi, times[a:e], deriv)
+            if b_psi is not None:
+                d -= b_psi[a:e]
+            if phi_vals is not None:
+                d -= phi_vals[a:e]
+            yield d
+    return lo, hi, chunks()
+
+
+def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
+                    psi: Trajectory, phi: Optional[Trajectory],
+                    strip: Optional[tuple] = None,
+                    deriv: Callable = diff4) -> Trajectory:
+    """(S - B) psi - phi on the interior frames of psi (those inside `strip`
+    when given), with d_t psi by centered frame differences (O(dt^2)).
+    `b_psi` is B psi on every frame of psi (None without a kernel): a caller
+    holding a kernel k passes k.apply_all(psi), the Dyson loop passes the
+    running sum of its sources, which equals it by linearity. S is applied
+    to stacks of frames, at most _CHUNK_VALUES values at a time; `deriv` is
+    its D_j (see systems.apply_S), `grids.mode_diff4` for Fourier-mode
+    values."""
+    lo, hi, chunks = _defect_chunks(sys, b_psi, psi, phi, strip, deriv)
+    out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber),
+                   dtype=complex)
+    a = 0
+    for d in chunks:
+        out[a:a + len(d)] = d
+        a += len(d)
+    return Trajectory(sys.grid, psi.dt, psi.index0 + lo, out)
 
 
 def residual(sys: SystemSpec, b_psi: Optional[np.ndarray], psi: Trajectory,
-             phi: Optional[Trajectory],
-             strip: Optional[tuple] = None) -> float:
+             phi: Optional[Trajectory], strip: Optional[tuple] = None,
+             deriv: Callable = diff4) -> float:
     """Strip norm of the equation defect (S - B) psi - phi over the inner
     strip; endpoint frames are excluded. `b_psi` is B psi as in
     equation_defect: for a Dyson partial sum, the sum of the iterates'
-    sources by linearity (equal to k.apply_all(psi) to round-off)."""
-    return norm_strip(equation_defect(sys, b_psi, psi, phi, strip),
-                      inner_weight(sys))
+    sources by linearity (equal to k.apply_all(psi) to round-off). The
+    defect's frame norms are taken one chunk at a time, so the defect is
+    never held whole; the result equals norm_strip of equation_defect
+    bitwise."""
+    w = inner_weight(sys)
+    _, _, chunks = _defect_chunks(sys, b_psi, psi, phi, strip, deriv)
+    sq = np.concatenate([frame_norms_sq(Trajectory(sys.grid, psi.dt, 0, d), w)
+                         for d in chunks])
+    return math.sqrt(max(trapezoid_sum(sq, psi.dt), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +230,17 @@ def result_to_csv(res: DysonResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 # iteration driver
 
-def _two_sided_solve(sys: SystemSpec, src: Optional[Trajectory],
+def _two_sided_solve(solver: LocalSolver, src: Optional[Trajectory],
                      data: StateField, t_lo: float, t_hi: float,
-                     opts: SolveOptions) -> Trajectory:
-    """Solve from data at t=0 in both directions and merge on one lattice."""
-    fwd = solve_local(sys, src, data, 0.0, t_hi, opts)
+                     in_basis: bool) -> Trajectory:
+    """Solve from data at t=0 in both directions (forward only for t_lo = 0)
+    and merge on one lattice."""
+    fwd = solver.solve(src, data, 0.0, t_hi, in_basis)
     if t_lo >= -1e-15:
         return fwd
-    bwd = solve_local(sys, src, data, 0.0, t_lo, opts)
+    bwd = solver.solve(src, data, 0.0, t_lo, in_basis)
     vals = np.concatenate([bwd.values[:-1], fwd.values])
-    return Trajectory(sys.grid, opts.dt, bwd.index0, vals)
+    return Trajectory(fwd.grid, fwd.dt, bwd.index0, vals)
 
 
 def _norms(tr: Trajectory, w) -> tuple:
@@ -209,17 +249,19 @@ def _norms(tr: Trajectory, w) -> tuple:
             math.sqrt(max(trapezoid_sum(sq, tr.dt), 0.0)))
 
 
-def _window_contamination(src: Trajectory, n: int, delta: float, W: float,
-                          T: float, n_max: int) -> bool:
-    """True when boundary clipping at this iterate can reach the inner strip
-    [0, T] within the remaining iteration budget. Clipping only happens where
-    the applied source is live within delta of the window boundary; the
-    resulting error then travels inward by at most delta per iterate, so with
-    W >= n_max * delta it can never contaminate the strip."""
-    if not math.isfinite(delta):
-        return False
-    if (n_max - n) * delta <= W - delta + 1e-9:
-        return False
+def _window_can_clip(n: int, delta: float, W: float, n_max: int) -> bool:
+    """Whether boundary clipping at iterate n can reach the inner strip
+    within the remaining iteration budget. Clipping only happens where the
+    applied source is live within delta of the window boundary; the
+    resulting error then travels inward by at most delta per iterate, so
+    with W >= n_max * delta it can never contaminate the strip."""
+    return math.isfinite(delta) and (n_max - n) * delta > W - delta + 1e-9
+
+
+def _window_contamination(src: Trajectory, delta: float, W: float,
+                          T: float) -> bool:
+    """True when the source (site values) is live, above 1e-10 of its peak,
+    within delta of the window boundary of [-W, T + W]."""
     amp = np.max(np.abs(src.values), axis=(1, 2))
     peak = float(np.max(amp))
     if peak == 0.0:
@@ -231,14 +273,43 @@ def _window_contamination(src: Trajectory, n: int, delta: float, W: float,
     return bool(np.max(amp[mask]) > 1e-10 * peak)
 
 
+def _runs_on_modes(sys: SystemSpec, k: Optional[TimeKernel],
+                   solver: LocalSolver) -> bool:
+    """Whether a Dyson run keeps its iterates on the Fourier modes: the plan
+    is a recurrence on the modes, k commutes with translations and the inner
+    weight is the same at every site. Then the local solves, B, S and every
+    norm commute with the unitary `grids.to_modes` (the norms by Parseval)."""
+    if solver.basis != "modes" or k is None or not k.translation_invariant:
+        return False
+    w = inner_weight(sys).weight
+    return bool(np.all(w == w[0]))
+
+
+def _on_modes(tr: Optional[Trajectory], modes: bool,
+              inverse: bool = False) -> Optional[Trajectory]:
+    """tr with its values taken to the Fourier modes (or back); tr itself
+    on a sites run."""
+    if tr is None or not modes:
+        return tr
+    return Trajectory(tr.grid, tr.dt, tr.index0,
+                      to_modes(tr.grid, tr.values, inverse))
+
+
 def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                    short_range, W, n_min, monitor, constants):
-    if short_range:
-        t_lo, t_hi = -W, T + W
-        solve = lambda src, d: _two_sided_solve(sys, src, d, t_lo, t_hi, opts)
-    else:
-        t_lo, t_hi = 0.0, T
-        solve = lambda src, d: solve_local(sys, src, d, 0.0, T, opts)
+    grid = sys.grid
+    t_lo, t_hi = (-W, T + W) if short_range else (0.0, T)
+    solver = LocalSolver(sys, opts)
+    # the loop's basis: everything below runs on it, and only the partial
+    # sum, and what a monitor or the window check reads, go back to sites
+    modes = _runs_on_modes(sys, k, solver)
+    deriv = mode_diff4(grid) if modes else diff4
+    phi = _on_modes(phi, modes)
+    if modes:
+        data = StateField(grid, data.time, to_modes(grid, data.values))
+
+    def solve(src, d):
+        return _two_sided_solve(solver, src, d, t_lo, t_hi, modes)
 
     w = inner_weight(sys)
     psi = solve(phi, data)
@@ -262,12 +333,12 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
     n_used = 0
 
     if monitor is not None:
-        monitor(0, psi, None)
+        monitor(0, _on_modes(psi, modes, inverse=True), None)
     # b = B psi^(n) is the source of iterate n + 1, and by linearity the
     # running sum b_sum of these is B applied to the partial sum
     b = k.apply_all(psi) if k is not None else None
     b_sum = b
-    residuals = [residual(sys, b_sum, total, phi, strip=(0.0, T))]
+    residuals = [residual(sys, b_sum, total, phi, (0.0, T), deriv)]
 
     plateau = 0
     blowup = 0
@@ -276,8 +347,10 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
             verdict = ("Converged"
                        if residuals[-1] <= tol_residual else "Stalled")
             break
-        src = Trajectory(sys.grid, psi.dt, psi.index0, b)
-        if short_range and _window_contamination(src, n, delta, W, T, n_max):
+        src = Trajectory(grid, psi.dt, psi.index0, b)
+        if (short_range and _window_can_clip(n, delta, W, n_max)
+                and _window_contamination(_on_modes(src, modes, inverse=True),
+                                          delta, W, T)):
             raise DysonError(f"window exhausted at iterate {n}: support "
                              f"reaches the clipped boundary of [-{W}, {T + W}]")
         src_sup, src_strip = _norms(src, w)
@@ -285,25 +358,32 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
             verdict = ("Converged"
                        if residuals[-1] <= tol_residual else "Stalled")
             break
+        psi = None              # release psi^(n-1) before solving for psi^(n)
         try:
-            psi = solve(src, StateField(sys.grid, 0.0, sys.grid.zeros()))
+            psi = solve(src, StateField(grid, 0.0, grid.zeros()))
         except SolveAborted:
             verdict = "Diverged"
             break
-        total = total.plus(psi)
+        # total is psi^(0) until it gets its own array here; later iterates
+        # are added in place
+        if n == 1:
+            total = total.plus(psi)
+        else:
+            np.add(total.values, psi.values, out=total.values)
         sup_n, strip_n = _norms(psi, w)
         sup_norms.append(sup_n)
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
         n_used = n
         if monitor is not None:
-            monitor(n, psi, src)
+            monitor(n, _on_modes(psi, modes, inverse=True),
+                    _on_modes(src, modes, inverse=True))
         src = b = None          # release the old source before B psi^(n)
         b = k.apply_all(psi)
         # b_sum is B psi^(0), the source just used, until it gets its own
         # array here; later terms are added in place
         b_sum = b_sum + b if n == 1 else np.add(b_sum, b, out=b_sum)
-        residuals.append(residual(sys, b_sum, total, phi, strip=(0.0, T)))
+        residuals.append(residual(sys, b_sum, total, phi, (0.0, T), deriv))
 
         prev = strip_norms[-2]
         r = strip_n / prev if prev > 0 else math.inf
@@ -325,6 +405,12 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                 break
     if verdict is None:
         verdict = "Stalled"
+    if modes:
+        # back to the sites in place, a chunk of frames at a time
+        v = total.values
+        step = max(1, _CHUNK_VALUES // (grid.sites * grid.fiber))
+        for a in range(0, len(v), step):
+            v[a:a + step] = to_modes(grid, v[a:a + step], inverse=True)
 
     cfg = dict(constants)
     cfg.update({"T": T, "delta": delta, "tol": tol,

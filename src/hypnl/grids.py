@@ -323,6 +323,47 @@ def stencil_wavenumber(k: float, h: float) -> float:
     return (8.0 * math.sin(k * h) - math.sin(2.0 * k * h)) / (6.0 * h)
 
 
+def to_modes(grid: Grid, values: np.ndarray,
+             inverse: bool = False) -> np.ndarray:
+    """(..., sites, c) values on the Fourier modes of the torus, or back from
+    them: the unitary np.fft.fftn (norm="ortho") over the spatial axes. By
+    Parseval it keeps every slice norm and inner product whose weight is the
+    same at every site."""
+    lead = values.shape[:-2]
+    shaped = values.reshape(lead + (grid.points,) * grid.dim
+                            + values.shape[-1:])
+    axes = tuple(range(len(lead), len(lead) + grid.dim))
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return fft(shaped, axes=axes, norm="ortho").reshape(values.shape)
+
+
+def mode_axes(grid: Grid) -> np.ndarray:
+    """theta_j = 2 pi m_j / points of every Fourier mode m, shape (dim, sites),
+    modes in `to_modes` order."""
+    theta = 2.0 * np.pi * np.fft.fftfreq(grid.points)
+    return theta[np.indices((grid.points,) * grid.dim).reshape(grid.dim,
+                                                               grid.sites)]
+
+
+def stencil_symbols(grid: Grid) -> np.ndarray:
+    """i sigma(theta_j), shape (dim, sites): diff4 along axis j multiplies
+    Fourier mode m by it, sigma(theta) = (8 sin theta - sin 2 theta) / (6 dx)
+    being stencil_wavenumber at k = theta / dx."""
+    theta = mode_axes(grid)
+    return 1j * ((8.0 * np.sin(theta) - np.sin(2.0 * theta))
+                 / (6.0 * grid.spacing))
+
+
+def mode_diff4(grid: Grid):
+    """diff4 for Fourier-mode values (see `to_modes`), with diff4's
+    signature: multiplication by the stencil symbol of the axis."""
+    symbols = stencil_symbols(grid)[..., None]
+
+    def deriv(g: Grid, values: np.ndarray, axis: int) -> np.ndarray:
+        return values * symbols[axis]
+    return deriv
+
+
 def diff_upwind(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     """First-order one-sided derivative; deliberately not skew-symmetric
     (documented failure mode for the integration-by-parts identity)."""

@@ -157,6 +157,19 @@ class TimeKernel:
             j0 = np.maximum(j0, jt0)
         return j0, j1
 
+    @property
+    def translation_invariant(self) -> bool:
+        """True when B commutes with the translations of the torus, so that
+        it acts on Fourier-mode values (`grids.to_modes`) as on site values:
+        a convolution kernel whose every M has no site profile and at most
+        one (f, f) matrix, with `post` None or one (f, f) matrix."""
+        if self.kind != "convolution" or (self.post is not None
+                                          and self.post.ndim != 2):
+            return False
+        return all(M is None or (M[0] is None and (M[1] is None
+                                                   or M[1].ndim == 2))
+                   for M in (term.M for term in self.data["terms"]))
+
     # -- application ---------------------------------------------------------
 
     def pair_apply(self, t: float, tau: float, values: np.ndarray) -> np.ndarray:

@@ -23,10 +23,11 @@ it, and there is no setting:
   or every coefficient the same at every site): one RK4 step of the linear
   autonomous system is exactly y+ = R y + P0 s_n + P1 s_n+1, block-diagonal
   on the sites or on the Fourier modes of the torus. R, P0 and P1 are built
-  once per solve, the data and source frames are transformed once, each step
-  is one batched matvec and one add, and the frames are transformed back
-  once. The frames agree with the per-step loop to round-off: below 1e-14
-  of the largest frame value, tested at 1e-13.
+  once per LocalSolver and direction, the data and source frames are
+  transformed once per solve, each step is one batched matvec and one add,
+  and the frames are transformed back once. The frames agree with the
+  per-step loop to round-off: below 1e-14 of the largest frame value,
+  tested at 1e-13.
 * Stepping (a time-dependent S0, or a spatial term or dissipation with a
   coefficient that varies by site): the RK4 loop, each stage applying the
   plan, writing each frame into one preallocated array; bitwise equal to
@@ -42,6 +43,14 @@ stages, sampled as the loop samples them, first read a non-finite source
 frame. On the Fourier modes, a solve within a factor of `sites` of overflow
 may abort one step earlier than the loop, and real data picks up imaginary
 round-off.
+
+The recurrence is split from its transforms: `LocalSolver.solve(...,
+in_basis=True)` takes the data and source already in the basis and returns
+the frames in it. The transform to the modes is the unitary
+`grids.to_modes`, so by Parseval a slice norm whose weight is the same at
+every site reads the same on the modes as on the sites. A Dyson run whose
+kernel also commutes with translations keeps its iterates on the modes
+this way (the loop-basis rule in `dyson`).
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .grids import (_CHUNK_VALUES, Grid, StateField, Trajectory,
-                    ko_dissipation, stencil_wavenumber)
+                    ko_dissipation, mode_axes, stencil_symbols, to_modes)
 from .systems import SystemSpec, _fiber_apply, evolution_rhs
 
 
@@ -225,14 +234,8 @@ def _basis(sys: SystemSpec, eps: float) -> Optional[str]:
 def _transform(grid: Grid, basis: str, values: np.ndarray,
                inverse: bool = False) -> np.ndarray:
     """(..., sites, f) values in the basis (or back from it): the identity on
-    the sites, np.fft.fftn over the spatial axes on the modes."""
-    if basis == "sites":
-        return values
-    lead = values.shape[:-2]
-    shaped = values.reshape(lead + (grid.points,) * grid.dim + (grid.fiber,))
-    axes = tuple(range(len(lead), len(lead) + grid.dim))
-    fft = np.fft.ifftn if inverse else np.fft.fftn
-    return fft(shaped, axes=axes).reshape(values.shape)
+    the sites, the unitary `grids.to_modes` on the modes."""
+    return values if basis == "sites" else to_modes(grid, values, inverse)
 
 
 def _generator(sys: SystemSpec, eps: float, basis: str,
@@ -244,25 +247,24 @@ def _generator(sys: SystemSpec, eps: float, basis: str,
         L(k) = A0^{-1} (S0 - i sum_j sigma(theta_j) A^j)
                - (eps / dx) sum_j sin^4(theta_j / 2) I,
 
-    with sigma the stencil symbol and theta_j = 2 pi m_j / points; the last
-    term is the Kreiss-Oliger dissipation."""
+    with i sigma the stencil symbol (`grids.stencil_symbols`) and
+    theta_j = 2 pi m_j / points; the last term is the Kreiss-Oliger
+    dissipation."""
     plan, g = sys.plan, sys.grid
     f = g.fiber
     a0_inv = np.eye(f) if plan.A0_inv is None else plan.A0_inv
     gen = a0_inv @ plan.S0 if plan.S0 is not None else np.zeros((f, f))
     if basis == "sites":
         return gen
-    h = g.spacing
-    theta = 2.0 * np.pi * np.fft.fftfreq(g.points)
-    sigma = np.array([stencil_wavenumber(th / h, h) for th in theta.tolist()])
-    axis = np.indices((g.points,) * g.dim).reshape(g.dim, g.sites)[:, modes]
-    out = np.empty((axis.shape[1], f, f), dtype=complex)
+    symbols = stencil_symbols(g)[:, modes]
+    out = np.empty((symbols.shape[1], f, f), dtype=complex)
     out[:] = gen
     for j, a in plan.Aj:
         m = a0_inv if a is None else a0_inv @ a
-        out -= 1j * sigma[axis[j]][:, None, None] * m
+        out -= symbols[j][:, None, None] * m
     if eps > 0.0:
-        ko = (eps / h) * np.sum(np.sin(0.5 * theta)[axis] ** 4, axis=0)
+        theta = mode_axes(g)[:, modes]
+        ko = (eps / g.spacing) * np.sum(np.sin(0.5 * theta) ** 4, axis=0)
         out[:, np.arange(f), np.arange(f)] -= ko[:, None]
     return out
 
@@ -316,7 +318,7 @@ def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
     return (lo, hi) if lo <= hi else None
 
 
-def _forcings(sys: SystemSpec, phi: Optional[Trajectory], basis: str,
+def _forcings(sys: SystemSpec, phi: Optional[Trajectory], xf: str,
               mats: np.ndarray, h: float, i0: int, sgn: int, n_steps: int,
               block: int) -> Iterator:
     """The source term of every step of the recurrence, in blocks of at most
@@ -325,7 +327,7 @@ def _forcings(sys: SystemSpec, phi: Optional[Trajectory], basis: str,
     s = A0^{-1} source in the basis; a step with only one end in the window
     has no midpoint stage, so it adds Q0 s_n or Q1 s_n+1, which is the same
     sum less (P1 - (h/6) I) applied to its one source frame. Each source
-    frame is transformed once."""
+    frame is transformed from `xf` once (see _recurrence)."""
     window = _source_window(phi, i0, sgn, n_steps)
     if window is None:
         yield from itertools.repeat(None)
@@ -347,8 +349,8 @@ def _forcings(sys: SystemSpec, phi: Optional[Trajectory], basis: str,
         if first <= hi:
             rows = i0 + sgn * np.arange(first, hi + 1) - phi.index0
             frames[first - a:hi - a + 1] = _transform(
-                sys.grid, basis, _fiber_apply(sys.plan.A0_inv,
-                                              phi.values[rows]))
+                sys.grid, xf, _fiber_apply(sys.plan.A0_inv,
+                                           phi.values[rows]))
         carry = frames[-1]
         # batched matmuls with the frames as matrix columns: on per-mode
         # stacks far faster than _fiber_apply's broadcasting einsum
@@ -364,18 +366,20 @@ def _forcings(sys: SystemSpec, phi: Optional[Trajectory], basis: str,
 
 
 def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
-                basis: str, eps: float, h: float, i0: int, sgn: int,
+                xf: str, mats: np.ndarray, h: float, i0: int, sgn: int,
                 n_steps: int, se: int, stored: np.ndarray) -> int:
-    """Solve as the recurrence y+ = R y + (source term) in `basis`, one
-    block-diagonal matvec and one add per step, and write every se-th frame
-    into `stored` (stepping order, from index 1) back in the site basis.
-    Returns the number of steps taken before the first non-finite one."""
+    """Solve as the recurrence y+ = R y + (source term), one block-diagonal
+    matvec and one add per step, with `mats` = (R, P0, P1) of the basis, and
+    write every se-th frame into `stored` (stepping order, from index 1).
+    `xf` is the basis the data, source and frames are transformed from and
+    back to: the recurrence's own basis for site values, "sites" (no
+    transform) for values already in it. Returns the number of steps taken
+    before the first non-finite one."""
     grid = sys.grid
-    mats = _step_matrices(sys, eps, basis, h)
     r = mats[0]
-    y = _transform(grid, basis, data.values)
+    y = _transform(grid, xf, data.values)
     block = max(1, _CHUNK_VALUES // y.size)
-    forcings = _forcings(sys, phi, basis, mats, h, i0, sgn, n_steps, block)
+    forcings = _forcings(sys, phi, xf, mats, h, i0, sgn, n_steps, block)
     n_ok = n_steps
     for s in range(n_steps):
         if s % block == 0:
@@ -388,12 +392,12 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
             break
         if (s + 1) % se == 0:
             stored[(s + 1) // se] = y
-    del forcings, mats, r
-    if basis == "modes":
+    del forcings
+    if xf == "modes":
         n_kept = n_ok // se + 1
         for a in range(1, n_kept, block):
             b = min(a + block, n_kept)
-            stored[a:b] = _transform(grid, basis, stored[a:b], inverse=True)
+            stored[a:b] = _transform(grid, xf, stored[a:b], inverse=True)
     return n_ok
 
 
@@ -443,6 +447,89 @@ def _aborted(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int, s: int,
         partial, last_stable=last)
 
 
+class LocalSolver:
+    """Local solves of one system with one SolveOptions (see solve_local).
+    The recurrence's step matrices (R, P0, P1) are built at the first solve
+    in each direction and kept, so that a caller making many solves, such as
+    a Dyson run, builds them once. `basis` is the recurrence's basis ("sites"
+    or "modes", see _basis), None when the solves step RK4 or take the
+    state-free running sum."""
+
+    def __init__(self, sys: SystemSpec, opts: SolveOptions):
+        self.sys, self.opts = sys, opts
+        eps = opts.dissipation
+        self.basis = None if _state_free(sys, eps) else _basis(sys, eps)
+        self._mats: dict = {}         # direction -> (R, P0, P1)
+
+    def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
+              t1: float, in_basis: bool = False) -> Trajectory:
+        """Integrate S psi = phi from data at t0 to t1, as solve_local. With
+        `in_basis`, `phi`, `data` and the returned frames hold values in
+        `basis` (on the modes: `grids.to_modes` of the site values), and the
+        recurrence runs without transforms."""
+        sys, opts = self.sys, self.opts
+        if in_basis and self.basis is None:
+            raise SolverError("only a recurrence solves in its basis")
+        if data.grid != sys.grid:
+            raise SolverError("data grid mismatch")
+        if abs(data.time - t0) > 1e-9 * max(1.0, abs(t0)):
+            raise SolverError(f"data time {data.time} != t0 = {t0}")
+        check_cfl(sys, opts)
+        dt = opts.dt
+        i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
+        if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
+            raise SolverError(f"source lattice dt={phi.dt} != solver dt={dt}")
+        se = opts.store_every
+        if se > 1 and i0 % se != 0:
+            raise SolverError("t0 must sit on the decimated frame lattice")
+        eps = opts.dissipation
+        n_steps = abs(i1 - i0)
+        sgn = 1 if i1 >= i0 else -1
+        h = sgn * dt
+        t = (i0 + sgn * np.arange(n_steps)) * dt
+        index = [None if phi is None else _source_index(phi, dt, ts)
+                 for ts in (t, t + 0.5 * h, t + h)]
+
+        if _state_free(sys, eps):
+            frames = _running_sum(sys, phi, index, data.values, h, n_steps)
+            bad = _first_non_finite(frames[1:])
+            if bad is not None:
+                raise _aborted(sys, opts, i0, sgn, bad,
+                               np.ascontiguousarray(frames[:bad + 1:se][::sgn]))
+            return _stored(sys, opts, i0, sgn,
+                           np.ascontiguousarray(frames[::se][::sgn]))[0]
+
+        # frames in increasing time; `stored` views them in stepping order
+        vals = np.empty((n_steps // se + 1,) + data.values.shape, dtype=complex)
+        stored = vals[::sgn]
+        stored[0] = data.values
+        if self.basis is not None:
+            if sgn not in self._mats:
+                self._mats[sgn] = _step_matrices(sys, eps, self.basis, h)
+            n_run = _source_abort_step(phi, index, n_steps)
+            n_ok = _recurrence(sys, phi, data,
+                               "sites" if in_basis else self.basis,
+                               self._mats[sgn], h, i0, sgn, n_run, se, stored)
+            bad = _first_non_finite(stored[1:n_ok // se + 1])
+            if bad is not None:
+                n_ok = (bad + 1) * se - 1
+            if n_ok < n_steps:
+                raise _aborted(sys, opts, i0, sgn, n_ok,
+                               stored[:n_ok // se + 1][::sgn])
+            return _stored(sys, opts, i0, sgn, vals)[0]
+
+        y = stored[0]
+        sources = zip(*(_step_sources(phi, ix) for ix in index))
+        for s, (ts, src) in enumerate(zip(t.tolist(), sources)):
+            keep = (s + 1) % se == 0
+            y = _rk4_step(sys, y, ts, h, src, eps,
+                          out=stored[(s + 1) // se] if keep else None)
+            if not np.all(np.isfinite(y.view(float))):
+                raise _aborted(sys, opts, i0, sgn, s,
+                               stored[:s // se + 1][::sgn])
+        return _stored(sys, opts, i0, sgn, vals)[0]
+
+
 def solve_local(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
                 t0: float, t1: float, opts: SolveOptions) -> Trajectory:
     """Integrate S psi = phi from data at t0 to t1 (either direction).
@@ -450,61 +537,7 @@ def solve_local(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     frame at t0 equals `data` bitwise. With store_every > 1 only the frames
     on the decimated lattice are kept (callers feeding kernels must use
     store_every = 1)."""
-    if data.grid != sys.grid:
-        raise SolverError("data grid mismatch")
-    if abs(data.time - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise SolverError(f"data time {data.time} != t0 = {t0}")
-    check_cfl(sys, opts)
-    dt = opts.dt
-    i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
-    if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
-        raise SolverError(f"source lattice dt={phi.dt} != solver dt={dt}")
-    se = opts.store_every
-    if se > 1 and i0 % se != 0:
-        raise SolverError("t0 must sit on the decimated frame lattice")
-    eps = opts.dissipation
-    n_steps = abs(i1 - i0)
-    sgn = 1 if i1 >= i0 else -1
-    h = sgn * dt
-    t = (i0 + sgn * np.arange(n_steps)) * dt
-    index = [None if phi is None else _source_index(phi, dt, ts)
-             for ts in (t, t + 0.5 * h, t + h)]
-
-    if _state_free(sys, eps):
-        frames = _running_sum(sys, phi, index, data.values, h, n_steps)
-        bad = _first_non_finite(frames[1:])
-        if bad is not None:
-            raise _aborted(sys, opts, i0, sgn, bad,
-                           np.ascontiguousarray(frames[:bad + 1:se][::sgn]))
-        return _stored(sys, opts, i0, sgn,
-                       np.ascontiguousarray(frames[::se][::sgn]))[0]
-
-    basis = _basis(sys, eps)
-    # frames in increasing time; `stored` views them in stepping order
-    vals = np.empty((n_steps // se + 1,) + data.values.shape, dtype=complex)
-    stored = vals[::sgn]
-    stored[0] = data.values
-    if basis is not None:
-        n_run = _source_abort_step(phi, index, n_steps)
-        n_ok = _recurrence(sys, phi, data, basis, eps, h, i0, sgn, n_run, se,
-                           stored)
-        bad = _first_non_finite(stored[1:n_ok // se + 1])
-        if bad is not None:
-            n_ok = (bad + 1) * se - 1
-        if n_ok < n_steps:
-            raise _aborted(sys, opts, i0, sgn, n_ok,
-                           stored[:n_ok // se + 1][::sgn])
-        return _stored(sys, opts, i0, sgn, vals)[0]
-
-    y = stored[0]
-    sources = zip(*(_step_sources(phi, ix) for ix in index))
-    for s, (ts, src) in enumerate(zip(t.tolist(), sources)):
-        keep = (s + 1) % se == 0
-        y = _rk4_step(sys, y, ts, h, src, eps,
-                      out=stored[(s + 1) // se] if keep else None)
-        if not np.all(np.isfinite(y.view(float))):
-            raise _aborted(sys, opts, i0, sgn, s, stored[:s // se + 1][::sgn])
-    return _stored(sys, opts, i0, sgn, vals)[0]
+    return LocalSolver(sys, opts).solve(phi, data, t0, t1)
 
 
 def evolution_op(sys: SystemSpec, tau: float, t: float, data: StateField,

@@ -202,16 +202,19 @@ def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
                      for ti, v in zip(t, values)])
 
 
-def _spatial_terms(sys: SystemSpec, values: np.ndarray) -> Iterator:
+def _spatial_terms(sys: SystemSpec, values: np.ndarray,
+                   deriv: Callable = diff4) -> Iterator:
     """A^j D_j psi for every live A^j, each differentiating only the fiber
     columns its A^j reads: equal to the full product except where a zero
-    column's term would add a signed zero or carry a non-finite value."""
+    column's term would add a signed zero or carry a non-finite value.
+    `deriv` is D_j with diff4's signature: diff4 on site values,
+    `grids.mode_diff4` on Fourier-mode values (site-constant A^j only)."""
     for (j, a), cols in zip(sys.plan.Aj, sys.plan.reads):
         if cols is None:
-            yield _fiber_apply(a, diff4(sys.grid, values, j))
+            yield _fiber_apply(a, deriv(sys.grid, values, j))
         else:
             yield _fiber_apply(a[..., cols],
-                               diff4(sys.grid, values[..., cols], j))
+                               deriv(sys.grid, values[..., cols], j))
 
 
 def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
@@ -232,11 +235,13 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
 
 
 def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
-            t) -> np.ndarray:
+            t, deriv: Callable = diff4) -> np.ndarray:
     """S psi given the field and its time derivative on one slice, or on a
-    (frames, sites, fiber) stack with `t` holding one time per frame."""
+    (frames, sites, fiber) stack with `t` holding one time per frame; on
+    Fourier-mode values with `deriv` = `grids.mode_diff4` (see
+    _spatial_terms)."""
     out = _fiber_apply(sys.plan.A0, dpsi_dt)
-    for term in _spatial_terms(sys, values):
+    for term in _spatial_terms(sys, values, deriv):
         out = out + term
     s0 = _S0_apply(sys, values, t)
     if s0 is not None:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import os
+import platform
 import re
 import shutil
 
@@ -324,6 +325,40 @@ def test_run_custom_scenario(tmp_path):
     cfg = load_config(os.path.join(CONFIGS, "transport.json"))
     assert man["config_hash"] == config_hash(cfg)
     assert os.path.exists(os.path.join(out, "energy.csv"))
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    """The manifest's env block names the interpreter, numpy, the platform
+    and the thread settings; the CSVs and report.json do not change with
+    them."""
+    outs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("HYPNL_THREADS", threads)
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = str(tmp_path / f"out{threads}")
+        assert cli_run(["run", "--config",
+                        os.path.join(CONFIGS, "transport.json"),
+                        "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            env = json.load(fh)["env"]
+        assert env == {"python": platform.python_version(),
+                       "numpy": np.__version__,
+                       "platform": platform.platform(),
+                       "HYPNL_THREADS": threads, "OMP_NUM_THREADS": threads,
+                       "OPENBLAS_NUM_THREADS":
+                           os.environ.get("OPENBLAS_NUM_THREADS"),
+                       "MKL_NUM_THREADS": None}
+        outs.append(out)
+    compared = sorted(f for f in os.listdir(outs[0])
+                      if f.endswith(".csv") or f == "report.json")
+    assert "report.json" in compared and len(compared) >= 2
+    for name in compared:
+        with open(os.path.join(outs[0], name), "rb") as a, \
+                open(os.path.join(outs[1], name), "rb") as b:
+            assert a.read() == b.read(), name
+    with open(os.path.join(outs[0], "report.json")) as fh:
+        assert "env" not in json.load(fh)
 
 
 def test_failed_assertion_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 """Iterative series solver: majorant arithmetic, convergence against an
 independent stiff ODE oracle, and the result bookkeeping."""
 
+import dataclasses
 import json
 import math
 
@@ -10,17 +11,21 @@ from scipy.integrate import solve_ivp
 
 from conftest import gaussian_pulse
 from hypnl import dyson
-from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
-                         sample_trajectory, trapezoid_sum)
+from hypnl.grids import (StateField, Trajectory, diff4, make_grid,
+                         mode_diff4, norm_strip, sample_trajectory, to_modes,
+                         trapezoid_sum)
 from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
                            transport_system)
-from hypnl.solver import SolveAborted, SolveOptions, solve_local
-from hypnl.kernels import TimeKernel, make_convolution, make_dense
+from hypnl.solver import LocalSolver, SolveAborted, SolveOptions
+from hypnl.kernels import (ConvTerm, TimeKernel, make_convolution,
+                           make_dense, make_modulated, make_separable)
 from hypnl.dyson import (DysonError, bound_retarded, bound_short,
                          bound_short_log, dyson_retarded, dyson_short_range,
                          equation_defect, residual, result_to_csv,
                          result_to_json)
-from hypnl.scenarios import CounterexampleConfig, build_counterexample
+from hypnl.scenarios import (CounterexampleConfig, build_counterexample,
+                             drude_lorentz, maxwell_kernel, maxwell_system_1d,
+                             maxwell_system_3d, random_divfree_data)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +291,15 @@ def test_one_apply_all_on_solve_aborted(monkeypatch):
     k, run = _linearity_case("retarded")
     calls = _count_apply_all(monkeypatch)
     solves = []
+    solve = LocalSolver.solve
 
     def aborting(*args, **kwargs):
         solves.append(1)
         if len(solves) == 3:
             raise SolveAborted("forced", None, 0)
-        return solve_local(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(dyson, "solve_local", aborting)
+    monkeypatch.setattr(LocalSolver, "solve", aborting)
     res = run()
     assert res.verdict == "Diverged" and res.n_used == 1
     assert len(calls) == res.n_used + 1
@@ -312,9 +318,9 @@ def test_linearity_matches_reapplied_kernel(monkeypatch, name):
     for src, at_call in kept:   # the loop never writes into a used source
         assert np.array_equal(src, at_call)
 
-    def reference_residual(sys, b_psi, psi, phi, strip=None):
+    def reference_residual(sys, b_psi, psi, phi, strip=None, deriv=diff4):
         return norm_strip(equation_defect(sys, k.apply_all(psi), psi, phi,
-                                          strip), inner_weight(sys))
+                                          strip, deriv), inner_weight(sys))
 
     monkeypatch.setattr(dyson, "residual", reference_residual)
     ref_seen = []
@@ -421,3 +427,236 @@ def test_deterministic_partial_sum():
     a = dyson_retarded(sys, k, None, data, 1.0, opts, n_max=20)
     b = dyson_retarded(sys, k, None, data, 1.0, opts, n_max=20)
     assert np.array_equal(a.partial_sum.values, b.partial_sum.values)
+
+
+# ---------------------------------------------------------------------------
+# the Fourier-mode loop, against the same kernel on the sites loop
+
+def _profiled(k):
+    """k with an all-ones site profile on every term: the same operator,
+    which the predicate sends through the sites loop (the oracle)."""
+    ones = np.ones(k.grid.sites, dtype=complex)
+    terms = [ConvTerm(m, c, n, (ones, None if M is None else M[1]))
+             for m, c, n, M in k.data["terms"]]
+    return dataclasses.replace(k, data={"terms": terms})
+
+
+def _modes_case(name, chi_dot=None):
+    """(sys, k, run): `run(kernel, **kw)` is the case's Dyson run with that
+    kernel, keyword arguments passed on to dyson_retarded (or
+    dyson_short_range)."""
+    if chi_dot is None:
+        _, chi_dot = drude_lorentz(0.2, 1.0, 2.0)
+    rng = np.random.default_rng(np.random.Philox(4))
+    if name == "maxwell3d":
+        grid = make_grid(3, 2.0 * math.pi, 8, 6)
+        sys = maxwell_system_3d(grid)
+        vals = random_divfree_data(grid, 3)
+        vals /= np.max(np.abs(vals))
+        opts = SolveOptions(dt=0.25 * grid.spacing)
+        T = 16 * opts.dt
+        kw = dict(T=T, tol=1e-10, tol_residual=math.inf, n_max=12)
+        delta = math.inf
+    else:
+        # the volterra system: E = 1, B = 0 on the line, and a source that
+        # varies in space, so that more than the constant mode is live
+        grid = make_grid(1, 1.0, 8, 2)
+        sys = maxwell_system_1d(grid)
+        vals = np.zeros((grid.sites, 2), dtype=complex)
+        vals[:, 0] = 1.0
+        opts = SolveOptions(dt=1.0 / 64.0)
+        T = 0.5
+        kw = dict(T=T, tol=1e-10, tol_residual=0.1, n_max=12)
+        delta = 0.125 if name == "volterra_short" else math.inf
+    k = maxwell_kernel(grid, chi_dot, delta_eff=delta)
+    data = StateField(grid, 0.0, vals)
+    phi = Trajectory(grid, opts.dt, 2, 0.1 * (
+        rng.standard_normal((6, grid.sites, grid.fiber))
+        + 1j * rng.standard_normal((6, grid.sites, grid.fiber))))
+    constants = {"C_est": 0.5, "D": 0.0}
+
+    def run(kern, **extra):
+        args = dict(kw, constants=constants, **extra)
+        T = args.pop("T")
+        if name == "volterra_short":
+            return dyson_short_range(sys, kern, phi, data, T, opts, **args)
+        return dyson_retarded(sys, kern, phi, data, T, opts, **args)
+    return sys, k, run
+
+
+def _assert_matches_oracle(res, ref):
+    assert res.verdict == ref.verdict and res.n_used == ref.n_used
+    for key in ("iterate_sup_norms", "iterate_strip_norms", "bound_values",
+                "residual_history", "ratios"):
+        got, want = getattr(res, key), getattr(ref, key)
+        assert len(got) == len(want), key
+        if want:
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=key)
+    assert res.partial_sum.index0 == ref.partial_sum.index0
+    want = ref.partial_sum.values
+    np.testing.assert_allclose(res.partial_sum.values, want, rtol=0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["maxwell3d", "volterra", "volterra_short"])
+def test_modes_loop_matches_sites_oracle(name):
+    sys, k, run = _modes_case(name)
+    oracle = _profiled(k)
+    solver = LocalSolver(sys, SolveOptions(dt=0.1))
+    assert dyson._runs_on_modes(sys, k, solver)
+    assert not dyson._runs_on_modes(sys, oracle, solver)
+    res, ref = run(k), run(oracle)
+    assert res.n_used >= 3
+    _assert_matches_oracle(res, ref)
+
+
+def test_monitor_sees_site_values_on_the_modes_loop():
+    """Each iterate and source the monitor sees is the oracle's to 1e-12 of
+    the largest value of any iterate (source). Relative to its own size a
+    late iterate differs by more: the iterates shrink by about 1e3 per step
+    and the difference grows about 3x, to 1e-14 of iterate 5 here."""
+    _, k, run = _modes_case("volterra")
+    seen, ref_seen = [], []
+    res = run(k, monitor=_recording_monitor(seen, []))
+    run(_profiled(k), monitor=_recording_monitor(ref_seen, []))
+    assert res.n_used >= 3
+    assert [n for n, _, _ in seen] == [n for n, _, _ in ref_seen]
+    psi_scale = max(np.max(np.abs(psi)) for _, psi, _ in ref_seen)
+    src_scale = max(np.max(np.abs(src)) for _, _, src in ref_seen[1:])
+    for (_, psi, src), (_, psi_ref, src_ref) in zip(seen, ref_seen):
+        np.testing.assert_allclose(psi, psi_ref, rtol=0,
+                                   atol=1e-12 * psi_scale)
+        assert (src is None) == (src_ref is None)
+        if src is not None:
+            np.testing.assert_allclose(src, src_ref, rtol=0,
+                                       atol=1e-12 * src_scale)
+
+
+def test_solve_aborted_on_the_modes_loop(monkeypatch):
+    """A forced SolveAborted in the third solve, and a kernel whose lag
+    table holds an infinity (every source frame is then NaN), end both
+    loops as Diverged at the same n_used."""
+    _, k, run = _modes_case("volterra")
+    solves = []
+    solve = LocalSolver.solve
+
+    def aborting(*args, **kwargs):
+        solves.append(1)
+        if len(solves) % 3 == 0:
+            raise SolveAborted("forced", None, 0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(LocalSolver, "solve", aborting)
+    res, ref = run(k), run(_profiled(k))
+    assert res.verdict == "Diverged" and res.n_used == 1
+    _assert_matches_oracle(res, ref)
+    monkeypatch.setattr(LocalSolver, "solve", solve)
+
+    _, k, run = _modes_case("volterra",
+                            lambda u: math.inf if u > 0.25 else 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        res, ref = run(k), run(_profiled(k))
+    assert res.verdict == ref.verdict == "Diverged"
+    assert res.n_used == ref.n_used == 0
+
+
+def test_window_contamination_on_the_modes_loop(monkeypatch):
+    """A window of two kernel ranges is exhausted at the same iterate on
+    both loops, and the check reads the source in site values on both."""
+    _, k, run = _modes_case("volterra_short")
+    check = dyson._window_contamination
+    errors, checked = [], []
+
+    def recorded(src, *args):
+        checked.append(src.values.copy())
+        return check(src, *args)
+
+    monkeypatch.setattr(dyson, "_window_contamination", recorded)
+    for kern in (k, _profiled(k)):
+        with pytest.raises(DysonError, match="window exhausted") as err:
+            run(kern, W=0.25)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert "at iterate 1:" in errors[0]
+    got, want = checked
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+def _sites_loop_cases():
+    """(name, sys, k) that keep the sites loop, on the 1D Maxwell line."""
+    grid = make_grid(1, 1.0, 8, 2)
+    sys = maxwell_system_1d(grid)
+    _, chi_dot = drude_lorentz(0.2, 1.0, 2.0)
+    k = maxwell_kernel(grid, chi_dot)
+    proj = k.data["terms"][0].M[1]
+    per_site = make_modulated(grid, [ConvTerm(
+        None, k.data["terms"][0].c, None,
+        (None, np.broadcast_to(proj, (grid.sites, 2, 2))))], retarded=True)
+    x = grid.coords()[:, 0]
+    post = np.broadcast_to(np.eye(2), (grid.sites, 2, 2)) \
+        * (1.0 + 0.5 * np.sin(2.0 * math.pi * x))[:, None, None]
+    dense = make_dense(grid, lambda t, tau, v: 0.5 * v, retarded=True)
+    prof = sample_trajectory(grid, lambda t, c: np.ones((grid.sites, 2)),
+                             1.0 / 64.0, 0, 33)
+    separable = make_separable([prof], [prof], retarded=False)
+    from hypnl.systems import PROFILES
+    varying = make_system(grid, np.eye(2), [PROFILES["offset_sin"](
+        grid, 1.0, 0.25, 2.0 * math.pi) @ np.array([[0.0, 1.0], [1.0, 0.0]])])
+    lapse = make_system(grid, np.eye(2), list(sys.Aj),
+                        beta=1.0 + 0.25 * np.cos(2.0 * math.pi * x))
+    stepping = make_system(grid, np.eye(2), list(sys.Aj),
+                           S0_t=lambda t: t * np.eye(2))
+    return [("profiled", sys, _profiled(k)), ("per_site_M", sys, per_site),
+            ("per_site_post", sys, dataclasses.replace(k, post=post)),
+            ("dense", sys, dense), ("separable", sys, separable),
+            ("site_varying_Aj", varying, k), ("site_varying_lapse", lapse, k),
+            ("stepping", stepping, k), ("no_kernel", sys, None)]
+
+
+def test_loop_basis_predicate():
+    cases = _sites_loop_cases()
+    opts = SolveOptions(dt=1.0 / 64.0)
+    for name, sys, k in cases:
+        assert not dyson._runs_on_modes(sys, k, LocalSolver(sys, opts)), name
+    _, sys, k = cases[0]
+    k = maxwell_kernel(sys.grid, lambda u: 1.0)
+    assert k.translation_invariant
+    assert dyson._runs_on_modes(sys, k, LocalSolver(sys, opts))
+    # a site-constant post and identity M terms keep the modes loop
+    one_post = dataclasses.replace(k, post=np.array([[2.0, 0.0], [0.0, 1.0]]))
+    bare = make_modulated(sys.grid, [ConvTerm(None, lambda z: 1.0, None)])
+    for kern in (one_post, bare):
+        assert kern.translation_invariant
+        assert dyson._runs_on_modes(sys, kern, LocalSolver(sys, opts))
+    kinds = {name: k.translation_invariant for name, _, k in cases[:5]}
+    assert not any(kinds.values()), kinds
+
+
+def test_residual_is_norm_of_defect_chunk_by_chunk(monkeypatch):
+    """residual takes the defect's frame norms chunk by chunk: bitwise the
+    strip norm of the whole defect, for chunks of 1, 3 and 100 frames, and
+    on the modes (mode_diff4 on to_modes values) the same to round-off."""
+    grid = make_grid(1, 2.0, 16, 2)
+    rng = np.random.default_rng(np.random.Philox(12))
+    sys = make_system(grid, np.array([[2.0, 0.5j], [-0.5j, 1.0]]),
+                      [np.array([[0.0, 1.0], [1.0, 0.0]])],
+                      S0=np.array([[0.5, 1j], [-1j, -0.5]]))
+
+    def traj(index0, n):
+        return Trajectory(grid, 0.125, index0, rng.standard_normal(
+            (n, grid.sites, 2)) + 1j * rng.standard_normal((n, grid.sites, 2)))
+
+    psi, phi, b = traj(-2, 14), traj(1, 6), traj(-2, 14).values
+    w = inner_weight(sys)
+    for chunk_frames in (1, 3, 100):
+        monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
+        want = norm_strip(equation_defect(sys, b, psi, phi, (0.0, 1.0)), w)
+        assert residual(sys, b, psi, phi, (0.0, 1.0)) == want
+        modes = [Trajectory(grid, tr.dt, tr.index0, to_modes(grid, tr.values))
+                 for tr in (psi, phi)]
+        got = residual(sys, to_modes(grid, b), *modes, (0.0, 1.0),
+                       mode_diff4(grid))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypnl.grids import (GridError, InnerWeight, StateField, Trajectory,
                          diff4, diff_upwind, fourth_difference, frame_norms_sq,
-                         inner_t, ko_dissipation, make_grid, norm_t,
-                         sample_trajectory, trapezoid_sum, zero_field)
+                         inner_t, ko_dissipation, make_grid, mode_axes,
+                         mode_diff4, norm_t, sample_trajectory,
+                         stencil_symbols, stencil_wavenumber, to_modes,
+                         trapezoid_sum, zero_field)
 
 
 def _rand(grid, seed):
@@ -248,3 +250,47 @@ def test_zero_field():
     g = make_grid(1, 1.0, 8, 2)
     f = zero_field(g, 1.5)
     assert f.time == 1.5 and not np.any(f.values) and f.is_finite()
+
+
+# ---------------------------------------------------------------------------
+# Fourier modes
+
+@pytest.mark.parametrize("dim,points", [(1, 16), (3, 8)])
+def test_to_modes_is_unitary(dim, points):
+    """Parseval: frame norms with a site-constant weight are kept to
+    round-off, and the inverse takes the values back."""
+    grid = make_grid(dim, 2.0 * math.pi, points, 2)
+    rng = np.random.default_rng(np.random.Philox(3))
+    v = (rng.standard_normal((5, grid.sites, 2))
+         + 1j * rng.standard_normal((5, grid.sites, 2)))
+    hat = to_modes(grid, v)
+    mat = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    w = InnerWeight(grid, np.broadcast_to(mat, (grid.sites, 2, 2)),
+                    np.full(grid.sites, 0.5))
+    for weight in (InnerWeight.identity(grid), w):
+        want = frame_norms_sq(Trajectory(grid, 0.1, 0, v), weight)
+        got = frame_norms_sq(Trajectory(grid, 0.1, 0, hat), weight)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(to_modes(grid, hat, inverse=True), v,
+                               rtol=0, atol=1e-14 * np.max(np.abs(v)))
+    # one frame transforms as a stack of one
+    assert np.array_equal(to_modes(grid, v[2]), hat[2])
+
+
+@pytest.mark.parametrize("dim,points", [(1, 16), (3, 8)])
+def test_mode_diff4_is_diff4_on_the_modes(dim, points):
+    grid = make_grid(dim, 3.0, points, 3)
+    deriv = mode_diff4(grid)
+    v = np.stack([_rand(grid, 5), _rand(grid, 6)])
+    for axis in range(dim):
+        want = to_modes(grid, diff4(grid, v, axis))
+        got = deriv(grid, to_modes(grid, v), axis)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        # the symbol is i times stencil_wavenumber at theta_j / dx
+        theta = mode_axes(grid)[axis]
+        h = grid.spacing
+        np.testing.assert_allclose(
+            stencil_symbols(grid)[axis],
+            [1j * stencil_wavenumber(th / h, h) for th in theta],
+            rtol=0, atol=1e-13 / h)

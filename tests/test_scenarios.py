@@ -428,20 +428,26 @@ def test_surface_product_is_one_point_series():
             surface_layer_product(tr, k, tr.time(i))
 
 
-def _dirac_sup_C_loop(cfg, pots, grid):
-    """Reference for scenarios._dirac_sup_C: one envelope and one window call
-    per (midpoint, lag) sample and potential."""
+def _dirac_sup_C_halves(cfg, pots, grid):
+    """(max |d2 + d1|, max |d2 - d1|) over the samples of
+    scenarios._dirac_sup_C: one envelope and one window call per
+    (midpoint, lag) sample and potential."""
     x = grid.coords()[:, 0]
-    worst = 0.0
+    plus = minus = 0.0
     for mid in np.linspace(-cfg.T, 2.0 * cfg.T, 121):
         for z in np.linspace(-cfg.delta, cfg.delta, 81):
             d = [amp * math.cos(om * float(mid)) * sp(x) * window(float(z))
                  for amp, om, sp, window, _ in pots]
             d1 = d[0] if len(d) > 0 else 0.0
             d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
-            nrm = np.maximum(np.abs(d2 + d1), np.abs(d2 - d1))
-            worst = max(worst, float(np.max(nrm)))
-    return worst
+            plus = max(plus, float(np.max(np.abs(d2 + d1))))
+            minus = max(minus, float(np.max(np.abs(d2 - d1))))
+    return plus, minus
+
+
+def _dirac_sup_C_loop(cfg, pots, grid):
+    """Reference for scenarios._dirac_sup_C: the larger half of the norm."""
+    return max(_dirac_sup_C_halves(cfg, pots, grid))
 
 
 @pytest.mark.parametrize("n_pot", [1, 2])
@@ -453,6 +459,20 @@ def test_dirac_sup_C_matches_loop(n_pot):
     pots = _dirac_potentials(cfg)
     assert _dirac_sup_C(cfg, pots, g) == pytest.approx(
         _dirac_sup_C_loop(cfg, pots, g), rel=1e-14, abs=0.0)
+
+
+def test_dirac_sup_C_takes_the_difference_half():
+    """With the second amplitude negated, max |d2 - d1| exceeds
+    max |d2 + d1| (for the scenario's own potentials the two coincide), so
+    the sup needs both halves of the norm max |d2 +- d1|."""
+    cfg = DiracConfig(points=64, T=0.75, delta=0.2)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    pots = _dirac_potentials(cfg)
+    flipped = [pots[0], (-pots[1][0],) + tuple(pots[1][1:])]
+    plus, minus = _dirac_sup_C_halves(cfg, flipped, g)
+    assert minus > 1.5 * plus
+    assert _dirac_sup_C(cfg, flipped, g) == pytest.approx(minus, rel=1e-14,
+                                                          abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 
 from conftest import gaussian_pulse
 from hypnl.grids import (StateField, Trajectory, ko_dissipation, make_grid,
-                         norm_strip, sample_trajectory)
+                         norm_strip, sample_trajectory, to_modes)
 from hypnl.systems import (evolution_rhs, inner_weight, make_system,
                            ode_system, transport_system)
-from hypnl.solver import (SolveAborted, SolveOptions, SolverError,
-                          _lattice_index, evolution_op, green_retarded,
-                          solve_local)
+from hypnl.solver import (LocalSolver, SolveAborted, SolveOptions,
+                          SolverError, _lattice_index, evolution_op,
+                          green_retarded, solve_local)
 from hypnl.dyson import residual
 from hypnl.diagnostics import cone_violation, support_mask
 
@@ -520,3 +520,71 @@ def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
     assert (have.partial.dt, have.partial.index0) == \
         (want.partial.dt, want.partial.index0)
     _assert_frames_match(name, have.partial.values, want.partial.values)
+
+
+# ---------------------------------------------------------------------------
+# solves in the recurrence's basis
+
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", ["transport", "dirac", "dissipation",
+                                  "maxwell3d", "A0_nonnormal_S0",
+                                  "S0_per_site"])
+def test_in_basis_solve_matches_site_solve(name, sgn):
+    """A solve on values already in the basis (to_modes of the data and the
+    source on the modes) gives the basis values of the site solve, to
+    _RECURRENCE_RTOL of the largest frame value."""
+    sys, opts = _solver_case(name)
+    solver = LocalSolver(sys, opts)
+    rng = np.random.default_rng(13)
+    steps = 30
+    phi = _source(sys, opts.dt, "partial", sgn, steps, rng)
+    data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
+    t1 = sgn * steps * opts.dt
+    want = solve_local(sys, phi, data, 0.0, t1, opts)
+
+    def to(values):
+        return to_modes(sys.grid, values) if solver.basis == "modes" \
+            else values
+
+    got = solver.solve(Trajectory(sys.grid, phi.dt, phi.index0,
+                                  to(phi.values)),
+                       StateField(sys.grid, 0.0, to(data.values)), 0.0, t1,
+                       in_basis=True)
+    assert got.index0 == want.index0
+    want_b = to(want.values)
+    scale = float(np.max(np.abs(want_b)))
+    assert float(np.max(np.abs(got.values - want_b))) <= \
+        _RECURRENCE_RTOL * scale
+
+
+def test_step_matrices_built_once_per_direction(monkeypatch):
+    from hypnl import solver as solver_mod
+    calls = []
+    build = solver_mod._step_matrices
+
+    def counted(*args):
+        calls.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(solver_mod, "_step_matrices", counted)
+    sys, opts = _solver_case("dirac")
+    solver = LocalSolver(sys, opts)
+    data = StateField(sys.grid, 0.0, _random_field(np.random.default_rng(2),
+                                                   sys.grid))
+    ends = (4 * opts.dt, 6 * opts.dt, -3 * opts.dt, -5 * opts.dt)
+    want = [solve_local(sys, None, data, 0.0, t1, opts) for t1 in ends]
+    assert len(calls) == 4
+    del calls[:]
+    for t1, tr in zip(ends, want):
+        assert _bits(solver.solve(None, data, 0.0, t1).values) == \
+            _bits(tr.values)
+    assert calls == [opts.dt, -opts.dt]
+
+
+def test_in_basis_needs_a_recurrence():
+    for name in ("S0_t", "counterexample"):
+        sys, opts = _solver_case(name)
+        data = StateField(sys.grid, 0.0, sys.grid.zeros())
+        with pytest.raises(SolverError, match="basis"):
+            LocalSolver(sys, opts).solve(None, data, 0.0, opts.dt,
+                                         in_basis=True)
