@@ -89,18 +89,6 @@ def bound_short(n: int, C: float, delta: float, D: float, t: float,
 # ---------------------------------------------------------------------------
 # residual of a candidate solution
 
-def _aligned_source_values(phi: Trajectory, tr: Trajectory) -> np.ndarray:
-    if abs(phi.dt - tr.dt) > 1e-12 * tr.dt:
-        raise DysonError("source lattice mismatch")
-    out = np.zeros_like(tr.values)
-    off = phi.index0 - tr.index0
-    lo = max(0, off)
-    hi = min(tr.n_frames, off + phi.n_frames)
-    if hi > lo:
-        out[lo:hi] = phi.values[lo - off:hi - off]
-    return out
-
-
 def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
                    psi: Trajectory, phi: Optional[Trajectory],
                    strip: Optional[tuple], deriv: Callable) -> tuple:
@@ -119,7 +107,8 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
         hi = min(hi, int(math.floor(strip[1] / dt + 1e-9)) - psi.index0)
     if hi < lo:
         raise DysonError("empty residual strip (insufficient padding)")
-    phi_vals = _aligned_source_values(phi, psi) if phi is not None else None
+    if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
+        raise DysonError("source lattice mismatch")
     v, times = psi.values, psi.times()
     step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
 
@@ -130,8 +119,12 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
             d = apply_S(sys, v[a:e], dpsi, times[a:e], deriv)
             if b_psi is not None:
                 d -= b_psi[a:e]
-            if phi_vals is not None:
-                d -= phi_vals[a:e]
+            if phi is not None:
+                # phi's frames on psi's frames a..e-1; off them phi is 0
+                off = phi.index0 - psi.index0
+                p, q = max(a, off), min(e, off + phi.n_frames)
+                if p < q:
+                    d[p - a:q - a] -= phi.values[p - off:q - off]
             yield d
     return lo, hi, chunks()
 

@@ -525,36 +525,10 @@ def maxwell_volterra(cfg: MaxwellConfig) -> dict:
             "times": res.partial_sum.times(), "opts": opts}
 
 
-def maxwell_dispersive_1d(cfg: MaxwellConfig) -> dict:
-    """Dispersive pulse run on the transverse line: converged Dyson series
-    with bound monitoring."""
-    grid = make_grid(1, cfg.extent, cfg.points, 2)
-    sys = maxwell_system_1d(grid)
-    opts = _opts_for(grid, cfg)
-    _, chi_dot = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
-    kern = maxwell_kernel(grid, chi_dot)
-    x = grid.coords()[:, 0]
-    c = bump((x - cfg.extent / 2.0) / (cfg.extent / 8.0))
-    vals = np.stack([c, c], axis=1).astype(complex)
-    data = StateField(grid, 0.0, vals)
-    T = cfg.T if cfg.T is not None else cfg.extent / 4.0
-    T = round(T / opts.dt) * opts.dt
-    res = dyson_retarded(sys, kern, None, data, T, opts, tol=cfg.tol,
-                         tol_residual=cfg.tol_residual, n_max=cfg.n_max,
-                         seed=cfg.seed)
-    mask = support_mask(data.values)
-    return {"system": sys, "result": res,
-            "cone": cone_violation(res.partial_sum, mask, sys.v_max),
-            "energy": energy_identity(sys, res.partial_sum, None,
-                                      tolerance=math.inf),
-            "opts": opts}
-
-
 # the Maxwell modes by name; the CLI's --mode choices and config check read it
 MAXWELL_MODES = {"vacuum_1d": maxwell_vacuum_1d, "vacuum_3d": maxwell_vacuum_3d,
                  "constraints_3d": maxwell_constraints_3d,
-                 "volterra": maxwell_volterra,
-                 "dispersive_1d": maxwell_dispersive_1d}
+                 "volterra": maxwell_volterra}
 
 
 def maxwell_run(cfg: MaxwellConfig) -> dict:

@@ -2,32 +2,35 @@
 on the periodic grid, plus the evolution operator U(t, tau) and the retarded
 Green operator.
 
-Sources live on the solve's own frame lattice; RK4 stage values use linear
-interpolation between source frames, one interpolation at t + h/2 shared by
-the k2 and k3 stages. That sets an O(dt^2) floor for sourced runs, and
-phi = 0 keeps full 4th order. Measured over [0, 2], halving dt from 0.05
-to 0.025 cuts the error of d_t psi = -psi + cos(3t) from zero data by
-2^2.0, and that of d_t psi = -psi from psi = 1 by 2^4.0
+Sources live on the solve's own frame lattice, and every path reads them at
+lattice frames: step n reads source frame n at its start, frame n + 1 at
+its end and their mean at the midpoint stage (shared by the k2 and k3
+stages), each only where its frames lie in the source's window, so an edge
+step, with one end in the window, reads zero at its midpoint. That sets an
+O(dt^2) floor for sourced runs, and phi = 0 keeps full 4th order. Measured
+over [0, 2], halving dt from 0.05 to 0.025 cuts the error of
+d_t psi = -psi + cos(3t) from zero data by 2^2.0, and that of
+d_t psi = -psi from psi = 1 by 2^4.0
 (tests/test_solver.py::test_green_retarded_order_floor).
 Backward solves (t1 < t0) are supported; frames are always returned in
 increasing-time order on the integer lattice i * dt.
 
-A solve takes one of three paths; the plan and the dissipation alone choose
+A solve takes one of two paths; the plan and the dissipation alone choose
 it, and there is no setting:
 
-* State-free (no live A^j, no S0, no S0_t, no dissipation): every RK4 stage
-  is A0^{-1} (0 + source), whatever the state, so the solve builds all
-  increments with array operations and takes the frames as their cumulative
-  sum, bitwise equal to the plain per-step RK4 loop.
 * Linear recurrence (no S0_t, and either no spatial term and no dissipation,
   or every coefficient the same at every site): one RK4 step of the linear
   autonomous system is exactly y+ = R y + P0 s_n + P1 s_n+1, block-diagonal
   on the sites or on the Fourier modes of the torus. R, P0 and P1 are built
   once per LocalSolver and direction, the data and source frames are
   transformed once per solve, each step is one batched matvec and one add,
-  and the frames are transformed back once. The frames agree with the
-  per-step loop to round-off: below 1e-14 of the largest frame value,
-  tested at 1e-13.
+  and the frames are transformed back once. A state-free plan (no live A^j,
+  no S0, no dissipation) is its L = 0 case on the sites: R = I,
+  P0 = P1 = (h/2) I, and a step with one end in the source window adds
+  (h/6) s, so the frames are the data plus one cumulative sum of these
+  increments, without a per-step loop. The frames agree with the per-step
+  loop to round-off: below 1e-14 of the largest frame value, tested at
+  1e-13.
 * Stepping (a time-dependent S0, or a spatial term or dissipation with a
   coefficient that varies by site): the RK4 loop, each stage applying the
   plan, writing each frame into one preallocated array; bitwise equal to
@@ -36,13 +39,11 @@ it, and there is no setting:
 Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
 (tests/test_solver.py::test_solve_local_matches_reference_loop and
-test_non_finite_source_aborts_like_reference_loop). The recurrence reads the
-source frames themselves, while the loop's t / dt can round to a blend with
-a 1e-16 weight on the next frame; so the recurrence stops where the loop's
-stages, sampled as the loop samples them, first read a non-finite source
-frame. On the Fourier modes, a solve within a factor of `sites` of overflow
-may abort one step earlier than the loop, and real data picks up imaginary
-round-off.
+test_non_finite_source_aborts_like_reference_loop). Both paths read the same
+source frames at every step, so a non-finite source frame aborts them at the
+same step. On the Fourier modes, a solve within a factor of `sites` of
+overflow may abort one step earlier than the loop, and real data picks up
+imaginary round-off.
 
 The recurrence is split from its transforms: `LocalSolver.solve(...,
 in_basis=True)` takes the data and source already in the basis and returns
@@ -115,52 +116,6 @@ def _lattice_index(t: float, dt: float) -> int:
     return i
 
 
-def _source_index(phi: Trajectory, dt: float, t: np.ndarray) -> tuple:
-    """Linear-in-time interpolation of a frame-sampled source at the times
-    `t`, as three arrays `(inside, i, w)`: the source is zero where `inside`
-    is False, the frame phi[i] where w == 0, and (1 - w) phi[i] + w phi[i + 1]
-    otherwise."""
-    n = phi.n_frames
-    u = t / dt - phi.index0
-    inside = (u >= -1e-9) & (u <= n - 1 + 1e-9)
-    if n == 1:
-        return inside, np.zeros(len(t), dtype=int), np.zeros(len(t))
-    i = np.clip(np.floor(u), 0, n - 2)
-    return inside, i.astype(int), np.clip(u - i, 0.0, 1.0)
-
-
-def _step_sources(phi: Optional[Trajectory], index) -> Iterator:
-    """The source at each indexed time, None where it is zero; a blend is
-    computed only when its step asks for it."""
-    if phi is None:
-        yield from itertools.repeat(None)
-        return
-    for inside, i, w in zip(*(a.tolist() for a in index)):
-        if not inside:
-            yield None
-        elif w == 0.0:
-            yield phi.values[i]
-        else:
-            yield (1.0 - w) * phi.values[i] + w * phi.values[i + 1]
-
-
-def _stage_rows(sys: SystemSpec, phi: Optional[Trajectory], index,
-                shape: tuple) -> np.ndarray:
-    """A0^{-1} (0 + source) at every indexed time, one row each in a
-    (times, sites, fiber) `shape`: the RK4 stage of a state-free plan,
-    whatever the state."""
-    acc = np.zeros(shape, dtype=complex)
-    if phi is not None:
-        inside, i, w = index
-        view = np.flatnonzero(inside & (w == 0.0))
-        acc[view] = phi.values[i[view]]
-        blend = np.flatnonzero(inside & (w != 0.0))
-        wb, ib = w[blend][:, None, None], i[blend]
-        acc[blend] = (1.0 - wb) * phi.values[ib] + wb * phi.values[ib + 1]
-        acc += 0.0      # the 0 + source of the stage: -0.0 becomes +0.0
-    return _fiber_apply(sys.plan.A0_inv, acc)
-
-
 def _rhs(sys: SystemSpec, y: np.ndarray, t: float,
          source: Optional[np.ndarray], eps: float) -> np.ndarray:
     out = evolution_rhs(sys, y, t, source)
@@ -189,37 +144,13 @@ def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
     return np.add(y, k1, out=out)
 
 
-def _state_free(sys: SystemSpec, eps: float) -> bool:
-    """True when every RK4 stage is A0^{-1} (0 + source), whatever the state."""
-    plan = sys.plan
-    return (not plan.Aj and plan.S0 is None and sys.S0_t is None
-            and eps == 0.0)
-
-
-def _running_sum(sys: SystemSpec, phi: Optional[Trajectory], index,
-                 y0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """Every frame of a state-free solve, in stepping order: the cumulative
-    sum of y0 and the RK4 increments, which `add.accumulate` takes one step
-    at a time, so it equals the stepping loop bitwise."""
-    shape = (n_steps,) + y0.shape
-    k1, k_mid, k4 = (_stage_rows(sys, phi, ix, shape) for ix in index)
-    two_mid = 2.0 * k_mid
-    k1 += two_mid
-    k1 += two_mid
-    k1 += k4
-    frames = np.empty((n_steps + 1,) + y0.shape, dtype=complex)
-    frames[0] = y0
-    np.multiply(h / 6.0, k1, out=frames[1:])
-    return np.cumsum(frames, axis=0, out=frames)
-
-
 def _basis(sys: SystemSpec, eps: float) -> Optional[str]:
     """The basis in which the plan is a linear autonomous recurrence that
     does not couple its blocks: "sites" when it has no spatial term and no
-    dissipation, "modes" (Fourier modes of the torus) when every coefficient
-    is the same at every site, None when it has to step (a time-dependent
-    S0, or a spatial term or dissipation with a coefficient that varies by
-    site)."""
+    dissipation (with no S0 either, L = 0: see _source_integral), "modes"
+    (Fourier modes of the torus) when every coefficient is the same at every
+    site, None when it has to step (a time-dependent S0, or a spatial term
+    or dissipation with a coefficient that varies by site)."""
     plan = sys.plan
     if sys.S0_t is not None:
         return None
@@ -318,6 +249,28 @@ def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
     return (lo, hi) if lo <= hi else None
 
 
+def _step_sources(phi: Optional[Trajectory], i0: int, sgn: int,
+                  n_steps: int) -> Iterator:
+    """(s_n, s_mid, s_n+1) of every step of the RK4 loop: the source frames
+    at its two ends and their mean at the midpoint stage, None where a frame
+    (for the mean, either frame) lies outside the source's window."""
+    window = _source_window(phi, i0, sgn, n_steps)
+    if window is None:
+        yield from itertools.repeat((None, None, None))
+        return
+
+    def frame(pos):
+        if window[0] <= pos <= window[1]:
+            return phi.values[i0 + sgn * pos - phi.index0]
+        return None
+
+    end = frame(0)
+    for pos in range(1, n_steps + 1):
+        start, end = end, frame(pos)
+        mid = None if start is None or end is None else 0.5 * (start + end)
+        yield start, mid, end
+
+
 def _forcings(sys: SystemSpec, phi: Optional[Trajectory], xf: str,
               mats: np.ndarray, h: float, i0: int, sgn: int, n_steps: int,
               block: int) -> Iterator:
@@ -374,7 +327,7 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     `xf` is the basis the data, source and frames are transformed from and
     back to: the recurrence's own basis for site values, "sites" (no
     transform) for values already in it. Returns the number of steps taken
-    before the first non-finite one."""
+    before the first non-finite frame."""
     grid = sys.grid
     r = mats[0]
     y = _transform(grid, xf, data.values)
@@ -398,26 +351,44 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
         for a in range(1, n_kept, block):
             b = min(a + block, n_kept)
             stored[a:b] = _transform(grid, xf, stored[a:b], inverse=True)
+        # the transform back can overflow a frame that was finite on the modes
+        bad = _first_non_finite(stored[1:n_kept])
+        if bad is not None:
+            n_ok = (bad + 1) * se - 1
     return n_ok
 
 
-def _source_abort_step(phi: Optional[Trajectory], index,
-                       n_steps: int) -> int:
-    """The first step whose RK4 stages, sampled at `index`, read a
-    non-finite source frame (n_steps when none does). A stage inside the
-    window reads frame i, and frame i + 1 too where it blends (w != 0: a zero
-    weight on a non-finite value still gives NaN)."""
-    if phi is None:
-        return n_steps
-    bad = ~np.isfinite(phi.values).all(axis=(1, 2))
-    if not bad.any():
-        return n_steps
-    last = phi.n_frames - 1
-    hit = np.zeros(n_steps, dtype=bool)
-    for inside, i, w in index:
-        hit |= inside & (bad[i] | ((w != 0.0) & bad[np.minimum(i + 1, last)]))
-    steps = np.flatnonzero(hit)
-    return int(steps[0]) if steps.size else n_steps
+def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
+                     y0: np.ndarray, h: float, i0: int, sgn: int,
+                     n_steps: int, se: int, stored: np.ndarray) -> int:
+    """The recurrence of a plan with L = 0 (R = I, P0 = P1 = (h/2) I), with
+    _recurrence's output and return value: the frames are y0 plus the
+    cumulative sum of the steps' source terms, (h/2)(s_n + s_n+1) inside the
+    source window and (h/6) s at a step with one end in it, where
+    s = A0^{-1} source. With se > 1 the sum runs over every frame and every
+    se-th frame is kept."""
+    frames = stored if se == 1 else np.empty((n_steps + 1,) + y0.shape,
+                                             dtype=complex)
+    frames[0] = y0
+    frames[1:] = 0.0
+    window = _source_window(phi, i0, sgn, n_steps)
+    if window is not None:
+        lo, hi = window
+        ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
+        s = _fiber_apply(sys.plan.A0_inv,
+                         phi.values[ends[0]:ends[1] + 1][::sgn])
+        inc = frames[1:]             # inc[n] is the source term of step n
+        np.add(s[:-1], s[1:], out=inc[lo:hi])
+        inc[lo:hi] *= 0.5 * h
+        if lo > 0:
+            inc[lo - 1] += (h / 6.0) * s[0]
+        if hi < n_steps:
+            inc[hi] += (h / 6.0) * s[-1]
+    np.cumsum(frames, axis=0, out=frames)
+    if se > 1:
+        stored[1:] = frames[se::se]
+    bad = _first_non_finite(frames[1:])
+    return n_steps if bad is None else bad
 
 
 def _first_non_finite(frames: np.ndarray) -> Optional[int]:
@@ -452,13 +423,12 @@ class LocalSolver:
     The recurrence's step matrices (R, P0, P1) are built at the first solve
     in each direction and kept, so that a caller making many solves, such as
     a Dyson run, builds them once. `basis` is the recurrence's basis ("sites"
-    or "modes", see _basis), None when the solves step RK4 or take the
-    state-free running sum."""
+    or "modes", see _basis; "sites" for a state-free plan, whose recurrence
+    is the L = 0 case), None when the solves step RK4."""
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
         self.sys, self.opts = sys, opts
-        eps = opts.dissipation
-        self.basis = None if _state_free(sys, eps) else _basis(sys, eps)
+        self.basis = _basis(sys, opts.dissipation)
         self._mats: dict = {}         # direction -> (R, P0, P1)
 
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
@@ -486,41 +456,31 @@ class LocalSolver:
         n_steps = abs(i1 - i0)
         sgn = 1 if i1 >= i0 else -1
         h = sgn * dt
-        t = (i0 + sgn * np.arange(n_steps)) * dt
-        index = [None if phi is None else _source_index(phi, dt, ts)
-                 for ts in (t, t + 0.5 * h, t + h)]
-
-        if _state_free(sys, eps):
-            frames = _running_sum(sys, phi, index, data.values, h, n_steps)
-            bad = _first_non_finite(frames[1:])
-            if bad is not None:
-                raise _aborted(sys, opts, i0, sgn, bad,
-                               np.ascontiguousarray(frames[:bad + 1:se][::sgn]))
-            return _stored(sys, opts, i0, sgn,
-                           np.ascontiguousarray(frames[::se][::sgn]))[0]
 
         # frames in increasing time; `stored` views them in stepping order
         vals = np.empty((n_steps // se + 1,) + data.values.shape, dtype=complex)
         stored = vals[::sgn]
         stored[0] = data.values
         if self.basis is not None:
-            if sgn not in self._mats:
-                self._mats[sgn] = _step_matrices(sys, eps, self.basis, h)
-            n_run = _source_abort_step(phi, index, n_steps)
-            n_ok = _recurrence(sys, phi, data,
-                               "sites" if in_basis else self.basis,
-                               self._mats[sgn], h, i0, sgn, n_run, se, stored)
-            bad = _first_non_finite(stored[1:n_ok // se + 1])
-            if bad is not None:
-                n_ok = (bad + 1) * se - 1
+            if self.basis == "sites" and sys.plan.S0 is None:     # L = 0
+                n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
+                                        n_steps, se, stored)
+            else:
+                if sgn not in self._mats:
+                    self._mats[sgn] = _step_matrices(sys, eps, self.basis, h)
+                n_ok = _recurrence(sys, phi, data,
+                                   "sites" if in_basis else self.basis,
+                                   self._mats[sgn], h, i0, sgn, n_steps, se,
+                                   stored)
             if n_ok < n_steps:
                 raise _aborted(sys, opts, i0, sgn, n_ok,
                                stored[:n_ok // se + 1][::sgn])
             return _stored(sys, opts, i0, sgn, vals)[0]
 
         y = stored[0]
-        sources = zip(*(_step_sources(phi, ix) for ix in index))
-        for s, (ts, src) in enumerate(zip(t.tolist(), sources)):
+        t = ((i0 + sgn * np.arange(n_steps)) * dt).tolist()
+        sources = _step_sources(phi, i0, sgn, n_steps)
+        for s, (ts, src) in enumerate(zip(t, sources)):
             keep = (s + 1) % se == 0
             y = _rk4_step(sys, y, ts, h, src, eps,
                           out=stored[(s + 1) // se] if keep else None)

@@ -37,7 +37,7 @@ def _per_site(grid: Grid, mat) -> np.ndarray:
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - np.conj(np.swapaxes(m, 1, 2)))))
+    return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
 
 
 def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -121,11 +121,16 @@ class SystemSpec:
         coeffs = (self.A0, b) + self.Aj + (() if self.S0 is None else (self.S0,))
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise SystemError("coefficients must be finite")
-        if _hermiticity_defect(self.A0) > 1e-12:
+        # a coefficient that is the same at every site is checked and
+        # measured once, on its one (f, f) matrix
+        a0 = _site_constant(self.A0)
+        if _hermiticity_defect(a0) > 1e-12:
             raise SystemError("A0 not Hermitian")
-        if np.min(np.linalg.eigvalsh(self.A0)) <= 0:
+        if np.min(np.linalg.eigvalsh(a0)) <= 0:
             raise SystemError("A0 not positive definite")
-        object.__setattr__(self, "_A0_inv", np.linalg.inv(self.A0))
+        a0_inv = np.linalg.inv(a0)
+        object.__setattr__(self, "_A0_inv", a0_inv if a0_inv.ndim == 3 else
+                           np.broadcast_to(a0_inv, self.A0.shape).copy())
         live_S0 = self.S0 is not None and np.any(self.S0)
         live = [(j, a) for j, a in enumerate(self.Aj) if np.any(a)]
         object.__setattr__(self, "plan", StepPlan(
@@ -136,7 +141,9 @@ class SystemSpec:
         # max |eigenvalue| of A0^{-1} A^j over sites and axes = signal speed
         vmax = 0.0
         for a in self.Aj:
-            m = self._A0_inv @ a
+            aj = _site_constant(a)
+            m = a0_inv @ aj if a0_inv.ndim == aj.ndim == 2 \
+                else self._A0_inv @ a
             ev = np.linalg.eigvals(m)
             vmax = max(vmax, float(np.max(np.abs(ev))) if ev.size else 0.0)
         object.__setattr__(self, "_v_max", vmax)
@@ -383,9 +390,11 @@ def _matrix_from_json(spec, f: int) -> np.ndarray:
 
 def _profile_offset_sin(grid: Grid, c0: float, c1: float, k: float) -> np.ndarray:
     x = grid.coords()[:, 0]
-    vals = c0 + c1 * np.sin(k * x)
-    eye = np.eye(grid.fiber)
-    return vals[:, None, None] * eye
+    # parameters that overflow give non-finite values, which SystemSpec
+    # rejects as coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = c0 + c1 * np.sin(k * x)
+        return vals[:, None, None] * np.eye(grid.fiber)
 
 
 PROFILES = {"offset_sin": _profile_offset_sin}

@@ -250,6 +250,17 @@ def test_shortcut_rejects_out_of_range_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_maxwell_shortcut_has_no_dispersive_1d_mode(tmp_path, capsys):
+    """The mode was removed; the shortcut's --mode is checked by the config
+    path, like every other option."""
+    out = tmp_path / "o"
+    assert cli_run(["maxwell", "--mode", "dispersive_1d",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: 'options.mode' must be one of")
+    assert not out.exists()
+
 def test_extended_check_shortcut_run(tmp_path):
     out = str(tmp_path / "ext")
     assert cli_run(["extended-check", "--n-fields", "2", "--out", out]) == 0

@@ -195,6 +195,39 @@ def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
                                atol=1e-14 * np.max(np.abs(ref)))
 
 
+
+@pytest.mark.parametrize("index0,n", [(1, 6), (-6, 6), (8, 8), (20, 4)],
+                         ids=["inside", "start", "end", "none"])
+@pytest.mark.parametrize("chunk_frames", [1, 3, 100])
+def test_equation_defect_subtracts_source_on_its_frames(monkeypatch,
+                                                        chunk_frames,
+                                                        index0, n):
+    """The source is subtracted on the frames it covers only, bitwise equal
+    to subtracting it zero-filled onto all of psi's frames (x - 0.0 == x),
+    for sources that cover psi's frames in part and not at all."""
+    grid = make_grid(1, 2.0, 16, 2)
+    rng = np.random.default_rng(np.random.Philox(12))
+    sys = make_system(grid, np.diag([2.0, 1.0]),
+                      [np.array([[0.0, 1.0], [1.0, 0.0]])])
+
+    def traj(index0, n):
+        v = rng.standard_normal((n, grid.sites, 2)) \
+            + 1j * rng.standard_normal((n, grid.sites, 2))
+        return Trajectory(grid, 0.125, index0, v)
+
+    psi, phi = traj(-2, 14), traj(index0, n)
+    psi.values[:, 0] = complex(-0.0, -0.0)
+    monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
+    got = equation_defect(sys, None, psi, phi, None)
+    aligned = np.zeros_like(psi.values)
+    for i in range(phi.n_frames):
+        j = phi.index0 + i - psi.index0
+        if 0 <= j < psi.n_frames:
+            aligned[j] = phi.values[i]
+    want = equation_defect(sys, None, psi, None, None).values - aligned[1:-1]
+    assert got.index0 == psi.index0 + 1
+    assert got.values.tobytes() == want.tobytes()
+
 # ---------------------------------------------------------------------------
 # one kernel application per iterate (linearity)
 

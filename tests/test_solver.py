@@ -2,6 +2,7 @@
 retarded Green operator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from conftest import gaussian_pulse
 from hypnl.grids import (StateField, Trajectory, ko_dissipation, make_grid,
                          norm_strip, sample_trajectory, to_modes)
-from hypnl.systems import (evolution_rhs, inner_weight, make_system,
-                           ode_system, transport_system)
+from hypnl.systems import (_fiber_apply, evolution_rhs, inner_weight,
+                           make_system, ode_system, transport_system)
 from hypnl.solver import (LocalSolver, SolveAborted, SolveOptions,
                           SolverError, _lattice_index, evolution_op,
                           green_retarded, solve_local)
@@ -207,20 +208,23 @@ def test_nan_abort():
     grid = make_grid(1, 1.0, 8, 1)
     sys = ode_system(grid, np.array([[400.0]]))   # stiff exponential growth
     data = StateField(grid, 0.0, 1e300 * np.ones((grid.sites, 1), complex))
-    with pytest.raises(SolveAborted) as exc:
+    with pytest.raises(SolveAborted) as exc, \
+            pytest.warns(RuntimeWarning, match="overflow"):
         solve_local(sys, None, data, 0.0, 10.0, SolveOptions(dt=0.1))
     assert isinstance(exc.value.partial, Trajectory)
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-step source sampler and RK4 loop that solve_local
-# replaced, kept verbatim. solve_local must reproduce them bitwise on the
-# state-free running sum and on the stepping path, and to _RECURRENCE_RTOL
-# of the largest frame value on the linear recurrence.
+# replaced, with the sampler reading lattice frames as the solver does.
+# solve_local must reproduce them bitwise on the stepping path, and to
+# _RECURRENCE_RTOL of the largest frame value on the linear recurrence
+# (state-free plans included, as its L = 0 case).
 
 class _SourceSampler:
-    """Linear-in-time interpolation of a frame-sampled source, zero outside
-    the covered window."""
+    """A frame-sampled source on the half-step lattice: frame i at
+    t = i dt, the mean of frames i and i + 1 at t = (i + 1/2) dt, and zero
+    where a frame it reads lies outside the covered window."""
 
     def __init__(self, phi, dt):
         if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
@@ -232,18 +236,13 @@ class _SourceSampler:
         phi = self.phi
         if phi is None:
             return None
-        u = t / self.dt - phi.index0
-        if u < -1e-9 or u > phi.n_frames - 1 + 1e-9:
+        k = round(2.0 * t / self.dt) - 2 * phi.index0
+        lo, hi = k // 2, (k + 1) // 2
+        if lo < 0 or hi > phi.n_frames - 1:
             return None
-        i = int(math.floor(u))
-        i = min(max(i, 0), phi.n_frames - 2) if phi.n_frames > 1 else 0
-        if phi.n_frames == 1:
-            return phi.values[0]
-        w = u - i
-        w = min(max(w, 0.0), 1.0)
-        if w == 0.0:
-            return phi.values[i]
-        return (1.0 - w) * phi.values[i] + w * phi.values[i + 1]
+        if lo == hi:
+            return phi.values[lo]
+        return 0.5 * (phi.values[lo] + phi.values[hi])
 
 
 def _ref_rhs(sys, y, t, source, eps):
@@ -327,8 +326,9 @@ def _counterexample_case():
 
 def _solver_case(name):
     """(system, options) of a named solver test case: the plans in
-    _STATE_FREE are state-free, those in _RECURRENCE are a linear
-    recurrence, and those in _STEPPING step."""
+    _STATE_FREE are state-free (the recurrence with L = 0), those in
+    _RECURRENCE are a linear recurrence with L != 0, and those in _STEPPING
+    step."""
     grid1 = make_grid(1, 1.0, 16, 1)
     grid2 = make_grid(1, 2.0 * math.pi, 32, 2)
     rng = np.random.default_rng(7)
@@ -397,9 +397,9 @@ _RECURRENCE_RTOL = 1e-13
 
 
 def _assert_frames_match(name, got, want):
-    """Bitwise on the state-free and stepping paths, to _RECURRENCE_RTOL of
-    the largest reference frame value on the recurrence."""
-    if name not in _RECURRENCE:
+    """Bitwise on the stepping path, to _RECURRENCE_RTOL of the largest
+    reference frame value on the recurrence (state-free plans included)."""
+    if name in _STEPPING:
         assert _bits(got) == _bits(want)
         return
     assert got.shape == want.shape
@@ -417,7 +417,9 @@ def _source(sys, dt, kind, sgn, steps, rng):
              # covers only the middle of the window
              "partial": (-(2 * steps) // 3 if sgn < 0 else steps // 4,
                          steps // 3 + 1),
-             "single": (sgn * (steps // 2), 1)}[kind]
+             "single": (sgn * (steps // 2), 1),
+             # all but the first and the last frame of the solve
+             "inner": (-(steps - 1) if sgn < 0 else 1, steps - 1)}[kind]
     vals = _random_field(rng, grid, n)
     vals[:, 1] = complex(-0.0, -0.0)
     return Trajectory(grid, dt, lo, vals)
@@ -438,7 +440,8 @@ def _count_rk4_steps(monkeypatch):
 
 @pytest.mark.parametrize("store_every", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
-@pytest.mark.parametrize("kind", ["full", "partial", "single", "none"])
+@pytest.mark.parametrize("kind", ["full", "partial", "inner", "single",
+                                  "none"])
 @pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
 def test_solve_local_matches_reference_loop(monkeypatch, name, kind, sgn,
                                             store_every):
@@ -475,7 +478,7 @@ def test_counterexample_solve_matches_reference_loop():
         want = _ref_solve_local(sys, f_tr, data, 0.0, t1, opts)
         got = solve_local(sys, f_tr, data, 0.0, t1, opts)
         assert got.index0 == want.index0
-        assert _bits(got.values) == _bits(want.values)
+        _assert_frames_match("counterexample", got.values, want.values)
 
 
 def test_zero_step_solve_returns_data():
@@ -496,10 +499,7 @@ def test_zero_step_solve_returns_data():
 def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
     """A non-finite source frame aborts every path at the step the loop
     aborts, with its message, index0 and last_stable, and its partial frames
-    (see _assert_frames_match). In some of these cases the loop's t / dt
-    rounds just above a frame index, so that it blends the non-finite frame
-    in with a weight of about 1e-16 one step before the step that reads it
-    (dissipation, forward, dt = 0.1 / 7: step 12, not 13)."""
+    (see _assert_frames_match): every path reads the same lattice frames."""
     sys, opts = _solver_case(name)
     opts = SolveOptions(dt=opts.dt, cfl=opts.cfl,
                         dissipation=opts.dissipation, store_every=store_every)
@@ -521,6 +521,130 @@ def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
         (want.partial.dt, want.partial.index0)
     _assert_frames_match(name, have.partial.values, want.partial.values)
 
+
+
+@pytest.mark.parametrize("path", ["recurrence", "loop"])
+def test_source_frame_aborts_the_step_that_reads_it(monkeypatch, path):
+    """Dissipation, forward, dt = 0.1 / 7, source frame 13 infinite: step 13
+    (from frame 12 to frame 13) is the first to read it, on the recurrence
+    and on the RK4 loop. Sampled at the float position t / dt, the loop
+    blended frame 13 in with a weight of about 1e-16 at the end of step 12
+    and aborted one step early."""
+    from hypnl import solver as solver_mod
+    sys, opts = _solver_case("dissipation")
+    if path == "loop":
+        monkeypatch.setattr(solver_mod, "_basis", lambda sys, eps: None)
+    rng = np.random.default_rng(5)
+    phi = _source(sys, opts.dt, "full", 1, 30, rng)
+    phi.values[13, 3, 0] = complex(np.inf, 0.0)
+    data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
+    calls = _count_rk4_steps(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolveAborted, match=r"after step 13 \(") as exc:
+            solve_local(sys, phi, data, 0.0, 30 * opts.dt, opts)
+    assert exc.value.last_stable == 12
+    assert exc.value.partial.n_frames == 13
+    assert len(calls) == (13 if path == "loop" else 0)
+
+
+# ---------------------------------------------------------------------------
+# Second oracle for state-free plans: the running sum that solved them
+# before they became the recurrence's L = 0 case, kept verbatim with its
+# source sampling (a blend of neighbouring frames at float positions t / dt;
+# on finite sources it differs from a lattice read by round-off only).
+
+def _source_index(phi: Trajectory, dt: float, t: np.ndarray) -> tuple:
+    """Linear-in-time interpolation of a frame-sampled source at the times
+    `t`, as three arrays `(inside, i, w)`: the source is zero where `inside`
+    is False, the frame phi[i] where w == 0, and (1 - w) phi[i] + w phi[i + 1]
+    otherwise."""
+    n = phi.n_frames
+    u = t / dt - phi.index0
+    inside = (u >= -1e-9) & (u <= n - 1 + 1e-9)
+    if n == 1:
+        return inside, np.zeros(len(t), dtype=int), np.zeros(len(t))
+    i = np.clip(np.floor(u), 0, n - 2)
+    return inside, i.astype(int), np.clip(u - i, 0.0, 1.0)
+
+
+def _stage_rows(sys, phi, index, shape: tuple) -> np.ndarray:
+    """A0^{-1} (0 + source) at every indexed time, one row each in a
+    (times, sites, fiber) `shape`: the RK4 stage of a state-free plan,
+    whatever the state."""
+    acc = np.zeros(shape, dtype=complex)
+    if phi is not None:
+        inside, i, w = index
+        view = np.flatnonzero(inside & (w == 0.0))
+        acc[view] = phi.values[i[view]]
+        blend = np.flatnonzero(inside & (w != 0.0))
+        wb, ib = w[blend][:, None, None], i[blend]
+        acc[blend] = (1.0 - wb) * phi.values[ib] + wb * phi.values[ib + 1]
+        acc += 0.0      # the 0 + source of the stage: -0.0 becomes +0.0
+    return _fiber_apply(sys.plan.A0_inv, acc)
+
+
+def _running_sum(sys, phi, index, y0: np.ndarray, h: float,
+                 n_steps: int) -> np.ndarray:
+    """Every frame of a state-free solve, in stepping order: the cumulative
+    sum of y0 and the RK4 increments, which `add.accumulate` takes one step
+    at a time, so it equals the stepping loop bitwise."""
+    shape = (n_steps,) + y0.shape
+    k1, k_mid, k4 = (_stage_rows(sys, phi, ix, shape) for ix in index)
+    two_mid = 2.0 * k_mid
+    k1 += two_mid
+    k1 += two_mid
+    k1 += k4
+    frames = np.empty((n_steps + 1,) + y0.shape, dtype=complex)
+    frames[0] = y0
+    np.multiply(h / 6.0, k1, out=frames[1:])
+    return np.cumsum(frames, axis=0, out=frames)
+
+
+def _running_sum_solve(sys, phi, data, t0, t1, opts):
+    """The stored frames of the running-sum solve, in increasing time."""
+    dt, se = opts.dt, opts.store_every
+    i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
+    n_steps = abs(i1 - i0)
+    sgn = 1 if i1 >= i0 else -1
+    h = sgn * dt
+    t = (i0 + sgn * np.arange(n_steps)) * dt
+    index = [None if phi is None else _source_index(phi, dt, ts)
+             for ts in (t, t + 0.5 * h, t + h)]
+    return _running_sum(sys, phi, index, data.values, h, n_steps)[::se][::sgn]
+
+
+@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", ["full", "partial", "inner", "single",
+                                  "none"])
+@pytest.mark.parametrize("name", _STATE_FREE)
+def test_state_free_solve_matches_running_sum(name, kind, sgn, store_every):
+    """A state-free solve, the recurrence with L = 0, agrees with the old
+    running sum to _RECURRENCE_RTOL of the largest frame value; the site
+    where the data and the source hold signed zeros stays exactly zero."""
+    sys, opts = _solver_case(name)
+    assert LocalSolver(sys, opts).basis == "sites"
+    opts = replace(opts, store_every=store_every)
+    rng = np.random.default_rng(17)
+    steps = 30
+    phi = _source(sys, opts.dt, kind, sgn, steps, rng)
+    if name == "counterexample" and kind == "full":
+        phi = _counterexample_case()[2]
+        phi = Trajectory(phi.grid, phi.dt, phi.index0, phi.values.copy())
+        phi.values[:, 1] = complex(-0.0, -0.0)
+    values = _random_field(rng, sys.grid)
+    values[1] = complex(-0.0, -0.0)
+    data = StateField(sys.grid, 0.0, values)
+    t1 = sgn * steps * opts.dt
+    want = _running_sum_solve(sys, phi, data, 0.0, t1, opts)
+    got = solve_local(sys, phi, data, 0.0, t1, opts)
+    assert got.values.shape == want.shape
+    assert got.index0 == (0 if sgn > 0 else -(steps // store_every))
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got.values - want))) <= \
+        _RECURRENCE_RTOL * scale
+    assert np.all(got.values[:, 1] == 0.0)
+    assert _bits(got.values[got.index_of(0.0)]) == _bits(data.values)
 
 # ---------------------------------------------------------------------------
 # solves in the recurrence's basis
@@ -582,7 +706,7 @@ def test_step_matrices_built_once_per_direction(monkeypatch):
 
 
 def test_in_basis_needs_a_recurrence():
-    for name in ("S0_t", "counterexample"):
+    for name in _STEPPING:
         sys, opts = _solver_case(name)
         data = StateField(sys.grid, 0.0, sys.grid.zeros())
         with pytest.raises(SolverError, match="basis"):

@@ -122,6 +122,42 @@ def test_indefinite_A0_rejected():
         make_system(g, np.diag([1.0, -1.0]), [np.zeros((2, 2))])
 
 
+
+@pytest.mark.parametrize("varying", ["none", "A0", "Aj"])
+def test_A0_inv_and_v_max_bitwise_equal_per_site_formulas(varying):
+    """A site-constant coefficient is checked and measured once, on its one
+    (f, f) matrix; A0_inv and v_max stay bitwise those of the per-site
+    formulas, on constant and on site-varying systems."""
+    g = make_grid(3, 1.0, 8, 3)
+    rng = np.random.default_rng(np.random.Philox(3))
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a0 = x @ x.conj().T + 3.0 * np.eye(3)
+    aj = [m + m.conj().T for m in
+          rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))]
+    scale = 1.0 + 0.5 * rng.random(g.sites)[:, None, None]
+    if varying == "A0":
+        a0 = scale * a0
+    if varying == "Aj":
+        aj[1] = scale * aj[1]
+    sys = make_system(g, a0, aj, S0=np.eye(3))
+    inv = np.linalg.inv(sys.A0)
+    assert sys.A0_inv.shape == (g.sites, 3, 3)
+    assert sys.A0_inv.tobytes() == inv.tobytes()
+    v_max = max(float(np.max(np.abs(np.linalg.eigvals(inv @ a))))
+                for a in sys.Aj)
+    assert sys.v_max == v_max
+    assert v_max > 0.0
+
+
+def test_non_hermitian_A0_rejected():
+    g = make_grid(1, 1.0, 8, 2)
+    with pytest.raises(SystemError, match="Hermitian"):
+        make_system(g, np.array([[2.0, 1.0], [0.0, 2.0]]), [np.zeros((2, 2))])
+    a0 = np.broadcast_to(np.eye(2), (g.sites, 2, 2)).copy()
+    a0[3, 0, 1] = 0.5
+    with pytest.raises(SystemError, match="Hermitian"):
+        make_system(g, a0, [np.zeros((2, 2))])
+
 def test_json_roundtrip_constant():
     g = make_grid(1, 2.0 * math.pi, 64, 2)
     sys = make_system(g, np.diag([2.0, 1.0]), [SIGMA1], S0=0.3j * SIGMA3,
