@@ -304,8 +304,9 @@ def _build_custom(cfg: RunConfig):
     dt = opts.get("dt")
     cfl = float(opts.get("cfl", 0.25))
     if dt is None:
-        v = max(sys_spec.v_max, 1e-12)
-        dt = cfl * sys_spec.grid.spacing / v
+        _require(sys_spec.v_max > 0, f"{cfg.path}options.dt",
+                 "is required when the signal speed v_max is 0")
+        dt = cfl * sys_spec.grid.spacing / sys_spec.v_max
     sopts = SolveOptions(dt=float(dt), cfl=cfl,
                          dissipation=float(opts.get("dissipation", 0.0)))
     kern = None
@@ -317,8 +318,10 @@ def _build_custom(cfg: RunConfig):
         kern = maxwell_kernel(sys_spec.grid, chi_dot,
                               delta_eff=float(kspec.get("delta", math.inf)))
     T = float(opts.get("T", sys_spec.grid.extent))
-    T = round(T / sopts.dt) * sopts.dt
-    return sys_spec, kern, sopts, T
+    steps = round(T / sopts.dt)
+    _require(steps >= 2, f"{cfg.path}options.T", f"is {steps} step(s) of "
+             f"options.dt = {sopts.dt:.6g}; need at least 2")
+    return sys_spec, kern, sopts, steps * sopts.dt
 
 
 def _bounds_subject(cfg: RunConfig):

@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .grids import _CHUNK_VALUES, Grid, Trajectory, frame_norms_sq
-from .systems import SystemSpec, _fiber_apply, inner_weight, zero_order_matrices
+from .systems import (SystemSpec, _fiber_apply, inner_weight,
+                      symbol_divergence, zero_order_matrices)
 
 
 class DiagnosticsError(ValueError):
@@ -128,12 +129,11 @@ def _balance_terms(beta: np.ndarray, dv: float, psi: np.ndarray,
 
 
 def _sym_part_matrices(sys: SystemSpec, t: float) -> Optional[np.ndarray]:
-    """(S0 + S0^dagger + div A) per site, or None when zero."""
-    from .systems import symbol_divergence
+    """S0 + S0^dagger + div A in `_fiber_apply` form, or None when zero."""
     s0 = sys.S0_at(t)
     acc = symbol_divergence(sys, t)
     if s0 is not None:
-        acc = acc + s0 + np.conj(np.swapaxes(s0, 1, 2))
+        acc = acc + s0 + np.conj(np.swapaxes(s0, -1, -2))
     if not np.any(acc):
         return None
     return acc

@@ -14,7 +14,7 @@ which the residual uses (residual histories agree with re-applying B to the
 partial sum to 1e-12 of each series' maximum).
 
 Loop basis: a run keeps its iterates, sources, B psi, the running sums and
-the partial sum on the Fourier modes when the plan's recurrence runs on the
+the partial sum on the Fourier modes when the system's recurrence runs on the
 modes, the kernel commutes with translations
 (`TimeKernel.translation_invariant`) and the inner weight is the same at
 every site; otherwise on the sites. The transform is the unitary
@@ -268,14 +268,14 @@ def _window_contamination(src: Trajectory, delta: float, W: float,
 
 def _runs_on_modes(sys: SystemSpec, k: Optional[TimeKernel],
                    solver: LocalSolver) -> bool:
-    """Whether a Dyson run keeps its iterates on the Fourier modes: the plan
+    """Whether a Dyson run keeps its iterates on the Fourier modes: the system
     is a recurrence on the modes, k commutes with translations and the inner
     weight is the same at every site. Then the local solves, B, S and every
     norm commute with the unitary `grids.to_modes` (the norms by Parseval)."""
     if solver.basis != "modes" or k is None or not k.translation_invariant:
         return False
     w = inner_weight(sys).weight
-    return bool(np.all(w == w[0]))
+    return w is None or w.ndim == 2
 
 
 def _on_modes(tr: Optional[Trajectory], modes: bool,
@@ -430,7 +430,7 @@ def _measure_constants(sys, k, phi, data, T, constants, window, seed):
         if phi is not None:
             # + int ||A0^{-1} phi||_t dt over the source window
             nv = Trajectory(phi.grid, phi.dt, phi.index0,
-                            _fiber_apply(sys.plan.A0_inv, phi.values))
+                            _fiber_apply(sys.A0_inv, phi.values))
             m += trapezoid_sum(np.sqrt(np.maximum(frame_norms_sq(nv, w), 0.0)),
                                phi.dt)
         out["M"] = m

@@ -5,13 +5,17 @@ A Grid is a 1D or 3D torus with a complex fiber at every site. Fields store
 their values as a flat (sites, fiber) complex array; helpers reshape to the
 tensor layout when a spatial stencil needs axis structure. All reductions run
 in a fixed order (plain einsum / C-order sums) so results are bit-reproducible
-across thread counts.
+across thread counts. The slice weight is held in the one form of every fiber
+operator (see `systems`): None for the identity, one (f, f) matrix when it is
+the same at every site, else a (sites, f, f) stack; each inner product takes
+one einsum per form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -185,51 +189,51 @@ def sample_trajectory(grid: Grid, fn, dt: float, index0: int, n_frames: int) -> 
 
 @dataclass(frozen=True)
 class InnerWeight:
-    """Slice inner-product data: Hermitian positive-definite fiber matrix per
-    site (the symbol in the time direction composed with the bundle metric)
-    and the positive lapse per site."""
+    """Slice inner-product weight W, Hermitian positive definite (the symbol
+    in the time direction composed with the bundle metric), in the form
+    `systems._fiber_apply` takes (None for the identity)."""
 
     grid: Grid
-    weight: np.ndarray  # (sites, fiber, fiber) Hermitian > 0
-    lapse: np.ndarray   # (sites,) real > 0
-    is_identity: bool = field(init=False, repr=False, compare=False)
+    weight: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.weight is None:
+            return
         w = np.asarray(self.weight, dtype=complex)
-        lp = np.asarray(self.lapse, dtype=float)
         f = self.grid.fiber
-        if w.shape != (self.grid.sites, f, f):
+        if w.shape not in ((f, f), (self.grid.sites, f, f)):
             raise GridError(f"weight shape {w.shape} invalid")
-        if lp.shape != (self.grid.sites,):
-            raise GridError(f"lapse shape {lp.shape} invalid")
-        herm = np.max(np.abs(w - np.conj(np.swapaxes(w, 1, 2))))
+        herm = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))))
         if herm > 1e-12 * max(1.0, np.max(np.abs(w))):
             raise GridError(f"weight not Hermitian (defect {herm:.2e})")
         if np.min(np.linalg.eigvalsh(w)) <= 0:
             raise GridError("weight not positive definite")
-        if np.min(lp) <= 0:
-            raise GridError("lapse not positive")
         object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "lapse", lp)
-        object.__setattr__(self, "is_identity",
-                           bool(np.all(w == np.eye(f)) and np.all(lp == 1.0)))
 
     @classmethod
     def identity(cls, grid: Grid) -> "InnerWeight":
-        w = np.broadcast_to(np.eye(grid.fiber, dtype=complex),
-                            (grid.sites, grid.fiber, grid.fiber)).copy()
-        return cls(grid, w, np.ones(grid.sites))
+        return cls(grid)
 
     def roots(self) -> tuple:
-        """(W^{1/2}, W^{-1/2}) per site, in the form `systems._fiber_apply`
-        takes: (None, None) for the identity weight, else (sites, f, f)."""
-        if self.is_identity:
+        """(W^{1/2}, W^{-1/2}) in the form of the weight: (None, None) for
+        the identity."""
+        if self.weight is None:
             return None, None
         evals, vecs = np.linalg.eigh(self.weight)
-        root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
-        iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
-                          np.conj(vecs))
-        return root, iroot
+        return tuple(np.einsum("...fg,...g,...hg->...fh", vecs, d, vecs.conj())
+                     for d in (np.sqrt(evals), 1.0 / np.sqrt(evals)))
+
+
+def _weighted_pairs(a: np.ndarray, b: np.ndarray, w: InnerWeight,
+                   lead: str = "") -> np.ndarray:
+    """sum over sites and fiber of conj(a) W b, per frame of (frames, sites,
+    fiber) stacks (`lead` = "t") or of one (sites, fiber) slice (""): one
+    fixed-order einsum per form of the weight."""
+    if w.weight is None:
+        return np.einsum(f"{lead}sf,{lead}sf->{lead}", np.conj(a), b)
+    mat = "fg" if w.weight.ndim == 2 else "sfg"
+    return np.einsum(f"{lead}sf,{mat},{lead}sg->{lead}", np.conj(a),
+                     w.weight, b)
 
 
 def inner_t(a: StateField, b: StateField, w: InnerWeight) -> complex:
@@ -241,11 +245,7 @@ def inner_t(a: StateField, b: StateField, w: InnerWeight) -> complex:
         raise GridError(f"time labels differ: {a.time} vs {b.time}")
     if w.grid != a.grid:
         raise GridError("weight grid mismatch")
-    if w.is_identity:
-        s = np.einsum("sf,sf->", np.conj(a.values), b.values)
-    else:
-        s = np.einsum("sf,sfg,sg->", np.conj(a.values), w.weight, b.values)
-    return complex(s) * a.grid.cell_volume
+    return complex(_weighted_pairs(a.values, b.values, w)) * a.grid.cell_volume
 
 
 def norm_t(a: StateField, w: InnerWeight) -> float:
@@ -253,40 +253,31 @@ def norm_t(a: StateField, w: InnerWeight) -> float:
     return math.sqrt(max(v, 0.0))
 
 
-def frame_norms_sq(tr: Trajectory, w) -> np.ndarray:
-    """Per-frame squared slice norms, fixed summation order: one einsum over
-    all frames for an InnerWeight, one inner_t per frame for a callable
-    t -> InnerWeight."""
-    if callable(w):
-        return np.array([inner_t(fr, fr, w(fr.time)).real for fr in tr])
+def frame_norms_sq(tr: Trajectory, w: InnerWeight) -> np.ndarray:
+    """Per-frame squared slice norms: one fixed-order einsum over all
+    frames."""
     if w.grid != tr.grid:
         raise GridError("weight grid mismatch")
     v = tr.values
-    if w.is_identity:
-        s = np.einsum("tsf,tsf->t", np.conj(v), v)
-    else:
-        s = np.einsum("tsf,sfg,tsg->t", np.conj(v), w.weight, v)
-    return s.real * tr.grid.cell_volume
+    return _weighted_pairs(v, v, w, "t").real * tr.grid.cell_volume
 
 
 def trapezoid_sum(series: np.ndarray, dt: float) -> float:
-    """Composite trapezoidal rule with deterministic left-to-right summation."""
+    """Composite trapezoidal rule with deterministic left-to-right summation:
+    the last running sum of [(s_0 + s_last) / 2, s_1, ..., s_{n-2}]."""
     if len(series) == 1:
         return 0.0
-    acc = 0.5 * (series[0] + series[-1])
-    for v in series[1:-1]:
-        acc += v
-    return float(acc * dt)
+    terms = np.concatenate(([0.5 * (series[0] + series[-1])], series[1:-1]))
+    return float(np.add.accumulate(terms)[-1] * dt)
 
 
-def norm_strip(tr: Trajectory, w) -> float:
-    """Strip norm sqrt(int ||psi_t||_t^2 dt) by the trapezoidal rule.
-    `w` is an InnerWeight or a callable t -> InnerWeight."""
+def norm_strip(tr: Trajectory, w: InnerWeight) -> float:
+    """Strip norm sqrt(int ||psi_t||_t^2 dt) by the trapezoidal rule."""
     sq = frame_norms_sq(tr, w)
     return math.sqrt(max(trapezoid_sum(sq, tr.dt), 0.0))
 
 
-def sup_norm(tr: Trajectory, w) -> float:
+def sup_norm(tr: Trajectory, w: InnerWeight) -> float:
     """sup over frames of the slice norm."""
     return math.sqrt(max(float(np.max(frame_norms_sq(tr, w))), 0.0))
 

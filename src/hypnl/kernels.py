@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .grids import Grid, Trajectory
-from .systems import SystemSpec, _fiber_apply, inner_weight
+from .systems import SystemSpec, _fiber_apply, _fiber_product, inner_weight
 
 INF = math.inf
 
@@ -551,15 +551,14 @@ def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
 
 def weighted(k: TimeKernel, sys: SystemSpec) -> TimeKernel:
     """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B. Its
-    `post` takes the form of the stepping plan's A0^{-1}: None when A0 is
-    the identity (and k has no post), one (f, f) matrix when A0 and k's
-    post are the same at every site, else a per-site stack."""
+    `post` takes the form of the system's A0^{-1}: None when A0 is the
+    identity (and k has no post), one (f, f) matrix when A0 and k's post
+    are the same at every site, else a per-site stack."""
     if sys.grid != k.grid:
         raise KernelError("kernel / system grid mismatch")
-    a0_inv = sys.plan.A0_inv
-    if a0_inv is None:
+    if sys.A0_inv is None:
         return k
-    return replace(k, post=a0_inv if k.post is None else a0_inv @ k.post)
+    return replace(k, post=_fiber_product(sys.A0_inv, k.post))
 
 
 def adjoint(k: TimeKernel) -> TimeKernel:

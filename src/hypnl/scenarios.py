@@ -20,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (_CHUNK_VALUES, Grid, InnerWeight, StateField, Trajectory,
-                    diff4, frame_norms_sq, make_grid, norm_strip,
-                    stencil_wavenumber)
+                    _weighted_pairs, diff4, frame_norms_sq, make_grid,
+                    norm_strip, stencil_wavenumber)
 from .systems import SystemSpec, apply_S, inner_weight, make_system
 from .kernels import (ConvTerm, TimeKernel, estimate_bound, make_convolution,
                       make_modulated, make_separable, threshold_margin)
@@ -246,8 +246,7 @@ def _strip_pair(a: Trajectory, b: Trajectory, w: InnerWeight) -> complex:
         raise ScenarioError("no shared frames")
     av = a.values[lo - a.index0:hi - a.index0]
     bv = b.values[lo - b.index0:hi - b.index0]
-    s = np.einsum("tsf,sfg,tsg->t", np.conj(av), w.weight, bv) \
-        * a.grid.cell_volume
+    s = _weighted_pairs(av, bv, w, "t") * a.grid.cell_volume
     ww = np.ones(hi - lo)
     ww[0] = ww[-1] = 0.5
     return complex(np.sum(ww * s) * a.dt)

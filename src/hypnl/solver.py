@@ -15,8 +15,8 @@ d_t psi = -psi from psi = 1 by 2^4.0
 Backward solves (t1 < t0) are supported; frames are always returned in
 increasing-time order on the integer lattice i * dt.
 
-A solve takes one of two paths; the plan and the dissipation alone choose
-it, and there is no setting:
+A solve takes one of two paths; the system and the dissipation alone
+choose it, and there is no setting:
 
 * Linear recurrence (no S0_t, and either no spatial term and no dissipation,
   or every coefficient the same at every site): one RK4 step of the linear
@@ -24,7 +24,7 @@ it, and there is no setting:
   on the sites or on the Fourier modes of the torus. R, P0 and P1 are built
   once per LocalSolver and direction, the data and source frames are
   transformed once per solve, each step is one batched matvec and one add,
-  and the frames are transformed back once. A state-free plan (no live A^j,
+  and the frames are transformed back once. A state-free system (no live A^j,
   no S0, no dissipation) is its L = 0 case on the sites: R = I,
   P0 = P1 = (h/2) I, and a step with one end in the source window adds
   (h/6) s, so the frames are the data plus one cumulative sum of these
@@ -33,8 +33,8 @@ it, and there is no setting:
   1e-13.
 * Stepping (a time-dependent S0, or a spatial term or dissipation with a
   coefficient that varies by site): the RK4 loop, each stage applying the
-  plan, writing each frame into one preallocated array; bitwise equal to
-  the per-step loop.
+  coefficients, writing each frame into one preallocated array; bitwise
+  equal to the per-step loop.
 
 Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
@@ -145,18 +145,17 @@ def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
 
 
 def _basis(sys: SystemSpec, eps: float) -> Optional[str]:
-    """The basis in which the plan is a linear autonomous recurrence that
+    """The basis in which the system is a linear autonomous recurrence that
     does not couple its blocks: "sites" when it has no spatial term and no
     dissipation (with no S0 either, L = 0: see _source_integral), "modes"
     (Fourier modes of the torus) when every coefficient is the same at every
     site, None when it has to step (a time-dependent S0, or a spatial term
     or dissipation with a coefficient that varies by site)."""
-    plan = sys.plan
     if sys.S0_t is not None:
         return None
-    if not plan.Aj and eps == 0.0:
+    if not sys.live and eps == 0.0:
         return "sites"
-    coeffs = (plan.A0_inv, plan.S0) + tuple(a for _, a in plan.Aj)
+    coeffs = (sys.A0_inv, sys.S0) + tuple(sys.Aj[j] for j, _ in sys.live)
     if all(c is None or c.ndim == 2 for c in coeffs):
         return "modes"
     return None
@@ -181,16 +180,17 @@ def _generator(sys: SystemSpec, eps: float, basis: str,
     with i sigma the stencil symbol (`grids.stencil_symbols`) and
     theta_j = 2 pi m_j / points; the last term is the Kreiss-Oliger
     dissipation."""
-    plan, g = sys.plan, sys.grid
+    g = sys.grid
     f = g.fiber
-    a0_inv = np.eye(f) if plan.A0_inv is None else plan.A0_inv
-    gen = a0_inv @ plan.S0 if plan.S0 is not None else np.zeros((f, f))
+    a0_inv = np.eye(f) if sys.A0_inv is None else sys.A0_inv
+    gen = a0_inv @ sys.S0 if sys.S0 is not None else np.zeros((f, f))
     if basis == "sites":
         return gen
     symbols = stencil_symbols(g)[:, modes]
     out = np.empty((symbols.shape[1], f, f), dtype=complex)
     out[:] = gen
-    for j, a in plan.Aj:
+    for j, _ in sys.live:
+        a = sys.Aj[j]
         m = a0_inv if a is None else a0_inv @ a
         out -= symbols[j][:, None, None] * m
     if eps > 0.0:
@@ -223,7 +223,7 @@ def _rk4_polys(z: np.ndarray, h: float) -> np.ndarray:
 
 def _step_matrices(sys: SystemSpec, eps: float, basis: str,
                    h: float) -> np.ndarray:
-    """(R, P0, P1) of the plan in the basis (see _rk4_polys); on the modes
+    """(R, P0, P1) of the system in the basis (see _rk4_polys); on the modes
     they are formed for chunks of modes, so that only the result is the size
     of a per-mode stack."""
     if basis == "sites":
@@ -302,8 +302,7 @@ def _forcings(sys: SystemSpec, phi: Optional[Trajectory], xf: str,
         if first <= hi:
             rows = i0 + sgn * np.arange(first, hi + 1) - phi.index0
             frames[first - a:hi - a + 1] = _transform(
-                sys.grid, xf, _fiber_apply(sys.plan.A0_inv,
-                                           phi.values[rows]))
+                sys.grid, xf, _fiber_apply(sys.A0_inv, phi.values[rows]))
         carry = frames[-1]
         # batched matmuls with the frames as matrix columns: on per-mode
         # stacks far faster than _fiber_apply's broadcasting einsum
@@ -361,7 +360,7 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
 def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
                      y0: np.ndarray, h: float, i0: int, sgn: int,
                      n_steps: int, se: int, stored: np.ndarray) -> int:
-    """The recurrence of a plan with L = 0 (R = I, P0 = P1 = (h/2) I), with
+    """The recurrence of a system with L = 0 (R = I, P0 = P1 = (h/2) I), with
     _recurrence's output and return value: the frames are y0 plus the
     cumulative sum of the steps' source terms, (h/2)(s_n + s_n+1) inside the
     source window and (h/6) s at a step with one end in it, where
@@ -375,8 +374,7 @@ def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
     if window is not None:
         lo, hi = window
         ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
-        s = _fiber_apply(sys.plan.A0_inv,
-                         phi.values[ends[0]:ends[1] + 1][::sgn])
+        s = _fiber_apply(sys.A0_inv, phi.values[ends[0]:ends[1] + 1][::sgn])
         inc = frames[1:]             # inc[n] is the source term of step n
         np.add(s[:-1], s[1:], out=inc[lo:hi])
         inc[lo:hi] *= 0.5 * h
@@ -423,7 +421,7 @@ class LocalSolver:
     The recurrence's step matrices (R, P0, P1) are built at the first solve
     in each direction and kept, so that a caller making many solves, such as
     a Dyson run, builds them once. `basis` is the recurrence's basis ("sites"
-    or "modes", see _basis; "sites" for a state-free plan, whose recurrence
+    or "modes", see _basis; "sites" for a state-free system, whose recurrence
     is the L = 0 case), None when the solves step RK4."""
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
@@ -462,7 +460,7 @@ class LocalSolver:
         stored = vals[::sgn]
         stored[0] = data.values
         if self.basis is not None:
-            if self.basis == "sites" and sys.plan.S0 is None:     # L = 0
+            if self.basis == "sites" and sys.S0 is None:     # L = 0
                 n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
                                         n_steps, se, stored)
             else:

@@ -8,13 +8,18 @@ Operator convention (flat product spacetime, coordinates (t, x^j)):
 
 with A0, A^j Hermitian per site, A0 positive definite, and D_j the module's
 4th-order central stencil. The slice inner product uses the weight beta * A0.
+
+Every fiber operator -- each coefficient, A0^{-1} and the slice weight -- is
+held once, in the form `_fiber_apply` takes: None for the identity, one
+(f, f) matrix when it is the same at every site, and a (sites, f, f) stack
+only when it varies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,19 +30,21 @@ class SystemError(ValueError):
     pass
 
 
-def _per_site(grid: Grid, mat) -> np.ndarray:
-    """Broadcast a constant fiber matrix (or accept a per-site stack)."""
+def _form(grid: Grid, mat) -> Optional[np.ndarray]:
+    """A fiber operator in the form `_fiber_apply` takes, as given: None
+    stays None, else one (f, f) matrix or a per-site (sites, f, f) stack."""
+    if mat is None:
+        return None
     m = np.asarray(mat, dtype=complex)
     f = grid.fiber
-    if m.shape == (f, f):
-        return np.broadcast_to(m, (grid.sites, f, f)).copy()
-    if m.shape == (grid.sites, f, f):
-        return m.copy()
-    raise SystemError(f"coefficient shape {m.shape} invalid for fiber {f}")
+    if m.shape not in ((f, f), (grid.sites, f, f)):
+        raise SystemError(f"coefficient shape {m.shape} invalid for fiber {f}")
+    return m
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
+def _hermiticity_defect(m: Optional[np.ndarray]) -> float:
+    return 0.0 if m is None else \
+        float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
 
 
 def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -50,66 +57,74 @@ def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
     return np.einsum("sfg,...sg->...sf", m, values)
 
 
-def _site_constant(m: np.ndarray) -> np.ndarray:
-    """One (f, f) matrix when every site holds the same one, else the stack."""
-    return m[0] if np.all(m == m[0]) else m
+def _compact(grid: Grid, mat, eye_as_none: bool = True) -> Optional[np.ndarray]:
+    """A coefficient held once, in the cheapest form `_fiber_apply` takes:
+    None stays None, one (f, f) matrix when every site holds the same one
+    (None for the identity if `eye_as_none`), else a copy of the stack."""
+    m = _form(grid, mat)
+    if m is not None and m.ndim == 3 and np.all(m == m[0]):
+        m = m[0]
+    if m is None or (eye_as_none and m.ndim == 2
+                     and np.array_equal(m, np.eye(grid.fiber))):
+        return None
+    return m.copy()
 
 
-def _compact(m: np.ndarray) -> Optional[np.ndarray]:
-    """A per-site stack in the cheapest form `_fiber_apply` takes: None for
-    the identity, else as `_site_constant`."""
-    c = _site_constant(m)
-    return None if c.ndim == 2 and np.array_equal(c, np.eye(len(c))) else c
+def _fiber_product(a: Optional[np.ndarray],
+                   b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The product a b of two fiber operators in `_fiber_apply` form."""
+    if a is None:
+        return b
+    return a if b is None else a @ b
 
 
-def _read_columns(m: np.ndarray) -> Optional[np.ndarray]:
-    """The fiber columns a per-site stack reads (those with a nonzero entry
-    at some site), or None when it reads every column."""
-    cols = np.flatnonzero(np.any(m != 0, axis=(0, 1)))
+def _read_columns(m: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The fiber columns a coefficient reads (those with a nonzero entry at
+    some site), or None when it reads every column."""
+    if m is None:
+        return None
+    cols = np.flatnonzero(np.any(m != 0, axis=tuple(range(m.ndim - 1))))
     return None if len(cols) == m.shape[-1] else cols
-
-
-class StepPlan(NamedTuple):
-    """The coefficients the hot path applies, each in `_fiber_apply` form.
-    Spatial terms that are identically zero are dropped, and so is a zero S0."""
-
-    A0: Optional[np.ndarray]
-    A0_inv: Optional[np.ndarray]
-    Aj: tuple                      # (axis, coefficient) of every live A^j
-    S0: Optional[np.ndarray]       # constant-in-time S0; None if absent or 0
-    reads: tuple                   # per live A^j: _read_columns of it
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Coefficient data of a symmetric hyperbolic system on a periodic grid.
 
-    S0 may be time dependent through `S0_t(t) -> (sites, f, f)`; A0 time
-    dependence enters only through `dA0_dt` (the d_t A0 term of the symbol
-    divergence). Coefficient callbacks must be pure.
+    Every fiber operator (A0, A0_inv, each A^j, S0) is held once, in the
+    form `_fiber_apply` takes: None for the identity (None for S0: absent
+    or zero), one (f, f) matrix when it is the same at every site, else a
+    per-site (sites, f, f) stack. The constructor takes A0, A^j and S0 in
+    any of these forms.
+
+    S0 may be time dependent through `S0_t(t) -> (f, f) or (sites, f, f)`;
+    A0 time dependence enters only through `dA0_dt` (the d_t A0 term of the
+    symbol divergence). Coefficient callbacks must be pure.
     """
 
     grid: Grid
-    A0: np.ndarray                    # (sites, f, f) Hermitian > 0
-    Aj: tuple                         # dim arrays, (sites, f, f) Hermitian
-    S0: Optional[np.ndarray] = None   # (sites, f, f) or None
+    A0: Optional[np.ndarray]          # Hermitian > 0
+    Aj: tuple                         # dim coefficients, Hermitian
+    S0: Optional[np.ndarray] = None
     S0_t: Optional[Callable[[float], np.ndarray]] = None
     beta: Optional[np.ndarray] = None  # (sites,) positive lapse, default 1
     dA0_dt: Optional[Callable[[float], np.ndarray]] = None
     name: str = "system"
-    plan: StepPlan = field(init=False, repr=False, compare=False)
+    A0_inv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    # (axis, _read_columns) of every A^j that is not identically zero
+    live: tuple = field(init=False, repr=False, compare=False)
+    v_max: float = field(init=False, repr=False, compare=False)  # signal speed
     # the slice weight, built by the first `inner_weight` call
     _weight: Optional[InnerWeight] = field(default=None, init=False,
                                            repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
-        object.__setattr__(self, "A0", _per_site(g, self.A0))
-        object.__setattr__(self, "Aj", tuple(_per_site(g, a) for a in self.Aj))
         if len(self.Aj) != g.dim:
             raise SystemError(f"need {g.dim} spatial coefficient(s), got {len(self.Aj)}")
-        if self.S0 is not None:
-            object.__setattr__(self, "S0", _per_site(g, self.S0))
+        a0 = _compact(g, self.A0)
+        aj = tuple(_compact(g, a) for a in self.Aj)
+        s0 = _compact(g, self.S0, eye_as_none=False)
         b = self.beta
         if b is None:
             b = np.ones(g.sites)
@@ -117,53 +132,38 @@ class SystemSpec:
             b = np.broadcast_to(np.asarray(b, dtype=float), (g.sites,)).copy()
             if np.min(b) <= 0:
                 raise SystemError("lapse must be positive")
-        object.__setattr__(self, "beta", b)
-        coeffs = (self.A0, b) + self.Aj + (() if self.S0 is None else (self.S0,))
-        if not all(np.all(np.isfinite(c)) for c in coeffs):
+        if not all(c is None or np.all(np.isfinite(c))
+                   for c in (a0, b, s0) + aj):
             raise SystemError("coefficients must be finite")
-        # a coefficient that is the same at every site is checked and
-        # measured once, on its one (f, f) matrix
-        a0 = _site_constant(self.A0)
         if _hermiticity_defect(a0) > 1e-12:
             raise SystemError("A0 not Hermitian")
-        if np.min(np.linalg.eigvalsh(a0)) <= 0:
+        if a0 is not None and np.min(np.linalg.eigvalsh(a0)) <= 0:
             raise SystemError("A0 not positive definite")
-        a0_inv = np.linalg.inv(a0)
-        object.__setattr__(self, "_A0_inv", a0_inv if a0_inv.ndim == 3 else
-                           np.broadcast_to(a0_inv, self.A0.shape).copy())
-        live_S0 = self.S0 is not None and np.any(self.S0)
-        live = [(j, a) for j, a in enumerate(self.Aj) if np.any(a)]
-        object.__setattr__(self, "plan", StepPlan(
-            A0=_compact(self.A0), A0_inv=_compact(self._A0_inv),
-            Aj=tuple((j, _compact(a)) for j, a in live),
-            S0=_site_constant(self.S0) if live_S0 else None,
-            reads=tuple(_read_columns(a) for _, a in live)))
+        a0_inv = None if a0 is None else np.linalg.inv(a0)
+        object.__setattr__(self, "A0", a0)
+        object.__setattr__(self, "A0_inv", a0_inv)
+        object.__setattr__(self, "Aj", aj)
+        object.__setattr__(self, "S0", s0 if s0 is not None and np.any(s0)
+                           else None)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "live", tuple(
+            (j, _read_columns(a)) for j, a in enumerate(aj)
+            if a is None or np.any(a)))
         # max |eigenvalue| of A0^{-1} A^j over sites and axes = signal speed
         vmax = 0.0
-        for a in self.Aj:
-            aj = _site_constant(a)
-            m = a0_inv @ aj if a0_inv.ndim == aj.ndim == 2 \
-                else self._A0_inv @ a
-            ev = np.linalg.eigvals(m)
+        for a in aj:
+            m = _fiber_product(a0_inv, a)
+            ev = np.linalg.eigvals(np.eye(g.fiber) if m is None else m)
             vmax = max(vmax, float(np.max(np.abs(ev))) if ev.size else 0.0)
-        object.__setattr__(self, "_v_max", vmax)
-
-    @property
-    def A0_inv(self) -> np.ndarray:
-        return self._A0_inv
-
-    @property
-    def v_max(self) -> float:
-        return self._v_max
+        object.__setattr__(self, "v_max", vmax)
 
     @property
     def constant_in_time(self) -> bool:
         return self.S0_t is None and self.dA0_dt is None
 
     def S0_at(self, t: float) -> Optional[np.ndarray]:
-        if self.S0_t is not None:
-            return _per_site(self.grid, self.S0_t(t))
-        return self.S0
+        """S0 at time t in `_fiber_apply` form (None when absent)."""
+        return self.S0 if self.S0_t is None else _form(self.grid, self.S0_t(t))
 
 
 def make_system(grid: Grid, A0, Aj: Sequence, S0=None, S0_t=None, beta=None,
@@ -189,11 +189,19 @@ def ode_system(grid: Grid, S0, name: str = "ode") -> SystemSpec:
 
 def inner_weight(sys: SystemSpec) -> InnerWeight:
     """Slice weight beta * A0 (the time symbol of the conformally scaled
-    metric composed with the bundle metric). Built and checked once per
-    system; every call returns that one weight, with a read-only matrix."""
+    metric composed with the bundle metric), in `_fiber_apply` form: None
+    when beta = 1 and A0 = I, one (f, f) matrix when beta and A0 are the
+    same at every site (with beta = 1, A0 itself). Built and checked once
+    per system; every call returns that one weight, with a read-only
+    matrix."""
     if sys._weight is None:
-        w = InnerWeight(sys.grid, sys.beta[:, None, None] * sys.A0, sys.beta)
-        w.weight.flags.writeable = False
+        b, w = sys.beta, sys.A0
+        if not np.all(b == 1.0):
+            scale = b[0] if np.all(b == b[0]) else b[:, None, None]
+            w = scale * (np.eye(sys.grid.fiber) if w is None else w)
+        w = InnerWeight(sys.grid, w)
+        if w.weight is not None:
+            w.weight.flags.writeable = False
         object.__setattr__(sys, "_weight", w)
     return sys._weight
 
@@ -202,7 +210,7 @@ def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
     """S0 psi, or None when S0 is absent; `t` is one time, or one time per
     frame when `values` is a (frames, sites, fiber) stack."""
     if sys.S0_t is None:
-        return None if sys.plan.S0 is None else _fiber_apply(sys.plan.S0, values)
+        return None if sys.S0 is None else _fiber_apply(sys.S0, values)
     if np.ndim(t) == 0:
         return _fiber_apply(sys.S0_at(t), values)
     return np.stack([_fiber_apply(sys.S0_at(float(ti)), v)
@@ -216,7 +224,8 @@ def _spatial_terms(sys: SystemSpec, values: np.ndarray,
     column's term would add a signed zero or carry a non-finite value.
     `deriv` is D_j with diff4's signature: diff4 on site values,
     `grids.mode_diff4` on Fourier-mode values (site-constant A^j only)."""
-    for (j, a), cols in zip(sys.plan.Aj, sys.plan.reads):
+    for j, cols in sys.live:
+        a = sys.Aj[j]
         if cols is None:
             yield _fiber_apply(a, deriv(sys.grid, values, j))
         else:
@@ -238,7 +247,7 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
         acc += s0
     for term in _spatial_terms(sys, values):
         acc -= term
-    return _fiber_apply(sys.plan.A0_inv, acc)
+    return _fiber_apply(sys.A0_inv, acc)
 
 
 def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
@@ -247,7 +256,7 @@ def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
     (frames, sites, fiber) stack with `t` holding one time per frame; on
     Fourier-mode values with `deriv` = `grids.mode_diff4` (see
     _spatial_terms)."""
-    out = _fiber_apply(sys.plan.A0, dpsi_dt)
+    out = _fiber_apply(sys.A0, dpsi_dt)
     for term in _spatial_terms(sys, values, deriv):
         out = out + term
     s0 = _S0_apply(sys, values, t)
@@ -257,33 +266,32 @@ def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
 
 
 def symbol_divergence(sys: SystemSpec, t: float) -> np.ndarray:
-    """d_mu A^mu per site: stencil divergence of the spatial coefficients
-    plus the d_t A0 callback (zero for constant-in-time A0)."""
+    """d_mu A^mu: stencil divergence of the site-varying spatial
+    coefficients plus the d_t A0 callback, as one (f, f) matrix (zero for
+    site-constant A^j and constant-in-time A0) or a per-site stack."""
     g = sys.grid
     f = g.fiber
-    out = np.zeros((g.sites, f, f), dtype=complex)
+    out = np.zeros((f, f), dtype=complex)
     if sys.dA0_dt is not None:
-        out += _per_site(g, sys.dA0_dt(t))
+        out = out + _form(g, sys.dA0_dt(t))
     for j, a in enumerate(sys.Aj):
-        if np.all(a == a[0]):
+        if a is None or a.ndim == 2:
             continue  # constant coefficient, divergence 0 exactly
-        flatmat = a.reshape(g.sites, f * f)
-        d = diff4(Grid(g.dim, g.extent, g.points, f * f), flatmat, j)
-        out += d.reshape(g.sites, f, f)
+        d = diff4(Grid(g.dim, g.extent, g.points, f * f),
+                  a.reshape(g.sites, f * f), j)
+        out = out + d.reshape(g.sites, f, f)
     return out
 
 
 def zero_order_matrices(sys: SystemSpec, t: float) -> np.ndarray:
-    """Per-site matrix of the zero-order operator Z (it is a multiplication
-    operator); used for exact norm measurement."""
-    g = sys.grid
-    f = g.fiber
-    acc = np.zeros((g.sites, f, f), dtype=complex)
+    """Matrix of the zero-order operator Z (it is a multiplication
+    operator), as one (f, f) matrix or a per-site stack; used for exact
+    norm measurement."""
+    acc = -symbol_divergence(sys, t)
     s0 = sys.S0_at(t)
     if s0 is not None:
-        acc -= s0 + np.conj(np.swapaxes(s0, 1, 2))
-    acc -= symbol_divergence(sys, t)
-    return sys.A0_inv @ acc
+        acc = acc - (s0 + np.conj(np.swapaxes(s0, -1, -2)))
+    return _fiber_product(sys.A0_inv, acc)
 
 
 def _plain_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
@@ -300,24 +308,21 @@ def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField, t: float,
     With the skew-symmetric central stencil and constant coefficients the
     identity is exact to round-off; the one-sided stencil option exhibits the
     documented O(dx) failure."""
-    if (not np.all(sys.beta == 1.0)) and any(np.any(m != m[0]) for m in sys.Aj):
+    if (not np.all(sys.beta == 1.0)) and any(m is not None and m.ndim == 3
+                                             for m in sys.Aj):
         raise SystemError("nonunit lapse with variable coefficients unsupported")
     deriv = diff4 if stencil == "central4" else diff_upwind
     g = sys.grid
     s0 = sys.S0_at(t)
 
-    sa = np.zeros_like(a.values)
+    sa, sdb = np.zeros_like(a.values), np.zeros_like(b.values)
     for j, m in enumerate(sys.Aj):
         sa += _fiber_apply(m, deriv(g, a.values, j))
-    if s0 is not None:
-        sa -= _fiber_apply(s0, a.values)
-
-    sdb = np.zeros_like(b.values)
-    for j, m in enumerate(sys.Aj):
         sdb -= _fiber_apply(m, deriv(g, b.values, j))
     sdb -= _fiber_apply(symbol_divergence(sys, t), b.values)
     if s0 is not None:
-        sdb -= _fiber_apply(np.conj(np.swapaxes(s0, 1, 2)), b.values)
+        sa -= _fiber_apply(s0, a.values)
+        sdb -= _fiber_apply(np.conj(np.swapaxes(s0, -1, -2)), b.values)
 
     return abs(_plain_inner(g, sa, b.values) - _plain_inner(g, a.values, sdb))
 
@@ -336,7 +341,9 @@ class ValidationReport:
 
 def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> ValidationReport:
     """Check Hermiticity of the coefficients and positive definiteness of
-    A0 + sum_j alpha_j A^j for sampled |alpha| < 1 at every site."""
+    A0 + sum_j alpha_j A^j for sampled |alpha| < 1 at every site (one
+    eigvalsh call; on one (f, f) matrix per direction when every
+    coefficient is the same at every site)."""
     if n_dirs < 8:
         raise SystemError("need at least 8 sampled directions")
     herm = max(_hermiticity_defect(sys.A0),
@@ -344,20 +351,21 @@ def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> Validat
     symmetric = herm <= 1e-12
 
     rng = np.random.Generator(np.random.Philox(seed))
-    samples = []
-    hyperbolic = True
+    alphas = []
     for _ in range(n_dirs):
         alpha = rng.normal(size=sys.grid.dim)
         r = rng.uniform(0.0, 0.999)
         n = np.linalg.norm(alpha)
-        alpha = alpha * (r / n) if n > 0 else alpha
-        m = sys.A0.copy()
-        for j, a in enumerate(sys.Aj):
-            m = m + alpha[j] * a
-        me = float(np.min(np.linalg.eigvalsh(m)))
-        samples.append((alpha.tolist(), me))
-        if me <= 0:
-            hyperbolic = False
+        alphas.append(alpha * (r / n) if n > 0 else alpha)
+    # every direction's matrices in one stack, (n_dirs, 1 or sites, f, f)
+    eye = np.eye(sys.grid.fiber)
+    m = eye if sys.A0 is None else sys.A0
+    for j, a in enumerate(sys.Aj):
+        m = m + np.array([al[j] for al in alphas])[:, None, None, None] \
+            * (eye if a is None else a)
+    min_eigs = np.min(np.linalg.eigvalsh(m), axis=(1, 2))
+    samples = [(al.tolist(), float(me)) for al, me in zip(alphas, min_eigs)]
+    hyperbolic = all(me > 0 for _, me in samples)
 
     g = sys.grid
     rng2 = np.random.Generator(np.random.Philox(seed + 1))
@@ -376,9 +384,8 @@ def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> Validat
 # spatially varying coefficients as named built-in profiles.
 
 def _matrix_to_json(m: np.ndarray) -> list:
-    # constant per-site stack -> single fiber matrix, row-major [re, im] pairs
-    mat = m[0]
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    # one fiber matrix, row-major [re, im] pairs
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _matrix_from_json(spec, f: int) -> np.ndarray:
@@ -400,28 +407,29 @@ def _profile_offset_sin(grid: Grid, c0: float, c1: float, k: float) -> np.ndarra
 PROFILES = {"offset_sin": _profile_offset_sin}
 
 
-def _coeff_to_json(m: np.ndarray, profile_meta) -> dict:
+def _coeff_to_json(m: Optional[np.ndarray], f: int, profile_meta) -> dict:
     if profile_meta is not None:
         return {"profile": profile_meta[0], "params": profile_meta[1]}
-    if not np.all(m == m[0]):
+    if m is not None and m.ndim == 3:
         raise SystemError("spatially varying coefficient needs a named profile")
-    return {"matrix": _matrix_to_json(m)}
+    return {"matrix": _matrix_to_json(np.eye(f) if m is None else m)}
 
 
 def system_to_json(sys: SystemSpec, profiles: Optional[dict] = None) -> dict:
     """Serialize; `profiles` optionally maps 'A0'/'Aj0'.../'S0' to
     (profile_name, params) for spatially varying coefficients."""
     profiles = profiles or {}
+    f = sys.grid.fiber
     doc = {
         "grid": {"dim": sys.grid.dim, "extent": sys.grid.extent,
                  "points": sys.grid.points, "fiber": sys.grid.fiber},
-        "A0": _coeff_to_json(sys.A0, profiles.get("A0")),
-        "Aj": [_coeff_to_json(a, profiles.get(f"Aj{j}"))
+        "A0": _coeff_to_json(sys.A0, f, profiles.get("A0")),
+        "Aj": [_coeff_to_json(a, f, profiles.get(f"Aj{j}"))
                for j, a in enumerate(sys.Aj)],
         "name": sys.name,
     }
     if sys.S0 is not None:
-        doc["S0"] = _coeff_to_json(sys.S0, profiles.get("S0"))
+        doc["S0"] = _coeff_to_json(sys.S0, f, profiles.get("S0"))
     if not np.all(sys.beta == 1.0):
         doc["beta"] = {"profile": profiles["beta"][0], "params": profiles["beta"][1]} \
             if "beta" in profiles else {"constant": float(sys.beta[0])}
@@ -430,7 +438,7 @@ def system_to_json(sys: SystemSpec, profiles: Optional[dict] = None) -> dict:
 
 def _coeff_from_json(spec: dict, grid: Grid) -> np.ndarray:
     if "matrix" in spec:
-        return _per_site(grid, _matrix_from_json(spec["matrix"], grid.fiber))
+        return _matrix_from_json(spec["matrix"], grid.fiber)
     if "profile" in spec:
         name = spec["profile"]
         if name not in PROFILES:

@@ -15,6 +15,15 @@ from hypnl.scenarios import (CounterexampleConfig, DiracConfig, MaxwellConfig,
                              extended_system_check, maxwell_run)
 
 
+def per_site(grid, m):
+    """A fiber operator in `_fiber_apply` form (None for the identity, one
+    (f, f) matrix or a per-site stack) as the per-site (sites, f, f) stack
+    the reference formulas take, complex like the stored coefficients."""
+    m = np.eye(grid.fiber) if m is None else m
+    return np.broadcast_to(np.asarray(m, dtype=complex),
+                           (grid.sites, grid.fiber, grid.fiber)).copy()
+
+
 def gaussian_pulse(grid, t=0.0, speed=1.0, width_frac=16.0):
     """Periodically transported Gaussian, the transport-system exact solution."""
     x = grid.coords()[:, 0]

@@ -248,6 +248,10 @@ def test_criterion_13_extended_system(capsys, extended_rep):
 
 
 def test_criterion_14_determinism(capsys, tmp_path):
+    """Every CSV and every member's report.json are byte-identical across
+    HYPNL_THREADS=1 and 4. The children run the console script's target,
+    as errors on a RuntimeWarning like this suite, and print nothing to
+    stderr."""
     cfg = os.path.join(CONFIGS, "suite_small.json")
     # the child imports the package this process imports, also where it is
     # on the path only through pytest's `pythonpath` setting
@@ -259,21 +263,30 @@ def test_criterion_14_determinism(capsys, tmp_path):
         out = str(tmp_path / f"suite{threads}")
         env = dict(os.environ, HYPNL_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-m", "hypnl.cli", "run", "--config", cfg,
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             "from hypnl.cli import main; main()", "run", "--config", cfg,
              "--out", out],
             env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == "", proc.stderr
         outs.append(out)
 
-    csvs = []
+    compared = []
     for root, _, files in os.walk(outs[0]):
         for f in sorted(files):
-            if f.endswith(".csv"):
-                csvs.append(os.path.relpath(os.path.join(root, f), outs[0]))
-    same = all(
-        open(os.path.join(outs[0], rel), "rb").read()
-        == open(os.path.join(outs[1], rel), "rb").read()
-        for rel in csvs)
-    ok = same and len(csvs) >= 4
+            if f.endswith(".csv") or f == "report.json":
+                compared.append(os.path.relpath(os.path.join(root, f),
+                                                outs[0]))
+    def read(out, rel):
+        with open(os.path.join(out, rel), "rb") as fh:
+            return fh.read()
+
+    same = all(read(outs[0], rel) == read(outs[1], rel) for rel in compared)
+    csvs = sum(rel.endswith(".csv") for rel in compared)
+    reports = len(compared) - csvs
+    with open(cfg) as fh:
+        members = len(json.load(fh)["members"])
+    ok = same and csvs >= 4 and reports >= members
     _report(capsys, 14, "thread-count determinism", ok,
-            f"{len(csvs)} CSV files byte-identical across HYPNL_THREADS=1,4")
+            f"{csvs} CSV files and {reports} report.json byte-identical "
+            "across HYPNL_THREADS=1,4")

@@ -338,6 +338,46 @@ def test_run_custom_scenario(tmp_path):
     assert os.path.exists(os.path.join(out, "energy.csv"))
 
 
+def _ode_doc(**options):
+    """A 16-point scalar custom run with A0 = 1, A1 = 0, S0 = -1 and T = 1."""
+    doc = _base_doc()
+    system = doc["options"]["system"]
+    system["grid"]["points"] = 16
+    system["Aj"] = [{"matrix": [[[0.0, 0.0]]]}]
+    system["S0"] = {"matrix": [[[-1.0, 0.0]]]}
+    doc["options"].update({"T": 1.0, **options})
+    return doc
+
+
+def test_custom_run_with_zero_signal_speed_needs_dt(tmp_path, capsys):
+    """With v_max = 0 the default dt = cfl dx / v_max has no bound: the run
+    needs options.dt and fails before it starts, with a ConfigError on that
+    path (it used to round T to 0 steps and fail mid-run)."""
+    out = str(tmp_path / "o")
+    assert cli_run(["run", "--config", _write(tmp_path, _ode_doc()),
+                    "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'options.dt' is required"), err
+    assert cli_run(["run", "--config", _write(tmp_path, _ode_doc(dt=0.0625)),
+                    "--out", out]) == 0
+
+
+@pytest.mark.parametrize("doc,steps", [
+    (_ode_doc(dt=0.0625, T=0.01), 0),
+    (_ode_doc(dt=0.0625, T=0.09), 1),
+    (dict(_base_doc(), options=dict(_base_doc()["options"], T=0.005)), 1),
+])
+def test_custom_run_shorter_than_two_steps_is_config_error(tmp_path, capsys,
+                                                           doc, steps):
+    """T must be at least 2 steps of dt (3 frames): a shorter run is a
+    ConfigError naming options.T and options.dt, not an error mid-run."""
+    assert cli_run(["run", "--config", _write(tmp_path, doc),
+                    "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: 'options.T' is {steps} step(s) "
+                          "of options.dt = "), err
+
+
 def test_manifest_records_environment(tmp_path, monkeypatch):
     """The manifest's env block names the interpreter, numpy, the platform
     and the thread settings; the CSVs and report.json do not change with

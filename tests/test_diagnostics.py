@@ -6,11 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import gaussian_pulse
+from conftest import gaussian_pulse, per_site
 from hypnl import diagnostics
 from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
                          sample_trajectory)
-from hypnl.systems import inner_weight, make_system, ode_system, transport_system
+from hypnl.systems import (inner_weight, make_system, ode_system,
+                           symbol_divergence, transport_system)
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.diagnostics import (DiagnosticsError, cone_violation,
                                energy_identity, exponential_bound, measure_D,
@@ -119,13 +120,26 @@ def _old_measure_D(sys, window=(0.0, 0.0), probes=16):
     """Reference for measure_D: the weight roots built for every weight,
     the identity included, and applied as per-site stacks."""
     times = [0.0] if sys.constant_in_time else np.linspace(*window, probes)
-    evals, vecs = np.linalg.eigh(inner_weight(sys).weight)
+    g = sys.grid
+    evals, vecs = np.linalg.eigh(per_site(g, inner_weight(sys).weight))
     root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
     iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
                       np.conj(vecs))
     return max(float(np.max(np.linalg.svd(
-        root @ diagnostics.zero_order_matrices(sys, float(t)) @ iroot,
+        root @ _old_zero_order_matrices(sys, float(t)) @ iroot,
         compute_uv=False))) for t in times)
+
+
+def _old_zero_order_matrices(sys, t):
+    """Reference for zero_order_matrices: every term a per-site stack."""
+    g = sys.grid
+    acc = np.zeros((g.sites, g.fiber, g.fiber), dtype=complex)
+    s0 = sys.S0_at(t)
+    if s0 is not None:
+        s0 = per_site(g, s0)
+        acc -= s0 + np.conj(np.swapaxes(s0, 1, 2))
+    acc -= per_site(g, symbol_divergence(sys, t))
+    return np.linalg.inv(per_site(g, sys.A0)) @ acc
 
 
 def _D_systems():
@@ -154,11 +168,15 @@ def _D_systems():
 
 @pytest.mark.parametrize("name", sorted(_D_systems()))
 def test_measure_D_matches_old_root_form(name):
-    """D is bitwise that of the root form built for every weight; the
-    identity weight now skips its roots."""
+    """D is bitwise that of the root form built for every weight and the
+    per-site stacks; the identity weight skips its roots, a site-constant
+    weight and zero-order matrix are one (f, f) matrix each."""
     sys = _D_systems()[name]
     assert measure_D(sys, window=(0.0, 1.0)) == \
         _old_measure_D(sys, window=(0.0, 1.0))
+    z = diagnostics.zero_order_matrices(sys, 0.5)
+    np.testing.assert_array_equal(per_site(sys.grid, z),
+                                  _old_zero_order_matrices(sys, 0.5))
 
 
 def _old_energy_identity(sys, tr, source_used):
@@ -186,8 +204,8 @@ def _old_energy_identity(sys, tr, source_used):
                                     psi).real * dv)
         zmat = diagnostics._sym_part_matrices(sys, t)
         if zmat is not None:
-            rhs += (np.einsum("s,sf,sfg,sg->", beta, np.conj(psi), zmat,
-                              psi).real * dv)
+            rhs += (np.einsum("s,sf,sfg,sg->", beta, np.conj(psi),
+                              per_site(sys.grid, zmat), psi).real * dv)
         vals[i - 1] = abs(dnsq - rhs)
     return vals
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import gaussian_pulse
+from conftest import gaussian_pulse, per_site
 from hypnl import dyson
 from hypnl.grids import (StateField, Trajectory, diff4, make_grid,
                          mode_diff4, norm_strip, sample_trajectory, to_modes,
@@ -387,11 +387,11 @@ def test_equation_defect_checks_b_psi_shape():
 def _old_M(sys, data, phi):
     """Reference for the data norm M of _measure_constants: the weight and
     A0^{-1} applied as per-site stacks in three-operand einsums."""
-    w = inner_weight(sys).weight
+    w = per_site(sys.grid, inner_weight(sys).weight)
     dv = sys.grid.cell_volume
     m = math.sqrt(max((np.einsum("sf,sfg,sg->", np.conj(data.values), w,
                                  data.values).real * dv), 0.0))
-    nv = np.einsum("sfg,tsg->tsf", sys.A0_inv, phi.values)
+    nv = np.einsum("sfg,tsg->tsf", per_site(sys.grid, sys.A0_inv), phi.values)
     sq = np.einsum("tsf,sfg,tsg->t", np.conj(nv), w, nv).real * dv
     return m + trapezoid_sum(np.sqrt(np.maximum(sq, 0.0)), phi.dt)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_site
 from hypnl.grids import (GridError, InnerWeight, StateField, Trajectory,
                          diff4, diff_upwind, fourth_difference, frame_norms_sq,
                          inner_t, ko_dissipation, make_grid, mode_axes,
@@ -92,51 +93,125 @@ def test_trajectory_algebra():
 def test_inner_weight_rejects_indefinite():
     g = make_grid(1, 1.0, 8, 2)
     w = np.tile(np.diag([1.0, -1.0])[None], (g.sites, 1, 1)).astype(complex)
-    with pytest.raises(GridError):
-        InnerWeight(grid=g, weight=w, lapse=np.ones(g.sites))
+    for weight in (w, w[0]):
+        with pytest.raises(GridError, match="positive definite"):
+            InnerWeight(grid=g, weight=weight)
+    with pytest.raises(GridError, match="shape"):
+        InnerWeight(grid=g, weight=w[:3])
 
 
 def test_inner_t_weighted():
     g = make_grid(1, 2.0, 8, 2)
     w = np.tile(np.diag([2.0, 3.0])[None], (g.sites, 1, 1)).astype(complex)
-    iw = InnerWeight(grid=g, weight=w, lapse=np.ones(g.sites))
     a = StateField(g, 0.0, np.ones((g.sites, 2), complex))
-    # <a, a> = sum_s (2 + 3) * dv
-    assert inner_t(a, a, iw).real == pytest.approx(5.0 * 2.0)
-    assert norm_t(a, iw) == pytest.approx(math.sqrt(10.0))
+    for weight in (w, w[0]):
+        iw = InnerWeight(grid=g, weight=weight)
+        # <a, a> = sum_s (2 + 3) * dv
+        assert inner_t(a, a, iw).real == pytest.approx(5.0 * 2.0)
+        assert norm_t(a, iw) == pytest.approx(math.sqrt(10.0))
+
+
+_HERM = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
 
 
 def _weights(g):
-    """Identity, non-identity and callable (time-dependent) slice weights."""
+    """The slice weight in each of its forms: the identity (None), one
+    (f, f) matrix, and a per-site stack."""
     x = g.coords()[:, 0]
-    herm = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    w = (1.0 + 0.5 * np.sin(x))[:, None, None] * herm
+    rng = np.random.default_rng(np.random.Philox(g.fiber))
+    m = rng.standard_normal((g.fiber, g.fiber)) \
+        + 1j * rng.standard_normal((g.fiber, g.fiber))
+    herm = m @ m.conj().T + np.eye(g.fiber)
     lapse = 1.0 + 0.25 * np.cos(x)
-    fixed = InnerWeight(g, lapse[:, None, None] * w, lapse)
-    return {"identity": InnerWeight.identity(g), "weighted": fixed,
-            "callable": lambda t: InnerWeight(g, (1.0 + t * t) * fixed.weight,
-                                              lapse)}
+    w = (lapse * (1.0 + 0.5 * np.sin(x)))[:, None, None] * herm
+    return {"identity": InnerWeight.identity(g),
+            "constant": InnerWeight(g, 0.75 * herm),
+            "weighted": InnerWeight(g, w)}
 
 
-@pytest.mark.parametrize("kind", ["identity", "weighted", "callable"])
+# The identity and (f, f) einsums run the sum over sites and fiber in
+# another order than the per-site one. Measured: bitwise on fiber 2, at
+# most 3.9e-15 of the value on 8^3 sites x fiber 6 (1.1e-14 on 16^3 x 6).
+_REORDERED = 1e-13
+_NORM_GRIDS = ((1, 16, 2), (3, 8, 6))
+
+
+def _per_site_norms_sq(tr, w):
+    """The per-site einsum the forms replace."""
+    v = tr.values
+    return np.einsum("tsf,sfg,tsg->t", np.conj(v), per_site(tr.grid, w.weight),
+                     v).real * tr.grid.cell_volume
+
+
+@pytest.mark.parametrize("kind", ["identity", "constant", "weighted"])
 def test_frame_norms_sq_matches_per_frame_inner_t(kind):
-    """The batched einsum over all frames gives each frame's inner_t."""
-    g = make_grid(1, 2.0, 16, 2)
-    rng = np.random.default_rng(np.random.Philox(3))
-    tr = Trajectory(g, 0.125, -3, rng.standard_normal((9, g.sites, 2))
-                    + 1j * rng.standard_normal((9, g.sites, 2)))
-    w = _weights(g)[kind]
-    ref = np.array([inner_t(fr, fr, w(fr.time) if callable(w) else w).real
-                    for fr in tr])
-    np.testing.assert_allclose(frame_norms_sq(tr, w), ref, rtol=1e-14, atol=0)
+    """The batched einsum over all frames gives each frame's inner_t, and
+    both agree with the per-site einsum: bitwise for a per-site stack, to
+    _REORDERED for the identity and one (f, f) matrix."""
+    for dim, points, fiber in _NORM_GRIDS:
+        g = make_grid(dim, 2.0, points, fiber)
+        rng = np.random.default_rng(np.random.Philox(3))
+        shape = (9, g.sites, fiber)
+        tr = Trajectory(g, 0.125, -3, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+        w = _weights(g)[kind]
+        got = frame_norms_sq(tr, w)
+        ref = np.array([inner_t(fr, fr, w).real for fr in tr])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        old = _per_site_norms_sq(tr, w)
+        if kind == "weighted":
+            assert got.tobytes() == old.tobytes()
+        np.testing.assert_allclose(got, old, rtol=_REORDERED, atol=0)
+        a, b = tr.frame(2), StateField(g, tr.time(2), tr.values[5])
+        old_ab = complex(np.einsum("sf,sfg,sg->", np.conj(a.values),
+                                   per_site(g, w.weight), b.values)) \
+            * g.cell_volume
+        assert abs(inner_t(a, b, w) - old_ab) <= _REORDERED * abs(old_ab)
+
+
+@pytest.mark.parametrize("kind", ["identity", "constant", "weighted"])
+def test_inner_weight_roots_match_per_site_einsum(kind):
+    """W^{1/2} and W^{-1/2} keep the weight's form and are bitwise the
+    per-site eigh einsum; the identity has none."""
+    for dim, points, fiber in _NORM_GRIDS:
+        g = make_grid(dim, 2.0, points, fiber)
+        w = _weights(g)[kind]
+        root, iroot = w.roots()
+        if w.weight is None:
+            assert root is None and iroot is None
+            continue
+        evals, vecs = np.linalg.eigh(per_site(g, w.weight))
+        want = [np.einsum("sfg,sg,shg->sfh", vecs, p(evals), np.conj(vecs))
+                for p in (np.sqrt, lambda e: 1.0 / np.sqrt(e))]
+        for got, ref in zip((root, iroot), want):
+            assert got.shape == w.weight.shape
+            assert per_site(g, got).tobytes() == ref.tobytes()
+        scale = np.max(np.abs(w.weight))
+        np.testing.assert_allclose(root @ root, w.weight, rtol=0,
+                                   atol=1e-13 * scale)
 
 
 def test_inner_weight_identity_flag():
+    """The identity weight is None, and its norms are the plain sums."""
     g = make_grid(1, 2.0, 16, 2)
-    assert InnerWeight.identity(g).is_identity
-    assert not _weights(g)["weighted"].is_identity
-    w = np.broadcast_to(np.eye(2), (g.sites, 2, 2))
-    assert not InnerWeight(g, w, 2.0 * np.ones(g.sites)).is_identity
+    assert InnerWeight.identity(g).weight is None
+    assert _weights(g)["constant"].weight.shape == (2, 2)
+    assert _weights(g)["weighted"].weight.shape == (g.sites, 2, 2)
+    v = _rand(g, 4)
+    tr = Trajectory(g, 0.1, 0, v[None])
+    plain = np.einsum("tsf,tsf->t", np.conj(tr.values), tr.values).real
+    assert frame_norms_sq(tr, InnerWeight.identity(g)).tobytes() == \
+        (plain * g.cell_volume).tobytes()
+
+
+def _trapezoid_loop(series, dt):
+    """The left-to-right loop trapezoid_sum replaced."""
+    if len(series) == 1:
+        return 0.0
+    acc = 0.5 * (series[0] + series[-1])
+    for v in series[1:-1]:
+        acc += v
+    return float(acc * dt)
 
 
 def test_trapezoid_sum_matches_reference():
@@ -144,6 +219,13 @@ def test_trapezoid_sum_matches_reference():
     s = rng.standard_normal(33)
     assert trapezoid_sum(s, 0.01) == pytest.approx(np.trapezoid(s, dx=0.01))
     assert trapezoid_sum(s[:1], 0.01) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 769, 1800])
+def test_trapezoid_sum_bitwise_equals_loop(n):
+    rng = np.random.default_rng(np.random.Philox(n))
+    s = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    assert trapezoid_sum(s, 0.0123) == _trapezoid_loop(s, 0.0123)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +346,7 @@ def test_to_modes_is_unitary(dim, points):
     v = (rng.standard_normal((5, grid.sites, 2))
          + 1j * rng.standard_normal((5, grid.sites, 2)))
     hat = to_modes(grid, v)
-    mat = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    w = InnerWeight(grid, np.broadcast_to(mat, (grid.sites, 2, 2)),
-                    np.full(grid.sites, 0.5))
+    w = InnerWeight(grid, 0.5 * _HERM)
     for weight in (InnerWeight.identity(grid), w):
         want = frame_norms_sq(Trajectory(grid, 0.1, 0, v), weight)
         got = frame_norms_sq(Trajectory(grid, 0.1, 0, hat), weight)

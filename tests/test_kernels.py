@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_site
 from hypnl import kernels
 from hypnl.grids import GridError, Trajectory, make_grid, sample_trajectory
 from hypnl.kernels import (ConvTerm, KernelError, adjoint, estimate_bound,
@@ -724,7 +725,7 @@ def test_weighted_applies_A0_inverse():
 def _old_weight_transforms(sys):
     """W^{1/2}, W^{-1/2} per site for the slice weight W = beta A0, built
     for every weight, the identity included."""
-    w = inner_weight(sys).weight
+    w = per_site(sys.grid, inner_weight(sys).weight)
     evals, vecs = np.linalg.eigh(w)
     root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
     iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
@@ -736,8 +737,9 @@ def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
     """Reference for estimate_bound: every coefficient and weight root as a
     per-site stack, and the random-probe loop run for separable kernels too
     (after the exact per-pair branch). Returns (C_est, samples)."""
-    V = dataclasses.replace(k, post=sys.A0_inv) if k.post is None else k
     g = sys.grid
+    V = dataclasses.replace(k, post=per_site(g, sys.A0_inv)) \
+        if k.post is None else k
     wroot, wiroot = _old_weight_transforms(sys)
     dv = g.cell_volume
 
@@ -866,7 +868,7 @@ def test_weighted_post_takes_the_plan_form():
     sys = make_system(g, A0, [np.zeros((2, 2))])
     wk = weighted(k, sys)
     assert wk.post.shape == (2, 2)
-    stack = dataclasses.replace(k, post=sys.A0_inv)
+    stack = dataclasses.replace(k, post=per_site(g, sys.A0_inv))
     tr = _traj(g, 32)
     ref = stack.apply_all(tr)
     np.testing.assert_allclose(wk.apply_all(tr), ref, rtol=0,
@@ -886,7 +888,7 @@ def test_separable_adjoint_of_weighted_matches_old(A0):
     sys = (_weighted_system(g) if A0 is None
            else make_system(g, A0, [np.zeros((2, 2))]))
     k = weighted(_sep_kernel(g), sys)
-    post = sys.A0_inv
+    post = per_site(g, sys.A0_inv)
     pd = np.conj(np.swapaxes(post, 1, 2))
     for new, gp in zip(adjoint(k).data["h"], k.data["g"]):
         ref = np.einsum("sfg,tsg->tsf", np.conj(np.swapaxes(pd, 1, 2)),

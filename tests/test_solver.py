@@ -580,7 +580,7 @@ def _stage_rows(sys, phi, index, shape: tuple) -> np.ndarray:
         wb, ib = w[blend][:, None, None], i[blend]
         acc[blend] = (1.0 - wb) * phi.values[ib] + wb * phi.values[ib + 1]
         acc += 0.0      # the 0 + source of the stage: -0.0 becomes +0.0
-    return _fiber_apply(sys.plan.A0_inv, acc)
+    return _fiber_apply(sys.A0_inv, acc)
 
 
 def _running_sum(sys, phi, index, y0: np.ndarray, h: float,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_site
 from hypnl import systems
 from hypnl.grids import InnerWeight, StateField, diff4, make_grid
 from hypnl.scenarios import CounterexampleConfig, build_counterexample
@@ -92,12 +93,22 @@ def test_zero_order_matrices_diag():
 
 
 def test_inner_weight_is_beta_A0():
+    """beta * A0 in `_fiber_apply` form: None for beta = 1 and A0 = I, one
+    (f, f) matrix for a site-constant beta and A0, else the per-site stack,
+    bitwise the per-site product."""
     g = make_grid(1, 1.0, 8, 2)
     A0 = np.diag([2.0, 1.0])
-    sys = make_system(g, A0, [np.zeros((2, 2))], beta=3.0 * np.ones(g.sites))
-    w = inner_weight(sys)
-    np.testing.assert_allclose(
-        w.weight, np.broadcast_to(3.0 * A0, w.weight.shape), atol=1e-14)
+    x = g.coords()[:, 0]
+    cases = [(np.eye(2), None, None), (np.eye(2), 3.0, (2, 2)),
+             (A0, 3.0, (2, 2)), (A0, 1.0 + 0.5 * np.sin(x), (g.sites, 2, 2)),
+             ((1.5 + np.cos(x))[:, None, None] * A0, None, (g.sites, 2, 2))]
+    for a0, beta, shape in cases:
+        lapse = None if beta is None else beta * np.ones(g.sites)
+        sys = make_system(g, a0, [np.zeros((2, 2))], beta=lapse)
+        w = inner_weight(sys).weight
+        assert (w is None) if shape is None else (w.shape == shape)
+        want = sys.beta[:, None, None] * per_site(g, a0)
+        assert per_site(g, w).tobytes() == want.tobytes()
 
 
 def test_inner_weight_is_built_once_per_system(monkeypatch):
@@ -140,13 +151,39 @@ def test_A0_inv_and_v_max_bitwise_equal_per_site_formulas(varying):
     if varying == "Aj":
         aj[1] = scale * aj[1]
     sys = make_system(g, a0, aj, S0=np.eye(3))
-    inv = np.linalg.inv(sys.A0)
-    assert sys.A0_inv.shape == (g.sites, 3, 3)
-    assert sys.A0_inv.tobytes() == inv.tobytes()
-    v_max = max(float(np.max(np.abs(np.linalg.eigvals(inv @ a))))
-                for a in sys.Aj)
+    inv = np.linalg.inv(per_site(g, a0))
+    assert sys.A0_inv.shape == ((g.sites, 3, 3) if varying == "A0" else (3, 3))
+    assert per_site(g, sys.A0_inv).tobytes() == inv.tobytes()
+    v_max = max(float(np.max(np.abs(np.linalg.eigvals(inv @ per_site(g, a)))))
+                for a in aj)
     assert sys.v_max == v_max
     assert v_max > 0.0
+
+
+@pytest.mark.parametrize("varying", ["none", "A0", "Aj"])
+def test_validate_system_matches_per_site_loop(varying):
+    """The sampled minimum eigenvalues are bitwise those of the per-site
+    loop over directions, with one eigvalsh call on the stored forms."""
+    g = make_grid(3, 1.0, 8, 2)
+    x = g.coords()[:, 0]
+    scale = (1.0 + 0.5 * np.sin(2.0 * math.pi * x))[:, None, None]
+    a0, aj = np.diag([2.0, 1.0]), [SIGMA1, np.zeros((2, 2)), np.eye(2)]
+    if varying == "A0":
+        a0 = scale * a0
+    if varying == "Aj":
+        aj[0] = scale * SIGMA1
+    rep = validate_system(make_system(g, a0, aj), seed=5)
+    rng = np.random.Generator(np.random.Philox(5))
+    want = []
+    for _ in range(16):
+        alpha = rng.normal(size=3)
+        alpha *= rng.uniform(0.0, 0.999) / np.linalg.norm(alpha)
+        m = per_site(g, a0)
+        for j, a in enumerate(aj):
+            m = m + alpha[j] * per_site(g, a)
+        want.append((alpha.tolist(), float(np.min(np.linalg.eigvalsh(m)))))
+    assert rep.min_eig_samples == want
+    assert rep.hyperbolic == all(me > 0 for _, me in want)
 
 
 def test_non_hermitian_A0_rejected():
@@ -181,10 +218,10 @@ def test_json_varying_coefficient_needs_profile():
 
 
 # ---------------------------------------------------------------------------
-# the stepping plan against the per-site reference formulas
+# the stored coefficient forms against the per-site reference formulas
 
-def _site_apply(m, v):
-    return np.einsum("sfg,sg->sf", m, v)
+def _site_apply(sys, m, v):
+    return np.einsum("sfg,sg->sf", per_site(sys.grid, m), v)
 
 
 def _rhs_reference(sys, values, t, source):
@@ -193,19 +230,19 @@ def _rhs_reference(sys, values, t, source):
         acc += source
     s0 = sys.S0_at(t)
     if s0 is not None:
-        acc += _site_apply(s0, values)
+        acc += _site_apply(sys, s0, values)
     for j, a in enumerate(sys.Aj):
-        acc -= _site_apply(a, diff4(sys.grid, values, j))
-    return _site_apply(sys.A0_inv, acc)
+        acc -= _site_apply(sys, a, diff4(sys.grid, values, j))
+    return _site_apply(sys, sys.A0_inv, acc)
 
 
 def _apply_S_reference(sys, values, dpsi_dt, t):
-    out = _site_apply(sys.A0, dpsi_dt)
+    out = _site_apply(sys, sys.A0, dpsi_dt)
     for j, a in enumerate(sys.Aj):
-        out += _site_apply(a, diff4(sys.grid, values, j))
+        out += _site_apply(sys, a, diff4(sys.grid, values, j))
     s0 = sys.S0_at(t)
     if s0 is not None:
-        out -= _site_apply(s0, values)
+        out -= _site_apply(sys, s0, values)
     return out
 
 
@@ -215,7 +252,7 @@ def _herm(rng, f):
 
 
 def _plan_case(name):
-    """Random systems covering each way the plan compacts a coefficient."""
+    """Random systems covering each way a coefficient is compacted."""
     rng = np.random.default_rng(np.random.Philox(sum(map(ord, name))))
     dim = 3 if name == "zero_axis_3d" else 1
     g = make_grid(dim, 2.0, 8 if dim == 3 else 32, 2)
@@ -272,31 +309,64 @@ def test_plan_matches_per_site_formulas(name):
 
 
 def test_plan_compacts_coefficients():
+    """Each coefficient is held once, in `_fiber_apply` form; zero A^j are
+    not live and a zero S0 is dropped."""
     g = make_grid(1, 1.0, 16, 2)
-    plan = make_system(g, np.eye(2), [SIGMA1], S0=np.eye(2)).plan
-    assert plan.A0 is None and plan.A0_inv is None
-    assert [j for j, _ in plan.Aj] == [0] and plan.Aj[0][1].shape == (2, 2)
+    sys = make_system(g, np.eye(2), [SIGMA1], S0=np.eye(2))
+    assert sys.A0 is None and sys.A0_inv is None
+    assert [j for j, _ in sys.live] == [0] and sys.Aj[0].shape == (2, 2)
     # an identity S0 is a live term, not an absent one
-    np.testing.assert_array_equal(plan.S0, np.eye(2))
-    plan = make_system(g, np.diag([2.0, 4.0]), [np.zeros((2, 2))],
-                       S0=np.zeros((2, 2))).plan
-    assert plan.Aj == () and plan.S0 is None
-    np.testing.assert_array_equal(plan.A0_inv, np.diag([0.5, 0.25]))
-    assert transport_system(make_grid(1, 1.0, 16, 1)).plan.Aj[0][1] is None
+    np.testing.assert_array_equal(sys.S0, np.eye(2))
+    sys = make_system(g, np.diag([2.0, 4.0]), [np.zeros((2, 2))],
+                      S0=np.zeros((2, 2)))
+    assert sys.live == () and sys.S0 is None
+    np.testing.assert_array_equal(sys.A0_inv, np.diag([0.5, 0.25]))
+    assert transport_system(make_grid(1, 1.0, 16, 1)).Aj[0] is None
+    # a site-constant stack is held as its one matrix, a varying one as a
+    # copy of the stack
+    stack = np.broadcast_to(SIGMA1, (g.sites, 2, 2)).copy()
+    assert make_system(g, np.eye(2), [stack]).Aj[0].shape == (2, 2)
+    stack[3] *= 2.0
+    varying = make_system(g, np.eye(2), [stack])
+    assert varying.Aj[0].shape == (g.sites, 2, 2)
+    assert varying.Aj[0] is not stack
+    np.testing.assert_array_equal(varying.Aj[0], stack)
+    # the stored forms build the same system again
+    again = dataclasses.replace(varying, beta=2.0 * np.ones(g.sites))
+    assert again.A0 is None and again.Aj[0].tobytes() == stack.tobytes()
 
 
 def test_counterexample_plan_has_no_spatial_term():
     sys, _, _, _ = build_counterexample(
         CounterexampleConfig(points=16, steps_per_delta=16, T=0.5, W=0.5))
-    plan = sys.plan
-    assert plan.Aj == () and plan.S0 is None
-    assert plan.A0 is None and plan.A0_inv is None
+    assert sys.live == () and sys.S0 is None
+    assert sys.A0 is None and sys.A0_inv is None
+
+
+def test_maxwell_3d_holds_each_operator_once():
+    """Maxwell at 16^3: every coefficient, A0^{-1}, the weight and its roots
+    are None or one (6, 6) matrix, and the build holds under 1 MB (the
+    per-site stacks took 2.36 MB each)."""
+    import tracemalloc
+    from hypnl.scenarios import maxwell_system_3d
+    g = make_grid(3, 2.0 * math.pi, 16, 6)
+    tracemalloc.start()
+    try:
+        sys = maxwell_system_3d(g)
+        w = inner_weight(sys)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ops = (sys.A0, sys.A0_inv, sys.S0, w.weight) + sys.Aj + w.roots()
+    assert all(m is None or m.shape == (6, 6) for m in ops)
+    assert held < 1 << 20, held
 
 
 def _full_column_terms(sys, values):
     """A^j D_j psi for every live A^j with every column differentiated."""
     from hypnl.systems import _fiber_apply
-    return [_fiber_apply(a, diff4(sys.grid, values, j)) for j, a in sys.plan.Aj]
+    return [_fiber_apply(sys.Aj[j], diff4(sys.grid, values, j))
+            for j, _ in sys.live]
 
 
 def test_spatial_terms_read_only_live_columns():
@@ -317,7 +387,7 @@ def test_spatial_terms_read_only_live_columns():
              (make_system(g1, np.eye(3), [np.diag([1.0, 0.0], k=1)]), ([1],))]
     rng = np.random.default_rng(4)
     for sys, reads in cases:
-        assert [None if c is None else c.tolist() for c in sys.plan.reads] \
+        assert [None if c is None else c.tolist() for _, c in sys.live] \
             == list(reads)
         for lead in ((), (3,)):
             shape = lead + (sys.grid.sites, sys.grid.fiber)
