@@ -203,6 +203,7 @@ _RANGES = {
     "dissipation": (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]"),
     "points": (lambda v: v >= 8, "must be at least 8"),
     "delta": (lambda v: v > 0, "must be positive"),
+    "n_pot": (lambda v: v >= 1, "must be at least 1"),
     "mode": (lambda v: v in MAXWELL_MODES,
              f"must be one of {sorted(MAXWELL_MODES)}"),
 }
@@ -378,11 +379,25 @@ _THREAD_VARS = ("HYPNL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS")
 
 
+def _platform() -> str:
+    """system-release-machine of `platform.uname()`, then "-with-" and the C
+    library when it names itself (Linux-6.1.0-x86_64-with-glibc2.36). Read
+    from uname and confstr: `platform.platform()` probes the libc through a
+    subprocess."""
+    u = platform.uname()
+    name = f"{u.system}-{u.release}-{u.machine}"
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    return f"{name}-with-{libc.replace(' ', '')}" if libc else name
+
+
 def _environment() -> dict:
     """The interpreter, numpy, platform and thread settings of this run;
     only the manifest records it, never the CSVs or report.json."""
     doc = {"python": platform.python_version(), "numpy": np.__version__,
-           "platform": platform.platform()}
+           "platform": _platform()}
     doc.update((name, os.environ.get(name)) for name in _THREAD_VARS)
     return doc
 

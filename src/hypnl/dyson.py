@@ -346,8 +346,10 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                                           delta, W, T)):
             raise DysonError(f"window exhausted at iterate {n}: support "
                              f"reaches the clipped boundary of [-{W}, {T + W}]")
-        src_sup, src_strip = _norms(src, w)
-        if src_sup == 0.0 and src_strip == 0.0:
+        # an all-zero source ends the series; one with a nonzero value is
+        # solved, even when every square underflows (values below about
+        # 1e-162) and its frame norms read zero
+        if not np.any(b):
             verdict = ("Converged"
                        if residuals[-1] <= tol_residual else "Stalled")
             break

@@ -677,9 +677,10 @@ def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
     best, n_samples = 0.0, 0
     rng = np.random.Generator(np.random.Philox(seed + 1))
     for (t, tau) in pair_times:
-        for _ in range(4):
-            psi = (rng.normal(size=(g.sites, g.fiber))
-                   + 1j * rng.normal(size=(g.sites, g.fiber)))
+        # one draw per pair: probe p is draws[p, 0] + i draws[p, 1]
+        draws = rng.standard_normal(size=(4, 2, g.sites, g.fiber))
+        for re, im in draws:
+            psi = re + 1j * im
             n = h_norm(psi)
             if n == 0:
                 continue

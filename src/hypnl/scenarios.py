@@ -322,9 +322,11 @@ def curl4(grid3: Grid, vec: np.ndarray) -> np.ndarray:
 
 
 def div4(grid3: Grid, vec: np.ndarray) -> np.ndarray:
-    """4th-order stencil divergence of a (sites, 3) field."""
-    g3 = Grid(3, grid3.extent, grid3.points, 3)
-    return sum(diff4(g3, vec, ax)[:, ax] for ax in range(3))
+    """4th-order stencil divergence of a (sites, 3) field or of a
+    (frames, sites, 3) stack: each axis differentiates only its own
+    column."""
+    return sum(diff4(grid3, vec[..., ax:ax + 1], ax)[..., 0]
+               for ax in range(3))
 
 
 @dataclass
@@ -451,8 +453,8 @@ def maxwell_constraints_3d(cfg: MaxwellConfig) -> dict:
                          seed=cfg.seed)
     tr = res.partial_sum
     scale = float(np.max(np.abs(tr.values)))
-    dive = np.stack([div4(grid, tr.values[i][:, :3]) for i in range(tr.n_frames)])
-    divb = np.stack([div4(grid, tr.values[i][:, 3:]) for i in range(tr.n_frames)])
+    dive = div4(grid, tr.values[..., :3])
+    divb = div4(grid, tr.values[..., 3:])
     # nonlocal Gauss residual per frame (trapezoid memory of chi)
     F = tr.n_frames
     chis = np.array([chi(i * tr.dt) for i in range(F)])
@@ -628,31 +630,38 @@ def _dirac_potentials(cfg: DiracConfig):
 
 
 def _dirac_sup_C(cfg: DiracConfig, pots, grid: Grid) -> float:
-    """Exact sup over (t, tau) of the per-site multiplication-operator norm:
-    the fiber matrix is d1 sigma3 + d2 I, with norm max |d2 +- d1|. The
-    (midpoint, lag, site) products are formed for chunks of midpoints of at
+    """Exact sup over the (midpoint, lag) samples and the sites of the
+    per-site fiber-operator norm. Potential a is e_a(m, x) w_a(z), a real
+    envelope amp cos(om m) sp(x) times its complex lag window, and the fiber
+    operator is -i (A I + B s3), A the sum of the even potentials and B of
+    the odd ones, with norm max |A +- B|. Squared, with s_a = 1 for even a
+    and +-1 for odd a, and k_ab = 1 for a = b and 2 for a < b,
+
+        |A +- B|^2 = sum_{a <= b} k_ab s_a s_b Re(w_a conj w_b) e_a e_b.
+
+    With e_a = c_a(m) p_a(x), each midpoint is one real product
+    (2 lags, pairs) x (pairs, sites) of the lag coefficients times c_a c_b
+    with the profile products p_a p_b, formed for chunks of midpoints of at
     most _CHUNK_VALUES values each."""
     x = grid.coords()[:, 0]
     mids = np.linspace(-cfg.T, 2.0 * cfg.T, 121)
     zs = np.linspace(-cfg.delta, cfg.delta, 81)
-    # (midpoint, site) envelopes and lag windows, one call per potential
-    tables = [(amp * np.cos(om * mids)[:, None] * sp(x)[None, :], window(zs))
-              for amp, om, sp, window, _ in pots[:2]]
-    if not tables:
-        return 0.0
-    step = max(1, _CHUNK_VALUES // (zs.size * x.size))
+    cosines = np.stack([amp * np.cos(om * mids) for amp, om, *_ in pots])
+    profiles = np.stack([sp(x) for _, _, sp, _, _ in pots])
+    windows = np.stack([window(zs) for *_, window, _ in pots])
+    a, b = np.triu_indices(len(pots))
+    k = np.where(a == b, 1.0, 2.0)[:, None]
+    re = k * (windows[a] * np.conj(windows[b])).real          # (pairs, lags)
+    sign = np.where(a % 2 == b % 2, 1.0, -1.0)[:, None]
+    coef = np.concatenate([re, sign * re], axis=1).T      # (2 lags, pairs)
+    cc = (cosines[a] * cosines[b]).T                      # (midpoints, pairs)
+    pp = profiles[a] * profiles[b]                        # (pairs, sites)
+    step = max(1, _CHUNK_VALUES // (coef.shape[0] * x.size))
     worst = 0.0
-    for a in range(0, mids.size, step):
-        d = [env[a:a + step, None, :] * win[None, :, None]
-             for env, win in tables]
-        if len(d) == 1:
-            nrm = np.abs(d[0])          # |0 + d1| = |0 - d1| = |d1|
-        else:
-            nrm = np.abs(d[1] + d[0])
-            np.maximum(nrm, np.abs(np.subtract(d[1], d[0], out=d[1])),
-                       out=nrm)
-        worst = max(worst, float(np.max(nrm)))
-    return worst
+    for lo in range(0, mids.size, step):
+        rows = (cc[lo:lo + step, None, :] * coef).reshape(-1, a.size)
+        worst = max(worst, float((rows @ pp).max()))
+    return math.sqrt(worst)
 
 
 def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
@@ -671,6 +680,8 @@ def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
     evaluating the cosine at the midpoint, by a few ulp of the envelope.
     Splitting the time dependence between t and the lag leaves n = 1 in
     every term, so all terms share one forward FFT of the trajectory."""
+    if cfg.n_pot < 1:
+        raise ScenarioError("the Dirac kernel needs n_pot >= 1 potentials")
     pots = _dirac_potentials(cfg)
     c_unit = _dirac_sup_C(cfg, pots, grid)
     scale = cfg.target_margin / threshold_margin(c_unit, cfg.delta)
@@ -688,32 +699,34 @@ def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
     return kern, scale * c_unit
 
 
-def kernel_symmetry_defect(k: TimeKernel, grid: Grid, pairs: int = 16,
-                           seed: int = 0) -> float:
-    """max over sampled (t, tau) of the spin-product symmetry defect
+def kernel_symmetry_defect(k: TimeKernel, grid: Grid) -> float:
+    """max over a fixed grid of (t, tau) pairs and over the sites of
 
-        | <a | K_{t,tau} b>_spin  -  <K_{tau,t} a | b>_spin | ,
+        || B_{t,tau}(x) + B_{tau,t}(x)^+ ||_F dv
 
-    where K = i s3 B is the spin-form kernel of the plain evolution kernel B
-    and <a|b>_spin = a^+ s3 b. Equivalent to B(tau,t) = -B(t,tau)^+ pointwise
-    in times — no quadrature enters, so the defect is round-off level."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    for a kernel B that acts site by site. This is the pointwise form of the
+    spin-product symmetry <a | K_{t,tau} b>_spin = <K_{tau,t} a | b>_spin,
+    K = i s3 B and <a|b>_spin = a^+ s3 b: for unit fields a, b that defect is
+    |a^+ (B_{t,tau} + B_{tau,t}^+) b| dv, at most the spectral norm of the
+    sum and so at most this value. No quadrature enters, so it is round-off
+    level. Each pair applies B once per direction to the fiber basis at
+    every site. The 16 pairs take t on the cell midpoints of four cells of
+    [-1, 1] and the lag tau - t on those of [-delta, delta] ([-1, 1]
+    without a finite delta)."""
+    u = np.array([-0.75, -0.25, 0.25, 0.75])
+    reach = k.delta if math.isfinite(k.delta) else 1.0
+    f = grid.fiber
+    basis = np.tile(np.eye(f, dtype=complex)[:, None, :], (1, grid.sites, 1))
     worst = 0.0
-    for _ in range(pairs):
-        t = float(rng.uniform(-1.0, 1.0))
-        tau = t + float(rng.uniform(-1.0, 1.0)
-                        * (k.delta if math.isfinite(k.delta) else 1.0))
-        a = rng.normal(size=(grid.sites, grid.fiber)) \
-            + 1j * rng.normal(size=(grid.sites, grid.fiber))
-        b = rng.normal(size=(grid.sites, grid.fiber)) \
-            + 1j * rng.normal(size=(grid.sites, grid.fiber))
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        kb = 1.0j * (k.pair_apply(t, tau, b) @ SIGMA3.T)
-        ka = 1.0j * (k.pair_apply(tau, t, a) @ SIGMA3.T)
-        lhs = np.einsum("sf,fg,sg->", np.conj(a), SIGMA3, kb)
-        rhs = np.einsum("sf,fg,sg->", np.conj(ka), SIGMA3, b)
-        worst = max(worst, abs(complex(lhs) - complex(rhs)))
+    for t in u:
+        for z in u * reach:
+            # entry [j, x, g] of B applied to the basis is B(x)[g, j], so
+            # B_{tau,t}(x)^+ [g, j] is the conjugate of bwd[g, x, j]
+            fwd = k.pair_apply(float(t), float(t + z), basis)
+            bwd = k.pair_apply(float(t + z), float(t), basis)
+            defect = fwd + np.conj(bwd.transpose(2, 1, 0))
+            worst = max(worst, float(np.max(
+                np.linalg.norm(defect, axis=(0, 2)))))
     return worst * k.grid.cell_volume
 
 
@@ -860,8 +873,7 @@ def dirac_run(cfg: DiracConfig) -> dict:
     out.update({
         "clifford_defect": clifford_defect(),
         "spin_symmetry_defect": spin_symmetry_defect(),
-        "kernel_symmetry_defect": kernel_symmetry_defect(out["kernel"], grid,
-                                                         seed=cfg.seed),
+        "kernel_symmetry_defect": kernel_symmetry_defect(out["kernel"], grid),
         "free_norm_drift": free_drift,
         "free_energy": free_energy,
         "D": measure_D(sys),

@@ -7,6 +7,8 @@ import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +190,7 @@ def _batch_doc(**options):
     (_scenario_doc("extended_check", n_fields=2.5), "options.n_fields",
      "must be an integer"),
     (_batch_doc(delta=0), "members[1].options.delta", "must be positive"),
+    (_scenario_doc("dirac", n_pot=0), "options.n_pot", "must be at least 1"),
 ])
 def test_invalid_scenario_option_exits_1_with_field_path(tmp_path, capsys,
                                                          doc, path, what):
@@ -197,6 +200,17 @@ def test_invalid_scenario_option_exits_1_with_field_path(tmp_path, capsys,
     without a field path."""
     assert cli_run(["validate", "--config", _write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: '{path}' {what}")
+
+
+def test_dirac_run_without_potentials_is_config_error(tmp_path, capsys):
+    """n_pot = 0 leaves the kernel constant C at 0; the run fails before it
+    starts, with a ConfigError on options.n_pot, not mid-run on a division
+    by zero."""
+    doc = _scenario_doc("dirac", points=32, n_pot=0)
+    assert cli_run(["run", "--config", _write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: 'options.n_pot' must be at least 1")
 
 
 def test_scenario_options_accept_null_where_optional(tmp_path):
@@ -380,8 +394,15 @@ def test_custom_run_shorter_than_two_steps_is_config_error(tmp_path, capsys,
 
 def test_manifest_records_environment(tmp_path, monkeypatch):
     """The manifest's env block names the interpreter, numpy, the platform
-    and the thread settings; the CSVs and report.json do not change with
+    (system-release-machine, then the C library where it names itself) and
+    the thread settings; the CSVs and report.json do not change with
     them."""
+    u = platform.uname()
+    plat = f"{u.system}-{u.release}-{u.machine}"
+    libc = os.confstr("CS_GNU_LIBC_VERSION") \
+        if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None
+    if libc:
+        plat += "-with-" + libc.replace(" ", "")
     outs = []
     for threads in ("1", "3"):
         monkeypatch.setenv("HYPNL_THREADS", threads)
@@ -395,7 +416,7 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
             env = json.load(fh)["env"]
         assert env == {"python": platform.python_version(),
                        "numpy": np.__version__,
-                       "platform": platform.platform(),
+                       "platform": plat,
                        "HYPNL_THREADS": threads, "OMP_NUM_THREADS": threads,
                        "OPENBLAS_NUM_THREADS":
                            os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -410,6 +431,31 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
             assert a.read() == b.read(), name
     with open(os.path.join(outs[0], "report.json")) as fh:
         assert "env" not in json.load(fh)
+
+
+def test_dirac_run_imports_neither_numpy_random_nor_subprocess(tmp_path):
+    """A small Dirac `hypnl run` in a fresh interpreter loads neither
+    numpy.random (the symmetry check draws nothing) nor subprocess (the
+    manifest's platform string spawns no probe)."""
+    import hypnl
+    doc = _scenario_doc("dirac", points=32, refine=False, T=0.25, n_max=2,
+                        delta=0.125)
+    pkg_root = os.path.dirname(os.path.dirname(hypnl.__file__))
+    path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH"))
+                           if p)
+    code = ("import sys\n"
+            "from hypnl.cli import cli_run\n"
+            "cli_run(sys.argv[1:])\n"
+            "print(sorted(m for m in ('numpy.random', 'subprocess')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config",
+         _write(tmp_path, doc), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(tmp_path / "out" / "manifest.json")
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_failed_assertion_exits_2(tmp_path):

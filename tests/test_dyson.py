@@ -318,6 +318,21 @@ def test_one_apply_all_on_zero_source_exit(monkeypatch):
     assert res.n_used == 0 and len(calls) == 1
 
 
+def test_source_that_squares_to_zero_is_solved():
+    """The zero-source exit reads the source values, not its frame norms: a
+    kernel scaled to 1e-170 gives a source whose values are nonzero but
+    whose squares all underflow, so its norms read zero; the loop still
+    solves for psi^(1), which then ends the run by its zero strip norm."""
+    grid, sys, _ = _memory_setup()
+    k = make_convolution(lambda u: 1e-170 * math.exp(-u), None, grid, t0=0.0)
+    data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+    res = dyson_retarded(sys, k, None, data, 1.0,
+                         SolveOptions(dt=1.0 / 128.0), n_max=20,
+                         constants={"C_est": 1.0, "D": 0.5, "M": 1.0})
+    assert res.n_used == 1 and res.verdict == "Converged"
+    assert res.iterate_strip_norms[1] == 0.0
+
+
 def test_one_apply_all_on_solve_aborted(monkeypatch):
     """SolveAborted in iterate 2 ends the run as Diverged with n_used = 1:
     psi^(0) and psi^(1) were each given to the kernel once."""

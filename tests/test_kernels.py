@@ -842,15 +842,28 @@ def _weighted_convolution_case():
     return k, _weighted_system(g), (0.0, 1.5)
 
 
+def _weighted_dense_case():
+    g = _grid()
+    mat = np.array([[0.5, 1.0], [-2.0j, 1.0]])
+
+    def op(t, tau, v):
+        return np.cos(3.0 * (t - tau))[:, None, None] * (v @ mat.T)
+    return make_dense(g, op, delta=0.5), _weighted_system(g), (0.0, 1.5)
+
+
 @pytest.mark.parametrize("case", [
     _counterexample_bound_case,
     lambda: _counterexample_bound_case(T=0.25, W=0.5, delta=0.25),
     _maxwell_bound_case,
     _weighted_convolution_case,
+    _weighted_dense_case,
 ], ids=["counterexample", "counterexample_short", "maxwell_8cubed",
-        "convolution_weighted"])
+        "convolution_weighted", "dense_weighted"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_estimate_bound_matches_old(case, seed):
+    """C_est is bitwise that of the reference: the probes' one
+    standard_normal draw per pair is the stream of the reference's eight
+    normal draws."""
     k, sys, window = case()
     est = estimate_bound(k, sys, probes=32, t_window=window, seed=seed)
     C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, seed=seed)

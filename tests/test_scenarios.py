@@ -3,14 +3,16 @@ algebraic identities, closed-form profiles, and small-size oracles."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
-                         norm_strip, sample_trajectory)
-from hypnl.kernels import adjoint, make_dense, make_separable
+from hypnl.grids import (Grid, StateField, Trajectory, diff4, frame_norms_sq,
+                         make_grid, norm_strip, sample_trajectory)
+from hypnl.kernels import (adjoint, make_dense, make_separable,
+                           threshold_margin)
 from hypnl.systems import inner_weight, make_system, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
@@ -21,6 +23,7 @@ from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
                              counterexample_oracle, curl4, dirac_kernel,
                              dirac_system, div4,
                              drude_lorentz, extended_system_check,
+                             kernel_symmetry_defect,
                              maxwell_kernel, maxwell_system_1d,
                              maxwell_system_3d, ScenarioError,
                              spin_symmetry_defect, stencil_wavenumber,
@@ -98,6 +101,22 @@ def test_div_of_curl_vanishes_exactly():
     c = curl4(g, w)
     d = div4(g, c)
     assert np.max(np.abs(d)) <= 1e-12 * max(1.0, float(np.max(np.abs(c))))
+
+
+def test_div4_of_a_stack_is_the_per_frame_divergence():
+    """One div4 over a frame stack, each axis differentiating only its own
+    column, is bitwise the per-frame divergence that differentiates every
+    column along every axis."""
+    g = make_grid(3, 2.0 * math.pi, 16, 6)
+    rng = np.random.default_rng(np.random.Philox(5))
+    vals = (rng.standard_normal((32, g.sites, 6))
+            + 1j * rng.standard_normal((32, g.sites, 6)))
+    g3 = Grid(3, g.extent, g.points, 3)
+    for cols in (slice(0, 3), slice(3, 6)):
+        ref = np.stack([sum(diff4(g3, v[:, cols], ax)[:, ax]
+                            for ax in range(3)) for v in vals])
+        assert np.array_equal(div4(g, vals[..., cols]), ref)
+        assert np.array_equal(div4(g, vals[7][:, cols]), ref[7])
 
 
 def test_drude_lorentz_derivative():
@@ -429,19 +448,23 @@ def test_surface_product_is_one_point_series():
 
 
 def _dirac_sup_C_halves(cfg, pots, grid):
-    """(max |d2 + d1|, max |d2 - d1|) over the samples of
-    scenarios._dirac_sup_C: one envelope and one window call per
-    (midpoint, lag) sample and potential."""
+    """(max |M_00|, max |M_11|) over the samples of scenarios._dirac_sup_C,
+    where M(x) = sum_a d_a(x) gam_a sums every potential by its fiber matrix:
+    one envelope and one window call per (midpoint, lag) sample and
+    potential. Every gam_a is diagonal, so the two halves are the per-site
+    norm."""
     x = grid.coords()[:, 0]
+    profiles = [sp(x) for _, _, sp, _, _ in pots]
     plus = minus = 0.0
     for mid in np.linspace(-cfg.T, 2.0 * cfg.T, 121):
         for z in np.linspace(-cfg.delta, cfg.delta, 81):
-            d = [amp * math.cos(om * float(mid)) * sp(x) * window(float(z))
-                 for amp, om, sp, window, _ in pots]
-            d1 = d[0] if len(d) > 0 else 0.0
-            d2 = d[1] if len(d) > 1 else np.zeros_like(d1)
-            plus = max(plus, float(np.max(np.abs(d2 + d1))))
-            minus = max(minus, float(np.max(np.abs(d2 - d1))))
+            M = np.zeros((x.size, 2, 2), complex)
+            for (amp, om, _, window, gam), prof in zip(pots, profiles):
+                d = amp * math.cos(om * float(mid)) * prof * window(float(z))
+                M += d[:, None, None] * gam
+            assert not np.any(M[:, 0, 1]) and not np.any(M[:, 1, 0])
+            plus = max(plus, float(np.max(np.abs(M[:, 0, 0]))))
+            minus = max(minus, float(np.max(np.abs(M[:, 1, 1]))))
     return plus, minus
 
 
@@ -450,10 +473,11 @@ def _dirac_sup_C_loop(cfg, pots, grid):
     return max(_dirac_sup_C_halves(cfg, pots, grid))
 
 
-@pytest.mark.parametrize("n_pot", [1, 2])
+@pytest.mark.parametrize("n_pot", [1, 2, 3, 4])
 def test_dirac_sup_C_matches_loop(n_pot):
-    """np.cos on the midpoint vector and math.cos per sample may differ by
-    one ulp, hence the 1e-14 relative tolerance."""
+    """The real products agree with the complex per-sample loop to round-off
+    (a norm taken as the square root of a sum of products, and math.cos
+    against np.cos, each move the last few bits)."""
     cfg = DiracConfig(points=64, n_pot=n_pot, T=0.75, delta=0.2)
     g = make_grid(1, cfg.extent, cfg.points, 2)
     pots = _dirac_potentials(cfg)
@@ -474,6 +498,97 @@ def test_dirac_sup_C_takes_the_difference_half():
     assert _dirac_sup_C(cfg, flipped, g) == pytest.approx(minus, rel=1e-14,
                                                           abs=0.0)
 
+
+def test_dirac_margin_holds_per_site_with_three_potentials():
+    """With a third potential (a repeat of the first), the returned C bounds
+    the brute-force per-site spectral norm of the scaled kernel over a
+    (midpoint, lag) subgrid of the sup's samples and is reached on it, so
+    the true threshold margin is the target."""
+    cfg = DiracConfig(points=64, n_pot=3, T=0.75, delta=0.2)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    kern, C = dirac_kernel(cfg, g)
+    # column j of B(x) is the kernel applied to basis vector j at every site
+    basis = np.tile(np.eye(2, dtype=complex)[:, None, :], (1, g.sites, 1))
+    brute = 0.0
+    for mid in np.linspace(-cfg.T, 2.0 * cfg.T, 61):
+        for z in np.linspace(-cfg.delta, cfg.delta, 41):
+            B = kern.pair_apply(mid - 0.5 * z, mid + 0.5 * z,
+                                basis).transpose(1, 2, 0)
+            brute = max(brute, float(np.max(np.linalg.norm(B, 2,
+                                                           axis=(1, 2)))))
+    assert brute <= C * (1.0 + 1e-12)
+    assert brute >= 0.999 * C
+    assert threshold_margin(brute, cfg.delta) <= cfg.target_margin * (1 + 1e-12)
+
+
+def test_dirac_sup_C_memory_is_chunked():
+    """At 512 sites the (midpoint, lag, site) products, 80 MB at once, are
+    formed a chunk of midpoints at a time."""
+    cfg = DiracConfig(points=512, n_pot=4)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    pots = _dirac_potentials(cfg)
+    _dirac_sup_C(cfg, pots, g)
+    tracemalloc.start()
+    try:
+        _dirac_sup_C(cfg, pots, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_dirac_kernel_needs_a_potential():
+    g = make_grid(1, 2.0 * math.pi, 32, 2)
+    with pytest.raises(ScenarioError, match="n_pot"):
+        dirac_kernel(DiracConfig(points=32, n_pot=0), g)
+
+
+def _random_vector_defect(k, grid, pairs=16, seed=0):
+    """The spin-product symmetry defect |<a|K b>_spin - <K a|b>_spin| dv of
+    random unit fields a, b at random pairs (t, tau); a lower bound of
+    kernel_symmetry_defect."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    s3 = np.diag([1.0, -1.0])
+    worst = 0.0
+    for _ in range(pairs):
+        t = float(rng.uniform(-1.0, 1.0))
+        tau = t + float(rng.uniform(-1.0, 1.0) * k.delta)
+        a = rng.normal(size=(grid.sites, 2)) \
+            + 1j * rng.normal(size=(grid.sites, 2))
+        b = rng.normal(size=(grid.sites, 2)) \
+            + 1j * rng.normal(size=(grid.sites, 2))
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        kb = 1.0j * (k.pair_apply(t, tau, b) @ s3.T)
+        ka = 1.0j * (k.pair_apply(tau, t, a) @ s3.T)
+        lhs = np.einsum("sf,fg,sg->", np.conj(a), s3, kb)
+        rhs = np.einsum("sf,fg,sg->", np.conj(ka), s3, b)
+        worst = max(worst, abs(complex(lhs) - complex(rhs)))
+    return worst * grid.cell_volume
+
+
+def test_kernel_symmetry_defect_exact_per_site(monkeypatch):
+    """Round-off on the Dirac kernel; on a kernel with one window that is
+    not conjugate-symmetric, far above the 1e-10 gate and at least every
+    random-vector sample."""
+    from hypnl import scenarios
+    cfg = DiracConfig(points=64, delta=0.25, T=0.5)
+    g = make_grid(1, cfg.extent, cfg.points, 2)
+    kern, _ = dirac_kernel(cfg, g)
+    assert kernel_symmetry_defect(kern, g) <= 1e-14
+    assert kernel_symmetry_defect(kern, g) == kernel_symmetry_defect(kern, g)
+
+    pots = _dirac_potentials(cfg)
+    amp, om, sp, window, gam = pots[1]
+    skewed = (amp, om, sp, lambda z: window(z) * np.exp(0.3 * np.asarray(z)),
+              gam)
+    monkeypatch.setattr(scenarios, "_dirac_potentials",
+                        lambda c: [pots[0], skewed])
+    broken, _ = dirac_kernel(cfg, g)
+    exact = kernel_symmetry_defect(broken, g)
+    assert exact > 1e-4
+    for seed in range(4):
+        assert exact >= _random_vector_defect(broken, g, seed=seed)
 
 # ---------------------------------------------------------------------------
 # extended system
