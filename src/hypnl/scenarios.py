@@ -679,7 +679,13 @@ def dirac_kernel(cfg: DiracConfig, grid: Grid) -> tuple:
     identities are exact; only the rounding of the products differs from
     evaluating the cosine at the midpoint, by a few ulp of the envelope.
     Splitting the time dependence between t and the lag leaves n = 1 in
-    every term, so all terms share one forward FFT of the trajectory."""
+    every term, and the two terms of a potential share its M. On a window
+    of at most `kernels.DIRECT_MAX_LAGS` lags (41 at the benchmark's 256
+    points and delta 0.125) `apply_all` takes the direct trapezoid sum: one
+    weight block per potential times the trajectory's frames, then M once.
+    Longer windows (163 lags at the default 512 points and delta 0.25) go
+    by FFT, where every term shares one forward transform of the
+    trajectory."""
     if cfg.n_pot < 1:
         raise ScenarioError("the Dirac kernel needs n_pot >= 1 potentials")
     pots = _dirac_potentials(cfg)

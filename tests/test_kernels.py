@@ -126,6 +126,10 @@ def test_dense_apply_matches_oracle():
     _assert_matches_oracle(k, _traj(g, 14))
 
 
+# DIRECT_MAX_LAGS values that force each path of `TimeKernel._conv_all`
+FORCE_PATH = {"fft": 0, "direct": 1 << 30}
+
+
 def _oracle_case(name, g):
     if name == "separable":
         return _sep_kernel(g, delta=1.0,
@@ -195,10 +199,16 @@ def _terms(g):
     "dense_identity", "dense_infinite_range", "dense_advanced_switch_on",
     "dense_post", "terms_two_sided", "terms_retarded_switch_on",
     "terms_advanced", "terms_infinite_range", "terms_adjoint_post"])
-def test_apply_all_matches_oracle(name):
+def test_apply_all_matches_oracle(monkeypatch, name):
+    """Convolution cases are checked on each path of `_conv_all` as well."""
     g = _grid()
-    _assert_matches_oracle(_oracle_case(name, g), _traj(g, 15, index0=-3),
-                           atol=1e-11)
+    k = _oracle_case(name, g)
+    tr = _traj(g, 15, index0=-3)
+    _assert_matches_oracle(k, tr, atol=1e-11)
+    if k.kind == "convolution":
+        for bound in FORCE_PATH.values():
+            monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", bound)
+            _assert_matches_oracle(k, tr, atol=1e-11)
 
 
 @pytest.mark.parametrize("d", [0, 6, 20])
@@ -235,7 +245,7 @@ def test_pair_band_chunks_hold_every_lag(monkeypatch):
     k = _oracle_case("terms_two_sided", g)
     tr = _traj(g, 19, index0=-3, n=40)
     whole = k.pair_band(tr, 6)
-    monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", 1)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1)
     np.testing.assert_allclose(k.pair_band(tr, 6), whole, rtol=0,
                                atol=1e-14 * np.max(np.abs(whole)))
 
@@ -347,28 +357,166 @@ def test_dirac_kernel_matches_dense_op(n_pot, delta, index0):
                                    atol=1e-12 * np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("case", ["dirac", "terms", "maxwell"])
-def test_chunked_fft_is_bitwise_one_pass(monkeypatch, case):
-    """Transforming the columns a few sites at a time gives the bytes of one
-    pass over all sites."""
+def _chunk_case(case):
+    """(kernel, trajectory) of the site-chunking tests."""
     if case == "dirac":
         cfg = DiracConfig(points=64, delta=0.25)
         g = make_grid(1, cfg.extent, cfg.points, 2)
-        k = dirac_kernel(cfg, g)[0]
-        tr = _traj(g, 51, dt=cfg.cfl * g.spacing, index0=-20, n=120)
-    elif case == "terms":
+        return (dirac_kernel(cfg, g)[0],
+                _traj(g, 51, dt=cfg.cfl * g.spacing, index0=-20, n=120))
+    if case == "terms":
         g = _grid()
-        k = make_modulated(g, _terms(g), delta=0.5)
-        tr = _traj(g, 52, index0=-3)
-    else:
-        g = make_grid(3, 1.0, 8, 6)
-        k = maxwell_kernel(g, drude_lorentz(0.4, 1.0, 2.0)[1])
-        tr = _traj(g, 53, dt=0.05, n=40)
-    monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", 1 << 40)
+        return make_modulated(g, _terms(g), delta=0.5), _traj(g, 52, index0=-3)
+    g = make_grid(3, 1.0, 8, 6)
+    return (maxwell_kernel(g, drude_lorentz(0.4, 1.0, 2.0)[1]),
+            _traj(g, 53, dt=0.05, n=40))
+
+
+@pytest.mark.parametrize("case", ["dirac", "terms", "maxwell"])
+def test_chunked_fft_is_bitwise_one_pass(monkeypatch, case):
+    """Transforming the columns a few sites at a time gives the bytes of one
+    pass over all sites (the FFT path)."""
+    monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", FORCE_PATH["fft"])
+    k, tr = _chunk_case(case)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1 << 40)
     one_pass = k.apply_all(tr)
     for budget in (1, 3 * 16 * 64, 16 * 128 * 7):
-        monkeypatch.setattr(kernels, "FFT_CHUNK_BYTES", budget)
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", budget)
         assert np.array_equal(k.apply_all(tr), one_pass)
+
+
+# the direct path's products in site chunks against one pass: BLAS rounds
+# the edge columns of a product differently when the column count changes
+DIRECT_CHUNK_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("case", ["dirac", "terms", "maxwell"])
+def test_chunked_direct_matches_one_pass(monkeypatch, case):
+    """The direct path a few sites at a time agrees with one pass over all
+    sites within DIRECT_CHUNK_RTOL of the largest output modulus."""
+    monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", FORCE_PATH["direct"])
+    k, tr = _chunk_case(case)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1 << 40)
+    one_pass = k.apply_all(tr)
+    for budget in (1, 3 * 16 * 64, 16 * 128 * 7):
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", budget)
+        np.testing.assert_allclose(
+            k.apply_all(tr), one_pass, rtol=0,
+            atol=DIRECT_CHUNK_RTOL * np.max(np.abs(one_pass)))
+
+
+def _trapezoid_loop(k, tr):
+    """apply_all of a convolution kernel as the plain trapezoid sum, one
+    output frame, tau frame and term at a time, the scalar factors sampled
+    one time each."""
+    j0, j1 = k._slice_arrays(tr)
+    out = np.zeros_like(tr.values)
+    for i in range(tr.n_frames):
+        if j1[i] <= j0[i]:
+            continue
+        t = tr.time(i)
+        for j in range(j0[i], j1[i] + 1):
+            w = tr.dt * (0.5 if j in (j0[i], j1[i]) else 1.0)
+            tau = tr.time(j)
+            for m, c, n, M in k.data["terms"]:
+                s = w * complex(c(np.array([tau - t]))[0])
+                s *= 1.0 if m is None else complex(m(np.array([t]))[0])
+                s *= 1.0 if n is None else complex(n(np.array([tau]))[0])
+                if M is None:
+                    mv = tr.values[j]
+                else:
+                    mv = np.einsum("sfg,sg->sf", per_site(k.grid, M[1]),
+                                   tr.values[j])
+                    mv = mv if M[0] is None else mv * M[0][:, None]
+                out[i] += s * mv
+    return out if k.post is None else np.einsum(
+        "sfg,tsg->tsf", per_site(k.grid, k.post), out)
+
+
+# the direct path against the plain trapezoid loop: the same products,
+# summed in another order
+DIRECT_LOOP_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("name", [
+    "convolution", "convolution_adjoint", "terms_two_sided",
+    "terms_retarded_switch_on", "terms_advanced", "terms_infinite_range",
+    "terms_adjoint_post"])
+def test_direct_path_is_the_trapezoid_sum(monkeypatch, name):
+    """Within DIRECT_LOOP_RTOL of the largest output modulus."""
+    monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", FORCE_PATH["direct"])
+    g = _grid()
+    k = _oracle_case(name, g)
+    tr = _traj(g, 57, index0=-3, n=30)
+    ref = _trapezoid_loop(k, tr)
+    np.testing.assert_allclose(k.apply_all(tr), ref, rtol=0,
+                               atol=DIRECT_LOOP_RTOL * np.max(np.abs(ref)))
+
+
+def _benchmark_shape(case):
+    """(kernel, trajectory) at a benchmark workload's shape: the Dirac kernel
+    on 256 sites with delta 0.125 over 286 frames (41 lags), or Maxwell's
+    retarded memory on a 16^3 grid over 32 frames (32 lags)."""
+    if case == "dirac":
+        cfg = DiracConfig(points=256, delta=0.125)
+        g = make_grid(1, cfg.extent, cfg.points, 2)
+        return (dirac_kernel(cfg, g)[0],
+                _traj(g, 58, dt=cfg.cfl * g.spacing, index0=-20, n=286))
+    g = make_grid(3, 1.0, 16, 6)
+    return (maxwell_kernel(g, drude_lorentz(0.4, 1.0, 2.0)[1]),
+            _traj(g, 59, dt=0.05, n=32))
+
+
+# the direct and FFT paths on the same sum: different roundings
+PATHS_AGREE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("case", ["dirac", "maxwell"])
+def test_direct_and_fft_paths_agree_on_benchmark_shapes(monkeypatch, case):
+    """Within PATHS_AGREE_RTOL of the largest output modulus."""
+    k, tr = _benchmark_shape(case)
+    got = {}
+    for path, bound in FORCE_PATH.items():
+        monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", bound)
+        got[path] = k.apply_all(tr)
+    np.testing.assert_allclose(
+        got["direct"], got["fft"], rtol=0,
+        atol=PATHS_AGREE_RTOL * np.max(np.abs(got["fft"])))
+
+
+@pytest.mark.parametrize("path", sorted(FORCE_PATH))
+@pytest.mark.parametrize("name", ["convolution", "terms_retarded_switch_on"])
+def test_frames_before_switch_on_are_not_read(monkeypatch, path, name):
+    """A NaN or inf in the frames before the switch-on reaches no output:
+    each path gives the bytes it gives with those frames finite."""
+    monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", FORCE_PATH[path])
+    g = _grid()
+    k = _oracle_case(name, g)
+    tr = _traj(g, 60, index0=-3)
+    j_first = int(np.min(k._slice_arrays(tr)[0]))
+    assert j_first > 1
+    poisoned = tr.values.copy()
+    poisoned[0] = np.nan
+    poisoned[j_first - 1] = np.inf
+    got = k.apply_all(Trajectory(g, tr.dt, tr.index0, poisoned))
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, k.apply_all(tr))
+
+
+@pytest.mark.parametrize("lags,path", [(kernels.DIRECT_MAX_LAGS, "direct"),
+                                       (kernels.DIRECT_MAX_LAGS + 1, "fft")])
+def test_lag_count_picks_the_path(monkeypatch, lags, path):
+    """A window of at most DIRECT_MAX_LAGS admitted lags takes the direct
+    path, one more lag the FFT path."""
+    taken = []
+    for name in ("_conv_direct", "_conv_fft"):
+        monkeypatch.setattr(kernels.TimeKernel, name,
+                            lambda *args, name=name: taken.append(name))
+    g = _grid()
+    k = make_convolution(lambda u: math.exp(-u), None, g,
+                         delta_eff=(lags - 1) * 0.125)
+    k.apply_all(_traj(g, 61, n=lags + 10))
+    assert taken == ["_conv_" + path]
 
 
 def test_unread_columns_are_not_transformed():
@@ -441,8 +589,10 @@ MAXWELL_OLD_PATH_RTOL = 1e-14
     (1, 16, math.inf, 60, False), (1, 16, 0.4, 60, False),
     (3, 8, math.inf, 41, False), (1, 16, math.inf, 60, True),
     (3, 8, 0.3, 41, True)])
-def test_maxwell_term_matches_old_conv_all(dim, points, delta_eff, n, adj):
-    """Within MAXWELL_OLD_PATH_RTOL of the largest output modulus."""
+def test_maxwell_term_matches_old_conv_all(monkeypatch, dim, points,
+                                          delta_eff, n, adj):
+    """Within MAXWELL_OLD_PATH_RTOL of the largest output modulus, on each
+    path of `_conv_all`."""
     g = make_grid(dim, 1.0, points, 6)
     chi_dot = drude_lorentz(0.4, 1.0, 2.0)[1]
     k = maxwell_kernel(g, chi_dot, delta_eff=delta_eff)
@@ -453,9 +603,11 @@ def test_maxwell_term_matches_old_conv_all(dim, points, delta_eff, n, adj):
         k = adjoint(k)
         proj = proj.T
     ref = _old_conv_all(k, chi_dot, proj, tr, conj=adj)
-    got = k.apply_all(tr)
-    np.testing.assert_allclose(got, ref, rtol=0,
-                               atol=MAXWELL_OLD_PATH_RTOL * np.max(np.abs(ref)))
+    for bound in FORCE_PATH.values():
+        monkeypatch.setattr(kernels, "DIRECT_MAX_LAGS", bound)
+        got = k.apply_all(tr)
+        np.testing.assert_allclose(
+            got, ref, rtol=0, atol=MAXWELL_OLD_PATH_RTOL * np.max(np.abs(ref)))
 
 
 def test_make_modulated_rejects_bad_terms():
