@@ -27,7 +27,6 @@ class DiagReport:
     values: np.ndarray          # per-frame series
     times: np.ndarray
     tolerance: float
-    refinement: Optional[tuple] = None   # (coarse, fine, order)
 
     @property
     def summary_max(self) -> float:
@@ -42,14 +41,9 @@ class DiagReport:
         return self.summary_max <= self.tolerance
 
     def to_json(self) -> dict:
-        doc = {"name": self.name, "max": self.summary_max,
-               "mean": self.summary_mean, "tolerance": self.tolerance,
-               "pass": bool(self.passed)}
-        if self.refinement is not None:
-            doc["refinement"] = {"coarse": self.refinement[0],
-                                 "fine": self.refinement[1],
-                                 "order": self.refinement[2]}
-        return doc
+        return {"name": self.name, "max": self.summary_max,
+                "mean": self.summary_mean, "tolerance": self.tolerance,
+                "pass": bool(self.passed)}
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

@@ -325,12 +325,19 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
     verdict = None
     n_used = 0
 
-    if monitor is not None:
-        monitor(0, _on_modes(psi, modes, inverse=True), None)
+    def report(n):
+        # the monitor sees psi^(n), the partial sum and B applied to it
+        if monitor is not None:
+            monitor(n, _on_modes(psi, modes, inverse=True),
+                    _on_modes(total, modes, inverse=True),
+                    to_modes(grid, b_sum, inverse=True)
+                    if modes and b_sum is not None else b_sum)
+
     # b = B psi^(n) is the source of iterate n + 1, and by linearity the
     # running sum b_sum of these is B applied to the partial sum
     b = k.apply_all(psi) if k is not None else None
     b_sum = b
+    report(0)
     residuals = [residual(sys, b_sum, total, phi, (0.0, T), deriv)]
 
     plateau = 0
@@ -346,10 +353,21 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                                           delta, W, T)):
             raise DysonError(f"window exhausted at iterate {n}: support "
                              f"reaches the clipped boundary of [-{W}, {T + W}]")
-        # an all-zero source ends the series; one with a nonzero value is
-        # solved, even when every square underflows (values below about
-        # 1e-162) and its frame norms read zero
+        # an all-zero source ends the series with psi^(n) = 0 exactly, which
+        # is recorded without a solve; one with a nonzero value is solved,
+        # even when every square underflows (values below about 1e-162) and
+        # its frame norms read zero
         if not np.any(b):
+            sup_norms.append(0.0)
+            strip_norms.append(0.0)
+            bounds.append(bound_fn(n))
+            residuals.append(residuals[-1])
+            ratios.append(0.0)
+            n_used = n
+            if monitor is not None:
+                psi = Trajectory(grid, psi.dt, psi.index0,
+                                 np.zeros_like(psi.values))
+                report(n)
             verdict = ("Converged"
                        if residuals[-1] <= tol_residual else "Stalled")
             break
@@ -370,14 +388,12 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
         n_used = n
-        if monitor is not None:
-            monitor(n, _on_modes(psi, modes, inverse=True),
-                    _on_modes(src, modes, inverse=True))
         src = b = None          # release the old source before B psi^(n)
         b = k.apply_all(psi)
         # b_sum is B psi^(0), the source just used, until it gets its own
         # array here; later terms are added in place
         b_sum = b_sum + b if n == 1 else np.add(b_sum, b, out=b_sum)
+        report(n)
         residuals.append(residual(sys, b_sum, total, phi, (0.0, T), deriv))
 
         prev = strip_norms[-2]
@@ -446,12 +462,21 @@ def dyson_retarded(sys: SystemSpec, k: Optional[TimeKernel],
                    n_min: int = 0, constants: Optional[dict] = None,
                    allow_early_switch_on: bool = False, seed: int = 0,
                    monitor: Optional[Callable] = None) -> DysonResult:
-    """Series solution on [0, T] for a retarded kernel switched on at t >= 0."""
+    """Series solution on [0, T] for a retarded kernel switched on at t >= 0
+    (or at a finite t0 < 0, with `allow_early_switch_on` and a margin
+    t0^2 e^(D |t0|/2) C < 1). `monitor(n, psi, total, b_total)` is called
+    once per iterate n = 0 .. n_used, after B psi^(n) is added: psi^(n) and
+    the partial sum (Trajectories) and B applied to that sum (an array, None
+    without a kernel), in site values. They may be the loop's own arrays,
+    written after the call: a monitor copies what it keeps, writes none."""
     if opts.store_every != 1:
         raise DysonError("kernel consumption requires store_every = 1")
     if k is not None:
         if not k.retarded:
             raise DysonError("dyson_retarded needs a retarded kernel")
+        if not math.isfinite(k.switch_on):
+            raise DysonError(f"a retarded kernel needs a finite switch-on, "
+                             f"not switch_on = {k.switch_on}")
         if k.switch_on < -1e-12:
             cst = _measure_constants(sys, k, phi, data, T, constants,
                                      (k.switch_on, T), seed)
@@ -477,7 +502,8 @@ def dyson_short_range(sys: SystemSpec, k: TimeKernel,
                       constants: Optional[dict] = None, seed: int = 0,
                       monitor: Optional[Callable] = None) -> DysonResult:
     """Series solution with a finite-time-range kernel; iterates solve on the
-    two-sided window [-W, T+W] with zero data at t=0 for n >= 1."""
+    two-sided window [-W, T+W] with zero data at t=0 for n >= 1. `monitor`
+    is called as in `dyson_retarded`, on the frames of [-W, T+W]."""
     if opts.store_every != 1:
         raise DysonError("kernel consumption requires store_every = 1")
     if not math.isfinite(k.delta):

@@ -130,6 +130,64 @@ def test_store_every_rejected():
                        SolveOptions(dt=1.0 / 64.0, store_every=2))
 
 
+def _early_case(kind, switch_on, scale):
+    """(k, run) for a retarded kernel of bound constant C = scale
+    switched on at `switch_on`: the exponential memory (convolution), or a
+    rank-one separable kernel with unit-norm profiles h on [-0.5, 0.25] and
+    g / scale on [0.25, 1]."""
+    grid, sys, _ = _memory_setup()
+    dt = 1.0 / 64.0
+    if kind == "convolution":
+        k = make_convolution(lambda u: scale * math.exp(-u), None, grid,
+                             t0=switch_on)
+    else:
+        t = (np.arange(97) - 32) * dt
+        ones = np.ones((97, grid.sites, 1), complex)
+        g = Trajectory(grid, dt, -32, scale * (t >= 0.25)[:, None, None] * ones)
+        h = Trajectory(grid, dt, -32, (t <= 0.25)[:, None, None] * ones)
+        flags = {} if math.isinf(switch_on) else {"switch_on": switch_on}
+        k = make_separable([g], [h], retarded=True, **flags)
+    data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
+    # g's jump at 0.25 puts the centered residual's floor at about 1e-2
+    return k, lambda **kw: dyson_retarded(
+        sys, k, None, data, 1.0, SolveOptions(dt=dt), n_max=20,
+        tol_residual=0.1, constants={"D": 0.0}, **kw)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "separable"])
+@pytest.mark.parametrize("allow", [False, True])
+def test_switch_on_at_minus_infinity_is_refused(monkeypatch, kind, allow):
+    """The constructors' default switch-on -inf is refused by name, with or
+    without the flag, before any constant is measured: a probe window
+    (-inf, T) cannot be sampled, and a separable margin would read NaN,
+    which `margin >= 1` does not catch."""
+    k, run = _early_case(kind, -math.inf, 1.0)
+    assert k.switch_on == -math.inf
+
+    def unmeasured(*args, **kwargs):
+        raise AssertionError("a constant was measured")
+
+    monkeypatch.setattr(dyson, "_measure_constants", unmeasured)
+    with pytest.raises(DysonError, match="switch_on = -inf"):
+        run(allow_early_switch_on=allow)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "separable"])
+def test_early_switch_on_needs_the_flag_and_margin(kind):
+    """Switched on at t0 = -0.5 with D = 0 the margin is t0^2 C: C = 1 gives
+    0.25 and runs with the flag only; C = 8 gives 2 and is refused with it."""
+    _, run = _early_case(kind, -0.5, 1.0)
+    with pytest.raises(DysonError, match="explicit flag"):
+        run()
+    res = run(allow_early_switch_on=True)
+    assert res.verdict == "Converged"
+    assert res.config["C_est"] == pytest.approx(1.0, rel=1e-12)
+    _, run = _early_case(kind, -0.5, 8.0)
+    with pytest.raises(DysonError, match="margin") as err:
+        run(allow_early_switch_on=True)
+    assert "= 2 < 1" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # residual
 
@@ -284,13 +342,12 @@ def _count_apply_all(monkeypatch) -> list:
 
 
 def _recording_monitor(seen: list, kept: list):
-    """Copies of each monitor call's (n, psi, src) in `seen`; the src
-    arrays themselves with their copies in `kept`."""
-    def mon(n, psi, src):
-        seen.append((n, psi.values.copy(),
-                     None if src is None else src.values.copy()))
-        if src is not None:
-            kept.append((src.values, seen[-1][2]))
+    """Copies of each monitor call's (n, psi, total, b_total) values in
+    `seen`; the psi arrays themselves with their copies in `kept`."""
+    def mon(n, psi, total, b_total):
+        seen.append((n, psi.values.copy(), total.values.copy(),
+                     None if b_total is None else b_total.copy()))
+        kept.append((psi.values, seen[-1][1]))
     return mon
 
 
@@ -306,8 +363,9 @@ def test_one_apply_all_per_iterate(monkeypatch, name, verdict):
 
 
 def test_one_apply_all_on_zero_source_exit(monkeypatch):
-    """A kernel switched on after T gives B psi = 0: the loop stops at
-    iterate 1 after the single application to psi^(0)."""
+    """A kernel switched on after T gives B psi = 0: the loop records
+    psi^(1) = 0 without a solve and stops after the single application to
+    psi^(0)."""
     grid, sys, _ = _memory_setup()
     k = make_convolution(lambda u: math.exp(-u), None, grid, t0=5.0)
     data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
@@ -315,7 +373,53 @@ def test_one_apply_all_on_zero_source_exit(monkeypatch):
     res = dyson_retarded(sys, k, None, data, 1.0,
                          SolveOptions(dt=1.0 / 128.0), n_max=20,
                          constants={"C_est": 1.0, "D": 0.5, "M": 1.0})
-    assert res.n_used == 0 and len(calls) == 1
+    assert res.n_used == 1 and len(calls) == 1
+    assert res.iterate_strip_norms[1] == 0.0 and res.verdict == "Converged"
+
+
+def _exact_end_run(**kw):
+    """A Dyson run whose series ends exactly: on a 64-site transport line, the
+    separable retarded kernel g(t) <h(tau), .> with g = 0.01 e^{-(x-pi)^2}
+    for t >= 0.5 and h = e^{-(x-pi)^2} for t <= 0.25. psi^(1) vanishes
+    before t = 0.5, where h does not, so B psi^(1) = 0 exactly."""
+    grid = make_grid(1, 2.0 * math.pi, 64, 1)
+    sys = transport_system(grid)
+    opts = SolveOptions(dt=grid.spacing / 4.0)
+    n = round(1.0 / opts.dt) + 1
+    T = (n - 1) * opts.dt                           # T = 1 on the lattice
+    prof = np.exp(-(grid.coords()[:, :1] - math.pi) ** 2).astype(complex)
+    g = sample_trajectory(grid, lambda t, x: 0.01 * (t >= 0.5) * prof,
+                          opts.dt, 0, n)
+    h = sample_trajectory(grid, lambda t, x: (t <= 0.25) * prof,
+                          opts.dt, 0, n)
+    k = make_separable([g], [h], retarded=True, switch_on=0.0)
+    data = StateField(grid, 0.0, gaussian_pulse(grid))
+    # the residual sits at its O(dt^2) floor of about 4e-3
+    return dyson_retarded(sys, k, None, data, T, opts, tol_residual=1e-2,
+                          **kw)
+
+
+def test_series_that_ends_exactly_is_recorded():
+    """B psi^(1) = 0 ends the series with psi^(2) = 0 recorded: sup and
+    strip norm 0, the bound at n = 2, the residual of the partial sum
+    unchanged and ratio 0, and the Converged verdict passes its
+    invariants; the monitor sees the zero iterate too."""
+    seen = []
+    res = _exact_end_run(monitor=_recording_monitor(seen, []))
+    assert res.verdict == "Converged" and res.n_used == 2
+    assert res.iterate_sup_norms[2] == res.iterate_strip_norms[2] == 0.0
+    assert res.iterate_strip_norms[1] > 0.0
+    assert res.bound_values[2] == dyson.bound_retarded(
+        2, res.config["K_T"], res.config["T"], res.config["M"]
+        * math.exp(res.config["D"] * res.config["T"] / 2.0))
+    assert res.residual_history[2] == res.residual_history[1]
+    assert res.ratios == [res.ratios[0], 0.0]
+    assert [n for n, *_ in seen] == [0, 1, 2]
+    _, psi, total, b_total = seen[2]
+    assert not np.any(psi)
+    assert np.array_equal(total, seen[1][2])
+    assert np.array_equal(b_total, seen[1][3])
+    assert np.array_equal(total, res.partial_sum.values)
 
 
 def test_source_that_squares_to_zero_is_solved():
@@ -358,13 +462,23 @@ def test_one_apply_all_on_solve_aborted(monkeypatch):
 def test_linearity_matches_reapplied_kernel(monkeypatch, name):
     """The residual from the running sum of sources against the reference
     that applies B to the whole partial sum: residual histories to 1e-12 of
-    the series maximum, every other result field and every source the
-    monitor sees bitwise (and unchanged after the call)."""
+    the series maximum, every other result field and every iterate, partial
+    sum and B partial sum the monitor sees bitwise. Each B partial sum is B
+    re-applied to that partial sum to 1e-12 of the largest, the last
+    partial sum is the result's, and no iterate is written after the call."""
     k, run = _linearity_case(name)
     seen, kept = [], []
     res = run(monitor=_recording_monitor(seen, kept))
-    for src, at_call in kept:   # the loop never writes into a used source
-        assert np.array_equal(src, at_call)
+    for psi, at_call in kept:   # the loop never writes into a seen iterate
+        assert np.array_equal(psi, at_call)
+    grid, dt, index0 = res.partial_sum.grid, res.partial_sum.dt, \
+        res.partial_sum.index0
+    again = [k.apply_all(Trajectory(grid, dt, index0, total))
+             for _, _, total, _ in seen]
+    scale = max(np.max(np.abs(b)) for b in again)
+    for (_, _, _, b_total), want in zip(seen, again):
+        np.testing.assert_allclose(b_total, want, rtol=0, atol=1e-12 * scale)
+    assert np.array_equal(seen[-1][2], res.partial_sum.values)
 
     def reference_residual(sys, b_psi, psi, phi, strip=None, deriv=diff4):
         return norm_strip(equation_defect(sys, k.apply_all(psi), psi, phi,
@@ -384,12 +498,10 @@ def test_linearity_matches_reapplied_kernel(monkeypatch, name):
         assert getattr(res, key) == getattr(ref, key), key
     assert res.partial_sum.index0 == ref.partial_sum.index0
     assert np.array_equal(res.partial_sum.values, ref.partial_sum.values)
-    assert [n for n, _, _ in seen] == [n for n, _, _ in ref_seen]
-    for (_, psi, src), (_, psi_ref, src_ref) in zip(seen, ref_seen):
-        assert np.array_equal(psi, psi_ref)
-        assert (src is None) == (src_ref is None)
-        if src is not None:
-            assert np.array_equal(src, src_ref)
+    assert [n for n, *_ in seen] == [n for n, *_ in ref_seen]
+    for got, want in zip(seen, ref_seen):
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
 
 
 def test_equation_defect_checks_b_psi_shape():
@@ -464,7 +576,7 @@ def test_monitor_sees_every_iterate():
     data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
     seen = []
     res = dyson_retarded(sys, k, None, data, 1.0, opts, n_max=20,
-                         monitor=lambda n, tr, src: seen.append(n))
+                         monitor=lambda n, psi, total, b_total: seen.append(n))
     assert seen == list(range(res.n_used + 1))
 
 
@@ -561,25 +673,22 @@ def test_modes_loop_matches_sites_oracle(name):
 
 
 def test_monitor_sees_site_values_on_the_modes_loop():
-    """Each iterate and source the monitor sees is the oracle's to 1e-12 of
-    the largest value of any iterate (source). Relative to its own size a
-    late iterate differs by more: the iterates shrink by about 1e3 per step
-    and the difference grows about 3x, to 1e-14 of iterate 5 here."""
+    """Each iterate, partial sum and B partial sum the monitor sees is the
+    oracle's to 1e-12 of the largest value of that argument over the run.
+    Relative to its own size a late iterate differs by more: the iterates
+    shrink by about 1e3 per step and the difference grows about 3x, to
+    1e-14 of iterate 5 here."""
     _, k, run = _modes_case("volterra")
     seen, ref_seen = [], []
     res = run(k, monitor=_recording_monitor(seen, []))
     run(_profiled(k), monitor=_recording_monitor(ref_seen, []))
     assert res.n_used >= 3
-    assert [n for n, _, _ in seen] == [n for n, _, _ in ref_seen]
-    psi_scale = max(np.max(np.abs(psi)) for _, psi, _ in ref_seen)
-    src_scale = max(np.max(np.abs(src)) for _, _, src in ref_seen[1:])
-    for (_, psi, src), (_, psi_ref, src_ref) in zip(seen, ref_seen):
-        np.testing.assert_allclose(psi, psi_ref, rtol=0,
-                                   atol=1e-12 * psi_scale)
-        assert (src is None) == (src_ref is None)
-        if src is not None:
-            np.testing.assert_allclose(src, src_ref, rtol=0,
-                                       atol=1e-12 * src_scale)
+    assert [n for n, *_ in seen] == [n for n, *_ in ref_seen]
+    for arg in (1, 2, 3):
+        scale = max(np.max(np.abs(want[arg])) for want in ref_seen)
+        for got, want in zip(seen, ref_seen):
+            np.testing.assert_allclose(got[arg], want[arg], rtol=0,
+                                       atol=1e-12 * scale)
 
 
 def test_solve_aborted_on_the_modes_loop(monkeypatch):

@@ -46,6 +46,40 @@ def test_bump_properties():
         assert bump_dot(np.array([x]))[0] == pytest.approx(num, abs=1e-5)
 
 
+def _masked_bump(u):
+    """The boolean-mask bump and bump_dot that the mask-free forms replace."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    q = 1.0 - ui * ui
+    b, d = np.zeros_like(u), np.zeros_like(u)
+    b[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    d[inside] = np.exp(1.0 - 1.0 / q) * (-2.0 * ui / (q * q))
+    return b, d
+
+
+def test_bump_is_bitwise_the_masked_form():
+    """Arrays and 0-d input, on and off the support: |u| = 1, just past it
+    (where exp(1 - 1/q) overflows), far past it (where u^2 overflows),
+    infinities and NaN. Any RuntimeWarning fails the test."""
+    one = np.nextafter(1.0, 2.0)
+    u = np.concatenate([np.linspace(-1.5, 1.5, 3001),
+                        [1.0, -1.0, one, -one, np.nextafter(1.0, 0.0),
+                         1.0 + 1e-5, 0.0, -0.0, 1e-200, 1e200, -1e200,
+                         np.inf, -np.inf, np.nan]])
+    want_b, want_d = _masked_bump(u)
+    assert bump(u).tobytes() == want_b.tobytes()
+    assert bump_dot(u).tobytes() == want_d.tobytes()
+    for x in u[::7].tolist() + u[-14:].tolist():
+        got_b, got_d = bump(x), bump_dot(np.float64(x))
+        assert got_b.shape == got_d.shape == ()
+        b, d = _masked_bump(np.asarray(x))
+        assert (got_b.tobytes(), got_d.tobytes()) == (b.tobytes(), d.tobytes())
+    u2 = u[-14:].reshape(2, 7)
+    assert bump(u2).shape == bump_dot(u2).shape == (2, 7)
+    assert bump(u2).tobytes() == _masked_bump(u2)[0].tobytes()
+
+
 def test_stencil_wavenumber_limits():
     assert stencil_wavenumber(2.0, 0.01) == pytest.approx(2.0, abs=1e-6)
     # the modified wavenumber always undershoots the exact one
@@ -228,6 +262,51 @@ def test_counterexample_report_samples_profiles_once(coarse_cx, monkeypatch):
     assert np.array_equal(
         scenarios._counterexample_oracle(coarse_cx, profiles).values,
         counterexample_oracle(coarse_cx).values)
+
+
+def test_counterexample_pairing_matches_reapplied_kernel(coarse_cx,
+                                                        monkeypatch):
+    """The pairings from the loop's partial sum and B partial sum against
+    the old monitor, which kept its own partial sum and re-applied B to it:
+    within 1e-12 of the largest pairing. The report makes one apply_all per
+    iterate of its four Dyson runs and no other."""
+    from hypnl import scenarios
+    from hypnl.dyson import dyson_short_range, equation_defect
+    from hypnl.kernels import TimeKernel
+    calls = []
+    apply_all = TimeKernel.apply_all
+
+    def counted(self, tr):
+        calls.append(tr.n_frames)
+        return apply_all(self, tr)
+
+    monkeypatch.setattr(TimeKernel, "apply_all", counted)
+    rep = scenarios.counterexample_report(coarse_cx)
+    runs = [rep["divergent"]] + [f["result"] for f in rep["family"].values()]
+    assert len(calls) == sum(r.n_used + 1 for r in runs)
+    monkeypatch.setattr(TimeKernel, "apply_all", apply_all)
+
+    sys, k, f_tr, opts = build_counterexample(coarse_cx)
+    w = inner_weight(sys)
+    want, holder = [], []
+
+    def reapplied(n, psi, total, b_total):
+        holder[:] = [psi if n == 0 else holder[0].plus(psi)]
+        d = equation_defect(sys, k.apply_all(holder[0]), holder[0], f_tr)
+        want.append(scenarios._strip_pair(d, f_tr, w))
+
+    cx = coarse_cx
+    dyson_short_range(sys, k, f_tr, StateField(sys.grid, 0.0,
+                                               sys.grid.zeros()),
+                      cx.T, opts, tol=cx.tol, tol_residual=cx.tol_residual,
+                      n_max=cx.n_max, W=cx.W, n_min=cx.n_max + 1,
+                      constants={"C_est": rep["C_est"], "D": 0.0},
+                      monitor=reapplied)
+    got = np.array(rep["obstruction_pairings"])
+    assert len(got) == len(want) == rep["divergent"].n_used + 1
+    want = np.array(want)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.max(np.abs(want)))
 
 
 def _counterexample_profiles_per_frame(cfg):
@@ -589,6 +668,41 @@ def test_kernel_symmetry_defect_exact_per_site(monkeypatch):
     assert exact > 1e-4
     for seed in range(4):
         assert exact >= _random_vector_defect(broken, g, seed=seed)
+
+# ---------------------------------------------------------------------------
+# Maxwell constraints
+
+def test_gauss_memory_matches_the_per_frame_loop(monkeypatch):
+    """The nonlocal Gauss residual against the per-frame trapezoid loop it
+    replaced, on data whose divergence is not zero, so that the memory
+    term is O(1) and not round-off: to 1e-13 of the field scale."""
+    from hypnl import scenarios
+    from hypnl.scenarios import MaxwellConfig, maxwell_constraints_3d
+
+    def rough(grid, seed, n_modes=3):
+        rng = np.random.default_rng(np.random.Philox(seed))
+        return rng.standard_normal((grid.sites, 6)) + 0j
+
+    monkeypatch.setattr(scenarios, "random_divfree_data", rough)
+    cfg = MaxwellConfig(mode="constraints_3d", points=8, n_max=6, seed=5)
+    rep = maxwell_constraints_3d(cfg)
+    tr = rep["result"].partial_sum
+    chi, _ = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
+    dive = div4(tr.grid, tr.values[..., :3])
+    F = tr.n_frames
+    chis = np.array([chi(i * tr.dt) for i in range(F)])
+    gauss = np.zeros(F)
+    for i in range(F):
+        mem = np.zeros(tr.grid.sites, dtype=complex)
+        if i >= 1:
+            wts = np.ones(i + 1)
+            wts[0] = wts[-1] = 0.5
+            mem = np.einsum("t,ts->s", wts * chis[i::-1], dive[:i + 1]) * tr.dt
+        gauss[i] = float(np.max(np.abs(dive[i] + mem)))
+    assert F >= 32 and np.max(gauss) > 0.1 * np.max(np.abs(dive))
+    assert rep["gauss_residual"] == pytest.approx(
+        float(np.max(gauss)), rel=0, abs=1e-13 * rep["field_scale"])
+
 
 # ---------------------------------------------------------------------------
 # extended system
