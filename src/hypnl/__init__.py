@@ -6,13 +6,12 @@ verification scenarios on periodic desk-scale grids.
 __version__ = "0.1.0"
 
 from .grids import (Grid, InnerWeight, StateField, Trajectory, make_grid,
-                    sample_trajectory, zero_field)
+                    sample_trajectory)
 from .systems import (SystemSpec, make_system, ode_system, transport_system,
-                      system_from_json, system_to_json, validate_system)
+                      system_from_json, validate_system)
 from .kernels import (BoundEstimate, ConvTerm, TimeKernel, adjoint,
-                      estimate_bound, make_convolution, make_dense,
-                      make_modulated, make_separable, threshold_margin,
-                      weighted)
+                      estimate_bound, make_convolution, make_modulated,
+                      make_separable, threshold_margin, weighted)
 from .solver import (SolveAborted, SolveOptions, evolution_op, green_retarded,
                      solve_local)
 from .dyson import (DysonResult, bound_retarded, bound_short, dyson_retarded,
@@ -28,11 +27,11 @@ from .cli import cli_run, load_config
 
 __all__ = [
     "Grid", "InnerWeight", "StateField", "Trajectory", "make_grid",
-    "sample_trajectory", "zero_field",
+    "sample_trajectory",
     "SystemSpec", "make_system", "ode_system", "transport_system",
-    "system_from_json", "system_to_json", "validate_system",
+    "system_from_json", "validate_system",
     "BoundEstimate", "ConvTerm", "TimeKernel", "adjoint", "estimate_bound",
-    "make_convolution", "make_dense", "make_modulated", "make_separable",
+    "make_convolution", "make_modulated", "make_separable",
     "threshold_margin", "weighted",
     "SolveAborted", "SolveOptions", "evolution_op", "green_retarded",
     "solve_local",

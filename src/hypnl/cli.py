@@ -254,6 +254,13 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
             if kern.get("kind") not in ("none", "drude_lorentz"):
                 raise ConfigError(f"'{path}options.kernel.kind' must be "
                                   "'none' or 'drude_lorentz'")
+            # the memory acts on the first fiber // 2 components (the E
+            # field of maxwell_kernel): none at fiber 1
+            _require(kern["kind"] == "none"
+                     or options["system"]["grid"]["fiber"] >= 2,
+                     f"{path}options.kernel.kind", "drude_lorentz needs "
+                     "options.system.grid.fiber >= 2; at fiber 1 its memory "
+                     "is zero")
             for key in sorted(set(kern) - {"kind"}):
                 _require(_is_number(kern[key]), f"{path}options.kernel.{key}",
                          "must be a number")

@@ -33,17 +33,8 @@ class DiagReport:
         return float(np.max(self.values)) if len(self.values) else 0.0
 
     @property
-    def summary_mean(self) -> float:
-        return float(np.mean(self.values)) if len(self.values) else 0.0
-
-    @property
     def passed(self) -> bool:
         return self.summary_max <= self.tolerance
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "max": self.summary_max,
-                "mean": self.summary_mean, "tolerance": self.tolerance,
-                "pass": bool(self.passed)}
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

@@ -469,8 +469,6 @@ def dyson_retarded(sys: SystemSpec, k: Optional[TimeKernel],
     the partial sum (Trajectories) and B applied to that sum (an array, None
     without a kernel), in site values. They may be the loop's own arrays,
     written after the call: a monitor copies what it keeps, writes none."""
-    if opts.store_every != 1:
-        raise DysonError("kernel consumption requires store_every = 1")
     if k is not None:
         if not k.retarded:
             raise DysonError("dyson_retarded needs a retarded kernel")
@@ -504,8 +502,6 @@ def dyson_short_range(sys: SystemSpec, k: TimeKernel,
     """Series solution with a finite-time-range kernel; iterates solve on the
     two-sided window [-W, T+W] with zero data at t=0 for n >= 1. `monitor`
     is called as in `dyson_retarded`, on the frames of [-W, T+W]."""
-    if opts.store_every != 1:
-        raise DysonError("kernel consumption requires store_every = 1")
     if not math.isfinite(k.delta):
         raise DysonError("short-range iteration needs a finite kernel range")
     if W is None:

@@ -108,13 +108,6 @@ class StateField:
             )
         object.__setattr__(self, "values", v)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values.view(float))))
-
-
-def zero_field(grid: Grid, time: float = 0.0) -> StateField:
-    return StateField(grid, time, grid.zeros())
-
 
 @dataclass(frozen=True)
 class Trajectory:

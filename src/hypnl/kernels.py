@@ -1,12 +1,10 @@
 """Two-parameter time kernels B_{t,tau} for nonlocal-in-time potentials.
 
-Three kinds are supported:
+Two kinds are supported:
   * separable: B_{t,tau} = sum_a g_a(t) <h_a(tau), .>  (rank-r spacetime pairs)
   * convolution: B_{t,tau} = sum_k m_k(t) c_k(tau - t) n_k(tau) M_k, a sum of
     modulated convolution terms (`ConvTerm`): scalar time factors m_k and
     n_k, a lag function c_k and a fiber operator M_k, the same at all times
-  * dense: a callback op(t, tau, values), vectorized over (t, tau) pairs; only
-    for kernels that have no term form
 
 Kernels carry structural flags (retarded / advanced, time range delta,
 switch-on time) that the application honors by restricting each time
@@ -138,13 +136,17 @@ class TimeKernel:
     kernel with post = A0^{-1} (see `weighted`)."""
 
     grid: Grid
-    kind: str                       # 'separable' | 'convolution' | 'dense'
+    kind: str                       # 'separable' | 'convolution'
     data: dict
     retarded: bool = False
     advanced: bool = False
     delta: float = INF
     switch_on: float = -INF
     post: Optional[np.ndarray] = None   # None, (f, f) or (sites, f, f)
+
+    def __post_init__(self):
+        if self.kind not in ("separable", "convolution"):
+            raise KernelError(f"unknown kernel kind {self.kind!r}")
 
     # -- tau-lattice support -------------------------------------------------
 
@@ -211,7 +213,7 @@ class TimeKernel:
                 h = h_tr.values[h_tr.index_of(tau)]
                 c = complex(np.einsum("sf,sf->", np.conj(h), values)) * dv
                 out += c * g_tr.values[g_tr.index_of(t)]
-        elif self.kind == "convolution":
+        else:
             # the scalar factors of a run of terms sharing M, then M once
             out = np.zeros_like(values)
             t, tau = float(t), float(tau)
@@ -223,11 +225,6 @@ class TimeKernel:
                 if k + 1 == len(terms) or terms[k + 1].M is not M:
                     out += s * _apply_M(M, values)
                     s = 0.0
-        elif self.kind == "dense":
-            out = self.data["op"](np.array([float(t)]), np.array([float(tau)]),
-                                  values[None])[0]
-        else:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
         return _fiber_apply(self.post, out)
 
     def apply(self, tr: Trajectory, t: float) -> np.ndarray:
@@ -239,7 +236,7 @@ class TimeKernel:
         tr: the composite trapezoid over the tau frames [j0, j1] that
         _slice_arrays admits. Separable kernels use prefix sums, convolution
         kernels the direct sum or one FFT convolution per term (see
-        _conv_all), dense kernels a sweep over the lag band."""
+        _conv_all)."""
         F = tr.n_frames
         out = np.zeros((F, self.grid.sites, self.grid.fiber), dtype=complex)
         j0, j1 = self._slice_arrays(tr)
@@ -258,12 +255,8 @@ class TimeKernel:
                 s = P[j1c + 1] - P[j0c] - 0.5 * c[j0c] - 0.5 * c[j1c]
                 s = np.where(live, s, 0.0) * tr.dt
                 out += s[:, None, None] * _profile_frames(g_tr, tr)
-        elif self.kind == "convolution":
-            self._conv_all(tr, j0, j1, live, out)
-        elif self.kind == "dense":
-            self._dense_sweep(tr, j0, j1, live, out)
         else:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
+            self._conv_all(tr, j0, j1, live, out)
         return _fiber_apply(self.post, out)
 
     def pair_band(self, tr: Trajectory, d: int) -> np.ndarray:
@@ -276,7 +269,7 @@ class TimeKernel:
         frames [j0, j1] that _slice_arrays admits for frame i (or lies past
         the last frame). Separable kernels take a rank-r product of per-frame
         scalars, convolution kernels one product per lag and group of terms
-        sharing an M (see _conv_band), dense kernels one op call per lag."""
+        sharing an M (see _conv_band)."""
         F = tr.n_frames
         i = np.arange(F)
         j0, j1 = self._slice_arrays(tr)
@@ -290,23 +283,8 @@ class TimeKernel:
                 v = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
                 for lag in range(min(d, F - 1) + 1):
                     band[lag, :F - lag] += u[:F - lag] * v[lag:]
-        elif self.kind == "convolution":
-            self._conv_band(tr, band)
-        elif self.kind == "dense":
-            op = self.data["op"]
-            times = tr.times()
-            for lag in range(min(d, F - 1) + 1):
-                rows = np.flatnonzero((j0 <= i + lag) & (i + lag <= j1))
-                if rows.size == 0:
-                    continue
-                a, b = int(rows[0]), int(rows[-1]) + 1
-                term = _fiber_apply(self.post, op(times[a:b],
-                                                  times[a + lag:b + lag],
-                                                  tr.values[a + lag:b + lag]))
-                band[lag, a:b] = np.einsum("isf,isf->i",
-                                           np.conj(tr.values[a:b]), term)
         else:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
+            self._conv_band(tr, band)
         band *= self.grid.cell_volume
         j = i + np.arange(d + 1)[:, None]
         band[(j < j0) | (j > j1)] = 0.0
@@ -508,32 +486,6 @@ class TimeKernel:
                 acc[~live] = 0.0
                 out[:, sa:sb] += _apply_M(_site_chunk(prof, mat, sa, sb), acc)
 
-    def _dense_sweep(self, tr: Trajectory, j0, j1, live, out) -> None:
-        """Add the dense kernel into out one lag l = j - i at a time: the
-        frames i that admit tau frame i + l form one contiguous run [a, b),
-        so op sees slices of shape (b - a, sites, fiber), never the whole
-        (lags, frames) band at once."""
-        op = self.data["op"]
-        times = tr.times()
-        i = np.arange(tr.n_frames)
-        lo, hi = j0 - i, j1 - i
-        for lag in range(int(np.min(lo[live])), int(np.max(hi[live])) + 1):
-            admits = live & (lo <= lag) & (lag <= hi)
-            rows = np.flatnonzero(admits)
-            if rows.size == 0:
-                continue
-            a, b = int(rows[0]), int(rows[-1]) + 1
-            # trapezoid weight: half where tau is an endpoint j0 or j1
-            w = (tr.dt * admits[a:b] * np.where(lo[a:b] == lag, 0.5, 1.0)
-                 * np.where(hi[a:b] == lag, 0.5, 1.0))
-            term = op(times[a:b], times[a + lag:b + lag],
-                      tr.values[a + lag:b + lag])
-            if np.may_share_memory(term, tr.values):
-                term = term.copy()      # op handed back (part of) its input
-            np.multiply(w[:, None, None], term, out=term)
-            out[a:b] += term
-            del term            # free before the next lag's op result
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -636,24 +588,6 @@ def make_convolution(chi_dot: Callable[[float], complex], projector,
                           delta=delta_eff, switch_on=t0)
 
 
-def make_dense(grid: Grid, op, adj_op=None, retarded: bool = False,
-               advanced: bool = False, delta: float = INF,
-               switch_on: float = -INF) -> TimeKernel:
-    """Dense kernel from a callback op(t, tau, values) -> B_{t,tau} values,
-    vectorized over P (t, tau) pairs: t and tau have shape (P,), values and
-    the result (P, sites, fiber), which `apply_all` scales in place unless
-    it shares memory with `values`. `adj_op` has the same contract and is
-    needed by `adjoint`. For generic kernels only: one with a term form
-    belongs in `make_modulated`, whose terms are integrated as one matrix
-    product per group of terms sharing M (short windows) or by FFT (long
-    memory) instead of one op call per lag."""
-    data = {"op": op}
-    if adj_op is not None:
-        data["adj_op"] = adj_op
-    return TimeKernel(grid=grid, kind="dense", data=data, retarded=retarded,
-                      advanced=advanced, delta=delta, switch_on=switch_on)
-
-
 # ---------------------------------------------------------------------------
 # weighting, adjoints, bounds
 
@@ -683,38 +617,27 @@ def adjoint(k: TimeKernel) -> TimeKernel:
                           data={"g": k.data["h"], "h": new_h},
                           retarded=k.advanced, advanced=k.retarded,
                           delta=k.delta, switch_on=-INF)
-    if k.kind == "convolution":
-        # (post m c n M)^dagger at (tau, t) is
-        # conj(n)(t) conj(c(t - tau)) conj(m)(tau) M^dagger post^dagger
-        post_adj = (None if k.post is None
-                    else np.conj(np.swapaxes(k.post, -1, -2)))
-        adj_M = {}      # one adjoint per distinct M, so shared M stay shared
-        for M in (term.M for term in k.data["terms"]):
-            prof, mat = (None, None) if M is None else M
-            if mat is not None:
-                mat = np.conj(np.swapaxes(mat, -1, -2))
-            if post_adj is not None:
-                mat = post_adj if mat is None else mat @ post_adj
-            adj_M[id(M)] = (None if prof is None and mat is None
-                            else (None if prof is None else np.conj(prof), mat))
-        terms = [ConvTerm(None if n is None else (lambda t, n=n: np.conj(n(t))),
-                          lambda z, c=c: np.conj(c(-np.asarray(z))),
-                          None if m is None else
-                          (lambda tau, m=m: np.conj(m(tau))),
-                          adj_M[id(M)])
-                 for m, c, n, M in k.data["terms"]]
-        return make_modulated(k.grid, terms, retarded=k.advanced,
-                              advanced=k.retarded, delta=k.delta)
-    if k.kind == "dense":
-        if "adj_op" not in k.data:
-            raise KernelError("dense kernel adjoint needs an adj_op callback")
-        if k.post is not None:
-            raise KernelError("fold the weighting in before taking adjoints")
-        return TimeKernel(grid=k.grid, kind="dense",
-                          data={"op": k.data["adj_op"], "adj_op": k.data["op"]},
-                          retarded=k.advanced, advanced=k.retarded,
-                          delta=k.delta, switch_on=-INF)
-    raise KernelError(f"unknown kernel kind {k.kind!r}")
+    # (post m c n M)^dagger at (tau, t) is
+    # conj(n)(t) conj(c(t - tau)) conj(m)(tau) M^dagger post^dagger
+    post_adj = (None if k.post is None
+                else np.conj(np.swapaxes(k.post, -1, -2)))
+    adj_M = {}      # one adjoint per distinct M, so shared M stay shared
+    for M in (term.M for term in k.data["terms"]):
+        prof, mat = (None, None) if M is None else M
+        if mat is not None:
+            mat = np.conj(np.swapaxes(mat, -1, -2))
+        if post_adj is not None:
+            mat = post_adj if mat is None else mat @ post_adj
+        adj_M[id(M)] = (None if prof is None and mat is None
+                        else (None if prof is None else np.conj(prof), mat))
+    terms = [ConvTerm(None if n is None else (lambda t, n=n: np.conj(n(t))),
+                      lambda z, c=c: np.conj(c(-np.asarray(z))),
+                      None if m is None else
+                      (lambda tau, m=m: np.conj(m(tau))),
+                      adj_M[id(M)])
+             for m, c, n, M in k.data["terms"]]
+    return make_modulated(k.grid, terms, retarded=k.advanced,
+                          advanced=k.retarded, delta=k.delta)
 
 
 def threshold_margin(C: float, delta: float) -> float:
@@ -806,7 +729,7 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
     the weighted potential V = A0^{-1} B. Separable kernels are exact: the
     rank-r operator norm at every admissible pair of profile frames in the
     window (all frames without one), and `samples` counts those pairs. The
-    other kinds need a window and are probed (see `_probe_sup`)."""
+    convolution kind needs a window and is probed (see `_probe_sup`)."""
     if probes < 16:
         raise KernelError("need at least 16 probes")
     V = weighted(k, sys) if k.post is None else k

@@ -57,8 +57,7 @@ this way (the loop-basis rule in `dyson`).
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -86,7 +85,6 @@ class SolveOptions:
     dt: float
     cfl: float = 0.25
     dissipation: float = 0.0     # Kreiss-Oliger eps in [0, 0.5]
-    store_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -95,8 +93,6 @@ class SolveOptions:
             raise SolverError("cfl must lie in (0, 0.5]")
         if not (0.0 <= self.dissipation <= 0.5):
             raise SolverError("dissipation must lie in [0, 0.5]")
-        if self.store_every < 1:
-            raise SolverError("store_every must be >= 1")
 
 
 def check_cfl(sys: SystemSpec, opts: SolveOptions) -> None:
@@ -125,10 +121,10 @@ def _rhs(sys: SystemSpec, y: np.ndarray, t: float,
 
 
 def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
-              src: tuple, eps: float,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One RK4 step from y at t; `src` holds the source at t, t + h/2 (shared
-    by the k2 and k3 stages) and t + h, None where it is zero."""
+              src: tuple, eps: float, out: np.ndarray) -> np.ndarray:
+    """One RK4 step from y at t, written into `out`; `src` holds the source
+    at t, t + h/2 (shared by the k2 and k3 stages) and t + h, None where it
+    is zero."""
     s_t, s_mid, s_end = src
     k1 = _rhs(sys, y, t, s_t, eps)
     k2 = _rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, s_mid, eps)
@@ -319,10 +315,10 @@ def _forcings(sys: SystemSpec, phi: Optional[Trajectory], xf: str,
 
 def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
                 xf: str, mats: np.ndarray, h: float, i0: int, sgn: int,
-                n_steps: int, se: int, stored: np.ndarray) -> int:
+                n_steps: int, stored: np.ndarray) -> int:
     """Solve as the recurrence y+ = R y + (source term), one block-diagonal
     matvec and one add per step, with `mats` = (R, P0, P1) of the basis, and
-    write every se-th frame into `stored` (stepping order, from index 1).
+    write the frames into `stored` (stepping order, from index 1).
     `xf` is the basis the data, source and frames are transformed from and
     back to: the recurrence's own basis for site values, "sites" (no
     transform) for values already in it. Returns the number of steps taken
@@ -342,32 +338,28 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
         if not np.isfinite(y).all():
             n_ok = s
             break
-        if (s + 1) % se == 0:
-            stored[(s + 1) // se] = y
+        stored[s + 1] = y
     del forcings
     if xf == "modes":
-        n_kept = n_ok // se + 1
+        n_kept = n_ok + 1
         for a in range(1, n_kept, block):
             b = min(a + block, n_kept)
             stored[a:b] = _transform(grid, xf, stored[a:b], inverse=True)
         # the transform back can overflow a frame that was finite on the modes
         bad = _first_non_finite(stored[1:n_kept])
         if bad is not None:
-            n_ok = (bad + 1) * se - 1
+            n_ok = bad
     return n_ok
 
 
 def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
                      y0: np.ndarray, h: float, i0: int, sgn: int,
-                     n_steps: int, se: int, stored: np.ndarray) -> int:
+                     n_steps: int, frames: np.ndarray) -> int:
     """The recurrence of a system with L = 0 (R = I, P0 = P1 = (h/2) I), with
     _recurrence's output and return value: the frames are y0 plus the
     cumulative sum of the steps' source terms, (h/2)(s_n + s_n+1) inside the
     source window and (h/6) s at a step with one end in it, where
-    s = A0^{-1} source. With se > 1 the sum runs over every frame and every
-    se-th frame is kept."""
-    frames = stored if se == 1 else np.empty((n_steps + 1,) + y0.shape,
-                                             dtype=complex)
+    s = A0^{-1} source."""
     frames[0] = y0
     frames[1:] = 0.0
     window = _source_window(phi, i0, sgn, n_steps)
@@ -383,8 +375,6 @@ def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
         if hi < n_steps:
             inc[hi] += (h / 6.0) * s[-1]
     np.cumsum(frames, axis=0, out=frames)
-    if se > 1:
-        stored[1:] = frames[se::se]
     bad = _first_non_finite(frames[1:])
     return n_steps if bad is None else bad
 
@@ -400,9 +390,8 @@ def _stored(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int,
             vals: np.ndarray) -> tuple:
     """(trajectory, lattice index of the last stored frame) of the frames
     `vals` stored from i0, given in increasing time."""
-    se = opts.store_every
-    last = i0 + sgn * (len(vals) - 1) * se
-    return Trajectory(sys.grid, opts.dt * se, min(i0, last) // se, vals), last
+    last = i0 + sgn * (len(vals) - 1)
+    return Trajectory(sys.grid, opts.dt, min(i0, last), vals), last
 
 
 def _aborted(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int, s: int,
@@ -447,44 +436,38 @@ class LocalSolver:
         i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
         if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
             raise SolverError(f"source lattice dt={phi.dt} != solver dt={dt}")
-        se = opts.store_every
-        if se > 1 and i0 % se != 0:
-            raise SolverError("t0 must sit on the decimated frame lattice")
         eps = opts.dissipation
         n_steps = abs(i1 - i0)
         sgn = 1 if i1 >= i0 else -1
         h = sgn * dt
 
         # frames in increasing time; `stored` views them in stepping order
-        vals = np.empty((n_steps // se + 1,) + data.values.shape, dtype=complex)
+        vals = np.empty((n_steps + 1,) + data.values.shape, dtype=complex)
         stored = vals[::sgn]
         stored[0] = data.values
         if self.basis is not None:
             if self.basis == "sites" and sys.S0 is None:     # L = 0
                 n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
-                                        n_steps, se, stored)
+                                        n_steps, stored)
             else:
                 if sgn not in self._mats:
                     self._mats[sgn] = _step_matrices(sys, eps, self.basis, h)
                 n_ok = _recurrence(sys, phi, data,
                                    "sites" if in_basis else self.basis,
-                                   self._mats[sgn], h, i0, sgn, n_steps, se,
+                                   self._mats[sgn], h, i0, sgn, n_steps,
                                    stored)
             if n_ok < n_steps:
                 raise _aborted(sys, opts, i0, sgn, n_ok,
-                               stored[:n_ok // se + 1][::sgn])
+                               stored[:n_ok + 1][::sgn])
             return _stored(sys, opts, i0, sgn, vals)[0]
 
         y = stored[0]
         t = ((i0 + sgn * np.arange(n_steps)) * dt).tolist()
         sources = _step_sources(phi, i0, sgn, n_steps)
         for s, (ts, src) in enumerate(zip(t, sources)):
-            keep = (s + 1) % se == 0
-            y = _rk4_step(sys, y, ts, h, src, eps,
-                          out=stored[(s + 1) // se] if keep else None)
+            y = _rk4_step(sys, y, ts, h, src, eps, stored[s + 1])
             if not np.all(np.isfinite(y.view(float))):
-                raise _aborted(sys, opts, i0, sgn, s,
-                               stored[:s // se + 1][::sgn])
+                raise _aborted(sys, opts, i0, sgn, s, stored[:s + 1][::sgn])
         return _stored(sys, opts, i0, sgn, vals)[0]
 
 
@@ -492,26 +475,22 @@ def solve_local(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
                 t0: float, t1: float, opts: SolveOptions) -> Trajectory:
     """Integrate S psi = phi from data at t0 to t1 (either direction).
     Returned frames sit on the integer dt lattice in increasing time; the
-    frame at t0 equals `data` bitwise. With store_every > 1 only the frames
-    on the decimated lattice are kept (callers feeding kernels must use
-    store_every = 1)."""
+    frame at t0 equals `data` bitwise. Every lattice frame of the solve is
+    kept."""
     return LocalSolver(sys, opts).solve(phi, data, t0, t1)
 
 
 def evolution_op(sys: SystemSpec, tau: float, t: float, data: StateField,
                  opts: SolveOptions) -> StateField:
     """U(t, tau) data: the last frame of the source-free solve from tau to t.
-    The solve keeps only the frames on the coarsest lattice that holds tau
-    and t (its step is gcd(i0, steps) in units of dt), so from tau = 0 it
-    stores two frames, not the whole trajectory."""
+    The solve holds every lattice frame between tau and t (as solve_local),
+    so its memory grows with the number of steps."""
     if abs(t - tau) < 1e-15:
         return StateField(sys.grid, t, data.values.copy())
-    i0, i1 = _lattice_index(tau, opts.dt), _lattice_index(t, opts.dt)
-    se = max(1, math.gcd(i0, i1 - i0))
     tr = solve_local(sys, None, StateField(sys.grid, tau, data.values), tau, t,
-                     replace(opts, store_every=se))
-    i = -1 if t > tau else 0
-    return StateField(sys.grid, i1 * opts.dt, tr.values[i].copy())
+                     opts)
+    i = tr.index_of(t)
+    return StateField(sys.grid, tr.time(i), tr.values[i].copy())
 
 
 def green_retarded(sys: SystemSpec, phi: Trajectory,

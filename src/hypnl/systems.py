@@ -380,13 +380,8 @@ def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> Validat
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: constant matrices inline (row-major re/im pairs),
+# JSON reading: constant matrices inline (row-major [re, im] pairs),
 # spatially varying coefficients as named built-in profiles.
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    # one fiber matrix, row-major [re, im] pairs
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
 
 def _matrix_from_json(spec, f: int) -> np.ndarray:
     m = np.array([[complex(c[0], c[1]) for c in row] for row in spec])
@@ -405,35 +400,6 @@ def _profile_offset_sin(grid: Grid, c0: float, c1: float, k: float) -> np.ndarra
 
 
 PROFILES = {"offset_sin": _profile_offset_sin}
-
-
-def _coeff_to_json(m: Optional[np.ndarray], f: int, profile_meta) -> dict:
-    if profile_meta is not None:
-        return {"profile": profile_meta[0], "params": profile_meta[1]}
-    if m is not None and m.ndim == 3:
-        raise SystemError("spatially varying coefficient needs a named profile")
-    return {"matrix": _matrix_to_json(np.eye(f) if m is None else m)}
-
-
-def system_to_json(sys: SystemSpec, profiles: Optional[dict] = None) -> dict:
-    """Serialize; `profiles` optionally maps 'A0'/'Aj0'.../'S0' to
-    (profile_name, params) for spatially varying coefficients."""
-    profiles = profiles or {}
-    f = sys.grid.fiber
-    doc = {
-        "grid": {"dim": sys.grid.dim, "extent": sys.grid.extent,
-                 "points": sys.grid.points, "fiber": sys.grid.fiber},
-        "A0": _coeff_to_json(sys.A0, f, profiles.get("A0")),
-        "Aj": [_coeff_to_json(a, f, profiles.get(f"Aj{j}"))
-               for j, a in enumerate(sys.Aj)],
-        "name": sys.name,
-    }
-    if sys.S0 is not None:
-        doc["S0"] = _coeff_to_json(sys.S0, f, profiles.get("S0"))
-    if not np.all(sys.beta == 1.0):
-        doc["beta"] = {"profile": profiles["beta"][0], "params": profiles["beta"][1]} \
-            if "beta" in profiles else {"constant": float(sys.beta[0])}
-    return doc
 
 
 def _coeff_from_json(spec: dict, grid: Grid) -> np.ndarray:

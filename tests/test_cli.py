@@ -133,6 +133,10 @@ def test_invalid_system_reports_field_path(tmp_path, edit, path):
     ("transport.json", lambda o: o.update(dt=True), r"options\.dt'"),
     ("transport_dispersive.json", lambda o: o["kernel"].update(chi0="abc"),
      r"options\.kernel\.chi0'"),
+    # its memory acts on the first fiber // 2 components: none at fiber 1
+    ("transport.json", lambda o: o.update(kernel={"kind": "drude_lorentz"}),
+     r"options\.kernel\.kind' drude_lorentz needs "
+     r"options\.system\.grid\.fiber >= 2"),
     *(pytest.param("transport.json", lambda o, k=key, v=val: o.update({k: v}),
                    rf"options\.{key}' {what}", id=f"{key}={val}")
       for key, val, what in (

@@ -18,7 +18,7 @@ from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
                            transport_system)
 from hypnl.solver import LocalSolver, SolveAborted, SolveOptions
 from hypnl.kernels import (ConvTerm, TimeKernel, make_convolution,
-                           make_dense, make_modulated, make_separable)
+                           make_modulated, make_separable)
 from hypnl.dyson import (DysonError, bound_retarded, bound_short,
                          bound_short_log, dyson_retarded, dyson_short_range,
                          equation_defect, residual, result_to_csv,
@@ -120,14 +120,6 @@ def test_short_range_window_validation():
     with pytest.raises(DysonError):
         dyson_short_range(sys, k, None, data, 1.0,
                           SolveOptions(dt=1.0 / 64.0), W=0.1)
-
-
-def test_store_every_rejected():
-    grid, sys, k = _memory_setup()
-    data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
-    with pytest.raises(DysonError):
-        dyson_retarded(sys, k, None, data, 1.0,
-                       SolveOptions(dt=1.0 / 64.0, store_every=2))
 
 
 def _early_case(kind, switch_on, scale):
@@ -302,12 +294,12 @@ def _linearity_case(name):
         return k, lambda **kw: dyson_retarded(sys, k, phi, data, 1.0, opts,
                                               n_max=20, **kw)
     if name == "short_range":
-        # scalar ODE with a two-sided dense kernel of range 0.25
+        # scalar ODE with a two-sided kernel of range 0.25
         grid = make_grid(1, 1.0, 8, 1)
         sys = ode_system(grid, np.array([[-0.5]]))
         prof = (1.0 + 0.5 * np.sin(2.0 * math.pi * grid.coords()[:, 0]))
-        k = make_dense(grid, lambda t, tau, v: (
-            0.8 * np.cos(3.0 * (t - tau)))[:, None, None] * prof[:, None] * v,
+        k = make_modulated(grid, [ConvTerm(
+            None, lambda z: 0.8 * np.cos(3.0 * z), None, (prof, None))],
             delta=0.25)
         opts = SolveOptions(dt=1.0 / 64.0)
         data = StateField(grid, 0.0, np.ones((grid.sites, 1), complex))
@@ -755,7 +747,6 @@ def _sites_loop_cases():
     x = grid.coords()[:, 0]
     post = np.broadcast_to(np.eye(2), (grid.sites, 2, 2)) \
         * (1.0 + 0.5 * np.sin(2.0 * math.pi * x))[:, None, None]
-    dense = make_dense(grid, lambda t, tau, v: 0.5 * v, retarded=True)
     prof = sample_trajectory(grid, lambda t, c: np.ones((grid.sites, 2)),
                              1.0 / 64.0, 0, 33)
     separable = make_separable([prof], [prof], retarded=False)
@@ -768,7 +759,7 @@ def _sites_loop_cases():
                            S0_t=lambda t: t * np.eye(2))
     return [("profiled", sys, _profiled(k)), ("per_site_M", sys, per_site),
             ("per_site_post", sys, dataclasses.replace(k, post=post)),
-            ("dense", sys, dense), ("separable", sys, separable),
+            ("separable", sys, separable),
             ("site_varying_Aj", varying, k), ("site_varying_lapse", lapse, k),
             ("stepping", stepping, k), ("no_kernel", sys, None)]
 
@@ -788,7 +779,7 @@ def test_loop_basis_predicate():
     for kern in (one_post, bare):
         assert kern.translation_invariant
         assert dyson._runs_on_modes(sys, kern, LocalSolver(sys, opts))
-    kinds = {name: k.translation_invariant for name, _, k in cases[:5]}
+    kinds = {name: k.translation_invariant for name, _, k in cases[:4]}
     assert not any(kinds.values()), kinds
 
 

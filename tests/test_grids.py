@@ -12,7 +12,7 @@ from hypnl.grids import (GridError, InnerWeight, StateField, Trajectory,
                          inner_t, ko_dissipation, make_grid, mode_axes,
                          mode_diff4, norm_t, sample_trajectory,
                          stencil_symbols, stencil_wavenumber, to_modes,
-                         trapezoid_sum, zero_field)
+                         trapezoid_sum)
 
 
 def _rand(grid, seed):
@@ -326,12 +326,6 @@ def test_fourth_difference_annihilates_cubics():
     v = (x ** 3 - 0.2 * x ** 2).astype(complex)
     out = fourth_difference(g, v, 0)
     assert np.max(np.abs(out[3:-3])) <= 1e-12
-
-
-def test_zero_field():
-    g = make_grid(1, 1.0, 8, 2)
-    f = zero_field(g, 1.5)
-    assert f.time == 1.5 and not np.any(f.values) and f.is_finite()
 
 
 # ---------------------------------------------------------------------------

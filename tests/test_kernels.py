@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import per_site
 from hypnl import kernels
 from hypnl.grids import GridError, Trajectory, make_grid, sample_trajectory
-from hypnl.kernels import (ConvTerm, KernelError, adjoint, estimate_bound,
-                           make_convolution, make_dense, make_modulated,
+from hypnl.kernels import (ConvTerm, KernelError, TimeKernel, adjoint,
+                           estimate_bound, make_convolution, make_modulated,
                            make_separable, threshold_margin, weighted)
 from hypnl.scenarios import (DiracConfig, _dirac_potentials, dirac_kernel,
                              drude_lorentz, maxwell_kernel)
@@ -77,10 +77,11 @@ def _assert_matches_oracle(k, tr, atol=1e-12):
                                    rtol=0, atol=atol)
 
 
-def _rot_op(t, tau, values):
-    """Dense test operator cos(t - tau) * rotation, vectorized over pairs."""
-    m = np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
-    return np.cos(t - tau)[:, None, None] * (values @ m.T)
+def _rot_kernel(g, **flags):
+    """cos(t - tau) times a rotation of the fiber, as one convolution term."""
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return make_modulated(g, [ConvTerm(None, np.cos, None, (None, rot))],
+                          **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +121,6 @@ def test_convolution_apply_matches_oracle():
     _assert_matches_oracle(k, _traj(g, 13))
 
 
-def test_dense_apply_matches_oracle():
-    g = _grid()
-    k = make_dense(g, _rot_op, delta=0.75)
-    _assert_matches_oracle(k, _traj(g, 14))
-
-
 # DIRECT_MAX_LAGS values that force each path of `TimeKernel._conv_all`
 FORCE_PATH = {"fft": 0, "direct": 1 << 30}
 
@@ -143,18 +138,20 @@ def _oracle_case(name, g):
                              np.array([[1.0, 0.5j], [0.0, 2.0]]), g, t0=0.25,
                              delta_eff=0.625)
         return adjoint(k)
+    # the dense_* cases: the operators these cases once gave as callbacks
+    # of all (t, tau) pairs, now single convolution terms
     if name == "dense":
-        return make_dense(g, lambda t, tau, v: (t - tau)[:, None, None] * v,
-                          retarded=True, delta=0.5)
-    if name == "dense_identity":        # op hands back its input array
-        return make_dense(g, lambda t, tau, v: v, delta=0.5)
+        return make_modulated(g, [ConvTerm(None, np.negative, None)],
+                              retarded=True, delta=0.5)
+    if name == "dense_identity":
+        return make_modulated(g, [ConvTerm(None, lambda z: 1.0, None)],
+                              delta=0.5)
     if name == "dense_infinite_range":
-        return make_dense(g, _rot_op)
+        return _rot_kernel(g)
     if name == "dense_advanced_switch_on":
-        return make_dense(g, _rot_op, advanced=True, delta=0.5,
-                          switch_on=0.75)
+        return _rot_kernel(g, advanced=True, delta=0.5, switch_on=0.75)
     if name == "dense_post":
-        return dataclasses.replace(make_dense(g, _rot_op, delta=0.5),
+        return dataclasses.replace(_rot_kernel(g, delta=0.5),
                                    post=np.array([[1.0, 0.5j], [0.0, 2.0]]))
     if name == "terms_two_sided":
         return make_modulated(g, _terms(g), delta=0.5)
@@ -163,6 +160,9 @@ def _oracle_case(name, g):
                               switch_on=0.25)
     if name == "terms_advanced":
         return make_modulated(g, _terms(g)[2:], advanced=True, delta=0.375)
+    if name == "terms_advanced_switch_on":
+        return make_modulated(g, _terms(g), advanced=True, delta=0.5,
+                              switch_on=0.25)
     if name == "terms_infinite_range":
         return make_modulated(g, _terms(g))
     if name == "terms_adjoint_post":
@@ -198,7 +198,8 @@ def _terms(g):
     "separable", "convolution", "convolution_adjoint", "dense",
     "dense_identity", "dense_infinite_range", "dense_advanced_switch_on",
     "dense_post", "terms_two_sided", "terms_retarded_switch_on",
-    "terms_advanced", "terms_infinite_range", "terms_adjoint_post"])
+    "terms_advanced", "terms_advanced_switch_on", "terms_infinite_range",
+    "terms_adjoint_post"])
 def test_apply_all_matches_oracle(monkeypatch, name):
     """Convolution cases are checked on each path of `_conv_all` as well."""
     g = _grid()
@@ -216,7 +217,7 @@ def test_apply_all_matches_oracle(monkeypatch, name):
     "separable", "convolution", "convolution_adjoint", "dense_identity",
     "dense_infinite_range", "dense_advanced_switch_on", "dense_post",
     "terms_two_sided", "terms_retarded_switch_on", "terms_advanced",
-    "terms_infinite_range", "terms_adjoint_post"])
+    "terms_advanced_switch_on", "terms_infinite_range", "terms_adjoint_post"])
 def test_pair_band_matches_pair_apply(name, d):
     """pair_band against dv <psi_i, pair_apply(t_i, t_{i+l}) psi_{i+l}>,
     pair by pair: the admitted lags match, all others (outside the flags or
@@ -252,7 +253,7 @@ def test_pair_band_chunks_hold_every_lag(monkeypatch):
 
 def test_apply_is_one_frame_of_apply_all():
     g = _grid()
-    k = make_dense(g, _rot_op, delta=0.5)
+    k = _rot_kernel(g, delta=0.5)
     tr = _traj(g, 16)
     np.testing.assert_array_equal(k.apply(tr, 0.75), k.apply_all(tr)[6])
     with pytest.raises(GridError):
@@ -325,6 +326,21 @@ def _dirac_dense_op(cfg, grid):
     return op
 
 
+def _pair_trapezoid(op, tr, delta):
+    """The trapezoid of a callback op(t, tau, values) over the tau frames
+    within delta of each output frame, one (t, tau) pair at a time."""
+    d = int(math.floor(delta / tr.dt + 1e-9))
+    times = tr.times()
+    out = np.zeros_like(tr.values)
+    for i in range(tr.n_frames):
+        j0, j1 = max(0, i - d), min(tr.n_frames - 1, i + d)
+        for j in range(j0, j1 + 1):
+            w = tr.dt * (0.5 if j in (j0, j1) else 1.0)
+            out[i] += w * op(times[i:i + 1], times[j:j + 1],
+                             tr.values[j:j + 1])[0]
+    return out
+
+
 def _assert_frames_close(got, ref, rel):
     """Every frame within rel of that frame's maximum modulus."""
     for i in range(len(ref)):
@@ -336,23 +352,24 @@ def _assert_frames_close(got, ref, rel):
                                                 (2, 0.1, 0)])
 def test_dirac_kernel_matches_dense_op(n_pot, delta, index0):
     """The term form of the Dirac kernel against the old dense callback
-    through the dense lag sweep: every frame, the ends included, within
-    1e-12 of the frame's maximum; pair_apply and the adjoint likewise."""
+    through a per-pair trapezoid: every frame, the ends included, within
+    1e-12 of the frame's maximum; pair_apply and the adjoint (whose callback
+    is -op: the kernel is anti-Hermitian) likewise."""
     cfg = DiracConfig(points=64, n_pot=n_pot, delta=delta, T=0.5)
     grid = make_grid(1, cfg.extent, cfg.points, 2)
     kern, _ = dirac_kernel(cfg, grid)
     op = _dirac_dense_op(cfg, grid)
-    dense = make_dense(grid, op, adj_op=lambda t, tau, v: -op(t, tau, v),
-                       delta=cfg.delta)
     dt = cfg.cfl * grid.spacing
     tr = _traj(grid, 41, dt=dt, index0=index0, n=90)
-    _assert_frames_close(kern.apply_all(tr), dense.apply_all(tr), 1e-12)
+    _assert_frames_close(kern.apply_all(tr), _pair_trapezoid(op, tr, delta),
+                         1e-12)
     _assert_frames_close(adjoint(kern).apply_all(tr),
-                         adjoint(dense).apply_all(tr), 1e-12)
+                         _pair_trapezoid(lambda t, tau, v: -op(t, tau, v),
+                                         tr, delta), 1e-12)
     v = tr.values[5]
     for t, tau in ((0.1, 0.1 + 0.9 * delta), (1.3, 1.3 - 0.5 * delta),
                    (-0.4, -0.4)):
-        ref = dense.pair_apply(t, tau, v)
+        ref = op(np.array([t]), np.array([tau]), v[None])[0]
         np.testing.assert_allclose(kern.pair_apply(t, tau, v), ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
 
@@ -707,11 +724,9 @@ def test_convolution_adjoint_pairing_second_order():
     assert order >= 1.7
 
 
-def test_dense_adjoint_requires_callback():
-    g = _grid()
-    k = make_dense(g, lambda t, tau, v: v)
-    with pytest.raises(KernelError):
-        adjoint(k)
+def test_unknown_kernel_kind_is_refused():
+    with pytest.raises(KernelError, match="unknown kernel kind 'dense'"):
+        TimeKernel(grid=_grid(), kind="dense", data={})
 
 
 # ---------------------------------------------------------------------------
@@ -995,12 +1010,13 @@ def _weighted_convolution_case():
 
 
 def _weighted_dense_case():
+    """The operator of the former dense case: cos(3 (t - tau)) times one
+    matrix, two-sided with range 0.5."""
     g = _grid()
     mat = np.array([[0.5, 1.0], [-2.0j, 1.0]])
-
-    def op(t, tau, v):
-        return np.cos(3.0 * (t - tau))[:, None, None] * (v @ mat.T)
-    return make_dense(g, op, delta=0.5), _weighted_system(g), (0.0, 1.5)
+    k = make_modulated(g, [ConvTerm(None, lambda z: np.cos(3.0 * z), None,
+                                    (None, mat))], delta=0.5)
+    return k, _weighted_system(g), (0.0, 1.5)
 
 
 @pytest.mark.parametrize("case", [

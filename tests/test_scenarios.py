@@ -11,8 +11,8 @@ from scipy.integrate import solve_ivp
 
 from hypnl.grids import (Grid, StateField, Trajectory, diff4, frame_norms_sq,
                          make_grid, norm_strip, sample_trajectory)
-from hypnl.kernels import (adjoint, make_dense, make_separable,
-                           threshold_margin)
+from hypnl.kernels import (ConvTerm, adjoint, make_modulated,
+                           make_separable, threshold_margin)
 from hypnl.systems import inner_weight, make_system, validate_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
@@ -448,18 +448,22 @@ def _surface_case(name, g, t_mid):
         return dataclasses.replace(dirac_kernel(cfg, g)[0], post=_POST,
                                    switch_on=t_mid)
     if name in ("dense", "dense_retarded_switch_on"):
+        # the operator these cases once gave as a callback of all (t, tau)
+        # pairs, 20 (cos 3(t - tau) + i sin(t + tau + x)) M, as three terms
         x = g.coords()[:, 0]
         mat = np.array([[0.5, 1.0], [-2.0j, 1.0]])
-
-        def op(t, tau, v):
-            fac = (np.cos(3.0 * (t - tau))[:, None]
-                   + 1j * np.sin((t + tau)[:, None] + x))
-            return 20.0 * fac[..., None] * (v @ mat.T)
+        terms = [ConvTerm(None, lambda z: 20.0 * np.cos(3.0 * z), None,
+                          (None, mat))]
+        for sign in (1.0, -1.0):
+            terms.append(ConvTerm(lambda t, s=sign: np.exp(1j * s * t),
+                                  lambda z, s=sign: 10.0 * s,
+                                  lambda tau, s=sign: np.exp(1j * s * tau),
+                                  (np.exp(1j * sign * x), mat)))
         if name == "dense":
-            return make_dense(g, op, delta=0.2)
+            return make_modulated(g, terms, delta=0.2)
         return dataclasses.replace(
-            make_dense(g, op, retarded=True, delta=0.25, switch_on=t_mid),
-            post=_POST)
+            make_modulated(g, terms, retarded=True, delta=0.25,
+                           switch_on=t_mid), post=_POST)
     if name == "separable":
         x = g.coords()[:, 0]
 

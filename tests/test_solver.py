@@ -2,7 +2,6 @@
 retarded Green operator."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,8 +43,6 @@ def test_solve_options_validation():
         SolveOptions(dt=0.1, cfl=0.6)
     with pytest.raises(SolverError):
         SolveOptions(dt=0.1, dissipation=0.7)
-    with pytest.raises(SolverError):
-        SolveOptions(dt=0.1, store_every=0)
 
 
 def test_cfl_guard():
@@ -101,18 +98,6 @@ def test_two_sided_lattice():
     assert np.array_equal(tr.values[-1], data.values)
 
 
-def test_store_every_decimates():
-    grid = make_grid(1, 1.0, 64, 1)
-    sys = transport_system(grid)
-    data = StateField(grid, 0.0, gaussian_pulse(grid))
-    full = solve_local(sys, None, data, 0.0, 16 * 0.25 * grid.spacing,
-                       SolveOptions(dt=0.25 * grid.spacing))
-    thin = solve_local(sys, None, data, 0.0, 16 * 0.25 * grid.spacing,
-                       SolveOptions(dt=0.25 * grid.spacing, store_every=4))
-    assert thin.n_frames == 5
-    assert np.array_equal(thin.values, full.values[::4])
-
-
 def test_source_integration_ode():
     """d_t psi = -psi + cos(t) from 0: exact solution via the integrating
     factor, checked to RK4 accuracy with the interpolated source."""
@@ -140,7 +125,7 @@ def test_evolution_op_matches_solve():
     tr = solve_local(sys, None, data, 0.0, 16 * opts.dt, opts)
     u = evolution_op(sys, 0.0, 16 * opts.dt, data, opts)
     assert np.array_equal(u.values, tr.values[-1])
-    # off t = 0 and backward: stored on a coarser lattice, the same frame
+    # off t = 0 and backward: the same frame
     for i0, i1 in ((6, 16), (6, -4), (-9, 3)):
         start = StateField(grid, i0 * opts.dt, data.values)
         tr = solve_local(sys, None, start, i0 * opts.dt, i1 * opts.dt, opts)
@@ -277,28 +262,13 @@ def _ref_solve_local(sys, phi, data, t0, t1, opts):
         t = (i0 + sgn * s) * dt
         y = _ref_rk4_step(sys, y, t, h, src, eps)
         if not np.all(np.isfinite(y.view(float))):
-            vals = np.stack(frames[::sgn])
-            partial = Trajectory(sys.grid, dt * opts.store_every,
-                                 min(stored_idx) // opts.store_every
-                                 if opts.store_every > 1 else min(stored_idx),
-                                 vals)
+            partial = Trajectory(sys.grid, dt, min(stored_idx),
+                                 np.stack(frames[::sgn]))
             raise SolveAborted(
                 f"non-finite field after step {s + 1} (t={t + h:.6g})",
                 partial, last_stable=stored_idx[-1])
-        if (s + 1) % opts.store_every == 0 or s + 1 == n_steps:
-            frames.append(y)
-            stored_idx.append(i0 + sgn * (s + 1))
-
-    if opts.store_every > 1:
-        keep = [k for k, idx in enumerate(stored_idx)
-                if (idx - i0) % opts.store_every == 0]
-        frames = [frames[k] for k in keep]
-        stored_idx = [stored_idx[k] for k in keep]
-        out_dt = dt * opts.store_every
-        out_index0 = min(stored_idx) // opts.store_every
-        order = np.argsort(stored_idx)
-        vals = np.stack([frames[k] for k in order])
-        return Trajectory(sys.grid, out_dt, out_index0, vals)
+        frames.append(y)
+        stored_idx.append(i0 + sgn * (s + 1))
 
     if sgn < 0:
         frames = frames[::-1]
@@ -425,6 +395,18 @@ def _source(sys, dt, kind, sgn, steps, rng):
     return Trajectory(grid, dt, lo, vals)
 
 
+def _nth_solver(sys, opts, phi, data, sgn, solves):
+    """A LocalSolver that has made `solves - 1` solves from data at 0, of
+    7, 8, ... steps in alternating directions, the first against `sgn`: its
+    next solve is the `solves`-th, with the step matrices of both directions
+    kept (a Dyson run makes all its solves with one solver)."""
+    solver = LocalSolver(sys, opts)
+    for k in range(solves - 1):
+        direction = -sgn if k % 2 == 0 else sgn
+        solver.solve(phi, data, 0.0, direction * (7 + k) * opts.dt)
+    return solver
+
+
 def _count_rk4_steps(monkeypatch):
     from hypnl import solver
     calls = []
@@ -438,18 +420,17 @@ def _count_rk4_steps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("solves", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("kind", ["full", "partial", "inner", "single",
                                   "none"])
 @pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
 def test_solve_local_matches_reference_loop(monkeypatch, name, kind, sgn,
-                                            store_every):
-    """Equal to the per-step loop (see _assert_frames_match); a stepping
+                                            solves):
+    """Equal to the per-step loop (see _assert_frames_match), as the first
+    solve of a LocalSolver and as its fourth (see _nth_solver); a stepping
     plan makes one RK4 step call per step, every other plan makes none."""
     sys, opts = _solver_case(name)
-    opts = SolveOptions(dt=opts.dt, cfl=opts.cfl,
-                        dissipation=opts.dissipation, store_every=store_every)
     rng = np.random.default_rng(11)
     steps = 30
     phi = _source(sys, opts.dt, kind, sgn, steps, rng)
@@ -460,8 +441,9 @@ def test_solve_local_matches_reference_loop(monkeypatch, name, kind, sgn,
     data = StateField(sys.grid, 0.0, values)
     t1 = sgn * steps * opts.dt
     want = _ref_solve_local(sys, phi, data, 0.0, t1, opts)
+    solver = _nth_solver(sys, opts, phi, data, sgn, solves)
     calls = _count_rk4_steps(monkeypatch)
-    got = solve_local(sys, phi, data, 0.0, t1, opts)
+    got = solver.solve(phi, data, 0.0, t1)
     assert (got.dt, got.index0, got.values.shape) == \
         (want.dt, want.index0, want.values.shape)
     _assert_frames_match(name, got.values, want.values)
@@ -491,18 +473,17 @@ def test_zero_step_solve_returns_data():
         assert _bits(tr.values[0]) == _bits(data.values)
 
 
-@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("solves", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("name", ["ode_zero_S0", "A0_matrix", "dirac",
                                   "dissipation", "S0_per_site", "maxwell3d",
                                   "Aj_per_site"])
-def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
+def test_non_finite_source_aborts_like_reference_loop(name, sgn, solves):
     """A non-finite source frame aborts every path at the step the loop
     aborts, with its message, index0 and last_stable, and its partial frames
-    (see _assert_frames_match): every path reads the same lattice frames."""
+    (see _assert_frames_match): every path reads the same lattice frames.
+    The aborted solve is a LocalSolver's first or fourth (see _nth_solver)."""
     sys, opts = _solver_case(name)
-    opts = SolveOptions(dt=opts.dt, cfl=opts.cfl,
-                        dissipation=opts.dissipation, store_every=store_every)
     rng = np.random.default_rng(5)
     steps = 30
     phi = _source(sys, opts.dt, "full", sgn, steps, rng)
@@ -512,8 +493,9 @@ def test_non_finite_source_aborts_like_reference_loop(name, sgn, store_every):
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SolveAborted) as ref:
             _ref_solve_local(sys, phi, data, 0.0, t1, opts)
+        solver = _nth_solver(sys, opts, phi, data, sgn, solves)
         with pytest.raises(SolveAborted) as got:
-            solve_local(sys, phi, data, 0.0, t1, opts)
+            solver.solve(phi, data, 0.0, t1)
     want, have = ref.value, got.value
     assert str(have) == str(want)
     assert have.last_stable == want.last_stable
@@ -601,8 +583,8 @@ def _running_sum(sys, phi, index, y0: np.ndarray, h: float,
 
 
 def _running_sum_solve(sys, phi, data, t0, t1, opts):
-    """The stored frames of the running-sum solve, in increasing time."""
-    dt, se = opts.dt, opts.store_every
+    """The frames of the running-sum solve, in increasing time."""
+    dt = opts.dt
     i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
     n_steps = abs(i1 - i0)
     sgn = 1 if i1 >= i0 else -1
@@ -610,21 +592,21 @@ def _running_sum_solve(sys, phi, data, t0, t1, opts):
     t = (i0 + sgn * np.arange(n_steps)) * dt
     index = [None if phi is None else _source_index(phi, dt, ts)
              for ts in (t, t + 0.5 * h, t + h)]
-    return _running_sum(sys, phi, index, data.values, h, n_steps)[::se][::sgn]
+    return _running_sum(sys, phi, index, data.values, h, n_steps)[::sgn]
 
 
-@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("solves", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("kind", ["full", "partial", "inner", "single",
                                   "none"])
 @pytest.mark.parametrize("name", _STATE_FREE)
-def test_state_free_solve_matches_running_sum(name, kind, sgn, store_every):
+def test_state_free_solve_matches_running_sum(name, kind, sgn, solves):
     """A state-free solve, the recurrence with L = 0, agrees with the old
-    running sum to _RECURRENCE_RTOL of the largest frame value; the site
+    running sum to _RECURRENCE_RTOL of the largest frame value, as a
+    LocalSolver's first solve and as its fourth (see _nth_solver); the site
     where the data and the source hold signed zeros stays exactly zero."""
     sys, opts = _solver_case(name)
     assert LocalSolver(sys, opts).basis == "sites"
-    opts = replace(opts, store_every=store_every)
     rng = np.random.default_rng(17)
     steps = 30
     phi = _source(sys, opts.dt, kind, sgn, steps, rng)
@@ -637,9 +619,10 @@ def test_state_free_solve_matches_running_sum(name, kind, sgn, store_every):
     data = StateField(sys.grid, 0.0, values)
     t1 = sgn * steps * opts.dt
     want = _running_sum_solve(sys, phi, data, 0.0, t1, opts)
-    got = solve_local(sys, phi, data, 0.0, t1, opts)
+    got = _nth_solver(sys, opts, phi, data, sgn, solves).solve(phi, data, 0.0,
+                                                                t1)
     assert got.values.shape == want.shape
-    assert got.index0 == (0 if sgn > 0 else -(steps // store_every))
+    assert got.index0 == (0 if sgn > 0 else -steps)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got.values - want))) <= \
         _RECURRENCE_RTOL * scale

@@ -1,6 +1,7 @@
-"""Coefficient validation, adjoint identities, and JSON round-trips."""
+"""Coefficient validation, adjoint identities, and systems read from JSON."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypnl.scenarios import CounterexampleConfig, build_counterexample
 from hypnl.systems import (PROFILES, SystemError, adjoint_defect, apply_S,
                            evolution_rhs, inner_weight, make_system,
                            ode_system, symbol_divergence, system_from_json,
-                           system_to_json, transport_system, validate_system,
+                           transport_system, validate_system,
                            zero_order_matrices)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
@@ -196,11 +197,21 @@ def test_non_hermitian_A0_rejected():
         make_system(g, a0, [np.zeros((2, 2))])
 
 def test_json_roundtrip_constant():
+    """A literal system document, constant matrices as row-major [re, im]
+    pairs, reads back as the system it spells out."""
     g = make_grid(1, 2.0 * math.pi, 64, 2)
     sys = make_system(g, np.diag([2.0, 1.0]), [SIGMA1], S0=0.3j * SIGMA3,
                       name="probe")
-    doc = system_to_json(sys)
-    back = system_from_json(doc)
+    back = system_from_json(json.loads("""{
+        "grid": {"dim": 1, "extent": 6.283185307179586, "points": 64,
+                 "fiber": 2},
+        "A0": {"matrix": [[[2.0, 0.0], [0.0, 0.0]],
+                          [[0.0, 0.0], [1.0, 0.0]]]},
+        "Aj": [{"matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                           [[1.0, 0.0], [0.0, 0.0]]]}],
+        "S0": {"matrix": [[[0.0, 0.3], [0.0, 0.0]],
+                          [[0.0, 0.0], [0.0, -0.3]]]},
+        "name": "probe"}"""))
     assert back.name == "probe"
     assert back.grid == g
     np.testing.assert_array_equal(back.A0, sys.A0)
@@ -209,12 +220,19 @@ def test_json_roundtrip_constant():
 
 
 def test_json_varying_coefficient_needs_profile():
-    g = make_grid(1, 1.0, 8, 1)
-    a = np.ones((g.sites, 1, 1), complex)
-    a[0, 0, 0] = 2.0
-    sys = make_system(g, np.ones((1, 1)), [a])
-    with pytest.raises(SystemError):
-        system_to_json(sys)
+    """A system document gives a coefficient that varies by site as a named
+    profile; a coefficient spec with neither a matrix nor a profile is
+    refused."""
+    doc = {"grid": {"dim": 1, "extent": 1.0, "points": 8, "fiber": 1},
+           "A0": {"matrix": [[[1.0, 0.0]]]},
+           "Aj": [{"profile": "offset_sin",
+                   "params": {"c0": 1.0, "c1": 0.5, "k": 2.0 * math.pi}}]}
+    sys = system_from_json(doc)
+    np.testing.assert_array_equal(
+        sys.Aj[0], PROFILES["offset_sin"](sys.grid, 1.0, 0.5, 2.0 * math.pi))
+    doc["Aj"] = [{"values": [1.0] * 8}]
+    with pytest.raises(SystemError, match="'matrix' or 'profile'"):
+        system_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
