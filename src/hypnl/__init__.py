@@ -23,7 +23,16 @@ from .scenarios import (CounterexampleConfig, DiracConfig, MaxwellConfig,
                         counterexample_report, dirac_run,
                         extended_system_check, maxwell_run,
                         surface_layer_product, surface_layer_series)
-from .cli import cli_run, load_config
+
+
+def __getattr__(name):
+    # the CLI's names are served on first use, not imported with the
+    # package, so that `python -m hypnl.cli` executes the module once
+    # (importing it here makes runpy warn that it is already imported)
+    if name in ("cli_run", "load_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Grid", "InnerWeight", "StateField", "Trajectory", "make_grid",

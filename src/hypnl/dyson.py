@@ -377,8 +377,12 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         except SolveAborted:
             verdict = "Diverged"
             break
-        # total is psi^(0) until it gets its own array here; later iterates
-        # are added in place
+        # release the source B psi^(n-1) (at n = 1 b_sum still holds it):
+        # from here on the loop holds at most four trajectories, total,
+        # b_sum, psi^(n) and B psi^(n)
+        src = b = None
+        # total is psi^(0), handed to the monitor, until it gets its own
+        # array here; later iterates are added in place
         if n == 1:
             total = total.plus(psi)
         else:
@@ -388,11 +392,8 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
         n_used = n
-        src = b = None          # release the old source before B psi^(n)
         b = k.apply_all(psi)
-        # b_sum is B psi^(0), the source just used, until it gets its own
-        # array here; later terms are added in place
-        b_sum = b_sum + b if n == 1 else np.add(b_sum, b, out=b_sum)
+        np.add(b_sum, b, out=b_sum)
         report(n)
         residuals.append(residual(sys, b_sum, total, phi, (0.0, T), deriv))
 
@@ -468,7 +469,9 @@ def dyson_retarded(sys: SystemSpec, k: Optional[TimeKernel],
     once per iterate n = 0 .. n_used, after B psi^(n) is added: psi^(n) and
     the partial sum (Trajectories) and B applied to that sum (an array, None
     without a kernel), in site values. They may be the loop's own arrays,
-    written after the call: a monitor copies what it keeps, writes none."""
+    written in place after the call (b_total from iterate 1 on, the partial
+    sum from iterate 2 on): a monitor that keeps one copies it, and writes
+    none."""
     if k is not None:
         if not k.retarded:
             raise DysonError("dyson_retarded needs a retarded kernel")

@@ -21,6 +21,13 @@ On 512 values per frame the two cost about the same near 128 lags.
 `TimeKernel.pair_band` gives the kernel's quadratic form
 psi_i^+ B_{t_i, t_{i+l}} psi_{i+l} for the lags l = 0..d at every frame i,
 without time integration (the surface-layer products read it).
+
+A separable kernel keeps, for each profile, the lattice span of its frames
+that hold a nonzero value (`data["g_span"]`, `data["h_span"]`), computed
+once by its constructor. `apply_all`, `pair_band` and `estimate_bound`
+read only the frames on these spans: a frame where a profile is zero is
+not read, so a NaN or inf there reaches no output (where 0 * NaN would
+spread it), and the result is otherwise that of the full-frame formulas.
 """
 
 from __future__ import annotations
@@ -106,6 +113,23 @@ def _profile_frames(prof: Trajectory, tr: Trajectory) -> np.ndarray:
         raise KernelError("profile lattice does not cover the trajectory "
                           "window")
     return prof.values[off:off + tr.n_frames]
+
+
+def _frame_span(tr: Trajectory) -> Optional[tuple]:
+    """(first, last) lattice index of the frames of tr that hold a nonzero
+    value (NaN counts as nonzero), None when every value is zero."""
+    live = np.flatnonzero(np.any(tr.values != 0, axis=(1, 2)))
+    if live.size == 0:
+        return None
+    return tr.index0 + int(live[0]), tr.index0 + int(live[-1])
+
+
+def _span_frames(span: Optional[tuple], tr: Trajectory) -> slice:
+    """The frames of tr on a profile span, as a slice (empty for None)."""
+    if span is None:
+        return slice(0, 0)
+    a = min(max(span[0] - tr.index0, 0), tr.n_frames)
+    return slice(a, max(a, min(span[1] + 1 - tr.index0, tr.n_frames)))
 
 
 def _fft_len(n: int) -> int:
@@ -200,6 +224,16 @@ class TimeKernel:
                                                    or M[1].ndim == 2))
                    for M in (term.M for term in self.data["terms"]))
 
+    def _profile_pairs(self, tr: Trajectory):
+        """(g, h, g span, h span) of each separable pair: the profiles' frames
+        at the frame times of tr, and the slices of those frames that their
+        spans cover."""
+        d = self.data
+        for g_tr, h_tr, g_span, h_span in zip(d["g"], d["h"], d["g_span"],
+                                              d["h_span"]):
+            yield (_profile_frames(g_tr, tr), _profile_frames(h_tr, tr),
+                   _span_frames(g_span, tr), _span_frames(h_span, tr))
+
     # -- application ---------------------------------------------------------
 
     def pair_apply(self, t: float, tau: float, values: np.ndarray) -> np.ndarray:
@@ -247,14 +281,18 @@ class TimeKernel:
             j0c = np.clip(j0, 0, F - 1)
             j1c = np.clip(j1, 0, F - 1)
             dv = self.grid.cell_volume
-            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
-                hv = _profile_frames(h_tr, tr)
-                c = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
+            for gv, hv, gs, hs in self._profile_pairs(tr):
+                # <h, psi> on h's span, 0 elsewhere (as h is there)
+                c = np.zeros(F, dtype=complex)
+                c[hs] = np.einsum("tsf,tsf->t", np.conj(hv[hs]),
+                                  tr.values[hs]) * dv
                 P = np.concatenate([[0.0 + 0.0j], np.cumsum(c)])
-                # trapezoid over [j0, j1]: full prefix sum minus half endpoints
-                s = P[j1c + 1] - P[j0c] - 0.5 * c[j0c] - 0.5 * c[j1c]
-                s = np.where(live, s, 0.0) * tr.dt
-                out += s[:, None, None] * _profile_frames(g_tr, tr)
+                # trapezoid over [j0, j1]: full prefix sum minus half
+                # endpoints, on the frames where g is nonzero
+                a, b = j0c[gs], j1c[gs]
+                s = P[b + 1] - P[a] - 0.5 * c[a] - 0.5 * c[b]
+                s = np.where(live[gs], s, 0.0) * tr.dt
+                out[gs] += s[:, None, None] * gv[gs]
         else:
             self._conv_all(tr, j0, j1, live, out)
         return _fiber_apply(self.post, out)
@@ -276,11 +314,13 @@ class TimeKernel:
         band = np.zeros((d + 1, F), dtype=complex)
         if self.kind == "separable":
             dv = self.grid.cell_volume
-            for g_tr, h_tr in zip(self.data["g"], self.data["h"]):
-                gv = _fiber_apply(self.post, _profile_frames(g_tr, tr))
-                hv = _profile_frames(h_tr, tr)
-                u = np.einsum("tsf,tsf->t", np.conj(tr.values), gv)
-                v = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
+            for gv, hv, gs, hs in self._profile_pairs(tr):
+                u = np.zeros(F, dtype=complex)
+                v = np.zeros(F, dtype=complex)
+                u[gs] = np.einsum("tsf,tsf->t", np.conj(tr.values[gs]),
+                                  _fiber_apply(self.post, gv[gs]))
+                v[hs] = np.einsum("tsf,tsf->t", np.conj(hv[hs]),
+                                  tr.values[hs]) * dv
                 for lag in range(min(d, F - 1) + 1):
                     band[lag, :F - lag] += u[:F - lag] * v[lag:]
         else:
@@ -523,7 +563,9 @@ def make_separable(g_list, h_list, retarded: bool = False, delta: float = INF,
         if math.isfinite(switch_on) and sh[0] < switch_on - tol:
             raise KernelError("h support precedes the declared switch-on time")
     return TimeKernel(grid=grid, kind="separable",
-                      data={"g": list(g_list), "h": list(h_list)},
+                      data={"g": list(g_list), "h": list(h_list),
+                            "g_span": [_frame_span(g) for g in g_list],
+                            "h_span": [_frame_span(h) for h in h_list]},
                       retarded=retarded, delta=delta, switch_on=switch_on)
 
 
@@ -613,8 +655,11 @@ def adjoint(k: TimeKernel) -> TimeKernel:
         new_h = [Trajectory(g.grid, g.dt, g.index0,
                             _fiber_apply(k.post, g.values))
                  for g in k.data["g"]]
+        # post g is zero where g is: the old g spans hold for the new h
         return TimeKernel(grid=k.grid, kind="separable",
-                          data={"g": k.data["h"], "h": new_h},
+                          data={"g": k.data["h"], "h": new_h,
+                                "g_span": k.data["h_span"],
+                                "h_span": k.data["g_span"]},
                           retarded=k.advanced, advanced=k.retarded,
                           delta=k.delta, switch_on=-INF)
     # (post m c n M)^dagger at (tau, t) is
@@ -659,22 +704,46 @@ class BoundEstimate:
     delta: float
 
 
+def _span_gram(profiles: list, spans: list, op: Callable,
+               dv: float) -> np.ndarray:
+    """The Gram matrices dv sum_sites <op p_a, op p_b> of the profiles at
+    each frame of their (shared) lattice, shape (frames, r, r): taken on the
+    frames their spans cover, 0 on the others, where every profile is 0."""
+    first = profiles[0]
+    out = np.zeros((first.n_frames, len(profiles), len(profiles)),
+                   dtype=complex)
+    live = [span for span in spans if span is not None]
+    if live:
+        sl = _span_frames((min(a for a, _ in live), max(b for _, b in live)),
+                          first)
+        w = op(np.stack([p.values[sl] for p in profiles]))
+        out[sl] = np.einsum("atsf,btsf->tab", np.conj(w), w) * dv
+    return out
+
+
 def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
               times: np.ndarray, idx: np.ndarray, D: float) -> tuple:
     """(sup, count) over the admissible pairs (t_i, tau_j), i and j in idx,
     of the rank-r operator norm sqrt(max eig(Gg_i Hh_j)) weighted by
-    e^{D|tau_j|/2}; one admissibility mask for all pairs."""
-    ii, jj = np.nonzero(V._admissible_mask(times[idx][:, None],
-                                           times[idx][None, :]))
+    e^{D|tau_j|/2}; one admissibility mask for all pairs. The count is of
+    every admissible pair, but the norm is taken only where Gg_i and Hh_j
+    are nonzero: it is 0 at the other pairs, and the sup is at least 0."""
+    t = times[idx]
+    ok = V._admissible_mask(t[:, None], t[None, :])
+    rows = np.flatnonzero(np.any(Gg[idx] != 0, axis=(1, 2)))
+    cols = np.flatnonzero(np.any(Hh[idx] != 0, axis=(1, 2)))
+    ii, jj = np.nonzero(ok[rows][:, cols])      # positions in rows, cols
+    count = int(np.count_nonzero(ok))
     if ii.size == 0:
-        return 0.0, 0
-    ii, jj = idx[ii], idx[jj]
+        return 0.0, count
+    gi, hj = Gg[idx[rows[ii]]], Hh[idx[cols[jj]]]
     if Gg.shape[1] == 1:
-        sq = (Gg[ii, 0, 0] * Hh[jj, 0, 0]).real
+        sq = (gi[:, 0, 0] * hj[:, 0, 0]).real
     else:
-        sq = np.max(np.linalg.eigvals(Gg[ii] @ Hh[jj]).real, axis=-1)
-    decay = np.array([math.exp(-D * abs(float(tau)) / 2.0) for tau in times])
-    return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), ii.size
+        sq = np.max(np.linalg.eigvals(gi @ hj).real, axis=-1)
+    decay = np.array([math.exp(-D * abs(float(tau)) / 2.0)
+                      for tau in t[cols]])
+    return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), count
 
 
 def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
@@ -742,11 +811,11 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
                                  & (times <= t_window[1] + 1e-12))
         # per-frame Gram data: output side in H_t, input side in the dual norm
         dv = sys.grid.cell_volume
-        gw = _fiber_apply(wroot, np.stack([_fiber_apply(V.post, ga.values)
-                                           for ga in V.data["g"]]))
-        hw = _fiber_apply(wiroot, np.stack([ha.values for ha in V.data["h"]]))
-        Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
-        Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
+        Gg = _span_gram(V.data["g"], V.data["g_span"],
+                        lambda v: _fiber_apply(wroot, _fiber_apply(V.post, v)),
+                        dv)
+        Hh = _span_gram(V.data["h"], V.data["h_span"],
+                        lambda v: _fiber_apply(wiroot, v), dv)
         best, n_samples = _pair_sup(V, Gg, Hh, times, idx, D)
     elif t_window is None:
         raise KernelError("non-separable kernels need an explicit window")

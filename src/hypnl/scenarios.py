@@ -23,8 +23,9 @@ from .grids import (_CHUNK_VALUES, Grid, InnerWeight, StateField, Trajectory,
                     _weighted_pairs, diff4, frame_norms_sq, make_grid,
                     norm_strip, stencil_wavenumber)
 from .systems import SystemSpec, apply_S, inner_weight, make_system
-from .kernels import (ConvTerm, TimeKernel, estimate_bound, make_convolution,
-                      make_modulated, make_separable, threshold_margin)
+from .kernels import (ConvTerm, TimeKernel, _frame_span, estimate_bound,
+                      make_convolution, make_modulated, make_separable,
+                      threshold_margin)
 from .solver import SolveOptions, solve_local
 from .dyson import dyson_retarded, dyson_short_range, equation_defect
 from .diagnostics import (cone_violation, energy_identity, measure_D,
@@ -178,11 +179,16 @@ def counterexample_report(cfg: CounterexampleConfig,
     data0 = StateField(grid, 0.0, grid.zeros())
 
     # divergent run at the configured epsilon (default 1), with the
-    # obstruction pairing <(S - B) Psi_n - f, f> of each partial sum
+    # obstruction pairing <(S - B) Psi_n - f, f> of each partial sum. It
+    # reads only the frames where f is nonzero, so the defect is taken on
+    # f's span and one zero frame either side (the trapezoid's half-weight
+    # ends, which gives every frame of the span its full weight)
     obstruction = []
+    f_lo, f_hi = _frame_span(f_tr)
+    strip = ((f_lo - 1) * f_tr.dt, (f_hi + 1) * f_tr.dt)
 
     def pairing(n, psi, total, b_total):
-        d = equation_defect(sys, b_total, total, f_tr)
+        d = equation_defect(sys, b_total, total, f_tr, strip)
         obstruction.append(_strip_pair(d, f_tr, w))
 
     res_div = dyson_short_range(sys, k, f_tr, data0, cfg.T, opts,

@@ -375,6 +375,10 @@ def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
         if hi < n_steps:
             inc[hi] += (h / 6.0) * s[-1]
     np.cumsum(frames, axis=0, out=frames)
+    # a column of the cumulative sum stays inf or NaN once it meets one, so
+    # the frames are all finite exactly when the last one is
+    if np.isfinite(frames[-1].view(float)).all():
+        return n_steps
     bad = _first_non_finite(frames[1:])
     return n_steps if bad is None else bad
 

@@ -462,6 +462,22 @@ def test_dirac_run_imports_neither_numpy_random_nor_subprocess(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_module_entry_point_runs_without_warnings():
+    """`python -m hypnl.cli` executes the module once: importing the
+    package does not import it first, so runpy has nothing to warn about."""
+    import hypnl
+    pkg_root = os.path.dirname(os.path.dirname(hypnl.__file__))
+    path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypnl.cli",
+         "validate", "--config", os.path.join(CONFIGS, "transport.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_failed_assertion_exits_2(tmp_path):
     """An under-resolved extended-system run misses its residual target; the
     report must record the failure and the process must exit 2."""

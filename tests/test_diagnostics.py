@@ -254,6 +254,48 @@ def test_cone_violation_flags_teleported_amplitude():
     assert not bad.passed
 
 
+def _cone_violation_loop(tr, mask, v_max):
+    """Reference for cone_violation's values: the per-frame loop, one
+    outside mask and one max per frame, 0 where no site is outside."""
+    grid = tr.grid
+    dist = diagnostics._torus_distance(grid, mask)
+    amp = np.max(np.abs(tr.values), axis=2)
+    peak = float(np.max(amp))
+    times = np.abs(tr.times())
+    vals = np.zeros(tr.n_frames)
+    if peak > 0:
+        for i in range(tr.n_frames):
+            outside = dist > v_max * times[i] + 2.0 * grid.spacing
+            if np.any(outside):
+                vals[i] = float(np.max(amp[i][outside])) / peak
+    return vals
+
+
+@pytest.mark.parametrize("case", ["spreading", "frozen", "no_outside",
+                                  "zero"])
+def test_cone_violation_matches_frame_loop_bitwise(case):
+    """Spreading: the cone covers the torus after some frames, which then
+    have no site outside; frozen: v_max = 0; no_outside: the support holds
+    every site; zero: an all-zero trajectory."""
+    grid = make_grid(1, 2.0 * math.pi, 64, 2)
+    rng = np.random.default_rng(np.random.Philox(11))
+    vals = (rng.standard_normal((41, grid.sites, 2))
+            + 1j * rng.standard_normal((41, grid.sites, 2)))
+    mask = np.arange(grid.sites) < 8
+    v_max = {"spreading": 2.0, "frozen": 0.0, "no_outside": 1.0,
+             "zero": 1.0}[case]
+    if case == "no_outside":
+        mask[:] = True
+    if case == "zero":
+        vals[:] = 0.0
+    tr = Trajectory(grid, 0.1, -10, vals)
+    got = cone_violation(tr, mask, v_max).values
+    want = _cone_violation_loop(tr, mask, v_max)
+    assert np.array_equal(got, want)
+    if case == "spreading":
+        assert np.any(want == 0.0) and np.all(want[:12] > 0.0)
+
+
 def _torus_distance_all_pairs(grid, mask):
     """Reference: the full (sites x support) distance table on every row."""
     if not np.any(mask):

@@ -734,6 +734,37 @@ def test_window_contamination_on_the_modes_loop(monkeypatch):
                                atol=1e-12 * np.max(np.abs(want)))
 
 
+def test_modes_loop_holds_at_most_four_trajectories():
+    """The traced peak of a modes-loop run of 193 frames (9.5 MB a
+    trajectory) is at most four trajectories (the partial sum, B applied to
+    it, the iterate and B of the iterate), the step matrices, what one
+    apply_all allocates besides its output, and 2 MB for the run's
+    fixed-size arrays (data, source, frame norms, residual chunks; about
+    0.4 MB measured). A fifth trajectory held at any point exceeds it."""
+    import tracemalloc
+    sys, k, run = _modes_case("maxwell3d")
+    g = sys.grid
+    dt = 0.25 * g.spacing
+    steps = 192
+    traj = (steps + 1) * g.sites * g.fiber * 16
+    mats = 3 * g.sites * g.fiber ** 2 * 16
+    psi = Trajectory(g, dt, 0, np.ones((steps + 1, g.sites, g.fiber),
+                                       dtype=complex))
+    tracemalloc.start()
+    try:
+        b = k.apply_all(psi)
+        kernel_extra = tracemalloc.get_traced_memory()[1] - traj
+        del b
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = run(k, T=steps * dt, n_max=4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.n_used == 4
+    assert peak <= 4 * traj + mats + kernel_extra + (2 << 20)
+
+
 def _sites_loop_cases():
     """(name, sys, k) that keep the sites loop, on the 1D Maxwell line."""
     grid = make_grid(1, 1.0, 8, 2)

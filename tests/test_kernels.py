@@ -16,7 +16,7 @@ from hypnl.kernels import (ConvTerm, KernelError, TimeKernel, adjoint,
                            make_separable, threshold_margin, weighted)
 from hypnl.scenarios import (DiracConfig, _dirac_potentials, dirac_kernel,
                              drude_lorentz, maxwell_kernel)
-from hypnl.systems import inner_weight, make_system
+from hypnl.systems import _fiber_apply, inner_weight, make_system
 
 
 def _grid():
@@ -520,6 +520,157 @@ def test_frames_before_switch_on_are_not_read(monkeypatch, path, name):
     assert np.array_equal(got, k.apply_all(tr))
 
 
+# ---------------------------------------------------------------------------
+# separable kernels read only the frames on their profiles' spans
+
+def _separable_full(k, tr, d=None):
+    """Reference for the separable branches of apply_all (d None) and
+    pair_band (lag count d): the full-frame formulas, which read every
+    frame of each profile and of tr."""
+    F, dv = tr.n_frames, k.grid.cell_volume
+    j0, j1 = k._slice_arrays(tr)
+    pairs = [(kernels._profile_frames(g_tr, tr),
+              kernels._profile_frames(h_tr, tr))
+             for g_tr, h_tr in zip(k.data["g"], k.data["h"])]
+    if d is not None:
+        band = np.zeros((d + 1, F), dtype=complex)
+        for gv, hv in pairs:
+            u = np.einsum("tsf,tsf->t", np.conj(tr.values),
+                          _fiber_apply(k.post, gv))
+            v = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
+            for lag in range(min(d, F - 1) + 1):
+                band[lag, :F - lag] += u[:F - lag] * v[lag:]
+        band *= dv
+        j = np.arange(F) + np.arange(d + 1)[:, None]
+        band[(j < j0) | (j > j1)] = 0.0
+        return band
+    out = np.zeros((F, k.grid.sites, k.grid.fiber), dtype=complex)
+    live = j1 > j0
+    if not np.any(live):
+        return out
+    j0c, j1c = np.clip(j0, 0, F - 1), np.clip(j1, 0, F - 1)
+    for gv, hv in pairs:
+        c = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
+        P = np.concatenate([[0.0 + 0.0j], np.cumsum(c)])
+        s = P[j1c + 1] - P[j0c] - 0.5 * c[j0c] - 0.5 * c[j1c]
+        s = np.where(live, s, 0.0) * tr.dt
+        out += s[:, None, None] * gv
+    return _fiber_apply(k.post, out)
+
+
+# (flags, g frames, h frames) on a 40-frame profile lattice from index -6;
+# the trajectory holds its frames 3..32, so "wide" reaches past both ends
+# and "edges" starts g and ends h on the trajectory's first and last frame.
+# Pair a of a rank-r kernel keeps frames lo + a .. hi - a; None is all zero
+SPAN_CASES = {
+    "wide": ({}, (0, 39), (0, 39)),
+    "edges": ({}, (3, 20), (20, 32)),
+    "retarded": ({"retarded": True}, (15, 30), (5, 15)),
+    "delta": ({"delta": 1.0}, (10, 16), (12, 18)),
+    "switch_on": ({"switch_on": 0.75}, (0, 39), (12, 25)),
+    "zero_g": ({}, None, (5, 20)),
+    "zero_h": ({}, (5, 20), None),
+}
+
+
+def _span_kernel(name, rank, fiber):
+    """A rank-r separable kernel with random profiles on the frames of a
+    SPAN_CASES entry (pair 0 all zero on a None side, the others on the
+    'wide' frames), its grid, and a trajectory on frames -3..26."""
+    flags, g_frames, h_frames = SPAN_CASES[name]
+    g = make_grid(1, 2.0, 8, fiber)
+    rng = np.random.default_rng(np.random.Philox(rank * 10 + fiber))
+    prof = {"g": [], "h": []}
+    for side, frames in (("g", g_frames), ("h", h_frames)):
+        for a in range(rank):
+            vals = (rng.standard_normal((40, g.sites, fiber))
+                    + 1j * rng.standard_normal((40, g.sites, fiber)))
+            lo, hi = (0, -1) if frames is None and a == 0 else (
+                (0, 39) if frames is None else (frames[0] + a, frames[1] - a))
+            vals[:lo] = 0.0
+            vals[hi + 1:] = 0.0
+            prof[side].append(Trajectory(g, 0.125, -6, vals))
+    return (g, make_separable(prof["g"], prof["h"], **flags),
+            _traj(g, 70 + rank, index0=-3, n=30))
+
+
+def _span_variants(k, g):
+    """k, its adjoint (advanced where k is retarded), and k with a
+    per-site post and with the weighted (f, f) post."""
+    f = g.fiber
+    post = np.stack([np.eye(f) * (1.0 + 0.1 * s) + 0.3j * np.eye(f, k=1)
+                     for s in range(g.sites)])
+    A0 = np.eye(f) * 2.0 + 0.5j * (np.eye(f, k=1) - np.eye(f, k=-1))
+    return {"plain": k, "adjoint": adjoint(k),
+            "post": dataclasses.replace(k, post=post),
+            "weighted": weighted(k, make_system(g, A0, [np.zeros((f, f))]))}
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_separable_spans_match_full_frames(name, rank, fiber):
+    """apply_all and pair_band on the profile spans equal the full-frame
+    formulas bitwise, for every flag, with and without a post."""
+    g, k, tr = _span_kernel(name, rank, fiber)
+    for variant, kv in _span_variants(k, g).items():
+        assert np.array_equal(kv.apply_all(tr), _separable_full(kv, tr)), \
+            variant
+        for d in (0, 5, 40):
+            assert np.array_equal(kv.pair_band(tr, d),
+                                  _separable_full(kv, tr, d)), (variant, d)
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_separable_constructors_carry_spans(name):
+    """make_separable takes each profile's exact nonzero span; the adjoint
+    and the weighted kernel carry spans that hold every nonzero frame of
+    their profiles."""
+    g, k, _ = _span_kernel(name, 3, 2)
+    for p, span in zip(k.data["g"] + k.data["h"],
+                       k.data["g_span"] + k.data["h_span"]):
+        live = np.flatnonzero(np.any(p.values != 0, axis=(1, 2)))
+        assert span == (None if live.size == 0 else
+                        (p.index0 + live[0], p.index0 + live[-1]))
+    for variant, kv in _span_variants(k, g).items():
+        for side in ("g", "h"):
+            for p, span in zip(kv.data[side], kv.data[side + "_span"]):
+                live = p.index0 + np.flatnonzero(
+                    np.any(p.values != 0, axis=(1, 2)))
+                if span is None:
+                    assert live.size == 0, variant
+                else:
+                    assert np.all((live >= span[0]) & (live <= span[1])), \
+                        variant
+    ka = adjoint(k)
+    assert ka.data["g_span"] == k.data["h_span"]
+    assert ka.data["h_span"] == k.data["g_span"]
+
+
+def test_frames_outside_the_spans_are_not_read():
+    """A NaN or inf in frames where the profiles are zero reaches no output
+    of apply_all or pair_band: each gives the bytes it gives with those
+    frames finite (the full-frame formulas spread them, as 0 * NaN)."""
+    g = _grid()
+    k = _oracle_case("separable", g)
+    tr = _traj(g, 60, index0=-3)
+    lo, hi = k.data["h_span"][0]
+    assert k.data["g_span"][0] == (lo, hi)
+    assert lo - tr.index0 > 0 and hi - tr.index0 < tr.n_frames - 1
+    poisoned = tr.values.copy()
+    poisoned[0] = np.nan
+    poisoned[hi - tr.index0 + 1] = np.inf
+    bad = Trajectory(g, tr.dt, tr.index0, poisoned)
+    got = k.apply_all(bad)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, k.apply_all(tr))
+    band = k.pair_band(bad, 6)
+    assert np.all(np.isfinite(band))
+    assert np.array_equal(band, k.pair_band(tr, 6))
+    with np.errstate(invalid="ignore"):
+        assert not np.all(np.isfinite(_separable_full(k, bad)))
+
+
 @pytest.mark.parametrize("lags,path", [(kernels.DIRECT_MAX_LAGS, "direct"),
                                        (kernels.DIRECT_MAX_LAGS + 1, "fft")])
 def test_lag_count_picks_the_path(monkeypatch, lags, path):
@@ -846,9 +997,8 @@ SEPARABLE_BOUND_CASES = [
 ]
 
 
-@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
-def test_pair_sup_matches_loop_bitwise(rank, flags, D, window):
-    from hypnl.kernels import _pair_sup
+def _pair_sup_case(rank, flags, window):
+    """(k, Gg, Hh, times, idx) with random Hermitian Gram data per frame."""
     _, k = _separable_case(rank, flags)
     rng = np.random.default_rng(np.random.Philox(7))
     times = k.data["g"][0].times()
@@ -857,6 +1007,28 @@ def test_pair_sup_matches_loop_bitwise(rank, flags, D, window):
         + 1j * rng.standard_normal((2, F, rank, rank))
     Gg, Hh = (np.einsum("tab,tcb->tac", x, x.conj()) for x in m)
     idx = np.arange(F) if window is None else np.arange(3, F - 5)
+    return k, Gg, Hh, times, idx
+
+
+@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
+def test_pair_sup_matches_loop_bitwise(rank, flags, D, window):
+    from hypnl.kernels import _pair_sup
+    k, Gg, Hh, times, idx = _pair_sup_case(rank, flags, window)
+    assert _pair_sup(k, Gg, Hh, times, idx, D) \
+        == _pair_sup_loop(k, Gg, Hh, times, idx, D)
+
+
+@pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
+def test_pair_sup_with_zero_frames_matches_loop_bitwise(rank, flags, D,
+                                                        window):
+    """Gg zero on the first third of the frames and Hh on the second half,
+    where _pair_sup takes no norm: the sup and the count of every
+    admissible pair are still the loop's."""
+    from hypnl.kernels import _pair_sup
+    k, Gg, Hh, times, idx = _pair_sup_case(rank, flags, window)
+    F = len(times)
+    Gg[:F // 3] = 0.0
+    Hh[F // 2:] = 0.0
     assert _pair_sup(k, Gg, Hh, times, idx, D) \
         == _pair_sup_loop(k, Gg, Hh, times, idx, D)
 

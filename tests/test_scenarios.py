@@ -309,6 +309,35 @@ def test_counterexample_pairing_matches_reapplied_kernel(coarse_cx,
                                atol=1e-12 * np.max(np.abs(want)))
 
 
+def test_counterexample_pairing_on_f_span_matches_full_frames(coarse_cx,
+                                                              monkeypatch):
+    """The obstruction pairing takes the defect on f's nonzero span and one
+    frame either side, fewer frames than the partial sum's interior; it
+    agrees with the pairing over every interior frame to 1e-14 of the
+    largest modulus."""
+    from hypnl import scenarios
+    defect = scenarios.equation_defect
+    frames = []
+
+    def recorded(sys, b_psi, psi, phi, strip=None):
+        d = defect(sys, b_psi, psi, phi, strip)
+        frames.append((d.n_frames, psi.n_frames))
+        return d
+
+    monkeypatch.setattr(scenarios, "equation_defect", recorded)
+    got = np.array(scenarios.counterexample_report(coarse_cx)
+                   ["obstruction_pairings"])
+    assert all(n < total - 2 for n, total in frames)
+    monkeypatch.setattr(scenarios, "equation_defect",
+                        lambda sys, b_psi, psi, phi, strip=None:
+                        defect(sys, b_psi, psi, phi))
+    want = np.array(scenarios.counterexample_report(coarse_cx)
+                    ["obstruction_pairings"])
+    assert len(got) == len(want) > 1
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.max(np.abs(want)))
+
+
 def _counterexample_profiles_per_frame(cfg):
     """Reference for scenarios._counterexample_profiles: f and f_dot sampled
     through sample_trajectory, one fn(t, x) call per frame."""

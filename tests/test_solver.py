@@ -489,6 +489,30 @@ def test_non_finite_source_aborts_like_reference_loop(name, sgn, solves):
     phi = _source(sys, opts.dt, "full", sgn, steps, rng)
     phi.values[phi.index_of(sgn * 13 * opts.dt), 3, 0] = complex(np.inf, 0.0)
     data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
+    _assert_aborts_like_reference_loop(name, sys, opts, phi, data, sgn,
+                                       steps, solves)
+
+
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+def test_source_overflowing_the_cumulative_sum_aborts_like_reference_loop(
+        sgn):
+    """The state-free solve (one cumulative sum of the steps' source terms)
+    on finite data and a finite source whose running sum overflows after a
+    few steps, at one value: it aborts where the loop does."""
+    name = "ode_zero_S0"
+    sys, opts = _solver_case(name)
+    rng = np.random.default_rng(5)
+    steps = 30
+    phi = _source(sys, opts.dt, "full", sgn, steps, rng)
+    phi.values[:, 3, 0] = sgn * 1e307     # grows the value either way
+    data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
+    data.values[3, 0] = 1.79e308
+    _assert_aborts_like_reference_loop(name, sys, opts, phi, data, sgn,
+                                       steps, 1)
+
+
+def _assert_aborts_like_reference_loop(name, sys, opts, phi, data, sgn,
+                                       steps, solves):
     t1 = sgn * steps * opts.dt
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SolveAborted) as ref:
