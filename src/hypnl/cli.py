@@ -333,7 +333,7 @@ def _build_custom(cfg: RunConfig):
 
 
 def _bounds_subject(cfg: RunConfig):
-    """(system, kernel, delta) for check-bounds / validate."""
+    """(system, kernel or None, delta, known C) for check-bounds / validate."""
     opts = _seeded_options(cfg)
     if cfg.scenario == "dirac":
         dcfg = DiracConfig(**opts)
@@ -354,7 +354,8 @@ def _bounds_subject(cfg: RunConfig):
             grid = make_grid(1, mcfg.extent, mcfg.points, 2)
             sys_spec = maxwell_system_1d(grid)
         _, chi_dot = drude_lorentz(mcfg.chi0, mcfg.c1, mcfg.c2)
-        kern = maxwell_kernel(grid, chi_dot)
+        kern = (None if mcfg.mode in ("vacuum_1d", "vacuum_3d")
+                else maxwell_kernel(grid, chi_dot))
         return sys_spec, kern, math.inf, None
     if cfg.scenario == "custom":
         sys_spec, kern, _, _ = _build_custom(cfg)
@@ -673,14 +674,17 @@ def cmd_check_bounds(args) -> int:
     D = measure_D(sys_spec)
     if C_known is not None:
         C = C_known
+    elif kern is None:
+        C = 0.0         # as the Dyson loop takes it without a kernel
     else:
-        window = (0.0, sys_spec.grid.extent)
-        est = estimate_bound(kern, sys_spec, probes=32, t_window=window,
-                             seed=cfg.seed)
-        C = est.C_est
+        C = estimate_bound(kern, sys_spec, probes=32,
+                           t_window=(0.0, sys_spec.grid.extent),
+                           seed=cfg.seed).C_est
     print(f"C_est {C:.6g}")
     print(f"D {D:.6g}")
-    if math.isfinite(delta):
+    if kern is None:
+        print("margin n/a (no kernel): the series is the local solve")
+    elif math.isfinite(delta):
         margin = threshold_margin(C, delta)
         print(f"margin {margin:.3f} "
               + ("< 1: convergent regime" if margin < 1.0

@@ -152,12 +152,10 @@ def _fft_len(n: int) -> int:
 
 @dataclass(frozen=True)
 class TimeKernel:
-    """Operator family B_{t,tau} with structural support flags.
-
-    `post` is a fiber operator applied to every output, in one of the three
-    forms `_fiber_apply` takes: None (the identity), one (f, f) matrix, or a
-    per-site (sites, f, f) stack. The weighted potential is the underlying
-    kernel with post = A0^{-1} (see `weighted`)."""
+    """Operator family B_{t,tau} with structural support flags. The kernel
+    data states the whole operator: a fiber operator on the output (as
+    A0^{-1} in the weighted potential, see `weighted`) is folded into each
+    separable g or each convolution M."""
 
     grid: Grid
     kind: str                       # 'separable' | 'convolution'
@@ -166,7 +164,6 @@ class TimeKernel:
     advanced: bool = False
     delta: float = INF
     switch_on: float = -INF
-    post: Optional[np.ndarray] = None   # None, (f, f) or (sites, f, f)
 
     def __post_init__(self):
         if self.kind not in ("separable", "convolution"):
@@ -175,21 +172,13 @@ class TimeKernel:
     # -- tau-lattice support -------------------------------------------------
 
     def _admissible(self, t: float, tau: float) -> bool:
-        return bool(self._admissible_mask(np.float64(t), np.float64(tau)))
-
-    def _admissible_mask(self, t, tau):
-        """Whether the flags admit each (t, tau) pair (arrays broadcast)."""
-        eps = 1e-12 * (1.0 + np.abs(t) + np.abs(tau))
-        ok = np.ones(np.broadcast(t, tau).shape, dtype=bool)
-        if self.retarded:
-            ok &= ~(tau > t + eps)
-        if self.advanced:
-            ok &= ~(tau < t - eps)
-        if math.isfinite(self.delta):
-            ok &= ~(np.abs(t - tau) > self.delta + eps)
-        if math.isfinite(self.switch_on):
-            ok &= ~(tau < self.switch_on - eps)
-        return ok
+        """Whether the flags admit the pair (t, tau) at any two times; on a
+        frame lattice `_slice_arrays` decides."""
+        eps = 1e-12 * (1.0 + abs(t) + abs(tau))
+        return not ((self.retarded and tau > t + eps)
+                    or (self.advanced and tau < t - eps)
+                    or abs(t - tau) > self.delta + eps
+                    or tau < self.switch_on - eps)
 
     def _slice_arrays(self, tr: Trajectory):
         """Inclusive tau-frame range (j0, j1) the flags admit for each output
@@ -216,9 +205,8 @@ class TimeKernel:
         """True when B commutes with the translations of the torus, so that
         it acts on Fourier-mode values (`grids.to_modes`) as on site values:
         a convolution kernel whose every M has no site profile and at most
-        one (f, f) matrix, with `post` None or one (f, f) matrix."""
-        if self.kind != "convolution" or (self.post is not None
-                                          and self.post.ndim != 2):
+        one (f, f) matrix."""
+        if self.kind != "convolution":
             return False
         return all(M is None or (M[0] is None and (M[1] is None
                                                    or M[1].ndim == 2))
@@ -259,7 +247,7 @@ class TimeKernel:
                 if k + 1 == len(terms) or terms[k + 1].M is not M:
                     out += s * _apply_M(M, values)
                     s = 0.0
-        return _fiber_apply(self.post, out)
+        return out
 
     def apply(self, tr: Trajectory, t: float) -> np.ndarray:
         """(B psi)(t) at a lattice time t of tr: one frame of apply_all."""
@@ -295,13 +283,13 @@ class TimeKernel:
                 out[gs] += s[:, None, None] * gv[gs]
         else:
             self._conv_all(tr, j0, j1, live, out)
-        return _fiber_apply(self.post, out)
+        return out
 
     def pair_band(self, tr: Trajectory, d: int) -> np.ndarray:
         """The future band of the kernel's quadratic form on tr, shape
         (d + 1, frames):
 
-            G[l, i] = dv sum_sites psi_i^+ (post B_{t_i, t_{i+l}}) psi_{i+l}
+            G[l, i] = dv sum_sites psi_i^+ B_{t_i, t_{i+l}} psi_{i+l}
 
         for the lags l = 0..d, and 0 where frame i + l is not among the tau
         frames [j0, j1] that _slice_arrays admits for frame i (or lies past
@@ -318,7 +306,7 @@ class TimeKernel:
                 u = np.zeros(F, dtype=complex)
                 v = np.zeros(F, dtype=complex)
                 u[gs] = np.einsum("tsf,tsf->t", np.conj(tr.values[gs]),
-                                  _fiber_apply(self.post, gv[gs]))
+                                  gv[gs])
                 v[hs] = np.einsum("tsf,tsf->t", np.conj(hv[hs]),
                                   tr.values[hs]) * dv
                 for lag in range(min(d, F - 1) + 1):
@@ -332,11 +320,10 @@ class TimeKernel:
 
     def _conv_band(self, tr: Trajectory, band: np.ndarray) -> None:
         """Add the convolution terms' band into `band` (without dv): for each
-        run of consecutive terms sharing M (see _conv_groups), M and post
-        are applied once to a chunk of frames, on the columns M reads, and
-        lag l adds
+        run of consecutive terms sharing M (see _conv_groups), M is applied
+        once to a chunk of frames, on the columns M reads, and lag l adds
 
-            (sum_i conj(psi_i) . post M psi_{i+l})
+            (sum_i conj(psi_i) . M psi_{i+l})
                 * sum_k m_k(t_i) c_k(l dt) n_k(t_{i+l}).
 
         The output frames are taken in chunks of at least d + 1 whose frames
@@ -353,8 +340,7 @@ class TimeKernel:
             e = min(b + d, F)
             psi_c = np.conj(tr.values[a:b])
             for sel, M, samples in groups:
-                y = _fiber_apply(self.post,
-                                 _apply_M(M, tr.values[a:e, :, sel]))
+                y = _apply_M(M, tr.values[a:e, :, sel])
                 for lag in range(min(d, e - 1 - a) + 1):
                     rows = min(b, e - lag) - a
                     fac = sum(mv[a:a + rows] * cv[lag]
@@ -634,15 +620,27 @@ def make_convolution(chi_dot: Callable[[float], complex], projector,
 # weighting, adjoints, bounds
 
 def weighted(k: TimeKernel, sys: SystemSpec) -> TimeKernel:
-    """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B. Its
-    `post` takes the form of the system's A0^{-1}: None when A0 is the
-    identity (and k has no post), one (f, f) matrix when A0 and k's post
-    are the same at every site, else a per-site stack."""
+    """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B, with
+    A0^{-1} folded into the kernel data: each separable g becomes A0^{-1} g
+    (on the same spans: it is zero wherever g is), each distinct convolution
+    M = (p, m) becomes (p, A0^{-1} m), and M that were shared stay shared.
+    k itself when A0 is the identity."""
     if sys.grid != k.grid:
         raise KernelError("kernel / system grid mismatch")
     if sys.A0_inv is None:
         return k
-    return replace(k, post=_fiber_product(sys.A0_inv, k.post))
+    if k.kind == "separable":
+        g = [Trajectory(p.grid, p.dt, p.index0,
+                        _fiber_apply(sys.A0_inv, p.values))
+             for p in k.data["g"]]
+        return replace(k, data={**k.data, "g": g})
+    folded = {}     # id of an M -> its folded form
+    for M in (term.M for term in k.data["terms"]):
+        if id(M) not in folded:
+            prof, mat = (None, None) if M is None else M
+            folded[id(M)] = (prof, _fiber_product(sys.A0_inv, mat))
+    return replace(k, data={"terms": [term._replace(M=folded[id(term.M)])
+                                      for term in k.data["terms"]]})
 
 
 def adjoint(k: TimeKernel) -> TimeKernel:
@@ -651,35 +649,27 @@ def adjoint(k: TimeKernel) -> TimeKernel:
     switch-on turns into an output-time condition carried implicitly by the
     profile supports."""
     if k.kind == "separable":
-        # (post g(tau) <h(t), .>)^dagger = h(t) <post g(tau), .>
-        new_h = [Trajectory(g.grid, g.dt, g.index0,
-                            _fiber_apply(k.post, g.values))
-                 for g in k.data["g"]]
-        # post g is zero where g is: the old g spans hold for the new h
+        # (g(tau) <h(t), .>)^dagger = h(t) <g(tau), .>
         return TimeKernel(grid=k.grid, kind="separable",
-                          data={"g": k.data["h"], "h": new_h,
+                          data={"g": k.data["h"], "h": k.data["g"],
                                 "g_span": k.data["h_span"],
                                 "h_span": k.data["g_span"]},
                           retarded=k.advanced, advanced=k.retarded,
                           delta=k.delta, switch_on=-INF)
-    # (post m c n M)^dagger at (tau, t) is
-    # conj(n)(t) conj(c(t - tau)) conj(m)(tau) M^dagger post^dagger
-    post_adj = (None if k.post is None
-                else np.conj(np.swapaxes(k.post, -1, -2)))
+    # (m c n M)^dagger at (tau, t) is conj(n)(t) conj(c(t - tau)) conj(m)(tau)
+    # M^dagger
     adj_M = {}      # one adjoint per distinct M, so shared M stay shared
     for M in (term.M for term in k.data["terms"]):
-        prof, mat = (None, None) if M is None else M
-        if mat is not None:
-            mat = np.conj(np.swapaxes(mat, -1, -2))
-        if post_adj is not None:
-            mat = post_adj if mat is None else mat @ post_adj
-        adj_M[id(M)] = (None if prof is None and mat is None
-                        else (None if prof is None else np.conj(prof), mat))
+        if M is not None and id(M) not in adj_M:
+            prof, mat = M
+            adj_M[id(M)] = (None if prof is None else np.conj(prof),
+                            None if mat is None
+                            else np.conj(np.swapaxes(mat, -1, -2)))
     terms = [ConvTerm(None if n is None else (lambda t, n=n: np.conj(n(t))),
                       lambda z, c=c: np.conj(c(-np.asarray(z))),
                       None if m is None else
                       (lambda tau, m=m: np.conj(m(tau))),
-                      adj_M[id(M)])
+                      adj_M.get(id(M)))
              for m, c, n, M in k.data["terms"]]
     return make_modulated(k.grid, terms, retarded=k.advanced,
                           advanced=k.retarded, delta=k.delta)
@@ -704,11 +694,12 @@ class BoundEstimate:
     delta: float
 
 
-def _span_gram(profiles: list, spans: list, op: Callable,
+def _span_gram(profiles: list, spans: list, root: Optional[np.ndarray],
                dv: float) -> np.ndarray:
-    """The Gram matrices dv sum_sites <op p_a, op p_b> of the profiles at
-    each frame of their (shared) lattice, shape (frames, r, r): taken on the
-    frames their spans cover, 0 on the others, where every profile is 0."""
+    """The Gram matrices dv sum_sites <R p_a, R p_b> of the profiles at each
+    frame of their (shared) lattice, R the fiber operator `root` in
+    `_fiber_apply` form, shape (frames, r, r): taken on the frames their
+    spans cover, 0 on the others, where every profile is 0."""
     first = profiles[0]
     out = np.zeros((first.n_frames, len(profiles), len(profiles)),
                    dtype=complex)
@@ -716,33 +707,39 @@ def _span_gram(profiles: list, spans: list, op: Callable,
     if live:
         sl = _span_frames((min(a for a, _ in live), max(b for _, b in live)),
                           first)
-        w = op(np.stack([p.values[sl] for p in profiles]))
+        w = _fiber_apply(root, np.stack([p.values[sl] for p in profiles]))
         out[sl] = np.einsum("atsf,btsf->tab", np.conj(w), w) * dv
     return out
 
 
 def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
-              times: np.ndarray, idx: np.ndarray, D: float) -> tuple:
-    """(sup, count) over the admissible pairs (t_i, tau_j), i and j in idx,
-    of the rank-r operator norm sqrt(max eig(Gg_i Hh_j)) weighted by
-    e^{D|tau_j|/2}; one admissibility mask for all pairs. The count is of
-    every admissible pair, but the norm is taken only where Gg_i and Hh_j
-    are nonzero: it is 0 at the other pairs, and the sup is at least 0."""
-    t = times[idx]
-    ok = V._admissible_mask(t[:, None], t[None, :])
-    rows = np.flatnonzero(np.any(Gg[idx] != 0, axis=(1, 2)))
-    cols = np.flatnonzero(np.any(Hh[idx] != 0, axis=(1, 2)))
-    ii, jj = np.nonzero(ok[rows][:, cols])      # positions in rows, cols
-    count = int(np.count_nonzero(ok))
-    if ii.size == 0:
+              lattice: Trajectory, a: int, b: int, D: float) -> tuple:
+    """(sup, count) over the admissible pairs (t_i, tau_j) of the profile
+    lattice with i and j in the window [a, b) of the rank-r operator norm
+    sqrt(max eig(Gg_i Hh_j)) weighted by e^{D|tau_j|/2}. Row i admits the
+    tau frames [j0_i, j1_i] of `_slice_arrays` (the pairs apply_all
+    integrates) clipped to the window. The count is of every admissible
+    pair, but the norm is taken only where Gg_i and Hh_j are nonzero: it is
+    0 at the other pairs, and the sup is at least 0."""
+    j0, j1 = V._slice_arrays(lattice)
+    lo, hi = np.maximum(j0[a:b], a), np.minimum(j1[a:b], b - 1)
+    count = int(np.sum(np.maximum(hi - lo + 1, 0)))
+    rows = np.flatnonzero(np.any(Gg[a:b] != 0, axis=(1, 2)))
+    cols = a + np.flatnonzero(np.any(Hh[a:b] != 0, axis=(1, 2)))
+    # each row's admitted nonzero columns: a run cols[start:start + n]
+    start = np.searchsorted(cols, lo[rows])
+    n = np.maximum(np.searchsorted(cols, hi[rows], side="right") - start, 0)
+    if not np.any(n):
         return 0.0, count
-    gi, hj = Gg[idx[rows[ii]]], Hh[idx[cols[jj]]]
+    ii = a + np.repeat(rows, n)
+    jj = np.arange(int(np.sum(n))) + np.repeat(start - np.cumsum(n) + n, n)
+    gi, hj = Gg[ii], Hh[cols[jj]]
     if Gg.shape[1] == 1:
         sq = (gi[:, 0, 0] * hj[:, 0, 0]).real
     else:
         sq = np.max(np.linalg.eigvals(gi @ hj).real, axis=-1)
     decay = np.array([math.exp(-D * abs(float(tau)) / 2.0)
-                      for tau in t[cols]])
+                      for tau in lattice.times()[cols]])
     return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), count
 
 
@@ -801,22 +798,20 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
     convolution kind needs a window and is probed (see `_probe_sup`)."""
     if probes < 16:
         raise KernelError("need at least 16 probes")
-    V = weighted(k, sys) if k.post is None else k
+    V = weighted(k, sys)
     wroot, wiroot = inner_weight(sys).roots()
     if V.kind == "separable":
-        times = V.data["g"][0].times()
-        idx = np.arange(len(times))
+        lattice = V.data["g"][0]
+        a, b = 0, lattice.n_frames
         if t_window is not None:
-            idx = np.flatnonzero((times >= t_window[0] - 1e-12)
-                                 & (times <= t_window[1] + 1e-12))
+            times = lattice.times()
+            a = int(np.searchsorted(times, t_window[0] - 1e-12))
+            b = int(np.searchsorted(times, t_window[1] + 1e-12, side="right"))
         # per-frame Gram data: output side in H_t, input side in the dual norm
         dv = sys.grid.cell_volume
-        Gg = _span_gram(V.data["g"], V.data["g_span"],
-                        lambda v: _fiber_apply(wroot, _fiber_apply(V.post, v)),
-                        dv)
-        Hh = _span_gram(V.data["h"], V.data["h_span"],
-                        lambda v: _fiber_apply(wiroot, v), dv)
-        best, n_samples = _pair_sup(V, Gg, Hh, times, idx, D)
+        Gg = _span_gram(V.data["g"], V.data["g_span"], wroot, dv)
+        Hh = _span_gram(V.data["h"], V.data["h_span"], wiroot, dv)
+        best, n_samples = _pair_sup(V, Gg, Hh, lattice, a, b, D)
     elif t_window is None:
         raise KernelError("non-separable kernels need an explicit window")
     else:

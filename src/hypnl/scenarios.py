@@ -912,10 +912,7 @@ def extended_system_check(n_fields: int = 20, seed: int = 0, points: int = 64,
     def make_profile(width_center):
         c, wdt, kx, om = width_center
         def g(t):
-            return (bump((t - c) / wdt)
-                    * np.exp(1j * kx * x + 1j * om * t)[None, ...]).T \
-                if np.asarray(t).ndim else \
-                bump((t - c) / wdt) * np.exp(1j * kx * x + 1j * om * t)
+            return bump((t - c) / wdt) * np.exp(1j * kx * x + 1j * om * t)
         def g_dot(t):
             b = bump((t - c) / wdt)
             bd = bump_dot((t - c) / wdt) / wdt

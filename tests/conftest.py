@@ -2,12 +2,13 @@
 they are computed once per session and shared between the unit tests and the
 acceptance gate."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hypnl.grids import StateField, make_grid
+from hypnl.grids import StateField, Trajectory, make_grid
 from hypnl.systems import transport_system
 from hypnl.solver import SolveOptions, solve_local
 from hypnl.scenarios import (CounterexampleConfig, DiracConfig, MaxwellConfig,
@@ -22,6 +23,27 @@ def per_site(grid, m):
     m = np.eye(grid.fiber) if m is None else m
     return np.broadcast_to(np.asarray(m, dtype=complex),
                            (grid.sites, grid.fiber, grid.fiber)).copy()
+
+
+def fold_output_op(k, P):
+    """The kernel P B: k followed by the fiber operator P (one (f, f) matrix
+    or a per-site stack) on every output, folded into its data. Separable
+    kernels get P g for each g (per-site products, the same spans: P g is
+    zero where g is), convolution kernels (profile, P mat) for each distinct
+    M, P alone where M is the identity; shared M stay shared."""
+    if k.kind == "separable":
+        Ps = per_site(k.grid, P)
+        g = [Trajectory(p.grid, p.dt, p.index0,
+                        np.einsum("sfg,tsg->tsf", Ps, p.values))
+             for p in k.data["g"]]
+        return dataclasses.replace(k, data={**k.data, "g": g})
+    P = np.asarray(P, dtype=complex)
+    folded = {}
+    for M in (term.M for term in k.data["terms"]):
+        prof, mat = (None, None) if M is None else M
+        folded[id(M)] = (prof, P if mat is None else np.matmul(P, mat))
+    return dataclasses.replace(k, data={"terms": [
+        term._replace(M=folded[id(term.M)]) for term in k.data["terms"]]})
 
 
 def gaussian_pulse(grid, t=0.0, speed=1.0, width_frac=16.0):

@@ -500,6 +500,21 @@ def test_check_bounds_subcommand(capsys):
     assert "refuse" in out        # delta = 0.5 is far outside the threshold
 
 
+@pytest.mark.parametrize("name", ["transport.json", "maxwell_vacuum.json",
+                                  "vacuum_3d"])
+def test_check_bounds_without_a_kernel(capsys, tmp_path, name):
+    """A run that solves without a kernel has C = 0, as the Dyson loop takes
+    it, and no margin to check."""
+    path = os.path.join(CONFIGS, name) if name.endswith(".json") else _write(
+        tmp_path, {"schema": 1, "scenario": "maxwell", "name": name,
+                   "options": {"mode": name, "points": 8}})
+    rc = cli_run(["check-bounds", "--config", path])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[0] == "C_est 0"
+    assert out[2].startswith("margin n/a (no kernel)")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: every rejection is a ConfigError that names a field path
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import gaussian_pulse, per_site
+from conftest import fold_output_op, gaussian_pulse, per_site
 from hypnl import dyson
 from hypnl.grids import (StateField, Trajectory, diff4, make_grid,
                          mode_diff4, norm_strip, sample_trajectory, to_modes,
@@ -789,7 +789,7 @@ def _sites_loop_cases():
     stepping = make_system(grid, np.eye(2), list(sys.Aj),
                            S0_t=lambda t: t * np.eye(2))
     return [("profiled", sys, _profiled(k)), ("per_site_M", sys, per_site),
-            ("per_site_post", sys, dataclasses.replace(k, post=post)),
+            ("per_site_post", sys, fold_output_op(k, post)),
             ("separable", sys, separable),
             ("site_varying_Aj", varying, k), ("site_varying_lapse", lapse, k),
             ("stepping", stepping, k), ("no_kernel", sys, None)]
@@ -804,8 +804,9 @@ def test_loop_basis_predicate():
     k = maxwell_kernel(sys.grid, lambda u: 1.0)
     assert k.translation_invariant
     assert dyson._runs_on_modes(sys, k, LocalSolver(sys, opts))
-    # a site-constant post and identity M terms keep the modes loop
-    one_post = dataclasses.replace(k, post=np.array([[2.0, 0.0], [0.0, 1.0]]))
+    # a site-constant output operator and identity M terms keep the modes
+    # loop
+    one_post = fold_output_op(k, np.array([[2.0, 0.0], [0.0, 1.0]]))
     bare = make_modulated(sys.grid, [ConvTerm(None, lambda z: 1.0, None)])
     for kern in (one_post, bare):
         assert kern.translation_invariant

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import per_site
+from conftest import fold_output_op, per_site
 from hypnl import kernels
 from hypnl.grids import GridError, Trajectory, make_grid, sample_trajectory
 from hypnl.kernels import (ConvTerm, KernelError, TimeKernel, adjoint,
@@ -16,7 +16,7 @@ from hypnl.kernels import (ConvTerm, KernelError, TimeKernel, adjoint,
                            make_separable, threshold_margin, weighted)
 from hypnl.scenarios import (DiracConfig, _dirac_potentials, dirac_kernel,
                              drude_lorentz, maxwell_kernel)
-from hypnl.systems import _fiber_apply, inner_weight, make_system
+from hypnl.systems import inner_weight, make_system
 
 
 def _grid():
@@ -151,8 +151,8 @@ def _oracle_case(name, g):
     if name == "dense_advanced_switch_on":
         return _rot_kernel(g, advanced=True, delta=0.5, switch_on=0.75)
     if name == "dense_post":
-        return dataclasses.replace(_rot_kernel(g, delta=0.5),
-                                   post=np.array([[1.0, 0.5j], [0.0, 2.0]]))
+        return fold_output_op(_rot_kernel(g, delta=0.5),
+                              np.array([[1.0, 0.5j], [0.0, 2.0]]))
     if name == "terms_two_sided":
         return make_modulated(g, _terms(g), delta=0.5)
     if name == "terms_retarded_switch_on":
@@ -169,7 +169,7 @@ def _oracle_case(name, g):
         post = np.stack([np.array([[1.0 + 0.1 * s, 0.3j], [0.0, 0.5]])
                          for s in range(g.sites)])
         k = make_modulated(g, _terms(g), delta=0.5, switch_on=0.0)
-        return adjoint(dataclasses.replace(k, post=post))
+        return adjoint(fold_output_op(k, post))
     raise ValueError(name)
 
 
@@ -284,14 +284,12 @@ def test_pair_apply_evaluates_terms():
 
 def test_adjoint_of_terms_is_pointwise_adjoint():
     """<a, B^+_{t,tau} b> = <B_{tau,t} a, b> at every sampled pair, for a
-    multi-term kernel with a per-site post folded in."""
+    multi-term kernel with a per-site output operator folded in."""
     g = _grid()
     post = np.stack([np.array([[2.0, 0.5j], [0.1 * s, 1.0]])
                      for s in range(g.sites)])
-    k = dataclasses.replace(make_modulated(g, _terms(g), delta=0.75),
-                            post=post)
+    k = fold_output_op(make_modulated(g, _terms(g), delta=0.75), post)
     ka = adjoint(k)
-    assert ka.post is None
     a, b = _traj(g, 18).values[:2]
     for t, tau in ((0.25, 0.5), (0.5, 0.25), (-0.3, 0.1), (1.0, 1.0)):
         lhs = np.vdot(a, ka.pair_apply(t, tau, b))
@@ -446,8 +444,7 @@ def _trapezoid_loop(k, tr):
                                    tr.values[j])
                     mv = mv if M[0] is None else mv * M[0][:, None]
                 out[i] += s * mv
-    return out if k.post is None else np.einsum(
-        "sfg,tsg->tsf", per_site(k.grid, k.post), out)
+    return out
 
 
 # the direct path against the plain trapezoid loop: the same products,
@@ -535,8 +532,7 @@ def _separable_full(k, tr, d=None):
     if d is not None:
         band = np.zeros((d + 1, F), dtype=complex)
         for gv, hv in pairs:
-            u = np.einsum("tsf,tsf->t", np.conj(tr.values),
-                          _fiber_apply(k.post, gv))
+            u = np.einsum("tsf,tsf->t", np.conj(tr.values), gv)
             v = np.einsum("tsf,tsf->t", np.conj(hv), tr.values) * dv
             for lag in range(min(d, F - 1) + 1):
                 band[lag, :F - lag] += u[:F - lag] * v[lag:]
@@ -555,7 +551,7 @@ def _separable_full(k, tr, d=None):
         s = P[j1c + 1] - P[j0c] - 0.5 * c[j0c] - 0.5 * c[j1c]
         s = np.where(live, s, 0.0) * tr.dt
         out += s[:, None, None] * gv
-    return _fiber_apply(k.post, out)
+    return out
 
 
 # (flags, g frames, h frames) on a 40-frame profile lattice from index -6;
@@ -596,13 +592,13 @@ def _span_kernel(name, rank, fiber):
 
 def _span_variants(k, g):
     """k, its adjoint (advanced where k is retarded), and k with a
-    per-site post and with the weighted (f, f) post."""
+    per-site output operator and with the weighted (f, f) one folded in."""
     f = g.fiber
     post = np.stack([np.eye(f) * (1.0 + 0.1 * s) + 0.3j * np.eye(f, k=1)
                      for s in range(g.sites)])
     A0 = np.eye(f) * 2.0 + 0.5j * (np.eye(f, k=1) - np.eye(f, k=-1))
     return {"plain": k, "adjoint": adjoint(k),
-            "post": dataclasses.replace(k, post=post),
+            "post": fold_output_op(k, post),
             "weighted": weighted(k, make_system(g, A0, [np.zeros((f, f))]))}
 
 
@@ -611,7 +607,8 @@ def _span_variants(k, g):
 @pytest.mark.parametrize("name", sorted(SPAN_CASES))
 def test_separable_spans_match_full_frames(name, rank, fiber):
     """apply_all and pair_band on the profile spans equal the full-frame
-    formulas bitwise, for every flag, with and without a post."""
+    formulas bitwise, for every flag, with and without an output
+    operator folded in."""
     g, k, tr = _span_kernel(name, rank, fiber)
     for variant, kv in _span_variants(k, g).items():
         assert np.array_equal(kv.apply_all(tr), _separable_full(kv, tr)), \
@@ -950,13 +947,28 @@ def test_estimate_bound_deterministic():
     assert e1.C_est == e2.C_est and e1.samples == e2.samples
 
 
-def _pair_sup_loop(V, Gg, Hh, times, idx, D):
-    """Reference for kernels._pair_sup: the per-pair double loop, one
-    _admissible call per pair."""
+def _window_frames(times, t_window):
+    """The frames of a profile lattice in a time window, by the filter
+    estimate_bound once applied."""
+    if t_window is None:
+        return np.arange(len(times))
+    return np.flatnonzero((times >= t_window[0] - 1e-12)
+                          & (times <= t_window[1] + 1e-12))
+
+
+def _frame_range(idx):
+    """(a, b) of the consecutive frames idx, (0, 0) for none."""
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _pair_sup_loop(V, Gg, Hh, lattice, a, b, D):
+    """Reference for kernels._pair_sup: the per-pair double loop over the
+    frames [a, b), one _admissible call per pair."""
+    times = lattice.times()
     best, n = 0.0, 0
-    for i in idx:
+    for i in range(a, b):
         t = float(times[i])
-        for j in idx:
+        for j in range(a, b):
             tau = float(times[j])
             if not V._admissible(t, tau):
                 continue
@@ -968,6 +980,44 @@ def _pair_sup_loop(V, Gg, Hh, times, idx, D):
             n += 1
             best = max(best, nrm / math.exp(-D * abs(tau) / 2.0))
     return best, n
+
+
+def _admissible_mask(V, t, tau):
+    """The float rule the kernels once decided lattice pairs by: whether
+    the flags admit each (t, tau) pair, arrays broadcast."""
+    eps = 1e-12 * (1.0 + np.abs(t) + np.abs(tau))
+    ok = np.ones(np.broadcast(t, tau).shape, dtype=bool)
+    if V.retarded:
+        ok &= ~(tau > t + eps)
+    if V.advanced:
+        ok &= ~(tau < t - eps)
+    if math.isfinite(V.delta):
+        ok &= ~(np.abs(t - tau) > V.delta + eps)
+    if math.isfinite(V.switch_on):
+        ok &= ~(tau < V.switch_on - eps)
+    return ok
+
+
+def _pair_sup_mask(V, Gg, Hh, times, idx, D):
+    """Reference for kernels._pair_sup: the float admissibility mask of all
+    pairs of the frames idx, as _pair_sup computed it before it read the
+    frame ranges of _slice_arrays."""
+    t = times[idx]
+    ok = _admissible_mask(V, t[:, None], t[None, :])
+    rows = np.flatnonzero(np.any(Gg[idx] != 0, axis=(1, 2)))
+    cols = np.flatnonzero(np.any(Hh[idx] != 0, axis=(1, 2)))
+    ii, jj = np.nonzero(ok[rows][:, cols])
+    count = int(np.count_nonzero(ok))
+    if ii.size == 0:
+        return 0.0, count
+    gi, hj = Gg[idx[rows[ii]]], Hh[idx[cols[jj]]]
+    if Gg.shape[1] == 1:
+        sq = (gi[:, 0, 0] * hj[:, 0, 0]).real
+    else:
+        sq = np.max(np.linalg.eigvals(gi @ hj).real, axis=-1)
+    decay = np.array([math.exp(-D * abs(float(tau)) / 2.0)
+                      for tau in t[cols]])
+    return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), count
 
 
 def _separable_case(rank, flags):
@@ -998,24 +1048,25 @@ SEPARABLE_BOUND_CASES = [
 
 
 def _pair_sup_case(rank, flags, window):
-    """(k, Gg, Hh, times, idx) with random Hermitian Gram data per frame."""
+    """(k, Gg, Hh, a, b) with random Hermitian Gram data per frame on the
+    profile lattice k.data["g"][0] and the window frames [a, b)."""
     _, k = _separable_case(rank, flags)
     rng = np.random.default_rng(np.random.Philox(7))
-    times = k.data["g"][0].times()
-    F = len(times)
+    F = k.data["g"][0].n_frames
     m = rng.standard_normal((2, F, rank, rank)) \
         + 1j * rng.standard_normal((2, F, rank, rank))
     Gg, Hh = (np.einsum("tab,tcb->tac", x, x.conj()) for x in m)
-    idx = np.arange(F) if window is None else np.arange(3, F - 5)
-    return k, Gg, Hh, times, idx
+    a, b = (0, F) if window is None else (3, F - 5)
+    return k, Gg, Hh, a, b
 
 
 @pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
 def test_pair_sup_matches_loop_bitwise(rank, flags, D, window):
     from hypnl.kernels import _pair_sup
-    k, Gg, Hh, times, idx = _pair_sup_case(rank, flags, window)
-    assert _pair_sup(k, Gg, Hh, times, idx, D) \
-        == _pair_sup_loop(k, Gg, Hh, times, idx, D)
+    k, Gg, Hh, a, b = _pair_sup_case(rank, flags, window)
+    lattice = k.data["g"][0]
+    assert _pair_sup(k, Gg, Hh, lattice, a, b, D) \
+        == _pair_sup_loop(k, Gg, Hh, lattice, a, b, D)
 
 
 @pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
@@ -1025,12 +1076,113 @@ def test_pair_sup_with_zero_frames_matches_loop_bitwise(rank, flags, D,
     where _pair_sup takes no norm: the sup and the count of every
     admissible pair are still the loop's."""
     from hypnl.kernels import _pair_sup
-    k, Gg, Hh, times, idx = _pair_sup_case(rank, flags, window)
-    F = len(times)
+    k, Gg, Hh, a, b = _pair_sup_case(rank, flags, window)
+    F = len(Gg)
     Gg[:F // 3] = 0.0
     Hh[F // 2:] = 0.0
-    assert _pair_sup(k, Gg, Hh, times, idx, D) \
-        == _pair_sup_loop(k, Gg, Hh, times, idx, D)
+    lattice = k.data["g"][0]
+    assert _pair_sup(k, Gg, Hh, lattice, a, b, D) \
+        == _pair_sup_loop(k, Gg, Hh, lattice, a, b, D)
+
+
+# flags of the lattice-rule test: every flag alone and combined, ranges and
+# switch-on times on the frame lattice (dt = 0.125) and off it
+LATTICE_FLAGS = [
+    {}, {"retarded": True}, {"advanced": True},
+    {"retarded": True, "advanced": True},
+    {"delta": 0.5}, {"delta": 0.3}, {"delta": 0.0625},
+    {"switch_on": 0.25}, {"switch_on": 0.3}, {"switch_on": 5.0},
+    {"retarded": True, "delta": 0.375, "switch_on": -0.2},
+    {"advanced": True, "delta": 0.6, "switch_on": 0.5},
+    {"retarded": True, "advanced": True, "delta": 0.25, "switch_on": 0.0},
+]
+
+# time windows on the lattice, off it, past its ends, and holding no frame
+LATTICE_WINDOWS = [None, (-0.5, 1.0), (-0.43, 0.91), (1.0, 9.0),
+                   (5.0, 6.0), (0.3, 0.32)]
+
+
+@pytest.mark.parametrize("zero_frames", [False, True])
+@pytest.mark.parametrize("t_window", LATTICE_WINDOWS)
+@pytest.mark.parametrize("flags", LATTICE_FLAGS)
+def test_pair_sup_lattice_rule_matches_float_mask(flags, t_window,
+                                                  zero_frames):
+    """The frame ranges of _slice_arrays admit the pairs the float mask
+    admitted: sup and count are bitwise the mask's, rank 1 and 2, with and
+    without zero Gram frames; a window that holds no frame gives (0.0, 0)."""
+    from hypnl.kernels import _pair_sup
+    for rank in (1, 2):
+        k, Gg, Hh, _, _ = _pair_sup_case(rank, {}, None)
+        V = dataclasses.replace(k, **flags)
+        if zero_frames:
+            Gg[:len(Gg) // 3] = 0.0
+            Hh[len(Hh) // 2:] = 0.0
+        lattice = V.data["g"][0]
+        idx = _window_frames(lattice.times(), t_window)
+        got = _pair_sup(V, Gg, Hh, lattice, *_frame_range(idx), 0.4)
+        assert got == _pair_sup_mask(V, Gg, Hh, lattice.times(), idx, 0.4)
+        if idx.size == 0:
+            assert got == (0.0, 0)
+
+
+def _assert_admissible_is_lattice_rule(k, tr):
+    """k._admissible at every pair of frame times of tr admits exactly the
+    tau frames [j0, j1] of k._slice_arrays(tr)."""
+    j0, j1 = k._slice_arrays(tr)
+    times = tr.times()
+    for i in range(tr.n_frames):
+        got = [k._admissible(float(times[i]), float(times[j]))
+               for j in range(tr.n_frames)]
+        assert got == [j0[i] <= j <= j1[i] for j in range(tr.n_frames)], i
+
+
+@pytest.mark.parametrize("flags", LATTICE_FLAGS)
+def test_admissible_agrees_with_the_lattice_rule(flags):
+    """On a lattice whose step and start are not binary fractions the scalar
+    test admits the pairs _slice_arrays does; the ranges are scaled to the
+    step."""
+    g = _grid()
+    scaled = {key: val * 0.8 if key in ("delta", "switch_on") else val
+              for key, val in flags.items()}
+    _assert_admissible_is_lattice_rule(
+        dataclasses.replace(_rot_kernel(g), **scaled),
+        _traj(g, 34, dt=0.1, index0=3, n=40))
+
+
+@pytest.mark.parametrize("shift", [-1e-14, 1e-14])
+def test_admissible_rounds_like_the_lattice_rule(shift):
+    """A range or a switch-on a round-off away from a lattice value admits
+    the frames the lattice rule does, in both directions."""
+    g = _grid()
+    tr = _traj(g, 35, dt=0.1, index0=3, n=30)
+    for flags in ({"delta": 4 * tr.dt + shift},
+                  {"switch_on": float(tr.times()[10]) + shift},
+                  {"retarded": True, "delta": 3 * tr.dt + shift}):
+        _assert_admissible_is_lattice_rule(
+            dataclasses.replace(_rot_kernel(g), **flags), tr)
+
+
+@pytest.mark.parametrize("t_window", LATTICE_WINDOWS)
+def test_estimate_bound_takes_the_window_frames(monkeypatch, t_window):
+    """estimate_bound hands _pair_sup the frames the time window holds; a
+    window that holds no profile frame gives C_est 0 and no samples."""
+    g, k = _separable_case(2, {"delta": 1.0})
+    sys = make_system(g, np.eye(2), [np.zeros((2, 2))])
+    est = estimate_bound(k, sys, probes=32, t_window=t_window, D=0.3)
+    idx = _window_frames(k.data["g"][0].times(), t_window)
+    seen = []
+    pair_sup = kernels._pair_sup
+
+    def recording(V, Gg, Hh, lattice, a, b, D):
+        seen.append((a, b))
+        return pair_sup(V, Gg, Hh, lattice, a, b, D)
+    monkeypatch.setattr(kernels, "_pair_sup", recording)
+    estimate_bound(k, sys, probes=32, t_window=t_window, D=0.3)
+    assert np.array_equal(np.arange(*seen[0]), idx)
+    if idx.size == 0:
+        assert (est.C_est, est.samples) == (0.0, 0)
+    else:
+        assert est.samples > 0
 
 
 @pytest.mark.parametrize("rank,flags,D,window", SEPARABLE_BOUND_CASES)
@@ -1074,11 +1226,12 @@ def _old_weight_transforms(sys):
 
 def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
     """Reference for estimate_bound: every coefficient and weight root as a
-    per-site stack, and the random-probe loop run for separable kernels too
-    (after the exact per-pair branch). Returns (C_est, samples)."""
+    per-site stack, A0^{-1} applied per site to the output of k (to each g,
+    and after each pair_apply), and the random-probe loop run for separable
+    kernels too (after the exact per-pair branch). Returns (C_est,
+    samples)."""
     g = sys.grid
-    V = dataclasses.replace(k, post=per_site(g, sys.A0_inv)) \
-        if k.post is None else k
+    A0_inv = per_site(g, sys.A0_inv)
     wroot, wiroot = _old_weight_transforms(sys)
     dv = g.cell_volume
 
@@ -1086,23 +1239,23 @@ def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
         tv = np.einsum("sfg,sg->sf", wroot, values)
         return math.sqrt(max((np.vdot(tv, tv) * dv).real, 0.0))
 
-    if V.kind == "separable":
-        times = V.data["g"][0].times()
-        sel = np.ones(len(times), dtype=bool) if t_window is None else (
-            (times >= t_window[0] - 1e-12) & (times <= t_window[1] + 1e-12))
-        idx = np.nonzero(sel)[0]
-        gtil = np.stack([np.einsum("sfg,tsg->tsf", V.post, ga.values)
-                         for ga in V.data["g"]])
-        htil = np.stack([ha.values for ha in V.data["h"]])
+    if k.kind == "separable":
+        lattice = k.data["g"][0]
+        times = lattice.times()
+        idx = _window_frames(times, t_window)
+        gtil = np.stack([np.einsum("sfg,tsg->tsf", A0_inv, ga.values)
+                         for ga in k.data["g"]])
+        htil = np.stack([ha.values for ha in k.data["h"]])
         gw = np.einsum("sfg,atsg->atsf", wroot, gtil)
         hw = np.einsum("sfg,atsg->atsf", wiroot, htil)
         Gg = np.einsum("atsf,btsf->tab", np.conj(gw), gw) * dv
         Hh = np.einsum("atsf,btsf->tab", np.conj(hw), hw) * dv
-        best, n_samples = kernels._pair_sup(V, Gg, Hh, times, idx, D)
+        best, n_samples = kernels._pair_sup(k, Gg, Hh, lattice,
+                                            *_frame_range(idx), D)
         pair_times = [(float(times[i]), float(times[j]))
                       for i in idx[:: max(1, len(idx) // 16)]
                       for j in idx[:: max(1, len(idx) // 16)]
-                      if V._admissible(float(times[i]), float(times[j]))]
+                      if k._admissible(float(times[i]), float(times[j]))]
     else:
         best, n_samples = 0.0, 0
         rng = np.random.Generator(np.random.Philox(seed))
@@ -1110,15 +1263,15 @@ def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
         pair_times = []
         while len(pair_times) < probes:
             t = float(rng.uniform(lo, hi))
-            if math.isfinite(V.delta):
-                tau = float(rng.uniform(max(lo, t - V.delta),
-                                        min(hi, t + V.delta)))
+            if math.isfinite(k.delta):
+                tau = float(rng.uniform(max(lo, t - k.delta),
+                                        min(hi, t + k.delta)))
             else:
                 tau = float(rng.uniform(lo, hi))
-            if V._admissible(t, tau):
+            if k._admissible(t, tau):
                 pair_times.append((t, tau))
         pair_times += [(t, t) for t in np.linspace(lo, hi, 9)
-                       if V._admissible(t, t)]
+                       if k._admissible(t, t)]
     rng = np.random.Generator(np.random.Philox(seed + 1))
     for t, tau in pair_times:
         for _ in range(4):
@@ -1128,7 +1281,7 @@ def _old_estimate_bound(k, sys, probes=32, t_window=None, D=0.0, seed=0):
             if n == 0:
                 continue
             psi /= n
-            out = V.pair_apply(t, tau, psi)
+            out = np.einsum("sfg,sg->sf", A0_inv, k.pair_apply(t, tau, psi))
             n_samples += 1
             best = max(best, h_norm(out) / math.exp(-D * abs(tau) / 2.0))
     return best, n_samples
@@ -1191,6 +1344,11 @@ def _weighted_dense_case():
     return k, _weighted_system(g), (0.0, 1.5)
 
 
+# A0^{-1} folded into each M against A0^{-1} applied after the kernel: the
+# probes' outputs round differently where A0 is not the identity
+WEIGHTED_PROBE_RTOL = 1e-14
+
+
 @pytest.mark.parametrize("case", [
     _counterexample_bound_case,
     lambda: _counterexample_bound_case(T=0.25, W=0.5, delta=0.25),
@@ -1201,53 +1359,165 @@ def _weighted_dense_case():
         "convolution_weighted", "dense_weighted"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_estimate_bound_matches_old(case, seed):
-    """C_est is bitwise that of the reference: the probes' one
-    standard_normal draw per pair is the stream of the reference's eight
-    normal draws."""
+    """C_est is that of the reference: the probes' one standard_normal draw
+    per pair is the stream of the reference's eight normal draws. Bitwise
+    where A0 is the identity, within WEIGHTED_PROBE_RTOL elsewhere."""
     k, sys, window = case()
     est = estimate_bound(k, sys, probes=32, t_window=window, seed=seed)
     C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, seed=seed)
-    assert est.C_est == C_ref
+    if sys.A0_inv is None:
+        assert est.C_est == C_ref
+    else:
+        assert est.C_est == pytest.approx(C_ref, rel=WEIGHTED_PROBE_RTOL,
+                                          abs=0)
     assert est.samples <= n_ref
 
 
-def test_weighted_post_takes_the_plan_form():
-    """A0 = I leaves post None; a site-constant A0 gives one (f, f) post
-    that applies as the per-site stack did, to round-off."""
+def _shared_M_kernel(g):
+    """_terms with a fourth term that shares the first term's M (after it)
+    and a fifth with the identity M."""
+    terms = _terms(g)
+    terms.insert(1, terms[0]._replace(c=lambda z: np.sin(z) + 0.5j))
+    terms.append(ConvTerm(np.cos, lambda z: np.exp(-z * z), None, None))
+    return make_modulated(g, terms, delta=0.5)
+
+
+@pytest.mark.parametrize("A0", ["site_constant", "per_site"])
+@pytest.mark.parametrize("kind", ["separable", "convolution"])
+def test_weighted_folds_A0_inverse_into_the_data(kind, A0):
+    """weighted(k, sys) is A0^{-1} B with A0^{-1} in the data: A0^{-1} g on
+    the same spans (h untouched), or (profile, A0^{-1} mat) for each
+    distinct M, shared M still shared; its apply_all and pair_apply are
+    A0^{-1} applied per site after k's, to round-off."""
     g = _grid()
-    k = make_modulated(g, _terms(g), delta=0.5)
-    assert weighted(k, make_system(g, np.eye(2), [np.zeros((2, 2))])) is k
-    A0 = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    sys = make_system(g, A0, [np.zeros((2, 2))])
+    sys = (_weighted_system(g) if A0 == "per_site" else
+           make_system(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]),
+                       [np.zeros((2, 2))]))
+    A0_inv = per_site(g, sys.A0_inv)
+    k = _sep_kernel(g) if kind == "separable" else _shared_M_kernel(g)
     wk = weighted(k, sys)
-    assert wk.post.shape == (2, 2)
-    stack = dataclasses.replace(k, post=per_site(g, sys.A0_inv))
+    assert weighted(k, make_system(g, np.eye(2), [np.zeros((2, 2))])) is k
+    if kind == "separable":
+        assert wk.data["h"] is k.data["h"]
+        assert (wk.data["g_span"], wk.data["h_span"]) \
+            == (k.data["g_span"], k.data["h_span"])
+        for new, old in zip(wk.data["g"], k.data["g"]):
+            ref = np.einsum("sfg,tsg->tsf", A0_inv, old.values)
+            np.testing.assert_allclose(new.values, ref, rtol=0,
+                                       atol=1e-15 * np.max(np.abs(ref)))
+    else:
+        old_M = [term.M for term in k.data["terms"]]
+        new_M = [term.M for term in wk.data["terms"]]
+        assert new_M[0] is new_M[1] and old_M[0] is old_M[1]
+        assert len({id(M) for M in new_M}) == len({id(M) for M in old_M})
+        for new, old in zip(new_M, old_M):
+            prof, mat = (None, None) if old is None else old
+            assert new[0] is prof
+            ref = np.einsum("sfg,sgh->sfh", A0_inv, per_site(g, mat))
+            np.testing.assert_allclose(per_site(g, new[1]), ref, rtol=0,
+                                       atol=1e-15 * np.max(np.abs(ref)))
+            assert new[1].ndim == (2 if A0 == "site_constant"
+                                   and (mat is None or mat.ndim == 2) else 3)
     tr = _traj(g, 32)
-    ref = stack.apply_all(tr)
+    ref = np.einsum("sfg,tsg->tsf", A0_inv, k.apply_all(tr))
     np.testing.assert_allclose(wk.apply_all(tr), ref, rtol=0,
                                atol=1e-14 * np.max(np.abs(ref)))
     v = tr.values[4]
-    ref = stack.pair_apply(0.5, 0.25, v)
+    ref = np.einsum("sfg,sg->sf", A0_inv, k.pair_apply(0.5, 0.25, v))
     np.testing.assert_allclose(wk.pair_apply(0.5, 0.25, v), ref, rtol=0,
                                atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_weighted_data_takes_the_plan_form():
+    """A0 = I gives k itself; a site-constant A0 folds one (f, f) matrix
+    into each M, so a translation-invariant kernel stays so."""
+    g = _grid()
+    k = make_modulated(g, [ConvTerm(None, np.cos, None, None),
+                           ConvTerm(None, np.sin, None,
+                                    (None, np.array([[0.0, 1.0],
+                                                     [1.0, 0.0]])))])
+    assert weighted(k, make_system(g, np.eye(2), [np.zeros((2, 2))])) is k
+    sys = make_system(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]),
+                      [np.zeros((2, 2))])
+    wk = weighted(k, sys)
+    assert all(term.M[1].shape == (2, 2) for term in wk.data["terms"])
+    assert k.translation_invariant and wk.translation_invariant
+    assert not weighted(k, _weighted_system(g)).translation_invariant
+
+
+@pytest.mark.parametrize("kind", ["separable", "convolution"])
+def test_estimate_bound_weights_data_that_carries_an_operator(kind):
+    """A kernel whose data already carries an operator P gets the C of
+    A0^{-1} P B: with P = I the C of B itself, and for a rank-one separable
+    kernel the exact max ||A0^{-1} P g_t||_W max ||h_tau||_{W^-1} (W = A0),
+    not the C of P B unweighted."""
+    g = _grid()
+    A0 = np.diag([4.0, 0.25])
+    sys = make_system(g, A0, [np.zeros((2, 2))])
+    if kind == "convolution":
+        k, _, window = _weighted_convolution_case()
+        for kern in (k, make_convolution(lambda u: math.exp(-u), None, g,
+                                         t0=0.0, delta_eff=0.75)):
+            C = estimate_bound(kern, sys, t_window=window).C_est
+            assert estimate_bound(fold_output_op(kern, np.eye(2)), sys,
+                                  t_window=window).C_est == C
+        return
+    k = _sep_kernel(g)
+    P = np.array([[1.0, 0.5j], [0.0, 2.0]])
+    dv = g.cell_volume
+
+    def w_norm(values, W):
+        return math.sqrt(max(
+            (np.einsum("sf,fg,sg->", np.conj(values), W, values) * dv).real,
+            0.0))
+
+    A0_inv = np.linalg.inv(A0)
+    g_max = max(w_norm(v @ (A0_inv @ P).T, A0) for v in k.data["g"][0].values)
+    h_max = max(w_norm(v, A0_inv) for v in k.data["h"][0].values)
+    C = estimate_bound(fold_output_op(k, P), sys).C_est
+    assert C == pytest.approx(g_max * h_max, rel=1e-12)
+    unweighted = max(w_norm(v @ P.T, A0) for v in k.data["g"][0].values)
+    assert C < 0.5 * unweighted * h_max
 
 
 @pytest.mark.parametrize("A0", [np.array([[2.0, 0.5j], [-0.5j, 1.0]]), None],
                          ids=["site_constant", "per_site"])
 def test_separable_adjoint_of_weighted_matches_old(A0):
-    """The adjoint's new h profiles are post g, as the double
+    """The adjoint's new h profiles are A0^{-1} g, as the double
     conjugate-transpose einsum computed them."""
     g = _grid()
     sys = (_weighted_system(g) if A0 is None
            else make_system(g, A0, [np.zeros((2, 2))]))
-    k = weighted(_sep_kernel(g), sys)
-    post = per_site(g, sys.A0_inv)
-    pd = np.conj(np.swapaxes(post, 1, 2))
-    for new, gp in zip(adjoint(k).data["h"], k.data["g"]):
+    k = _sep_kernel(g)
+    pd = np.conj(np.swapaxes(per_site(g, sys.A0_inv), 1, 2))
+    for new, gp in zip(adjoint(weighted(k, sys)).data["h"], k.data["g"]):
         ref = np.einsum("sfg,tsg->tsf", np.conj(np.swapaxes(pd, 1, 2)),
                         gp.values)
         np.testing.assert_allclose(new.values, ref, rtol=0,
                                    atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("P", ["site_constant", "per_site"])
+@pytest.mark.parametrize("kind", ["separable", "convolution"])
+def test_adjoint_of_folded_operator_is_adjoint_of_P_B(kind, P):
+    """With an output operator P folded into the data, the adjoint is that
+    of P applied after B: <a, (P B)^+_{t,tau} b> = <P B_{tau,t} a, b>, with
+    P applied per site after k's pair_apply."""
+    g = _grid()
+    Ps = (np.stack([np.array([[1.0 + 0.1 * s, 0.3j], [0.2, 0.5]])
+                    for s in range(g.sites)]) if P == "per_site"
+          else np.array([[1.0, 0.5j], [0.0, 2.0]]))
+    k = (_sep_kernel(g, delta=1.0, g_gate=lambda t: 0.0 <= t <= 0.75,
+                     h_gate=lambda t: 0.0 <= t <= 0.75)
+         if kind == "separable" else make_modulated(g, _terms(g), delta=0.75))
+    ka = adjoint(fold_output_op(k, Ps))
+    a, b = _traj(g, 33).values[:2]
+    for t, tau in ((0.25, 0.5), (0.5, 0.25), (0.125, 0.625), (0.75, 0.75)):
+        lhs = np.vdot(a, ka.pair_apply(t, tau, b))
+        rhs = np.vdot(np.einsum("sfg,sg->sf", per_site(g, Ps),
+                                k.pair_apply(tau, t, a)), b)
+        assert abs(rhs) > 1e-3
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
 
 @given(st.floats(0.01, 10.0), st.floats(0.01, 2.0))

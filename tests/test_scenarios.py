@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import fold_output_op
 from hypnl.grids import (Grid, StateField, Trajectory, diff4, frame_norms_sq,
                          make_grid, norm_strip, sample_trajectory)
 from hypnl.kernels import (ConvTerm, adjoint, make_modulated,
@@ -460,22 +461,23 @@ _POST = np.array([[1.0, 0.5j], [-0.25, 2.0]])
 
 def _surface_case(name, g, t_mid):
     """Kernels of every kind and flag combination on the Dirac grid; the
-    ones with a post carry a part of B_{t,t} that is not anti-Hermitian, so
-    the lag-0 pairs add to the product."""
+    ones with the output operator _POST folded in carry a part of B_{t,t}
+    that is not anti-Hermitian, so the lag-0 pairs add to the product."""
     cfg = DiracConfig(points=g.points, delta=0.25, T=0.5)
     _, chi_dot = drude_lorentz(2.0, 1.0, 2.0)
     if name == "dirac":
         return dirac_kernel(cfg, g)[0]
     if name == "dirac_post":
-        return dataclasses.replace(dirac_kernel(cfg, g)[0], post=_POST)
+        return fold_output_op(dirac_kernel(cfg, g)[0], _POST)
     if name == "retarded":
-        return dataclasses.replace(maxwell_kernel(g, chi_dot, 0.2),
-                                   post=_POST, switch_on=-math.inf)
+        return dataclasses.replace(
+            fold_output_op(maxwell_kernel(g, chi_dot, 0.2), _POST),
+            switch_on=-math.inf)
     if name == "advanced":
         return adjoint(maxwell_kernel(g, chi_dot, 0.3))
     if name == "switch_on":
-        return dataclasses.replace(dirac_kernel(cfg, g)[0], post=_POST,
-                                   switch_on=t_mid)
+        return dataclasses.replace(
+            fold_output_op(dirac_kernel(cfg, g)[0], _POST), switch_on=t_mid)
     if name in ("dense", "dense_retarded_switch_on"):
         # the operator these cases once gave as a callback of all (t, tau)
         # pairs, 20 (cos 3(t - tau) + i sin(t + tau + x)) M, as three terms
@@ -490,9 +492,9 @@ def _surface_case(name, g, t_mid):
                                   (np.exp(1j * sign * x), mat)))
         if name == "dense":
             return make_modulated(g, terms, delta=0.2)
-        return dataclasses.replace(
+        return fold_output_op(
             make_modulated(g, terms, retarded=True, delta=0.25,
-                           switch_on=t_mid), post=_POST)
+                           switch_on=t_mid), _POST)
     if name == "separable":
         x = g.coords()[:, 0]
 
@@ -506,7 +508,8 @@ def _surface_case(name, g, t_mid):
         prof = [sample_trajectory(g, fn, 0.25 * g.spacing, -40, 200)
                 for fn in (gfn, hfn)]
         k = make_separable(prof, prof[::-1])
-        return dataclasses.replace(k, delta=0.2, post=20.0 * _POST)
+        return dataclasses.replace(fold_output_op(k, 20.0 * _POST),
+                                   delta=0.2)
     raise ValueError(name)
 
 
