@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .grids import make_grid, StateField
-from .systems import PROFILES, SystemSpec, system_from_json, validate_system
+from .grids import StateField
+from .systems import PROFILES, system_from_json, validate_system
 from .systems import SystemError as SystemSpecError
 from .kernels import estimate_bound, threshold_margin
 from .solver import SolveOptions, solve_local
@@ -33,10 +33,9 @@ from .dyson import result_to_csv, result_to_json
 from .diagnostics import energy_identity, measure_D
 from .scenarios import (MAXWELL_MODES, CounterexampleConfig, DiracConfig,
                         MaxwellConfig, build_counterexample,
-                        counterexample_report, dirac_kernel, dirac_system,
-                        dirac_run, drude_lorentz, extended_system_check,
-                        maxwell_kernel, maxwell_system_1d, maxwell_system_3d,
-                        maxwell_run, bump)
+                        counterexample_report, dirac_problem, dirac_run,
+                        drude_lorentz, extended_system_check, maxwell_kernel,
+                        maxwell_problem, maxwell_run, bump)
 
 
 class ConfigError(ValueError):
@@ -63,8 +62,7 @@ _OPTION_TYPES = {
     "dirac": _option_types(DiracConfig),
     "extended_check": _option_types(extended_system_check),
     "custom": {"system": dict, "kernel": Optional[dict], "dt": float,
-               "cfl": float, "dissipation": float, "T": float,
-               "data_width": float},
+               "cfl": float, "T": float, "data_width": float},
 }
 
 _KERNEL_KEYS = {"kind", "chi0", "c1", "c2", "delta"}
@@ -200,7 +198,6 @@ _RANGES = {
     "dt": (lambda v: v > 0, "must be positive"),
     "T": (lambda v: v > 0, "must be positive"),
     "cfl": (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5]"),
-    "dissipation": (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]"),
     "points": (lambda v: v >= 8, "must be at least 8"),
     "delta": (lambda v: v > 0, "must be positive"),
     "n_pot": (lambda v: v >= 1, "must be at least 1"),
@@ -254,20 +251,17 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
             if kern.get("kind") not in ("none", "drude_lorentz"):
                 raise ConfigError(f"'{path}options.kernel.kind' must be "
                                   "'none' or 'drude_lorentz'")
-            # the memory acts on the first fiber // 2 components (the E
-            # field of maxwell_kernel): none at fiber 1
-            _require(kern["kind"] == "none"
-                     or options["system"]["grid"]["fiber"] >= 2,
-                     f"{path}options.kernel.kind", "drude_lorentz needs "
-                     "options.system.grid.fiber >= 2; at fiber 1 its memory "
-                     "is zero")
             for key in sorted(set(kern) - {"kind"}):
                 _require(_is_number(kern[key]), f"{path}options.kernel.{key}",
                          "must be a number")
-    return RunConfig(scenario=scenario,
-                     name=str(doc.get("name", scenario)),
-                     seed=int(doc.get("seed", 0)),
-                     options=dict(options), raw=doc, path=path)
+            _require(kern.get("delta", math.inf) > 0,
+                     f"{path}options.kernel.delta", "must be positive")
+    cfg = RunConfig(scenario=scenario, name=str(doc.get("name", scenario)),
+                    seed=int(doc.get("seed", 0)), options=dict(options),
+                    raw=doc, path=path)
+    if scenario == "custom":
+        _build_custom(cfg)      # what only the built run refuses, at load
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -295,31 +289,32 @@ def _seeded_options(cfg: RunConfig) -> dict:
     return opts
 
 
-def _custom_system(cfg: RunConfig) -> SystemSpec:
-    """The validated `options.system` of a custom config; what only the
-    built system can reject (A0 not Hermitian positive definite, a lapse
-    that is not positive) is a ConfigError on that path."""
+def _build_custom(cfg: RunConfig):
+    """(system, kernel-or-None, SolveOptions, T) for a custom config whose
+    keys and types are checked. What only the built run can refuse is a
+    ConfigError on its path: A0 not Hermitian positive definite, a lapse
+    that is not positive, v_max = 0 without options.dt, a drude_lorentz
+    memory on fiber 1 and T under 2 steps."""
+    opts = cfg.options
     try:
-        return system_from_json(cfg.options["system"])
+        sys_spec = system_from_json(opts["system"])
     except SystemSpecError as exc:
         raise ConfigError(f"'{cfg.path}options.system' {exc}") from exc
-
-
-def _build_custom(cfg: RunConfig):
-    """(system, kernel-or-None, SolveOptions, T) for a custom config."""
-    opts = cfg.options
-    sys_spec = _custom_system(cfg)
     dt = opts.get("dt")
     cfl = float(opts.get("cfl", 0.25))
     if dt is None:
         _require(sys_spec.v_max > 0, f"{cfg.path}options.dt",
                  "is required when the signal speed v_max is 0")
         dt = cfl * sys_spec.grid.spacing / sys_spec.v_max
-    sopts = SolveOptions(dt=float(dt), cfl=cfl,
-                         dissipation=float(opts.get("dissipation", 0.0)))
+    sopts = SolveOptions(dt=float(dt), cfl=cfl)
     kern = None
     kspec = opts.get("kernel")
     if kspec and kspec.get("kind") == "drude_lorentz":
+        # the memory acts on the first fiber // 2 components (the E field of
+        # maxwell_kernel): none at fiber 1
+        _require(sys_spec.grid.fiber >= 2, f"{cfg.path}options.kernel.kind",
+                 "drude_lorentz needs options.system.grid.fiber >= 2; at "
+                 "fiber 1 its memory is zero")
         _, chi_dot = drude_lorentz(float(kspec.get("chi0", 0.2)),
                                    float(kspec.get("c1", 1.0)),
                                    float(kspec.get("c2", 2.0)))
@@ -333,35 +328,23 @@ def _build_custom(cfg: RunConfig):
 
 
 def _bounds_subject(cfg: RunConfig):
-    """(system, kernel or None, delta, known C) for check-bounds / validate."""
+    """(system, kernel or None, known C or None) for check-bounds and
+    validate, built by the scenario's own builder."""
     opts = _seeded_options(cfg)
     if cfg.scenario == "dirac":
-        dcfg = DiracConfig(**opts)
-        grid = make_grid(1, dcfg.extent, dcfg.points, 2)
-        sys_spec = dirac_system(grid, dcfg.mass)
-        kern, C = dirac_kernel(dcfg, grid)
-        return sys_spec, kern, dcfg.delta, C
+        sys_spec, kern, C, _, _ = dirac_problem(DiracConfig(**opts))
+        return sys_spec, kern, C
     if cfg.scenario == "counterexample":
-        ccfg = CounterexampleConfig(**opts)
-        sys_spec, kern, _, _ = build_counterexample(ccfg)
-        return sys_spec, kern, ccfg.delta, None
-    if cfg.scenario == "maxwell":
+        sys_spec, kern, _, _ = build_counterexample(
+            CounterexampleConfig(**opts))
+    elif cfg.scenario == "maxwell":
         mcfg = MaxwellConfig(**opts)
-        if mcfg.mode in ("vacuum_3d", "constraints_3d"):
-            grid = make_grid(3, mcfg.extent, mcfg.points, 6)
-            sys_spec = maxwell_system_3d(grid)
-        else:
-            grid = make_grid(1, mcfg.extent, mcfg.points, 2)
-            sys_spec = maxwell_system_1d(grid)
-        _, chi_dot = drude_lorentz(mcfg.chi0, mcfg.c1, mcfg.c2)
-        kern = (None if mcfg.mode in ("vacuum_1d", "vacuum_3d")
-                else maxwell_kernel(grid, chi_dot))
-        return sys_spec, kern, math.inf, None
-    if cfg.scenario == "custom":
+        sys_spec, kern, _, _ = maxwell_problem(mcfg, mcfg.mode)
+    elif cfg.scenario == "custom":
         sys_spec, kern, _, _ = _build_custom(cfg)
-        delta = kern.delta if kern is not None else math.inf
-        return sys_spec, kern, delta, None
-    raise ConfigError(f"scenario {cfg.scenario!r} has no bound subject")
+    else:
+        raise ConfigError(f"scenario {cfg.scenario!r} has no bound subject")
+    return sys_spec, kern, None
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +456,7 @@ def _run_counterexample(cfg: RunConfig, outdir: str):
                    for e, f in rep["family"].items()},
         "cone_pass": bool(rep["diag_cone"].passed),
     }
-    consts = {"C_est": rep["C_est"], "D": rep["D"], "margin": rep["margin"]}
+    consts = {"C_est": rep["C_est"], "margin": rep["margin"]}
     consts.update(_result_constants(div))
     return doc, consts, failures
 
@@ -565,7 +548,7 @@ def _run_dirac(cfg: RunConfig, outdir: str):
     }
     if "drift_order" in rep:
         doc["drift_order"] = rep["drift_order"]
-    consts = {"C_est": rep["C_est"], "D": rep["D"], "margin": rep["margin"]}
+    consts = {"C_est": rep["C_est"], "margin": rep["margin"]}
     consts.update(_result_constants(res))
     return doc, consts, failures
 
@@ -670,22 +653,22 @@ def cmd_check_bounds(args) -> int:
     cfg = load_config(args.config)
     if cfg.members is not None:
         raise ConfigError("check-bounds takes a single-scenario config")
-    sys_spec, kern, delta, C_known = _bounds_subject(cfg)
+    sys_spec, kern, C_known = _bounds_subject(cfg)
     D = measure_D(sys_spec)
     if C_known is not None:
         C = C_known
     elif kern is None:
         C = 0.0         # as the Dyson loop takes it without a kernel
     else:
-        C = estimate_bound(kern, sys_spec, probes=32,
+        C = estimate_bound(kern, sys_spec,
                            t_window=(0.0, sys_spec.grid.extent),
                            seed=cfg.seed).C_est
     print(f"C_est {C:.6g}")
     print(f"D {D:.6g}")
     if kern is None:
         print("margin n/a (no kernel): the series is the local solve")
-    elif math.isfinite(delta):
-        margin = threshold_margin(C, delta)
+    elif math.isfinite(kern.delta):
+        margin = threshold_margin(C, kern.delta)
         print(f"margin {margin:.3f} "
               + ("< 1: convergent regime" if margin < 1.0
                  else ">= 1: outside the smallness threshold — refuse"))
@@ -711,7 +694,7 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     if cfg.members is not None:
         raise ConfigError("validate takes a single-scenario config")
-    sys_spec, _, _, _ = _bounds_subject(cfg)
+    sys_spec, _, _ = _bounds_subject(cfg)
     rep = validate_system(sys_spec, seed=cfg.seed)
     min_eig = min(e for _, e in rep.min_eig_samples)
     print(f"symmetric {rep.symmetric}")

@@ -137,18 +137,18 @@ def exponential_bound(sys: SystemSpec, tr: Trajectory, D: float, M: float,
                       tolerance=slack)
 
 
-def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0),
-              probes: int = 16) -> float:
+_D_TIMES = 16
+
+
+def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0)) -> float:
     """Uniform bound of the zero-order operator over the time window. The
     operator is a per-site multiplication, so its slice-norm is the max over
-    sites of the weight-conjugated matrix spectral norm — computed exactly;
-    `probes` only sets the time sampling density for time-dependent S0."""
-    if probes < 16:
-        raise DiagnosticsError("need at least 16 probes")
+    sites of the weight-conjugated matrix spectral norm — computed exactly,
+    at _D_TIMES evenly spaced times for a time-dependent S0."""
     if sys.constant_in_time:
         times = [0.0]
     else:
-        times = np.linspace(window[0], window[1], probes)
+        times = np.linspace(window[0], window[1], _D_TIMES)
     root, iroot = inner_weight(sys).roots()
     best = 0.0
     for t in times:

@@ -440,10 +440,10 @@ def _measure_constants(sys, k, phi, data, T, constants, window, seed):
     out = dict(constants or {})
     w = inner_weight(sys)
     if "D" not in out:
-        out["D"] = measure_D(sys, window=(window[0], window[1]), probes=16)
+        out["D"] = measure_D(sys, window=(window[0], window[1]))
     if "C_est" not in out:
-        out["C_est"] = estimate_bound(k, sys, probes=32, t_window=window,
-                                      D=0.0, seed=seed).C_est
+        out["C_est"] = estimate_bound(k, sys, t_window=window, D=0.0,
+                                      seed=seed).C_est
     if "M" not in out:
         m = norm_t(data, w)
         if phi is not None:

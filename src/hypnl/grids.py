@@ -355,18 +355,3 @@ def diff_upwind(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     out = v - np.roll(v, 1, axis=axis)
     return grid.flat(out / grid.spacing)
 
-
-def fourth_difference(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """Undivided 4th difference, the dissipation stencil."""
-    v = grid.shaped(values)
-    out = (np.roll(v, -2, axis=axis) - 4.0 * np.roll(v, -1, axis=axis)
-           + 6.0 * v - 4.0 * np.roll(v, 1, axis=axis) + np.roll(v, 2, axis=axis))
-    return grid.flat(out)
-
-
-def ko_dissipation(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
-    """Kreiss-Oliger term summed over axes: -eps/16 * D4 / dx per axis."""
-    out = np.zeros_like(values)
-    for ax in range(grid.dim):
-        out -= fourth_difference(grid, values, ax)
-    return (eps / (16.0 * grid.spacing)) * out

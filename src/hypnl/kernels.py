@@ -743,12 +743,15 @@ def _pair_sup(V: TimeKernel, Gg: np.ndarray, Hh: np.ndarray,
     return float(np.max(np.sqrt(np.maximum(sq, 0.0)) / decay[jj])), count
 
 
+_PROBE_PAIRS = 32
+
+
 def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
-               probes: int, D: float, seed: int) -> tuple:
+               D: float, seed: int) -> tuple:
     """(sup, count) of ||V_{t,tau} psi||_t e^{D|tau|/2} over 4 random unit
-    fields psi at each of `probes` random admissible pairs in the window and
-    at the admissible pairs (t, t) of 9 evenly spaced times, one pair at a
-    time; `wroot` is W^{1/2} in `_fiber_apply` form."""
+    fields psi at each of _PROBE_PAIRS random admissible pairs in the window
+    and at the admissible pairs (t, t) of 9 evenly spaced times, one pair at
+    a time; `wroot` is W^{1/2} in `_fiber_apply` form."""
     g = V.grid
     dv = g.cell_volume
     rng = np.random.Generator(np.random.Philox(seed))
@@ -756,7 +759,7 @@ def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
     if hi <= lo:
         raise KernelError("empty window")
     pair_times = []
-    while len(pair_times) < probes:
+    while len(pair_times) < _PROBE_PAIRS:
         t = float(rng.uniform(lo, hi))
         if math.isfinite(V.delta):
             tau = float(rng.uniform(max(lo, t - V.delta), min(hi, t + V.delta)))
@@ -788,7 +791,7 @@ def _probe_sup(V: TimeKernel, wroot: Optional[np.ndarray], t_window: tuple,
     return best, n_samples
 
 
-def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
+def estimate_bound(k: TimeKernel, sys: SystemSpec,
                    t_window: Optional[tuple] = None, D: float = 0.0,
                    seed: int = 0) -> BoundEstimate:
     """Estimate C = sup ||V_{t,tau} psi||_t / (e^{-D|tau|/2} ||psi||_tau) for
@@ -796,8 +799,6 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
     rank-r operator norm at every admissible pair of profile frames in the
     window (all frames without one), and `samples` counts those pairs. The
     convolution kind needs a window and is probed (see `_probe_sup`)."""
-    if probes < 16:
-        raise KernelError("need at least 16 probes")
     V = weighted(k, sys)
     wroot, wiroot = inner_weight(sys).roots()
     if V.kind == "separable":
@@ -815,7 +816,7 @@ def estimate_bound(k: TimeKernel, sys: SystemSpec, probes: int = 32,
     elif t_window is None:
         raise KernelError("non-separable kernels need an explicit window")
     else:
-        best, n_samples = _probe_sup(V, wroot, t_window, probes, D, seed)
+        best, n_samples = _probe_sup(V, wroot, t_window, D, seed)
     margin = threshold_margin(best, k.delta) if math.isfinite(k.delta) else INF
     return BoundEstimate(C_est=best, margin=margin, samples=n_samples,
                          decay_D=D, delta=k.delta)

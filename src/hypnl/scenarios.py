@@ -28,8 +28,7 @@ from .kernels import (ConvTerm, TimeKernel, _frame_span, estimate_bound,
                       threshold_margin)
 from .solver import SolveOptions, solve_local
 from .dyson import dyson_retarded, dyson_short_range, equation_defect
-from .diagnostics import (cone_violation, energy_identity, measure_D,
-                          support_mask)
+from .diagnostics import cone_violation, energy_identity, support_mask
 
 
 class ScenarioError(ValueError):
@@ -168,7 +167,7 @@ def counterexample_report(cfg: CounterexampleConfig,
     w = inner_weight(sys)
     dlt = cfg.delta
 
-    est = estimate_bound(k, sys, probes=32, t_window=(0.0, dlt), seed=cfg.seed)
+    est = estimate_bound(k, sys, t_window=(0.0, dlt), seed=cfg.seed)
     margin = threshold_margin(est.C_est, dlt)
 
     # witness: some t0 in (0, delta/2) has ||f_t0|| * ||f_dot_t0|| >= 2/delta^2
@@ -195,7 +194,7 @@ def counterexample_report(cfg: CounterexampleConfig,
                                 tol=cfg.tol, tol_residual=cfg.tol_residual,
                                 n_max=cfg.n_max, W=cfg.W,
                                 n_min=cfg.n_max + 1,
-                                constants={"C_est": est.C_est, "D": 0.0},
+                                constants={"C_est": est.C_est},
                                 monitor=pairing)
 
     # convergent geometric family against the closed form F / (1 - eps)
@@ -208,8 +207,7 @@ def counterexample_report(cfg: CounterexampleConfig,
                               tol=cfg.tol, tol_residual=cfg.tol_residual,
                               n_max=cfg.n_max, W=cfg.W,
                               constants={"C_est": eps * est.C_est / max(cfg.epsilon, 1e-300)
-                                         if cfg.epsilon > 0 else 0.0,
-                                         "D": 0.0})
+                                         if cfg.epsilon > 0 else 0.0})
         target = oracle.scaled(1.0 / (1.0 - eps))
         diff = r.partial_sum.plus(target.scaled(-1.0))
         rel = norm_strip(diff, w) / norm_strip(target, w)
@@ -229,7 +227,6 @@ def counterexample_report(cfg: CounterexampleConfig,
         "obstruction_pairings": obstruction,
         "family": family,
         "diag_cone": cone,
-        "D": measure_D(sys),
     }
 
 
@@ -342,22 +339,40 @@ class MaxwellConfig:
     seed: int = 0
 
 
-def _opts_for(grid: Grid, cfg: MaxwellConfig) -> SolveOptions:
-    if cfg.dt is not None:
-        return SolveOptions(dt=cfg.dt, cfl=cfg.cfl)
-    return SolveOptions(dt=cfg.cfl * grid.spacing, cfl=cfg.cfl)
+def maxwell_problem(cfg: MaxwellConfig, mode: str) -> tuple:
+    """(system, kernel or None, SolveOptions, T on the dt lattice) of the
+    Maxwell mode `mode`: the 3D modes on a fiber-6 torus, the others on a
+    fiber-2 line; the Drude-Lorentz memory for constraints_3d and volterra,
+    none for the vacuum modes. T defaults to one crossing (the extent) at
+    dt = cfl dx, and for volterra to 5 at dt = T / 8192."""
+    if mode not in MAXWELL_MODES:
+        raise ScenarioError(f"unknown Maxwell mode {mode!r}")
+    if mode in ("vacuum_3d", "constraints_3d"):
+        grid = make_grid(3, cfg.extent, cfg.points, 6)
+        sys = maxwell_system_3d(grid)
+    else:
+        grid = make_grid(1, cfg.extent, cfg.points, 2)
+        sys = maxwell_system_1d(grid)
+    kern = None
+    if mode in ("constraints_3d", "volterra"):
+        _, chi_dot = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
+        kern = maxwell_kernel(grid, chi_dot)
+    if mode == "volterra":
+        T = cfg.T if cfg.T is not None else 5.0
+        dt = cfg.dt if cfg.dt is not None else T / 8192
+    else:
+        T = cfg.T if cfg.T is not None else cfg.extent
+        dt = cfg.dt if cfg.dt is not None else cfg.cfl * grid.spacing
+    return sys, kern, SolveOptions(dt=dt, cfl=cfg.cfl), round(T / dt) * dt
 
 
 def maxwell_vacuum_1d(cfg: MaxwellConfig) -> dict:
     """chi = 0 plane wave over one crossing, against the exact travelling
     wave E_y = B_z = cos(k (x - t))."""
-    grid = make_grid(1, cfg.extent, cfg.points, 2)
-    sys = maxwell_system_1d(grid)
-    opts = _opts_for(grid, cfg)
+    sys, _, opts, T = maxwell_problem(cfg, "vacuum_1d")
+    grid = sys.grid
     k_wave = 2.0 * math.pi * cfg.mode_index / cfg.extent
     x = grid.coords()[:, 0]
-    T = cfg.T if cfg.T is not None else cfg.extent
-    T = round(T / opts.dt) * opts.dt
 
     def exact(t):
         c = np.cos(k_wave * (x - t))
@@ -377,14 +392,11 @@ def maxwell_vacuum_1d(cfg: MaxwellConfig) -> dict:
 def maxwell_vacuum_3d(cfg: MaxwellConfig) -> dict:
     """chi = 0 plane wave along x on the 3D torus, checked against the
     dispersion-corrected semi-discrete wave; the continuum gap is reported."""
-    grid = make_grid(3, cfg.extent, cfg.points, 6)
-    sys = maxwell_system_3d(grid)
-    opts = _opts_for(grid, cfg)
+    sys, _, opts, T = maxwell_problem(cfg, "vacuum_3d")
+    grid = sys.grid
     kx = 2.0 * math.pi * cfg.mode_index / cfg.extent
     kt = stencil_wavenumber(kx, grid.spacing)
     x = grid.coords()[:, 0]
-    T = cfg.T if cfg.T is not None else cfg.extent
-    T = round(T / opts.dt) * opts.dt
 
     def wave(t, omega):
         v = np.zeros((grid.sites, 6))
@@ -428,13 +440,9 @@ def maxwell_constraints_3d(cfg: MaxwellConfig) -> dict:
     """Dispersive run with rho = j = 0 and stencil-divergence-free data.
     Monitors the nonlocal Gauss constraint divE + int chi(t-tau) divE dtau
     and the divB drift over one crossing."""
-    grid = make_grid(3, cfg.extent, cfg.points, 6)
-    sys = maxwell_system_3d(grid)
-    opts = _opts_for(grid, cfg)
-    chi, chi_dot = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
-    kern = maxwell_kernel(grid, chi_dot)
-    T = cfg.T if cfg.T is not None else cfg.extent
-    T = round(T / opts.dt) * opts.dt
+    sys, kern, opts, T = maxwell_problem(cfg, "constraints_3d")
+    grid = sys.grid
+    chi, _ = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
 
     vals = random_divfree_data(grid, cfg.seed)
     vals /= np.max(np.abs(vals))
@@ -488,17 +496,12 @@ def maxwell_volterra(cfg: MaxwellConfig) -> dict:
     """Constant fields on the torus: B stays constant, E obeys the scalar
     Volterra equation; matched against the independent dense-quadrature
     solver on a twice-finer lattice."""
-    grid = make_grid(1, cfg.extent, max(cfg.points, 8), 2)
-    sys = maxwell_system_1d(grid)
-    T = cfg.T if cfg.T is not None else 5.0
-    dt = cfg.dt if cfg.dt is not None else T / 8192
-    opts = SolveOptions(dt=dt, cfl=cfg.cfl)
+    sys, kern, opts, T = maxwell_problem(cfg, "volterra")
+    grid, dt = sys.grid, opts.dt
     _, chi_dot = drude_lorentz(cfg.chi0, cfg.c1, cfg.c2)
-    kern = maxwell_kernel(grid, chi_dot)
     vals = np.zeros((grid.sites, 2), dtype=complex)
     vals[:, 0] = 1.0
     data = StateField(grid, 0.0, vals)
-    T = round(T / dt) * dt
     res = dyson_retarded(sys, kern, None, data, T, opts, tol=cfg.tol,
                          tol_residual=cfg.tol_residual, n_max=cfg.n_max,
                          seed=cfg.seed)
@@ -793,19 +796,25 @@ def _dirac_data(grid: Grid) -> StateField:
     return StateField(grid, 0.0, vals.astype(complex))
 
 
-def _dirac_single(cfg: DiracConfig) -> dict:
+def dirac_problem(cfg: DiracConfig) -> tuple:
+    """(system, kernel, its exact C, SolveOptions, T on the dt lattice) of
+    the Dirac scenario: dt = cfl dx on a fiber-2 line."""
     grid = make_grid(1, cfg.extent, cfg.points, 2)
     sys = dirac_system(grid, cfg.mass)
     opts = SolveOptions(dt=cfg.cfl * grid.spacing, cfl=cfg.cfl)
     kern, C_exact = dirac_kernel(cfg, grid)
+    return sys, kern, C_exact, opts, round(cfg.T / opts.dt) * opts.dt
+
+
+def _dirac_single(cfg: DiracConfig, problem: tuple) -> dict:
+    """The nonlocal run and surface-layer series of a dirac_problem."""
+    sys, kern, C_exact, opts, T = problem
     margin = threshold_margin(C_exact, cfg.delta)
-    data = _dirac_data(grid)
-    T = round(cfg.T / opts.dt) * opts.dt
+    data = _dirac_data(sys.grid)
     res = dyson_short_range(sys, kern, None, data, T, opts, tol=cfg.tol,
                             tol_residual=cfg.tol_residual, n_max=cfg.n_max,
                             W=cfg.n_max * cfg.delta,
-                            constants={"C_est": C_exact, "D": 0.0},
-                            seed=cfg.seed)
+                            constants={"C_est": C_exact}, seed=cfg.seed)
     tr = res.partial_sum
     w = inner_weight(sys)
 
@@ -844,13 +853,12 @@ def _dirac_single(cfg: DiracConfig) -> dict:
 def dirac_run(cfg: DiracConfig) -> dict:
     """Free-run conservation, the converged nonlocal run, and the conserved
     surface-layer product (with an optional coarse run for the drift order)."""
-    grid = make_grid(1, cfg.extent, cfg.points, 2)
-    sys = dirac_system(grid, cfg.mass)
-    opts = SolveOptions(dt=cfg.cfl * grid.spacing, cfl=cfg.cfl)
+    problem = dirac_problem(cfg)
+    sys, kern, _, opts, _ = problem
     w = inner_weight(sys)
 
     # free run over one crossing
-    data = _dirac_data(grid)
+    data = _dirac_data(sys.grid)
     T_cross = round(cfg.extent / opts.dt) * opts.dt
     free = solve_local(sys, None, data, 0.0, T_cross, opts)
     nsq = frame_norms_sq(free, w)
@@ -858,19 +866,18 @@ def dirac_run(cfg: DiracConfig) -> dict:
     free_energy = energy_identity(sys, free, None, tolerance=math.inf)
     del free    # released before the nonlocal run
 
-    out = _dirac_single(cfg)
+    out = _dirac_single(cfg, problem)
     out.update({
         "clifford_defect": clifford_defect(),
         "spin_symmetry_defect": spin_symmetry_defect(),
-        "kernel_symmetry_defect": kernel_symmetry_defect(out["kernel"], grid),
+        "kernel_symmetry_defect": kernel_symmetry_defect(kern, sys.grid),
         "free_norm_drift": free_drift,
         "free_energy": free_energy,
-        "D": measure_D(sys),
     })
     if cfg.refine:
         coarse_cfg = DiracConfig(**{**cfg.__dict__, "points": cfg.points // 2,
                                     "refine": False})
-        coarse = _dirac_single(coarse_cfg)
+        coarse = _dirac_single(coarse_cfg, dirac_problem(coarse_cfg))
         out["drift_order"] = (math.log(coarse["surface_drift"]
                                        / out["surface_drift"]) / math.log(2.0)
                               if out["surface_drift"] > 0 else math.inf)

@@ -15,26 +15,25 @@ d_t psi = -psi from psi = 1 by 2^4.0
 Backward solves (t1 < t0) are supported; frames are always returned in
 increasing-time order on the integer lattice i * dt.
 
-A solve takes one of two paths; the system and the dissipation alone
-choose it, and there is no setting:
+A solve takes one of two paths; the system alone chooses it, and there is
+no setting:
 
-* Linear recurrence (no S0_t, and either no spatial term and no dissipation,
-  or every coefficient the same at every site): one RK4 step of the linear
+* Linear recurrence (no S0_t, and either no spatial term or every
+  coefficient the same at every site): one RK4 step of the linear
   autonomous system is exactly y+ = R y + P0 s_n + P1 s_n+1, block-diagonal
   on the sites or on the Fourier modes of the torus. R, P0 and P1 are built
   once per LocalSolver and direction, the data and source frames are
   transformed once per solve, each step is one batched matvec and one add,
   and the frames are transformed back once. A state-free system (no live A^j,
-  no S0, no dissipation) is its L = 0 case on the sites: R = I,
-  P0 = P1 = (h/2) I, and a step with one end in the source window adds
-  (h/6) s, so the frames are the data plus one cumulative sum of these
-  increments, without a per-step loop. The frames agree with the per-step
-  loop to round-off: below 1e-14 of the largest frame value, tested at
-  1e-13.
-* Stepping (a time-dependent S0, or a spatial term or dissipation with a
-  coefficient that varies by site): the RK4 loop, each stage applying the
-  coefficients, writing each frame into one preallocated array; bitwise
-  equal to the per-step loop.
+  no S0) is its L = 0 case on the sites: R = I, P0 = P1 = (h/2) I, and a
+  step with one end in the source window adds (h/6) s, so the frames are
+  the data plus one cumulative sum of these increments, without a per-step
+  loop. The frames agree with the per-step loop to round-off: below 1e-14
+  of the largest frame value, tested at 1e-13.
+* Stepping (a time-dependent S0, or a spatial term with a coefficient that
+  varies by site): the RK4 loop, each stage applying the coefficients,
+  writing each frame into one preallocated array; bitwise equal to the
+  per-step loop.
 
 Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
@@ -63,7 +62,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .grids import (_CHUNK_VALUES, Grid, StateField, Trajectory,
-                    ko_dissipation, mode_axes, stencil_symbols, to_modes)
+                    stencil_symbols, to_modes)
 from .systems import SystemSpec, _fiber_apply, evolution_rhs
 
 
@@ -84,15 +83,12 @@ class SolveAborted(SolverError):
 class SolveOptions:
     dt: float
     cfl: float = 0.25
-    dissipation: float = 0.0     # Kreiss-Oliger eps in [0, 0.5]
 
     def __post_init__(self):
         if self.dt <= 0:
             raise SolverError("dt must be positive")
         if not (0 < self.cfl <= 0.5):
             raise SolverError("cfl must lie in (0, 0.5]")
-        if not (0.0 <= self.dissipation <= 0.5):
-            raise SolverError("dissipation must lie in [0, 0.5]")
 
 
 def check_cfl(sys: SystemSpec, opts: SolveOptions) -> None:
@@ -112,24 +108,16 @@ def _lattice_index(t: float, dt: float) -> int:
     return i
 
 
-def _rhs(sys: SystemSpec, y: np.ndarray, t: float,
-         source: Optional[np.ndarray], eps: float) -> np.ndarray:
-    out = evolution_rhs(sys, y, t, source)
-    if eps > 0.0:
-        out = out + ko_dissipation(sys.grid, y, eps)
-    return out
-
-
 def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
-              src: tuple, eps: float, out: np.ndarray) -> np.ndarray:
+              src: tuple, out: np.ndarray) -> np.ndarray:
     """One RK4 step from y at t, written into `out`; `src` holds the source
     at t, t + h/2 (shared by the k2 and k3 stages) and t + h, None where it
     is zero."""
     s_t, s_mid, s_end = src
-    k1 = _rhs(sys, y, t, s_t, eps)
-    k2 = _rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, s_mid, eps)
-    k3 = _rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, s_mid, eps)
-    k4 = _rhs(sys, y + h * k3, t + h, s_end, eps)
+    k1 = evolution_rhs(sys, y, t, s_t)
+    k2 = evolution_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, s_mid)
+    k3 = evolution_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, s_mid)
+    k4 = evolution_rhs(sys, y + h * k3, t + h, s_end)
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place
     k2 *= 2.0
     k3 *= 2.0
@@ -140,16 +128,16 @@ def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
     return np.add(y, k1, out=out)
 
 
-def _basis(sys: SystemSpec, eps: float) -> Optional[str]:
+def _basis(sys: SystemSpec) -> Optional[str]:
     """The basis in which the system is a linear autonomous recurrence that
-    does not couple its blocks: "sites" when it has no spatial term and no
-    dissipation (with no S0 either, L = 0: see _source_integral), "modes"
-    (Fourier modes of the torus) when every coefficient is the same at every
-    site, None when it has to step (a time-dependent S0, or a spatial term
-    or dissipation with a coefficient that varies by site)."""
+    does not couple its blocks: "sites" when it has no spatial term (with no
+    S0 either, L = 0: see _source_integral), "modes" (Fourier modes of the
+    torus) when every coefficient is the same at every site, None when it has
+    to step (a time-dependent S0, or a spatial term with a coefficient that
+    varies by site)."""
     if sys.S0_t is not None:
         return None
-    if not sys.live and eps == 0.0:
+    if not sys.live:
         return "sites"
     coeffs = (sys.A0_inv, sys.S0) + tuple(sys.Aj[j] for j, _ in sys.live)
     if all(c is None or c.ndim == 2 for c in coeffs):
@@ -164,18 +152,16 @@ def _transform(grid: Grid, basis: str, values: np.ndarray,
     return values if basis == "sites" else to_modes(grid, values, inverse)
 
 
-def _generator(sys: SystemSpec, eps: float, basis: str,
+def _generator(sys: SystemSpec, basis: str,
                modes: slice = slice(None)) -> np.ndarray:
     """L of the semi-discrete system d_t y = L y + A0^{-1} source in the
     basis, in `_fiber_apply` form. On the Fourier modes (those in `modes`,
     in np.fft.fftn order),
 
-        L(k) = A0^{-1} (S0 - i sum_j sigma(theta_j) A^j)
-               - (eps / dx) sum_j sin^4(theta_j / 2) I,
+        L(k) = A0^{-1} (S0 - i sum_j sigma(theta_j) A^j),
 
     with i sigma the stencil symbol (`grids.stencil_symbols`) and
-    theta_j = 2 pi m_j / points; the last term is the Kreiss-Oliger
-    dissipation."""
+    theta_j = 2 pi m_j / points."""
     g = sys.grid
     f = g.fiber
     a0_inv = np.eye(f) if sys.A0_inv is None else sys.A0_inv
@@ -189,10 +175,6 @@ def _generator(sys: SystemSpec, eps: float, basis: str,
         a = sys.Aj[j]
         m = a0_inv if a is None else a0_inv @ a
         out -= symbols[j][:, None, None] * m
-    if eps > 0.0:
-        theta = mode_axes(g)[:, modes]
-        ko = (eps / g.spacing) * np.sum(np.sin(0.5 * theta) ** 4, axis=0)
-        out[:, np.arange(f), np.arange(f)] -= ko[:, None]
     return out
 
 
@@ -217,19 +199,18 @@ def _rk4_polys(z: np.ndarray, h: float) -> np.ndarray:
                      c * (3.0 * eye + z + 0.25 * z2)])
 
 
-def _step_matrices(sys: SystemSpec, eps: float, basis: str,
-                   h: float) -> np.ndarray:
+def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
     """(R, P0, P1) of the system in the basis (see _rk4_polys); on the modes
     they are formed for chunks of modes, so that only the result is the size
     of a per-mode stack."""
     if basis == "sites":
-        return _rk4_polys(_generator(sys, eps, basis), h)
+        return _rk4_polys(_generator(sys, basis), h)
     g = sys.grid
     out = np.empty((3, g.sites, g.fiber, g.fiber), dtype=complex)
     step = max(1, _CHUNK_VALUES // g.fiber ** 2)
     for a in range(0, g.sites, step):
         modes = slice(a, a + step)
-        out[:, modes] = _rk4_polys(_generator(sys, eps, basis, modes), h)
+        out[:, modes] = _rk4_polys(_generator(sys, basis, modes), h)
     return out
 
 
@@ -419,7 +400,7 @@ class LocalSolver:
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
         self.sys, self.opts = sys, opts
-        self.basis = _basis(sys, opts.dissipation)
+        self.basis = _basis(sys)
         self._mats: dict = {}         # direction -> (R, P0, P1)
 
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
@@ -440,7 +421,6 @@ class LocalSolver:
         i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
         if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
             raise SolverError(f"source lattice dt={phi.dt} != solver dt={dt}")
-        eps = opts.dissipation
         n_steps = abs(i1 - i0)
         sgn = 1 if i1 >= i0 else -1
         h = sgn * dt
@@ -455,7 +435,7 @@ class LocalSolver:
                                         n_steps, stored)
             else:
                 if sgn not in self._mats:
-                    self._mats[sgn] = _step_matrices(sys, eps, self.basis, h)
+                    self._mats[sgn] = _step_matrices(sys, self.basis, h)
                 n_ok = _recurrence(sys, phi, data,
                                    "sites" if in_basis else self.basis,
                                    self._mats[sgn], h, i0, sgn, n_steps,
@@ -469,7 +449,7 @@ class LocalSolver:
         t = ((i0 + sgn * np.arange(n_steps)) * dt).tolist()
         sources = _step_sources(phi, i0, sgn, n_steps)
         for s, (ts, src) in enumerate(zip(t, sources)):
-            y = _rk4_step(sys, y, ts, h, src, eps, stored[s + 1])
+            y = _rk4_step(sys, y, ts, h, src, stored[s + 1])
             if not np.all(np.isfinite(y.view(float))):
                 raise _aborted(sys, opts, i0, sgn, s, stored[:s + 1][::sgn])
         return _stored(sys, opts, i0, sgn, vals)[0]

@@ -2,11 +2,12 @@
 deleted ones stay deleted."""
 
 import dataclasses
+import inspect
 
 import pytest
 
 import hypnl
-from hypnl import diagnostics, grids, kernels, solver, systems
+from hypnl import diagnostics, grids, kernels, scenarios, solver, systems
 
 
 def test_every_exported_name_resolves():
@@ -24,6 +25,8 @@ def test_every_exported_name_resolves():
     (diagnostics.DiagReport, "to_json"),
     (hypnl, "system_to_json"), (systems, "system_to_json"),
     (systems, "_coeff_to_json"), (systems, "_matrix_to_json"),
+    (grids, "ko_dissipation"), (grids, "fourth_difference"),
+    (solver, "_rhs"), (scenarios, "_opts_for"),
 ])
 def test_deleted_name_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -33,4 +36,10 @@ def test_deleted_name_is_gone(owner, name):
 
 def test_solve_options_have_no_store_every():
     fields = {f.name for f in dataclasses.fields(solver.SolveOptions)}
-    assert fields == {"dt", "cfl", "dissipation"}
+    assert fields == {"dt", "cfl"}
+
+
+@pytest.mark.parametrize("fn", [kernels.estimate_bound,
+                                diagnostics.measure_D])
+def test_probe_count_is_not_a_parameter(fn):
+    assert "probes" not in inspect.signature(fn).parameters

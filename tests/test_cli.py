@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hypnl.cli import (ConfigError, _custom_system, _validate_doc, cli_run,
-                       config_hash, load_config)
-from hypnl.systems import SystemSpec, system_from_json
+from hypnl.cli import (ConfigError, _validate_doc, cli_run, config_hash,
+                       load_config)
+from hypnl.systems import system_from_json
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -144,8 +144,6 @@ def test_invalid_system_reports_field_path(tmp_path, edit, path):
           ("dt", -0.01, "must be positive"),
           ("cfl", 0, r"must lie in \(0, 0\.5\]"),
           ("cfl", 0.6, r"must lie in \(0, 0\.5\]"),
-          ("dissipation", -0.1, r"must lie in \[0, 0\.5\]"),
-          ("dissipation", 0.7, r"must lie in \[0, 0\.5\]"),
           ("T", 0, "must be positive"),
           ("T", -1.0, "must be positive"),
           ("T", 10 ** 400, "must be a number"))),
@@ -378,6 +376,66 @@ def test_custom_run_with_zero_signal_speed_needs_dt(tmp_path, capsys):
     assert err.startswith("config error: 'options.dt' is required"), err
     assert cli_run(["run", "--config", _write(tmp_path, _ode_doc(dt=0.0625)),
                     "--out", out]) == 0
+
+
+def _negative_A0_doc(name="negative-A0"):
+    doc = _base_doc()
+    doc["name"] = name
+    doc["options"]["system"]["A0"] = {"matrix": [[[-1.0, 0.0]]]}
+    return doc
+
+
+def _kernel_doc(**kernel):
+    doc = _base_doc()
+    doc["options"]["system"]["grid"]["fiber"] = 2
+    doc["options"]["system"]["A0"] = {"matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                 [[0.0, 0.0], [1.0, 0.0]]]}
+    doc["options"]["system"]["Aj"] = copy.deepcopy(
+        [doc["options"]["system"]["A0"]])
+    doc["options"]["kernel"] = {"kind": "drude_lorentz", **kernel}
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_negative_A0_doc(), "'options.system' A0 not positive definite"),
+    (_ode_doc(), "'options.dt' is required"),
+    (_ode_doc(dt=0.0625, T=0.09), "'options.T' is 1 step(s)"),
+    (_kernel_doc(delta=0.0), "'options.kernel.delta' must be positive"),
+], ids=["A0", "v_max=0", "T=1step", "kernel.delta=0"])
+def test_unbuildable_custom_config_fails_at_load(tmp_path, doc, message):
+    """What only the built run can refuse is refused by load_config, with
+    the field path: the custom run is built once at load."""
+    with pytest.raises(ConfigError) as exc:
+        load_config(_write(tmp_path, doc))
+    assert str(exc.value).startswith(message), str(exc.value)
+
+
+def test_unbuildable_batch_member_fails_before_any_member_runs(tmp_path,
+                                                                capsys):
+    """A batch whose second member cannot be built fails at load, naming
+    the member's path, and writes nothing. It used to run the first member,
+    write its outputs, and then exit 1 without a batch manifest."""
+    doc = {"schema": 1, "name": "batch",
+           "members": [_base_doc(), _negative_A0_doc()]}
+    path = _write(tmp_path, doc)
+    message = "'members[1].options.system' A0 not positive definite"
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == message
+    out = tmp_path / "out"
+    assert cli_run(["run", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_dissipation_option_is_refused_at_load(tmp_path):
+    """The solver solves the paper's operator only: an artificial
+    dissipation is no longer an option."""
+    doc = _base_doc()
+    doc["options"]["dissipation"] = 0.1
+    with pytest.raises(ConfigError,
+                       match=r"^unknown key 'options\.dissipation'$"):
+        load_config(_write(tmp_path, doc))
 
 
 @pytest.mark.parametrize("doc,steps", [
@@ -617,11 +675,6 @@ def _names_a_field(doc, message: str) -> bool:
     return True
 
 
-def _small_system(spec) -> bool:
-    g = spec["grid"]
-    return g["points"] ** g["dim"] * g["fiber"] ** 2 <= 1 << 14
-
-
 def _edited(base, edit):
     doc = copy.deepcopy(_FUZZ_BASES[base])
     edit(doc)
@@ -645,22 +698,10 @@ def _system_params(doc, **params):
 @example(_edited(4, lambda d: _system_params(d, c0=1e308, c1=1e308)))
 def test_fuzzed_config_rejected_with_field_path(doc):
     """Mutated configs (values replaced by arbitrary JSON, keys deleted or
-    added): _validate_doc and the custom-system loader either accept or
-    raise a ConfigError naming a field path of the document, never a
-    KeyError, TypeError or other exception."""
+    added): _validate_doc, which also builds every custom run, either
+    accepts or raises a ConfigError naming a field path of the document,
+    never a KeyError, TypeError or other exception."""
     try:
-        cfg = _validate_doc(doc)
+        _validate_doc(doc)
     except ConfigError as exc:
         assert _names_a_field(doc, str(exc)), str(exc)
-        return
-    members = cfg.members if cfg.members is not None else [cfg]
-    for member in members:
-        if member.scenario != "custom":
-            continue
-        spec = member.options["system"]
-        if not _small_system(spec):
-            continue
-        try:
-            assert isinstance(_custom_system(member), SystemSpec)
-        except ConfigError as exc:
-            assert _names_a_field(doc, str(exc)), str(exc)

@@ -13,9 +13,9 @@ from hypnl.grids import (StateField, Trajectory, frame_norms_sq, make_grid,
 from hypnl.systems import (inner_weight, make_system, ode_system,
                            symbol_divergence, transport_system)
 from hypnl.solver import SolveOptions, solve_local
-from hypnl.diagnostics import (DiagnosticsError, cone_violation,
-                               energy_identity, exponential_bound, measure_D,
-                               order_estimate, support_mask)
+from hypnl.diagnostics import (cone_violation, energy_identity,
+                               exponential_bound, measure_D, order_estimate,
+                               support_mask)
 
 
 def test_order_estimate():
@@ -359,10 +359,3 @@ def test_diag_report_csv_json(tmp_path, transport_run):
     rep.to_csv(str(p))
     lines = p.read_text().strip().splitlines()
     assert len(lines) == 1 + len(rep.values)
-
-
-def test_measure_D_probe_floor():
-    grid = make_grid(1, 1.0, 8, 1)
-    sys = transport_system(grid)
-    with pytest.raises(DiagnosticsError):
-        measure_D(sys, probes=4)

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import per_site
 from hypnl.grids import (GridError, InnerWeight, StateField, Trajectory,
-                         diff4, diff_upwind, fourth_difference, frame_norms_sq,
-                         inner_t, ko_dissipation, make_grid, mode_axes,
-                         mode_diff4, norm_t, sample_trajectory,
-                         stencil_symbols, stencil_wavenumber, to_modes,
-                         trapezoid_sum)
+                         diff4, diff_upwind, frame_norms_sq, inner_t,
+                         make_grid, mode_axes, mode_diff4, norm_t,
+                         sample_trajectory, stencil_symbols,
+                         stencil_wavenumber, to_modes, trapezoid_sum)
 
 
 def _rand(grid, seed):
@@ -307,25 +306,6 @@ def test_diff_upwind_first_order():
         errs.append(float(np.max(np.abs(diff_upwind(g, v, 0) - np.cos(x)))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert 0.8 <= order <= 1.2
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_ko_dissipation_is_dissipative(seed):
-    """Re<v, ko(v)> <= 0: the Kreiss-Oliger term never feeds energy in."""
-    g = make_grid(1, 1.0, 16, 1)
-    v = _rand(g, seed)
-    assert np.vdot(v, ko_dissipation(g, v, 0.5)).real <= 1e-12
-
-
-def test_fourth_difference_annihilates_cubics():
-    g = make_grid(1, 1.0, 16, 1)
-    x = g.coords()[:, :1]
-    # undivided 4th difference is exact-zero on polynomials of degree <= 3,
-    # but the periodic wrap contaminates sites near the seam; check the bulk
-    v = (x ** 3 - 0.2 * x ** 2).astype(complex)
-    out = fourth_difference(g, v, 0)
-    assert np.max(np.abs(out[3:-3])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -928,7 +928,7 @@ def test_estimate_bound_exact_rank_one():
     gp = _profile(g, lambda t, c: amp_g(t) * np.ones((g.sites, g.fiber), complex))
     hp = _profile(g, lambda t, c: amp_h(t) * np.ones((g.sites, g.fiber), complex))
     k = make_separable([gp], [hp])
-    est = estimate_bound(k, sys, probes=32)
+    est = estimate_bound(k, sys)
     # ||const 1 field||^2 = fiber * extent
     unit = 2.0 * g.extent
     times = gp.times()
@@ -942,8 +942,8 @@ def test_estimate_bound_deterministic():
     sys = make_system(g, np.eye(2), [np.zeros((2, 2))])
     k = make_convolution(lambda u: math.exp(-u), None, g, t0=0.0,
                          delta_eff=0.5)
-    e1 = estimate_bound(k, sys, probes=32, t_window=(0.0, 1.0), seed=5)
-    e2 = estimate_bound(k, sys, probes=32, t_window=(0.0, 1.0), seed=5)
+    e1 = estimate_bound(k, sys, t_window=(0.0, 1.0), seed=5)
+    e2 = estimate_bound(k, sys, t_window=(0.0, 1.0), seed=5)
     assert e1.C_est == e2.C_est and e1.samples == e2.samples
 
 
@@ -1168,7 +1168,7 @@ def test_estimate_bound_takes_the_window_frames(monkeypatch, t_window):
     window that holds no profile frame gives C_est 0 and no samples."""
     g, k = _separable_case(2, {"delta": 1.0})
     sys = make_system(g, np.eye(2), [np.zeros((2, 2))])
-    est = estimate_bound(k, sys, probes=32, t_window=t_window, D=0.3)
+    est = estimate_bound(k, sys, t_window=t_window, D=0.3)
     idx = _window_frames(k.data["g"][0].times(), t_window)
     seen = []
     pair_sup = kernels._pair_sup
@@ -1177,7 +1177,7 @@ def test_estimate_bound_takes_the_window_frames(monkeypatch, t_window):
         seen.append((a, b))
         return pair_sup(V, Gg, Hh, lattice, a, b, D)
     monkeypatch.setattr(kernels, "_pair_sup", recording)
-    estimate_bound(k, sys, probes=32, t_window=t_window, D=0.3)
+    estimate_bound(k, sys, t_window=t_window, D=0.3)
     assert np.array_equal(np.arange(*seen[0]), idx)
     if idx.size == 0:
         assert (est.C_est, est.samples) == (0.0, 0)
@@ -1192,9 +1192,9 @@ def test_estimate_bound_separable_matches_loop(monkeypatch, rank, flags, D,
     from hypnl import kernels
     g, k = _separable_case(rank, flags)
     sys = make_system(g, np.diag([2.0, 1.0]), [np.zeros((2, 2))])
-    est = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    est = estimate_bound(k, sys, t_window=window, D=D)
     monkeypatch.setattr(kernels, "_pair_sup", _pair_sup_loop)
-    ref = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    ref = estimate_bound(k, sys, t_window=window, D=D)
     assert (est.C_est, est.samples) == (ref.C_est, ref.samples)
     assert est.samples > 0
 
@@ -1306,7 +1306,7 @@ def test_estimate_bound_separable_matches_old(A0, rank, flags, D, window):
     every probe pair is one of the frame pairs the exact branch takes."""
     g, k = _separable_case(rank, flags)
     sys = make_system(g, A0, [np.zeros((2, 2))])
-    est = estimate_bound(k, sys, probes=32, t_window=window, D=D)
+    est = estimate_bound(k, sys, t_window=window, D=D)
     C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, D=D)
     assert est.C_est == C_ref
     assert 0 < est.samples < n_ref
@@ -1363,7 +1363,7 @@ def test_estimate_bound_matches_old(case, seed):
     per pair is the stream of the reference's eight normal draws. Bitwise
     where A0 is the identity, within WEIGHTED_PROBE_RTOL elsewhere."""
     k, sys, window = case()
-    est = estimate_bound(k, sys, probes=32, t_window=window, seed=seed)
+    est = estimate_bound(k, sys, t_window=window, seed=seed)
     C_ref, n_ref = _old_estimate_bound(k, sys, t_window=window, seed=seed)
     if sys.A0_inv is None:
         assert est.C_est == C_ref

@@ -24,9 +24,10 @@ from hypnl.scenarios import (GAMMA0, GAMMA1, MINKOWSKI_G, SPIN_METRIC,
                              counterexample_oracle, curl4, dirac_kernel,
                              dirac_system, div4,
                              drude_lorentz, extended_system_check,
-                             kernel_symmetry_defect,
-                             maxwell_kernel, maxwell_system_1d,
-                             maxwell_system_3d, ScenarioError,
+                             kernel_symmetry_defect, MAXWELL_MODES,
+                             MaxwellConfig, maxwell_kernel, maxwell_problem,
+                             maxwell_system_1d, maxwell_system_3d,
+                             maxwell_volterra, ScenarioError,
                              spin_symmetry_defect, stencil_wavenumber,
                              surface_layer_product, surface_layer_series,
                              volterra_oracle)
@@ -119,6 +120,33 @@ def test_maxwell_systems_validate():
     assert validate_system(maxwell_system_1d(g1)).ok
     g3 = make_grid(3, 2.0 * math.pi, 8, 6)
     assert validate_system(maxwell_system_3d(g3)).ok
+
+
+@pytest.mark.parametrize("mode", sorted(MAXWELL_MODES))
+def test_maxwell_problem_of_each_mode(mode):
+    """The 3D modes solve on a fiber-6 torus, the others on a fiber-2
+    line; only the vacuum modes have no memory; T is snapped to the dt
+    lattice of the mode's default dt."""
+    cfg = MaxwellConfig(points=8, T=1.0)
+    sys, kern, opts, T = maxwell_problem(cfg, mode)
+    assert (sys.grid.dim, sys.grid.fiber) == \
+        ((3, 6) if mode.endswith("_3d") else (1, 2))
+    assert (kern is None) == mode.startswith("vacuum")
+    dt = 1.0 / 8192 if mode == "volterra" else 0.25 * sys.grid.spacing
+    assert opts.dt == dt and T == round(1.0 / dt) * dt
+    with pytest.raises(ScenarioError, match="unknown Maxwell mode"):
+        maxwell_problem(cfg, "vacuum")
+
+
+def test_maxwell_mode_called_directly_builds_its_own_problem():
+    """A mode function builds its own problem whatever cfg.mode says:
+    maxwell_volterra on a config left at mode vacuum_1d still integrates
+    the memory and matches the Volterra oracle."""
+    cfg = MaxwellConfig(points=8, T=0.25, dt=0.25 / 512)
+    assert cfg.mode == "vacuum_1d"
+    out = maxwell_volterra(cfg)
+    assert out["volterra_error"] <= 1e-6
+    assert abs(out["series"][-1] - 1.0) > 1e-3     # E has moved
 
 
 def test_div_of_curl_vanishes_exactly():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_pulse
-from hypnl.grids import (StateField, Trajectory, ko_dissipation, make_grid,
-                         norm_strip, sample_trajectory, to_modes)
+from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
+                         sample_trajectory, to_modes)
 from hypnl.systems import (_fiber_apply, evolution_rhs, inner_weight,
                            make_system, ode_system, transport_system)
 from hypnl.solver import (LocalSolver, SolveAborted, SolveOptions,
@@ -41,8 +41,6 @@ def test_solve_options_validation():
         SolveOptions(dt=0.0)
     with pytest.raises(SolverError):
         SolveOptions(dt=0.1, cfl=0.6)
-    with pytest.raises(SolverError):
-        SolveOptions(dt=0.1, dissipation=0.7)
 
 
 def test_cfl_guard():
@@ -66,7 +64,7 @@ def test_determinism_bitwise():
     grid = make_grid(1, 1.0, 64, 1)
     sys = transport_system(grid)
     data = StateField(grid, 0.0, gaussian_pulse(grid))
-    opts = SolveOptions(dt=0.25 * grid.spacing, dissipation=0.1)
+    opts = SolveOptions(dt=0.25 * grid.spacing)
     a = solve_local(sys, None, data, 0.0, 64 * opts.dt, opts)
     b = solve_local(sys, None, data, 0.0, 64 * opts.dt, opts)
     assert np.array_equal(a.values, b.values)
@@ -230,19 +228,12 @@ class _SourceSampler:
         return 0.5 * (phi.values[lo] + phi.values[hi])
 
 
-def _ref_rhs(sys, y, t, source, eps):
-    out = evolution_rhs(sys, y, t, source)
-    if eps > 0.0:
-        out = out + ko_dissipation(sys.grid, y, eps)
-    return out
-
-
-def _ref_rk4_step(sys, y, t, h, src, eps):
+def _ref_rk4_step(sys, y, t, h, src):
     mid = src(t + 0.5 * h)      # shared by the k2 and k3 stages
-    k1 = _ref_rhs(sys, y, t, src(t), eps)
-    k2 = _ref_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, mid, eps)
-    k3 = _ref_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, mid, eps)
-    k4 = _ref_rhs(sys, y + h * k3, t + h, src(t + h), eps)
+    k1 = evolution_rhs(sys, y, t, src(t))
+    k2 = evolution_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, mid)
+    k3 = evolution_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, mid)
+    k4 = evolution_rhs(sys, y + h * k3, t + h, src(t + h))
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -250,7 +241,6 @@ def _ref_solve_local(sys, phi, data, t0, t1, opts):
     dt = opts.dt
     i0, i1 = _lattice_index(t0, dt), _lattice_index(t1, dt)
     src = _SourceSampler(phi, dt)
-    eps = opts.dissipation
 
     n_steps = abs(i1 - i0)
     sgn = 1 if i1 >= i0 else -1
@@ -260,7 +250,7 @@ def _ref_solve_local(sys, phi, data, t0, t1, opts):
     stored_idx = [i0]
     for s in range(n_steps):
         t = (i0 + sgn * s) * dt
-        y = _ref_rk4_step(sys, y, t, h, src, eps)
+        y = _ref_rk4_step(sys, y, t, h, src)
         if not np.all(np.isfinite(y.view(float))):
             partial = Trajectory(sys.grid, dt, min(stored_idx),
                                  np.stack(frames[::sgn]))
@@ -327,20 +317,16 @@ def _solver_case(name):
         sys = make_system(grid2, np.eye(2), [np.zeros((2, 2))],
                           S0_t=lambda t: np.array([[-1.0, t], [-t, 0.5j]]))
         return sys, SolveOptions(dt=0.1 / 7)
-    if name == "dissipation":
-        sys = ode_system(grid2, np.zeros((2, 2)))
-        return sys, SolveOptions(dt=0.1 / 7, dissipation=0.2)
     if name == "maxwell3d":
         from hypnl.scenarios import maxwell_system_3d
         grid = make_grid(3, 2.0 * math.pi, 8, 6)
-        return maxwell_system_3d(grid), SolveOptions(dt=0.2 * grid.spacing,
-                                                     dissipation=0.1)
+        return maxwell_system_3d(grid), SolveOptions(dt=0.2 * grid.spacing)
     if name == "A0_nonnormal_S0":
-        # site-constant, non-identity A0 with a spatial term and dissipation
+        # site-constant, non-identity A0 with a spatial term
         a0 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.5]])
         sys = make_system(grid2, a0, [np.array([[0.5, 0.2j], [-0.2j, -0.3]])],
                           S0=np.array([[-0.5, 2.0], [0.0, 0.3j]]))
-        return sys, SolveOptions(dt=0.2 * grid2.spacing, dissipation=0.1)
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
     if name == "S0_per_site":
         scale = 1.0 + 0.5 * rng.random(grid2.sites)
         a0 = scale[:, None, None] * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
@@ -358,9 +344,23 @@ def _solver_case(name):
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
-_RECURRENCE = ("transport", "dirac", "dissipation", "maxwell3d",
-               "A0_nonnormal_S0", "S0_per_site")
+_RECURRENCE = ("transport", "dirac", "maxwell3d", "A0_nonnormal_S0",
+               "S0_per_site")
 _STEPPING = ("S0_t", "Aj_per_site")
+
+
+@pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
+def test_the_system_alone_picks_the_path(name):
+    """The basis is "sites" when no A^j is live, "modes" when every
+    coefficient is the same at every site, and otherwise the solve steps
+    (None); no option takes part."""
+    sys, opts = _solver_case(name)
+    modes = ("transport", "dirac", "maxwell3d", "A0_nonnormal_S0")
+    want = None if name in _STEPPING else "modes" if name in modes \
+        else "sites"
+    assert LocalSolver(sys, opts).basis == want
+
+
 # the recurrence reorders the sums of the RK4 loop and runs in Fourier
 # space; measured at most 8.8e-15 of the largest frame value (S0_per_site)
 _RECURRENCE_RTOL = 1e-13
@@ -476,8 +476,7 @@ def test_zero_step_solve_returns_data():
 @pytest.mark.parametrize("solves", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("name", ["ode_zero_S0", "A0_matrix", "dirac",
-                                  "dissipation", "S0_per_site", "maxwell3d",
-                                  "Aj_per_site"])
+                                  "S0_per_site", "maxwell3d", "Aj_per_site"])
 def test_non_finite_source_aborts_like_reference_loop(name, sgn, solves):
     """A non-finite source frame aborts every path at the step the loop
     aborts, with its message, index0 and last_stable, and its partial frames
@@ -531,15 +530,15 @@ def _assert_aborts_like_reference_loop(name, sys, opts, phi, data, sgn,
 
 @pytest.mark.parametrize("path", ["recurrence", "loop"])
 def test_source_frame_aborts_the_step_that_reads_it(monkeypatch, path):
-    """Dissipation, forward, dt = 0.1 / 7, source frame 13 infinite: step 13
+    """S0_per_site, forward, dt = 0.1 / 7, source frame 13 infinite: step 13
     (from frame 12 to frame 13) is the first to read it, on the recurrence
     and on the RK4 loop. Sampled at the float position t / dt, the loop
     blended frame 13 in with a weight of about 1e-16 at the end of step 12
     and aborted one step early."""
     from hypnl import solver as solver_mod
-    sys, opts = _solver_case("dissipation")
+    sys, opts = _solver_case("S0_per_site")
     if path == "loop":
-        monkeypatch.setattr(solver_mod, "_basis", lambda sys, eps: None)
+        monkeypatch.setattr(solver_mod, "_basis", lambda sys: None)
     rng = np.random.default_rng(5)
     phi = _source(sys, opts.dt, "full", 1, 30, rng)
     phi.values[13, 3, 0] = complex(np.inf, 0.0)
@@ -657,9 +656,8 @@ def test_state_free_solve_matches_running_sum(name, kind, sgn, solves):
 # solves in the recurrence's basis
 
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
-@pytest.mark.parametrize("name", ["transport", "dirac", "dissipation",
-                                  "maxwell3d", "A0_nonnormal_S0",
-                                  "S0_per_site"])
+@pytest.mark.parametrize("name", ["transport", "dirac", "maxwell3d",
+                                  "A0_nonnormal_S0", "S0_per_site"])
 def test_in_basis_solve_matches_site_solve(name, sgn):
     """A solve on values already in the basis (to_modes of the data and the
     source on the modes) gives the basis values of the site solve, to
