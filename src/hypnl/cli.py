@@ -170,6 +170,10 @@ def _validate_system(doc, path: str) -> None:
              f"{path}.grid.extent", "must be a positive number")
     _require(_is_int(fiber) and fiber >= 1, f"{path}.grid.fiber",
              "must be an integer >= 1")
+    size = grid["points"] ** dim * fiber * 16        # bytes in one slice
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _require(size <= memory, f"{path}.grid.points", f"makes one {size:.3g} B "
+             f"slice, more than the {memory:.3g} B of physical memory")
     _validate_coefficient(doc["A0"], f"{path}.A0", fiber)
     aj = doc["Aj"]
     _require(isinstance(aj, list) and len(aj) == dim, f"{path}.Aj",

@@ -248,10 +248,13 @@ def norm_t(a: StateField, w: InnerWeight) -> float:
 
 def frame_norms_sq(tr: Trajectory, w: InnerWeight) -> np.ndarray:
     """Per-frame squared slice norms: one fixed-order einsum over all
-    frames."""
+    frames (for the identity weight, over the real and imaginary parts)."""
     if w.grid != tr.grid:
         raise GridError("weight grid mismatch")
     v = tr.values
+    if w.weight is None:
+        r = v.reshape(len(v), -1).view(float)
+        return np.einsum("tk,tk->t", r, r) * tr.grid.cell_volume
     return _weighted_pairs(v, v, w, "t").real * tr.grid.cell_volume
 
 

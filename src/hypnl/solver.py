@@ -20,14 +20,15 @@ no setting:
 
 * Linear recurrence (no S0_t, and either no spatial term or every
   coefficient the same at every site): one RK4 step of the linear
-  autonomous system is exactly y+ = R y + P0 s_n + P1 s_n+1, block-diagonal
-  on the sites or on the Fourier modes of the torus. R, P0 and P1 are built
-  once per LocalSolver and direction, the data and source frames are
-  transformed once per solve, each step is one batched matvec and one add,
-  and the frames are transformed back once. A state-free system (no live A^j,
-  no S0) is its L = 0 case on the sites: R = I, P0 = P1 = (h/2) I, and a
-  step with one end in the source window adds (h/6) s, so the frames are
-  the data plus one cumulative sum of these increments, without a per-step
+  autonomous system is exactly y+ = K [y; s_n; s_n+1] with K = [R | P0 | P1],
+  block-diagonal on the sites or on the Fourier modes of the torus. K is
+  built once per LocalSolver and direction, the data are transformed once
+  per solve, a block of steps that reads a source frame is one batched
+  product of K (see _block_product), one without steps R y alone, and the
+  frames are transformed back once. A state-free system (no live A^j, no
+  S0) is its L = 0 case on the sites: R = I, P0 = P1 = (h/2) I, and a step
+  with one end in the source window adds (h/6) s, so the frames are the
+  data plus one cumulative sum of these increments, without a per-step
   loop. The frames agree with the per-step loop to round-off: below 1e-14
   of the largest frame value, tested at 1e-13.
 * Stepping (a time-dependent S0, or a spatial term with a coefficient that
@@ -179,8 +180,8 @@ def _generator(sys: SystemSpec, basis: str,
 
 
 def _rk4_polys(z: np.ndarray, h: float) -> np.ndarray:
-    """(R, P0, P1), stacked, of one RK4 step of d_t y = L y + s(t) from
-    Z = h L (scaled in place). The step is exactly
+    """K = [R | P0 | P1], of shape (..., f, 3f), of one RK4 step of
+    d_t y = L y + s(t) from Z = h L (scaled in place). The step is exactly
 
         y+ = R y + Q0 s(t) + Q_half s(t + h/2) + Q1 s(t + h),
 
@@ -188,29 +189,30 @@ def _rk4_polys(z: np.ndarray, h: float) -> np.ndarray:
     Q_half = (h/6)(4I + 2Z + Z^2/2) and Q1 = (h/6) I. A step with its source
     frames s0, s1 at both ends, so that s(t + h/2) = (s0 + s1)/2, adds
     P0 s0 + P1 s1 with P0 = Q0 + Q_half/2 = (h/6)(3I + 2Z + 3Z^2/4 + Z^3/4)
-    and P1 = Q1 + Q_half/2 = (h/6)(3I + Z + Z^2/4)."""
+    and P1 = Q1 + Q_half/2 = (h/6)(3I + Z + Z^2/4), so the whole step is
+    K [y; s0; s1]."""
     z *= h
     eye = np.eye(z.shape[-1])
     z2 = z @ z
     z3 = z @ z2
     c = h / 6.0
-    return np.stack([eye + z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0,
-                     c * (3.0 * eye + 2.0 * z + 0.75 * z2 + 0.25 * z3),
-                     c * (3.0 * eye + z + 0.25 * z2)])
+    return np.concatenate([eye + z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0,
+                           c * (3.0 * eye + 2.0 * z + 0.75 * z2 + 0.25 * z3),
+                           c * (3.0 * eye + z + 0.25 * z2)], axis=-1)
 
 
 def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
-    """(R, P0, P1) of the system in the basis (see _rk4_polys); on the modes
-    they are formed for chunks of modes, so that only the result is the size
-    of a per-mode stack."""
+    """K of the system in the basis (see _rk4_polys), (f, 3f) or per site or
+    mode (sites, f, 3f); on the modes it is formed for chunks of modes, so
+    that only the result is the size of a per-mode stack."""
     if basis == "sites":
         return _rk4_polys(_generator(sys, basis), h)
     g = sys.grid
-    out = np.empty((3, g.sites, g.fiber, g.fiber), dtype=complex)
+    out = np.empty((g.sites, g.fiber, 3 * g.fiber), dtype=complex)
     step = max(1, _CHUNK_VALUES // g.fiber ** 2)
     for a in range(0, g.sites, step):
         modes = slice(a, a + step)
-        out[:, modes] = _rk4_polys(_generator(sys, basis, modes), h)
+        out[modes] = _rk4_polys(_generator(sys, basis, modes), h)
     return out
 
 
@@ -248,79 +250,69 @@ def _step_sources(phi: Optional[Trajectory], i0: int, sgn: int,
         yield start, mid, end
 
 
-def _forcings(sys: SystemSpec, phi: Optional[Trajectory], xf: str,
-              mats: np.ndarray, h: float, i0: int, sgn: int, n_steps: int,
-              block: int) -> Iterator:
-    """The source term of every step of the recurrence, in blocks of at most
-    `block` steps: an array with one row per step, or None where the source
-    is zero. A step inside the source window adds P0 s_n + P1 s_n+1 with
-    s = A0^{-1} source in the basis; a step with only one end in the window
-    has no midpoint stage, so it adds Q0 s_n or Q1 s_n+1, which is the same
-    sum less (P1 - (h/6) I) applied to its one source frame. Each source
-    frame is transformed from `xf` once (see _recurrence)."""
-    window = _source_window(phi, i0, sgn, n_steps)
-    if window is None:
-        yield from itertools.repeat(None)
-        return
-    _, p0, p1 = mats
-    carry = None                   # the block's first frame, from the last
-    for a in range(0, n_steps, block):
-        b = min(a + block, n_steps)
-        lo, hi = max(a, window[0]), min(b, window[1])
-        if lo > hi:
-            carry = None
-            yield None
-            continue
-        frames = np.zeros((b - a + 1, sys.grid.sites, sys.grid.fiber),
-                          dtype=complex)
-        if carry is not None:
-            frames[0] = carry
-        first = lo if a == 0 else max(lo, a + 1)
-        if first <= hi:
-            rows = i0 + sgn * np.arange(first, hi + 1) - phi.index0
-            frames[first - a:hi - a + 1] = _transform(
-                sys.grid, xf, _fiber_apply(sys.A0_inv, phi.values[rows]))
-        carry = frames[-1]
-        # batched matmuls with the frames as matrix columns: on per-mode
-        # stacks far faster than _fiber_apply's broadcasting einsum
-        cols = frames.transpose(1, 2, 0)
-        out = np.matmul(p0, cols[..., :-1])
-        out += np.matmul(p1, cols[..., 1:])
-        out = out.transpose(2, 0, 1)
-        for step, pos in ((window[0] - 1, window[0]), (window[1], window[1])):
-            if a <= step < b:
-                edge = frames[pos - a]
-                out[step - a] -= _fiber_apply(p1, edge) - (h / 6.0) * edge
-        yield out
+def _block_product(sys: SystemSpec, phi: Trajectory, xf: str, k: np.ndarray,
+                   y: np.ndarray, window: tuple, h: float, i0: int, sgn: int,
+                   a: int, b: int) -> Optional[np.ndarray]:
+    """K V for the block of steps a .. b - 1, one row per step (None when it
+    reads no source frame): V's first column is [y_a; s_a; s_a+1] and each
+    later one [0; s_n; s_n+1], s = A0^{-1} source in the basis (transformed
+    from `xf`), zero outside the window. A step with only one end in the
+    window has no midpoint stage: it adds Q0 s_n or Q1 s_n+1, the same sum
+    less (P1 - (h/6) I) applied to its one source frame."""
+    lo, hi = max(a, window[0]), min(b, window[1])
+    if lo > hi:
+        return None
+    g, f = sys.grid, sys.grid.fiber
+    ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
+    s = _transform(g, xf, _fiber_apply(
+        sys.A0_inv, phi.values[ends[0]:ends[1] + 1][::sgn]))
+    cols = s.transpose(1, 2, 0)           # frames lo .. hi as columns
+    v = np.zeros((g.sites, 3 * f, b - a), dtype=complex)
+    v[:, :f, 0] = y
+    # the frame at position p is s_n of step p and s_n+1 of step p - 1
+    last = min(hi, b - 1)
+    v[:, f:2 * f, lo - a:last - a + 1] = cols[..., :last - lo + 1]
+    first = max(lo, a + 1)
+    v[:, 2 * f:, first - a - 1:hi - a] = cols[..., first - lo:]
+    out = np.matmul(k, v).transpose(2, 0, 1)
+    for step, pos in ((window[0] - 1, window[0]), (window[1], window[1])):
+        if a <= step < b:
+            edge = s[pos - lo]
+            out[step - a] -= _fiber_apply(k[..., 2 * f:], edge) \
+                - (h / 6.0) * edge
+    return out
 
 
 def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
-                xf: str, mats: np.ndarray, h: float, i0: int, sgn: int,
+                xf: str, k: np.ndarray, h: float, i0: int, sgn: int,
                 n_steps: int, stored: np.ndarray) -> int:
-    """Solve as the recurrence y+ = R y + (source term), one block-diagonal
-    matvec and one add per step, with `mats` = (R, P0, P1) of the basis, and
-    write the frames into `stored` (stepping order, from index 1).
+    """The recurrence y+ = K [y; s_n; s_n+1] in blocks of steps, its frames
+    written into `stored` (stepping order, from index 1): a sourced block is
+    one product K V (see _block_product), whose first row is its first frame
+    and whose later rows its later steps add to R y.
     `xf` is the basis the data, source and frames are transformed from and
     back to: the recurrence's own basis for site values, "sites" (no
     transform) for values already in it. Returns the number of steps taken
     before the first non-finite frame."""
     grid = sys.grid
-    r = mats[0]
+    r = k[..., :grid.fiber]
     y = _transform(grid, xf, data.values)
     block = max(1, _CHUNK_VALUES // y.size)
-    forcings = _forcings(sys, phi, xf, mats, h, i0, sgn, n_steps, block)
+    window = _source_window(phi, i0, sgn, n_steps)
     n_ok = n_steps
     for s in range(n_steps):
-        if s % block == 0:
-            force = next(forcings)
-        y = _fiber_apply(r, y)
-        if force is not None:
-            y += force[s % block]
+        j = s % block
+        if j == 0:
+            kv = None if window is None else _block_product(
+                sys, phi, xf, k, y, window, h, i0, sgn, s,
+                min(s + block, n_steps))
+        y = kv[0] if j == 0 and kv is not None else _fiber_apply(r, y)
+        if j and kv is not None:
+            y += kv[j]
         if not np.isfinite(y).all():
             n_ok = s
             break
         stored[s + 1] = y
-    del forcings
     if xf == "modes":
         n_kept = n_ok + 1
         for a in range(1, n_kept, block):
@@ -392,16 +384,16 @@ def _aborted(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int, s: int,
 
 class LocalSolver:
     """Local solves of one system with one SolveOptions (see solve_local).
-    The recurrence's step matrices (R, P0, P1) are built at the first solve
-    in each direction and kept, so that a caller making many solves, such as
-    a Dyson run, builds them once. `basis` is the recurrence's basis ("sites"
+    The recurrence's stacked step matrix K = [R | P0 | P1] is built at the
+    first solve in each direction and kept, so that a caller making many solves, such as a Dyson run, builds
+    it once. `basis` is the recurrence's basis ("sites"
     or "modes", see _basis; "sites" for a state-free system, whose recurrence
     is the L = 0 case), None when the solves step RK4."""
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
         self.sys, self.opts = sys, opts
         self.basis = _basis(sys)
-        self._mats: dict = {}         # direction -> (R, P0, P1)
+        self._mats: dict = {}         # direction -> K
 
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
               t1: float, in_basis: bool = False) -> Trajectory:

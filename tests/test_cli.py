@@ -454,6 +454,27 @@ def test_custom_run_shorter_than_two_steps_is_config_error(tmp_path, capsys,
                           "of options.dt = "), err
 
 
+@pytest.mark.parametrize("points", [2 ** 62, 2 ** 40])
+def test_grid_larger_than_memory_is_config_error(tmp_path, monkeypatch,
+                                                 points):
+    """A custom grid whose one slice (points^dim x fiber x 16 B) exceeds the
+    physical memory is a ConfigError on options.system.grid.points, raised
+    before any array is built (2^62 points used to exit 1 with numpy's
+    'array is too big')."""
+    from hypnl import cli
+
+    def built(doc):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(cli, "system_from_json", built)
+    doc = _base_doc()
+    doc["options"]["system"]["grid"]["points"] = points
+    with pytest.raises(ConfigError, match=r"^'options\.system\.grid\.points' "
+                       r"makes one .* B slice, more than the .* B of "
+                       r"physical memory$"):
+        load_config(_write(tmp_path, doc))
+
+
 def test_manifest_records_environment(tmp_path, monkeypatch):
     """The manifest's env block names the interpreter, numpy, the platform
     (system-release-machine, then the C library where it names itself) and

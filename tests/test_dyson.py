@@ -734,6 +734,57 @@ def test_window_contamination_on_the_modes_loop(monkeypatch):
                                atol=1e-12 * np.max(np.abs(want)))
 
 
+def _window_contamination_scan(src, delta, W, T):
+    """The check _window_contamination replaced: the peak over every frame
+    and site first, then the edge bands."""
+    amp = np.max(np.abs(src.values), axis=(1, 2))
+    peak = float(np.max(amp))
+    if peak == 0.0:
+        return False
+    times = src.times()
+    mask = (times < -W + delta + 1e-9) | (times > T + W - delta - 1e-9)
+    if not np.any(mask):
+        return False
+    return bool(np.max(amp[mask]) > 1e-10 * peak)
+
+
+def _contaminated(band=None, inside=None):
+    """A source on [-W, T + W] = [-0.5, 1.5] (dt = 0.125, delta = 0.25, so
+    the edge bands are the first and the last two frames) with peak 1 in
+    the middle frame: `band` is written at one band value, `inside` at one
+    value of frame 4, outside the bands."""
+    vals = np.zeros((17, 8, 2), dtype=complex)
+    vals[8, 3, 1] = 1.0
+    if band is not None:
+        vals[15, 2, 0] = band
+    if inside is not None:
+        vals[4, 5, 1] = inside
+    return vals
+
+
+@pytest.mark.parametrize("vals,index0,want", [
+    (np.zeros((17, 8, 2), dtype=complex), -4, False),
+    (_contaminated(), -4, False),
+    (_contaminated(band=1.0001e-10), -4, True),
+    (_contaminated(band=0.9999e-10), -4, False),
+    (_contaminated(band=complex(0.0, -2e-10)), -4, True),
+    (_contaminated(band=np.nan), -4, False),
+    (_contaminated(inside=np.nan), -4, False),
+    (_contaminated(band=1e-3, inside=np.nan), -4, False),
+    (_contaminated(band=np.inf), -4, False),
+    (_contaminated(band=1.0)[4:13], 0, False),
+], ids=["zero", "zero-bands", "above", "below", "imaginary", "nan-in-band",
+        "nan-outside", "nan-outside-live-band", "inf-in-band",
+        "no-band-frames"])
+def test_window_contamination_matches_full_scan(vals, index0, want):
+    """Reading the edge bands first gives the boolean of the full scan on
+    every case, NaN and inf included (a NaN anywhere reads as clean)."""
+    src = Trajectory(make_grid(1, 1.0, 8, 2), 0.125, index0, vals)
+    args = (src, 0.25, 0.5, 1.0)
+    assert dyson._window_contamination(*args) is \
+        _window_contamination_scan(*args) is want
+
+
 def test_modes_loop_holds_at_most_four_trajectories():
     """The traced peak of a modes-loop run of 193 frames (9.5 MB a
     trajectory) is at most four trajectories (the partial sum, B applied to

@@ -129,8 +129,10 @@ def _weights(g):
 
 
 # The identity and (f, f) einsums run the sum over sites and fiber in
-# another order than the per-site one. Measured: bitwise on fiber 2, at
-# most 3.9e-15 of the value on 8^3 sites x fiber 6 (1.1e-14 on 16^3 x 6).
+# another order than the per-site one. Measured: the (f, f) form bitwise on
+# fiber 2, at most 3.9e-15 of the value on 8^3 sites x fiber 6 (1.1e-14 on
+# 16^3 x 6); the identity's real einsum at most 2.2e-16 on fiber 2, 2.1e-15
+# on 8^3 x 6 and 7.1e-15 on 16^3 x 6.
 _REORDERED = 1e-13
 _NORM_GRIDS = ((1, 16, 2), (3, 8, 6))
 
@@ -191,7 +193,9 @@ def test_inner_weight_roots_match_per_site_einsum(kind):
 
 
 def test_inner_weight_identity_flag():
-    """The identity weight is None, and its norms are the plain sums."""
+    """The identity weight is None, and its norms are the plain complex sums
+    to 1e-13 relative (frame_norms_sq sums the real and imaginary squares in
+    one real einsum, another summation order)."""
     g = make_grid(1, 2.0, 16, 2)
     assert InnerWeight.identity(g).weight is None
     assert _weights(g)["constant"].weight.shape == (2, 2)
@@ -199,8 +203,8 @@ def test_inner_weight_identity_flag():
     v = _rand(g, 4)
     tr = Trajectory(g, 0.1, 0, v[None])
     plain = np.einsum("tsf,tsf->t", np.conj(tr.values), tr.values).real
-    assert frame_norms_sq(tr, InnerWeight.identity(g)).tobytes() == \
-        (plain * g.cell_volume).tobytes()
+    np.testing.assert_allclose(frame_norms_sq(tr, InnerWeight.identity(g)),
+                               plain * g.cell_volume, rtol=1e-13, atol=0)
 
 
 def _trapezoid_loop(series, dt):

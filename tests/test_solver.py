@@ -1,6 +1,7 @@
 """Method-of-lines integrator: order, reversibility, determinism, and the
 retarded Green operator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
 from hypnl.systems import (_fiber_apply, evolution_rhs, inner_weight,
                            make_system, ode_system, transport_system)
 from hypnl.solver import (LocalSolver, SolveAborted, SolveOptions,
-                          SolverError, _lattice_index, evolution_op,
-                          green_retarded, solve_local)
+                          SolverError, _lattice_index, _source_window,
+                          _transform, evolution_op, green_retarded,
+                          solve_local)
 from hypnl.dyson import residual
 from hypnl.diagnostics import cone_violation, support_mask
 
@@ -684,6 +686,131 @@ def test_in_basis_solve_matches_site_solve(name, sgn):
     scale = float(np.max(np.abs(want_b)))
     assert float(np.max(np.abs(got.values - want_b))) <= \
         _RECURRENCE_RTOL * scale
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the block product: the recurrence as it was before K V, with
+# (R, P0, P1) held as a stack and each block's source term made by two
+# batched matmuls over a zero-padded frame buffer, kept as it was but for
+# its transform back, made here in one call.
+
+def _forcings_oracle(sys, phi, xf, mats, h, i0, sgn, n_steps, block):
+    window = _source_window(phi, i0, sgn, n_steps)
+    if window is None:
+        yield from itertools.repeat(None)
+        return
+    _, p0, p1 = mats
+    carry = None
+    for a in range(0, n_steps, block):
+        b = min(a + block, n_steps)
+        lo, hi = max(a, window[0]), min(b, window[1])
+        if lo > hi:
+            carry = None
+            yield None
+            continue
+        frames = np.zeros((b - a + 1, sys.grid.sites, sys.grid.fiber),
+                          dtype=complex)
+        if carry is not None:
+            frames[0] = carry
+        first = lo if a == 0 else max(lo, a + 1)
+        if first <= hi:
+            rows = i0 + sgn * np.arange(first, hi + 1) - phi.index0
+            frames[first - a:hi - a + 1] = _transform(
+                sys.grid, xf, _fiber_apply(sys.A0_inv, phi.values[rows]))
+        carry = frames[-1]
+        cols = frames.transpose(1, 2, 0)
+        out = np.matmul(p0, cols[..., :-1])
+        out += np.matmul(p1, cols[..., 1:])
+        out = out.transpose(2, 0, 1)
+        for step, pos in ((window[0] - 1, window[0]), (window[1], window[1])):
+            if a <= step < b:
+                edge = frames[pos - a]
+                out[step - a] -= _fiber_apply(p1, edge) - (h / 6.0) * edge
+        yield out
+
+
+def _recurrence_oracle(sys, phi, data, xf, mats, h, i0, sgn, n_steps,
+                       stored, block):
+    grid = sys.grid
+    r = mats[0]
+    y = _transform(grid, xf, data.values)
+    forcings = _forcings_oracle(sys, phi, xf, mats, h, i0, sgn, n_steps,
+                                block)
+    n_ok = n_steps
+    for s in range(n_steps):
+        if s % block == 0:
+            force = next(forcings)
+        y = _fiber_apply(r, y)
+        if force is not None:
+            y += force[s % block]
+        if not np.isfinite(y).all():
+            n_ok = s
+            break
+        stored[s + 1] = y
+    if xf == "modes":
+        stored[1:n_ok + 1] = _transform(grid, xf, stored[1:n_ok + 1],
+                                        inverse=True)
+    return n_ok
+
+
+# source windows (first, last solve position) against blocks of 7 steps of
+# a 30-step solve: [0, 7), [7, 14), [14, 21), [21, 28), [28, 30)
+_WINDOWS = {"inside-blocks": (10, 17), "block-edges": (7, 21),
+            "one-frame": (12, 12), "one-frame-at-edge": (14, 14),
+            "first-frame": (0, 0), "last-frame": (30, 30),
+            "whole-solve": (0, 30), "beyond-the-solve": (-5, 40)}
+
+
+@pytest.mark.parametrize("in_basis", [False, True],
+                         ids=["transformed", "in-basis"])
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+@pytest.mark.parametrize("name", ["maxwell3d", "dirac", "S0_constant",
+                                  "S0_per_site"])
+def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
+                                               sgn, in_basis):
+    """The recurrence by block products K V equals the one by separate
+    R, P0 and P1 products to _RECURRENCE_RTOL of the largest frame value,
+    in blocks of 7 steps, for per-mode K (maxwell3d, dirac), one (f, 3f) K
+    (S0_constant) and a per-site K (S0_per_site), on site values and on
+    values already in the basis."""
+    from hypnl import solver as solver_mod
+    if name == "S0_constant":
+        grid = make_grid(1, 2.0 * math.pi, 32, 2)
+        sys = ode_system(grid, np.array([[-0.5, 2.0], [0.0, 0.3j]]))
+        opts = SolveOptions(dt=0.1 / 7)
+    else:
+        sys, opts = _solver_case(name)
+    grid = sys.grid
+    basis = LocalSolver(sys, opts).basis
+    h = sgn * opts.dt
+    k = solver_mod._step_matrices(sys, basis, h)
+    assert k.shape[-2:] == (grid.fiber, 3 * grid.fiber)
+    assert k.ndim == (2 if name == "S0_constant" else 3)
+    f = grid.fiber
+    mats = np.stack([k[..., :f], k[..., f:2 * f], k[..., 2 * f:]])
+    monkeypatch.setattr(solver_mod, "_CHUNK_VALUES", 7 * grid.sites * f)
+
+    steps = 30
+    lo, hi = _WINDOWS[window]
+    rng = np.random.default_rng(23)
+    vals = _random_field(rng, grid, hi - lo + 1)
+    values = _random_field(rng, grid)
+    xf = basis
+    if in_basis:
+        vals, values = (_transform(grid, basis, v) for v in (vals, values))
+        xf = "sites"
+    phi = Trajectory(grid, opts.dt, min(sgn * lo, sgn * hi), vals[::sgn])
+    data = StateField(grid, 0.0, values)
+    got = np.empty((steps + 1, grid.sites, f), dtype=complex)
+    want = got.copy()
+    got[0] = want[0] = values
+    assert solver_mod._recurrence(sys, phi, data, xf, k, h, 0, sgn, steps,
+                                  got) == steps
+    assert _recurrence_oracle(sys, phi, data, xf, mats, h, 0, sgn, steps,
+                              want, 7) == steps
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
 
 
 def test_step_matrices_built_once_per_direction(monkeypatch):
