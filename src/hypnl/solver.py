@@ -20,17 +20,29 @@ no setting:
 
 * Linear recurrence (no S0_t, and either no spatial term or every
   coefficient the same at every site): one RK4 step of the linear
-  autonomous system is exactly y+ = K [y; s_n; s_n+1] with K = [R | P0 | P1],
-  block-diagonal on the sites or on the Fourier modes of the torus. K is
-  built once per LocalSolver and direction, the data are transformed once
-  per solve, a block of steps that reads a source frame is one batched
-  product of K (see _block_product), one without steps R y alone, and the
-  frames are transformed back once. A state-free system (no live A^j, no
-  S0) is its L = 0 case on the sites: R = I, P0 = P1 = (h/2) I, and a step
-  with one end in the source window adds (h/6) s, so the frames are the
-  data plus one cumulative sum of these increments, without a per-step
-  loop. The frames agree with the per-step loop to round-off: below 1e-14
-  of the largest frame value, tested at 1e-13.
+  autonomous system d_t y = L y + s is exactly
+  y+ = R y + P0 s_n + P1 s_n+1, with R, P0 and P1 polynomials in h L
+  (_rk4_polys), block-diagonal on the sites or on the Fourier modes of the
+  torus. The data are transformed to the basis once per solve and the
+  frames back once. One rule, on the system alone, picks one of three
+  recurrences (_recurrence_kind):
+  - "sum", L = 0 (no live A^j and no S0, a state-free system): R = I,
+    P0 = P1 = (h/2) I, and a step with one end in the source window adds
+    (h/6) s, so the frames are the data plus one cumulative sum of these
+    increments, without a per-step loop (_source_integral).
+  - "eigen", S0 skew-Hermitian (S0 + S0^H = 0, an absent S0 included, as
+    in Maxwell's and Dirac's equations): L is skew-adjoint in the A0 inner
+    product, so L = V diag(-i lam) V^-1 with real lam (_eigenbasis, one
+    np.linalg.eigh per mode or site, built once per LocalSolver). In that
+    basis a step is elementwise, and a solve takes the source in and the
+    frames out by batched per-mode products over blocks of frames, not one
+    product per step (_eigen_recurrence).
+  - "stacked", any other S0: K = [R | P0 | P1], built once per LocalSolver
+    and direction; a block of steps that reads a source frame is one
+    batched product of K (see _block_product), one without steps R y
+    alone (_recurrence).
+  The frames agree with the per-step loop to round-off: below 1e-14 of the
+  largest frame value, tested at 1e-13.
 * Stepping (a time-dependent S0, or a spatial term with a coefficient that
   varies by site): the RK4 loop, each stage applying the coefficients,
   writing each frame into one preallocated array; bitwise equal to the
@@ -41,7 +53,8 @@ the loop's message, partial frames and last_stable
 (tests/test_solver.py::test_solve_local_matches_reference_loop and
 test_non_finite_source_aborts_like_reference_loop). Both paths read the same
 source frames at every step, so a non-finite source frame aborts them at the
-same step. On the Fourier modes, a solve within a factor of `sites` of
+same step. The eigenbasis recurrence steps on past it without warnings and
+finds the first non-finite frame after its transforms back. On the Fourier modes, a solve within a factor of `sites` of
 overflow may abort one step earlier than the loop, and real data picks up
 imaginary round-off.
 
@@ -64,7 +77,7 @@ import numpy as np
 
 from .grids import (_CHUNK_VALUES, Grid, StateField, Trajectory,
                     stencil_symbols, to_modes)
-from .systems import SystemSpec, _fiber_apply, evolution_rhs
+from .systems import SystemSpec, _fiber_apply, _fiber_product, evolution_rhs
 
 
 class SolverError(RuntimeError):
@@ -146,6 +159,24 @@ def _basis(sys: SystemSpec) -> Optional[str]:
     return None
 
 
+def _recurrence_kind(sys: SystemSpec, basis: Optional[str]) -> Optional[str]:
+    """The recurrence a system's solves take in `basis` (None when they
+    step): "sum" when L = 0 (no spatial term and no S0, see
+    _source_integral); "eigen" when S0 is exactly skew-Hermitian
+    (S0 + S0^H = 0, an absent S0 included), so that
+    L = A0^{-1} (S0 - i sum_j sigma_j A^j) is skew-adjoint in the A0 inner
+    product on every mode or site (see _eigen_recurrence); else "stacked"
+    (K = [R | P0 | P1], see _recurrence)."""
+    if basis is None:
+        return None
+    s0 = sys.S0
+    if basis == "sites" and s0 is None:
+        return "sum"
+    if s0 is None or np.array_equal(s0, -np.conj(np.swapaxes(s0, -1, -2))):
+        return "eigen"
+    return "stacked"
+
+
 def _transform(grid: Grid, basis: str, values: np.ndarray,
                inverse: bool = False) -> np.ndarray:
     """(..., sites, f) values in the basis (or back from it): the identity on
@@ -214,6 +245,73 @@ def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
         modes = slice(a, a + step)
         out[modes] = _rk4_polys(_generator(sys, basis, modes), h)
     return out
+
+
+def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
+    """(lam, V, V^-1, V^-1 A0^-1) of a system with a skew-Hermitian S0, with
+    L = V diag(-i lam) V^-1 in the basis, per mode or site ((f,) and (f, f)
+    arrays when L is the same at every site). With A0 = W^2, W Hermitian,
+    H = i W L W^-1 = W^-1 (i S0 + sum_j sigma_j A^j) W^-1 is Hermitian, and
+    np.linalg.eigh gives H = Q diag(lam) Q^H, so V = W^-1 Q and
+    V^-1 = Q^H W. On the modes, H is formed for chunks of modes, as K is in
+    _step_matrices."""
+    w = w_inv = None
+    if sys.A0 is not None:
+        d, u = np.linalg.eigh(sys.A0)
+        uh = np.conj(np.swapaxes(u, -1, -2))
+        w = (u * np.sqrt(d)[..., None, :]) @ uh
+        w_inv = (u / np.sqrt(d)[..., None, :]) @ uh
+    if basis == "sites":
+        gens = [_generator(sys, basis)]
+    else:
+        g = sys.grid
+        step = max(1, _CHUNK_VALUES // g.fiber ** 2)
+        gens = (_generator(sys, basis, slice(a, a + step))
+                for a in range(0, g.sites, step))
+    parts = [np.linalg.eigh(1j * _fiber_product(w, _fiber_product(gen, w_inv)))
+             for gen in gens]
+    lam = np.concatenate([p[0] for p in parts])
+    q = np.concatenate([p[1] for p in parts])
+    qh = np.conj(np.swapaxes(q, -1, -2))
+    if w is None:
+        return lam, q, qh, qh
+    return lam, w_inv @ q, qh @ w, qh @ w_inv
+
+
+def _eigen_polys(lam: np.ndarray, h: float) -> np.ndarray:
+    """(r, p0, p1), each shaped as lam: R, P0 and P1 of _rk4_polys on the
+    eigenvalues -i lam of L, as 1 x 1 blocks."""
+    k = _rk4_polys((-1j * lam)[..., None, None], h)[..., 0, :]
+    return np.moveaxis(k, -1, 0).copy()
+
+
+def _rows(values: np.ndarray) -> np.ndarray:
+    """(..., f) values as an (...) array of records of f values each, so that
+    a copy between layouts moves whole fiber rows: numpy's strided copy of
+    complex values makes one inner loop per row of f values."""
+    return values.view(np.dtype((np.void, values.shape[-1] * values.itemsize))
+                       )[..., 0]
+
+
+# frames per batched product of _per_mode: one BLAS call per mode reads a
+# row of every frame it spans, and a long solve is slower done whole (a
+# 1300-frame, 512-mode, fiber-2 product took 2.6x as long as in 64-frame
+# blocks)
+_PER_MODE_FRAMES = 64
+
+
+def _per_mode(m: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """out[:, i] = m[i] applied to values[:, i], for (frames, n, f) stacks
+    (`out` may be `values`): batched np.matmul over blocks of frames, so
+    that numpy makes one BLAS call per mode (or site) i and block, not one
+    per frame. One (f, f) m applies to every i."""
+    for a in range(0, len(values), _PER_MODE_FRAMES):
+        b = a + _PER_MODE_FRAMES
+        if m.ndim == 2:
+            out[a:b] = values[a:b] @ m.T
+            continue
+        res = np.matmul(values[a:b].transpose(1, 0, 2), np.swapaxes(m, -1, -2))
+        _rows(out[a:b])[...] = _rows(res).T
 
 
 def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
@@ -325,6 +423,91 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     return n_ok
 
 
+# values in one block of frames (see _PER_MODE_FRAMES) of a chunk of modes
+# (or sites) of an eigenbasis solve: the size of its temporaries. A chunk
+# runs all its steps, so a line of up to 2048 modes of fiber 2 is one chunk
+# and its step loop runs once; 16^3 x 6 Maxwell modes are 3 chunks.
+_EIGEN_CHUNK_VALUES = 1 << 18
+
+
+def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
+                      data: StateField, xf: str, eig: tuple,
+                      polys: np.ndarray, h: float, i0: int, sgn: int,
+                      n_steps: int, stored: np.ndarray) -> int:
+    """The recurrence of a system with a skew-Hermitian S0 in the eigenbasis
+    of L (see _eigenbasis; `polys` from _eigen_polys), with _recurrence's
+    arguments, output and return value. There a step is elementwise,
+    u+ = r u + p0 w_n + p1 w_n+1, with u = V^-1 y and w = V^-1 A0^-1 source;
+    a step with only one end in the source window adds q0 w_n, with
+    q0 = p0 - p1 + h/6, or (h/6) w_n+1, as in _block_product.
+
+    `stored` is the work buffer. The source frames are transformed from `xf`
+    into it by blocks of frames. Then each chunk of modes (or sites) runs
+    alone, on all frames: per-mode products (_per_mode) take its source to
+    the eigenbasis, each step's source term is written into the frame the
+    step makes, the steps add r times the frame before, and per-mode
+    products by V take its frames back. Last, the frames are transformed
+    back to `xf` by blocks of frames. The steps run past a non-finite
+    frame, and the first one is found after the transforms back."""
+    grid = sys.grid
+    _, vecs, to_u, to_w = eig
+    y0 = _transform(grid, xf, data.values)
+    block = max(1, _CHUNK_VALUES // y0.size)
+    rows = min(_PER_MODE_FRAMES, n_steps + 1)
+    count = -(-grid.sites * rows * grid.fiber // _EIGEN_CHUNK_VALUES)
+    size = -(-grid.sites // count)    # chunks of equal size
+    window = _source_window(phi, i0, sgn, n_steps)
+    first, last = 0, -1               # the steps that add a source term
+    if window is not None:
+        lo, hi = window
+        first, last = max(lo - 1, 0), min(hi, n_steps - 1)
+        ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
+        src = phi.values[ends[0]:ends[1] + 1][::sgn]  # positions lo .. hi
+        if xf == "modes":
+            for a in range(lo, hi + 1, block):
+                b = min(a + block, hi + 1)
+                stored[a:b] = _transform(grid, xf, src[a - lo:b - lo])
+            src = stored[lo:hi + 1]
+    for k in range(0, grid.sites, size):
+        c = slice(k, k + size)
+        m = c if vecs.ndim == 3 else slice(None)    # per mode, or one set
+        r, p0, p1 = polys[:, m]
+        work = stored[:, c]
+        if window is not None:
+            _per_mode(to_w[m], src[:, c], work[lo:hi + 1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            if window is not None:
+                w = work[lo:hi + 1]
+                if hi < n_steps:
+                    np.multiply(p0 - p1 + h / 6.0, w[-1], out=work[hi + 1])
+                # p0 w_k + p1 w_k+1 into frame k + 1, by blocks of frames
+                # from the last, so that each w_k is read before it is
+                # overwritten
+                for b in range(len(w) - 1, 0, -_PER_MODE_FRAMES):
+                    a = max(b - _PER_MODE_FRAMES, 0)
+                    term = p0 * w[a:b]
+                    w[a + 1:b + 1] *= p1
+                    w[a + 1:b + 1] += term
+                w[0] *= h / 6.0       # step lo - 1 has only its end in it
+            prev = _fiber_apply(to_u[m], y0[c])
+            term = np.empty_like(prev)
+            for s in range(n_steps):
+                if first <= s <= last:
+                    work[s + 1] += np.multiply(r, prev, out=term)
+                else:
+                    np.multiply(r, prev, out=work[s + 1])
+                prev = work[s + 1]
+        _per_mode(vecs[m], work[1:], work[1:])
+    if xf == "modes":
+        for a in range(1, n_steps + 1, block):
+            stored[a:a + block] = _transform(grid, xf, stored[a:a + block],
+                                             inverse=True)
+    if window is not None and window[0] == 0:
+        stored[0] = data.values       # it held the source at position 0
+    bad = _first_non_finite(stored[1:])
+    return n_steps if bad is None else bad
+
+
 def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
                      y0: np.ndarray, h: float, i0: int, sgn: int,
                      n_steps: int, frames: np.ndarray) -> int:
@@ -384,16 +567,31 @@ def _aborted(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int, s: int,
 
 class LocalSolver:
     """Local solves of one system with one SolveOptions (see solve_local).
-    The recurrence's stacked step matrix K = [R | P0 | P1] is built at the
-    first solve in each direction and kept, so that a caller making many solves, such as a Dyson run, builds
-    it once. `basis` is the recurrence's basis ("sites"
-    or "modes", see _basis; "sites" for a state-free system, whose recurrence
-    is the L = 0 case), None when the solves step RK4."""
+    `basis` is the recurrence's basis ("sites" or "modes", see _basis), None
+    when the solves step RK4. `recurrence` is the recurrence that runs in it
+    (see _recurrence_kind), None when the solves step. What a recurrence
+    builds is built at the first solve that needs it and kept, so that a
+    caller making many solves, such as a Dyson run, builds it once: the
+    eigenbasis once, and its step coefficients, or the stacked step matrix
+    K = [R | P0 | P1], once per direction."""
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
         self.sys, self.opts = sys, opts
         self.basis = _basis(sys)
-        self._mats: dict = {}         # direction -> K
+        self.recurrence = _recurrence_kind(sys, self.basis)
+        self._eig: Optional[tuple] = None
+        self._mats: dict = {}         # direction -> K or (r, p0, p1)
+
+    def _step_data(self, h: float, sgn: int) -> np.ndarray:
+        """The direction's K, or (r, p0, p1) in the eigenbasis."""
+        if sgn not in self._mats:
+            if self.recurrence == "eigen":
+                if self._eig is None:
+                    self._eig = _eigenbasis(self.sys, self.basis)
+                self._mats[sgn] = _eigen_polys(self._eig[0], h)
+            else:
+                self._mats[sgn] = _step_matrices(self.sys, self.basis, h)
+        return self._mats[sgn]
 
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
               t1: float, in_basis: bool = False) -> Trajectory:
@@ -422,16 +620,18 @@ class LocalSolver:
         stored = vals[::sgn]
         stored[0] = data.values
         if self.basis is not None:
-            if self.basis == "sites" and sys.S0 is None:     # L = 0
+            xf = "sites" if in_basis else self.basis
+            if self.recurrence == "sum":
                 n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
                                         n_steps, stored)
+            elif self.recurrence == "eigen":
+                polys = self._step_data(h, sgn)
+                n_ok = _eigen_recurrence(sys, phi, data, xf, self._eig, polys,
+                                         h, i0, sgn, n_steps, stored)
             else:
-                if sgn not in self._mats:
-                    self._mats[sgn] = _step_matrices(sys, self.basis, h)
-                n_ok = _recurrence(sys, phi, data,
-                                   "sites" if in_basis else self.basis,
-                                   self._mats[sgn], h, i0, sgn, n_steps,
-                                   stored)
+                n_ok = _recurrence(sys, phi, data, xf,
+                                   self._step_data(h, sgn), h, i0, sgn,
+                                   n_steps, stored)
             if n_ok < n_steps:
                 raise _aborted(sys, opts, i0, sgn, n_ok,
                                stored[:n_ok + 1][::sgn])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,24 @@ def _read_columns(m: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return None if len(cols) == m.shape[-1] else cols
 
 
+def _stacked_columns(grid: Grid, aj: tuple,
+                     live: tuple) -> Optional[np.ndarray]:
+    """[A^j1_c1 | A^j2_c2 | ...] over the live A^j, each restricted to the
+    columns c it reads, in `_fiber_apply` form: one (f, sum |c|) matrix, a
+    per-site stack when some A^j varies by site, None when there is no live
+    A^j or the one live A^j is the identity."""
+    if not live:
+        return None
+    if len(live) == 1 and live[0][1] is None:
+        return aj[live[0][0]]
+    blocks = [np.eye(grid.fiber) if aj[j] is None else aj[j] for j, _ in live]
+    blocks = [m if c is None else m[..., c] for m, (_, c) in zip(blocks, live)]
+    if any(m.ndim == 3 for m in blocks):
+        blocks = [np.broadcast_to(m, (grid.sites,) + m.shape[-2:])
+                  for m in blocks]
+    return np.concatenate(blocks, axis=-1)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Coefficient data of a symmetric hyperbolic system on a periodic grid.
@@ -113,6 +131,10 @@ class SystemSpec:
     A0_inv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     # (axis, _read_columns) of every A^j that is not identically zero
     live: tuple = field(init=False, repr=False, compare=False)
+    # [A^j1_c1 | A^j2_c2 | ...]: each live A^j restricted to the columns it
+    # reads, side by side, in `_fiber_apply` form (see _spatial_product)
+    spatial: Optional[np.ndarray] = field(init=False, repr=False,
+                                          compare=False)
     v_max: float = field(init=False, repr=False, compare=False)  # signal speed
     # the slice weight, built by the first `inner_weight` call
     _weight: Optional[InnerWeight] = field(default=None, init=False,
@@ -146,9 +168,10 @@ class SystemSpec:
         object.__setattr__(self, "S0", s0 if s0 is not None and np.any(s0)
                            else None)
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "live", tuple(
-            (j, _read_columns(a)) for j, a in enumerate(aj)
-            if a is None or np.any(a)))
+        live = tuple((j, _read_columns(a)) for j, a in enumerate(aj)
+                     if a is None or np.any(a))
+        object.__setattr__(self, "live", live)
+        object.__setattr__(self, "spatial", _stacked_columns(g, aj, live))
         # max |eigenvalue| of A0^{-1} A^j over sites and axes = signal speed
         vmax = 0.0
         for a in aj:
@@ -217,20 +240,21 @@ def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
                      for ti, v in zip(t, values)])
 
 
-def _spatial_terms(sys: SystemSpec, values: np.ndarray,
-                   deriv: Callable = diff4) -> Iterator:
-    """A^j D_j psi for every live A^j, each differentiating only the fiber
-    columns its A^j reads: equal to the full product except where a zero
-    column's term would add a signed zero or carry a non-finite value.
-    `deriv` is D_j with diff4's signature: diff4 on site values,
-    `grids.mode_diff4` on Fourier-mode values (site-constant A^j only)."""
-    for j, cols in sys.live:
-        a = sys.Aj[j]
-        if cols is None:
-            yield _fiber_apply(a, deriv(sys.grid, values, j))
-        else:
-            yield _fiber_apply(a[..., cols],
-                               deriv(sys.grid, values[..., cols], j))
+def _spatial_product(sys: SystemSpec, values: np.ndarray,
+                     deriv: Callable = diff4) -> Optional[np.ndarray]:
+    """sum_j A^j D_j psi as one product: D_j of the fiber columns each live
+    A^j reads, side by side, times `sys.spatial`; None when no A^j is live.
+    Equal to the sum of the full products up to the order of the sum (one
+    term, as on one axis, is bitwise equal), except where a zero column's
+    term would add a signed zero or carry a non-finite value. `deriv` is
+    D_j with diff4's signature: diff4 on site values, `grids.mode_diff4` on
+    Fourier-mode values (site-constant A^j only)."""
+    if not sys.live:
+        return None
+    parts = [deriv(sys.grid, values if cols is None else values[..., cols], j)
+             for j, cols in sys.live]
+    return _fiber_apply(sys.spatial, parts[0] if len(parts) == 1
+                        else np.concatenate(parts, axis=-1))
 
 
 def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
@@ -245,8 +269,9 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
     s0 = _S0_apply(sys, values, t)
     if s0 is not None:
         acc += s0
-    for term in _spatial_terms(sys, values):
-        acc -= term
+    spatial = _spatial_product(sys, values)
+    if spatial is not None:
+        acc -= spatial
     return _fiber_apply(sys.A0_inv, acc)
 
 
@@ -255,10 +280,11 @@ def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
     """S psi given the field and its time derivative on one slice, or on a
     (frames, sites, fiber) stack with `t` holding one time per frame; on
     Fourier-mode values with `deriv` = `grids.mode_diff4` (see
-    _spatial_terms)."""
+    _spatial_product)."""
     out = _fiber_apply(sys.A0, dpsi_dt)
-    for term in _spatial_terms(sys, values, deriv):
-        out = out + term
+    spatial = _spatial_product(sys, values, deriv)
+    if spatial is not None:
+        out = out + spatial
     s0 = _S0_apply(sys, values, t)
     if s0 is not None:
         out = out - s0

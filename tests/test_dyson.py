@@ -788,7 +788,8 @@ def test_window_contamination_matches_full_scan(vals, index0, want):
 def test_modes_loop_holds_at_most_four_trajectories():
     """The traced peak of a modes-loop run of 193 frames (9.5 MB a
     trajectory) is at most four trajectories (the partial sum, B applied to
-    it, the iterate and B of the iterate), the step matrices, what one
+    it, the iterate and B of the iterate), the size of one direction's step
+    matrices (the eigenbasis this system's solves hold is smaller), what one
     apply_all allocates besides its output, and 2 MB for the run's
     fixed-size arrays (data, source, frame norms, residual chunks; about
     0.4 MB measured). A fifth trajectory held at any point exceeds it."""

@@ -329,6 +329,23 @@ def _solver_case(name):
         sys = make_system(grid2, a0, [np.array([[0.5, 0.2j], [-0.2j, -0.3]])],
                           S0=np.array([[-0.5, 2.0], [0.0, 0.3j]]))
         return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "skew_A0":
+        # the A0 and A^1 of A0_nonnormal_S0 with S0 = i (Hermitian), so that
+        # L is skew-adjoint in the A0 inner product, not in the plain one
+        a0 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.5]])
+        sys = make_system(grid2, a0, [np.array([[0.5, 0.2j], [-0.2j, -0.3]])],
+                          S0=1j * np.array([[0.4, 0.3 - 0.2j],
+                                            [0.3 + 0.2j, -0.7]]))
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "skew_per_site":
+        # no spatial term; A0 and a skew-Hermitian S0 that vary by site
+        scale = 1.0 + 0.5 * rng.random(grid2.sites)
+        a0 = scale[:, None, None] * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        m = rng.normal(size=(grid2.sites, 2, 2)) + 1j * rng.normal(
+            size=(grid2.sites, 2, 2))
+        s0 = 0.5j * (m + np.conj(np.swapaxes(m, -1, -2)))
+        return (make_system(grid2, a0, [np.zeros((2, 2))], S0=s0),
+                SolveOptions(dt=0.1 / 7))
     if name == "S0_per_site":
         scale = 1.0 + 0.5 * rng.random(grid2.sites)
         a0 = scale[:, None, None] * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
@@ -346,8 +363,10 @@ def _solver_case(name):
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
-_RECURRENCE = ("transport", "dirac", "maxwell3d", "A0_nonnormal_S0",
-               "S0_per_site")
+# the recurrence in the eigenbasis (a skew-Hermitian S0) and the stacked one
+_EIGEN = ("transport", "dirac", "maxwell3d", "skew_A0", "skew_per_site")
+_STACKED = ("A0_nonnormal_S0", "S0_per_site")
+_RECURRENCE = _EIGEN + _STACKED
 _STEPPING = ("S0_t", "Aj_per_site")
 
 
@@ -355,12 +374,17 @@ _STEPPING = ("S0_t", "Aj_per_site")
 def test_the_system_alone_picks_the_path(name):
     """The basis is "sites" when no A^j is live, "modes" when every
     coefficient is the same at every site, and otherwise the solve steps
-    (None); no option takes part."""
+    (None). In the basis the recurrence is "sum" when L = 0, "eigen" when
+    S0 is skew-Hermitian and "stacked" otherwise. No option takes part."""
     sys, opts = _solver_case(name)
-    modes = ("transport", "dirac", "maxwell3d", "A0_nonnormal_S0")
+    modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_nonnormal_S0")
     want = None if name in _STEPPING else "modes" if name in modes \
         else "sites"
-    assert LocalSolver(sys, opts).basis == want
+    solver = LocalSolver(sys, opts)
+    assert solver.basis == want
+    assert solver.recurrence == ("sum" if name in _STATE_FREE else
+                                 "eigen" if name in _EIGEN else
+                                 "stacked" if name in _STACKED else None)
 
 
 # the recurrence reorders the sums of the RK4 loop and runs in Fourier
@@ -478,7 +502,8 @@ def test_zero_step_solve_returns_data():
 @pytest.mark.parametrize("solves", [1, 4])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("name", ["ode_zero_S0", "A0_matrix", "dirac",
-                                  "S0_per_site", "maxwell3d", "Aj_per_site"])
+                                  "S0_per_site", "maxwell3d", "Aj_per_site",
+                                  "skew_A0"])
 def test_non_finite_source_aborts_like_reference_loop(name, sgn, solves):
     """A non-finite source frame aborts every path at the step the loop
     aborts, with its message, index0 and last_stable, and its partial frames
@@ -658,8 +683,7 @@ def test_state_free_solve_matches_running_sum(name, kind, sgn, solves):
 # solves in the recurrence's basis
 
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
-@pytest.mark.parametrize("name", ["transport", "dirac", "maxwell3d",
-                                  "A0_nonnormal_S0", "S0_per_site"])
+@pytest.mark.parametrize("name", _RECURRENCE)
 def test_in_basis_solve_matches_site_solve(name, sgn):
     """A solve on values already in the basis (to_modes of the data and the
     source on the modes) gives the basis values of the site solve, to
@@ -765,15 +789,15 @@ _WINDOWS = {"inside-blocks": (10, 17), "block-edges": (7, 21),
                          ids=["transformed", "in-basis"])
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("window", sorted(_WINDOWS))
-@pytest.mark.parametrize("name", ["maxwell3d", "dirac", "S0_constant",
-                                  "S0_per_site"])
+@pytest.mark.parametrize("name", ["maxwell3d", "dirac", "skew_A0",
+                                  "S0_constant", "S0_per_site"])
 def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
                                                sgn, in_basis):
     """The recurrence by block products K V equals the one by separate
     R, P0 and P1 products to _RECURRENCE_RTOL of the largest frame value,
-    in blocks of 7 steps, for per-mode K (maxwell3d, dirac), one (f, 3f) K
-    (S0_constant) and a per-site K (S0_per_site), on site values and on
-    values already in the basis."""
+    in blocks of 7 steps, for per-mode K (maxwell3d, dirac, skew_A0), one
+    (f, 3f) K (S0_constant) and a per-site K (S0_per_site), on site values
+    and on values already in the basis."""
     from hypnl import solver as solver_mod
     if name == "S0_constant":
         grid = make_grid(1, 2.0 * math.pi, 32, 2)
@@ -813,28 +837,102 @@ def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
     assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
 
 
+@pytest.mark.parametrize("in_basis", [False, True],
+                         ids=["transformed", "in-basis"])
+@pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+@pytest.mark.parametrize("name", ["maxwell3d", "dirac", "skew_A0",
+                                  "skew_per_site"])
+def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
+                                          in_basis):
+    """The recurrence in the eigenbasis equals the stacked K V one to
+    _RECURRENCE_RTOL of the largest frame value, over every source window
+    of _WINDOWS, in chunks of 5 modes (or sites) and blocks of 7 frames:
+    per mode (maxwell3d, dirac, and skew_A0, whose A0 is not I) and per
+    site (skew_per_site), on site values and on values already in the
+    basis."""
+    from hypnl import solver as solver_mod
+    sys, opts = _solver_case(name)
+    grid, f = sys.grid, sys.grid.fiber
+    solver = LocalSolver(sys, opts)
+    basis = solver.basis
+    assert solver.recurrence == "eigen"
+    h = sgn * opts.dt
+    steps = 30
+    monkeypatch.setattr(solver_mod, "_CHUNK_VALUES", 7 * grid.sites * f)
+    monkeypatch.setattr(solver_mod, "_PER_MODE_FRAMES", 7)
+    monkeypatch.setattr(solver_mod, "_EIGEN_CHUNK_VALUES", 5 * 7 * f)
+    lo, hi = _WINDOWS[window]
+    rng = np.random.default_rng(29)
+    vals = _random_field(rng, grid, hi - lo + 1)
+    values = _random_field(rng, grid)
+    xf = basis
+    if in_basis:
+        vals, values = (_transform(grid, basis, v) for v in (vals, values))
+        xf = "sites"
+    phi = Trajectory(grid, opts.dt, min(sgn * lo, sgn * hi), vals[::sgn])
+    data = StateField(grid, 0.0, values)
+    got = np.empty((steps + 1, grid.sites, f), dtype=complex)
+    want = got.copy()
+    got[0] = want[0] = values
+    eig = solver_mod._eigenbasis(sys, basis)
+    assert solver_mod._eigen_recurrence(
+        sys, phi, data, xf, eig, solver_mod._eigen_polys(eig[0], h), h, 0,
+        sgn, steps, got) == steps
+    assert solver_mod._recurrence(
+        sys, phi, data, xf, solver_mod._step_matrices(sys, basis, h), h, 0,
+        sgn, steps, want) == steps
+    assert _bits(got[0]) == _bits(values)
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
+
+
+@pytest.mark.parametrize("name", ["skew_A0", "skew_per_site"])
+def test_eigenbasis_diagonalizes_the_generator(name):
+    """L = V diag(-i lam) V^-1 with real lam, the data transform is V^-1 and
+    the source transform V^-1 A0^-1, per mode or site, to round-off."""
+    from hypnl import solver as solver_mod
+    sys, opts = _solver_case(name)
+    basis = LocalSolver(sys, opts).basis
+    lam, vecs, to_u, to_w = solver_mod._eigenbasis(sys, basis)
+    assert lam.dtype == float
+    gen = solver_mod._generator(sys, basis)
+    eye = np.eye(sys.grid.fiber)
+    assert np.max(np.abs(to_u @ vecs - eye)) < 1e-13
+    assert np.max(np.abs(to_w - to_u @ sys.A0_inv)) < 1e-13
+    rebuilt = (vecs * (-1j * lam)[..., None, :]) @ to_u
+    assert np.max(np.abs(rebuilt - gen)) < 1e-13 * np.max(np.abs(gen))
+
+
 def test_step_matrices_built_once_per_direction(monkeypatch):
+    """A LocalSolver builds what its recurrence needs at its first solve in
+    each direction and keeps it: the eigenbasis once and its step
+    coefficients once per direction (dirac), or K once per direction
+    (A0_nonnormal_S0). Its solves equal fresh solve_local ones bitwise."""
     from hypnl import solver as solver_mod
     calls = []
-    build = solver_mod._step_matrices
-
-    def counted(*args):
-        calls.append(args[-1])
-        return build(*args)
-
-    monkeypatch.setattr(solver_mod, "_step_matrices", counted)
-    sys, opts = _solver_case("dirac")
-    solver = LocalSolver(sys, opts)
-    data = StateField(sys.grid, 0.0, _random_field(np.random.default_rng(2),
-                                                   sys.grid))
-    ends = (4 * opts.dt, 6 * opts.dt, -3 * opts.dt, -5 * opts.dt)
-    want = [solve_local(sys, None, data, 0.0, t1, opts) for t1 in ends]
-    assert len(calls) == 4
-    del calls[:]
-    for t1, tr in zip(ends, want):
-        assert _bits(solver.solve(None, data, 0.0, t1).values) == \
-            _bits(tr.values)
-    assert calls == [opts.dt, -opts.dt]
+    for fn in ("_eigenbasis", "_eigen_polys", "_step_matrices"):
+        def counted(*args, build=getattr(solver_mod, fn), fn=fn):
+            calls.append((fn, args[-1] if fn != "_eigenbasis" else None))
+            return build(*args)
+        monkeypatch.setattr(solver_mod, fn, counted)
+    for name, builds in (("dirac", ("_eigenbasis", "_eigen_polys")),
+                         ("A0_nonnormal_S0", ("_step_matrices",))):
+        sys, opts = _solver_case(name)
+        solver = LocalSolver(sys, opts)
+        data = StateField(sys.grid, 0.0, _random_field(
+            np.random.default_rng(2), sys.grid))
+        ends = (4 * opts.dt, 6 * opts.dt, -3 * opts.dt, -5 * opts.dt)
+        del calls[:]
+        want = [solve_local(sys, None, data, 0.0, t1, opts) for t1 in ends]
+        assert sorted({fn for fn, _ in calls}) == sorted(builds)
+        del calls[:]
+        for t1, tr in zip(ends, want):
+            assert _bits(solver.solve(None, data, 0.0, t1).values) == \
+                _bits(tr.values)
+        per_direction = [(builds[-1], opts.dt), (builds[-1], -opts.dt)]
+        assert calls == [("_eigenbasis", None)] * (len(builds) - 1) + \
+            per_direction
 
 
 def test_in_basis_needs_a_recurrence():
