@@ -30,17 +30,18 @@ no setting:
     P0 = P1 = (h/2) I, and a step with one end in the source window adds
     (h/6) s, so the frames are the data plus one cumulative sum of these
     increments, without a per-step loop (_source_integral).
-  - "eigen", S0 skew-Hermitian (S0 + S0^H = 0, an absent S0 included, as
-    in Maxwell's and Dirac's equations): L is skew-adjoint in the A0 inner
-    product, so L = V diag(-i lam) V^-1 with real lam (_eigenbasis, one
+  - "eigen", A0 and every live A^j exactly Hermitian and S0 exactly
+    skew-Hermitian (S0 + S0^H = 0, an absent S0 included, as in Maxwell's
+    and Dirac's equations): L is skew-adjoint in the A0 inner product, so
+    L = V diag(-i lam) V^-1 with real lam (_eigenbasis, one
     np.linalg.eigh per mode or site, built once per LocalSolver). In that
     basis a step is elementwise, and a solve takes the source in and the
     frames out by batched per-mode products over blocks of frames, not one
     product per step (_eigen_recurrence).
-  - "stacked", any other S0: K = [R | P0 | P1], built once per LocalSolver
-    and direction; a block of steps that reads a source frame is one
-    batched product of K (see _block_product), one without steps R y
-    alone (_recurrence).
+  - "stacked", any other system: K = [R | P0 | P1], built once per
+    LocalSolver and direction; a block of steps that reads a source frame
+    is one batched product of K (see _block_product), one without steps
+    R y alone (_recurrence).
   The frames agree with the per-step loop to round-off: below 1e-14 of the
   largest frame value, tested at 1e-13.
 * Stepping (a time-dependent S0, or a spatial term with a coefficient that
@@ -159,20 +160,31 @@ def _basis(sys: SystemSpec) -> Optional[str]:
     return None
 
 
+def _exactly_hermitian(m: Optional[np.ndarray], sign: float = 1.0) -> bool:
+    """Whether m equals `sign` times its conjugate transpose bitwise (per
+    site for a stack); None, the identity or zero, passes."""
+    return m is None or np.array_equal(
+        m, sign * np.conj(np.swapaxes(m, -1, -2)))
+
+
 def _recurrence_kind(sys: SystemSpec, basis: Optional[str]) -> Optional[str]:
     """The recurrence a system's solves take in `basis` (None when they
     step): "sum" when L = 0 (no spatial term and no S0, see
-    _source_integral); "eigen" when S0 is exactly skew-Hermitian
-    (S0 + S0^H = 0, an absent S0 included), so that
-    L = A0^{-1} (S0 - i sum_j sigma_j A^j) is skew-adjoint in the A0 inner
-    product on every mode or site (see _eigen_recurrence); else "stacked"
-    (K = [R | P0 | P1], see _recurrence)."""
+    _source_integral); "eigen" when A0 and every live A^j are exactly
+    Hermitian and S0 exactly skew-Hermitian (S0 + S0^H = 0, an absent S0
+    included), so that L = A0^{-1} (S0 - i sum_j sigma_j A^j) is
+    skew-adjoint in the A0 inner product on every mode or site (see
+    _eigen_recurrence); else "stacked" (K = [R | P0 | P1], see
+    _recurrence), which is built from L as it is. The test is bitwise:
+    np.linalg.eigh reads one triangle of a matrix, so a coefficient that is
+    Hermitian only to round-off would shift the eigenbasis by as much."""
     if basis is None:
         return None
-    s0 = sys.S0
-    if basis == "sites" and s0 is None:
+    if basis == "sites" and sys.S0 is None:
         return "sum"
-    if s0 is None or np.array_equal(s0, -np.conj(np.swapaxes(s0, -1, -2))):
+    if _exactly_hermitian(sys.S0, -1.0) and all(
+            _exactly_hermitian(c) for c in
+            (sys.A0,) + tuple(sys.Aj[j] for j, _ in sys.live)):
         return "eigen"
     return "stacked"
 
@@ -248,9 +260,10 @@ def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
 
 
 def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
-    """(lam, V, V^-1, V^-1 A0^-1) of a system with a skew-Hermitian S0, with
-    L = V diag(-i lam) V^-1 in the basis, per mode or site ((f,) and (f, f)
-    arrays when L is the same at every site). With A0 = W^2, W Hermitian,
+    """(lam, V, V^-1, V^-1 A0^-1) of a system whose recurrence is "eigen"
+    (see _recurrence_kind), with L = V diag(-i lam) V^-1 in the basis, per
+    mode or site ((f,) and (f, f) arrays when L is the same at every
+    site). With A0 = W^2, W Hermitian,
     H = i W L W^-1 = W^-1 (i S0 + sum_j sigma_j A^j) W^-1 is Hermitian, and
     np.linalg.eigh gives H = Q diag(lam) Q^H, so V = W^-1 Q and
     V^-1 = Q^H W. On the modes, H is formed for chunks of modes, as K is in
@@ -326,6 +339,21 @@ def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
     return (lo, hi) if lo <= hi else None
 
 
+def _window_sources(phi: Trajectory, i0: int, sgn: int, lo: int, hi: int,
+                    p0, p1, h: float, one=1.0) -> tuple:
+    """(s, q1, q0) of the source frames at solve positions lo .. hi of a
+    recurrence whose steps add P0 s_n + P1 s_n+1 (`one` is the identity in
+    the form of p0 and p1): s the frames, in stepping order (a view of
+    phi.values), and the coefficients of the one source frame read by a
+    step with only one end in the source window. Such a step has no
+    midpoint stage (see _step_sources): the step into the window's first
+    frame adds q1 s = (h/6) s and the step out of its last frame adds
+    q0 s = (P0 - P1 + h/6) s, Q1 and Q0 of _rk4_polys."""
+    ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
+    q1 = (h / 6.0) * one
+    return phi.values[ends[0]:ends[1] + 1][::sgn], q1, p0 - p1 + q1
+
+
 def _step_sources(phi: Optional[Trajectory], i0: int, sgn: int,
                   n_steps: int) -> Iterator:
     """(s_n, s_mid, s_n+1) of every step of the RK4 loop: the source frames
@@ -355,15 +383,14 @@ def _block_product(sys: SystemSpec, phi: Trajectory, xf: str, k: np.ndarray,
     reads no source frame): V's first column is [y_a; s_a; s_a+1] and each
     later one [0; s_n; s_n+1], s = A0^{-1} source in the basis (transformed
     from `xf`), zero outside the window. A step with only one end in the
-    window has no midpoint stage: it adds Q0 s_n or Q1 s_n+1, the same sum
-    less (P1 - (h/6) I) applied to its one source frame."""
+    window adds q1 s or q0 s (see _window_sources), where V put P1 or P0."""
     lo, hi = max(a, window[0]), min(b, window[1])
     if lo > hi:
         return None
     g, f = sys.grid, sys.grid.fiber
-    ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
-    s = _transform(g, xf, _fiber_apply(
-        sys.A0_inv, phi.values[ends[0]:ends[1] + 1][::sgn]))
+    p0, p1 = k[..., f:2 * f], k[..., 2 * f:]
+    src, q1, q0 = _window_sources(phi, i0, sgn, lo, hi, p0, p1, h, np.eye(f))
+    s = _transform(g, xf, _fiber_apply(sys.A0_inv, src))
     cols = s.transpose(1, 2, 0)           # frames lo .. hi as columns
     v = np.zeros((g.sites, 3 * f, b - a), dtype=complex)
     v[:, :f, 0] = y
@@ -373,11 +400,10 @@ def _block_product(sys: SystemSpec, phi: Trajectory, xf: str, k: np.ndarray,
     first = max(lo, a + 1)
     v[:, 2 * f:, first - a - 1:hi - a] = cols[..., first - lo:]
     out = np.matmul(k, v).transpose(2, 0, 1)
-    for step, pos in ((window[0] - 1, window[0]), (window[1], window[1])):
+    for step, pos, q, p in ((window[0] - 1, window[0], q1, p1),
+                            (window[1], window[1], q0, p0)):
         if a <= step < b:
-            edge = s[pos - lo]
-            out[step - a] -= _fiber_apply(k[..., 2 * f:], edge) \
-                - (h / 6.0) * edge
+            out[step - a] += _fiber_apply(q - p, s[pos - lo])
     return out
 
 
@@ -438,8 +464,8 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
     of L (see _eigenbasis; `polys` from _eigen_polys), with _recurrence's
     arguments, output and return value. There a step is elementwise,
     u+ = r u + p0 w_n + p1 w_n+1, with u = V^-1 y and w = V^-1 A0^-1 source;
-    a step with only one end in the source window adds q0 w_n, with
-    q0 = p0 - p1 + h/6, or (h/6) w_n+1, as in _block_product.
+    a step with only one end in the source window adds q1 w_n+1 or q0 w_n
+    (see _window_sources).
 
     `stored` is the work buffer. The source frames are transformed from `xf`
     into it by blocks of frames. Then each chunk of modes (or sites) runs
@@ -461,8 +487,8 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
     if window is not None:
         lo, hi = window
         first, last = max(lo - 1, 0), min(hi, n_steps - 1)
-        ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
-        src = phi.values[ends[0]:ends[1] + 1][::sgn]  # positions lo .. hi
+        src, q1, q0 = _window_sources(phi, i0, sgn, lo, hi, polys[1],
+                                      polys[2], h)
         if xf == "modes":
             for a in range(lo, hi + 1, block):
                 b = min(a + block, hi + 1)
@@ -479,7 +505,7 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
             if window is not None:
                 w = work[lo:hi + 1]
                 if hi < n_steps:
-                    np.multiply(p0 - p1 + h / 6.0, w[-1], out=work[hi + 1])
+                    np.multiply(q0[m], w[-1], out=work[hi + 1])
                 # p0 w_k + p1 w_k+1 into frame k + 1, by blocks of frames
                 # from the last, so that each w_k is read before it is
                 # overwritten
@@ -488,7 +514,7 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
                     term = p0 * w[a:b]
                     w[a + 1:b + 1] *= p1
                     w[a + 1:b + 1] += term
-                w[0] *= h / 6.0       # step lo - 1 has only its end in it
+                w[0] *= q1            # step lo - 1 has only its end in it
             prev = _fiber_apply(to_u[m], y0[c])
             term = np.empty_like(prev)
             for s in range(n_steps):
@@ -514,22 +540,23 @@ def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
     """The recurrence of a system with L = 0 (R = I, P0 = P1 = (h/2) I), with
     _recurrence's output and return value: the frames are y0 plus the
     cumulative sum of the steps' source terms, (h/2)(s_n + s_n+1) inside the
-    source window and (h/6) s at a step with one end in it, where
-    s = A0^{-1} source."""
+    source window and (h/6) s at a step with one end in it (see
+    _window_sources), where s = A0^{-1} source."""
     frames[0] = y0
     frames[1:] = 0.0
     window = _source_window(phi, i0, sgn, n_steps)
     if window is not None:
         lo, hi = window
-        ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
-        s = _fiber_apply(sys.A0_inv, phi.values[ends[0]:ends[1] + 1][::sgn])
+        src, q1, q0 = _window_sources(phi, i0, sgn, lo, hi, 0.5 * h, 0.5 * h,
+                                      h)
+        s = _fiber_apply(sys.A0_inv, src)
         inc = frames[1:]             # inc[n] is the source term of step n
         np.add(s[:-1], s[1:], out=inc[lo:hi])
         inc[lo:hi] *= 0.5 * h
         if lo > 0:
-            inc[lo - 1] += (h / 6.0) * s[0]
+            inc[lo - 1] += q1 * s[0]
         if hi < n_steps:
-            inc[hi] += (h / 6.0) * s[-1]
+            inc[hi] += q0 * s[-1]
     np.cumsum(frames, axis=0, out=frames)
     # a column of the cumulative sum stays inf or NaN once it meets one, so
     # the frames are all finite exactly when the last one is

@@ -337,6 +337,18 @@ def _solver_case(name):
                           S0=1j * np.array([[0.4, 0.3 - 0.2j],
                                             [0.3 + 0.2j, -0.7]]))
         return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "Aj_non_hermitian":
+        # no S0, but an A^1 that is not Hermitian, so L is not skew-adjoint
+        # (np.linalg.eigh would read its zero lower triangle)
+        sys = make_system(grid2, np.eye(2), [np.diag([1.0], k=1)])
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "A0_round_off":
+        # skew_A0 with an A0 that is Hermitian only to round-off, as
+        # SystemSpec accepts it
+        sys, opts = _solver_case("skew_A0")
+        a0 = sys.A0.copy()
+        a0[0, 1] += 1e-13
+        return make_system(grid2, a0, list(sys.Aj), S0=sys.S0), opts
     if name == "skew_per_site":
         # no spatial term; A0 and a skew-Hermitian S0 that vary by site
         scale = 1.0 + 0.5 * rng.random(grid2.sites)
@@ -365,7 +377,8 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
 # the recurrence in the eigenbasis (a skew-Hermitian S0) and the stacked one
 _EIGEN = ("transport", "dirac", "maxwell3d", "skew_A0", "skew_per_site")
-_STACKED = ("A0_nonnormal_S0", "S0_per_site")
+_STACKED = ("A0_nonnormal_S0", "S0_per_site", "Aj_non_hermitian",
+            "A0_round_off")
 _RECURRENCE = _EIGEN + _STACKED
 _STEPPING = ("S0_t", "Aj_per_site")
 
@@ -375,9 +388,11 @@ def test_the_system_alone_picks_the_path(name):
     """The basis is "sites" when no A^j is live, "modes" when every
     coefficient is the same at every site, and otherwise the solve steps
     (None). In the basis the recurrence is "sum" when L = 0, "eigen" when
-    S0 is skew-Hermitian and "stacked" otherwise. No option takes part."""
+    A0 and every live A^j are exactly Hermitian and S0 exactly
+    skew-Hermitian, and "stacked" otherwise. No option takes part."""
     sys, opts = _solver_case(name)
-    modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_nonnormal_S0")
+    modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_nonnormal_S0",
+             "Aj_non_hermitian", "A0_round_off")
     want = None if name in _STEPPING else "modes" if name in modes \
         else "sites"
     solver = LocalSolver(sys, opts)
