@@ -29,7 +29,7 @@ from .systems import PROFILES, system_from_json, validate_system
 from .systems import SystemError as SystemSpecError
 from .kernels import estimate_bound, threshold_margin
 from .solver import SolveOptions, solve_local
-from .dyson import result_to_csv, result_to_json
+from .dyson import LIVE_TRAJECTORIES, result_to_csv, result_to_json
 from .diagnostics import energy_identity, measure_D
 from .scenarios import (MAXWELL_MODES, CounterexampleConfig, DiracConfig,
                         MaxwellConfig, build_counterexample,
@@ -171,7 +171,7 @@ def _validate_system(doc, path: str) -> None:
     _require(_is_int(fiber) and fiber >= 1, f"{path}.grid.fiber",
              "must be an integer >= 1")
     size = grid["points"] ** dim * fiber * 16        # bytes in one slice
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     _require(size <= memory, f"{path}.grid.points", f"makes one {size:.3g} B "
              f"slice, more than the {memory:.3g} B of physical memory")
     _validate_coefficient(doc["A0"], f"{path}.A0", fiber)
@@ -293,12 +293,17 @@ def _seeded_options(cfg: RunConfig) -> dict:
     return opts
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _build_custom(cfg: RunConfig):
     """(system, kernel-or-None, SolveOptions, T) for a custom config whose
     keys and types are checked. What only the built run can refuse is a
     ConfigError on its path: A0 not Hermitian positive definite, a lapse
     that is not positive, v_max = 0 without options.dt, a drude_lorentz
-    memory on fiber 1 and T under 2 steps."""
+    memory on fiber 1, T under 2 steps, and a Dyson run whose trajectories
+    exceed the physical memory (checked before the kernel is built)."""
     opts = cfg.options
     try:
         sys_spec = system_from_json(opts["system"])
@@ -311,9 +316,23 @@ def _build_custom(cfg: RunConfig):
                  "is required when the signal speed v_max is 0")
         dt = cfl * sys_spec.grid.spacing / sys_spec.v_max
     sopts = SolveOptions(dt=float(dt), cfl=cfl)
+    T = float(opts.get("T", sys_spec.grid.extent))
+    steps = round(T / sopts.dt)
+    _require(steps >= 2, f"{cfg.path}options.T", f"is {steps} step(s) of "
+             f"options.dt = {sopts.dt:.6g}; need at least 2")
     kern = None
     kspec = opts.get("kernel")
     if kspec and kspec.get("kind") == "drude_lorentz":
+        # the Dyson run on [0, T] holds LIVE_TRAJECTORIES trajectories of
+        # steps + 1 frames
+        g = sys_spec.grid
+        size = LIVE_TRAJECTORIES * (steps + 1) * g.sites * g.fiber * 16
+        memory = _physical_memory()
+        _require(size <= memory, f"{cfg.path}options.T",
+                 f"makes a Dyson run of {steps + 1} frames of options.dt = "
+                 f"{sopts.dt:.6g}, {size:.3g} B in {LIVE_TRAJECTORIES} "
+                 f"trajectories, more than the {memory:.3g} B of physical "
+                 "memory")
         # the memory acts on the first fiber // 2 components (the E field of
         # maxwell_kernel): none at fiber 1
         _require(sys_spec.grid.fiber >= 2, f"{cfg.path}options.kernel.kind",
@@ -324,10 +343,6 @@ def _build_custom(cfg: RunConfig):
                                    float(kspec.get("c2", 2.0)))
         kern = maxwell_kernel(sys_spec.grid, chi_dot,
                               delta_eff=float(kspec.get("delta", math.inf)))
-    T = float(opts.get("T", sys_spec.grid.extent))
-    steps = round(T / sopts.dt)
-    _require(steps >= 2, f"{cfg.path}options.T", f"is {steps} step(s) of "
-             f"options.dt = {sopts.dt:.6g}; need at least 2")
     return sys_spec, kern, sopts, steps * sopts.dt
 
 

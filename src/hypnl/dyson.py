@@ -13,17 +13,27 @@ linearity the running sum of these sources is B applied to the partial sum,
 which the residual uses (residual histories agree with re-applying B to the
 partial sum to 1e-12 of each series' maximum).
 
-Loop basis: a run keeps its iterates, sources, B psi, the running sums and
-the partial sum on the Fourier modes when the system's recurrence runs on the
-modes, the kernel commutes with translations
+Loop basis: a run keeps its iterates, sources, the running sums and the
+partial sum in the eigen coordinates of the generator L on the Fourier
+modes when the system's solves are the eigenbasis recurrence on the modes
+(`LocalSolver.recurrence` "eigen"), the kernel commutes with translations
 (`TimeKernel.translation_invariant`) and the inner weight is the same at
-every site; otherwise on the sites. The transform is the unitary
-`grids.to_modes`: the local solves, B and S (with D_j the stencil symbol,
-`grids.mode_diff4`) commute with it, and by Parseval every norm the loop
-takes is unchanged, so the two bases give the same series to round-off.
-The data and source are transformed once per run; only the partial sum
-goes back to the sites, and whatever a monitor or the short-range window
-check reads.
+every site; otherwise on the sites. With y the modes of a field
+(the unitary `grids.to_modes`) and L = V diag(-i lam) V^-1 per mode, an
+iterate or the partial sum is held as u = V^-1 y and a source as
+w = V^-1 A0^-1 s (`LocalSolver.to_eigen`):
+  * the local solves only step (`LocalSolver.solve(..., in_basis=True)`);
+  * B is V on u in place, `apply_all` on the modes, then V^-1 A0^-1 in
+    place (B commutes with to_modes);
+  * the defect (S - B) psi - phi is A0 V x with
+    x = d_t U + i lam U - W_sum - w_phi elementwise, U the partial sum and
+    W_sum the running sum of sources; with A0 = I its norm is that of x;
+  * V is unitary in the A0 inner product, so the slice norm of an iterate
+    is the plain one of u, times the lapse (the same at every site).
+By Parseval and these identities the two bases give the same series to
+round-off. The data and source go to the eigen coordinates once per run;
+only the partial sum goes back to the sites (by V, then the inverse
+transform), and whatever a monitor or the short-range window check reads.
 """
 
 from __future__ import annotations
@@ -35,9 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import (_CHUNK_VALUES, StateField, Trajectory, diff4,
-                    frame_norms_sq, mode_diff4, norm_t, to_modes,
-                    trapezoid_sum)
+from .grids import (_CHUNK_VALUES, InnerWeight, StateField, Trajectory,
+                    frame_norms_sq, norm_t, to_modes, trapezoid_sum)
 from .kernels import TimeKernel, estimate_bound
 from .solver import LocalSolver, SolveAborted, SolveOptions
 from .systems import SystemSpec, _fiber_apply, apply_S, inner_weight
@@ -46,6 +55,11 @@ from .diagnostics import measure_D
 
 class DysonError(RuntimeError):
     pass
+
+
+# trajectories a Dyson run holds at once: the partial sum, the running sum
+# of sources, an iterate and its source (see _run_iteration)
+LIVE_TRAJECTORIES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +105,15 @@ def bound_short(n: int, C: float, delta: float, D: float, t: float,
 
 def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
                    psi: Trajectory, phi: Optional[Trajectory],
-                   strip: Optional[tuple], deriv: Callable) -> tuple:
+                   strip: Optional[tuple],
+                   solver: Optional[LocalSolver] = None) -> tuple:
     """(lo, hi, chunks) of equation_defect: the first and last interior
     frame of psi in the strip, and an iterator over the defect on
-    consecutive stacks of those frames, at most _CHUNK_VALUES values each."""
+    consecutive stacks of those frames, at most _CHUNK_VALUES values each.
+    With `solver`, psi, b_psi and phi hold eigen coordinates of its
+    recurrence on the modes (see residual), and each stack is the defect on
+    the modes (with A0 = I, x of the module docstring, which has its norms:
+    V is unitary), in one buffer that the next stack overwrites."""
     F = psi.n_frames
     if F < 3:
         raise DysonError("need at least 3 frames for the centered residual")
@@ -111,12 +130,26 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
         raise DysonError("source lattice mismatch")
     v, times = psi.values, psi.times()
     step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
+    if solver is not None:
+        i_lam = 1j * solver.eigenbasis()[0]
+        # one pair of buffers for every chunk: fresh arrays of a frame
+        # each cost page faults
+        buf = np.empty((2, step) + v.shape[1:], dtype=complex)
 
     def chunks():
         for a in range(lo, hi + 1, step):
             e = min(a + step, hi + 1)
-            dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
-            d = apply_S(sys, v[a:e], dpsi, times[a:e], deriv)
+            if solver is None:
+                dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
+                d = apply_S(sys, v[a:e], dpsi, times[a:e])
+            else:
+                d, term = buf[:, :e - a]
+                np.subtract(v[a + 1:e + 1], v[a - 1:e - 1], out=d)
+                # numpy divides complex values by a real number as a
+                # product with its reciprocal (the same bits), but 10x
+                # slower
+                d *= 1.0 / (2.0 * dt)
+                d += np.multiply(i_lam, v[a:e], out=term)
             if b_psi is not None:
                 d -= b_psi[a:e]
             if phi is not None:
@@ -125,23 +158,22 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
                 p, q = max(a, off), min(e, off + phi.n_frames)
                 if p < q:
                     d[p - a:q - a] -= phi.values[p - off:q - off]
+            if solver is not None and sys.A0 is not None:
+                d = solver.from_eigen(d, source=True, out=d)
             yield d
     return lo, hi, chunks()
 
 
 def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
                     psi: Trajectory, phi: Optional[Trajectory],
-                    strip: Optional[tuple] = None,
-                    deriv: Callable = diff4) -> Trajectory:
+                    strip: Optional[tuple] = None) -> Trajectory:
     """(S - B) psi - phi on the interior frames of psi (those inside `strip`
     when given), with d_t psi by centered frame differences (O(dt^2)).
     `b_psi` is B psi on every frame of psi (None without a kernel): a caller
     holding a kernel k passes k.apply_all(psi), the Dyson loop passes the
     running sum of its sources, which equals it by linearity. S is applied
-    to stacks of frames, at most _CHUNK_VALUES values at a time; `deriv` is
-    its D_j (see systems.apply_S), `grids.mode_diff4` for Fourier-mode
-    values."""
-    lo, hi, chunks = _defect_chunks(sys, b_psi, psi, phi, strip, deriv)
+    to stacks of frames, at most _CHUNK_VALUES values at a time."""
+    lo, hi, chunks = _defect_chunks(sys, b_psi, psi, phi, strip)
     out = np.empty((hi - lo + 1, sys.grid.sites, sys.grid.fiber),
                    dtype=complex)
     a = 0
@@ -153,16 +185,19 @@ def equation_defect(sys: SystemSpec, b_psi: Optional[np.ndarray],
 
 def residual(sys: SystemSpec, b_psi: Optional[np.ndarray], psi: Trajectory,
              phi: Optional[Trajectory], strip: Optional[tuple] = None,
-             deriv: Callable = diff4) -> float:
+             solver: Optional[LocalSolver] = None) -> float:
     """Strip norm of the equation defect (S - B) psi - phi over the inner
     strip; endpoint frames are excluded. `b_psi` is B psi as in
     equation_defect: for a Dyson partial sum, the sum of the iterates'
     sources by linearity (equal to k.apply_all(psi) to round-off). The
     defect's frame norms are taken one chunk at a time, so the defect is
-    never held whole; the result equals norm_strip of equation_defect
-    bitwise."""
+    never held whole; without `solver` the result equals norm_strip of
+    equation_defect bitwise. With `solver` (an "eigen" recurrence on the
+    modes), psi holds u, and b_psi and phi hold w, its eigen coordinates
+    (see LocalSolver.to_eigen): the defect is then elementwise, as in the
+    module docstring, and its norm equals the site one to round-off."""
     w = inner_weight(sys)
-    _, _, chunks = _defect_chunks(sys, b_psi, psi, phi, strip, deriv)
+    _, _, chunks = _defect_chunks(sys, b_psi, psi, phi, strip, solver)
     sq = np.concatenate([frame_norms_sq(Trajectory(sys.grid, psi.dt, 0, d), w)
                          for d in chunks])
     return math.sqrt(max(trapezoid_sum(sq, psi.dt), 0.0))
@@ -267,24 +302,41 @@ def _window_contamination(src: Trajectory, delta: float, W: float,
 
 def _runs_on_modes(sys: SystemSpec, k: Optional[TimeKernel],
                    solver: LocalSolver) -> bool:
-    """Whether a Dyson run keeps its iterates on the Fourier modes: the system
-    is a recurrence on the modes, k commutes with translations and the inner
-    weight is the same at every site. Then the local solves, B, S and every
-    norm commute with the unitary `grids.to_modes` (the norms by Parseval)."""
-    if solver.basis != "modes" or k is None or not k.translation_invariant:
+    """Whether a Dyson run keeps its iterates in the eigen coordinates of
+    the generator on the Fourier modes (see the module docstring): the
+    system's solves are the eigenbasis recurrence on the modes, k commutes
+    with translations and the inner weight is the same at every site."""
+    if (solver.basis != "modes" or solver.recurrence != "eigen" or k is None
+            or not k.translation_invariant):
         return False
     w = inner_weight(sys).weight
     return w is None or w.ndim == 2
 
 
-def _on_modes(tr: Optional[Trajectory], modes: bool,
-              inverse: bool = False) -> Optional[Trajectory]:
-    """tr with its values taken to the Fourier modes (or back); tr itself
-    on a sites run."""
-    if tr is None or not modes:
-        return tr
-    return Trajectory(tr.grid, tr.dt, tr.index0,
-                      to_modes(tr.grid, tr.values, inverse))
+def _to_eigen(solver: LocalSolver, values: np.ndarray,
+              source: bool = False) -> np.ndarray:
+    """Site values of a stack of frames in the eigen coordinates of the
+    solver's recurrence on the modes (see LocalSolver.to_eigen)."""
+    v = to_modes(solver.sys.grid, values)
+    return solver.to_eigen(v, source, out=v)
+
+
+def _to_sites(solver: LocalSolver, values: np.ndarray, source: bool = False,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The inverse of _to_eigen, into `out` (which may be `values`; a new
+    array when None): by V (A0 V for a source), then the inverse transform
+    in place (see _from_modes)."""
+    return _from_modes(solver.sys.grid, solver.from_eigen(values, source,
+                                                          out))
+
+
+def _from_modes(grid, values: np.ndarray) -> np.ndarray:
+    """A stack of Fourier-mode frames back to site values in place, a chunk
+    of frames at a time."""
+    step = max(1, _CHUNK_VALUES // (grid.sites * grid.fiber))
+    for a in range(0, len(values), step):
+        values[a:a + step] = to_modes(grid, values[a:a + step], inverse=True)
+    return values
 
 
 def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
@@ -292,20 +344,40 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
     grid = sys.grid
     t_lo, t_hi = (-W, T + W) if short_range else (0.0, T)
     solver = LocalSolver(sys, opts)
-    # the loop's basis: everything below runs on it, and only the partial
+    w = inner_weight(sys)
+    # the loop's basis: everything below runs in it, and only the partial
     # sum, and what a monitor or the window check reads, go back to sites
-    modes = _runs_on_modes(sys, k, solver)
-    deriv = mode_diff4(grid) if modes else diff4
-    phi = _on_modes(phi, modes)
-    if modes:
-        data = StateField(grid, data.time, to_modes(grid, data.values))
+    eigen = _runs_on_modes(sys, k, solver)
+    basis_solver = solver if eigen else None
+    if eigen:
+        if phi is not None:
+            phi = Trajectory(grid, phi.dt, phi.index0,
+                             _to_eigen(solver, phi.values, source=True))
+        data = StateField(grid, data.time, _to_eigen(solver,
+                                                     data.values[None])[0])
+        if sys.A0 is not None:
+            # V is unitary in the A0 inner product: the slice weight of
+            # eigen coordinates is the lapse alone
+            beta = sys.beta[0]
+            w = InnerWeight(grid, None if beta == 1.0
+                            else beta * np.eye(grid.fiber))
 
     def solve(src, d):
-        return _two_sided_solve(solver, src, d, t_lo, t_hi, modes)
+        return _two_sided_solve(solver, src, d, t_lo, t_hi, eigen)
 
-    w = inner_weight(sys)
+    def apply_B(psi):
+        # on the eigen loop psi's values become its modes, which B reads
+        if not eigen:
+            return k.apply_all(psi)
+        solver.from_eigen(psi.values, out=psi.values)
+        b = k.apply_all(psi)
+        return solver.to_eigen(b, source=True, out=b)
+
     psi = solve(phi, data)
-    total = psi
+    # B takes over an iterate's values on the eigen loop, so the partial
+    # sum starts as a copy there
+    total = Trajectory(grid, psi.dt, psi.index0, psi.values.copy()) \
+        if eigen else psi
     sup0, strip0 = _norms(psi, w)
     sup_norms, strip_norms = [sup0], [strip0]
 
@@ -325,19 +397,25 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
     n_used = 0
 
     def report(n):
-        # the monitor sees psi^(n), the partial sum and B applied to it
-        if monitor is not None:
-            monitor(n, _on_modes(psi, modes, inverse=True),
-                    _on_modes(total, modes, inverse=True),
-                    to_modes(grid, b_sum, inverse=True)
-                    if modes and b_sum is not None else b_sum)
+        # the monitor sees psi^(n), the partial sum and B applied to it, in
+        # site values; on the eigen loop psi holds its modes by now
+        if monitor is None:
+            return
+        if not eigen:
+            monitor(n, psi, total, b_sum)
+            return
+        monitor(n, Trajectory(grid, psi.dt, psi.index0,
+                              _from_modes(grid, psi.values.copy())),
+                Trajectory(grid, total.dt, total.index0,
+                           _to_sites(solver, total.values)),
+                _to_sites(solver, b_sum, source=True))
 
     # b = B psi^(n) is the source of iterate n + 1, and by linearity the
     # running sum b_sum of these is B applied to the partial sum
-    b = k.apply_all(psi) if k is not None else None
+    b = apply_B(psi) if k is not None else None
     b_sum = b
     report(0)
-    residuals = [residual(sys, b_sum, total, phi, (0.0, T), deriv)]
+    residuals = [residual(sys, b_sum, total, phi, (0.0, T), basis_solver)]
 
     plateau = 0
     blowup = 0
@@ -348,8 +426,10 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
             break
         src = Trajectory(grid, psi.dt, psi.index0, b)
         if (short_range and _window_can_clip(n, delta, W, n_max)
-                and _window_contamination(_on_modes(src, modes, inverse=True),
-                                          delta, W, T)):
+                and _window_contamination(
+                    Trajectory(grid, src.dt, src.index0,
+                               _to_sites(solver, b, source=True))
+                    if eigen else src, delta, W, T)):
             raise DysonError(f"window exhausted at iterate {n}: support "
                              f"reaches the clipped boundary of [-{W}, {T + W}]")
         # an all-zero source ends the series with psi^(n) = 0 exactly, which
@@ -380,9 +460,9 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         # from here on the loop holds at most four trajectories, total,
         # b_sum, psi^(n) and B psi^(n)
         src = b = None
-        # total is psi^(0), handed to the monitor, until it gets its own
-        # array here; later iterates are added in place
-        if n == 1:
+        # on the sites loop total is psi^(0), handed to the monitor, until
+        # it gets its own array here; later iterates are added in place
+        if n == 1 and not eigen:
             total = total.plus(psi)
         else:
             np.add(total.values, psi.values, out=total.values)
@@ -391,10 +471,11 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
         n_used = n
-        b = k.apply_all(psi)
+        b = apply_B(psi)
         np.add(b_sum, b, out=b_sum)
         report(n)
-        residuals.append(residual(sys, b_sum, total, phi, (0.0, T), deriv))
+        residuals.append(residual(sys, b_sum, total, phi, (0.0, T),
+                                  basis_solver))
 
         prev = strip_norms[-2]
         r = strip_n / prev if prev > 0 else math.inf
@@ -416,12 +497,8 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
                 break
     if verdict is None:
         verdict = "Stalled"
-    if modes:
-        # back to the sites in place, a chunk of frames at a time
-        v = total.values
-        step = max(1, _CHUNK_VALUES // (grid.sites * grid.fiber))
-        for a in range(0, len(v), step):
-            v[a:a + step] = to_modes(grid, v[a:a + step], inverse=True)
+    if eigen:
+        _to_sites(solver, total.values, out=total.values)
 
     cfg = dict(constants)
     cfg.update({"T": T, "delta": delta, "tol": tol,

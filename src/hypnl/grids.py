@@ -341,16 +341,6 @@ def stencil_symbols(grid: Grid) -> np.ndarray:
                  / (6.0 * grid.spacing))
 
 
-def mode_diff4(grid: Grid):
-    """diff4 for Fourier-mode values (see `to_modes`), with diff4's
-    signature: multiplication by the stencil symbol of the axis."""
-    symbols = stencil_symbols(grid)[..., None]
-
-    def deriv(g: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-        return values * symbols[axis]
-    return deriv
-
-
 def diff_upwind(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     """First-order one-sided derivative; deliberately not skew-symmetric
     (documented failure mode for the integration-by-parts identity)."""

@@ -59,13 +59,16 @@ finds the first non-finite frame after its transforms back. On the Fourier modes
 overflow may abort one step earlier than the loop, and real data picks up
 imaginary round-off.
 
-The recurrence is split from its transforms: `LocalSolver.solve(...,
-in_basis=True)` takes the data and source already in the basis and returns
-the frames in it. The transform to the modes is the unitary
-`grids.to_modes`, so by Parseval a slice norm whose weight is the same at
-every site reads the same on the modes as on the sites. A Dyson run whose
-kernel also commutes with translations keeps its iterates on the modes
-this way (the loop-basis rule in `dyson`).
+An eigenbasis recurrence is also split from its transforms:
+`LocalSolver.solve(..., in_basis=True)` takes the data and the source in
+the eigen coordinates of L and returns the frames in them, u = V^-1 y for
+the data and the frames and w = V^-1 A0^-1 s for the source, with y and s
+in the recurrence's basis (on the modes: `grids.to_modes` of the site
+values). Such a solve only steps. `LocalSolver.to_eigen` and
+`LocalSolver.from_eigen` map values between the basis and these
+coordinates; a stacked or state-free recurrence refuses `in_basis`, as a
+solve that steps does. A Dyson run whose kernel commutes with translations
+keeps its iterates in these coordinates (the loop-basis rule in `dyson`).
 """
 
 from __future__ import annotations
@@ -260,13 +263,15 @@ def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
 
 
 def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
-    """(lam, V, V^-1, V^-1 A0^-1) of a system whose recurrence is "eigen"
-    (see _recurrence_kind), with L = V diag(-i lam) V^-1 in the basis, per
-    mode or site ((f,) and (f, f) arrays when L is the same at every
-    site). With A0 = W^2, W Hermitian,
+    """(lam, V, V^-1, V^-1 A0^-1, A0 V) of a system whose recurrence is
+    "eigen" (see _recurrence_kind), with L = V diag(-i lam) V^-1 in the
+    basis, per mode or site ((f,) and (f, f) arrays when L is the same at
+    every site). With A0 = W^2, W Hermitian,
     H = i W L W^-1 = W^-1 (i S0 + sum_j sigma_j A^j) W^-1 is Hermitian, and
-    np.linalg.eigh gives H = Q diag(lam) Q^H, so V = W^-1 Q and
-    V^-1 = Q^H W. On the modes, H is formed for chunks of modes, as K is in
+    np.linalg.eigh gives H = Q diag(lam) Q^H, so V = W^-1 Q,
+    V^-1 = Q^H W and A0 V = W Q: V is unitary in the A0 inner product.
+    With A0 = I, V^-1 and V^-1 A0^-1 are one array, and so are V and A0 V.
+    On the modes, H is formed for chunks of modes, as K is in
     _step_matrices."""
     w = w_inv = None
     if sys.A0 is not None:
@@ -287,8 +292,8 @@ def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
     q = np.concatenate([p[1] for p in parts])
     qh = np.conj(np.swapaxes(q, -1, -2))
     if w is None:
-        return lam, q, qh, qh
-    return lam, w_inv @ q, qh @ w, qh @ w_inv
+        return lam, q, qh, qh, q
+    return lam, w_inv @ q, qh @ w, qh @ w_inv, w @ q
 
 
 def _eigen_polys(lam: np.ndarray, h: float) -> np.ndarray:
@@ -325,6 +330,34 @@ def _per_mode(m: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
             continue
         res = np.matmul(values[a:b].transpose(1, 0, 2), np.swapaxes(m, -1, -2))
         _rows(out[a:b])[...] = _rows(res).T
+
+
+# values in one block of frames (see _PER_MODE_FRAMES) of a chunk of modes
+# (or sites) of per-mode products: the size of their temporaries. An
+# eigenbasis solve's chunk runs all its steps, so a line of up to 2048 modes
+# of fiber 2 is one chunk and its step loop runs once; 16^3 x 6 Maxwell
+# modes are 3 chunks.
+_EIGEN_CHUNK_VALUES = 1 << 18
+
+
+def _mode_chunk(grid: Grid, frames: int) -> int:
+    """Modes (or sites) per chunk of per-mode products over `frames`
+    frames: chunks of equal size, each with at most _EIGEN_CHUNK_VALUES
+    values in a block of _PER_MODE_FRAMES frames."""
+    rows = min(_PER_MODE_FRAMES, frames)
+    count = -(-grid.sites * rows * grid.fiber // _EIGEN_CHUNK_VALUES)
+    return -(-grid.sites // count)
+
+
+def _per_mode_chunks(grid: Grid, m: np.ndarray, values: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """_per_mode over chunks of modes (see _mode_chunk), so that its
+    temporaries stay small; `out` may be `values`. Returns `out`."""
+    size = _mode_chunk(grid, len(values))
+    for k in range(0, grid.sites, size):
+        c = slice(k, k + size)
+        _per_mode(m if m.ndim == 2 else m[c], values[:, c], out[:, c])
+    return out
 
 
 def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
@@ -414,10 +447,10 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     written into `stored` (stepping order, from index 1): a sourced block is
     one product K V (see _block_product), whose first row is its first frame
     and whose later rows its later steps add to R y.
-    `xf` is the basis the data, source and frames are transformed from and
-    back to: the recurrence's own basis for site values, "sites" (no
-    transform) for values already in it. Returns the number of steps taken
-    before the first non-finite frame."""
+    `xf` is the basis the data, source and frames are transformed to and
+    back from: "modes" for site values of a recurrence on the modes,
+    "sites" (no transform) for values already in K's basis. Returns the
+    number of steps taken before the first non-finite frame."""
     grid = sys.grid
     r = k[..., :grid.fiber]
     y = _transform(grid, xf, data.values)
@@ -449,15 +482,8 @@ def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
     return n_ok
 
 
-# values in one block of frames (see _PER_MODE_FRAMES) of a chunk of modes
-# (or sites) of an eigenbasis solve: the size of its temporaries. A chunk
-# runs all its steps, so a line of up to 2048 modes of fiber 2 is one chunk
-# and its step loop runs once; 16^3 x 6 Maxwell modes are 3 chunks.
-_EIGEN_CHUNK_VALUES = 1 << 18
-
-
 def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
-                      data: StateField, xf: str, eig: tuple,
+                      data: StateField, xf: Optional[str], eig: tuple,
                       polys: np.ndarray, h: float, i0: int, sgn: int,
                       n_steps: int, stored: np.ndarray) -> int:
     """The recurrence of a system with a skew-Hermitian S0 in the eigenbasis
@@ -465,23 +491,23 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
     arguments, output and return value. There a step is elementwise,
     u+ = r u + p0 w_n + p1 w_n+1, with u = V^-1 y and w = V^-1 A0^-1 source;
     a step with only one end in the source window adds q1 w_n+1 or q0 w_n
-    (see _window_sources).
+    (see _window_sources). `xf` None means that the data, the source and
+    the frames hold these eigen coordinates: the solve only steps.
 
     `stored` is the work buffer. The source frames are transformed from `xf`
-    into it by blocks of frames. Then each chunk of modes (or sites) runs
-    alone, on all frames: per-mode products (_per_mode) take its source to
-    the eigenbasis, each step's source term is written into the frame the
-    step makes, the steps add r times the frame before, and per-mode
-    products by V take its frames back. Last, the frames are transformed
-    back to `xf` by blocks of frames. The steps run past a non-finite
-    frame, and the first one is found after the transforms back."""
+    into it by blocks of frames. Then each chunk of modes (or sites, see
+    _mode_chunk) runs alone, on all frames: per-mode products (_per_mode)
+    take its source to the eigenbasis, each step's source term is written
+    into the frame the step makes, the steps add r times the frame before,
+    and per-mode products by V take its frames back. Last, the frames are
+    transformed back to `xf` by blocks of frames. The steps run past a
+    non-finite frame, and the first one is found after the transforms
+    back."""
     grid = sys.grid
-    _, vecs, to_u, to_w = eig
-    y0 = _transform(grid, xf, data.values)
+    _, vecs, to_u, to_w, _ = eig
+    y0 = data.values if xf is None else _transform(grid, xf, data.values)
     block = max(1, _CHUNK_VALUES // y0.size)
-    rows = min(_PER_MODE_FRAMES, n_steps + 1)
-    count = -(-grid.sites * rows * grid.fiber // _EIGEN_CHUNK_VALUES)
-    size = -(-grid.sites // count)    # chunks of equal size
+    size = _mode_chunk(grid, n_steps + 1)
     window = _source_window(phi, i0, sgn, n_steps)
     first, last = 0, -1               # the steps that add a source term
     if window is not None:
@@ -500,22 +526,28 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
         r, p0, p1 = polys[:, m]
         work = stored[:, c]
         if window is not None:
-            _per_mode(to_w[m], src[:, c], work[lo:hi + 1])
+            # the chunk's source in the eigenbasis: the given one, or its
+            # per-mode product written over the frames it covers
+            w = src[:, c]
+            if xf is not None:
+                _per_mode(to_w[m], w, work[lo:hi + 1])
+                w = work[lo:hi + 1]
         with np.errstate(invalid="ignore", over="ignore"):
             if window is not None:
-                w = work[lo:hi + 1]
+                terms = work[lo:hi + 1]
                 if hi < n_steps:
                     np.multiply(q0[m], w[-1], out=work[hi + 1])
                 # p0 w_k + p1 w_k+1 into frame k + 1, by blocks of frames
                 # from the last, so that each w_k is read before it is
-                # overwritten
+                # overwritten where w is the work buffer
                 for b in range(len(w) - 1, 0, -_PER_MODE_FRAMES):
                     a = max(b - _PER_MODE_FRAMES, 0)
                     term = p0 * w[a:b]
-                    w[a + 1:b + 1] *= p1
-                    w[a + 1:b + 1] += term
-                w[0] *= q1            # step lo - 1 has only its end in it
-            prev = _fiber_apply(to_u[m], y0[c])
+                    np.multiply(w[a + 1:b + 1], p1, out=terms[a + 1:b + 1])
+                    terms[a + 1:b + 1] += term
+                # step lo - 1 has only its end in the window
+                np.multiply(w[0], q1, out=terms[0])
+            prev = y0[c] if xf is None else _fiber_apply(to_u[m], y0[c])
             term = np.empty_like(prev)
             for s in range(n_steps):
                 if first <= s <= last:
@@ -523,13 +555,16 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
                 else:
                     np.multiply(r, prev, out=work[s + 1])
                 prev = work[s + 1]
-        _per_mode(vecs[m], work[1:], work[1:])
+        if xf is not None:
+            _per_mode(vecs[m], work[1:], work[1:])
     if xf == "modes":
         for a in range(1, n_steps + 1, block):
             stored[a:a + block] = _transform(grid, xf, stored[a:a + block],
                                              inverse=True)
     if window is not None and window[0] == 0:
         stored[0] = data.values       # it held the source at position 0
+    if xf is None and np.isfinite(stored[-1].view(float)).all():
+        return n_steps    # elementwise steps carry a non-finite value on
     bad = _first_non_finite(stored[1:])
     return n_steps if bad is None else bad
 
@@ -609,13 +644,37 @@ class LocalSolver:
         self._eig: Optional[tuple] = None
         self._mats: dict = {}         # direction -> K or (r, p0, p1)
 
+    def eigenbasis(self) -> tuple:
+        """(lam, V, V^-1, V^-1 A0^-1, A0 V) of an "eigen" recurrence (see
+        _eigenbasis), built at the first call."""
+        if self.recurrence != "eigen":
+            raise SolverError("only an eigenbasis recurrence has one")
+        if self._eig is None:
+            self._eig = _eigenbasis(self.sys, self.basis)
+        return self._eig
+
+    def to_eigen(self, values: np.ndarray, source: bool = False,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(frames, sites, f) values in `basis` in the eigen coordinates an
+        in_basis solve takes: u = V^-1 y, or w = V^-1 A0^-1 s for a source.
+        Per-mode products over chunks of modes, into `out` (which may be
+        `values`; a new array when None)."""
+        m = self.eigenbasis()[3 if source else 2]
+        return _per_mode_chunks(self.sys.grid, m, values,
+                                np.empty_like(values) if out is None else out)
+
+    def from_eigen(self, values: np.ndarray, source: bool = False,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The inverse of to_eigen: y = V u, or s = A0 V w for a source."""
+        m = self.eigenbasis()[4 if source else 1]
+        return _per_mode_chunks(self.sys.grid, m, values,
+                                np.empty_like(values) if out is None else out)
+
     def _step_data(self, h: float, sgn: int) -> np.ndarray:
         """The direction's K, or (r, p0, p1) in the eigenbasis."""
         if sgn not in self._mats:
             if self.recurrence == "eigen":
-                if self._eig is None:
-                    self._eig = _eigenbasis(self.sys, self.basis)
-                self._mats[sgn] = _eigen_polys(self._eig[0], h)
+                self._mats[sgn] = _eigen_polys(self.eigenbasis()[0], h)
             else:
                 self._mats[sgn] = _step_matrices(self.sys, self.basis, h)
         return self._mats[sgn]
@@ -623,12 +682,14 @@ class LocalSolver:
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
               t1: float, in_basis: bool = False) -> Trajectory:
         """Integrate S psi = phi from data at t0 to t1, as solve_local. With
-        `in_basis`, `phi`, `data` and the returned frames hold values in
-        `basis` (on the modes: `grids.to_modes` of the site values), and the
-        recurrence runs without transforms."""
+        `in_basis` (an "eigen" recurrence only), `data` and the returned
+        frames hold u = V^-1 y and `phi` holds w = V^-1 A0^-1 s, with y and
+        s in `basis` (see to_eigen): the solve only steps. A SolveAborted
+        then carries frames in these coordinates too."""
         sys, opts = self.sys, self.opts
-        if in_basis and self.basis is None:
-            raise SolverError("only a recurrence solves in its basis")
+        if in_basis and self.recurrence != "eigen":
+            raise SolverError("only an eigenbasis recurrence solves in its "
+                              "basis")
         if data.grid != sys.grid:
             raise SolverError("data grid mismatch")
         if abs(data.time - t0) > 1e-9 * max(1.0, abs(t0)):
@@ -647,16 +708,16 @@ class LocalSolver:
         stored = vals[::sgn]
         stored[0] = data.values
         if self.basis is not None:
-            xf = "sites" if in_basis else self.basis
             if self.recurrence == "sum":
                 n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
                                         n_steps, stored)
             elif self.recurrence == "eigen":
                 polys = self._step_data(h, sgn)
-                n_ok = _eigen_recurrence(sys, phi, data, xf, self._eig, polys,
-                                         h, i0, sgn, n_steps, stored)
+                n_ok = _eigen_recurrence(
+                    sys, phi, data, None if in_basis else self.basis,
+                    self.eigenbasis(), polys, h, i0, sgn, n_steps, stored)
             else:
-                n_ok = _recurrence(sys, phi, data, xf,
+                n_ok = _recurrence(sys, phi, data, self.basis,
                                    self._step_data(h, sgn), h, i0, sgn,
                                    n_steps, stored)
             if n_ok < n_steps:

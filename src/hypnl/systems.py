@@ -240,18 +240,16 @@ def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
                      for ti, v in zip(t, values)])
 
 
-def _spatial_product(sys: SystemSpec, values: np.ndarray,
-                     deriv: Callable = diff4) -> Optional[np.ndarray]:
+def _spatial_product(sys: SystemSpec,
+                     values: np.ndarray) -> Optional[np.ndarray]:
     """sum_j A^j D_j psi as one product: D_j of the fiber columns each live
     A^j reads, side by side, times `sys.spatial`; None when no A^j is live.
     Equal to the sum of the full products up to the order of the sum (one
     term, as on one axis, is bitwise equal), except where a zero column's
-    term would add a signed zero or carry a non-finite value. `deriv` is
-    D_j with diff4's signature: diff4 on site values, `grids.mode_diff4` on
-    Fourier-mode values (site-constant A^j only)."""
+    term would add a signed zero or carry a non-finite value."""
     if not sys.live:
         return None
-    parts = [deriv(sys.grid, values if cols is None else values[..., cols], j)
+    parts = [diff4(sys.grid, values if cols is None else values[..., cols], j)
              for j, cols in sys.live]
     return _fiber_apply(sys.spatial, parts[0] if len(parts) == 1
                         else np.concatenate(parts, axis=-1))
@@ -276,13 +274,11 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
 
 
 def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
-            t, deriv: Callable = diff4) -> np.ndarray:
+            t) -> np.ndarray:
     """S psi given the field and its time derivative on one slice, or on a
-    (frames, sites, fiber) stack with `t` holding one time per frame; on
-    Fourier-mode values with `deriv` = `grids.mode_diff4` (see
-    _spatial_product)."""
+    (frames, sites, fiber) stack with `t` holding one time per frame."""
     out = _fiber_apply(sys.A0, dpsi_dt)
-    spatial = _spatial_product(sys, values, deriv)
+    spatial = _spatial_product(sys, values)
     if spatial is not None:
         out = out + spatial
     s0 = _S0_apply(sys, values, t)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import platform
 import re
@@ -472,6 +473,38 @@ def test_grid_larger_than_memory_is_config_error(tmp_path, monkeypatch,
     with pytest.raises(ConfigError, match=r"^'options\.system\.grid\.points' "
                        r"makes one .* B slice, more than the .* B of "
                        r"physical memory$"):
+        load_config(_write(tmp_path, doc))
+
+
+def test_dyson_run_larger_than_memory_is_config_error(tmp_path,
+                                                      monkeypatch):
+    """A custom Dyson run whose LIVE_TRAJECTORIES (4) trajectories of
+    T / dt + 1 frames exceed the physical memory is a ConfigError on
+    options.T, raised at load before the kernel (or any trajectory) is
+    built; a run of exactly that size is built."""
+    from hypnl import cli
+    with open(os.path.join(CONFIGS, "transport_dispersive.json")) as fh:
+        doc = json.load(fh)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(cli, "maxwell_kernel", refused)
+    doc["options"]["T"] = 1e15
+    with pytest.raises(ConfigError, match=r"^'options\.T' makes a Dyson run "
+                       r"of \d+ frames of options\.dt = .*, .* B in 4 "
+                       r"trajectories, more than the .* B of physical "
+                       r"memory$"):
+        load_config(_write(tmp_path, doc))
+    # the config's own run: 512 steps of dt = pi / 512 on 256 x 2 values
+    doc["options"]["T"] = math.pi
+    size = 4 * 513 * 256 * 2 * 16
+    monkeypatch.setattr(cli, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match=r"^'options\.T' makes a Dyson run "
+                       r"of 513 frames"):
+        load_config(_write(tmp_path, doc))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: size)
+    with pytest.raises(AssertionError, match="the kernel was built"):
         load_config(_write(tmp_path, doc))
 
 

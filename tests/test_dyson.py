@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from conftest import fold_output_op, gaussian_pulse, per_site
 from hypnl import dyson
 from hypnl.grids import (StateField, Trajectory, diff4, make_grid,
-                         mode_diff4, norm_strip, sample_trajectory, to_modes,
+                         norm_strip, sample_trajectory, to_modes,
                          trapezoid_sum)
 from hypnl.systems import (apply_S, inner_weight, make_system, ode_system,
                            transport_system)
@@ -472,9 +472,10 @@ def test_linearity_matches_reapplied_kernel(monkeypatch, name):
         np.testing.assert_allclose(b_total, want, rtol=0, atol=1e-12 * scale)
     assert np.array_equal(seen[-1][2], res.partial_sum.values)
 
-    def reference_residual(sys, b_psi, psi, phi, strip=None, deriv=diff4):
+    def reference_residual(sys, b_psi, psi, phi, strip=None, solver=None):
+        assert solver is None           # every case runs the sites loop
         return norm_strip(equation_defect(sys, k.apply_all(psi), psi, phi,
-                                          strip, deriv), inner_weight(sys))
+                                          strip), inner_weight(sys))
 
     monkeypatch.setattr(dyson, "residual", reference_residual)
     ref_seen = []
@@ -609,6 +610,21 @@ def _modes_case(name, chi_dot=None):
         T = 16 * opts.dt
         kw = dict(T=T, tol=1e-10, tol_residual=math.inf, n_max=12)
         delta = math.inf
+    elif name in _SKEW_A0_CASES:
+        # the skew_A0 system of test_solver.py: A0 != I, and L skew-adjoint
+        # in the A0 inner product, not in the plain one
+        grid = make_grid(1, 2.0 * math.pi, 16, 2)
+        a0 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.5]])
+        sys = make_system(grid, a0, [np.array([[0.5, 0.2j], [-0.2j, -0.3]])],
+                          S0=1j * np.array([[0.4, 0.3 - 0.2j],
+                                            [0.3 + 0.2j, -0.7]]),
+                          beta=1.5 if name == "lapse" else None)
+        vals = rng.standard_normal((grid.sites, 2)) \
+            + 1j * rng.standard_normal((grid.sites, 2))
+        opts = SolveOptions(dt=0.2 * grid.spacing / sys.v_max)
+        T = 24 * opts.dt
+        kw = dict(T=T, tol=1e-10, tol_residual=math.inf, n_max=12)
+        delta = 4 * opts.dt if name == "window_exhausted" else math.inf
     else:
         # the volterra system: E = 1, B = 0 on the line, and a source that
         # varies in space, so that more than the constant mode is live
@@ -630,7 +646,7 @@ def _modes_case(name, chi_dot=None):
     def run(kern, **extra):
         args = dict(kw, constants=constants, **extra)
         T = args.pop("T")
-        if name == "volterra_short":
+        if math.isfinite(delta):
             return dyson_short_range(sys, kern, phi, data, T, opts, **args)
         return dyson_retarded(sys, kern, phi, data, T, opts, **args)
     return sys, k, run
@@ -652,16 +668,48 @@ def _assert_matches_oracle(res, ref):
                                atol=1e-12 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("name", ["maxwell3d", "volterra", "volterra_short"])
+# cases that no config reaches: the skew_A0 system, with a constant lapse,
+# with a monitor, and on a short range whose window is exhausted
+_SKEW_A0_CASES = ("skew_A0", "lapse", "monitor", "window_exhausted")
+
+
+@pytest.mark.parametrize("name", ["maxwell3d", "volterra", "volterra_short",
+                                  *_SKEW_A0_CASES])
 def test_modes_loop_matches_sites_oracle(name):
+    """The eigen loop against the same kernel on the sites loop: every
+    result field and the partial sum to 1e-12 of each series' maximum
+    (every case has a source phi). "monitor" also compares each psi,
+    total and b_total the monitor sees to 1e-12 of the largest value of
+    that argument over the run (b_total is A0 V W_sum, with A0 != I);
+    "window_exhausted" raises the same error on both loops."""
     sys, k, run = _modes_case(name)
     oracle = _profiled(k)
     solver = LocalSolver(sys, SolveOptions(dt=0.1))
     assert dyson._runs_on_modes(sys, k, solver)
     assert not dyson._runs_on_modes(sys, oracle, solver)
-    res, ref = run(k), run(oracle)
+    if name == "window_exhausted":
+        errors = []
+        for kern in (k, oracle):
+            with pytest.raises(DysonError, match="window exhausted") as err:
+                run(kern, W=0.5 * k.delta * 3)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        return
+    seen, ref_seen = [], []
+    extra = name == "monitor"
+    res = run(k, **(dict(monitor=_recording_monitor(seen, [])) if extra
+                    else {}))
+    ref = run(oracle, **(dict(monitor=_recording_monitor(ref_seen, []))
+                         if extra else {}))
     assert res.n_used >= 3
     _assert_matches_oracle(res, ref)
+    assert [n for n, *_ in seen] == [n for n, *_ in ref_seen]
+    for arg in (1, 2, 3):
+        scale = max((np.max(np.abs(want[arg])) for want in ref_seen),
+                    default=0.0)
+        for got, want in zip(seen, ref_seen):
+            np.testing.assert_allclose(got[arg], want[arg], rtol=0,
+                                       atol=1e-12 * scale)
 
 
 def test_monitor_sees_site_values_on_the_modes_loop():
@@ -786,13 +834,14 @@ def test_window_contamination_matches_full_scan(vals, index0, want):
 
 
 def test_modes_loop_holds_at_most_four_trajectories():
-    """The traced peak of a modes-loop run of 193 frames (9.5 MB a
-    trajectory) is at most four trajectories (the partial sum, B applied to
-    it, the iterate and B of the iterate), the size of one direction's step
-    matrices (the eigenbasis this system's solves hold is smaller), what one
-    apply_all allocates besides its output, and 2 MB for the run's
-    fixed-size arrays (data, source, frame norms, residual chunks; about
-    0.4 MB measured). A fifth trajectory held at any point exceeds it."""
+    """The traced peak of an eigen-loop run of 193 frames (9.5 MB a
+    trajectory) is at most dyson.LIVE_TRAJECTORIES (4) trajectories (the
+    partial sum, the running sum of sources, the iterate and its source),
+    the size of one direction's step matrices (the eigenbasis the run holds
+    is smaller), what one apply_all allocates besides its output, and 2 MB
+    for the run's fixed-size arrays (data, source, frame norms, residual
+    chunks, the chunks of B's per-mode products). A fifth trajectory held
+    at any point exceeds it."""
     import tracemalloc
     sys, k, run = _modes_case("maxwell3d")
     g = sys.grid
@@ -814,7 +863,8 @@ def test_modes_loop_holds_at_most_four_trajectories():
     finally:
         tracemalloc.stop()
     assert res.n_used == 4
-    assert peak <= 4 * traj + mats + kernel_extra + (2 << 20)
+    assert peak <= dyson.LIVE_TRAJECTORIES * traj + mats + kernel_extra \
+        + (2 << 20)
 
 
 def _sites_loop_cases():
@@ -869,26 +919,32 @@ def test_loop_basis_predicate():
 
 def test_residual_is_norm_of_defect_chunk_by_chunk(monkeypatch):
     """residual takes the defect's frame norms chunk by chunk: bitwise the
-    strip norm of the whole defect, for chunks of 1, 3 and 100 frames, and
-    on the modes (mode_diff4 on to_modes values) the same to round-off."""
+    strip norm of the whole defect, for chunks of 1, 3 and 100 frames; in
+    the eigen coordinates of the generator on the modes (the eigen loop's
+    residual, A0 = I and A0 != I, a lapse of 1.5) the same to round-off."""
     grid = make_grid(1, 2.0, 16, 2)
     rng = np.random.default_rng(np.random.Philox(12))
-    sys = make_system(grid, np.array([[2.0, 0.5j], [-0.5j, 1.0]]),
-                      [np.array([[0.0, 1.0], [1.0, 0.0]])],
-                      S0=np.array([[0.5, 1j], [-1j, -0.5]]))
 
     def traj(index0, n):
         return Trajectory(grid, 0.125, index0, rng.standard_normal(
             (n, grid.sites, 2)) + 1j * rng.standard_normal((n, grid.sites, 2)))
 
     psi, phi, b = traj(-2, 14), traj(1, 6), traj(-2, 14).values
-    w = inner_weight(sys)
-    for chunk_frames in (1, 3, 100):
-        monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
-        want = norm_strip(equation_defect(sys, b, psi, phi, (0.0, 1.0)), w)
-        assert residual(sys, b, psi, phi, (0.0, 1.0)) == want
-        modes = [Trajectory(grid, tr.dt, tr.index0, to_modes(grid, tr.values))
-                 for tr in (psi, phi)]
-        got = residual(sys, to_modes(grid, b), *modes, (0.0, 1.0),
-                       mode_diff4(grid))
-        assert got == pytest.approx(want, rel=1e-13, abs=0)
+    for a0 in (np.array([[2.0, 0.5j], [-0.5j, 1.0]]), np.eye(2)):
+        sys = make_system(grid, a0, [np.array([[0.0, 1.0], [1.0, 0.0]])],
+                          S0=1j * np.array([[0.5, 1j], [-1j, -0.5]]),
+                          beta=1.5)
+        solver = LocalSolver(sys, SolveOptions(dt=0.125))
+        assert solver.recurrence == "eigen" and solver.basis == "modes"
+        w = inner_weight(sys)
+        for chunk_frames in (1, 3, 100):
+            monkeypatch.setattr(dyson, "_CHUNK_VALUES", chunk_frames * 32)
+            want = norm_strip(equation_defect(sys, b, psi, phi, (0.0, 1.0)),
+                              w)
+            assert residual(sys, b, psi, phi, (0.0, 1.0)) == want
+            u, w_phi = (Trajectory(grid, tr.dt, tr.index0, dyson._to_eigen(
+                solver, tr.values, source)) for tr, source in
+                ((psi, False), (phi, True)))
+            got = residual(sys, dyson._to_eigen(solver, b, source=True), u,
+                           w_phi, (0.0, 1.0), solver)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)

@@ -700,9 +700,11 @@ def test_state_free_solve_matches_running_sum(name, kind, sgn, solves):
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("name", _RECURRENCE)
 def test_in_basis_solve_matches_site_solve(name, sgn):
-    """A solve on values already in the basis (to_modes of the data and the
-    source on the modes) gives the basis values of the site solve, to
-    _RECURRENCE_RTOL of the largest frame value."""
+    """An eigenbasis solve on values already in its eigen coordinates
+    (LocalSolver.to_eigen of the data, and of the source as a source, in
+    the basis) gives the eigen coordinates of the site solve, to
+    _RECURRENCE_RTOL of their largest value, and from_eigen takes them back
+    to the basis values; a stacked recurrence refuses in_basis."""
     sys, opts = _solver_case(name)
     solver = LocalSolver(sys, opts)
     rng = np.random.default_rng(13)
@@ -710,21 +712,29 @@ def test_in_basis_solve_matches_site_solve(name, sgn):
     phi = _source(sys, opts.dt, "partial", sgn, steps, rng)
     data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
     t1 = sgn * steps * opts.dt
+    if name in _STACKED:
+        with pytest.raises(SolverError, match="basis"):
+            solver.solve(phi, data, 0.0, t1, in_basis=True)
+        return
     want = solve_local(sys, phi, data, 0.0, t1, opts)
 
-    def to(values):
-        return to_modes(sys.grid, values) if solver.basis == "modes" \
-            else values
+    def to(values, source=False):
+        if solver.basis == "modes":
+            values = to_modes(sys.grid, values)
+        return solver.to_eigen(values, source)
 
     got = solver.solve(Trajectory(sys.grid, phi.dt, phi.index0,
-                                  to(phi.values)),
-                       StateField(sys.grid, 0.0, to(data.values)), 0.0, t1,
-                       in_basis=True)
+                                  to(phi.values, source=True)),
+                       StateField(sys.grid, 0.0, to(data.values[None])[0]),
+                       0.0, t1, in_basis=True)
     assert got.index0 == want.index0
     want_b = to(want.values)
     scale = float(np.max(np.abs(want_b)))
     assert float(np.max(np.abs(got.values - want_b))) <= \
         _RECURRENCE_RTOL * scale
+    back = _transform(sys.grid, solver.basis, want.values)
+    assert float(np.max(np.abs(solver.from_eigen(want_b) - back))) <= \
+        _RECURRENCE_RTOL * float(np.max(np.abs(back)))
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +875,8 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
     of _WINDOWS, in chunks of 5 modes (or sites) and blocks of 7 frames:
     per mode (maxwell3d, dirac, and skew_A0, whose A0 is not I) and per
     site (skew_per_site), on site values and on values already in the
-    basis."""
+    eigen coordinates (xf None: only the steps run, compared in those
+    coordinates)."""
     from hypnl import solver as solver_mod
     sys, opts = _solver_case(name)
     grid, f = sys.grid, sys.grid.fiber
@@ -881,40 +892,50 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
     rng = np.random.default_rng(29)
     vals = _random_field(rng, grid, hi - lo + 1)
     values = _random_field(rng, grid)
-    xf = basis
-    if in_basis:
-        vals, values = (_transform(grid, basis, v) for v in (vals, values))
-        xf = "sites"
     phi = Trajectory(grid, opts.dt, min(sgn * lo, sgn * hi), vals[::sgn])
     data = StateField(grid, 0.0, values)
     got = np.empty((steps + 1, grid.sites, f), dtype=complex)
     want = got.copy()
-    got[0] = want[0] = values
+    want[0] = values
+    assert solver_mod._recurrence(
+        sys, phi, data, basis, solver_mod._step_matrices(sys, basis, h), h,
+        0, sgn, steps, want) == steps
+    xf = basis
+    if in_basis:
+        def to(v, source=False):
+            return solver.to_eigen(_transform(grid, basis, v), source)
+        phi = Trajectory(grid, opts.dt, phi.index0,
+                         to(phi.values, source=True))
+        data = StateField(grid, 0.0, to(values[None])[0])
+        want = to(want)
+        xf = None
+    got[0] = data.values
     eig = solver_mod._eigenbasis(sys, basis)
     assert solver_mod._eigen_recurrence(
         sys, phi, data, xf, eig, solver_mod._eigen_polys(eig[0], h), h, 0,
         sgn, steps, got) == steps
-    assert solver_mod._recurrence(
-        sys, phi, data, xf, solver_mod._step_matrices(sys, basis, h), h, 0,
-        sgn, steps, want) == steps
-    assert _bits(got[0]) == _bits(values)
+    assert _bits(got[0]) == _bits(data.values)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
 
 
 @pytest.mark.parametrize("name", ["skew_A0", "skew_per_site"])
 def test_eigenbasis_diagonalizes_the_generator(name):
-    """L = V diag(-i lam) V^-1 with real lam, the data transform is V^-1 and
-    the source transform V^-1 A0^-1, per mode or site, to round-off."""
+    """L = V diag(-i lam) V^-1 with real lam, the data transform is V^-1,
+    the source transform V^-1 A0^-1 and its inverse A0 V, per mode or site,
+    to round-off; V is unitary in the A0 inner product."""
     from hypnl import solver as solver_mod
     sys, opts = _solver_case(name)
     basis = LocalSolver(sys, opts).basis
-    lam, vecs, to_u, to_w = solver_mod._eigenbasis(sys, basis)
+    lam, vecs, to_u, to_w, from_w = solver_mod._eigenbasis(sys, basis)
     assert lam.dtype == float
     gen = solver_mod._generator(sys, basis)
     eye = np.eye(sys.grid.fiber)
     assert np.max(np.abs(to_u @ vecs - eye)) < 1e-13
     assert np.max(np.abs(to_w - to_u @ sys.A0_inv)) < 1e-13
+    assert np.max(np.abs(to_w @ from_w - eye)) < 1e-13
+    assert np.max(np.abs(np.conj(np.swapaxes(vecs, -1, -2)) @ from_w
+                         - eye)) < 1e-13
     rebuilt = (vecs * (-1j * lam)[..., None, :]) @ to_u
     assert np.max(np.abs(rebuilt - gen)) < 1e-13 * np.max(np.abs(gen))
 
@@ -951,7 +972,10 @@ def test_step_matrices_built_once_per_direction(monkeypatch):
 
 
 def test_in_basis_needs_a_recurrence():
-    for name in _STEPPING:
+    """Only an eigenbasis recurrence solves in its eigen coordinates: a
+    solve that steps and a state-free one refuse in_basis (a stacked one
+    does too, see test_in_basis_solve_matches_site_solve)."""
+    for name in _STEPPING + ("ode_zero_S0",):
         sys, opts = _solver_case(name)
         data = StateField(sys.grid, 0.0, sys.grid.zeros())
         with pytest.raises(SolverError, match="basis"):
