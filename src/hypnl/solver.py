@@ -563,8 +563,10 @@ def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
                                              inverse=True)
     if window is not None and window[0] == 0:
         stored[0] = data.values       # it held the source at position 0
+    # in eigen coordinates a non-finite value stays in its component to the
+    # last frame (the steps are elementwise), so a finite one ends the check
     if xf is None and np.isfinite(stored[-1].view(float)).all():
-        return n_steps    # elementwise steps carry a non-finite value on
+        return n_steps
     bad = _first_non_finite(stored[1:])
     return n_steps if bad is None else bad
 
