@@ -153,6 +153,15 @@ def _validate_coefficient(spec, path: str, fiber: int) -> None:
              f"must be {fiber} rows of {fiber} [re, im] pairs")
 
 
+def _check_slice(points: int, dim: int, fiber: int, path: str) -> None:
+    """Refuse a grid of `points` per axis whose one slice exceeds the
+    physical memory, before any array is built."""
+    size = points ** dim * fiber * 16        # bytes in one slice
+    memory = _physical_memory()
+    _require(size <= memory, path, f"makes one {size:.3g} B slice, more "
+             f"than the {memory:.3g} B of physical memory")
+
+
 def _validate_system(doc, path: str) -> None:
     """Keys and shapes of a serialized system (see system_from_json)."""
     _require(isinstance(doc, dict), path, "must be an object")
@@ -170,10 +179,7 @@ def _validate_system(doc, path: str) -> None:
              f"{path}.grid.extent", "must be a positive number")
     _require(_is_int(fiber) and fiber >= 1, f"{path}.grid.fiber",
              "must be an integer >= 1")
-    size = grid["points"] ** dim * fiber * 16        # bytes in one slice
-    memory = _physical_memory()
-    _require(size <= memory, f"{path}.grid.points", f"makes one {size:.3g} B "
-             f"slice, more than the {memory:.3g} B of physical memory")
+    _check_slice(grid["points"], dim, fiber, f"{path}.grid.points")
     _validate_coefficient(doc["A0"], f"{path}.A0", fiber)
     aj = doc["Aj"]
     _require(isinstance(aj, list) and len(aj) == dim, f"{path}.Aj",
@@ -242,6 +248,12 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
         if key in _RANGES and val is not None:
             in_range, what = _RANGES[key]
             _require(in_range(val), f"{path}options.{key}", what)
+    if scenario in ("maxwell", "dirac") and "points" in options:
+        # the grid maxwell_problem or dirac_problem builds
+        mode = options.get("mode", MaxwellConfig.mode)
+        dim, fiber = ((3, 6) if scenario == "maxwell"
+                      and mode in ("vacuum_3d", "constraints_3d") else (1, 2))
+        _check_slice(options["points"], dim, fiber, f"{path}options.points")
     if scenario == "custom":
         if "system" not in options:
             raise ConfigError(f"'{path}options.system' is required for "

@@ -23,8 +23,10 @@ every site; otherwise on the sites. With y the modes of a field
 iterate or the partial sum is held as u = V^-1 y and a source as
 w = V^-1 A0^-1 s (`LocalSolver.to_eigen`):
   * the local solves only step (`LocalSolver.solve(..., in_basis=True)`);
-  * B is V on u in place, `apply_all` on the modes, then V^-1 A0^-1 in
-    place (B commutes with to_modes);
+  * B is one `apply_all` of the loop kernel (_eigen_kernel): k with each
+    M folded to the per-mode stack V^-1 A0^-1 M V, which takes u to the
+    source w (B commutes with to_modes, and each term's time integration
+    is scalar, so it commutes with the per-mode maps);
   * the defect (S - B) psi - phi is A0 V x with
     x = d_t U + i lam U - W_sum - w_phi elementwise, U the partial sum and
     W_sum the running sum of sources; with A0 = I its norm is that of x;
@@ -47,7 +49,7 @@ import numpy as np
 
 from .grids import (_CHUNK_VALUES, InnerWeight, StateField, Trajectory,
                     frame_norms_sq, norm_t, to_modes, trapezoid_sum)
-from .kernels import TimeKernel, estimate_bound
+from .kernels import TimeKernel, _fold_M, estimate_bound
 from .solver import LocalSolver, SolveAborted, SolveOptions
 from .systems import SystemSpec, _fiber_apply, apply_S, inner_weight
 from .diagnostics import measure_D
@@ -313,6 +315,15 @@ def _runs_on_modes(sys: SystemSpec, k: Optional[TimeKernel],
     return w is None or w.ndim == 2
 
 
+def _eigen_kernel(k: TimeKernel, solver: LocalSolver) -> TimeKernel:
+    """k in the eigen coordinates of the solver's recurrence on the modes
+    (see the module docstring): each M folded to the per-mode stack
+    V^-1 A0^-1 M V (`kernels._fold_M`), so that its apply_all takes an
+    iterate u to the source w of B psi."""
+    _, vecs, _, to_w, _ = solver.eigenbasis()
+    return _fold_M(k, to_w, vecs)
+
+
 def _to_eigen(solver: LocalSolver, values: np.ndarray,
               source: bool = False) -> np.ndarray:
     """Site values of a stack of frames in the eigen coordinates of the
@@ -325,18 +336,13 @@ def _to_sites(solver: LocalSolver, values: np.ndarray, source: bool = False,
               out: Optional[np.ndarray] = None) -> np.ndarray:
     """The inverse of _to_eigen, into `out` (which may be `values`; a new
     array when None): by V (A0 V for a source), then the inverse transform
-    in place (see _from_modes)."""
-    return _from_modes(solver.sys.grid, solver.from_eigen(values, source,
-                                                          out))
-
-
-def _from_modes(grid, values: np.ndarray) -> np.ndarray:
-    """A stack of Fourier-mode frames back to site values in place, a chunk
-    of frames at a time."""
+    in place, a chunk of frames at a time."""
+    grid = solver.sys.grid
+    v = solver.from_eigen(values, source, out)
     step = max(1, _CHUNK_VALUES // (grid.sites * grid.fiber))
-    for a in range(0, len(values), step):
-        values[a:a + step] = to_modes(grid, values[a:a + step], inverse=True)
-    return values
+    for a in range(0, len(v), step):
+        v[a:a + step] = to_modes(grid, v[a:a + step], inverse=True)
+    return v
 
 
 def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
@@ -365,19 +371,11 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
     def solve(src, d):
         return _two_sided_solve(solver, src, d, t_lo, t_hi, eigen)
 
-    def apply_B(psi):
-        # on the eigen loop psi's values become its modes, which B reads
-        if not eigen:
-            return k.apply_all(psi)
-        solver.from_eigen(psi.values, out=psi.values)
-        b = k.apply_all(psi)
-        return solver.to_eigen(b, source=True, out=b)
+    # B in the loop's basis, built once per run
+    k_loop = _eigen_kernel(k, solver) if eigen else k
 
     psi = solve(phi, data)
-    # B takes over an iterate's values on the eigen loop, so the partial
-    # sum starts as a copy there
-    total = Trajectory(grid, psi.dt, psi.index0, psi.values.copy()) \
-        if eigen else psi
+    total = psi
     sup0, strip0 = _norms(psi, w)
     sup_norms, strip_norms = [sup0], [strip0]
 
@@ -398,21 +396,21 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
 
     def report(n):
         # the monitor sees psi^(n), the partial sum and B applied to it, in
-        # site values; on the eigen loop psi holds its modes by now
+        # site values
         if monitor is None:
             return
         if not eigen:
             monitor(n, psi, total, b_sum)
             return
         monitor(n, Trajectory(grid, psi.dt, psi.index0,
-                              _from_modes(grid, psi.values.copy())),
+                              _to_sites(solver, psi.values)),
                 Trajectory(grid, total.dt, total.index0,
                            _to_sites(solver, total.values)),
                 _to_sites(solver, b_sum, source=True))
 
     # b = B psi^(n) is the source of iterate n + 1, and by linearity the
     # running sum b_sum of these is B applied to the partial sum
-    b = apply_B(psi) if k is not None else None
+    b = k_loop.apply_all(psi) if k is not None else None
     b_sum = b
     report(0)
     residuals = [residual(sys, b_sum, total, phi, (0.0, T), basis_solver)]
@@ -460,9 +458,9 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         # from here on the loop holds at most four trajectories, total,
         # b_sum, psi^(n) and B psi^(n)
         src = b = None
-        # on the sites loop total is psi^(0), handed to the monitor, until
-        # it gets its own array here; later iterates are added in place
-        if n == 1 and not eigen:
+        # total is psi^(0), handed to the monitor, until it gets its own
+        # array here; later iterates are added in place
+        if n == 1:
             total = total.plus(psi)
         else:
             np.add(total.values, psi.values, out=total.values)
@@ -471,7 +469,7 @@ def _run_iteration(sys, k, phi, data, T, opts, tol, tol_residual, n_max,
         strip_norms.append(strip_n)
         bounds.append(bound_fn(n))
         n_used = n
-        b = apply_B(psi)
+        b = k_loop.apply_all(psi)
         np.add(b_sum, b, out=b_sum)
         report(n)
         residuals.append(residual(sys, b_sum, total, phi, (0.0, T),

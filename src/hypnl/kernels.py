@@ -39,7 +39,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .grids import Grid, Trajectory
-from .systems import SystemSpec, _fiber_apply, _fiber_product, inner_weight
+from .systems import (SystemSpec, _fiber_apply, _fiber_product, _per_mode,
+                      inner_weight)
 
 INF = math.inf
 
@@ -92,11 +93,18 @@ def _term_samples(terms, times: np.ndarray, lag_times: np.ndarray) -> list:
 
 def _apply_M(M: Optional[tuple], values: np.ndarray) -> np.ndarray:
     """M applied to values of shape (..., sites, k), where k is the number of
-    columns the matrix has (all f, or the ones it reads)."""
+    columns the matrix has (all f, or the ones it reads). A per-site
+    (sites, f, k) stack meets a (frames, sites, k) stack as one batched
+    product per site (`systems._per_mode`), not as the per-site einsum of
+    `_fiber_apply`, which is slower on it."""
     if M is None:
         return values
     prof, mat = M
-    out = _fiber_apply(mat, values)
+    if mat is not None and mat.ndim == 3 and values.ndim == 3:
+        out = np.empty(values.shape[:2] + mat.shape[1:2], dtype=complex)
+        _per_mode(mat, values, out)
+    else:
+        out = _fiber_apply(mat, values)
     return out if prof is None else out * prof[:, None]
 
 
@@ -619,12 +627,33 @@ def make_convolution(chi_dot: Callable[[float], complex], projector,
 # ---------------------------------------------------------------------------
 # weighting, adjoints, bounds
 
+def _fold_M(k: TimeKernel, left: Optional[np.ndarray],
+            right: Optional[np.ndarray] = None) -> TimeKernel:
+    """The convolution kernel k with fiber operators folded into its data:
+    each distinct M = (p, m) becomes (p, left m right), an M of None
+    (the identity) becomes (None, left right), and M that were shared stay
+    shared. `left` and `right` are in `_fiber_apply` form (None for the
+    identity); a per-site stack in either makes each folded matrix one. A
+    term's time integration is scalar and p a scalar per site, so the
+    result is the operator left B right: `weighted` folds A0^{-1} on the
+    output, the Dyson loop V^-1 A0^-1 and V per mode
+    (`dyson._eigen_kernel`)."""
+    folded = {}     # id of an M -> its folded form
+    for M in (term.M for term in k.data["terms"]):
+        if id(M) not in folded:
+            prof, mat = (None, None) if M is None else M
+            folded[id(M)] = (prof, _fiber_product(left,
+                                                  _fiber_product(mat, right)))
+    return replace(k, data={"terms": [term._replace(M=folded[id(term.M)])
+                                      for term in k.data["terms"]]})
+
+
 def weighted(k: TimeKernel, sys: SystemSpec) -> TimeKernel:
     """The weighted potential beta * sigma(eta)^{-1} B = A0^{-1} B, with
     A0^{-1} folded into the kernel data: each separable g becomes A0^{-1} g
-    (on the same spans: it is zero wherever g is), each distinct convolution
-    M = (p, m) becomes (p, A0^{-1} m), and M that were shared stay shared.
-    k itself when A0 is the identity."""
+    (on the same spans: it is zero wherever g is), each convolution M
+    becomes A0^{-1} M (`_fold_M`, so M that were shared stay shared). k
+    itself when A0 is the identity."""
     if sys.grid != k.grid:
         raise KernelError("kernel / system grid mismatch")
     if sys.A0_inv is None:
@@ -634,13 +663,7 @@ def weighted(k: TimeKernel, sys: SystemSpec) -> TimeKernel:
                         _fiber_apply(sys.A0_inv, p.values))
              for p in k.data["g"]]
         return replace(k, data={**k.data, "g": g})
-    folded = {}     # id of an M -> its folded form
-    for M in (term.M for term in k.data["terms"]):
-        if id(M) not in folded:
-            prof, mat = (None, None) if M is None else M
-            folded[id(M)] = (prof, _fiber_product(sys.A0_inv, mat))
-    return replace(k, data={"terms": [term._replace(M=folded[id(term.M)])
-                                      for term in k.data["terms"]]})
+    return _fold_M(k, sys.A0_inv)
 
 
 def adjoint(k: TimeKernel) -> TimeKernel:

@@ -81,7 +81,8 @@ import numpy as np
 
 from .grids import (_CHUNK_VALUES, Grid, StateField, Trajectory,
                     stencil_symbols, to_modes)
-from .systems import SystemSpec, _fiber_apply, _fiber_product, evolution_rhs
+from .systems import (_PER_MODE_FRAMES, SystemSpec, _fiber_apply,
+                      _fiber_product, _per_mode, evolution_rhs)
 
 
 class SolverError(RuntimeError):
@@ -301,35 +302,6 @@ def _eigen_polys(lam: np.ndarray, h: float) -> np.ndarray:
     eigenvalues -i lam of L, as 1 x 1 blocks."""
     k = _rk4_polys((-1j * lam)[..., None, None], h)[..., 0, :]
     return np.moveaxis(k, -1, 0).copy()
-
-
-def _rows(values: np.ndarray) -> np.ndarray:
-    """(..., f) values as an (...) array of records of f values each, so that
-    a copy between layouts moves whole fiber rows: numpy's strided copy of
-    complex values makes one inner loop per row of f values."""
-    return values.view(np.dtype((np.void, values.shape[-1] * values.itemsize))
-                       )[..., 0]
-
-
-# frames per batched product of _per_mode: one BLAS call per mode reads a
-# row of every frame it spans, and a long solve is slower done whole (a
-# 1300-frame, 512-mode, fiber-2 product took 2.6x as long as in 64-frame
-# blocks)
-_PER_MODE_FRAMES = 64
-
-
-def _per_mode(m: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """out[:, i] = m[i] applied to values[:, i], for (frames, n, f) stacks
-    (`out` may be `values`): batched np.matmul over blocks of frames, so
-    that numpy makes one BLAS call per mode (or site) i and block, not one
-    per frame. One (f, f) m applies to every i."""
-    for a in range(0, len(values), _PER_MODE_FRAMES):
-        b = a + _PER_MODE_FRAMES
-        if m.ndim == 2:
-            out[a:b] = values[a:b] @ m.T
-            continue
-        res = np.matmul(values[a:b].transpose(1, 0, 2), np.swapaxes(m, -1, -2))
-        _rows(out[a:b])[...] = _rows(res).T
 
 
 # values in one block of frames (see _PER_MODE_FRAMES) of a chunk of modes

@@ -476,6 +476,41 @@ def test_grid_larger_than_memory_is_config_error(tmp_path, monkeypatch,
         load_config(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("scenario,options", [
+    ("maxwell", {"mode": "constraints_3d", "points": 4096}),
+    ("maxwell", {"mode": "vacuum_3d", "points": 4096}),
+    ("maxwell", {"points": 2 ** 62}),
+    ("dirac", {"points": 2 ** 62}),
+])
+def test_scenario_grid_larger_than_memory_is_config_error(
+        tmp_path, monkeypatch, capsys, scenario, options):
+    """A Maxwell or Dirac config whose one slice exceeds the physical memory
+    (3D, fiber 6 for the 3D modes; 1D, fiber 2 otherwise) is a ConfigError
+    on options.points for validate, check-bounds and run, raised before the
+    scenario is built (4096 points of constraints_3d used to exit 1 with
+    numpy's 'Unable to allocate 512. GiB')."""
+    from hypnl import cli
+
+    def built(*args, **kwargs):
+        raise AssertionError("the scenario was built")
+
+    for name in ("maxwell_problem", "maxwell_run", "dirac_problem",
+                 "dirac_run"):
+        monkeypatch.setattr(cli, name, built)
+    path = _write(tmp_path, _scenario_doc(scenario, **options))
+    for argv in (["validate", "--config", path],
+                 ["check-bounds", "--config", path],
+                 ["run", "--config", path, "--out", str(tmp_path / "o")]):
+        assert cli_run(argv) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"config error: 'options\.points' makes one .* B "
+                        r"slice, more than the .* B of physical memory$",
+                        err.strip()), err
+    # the same modes at a size that fits load without a build
+    small = {**options, "points": 16}
+    assert _validate_doc(_scenario_doc(scenario, **small)).options == small
+
+
 def test_dyson_run_larger_than_memory_is_config_error(tmp_path,
                                                       monkeypatch):
     """A custom Dyson run whose LIVE_TRAJECTORIES (4) trajectories of

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import fold_output_op, gaussian_pulse, per_site
-from hypnl import dyson
+from hypnl import dyson, kernels
 from hypnl.grids import (StateField, Trajectory, diff4, make_grid,
                          norm_strip, sample_trajectory, to_modes,
                          trapezoid_sum)
@@ -594,6 +594,21 @@ def _profiled(k):
     return dataclasses.replace(k, data={"terms": terms})
 
 
+def _two_groups(k):
+    """k's one term, then a second with its own M (a second group of terms:
+    a Hermitian matrix on every column), half its lag function and a
+    modulation n(tau) = 1 + tau / 2, then the first term's M again (shared,
+    a third group)."""
+    (m, c, n, M), = k.data["terms"]
+    other = (None, np.array([[0.3, 0.1j], [-0.1j, -0.2]]))
+    return make_modulated(k.grid, [
+        ConvTerm(m, c, n, M),
+        ConvTerm(None, lambda z: 0.5 * c(z), lambda tau: 1.0 + 0.5 * tau,
+                 other),
+        ConvTerm(None, lambda z: 0.25 * c(z), None, M)],
+        retarded=k.retarded, delta=k.delta, switch_on=k.switch_on)
+
+
 def _modes_case(name, chi_dot=None):
     """(sys, k, run): `run(kernel, **kw)` is the case's Dyson run with that
     kernel, keyword arguments passed on to dyson_retarded (or
@@ -610,7 +625,7 @@ def _modes_case(name, chi_dot=None):
         T = 16 * opts.dt
         kw = dict(T=T, tol=1e-10, tol_residual=math.inf, n_max=12)
         delta = math.inf
-    elif name in _SKEW_A0_CASES:
+    elif name in _SKEW_A0_CASES + ("two_groups",):
         # the skew_A0 system of test_solver.py: A0 != I, and L skew-adjoint
         # in the A0 inner product, not in the plain one
         grid = make_grid(1, 2.0 * math.pi, 16, 2)
@@ -637,6 +652,8 @@ def _modes_case(name, chi_dot=None):
         kw = dict(T=T, tol=1e-10, tol_residual=0.1, n_max=12)
         delta = 0.125 if name == "volterra_short" else math.inf
     k = maxwell_kernel(grid, chi_dot, delta_eff=delta)
+    if name == "two_groups":
+        k = _two_groups(k)
     data = StateField(grid, 0.0, vals)
     phi = Trajectory(grid, opts.dt, 2, 0.1 * (
         rng.standard_normal((6, grid.sites, grid.fiber))
@@ -674,14 +691,15 @@ _SKEW_A0_CASES = ("skew_A0", "lapse", "monitor", "window_exhausted")
 
 
 @pytest.mark.parametrize("name", ["maxwell3d", "volterra", "volterra_short",
-                                  *_SKEW_A0_CASES])
+                                  *_SKEW_A0_CASES, "two_groups"])
 def test_modes_loop_matches_sites_oracle(name):
     """The eigen loop against the same kernel on the sites loop: every
     result field and the partial sum to 1e-12 of each series' maximum
     (every case has a source phi). "monitor" also compares each psi,
     total and b_total the monitor sees to 1e-12 of the largest value of
     that argument over the run (b_total is A0 V W_sum, with A0 != I);
-    "window_exhausted" raises the same error on both loops."""
+    "window_exhausted" raises the same error on both loops; "two_groups"
+    runs three terms with two distinct M (see _two_groups)."""
     sys, k, run = _modes_case(name)
     oracle = _profiled(k)
     solver = LocalSolver(sys, SolveOptions(dt=0.1))
@@ -710,6 +728,45 @@ def test_modes_loop_matches_sites_oracle(name):
         for got, want in zip(seen, ref_seen):
             np.testing.assert_allclose(got[arg], want[arg], rtol=0,
                                        atol=1e-12 * scale)
+
+
+def _identity_M(k):
+    """k's one term with M None (the identity)."""
+    (m, c, n, _), = k.data["terms"]
+    return make_modulated(k.grid, [ConvTerm(m, c, n, None)],
+                          retarded=k.retarded, delta=k.delta)
+
+
+@pytest.mark.parametrize("name,frames", [
+    ("maxwell3d", 17), ("maxwell3d", kernels.DIRECT_MAX_LAGS + 12),
+    ("skew_A0", 17), ("identity_M", 17), ("two_groups", 17),
+    ("two_groups", kernels.DIRECT_MAX_LAGS + 12)])
+def test_eigen_kernel_matches_the_per_mode_maps(name, frames):
+    """The loop kernel's apply_all on eigen coordinates u equals the maps it
+    folds, to_eigen(apply_all(from_eigen(u)), source=True), to 1e-13 of the
+    largest value: on maxwell3d (M reads 3 of 6 columns), on the direct
+    path and past DIRECT_MAX_LAGS lags (FFT), with A0 != I (skew_A0), for
+    an M of None (V^-1 A0^-1 V) and for two distinct M with a shared one,
+    which stays one folded stack."""
+    sys, k, _ = _modes_case("skew_A0" if name == "identity_M" else name)
+    if name == "identity_M":
+        k = _identity_M(k)
+    solver = LocalSolver(sys, SolveOptions(dt=0.1))
+    loop = dyson._eigen_kernel(k, solver)
+    rng = np.random.default_rng(11)
+    g = sys.grid
+    u = rng.standard_normal((frames, g.sites, g.fiber)) \
+        + 1j * rng.standard_normal((frames, g.sites, g.fiber))
+    got = loop.apply_all(Trajectory(g, 0.05, 0, u))
+    want = solver.to_eigen(k.apply_all(Trajectory(
+        g, 0.05, 0, solver.from_eigen(u))), source=True)
+    assert float(np.max(np.abs(got - want))) \
+        <= 1e-13 * float(np.max(np.abs(want)))
+    Ms = [term.M for term in loop.data["terms"]]
+    assert all(M[0] is None and M[1].shape == (g.sites, g.fiber, g.fiber)
+               for M in Ms)
+    if name == "two_groups":
+        assert Ms[0] is Ms[2] and Ms[0] is not Ms[1]
 
 
 def test_monitor_sees_site_values_on_the_modes_loop():
@@ -838,10 +895,10 @@ def test_modes_loop_holds_at_most_four_trajectories():
     trajectory) is at most dyson.LIVE_TRAJECTORIES (4) trajectories (the
     partial sum, the running sum of sources, the iterate and its source),
     the size of one direction's step matrices (the eigenbasis the run holds
-    is smaller), what one apply_all allocates besides its output, and 2 MB
-    for the run's fixed-size arrays (data, source, frame norms, residual
-    chunks, the chunks of B's per-mode products). A fifth trajectory held
-    at any point exceeds it."""
+    is smaller), one (sites, f, f) stack per distinct M (the loop kernel's
+    folded V^-1 A0^-1 M V), what one apply_all allocates besides its output,
+    and 2 MB for the run's fixed-size arrays (data, source, frame norms,
+    residual chunks). A fifth trajectory held at any point exceeds it."""
     import tracemalloc
     sys, k, run = _modes_case("maxwell3d")
     g = sys.grid
@@ -849,6 +906,8 @@ def test_modes_loop_holds_at_most_four_trajectories():
     steps = 192
     traj = (steps + 1) * g.sites * g.fiber * 16
     mats = 3 * g.sites * g.fiber ** 2 * 16
+    folded = len({id(term.M) for term in k.data["terms"]}) \
+        * g.sites * g.fiber ** 2 * 16
     psi = Trajectory(g, dt, 0, np.ones((steps + 1, g.sites, g.fiber),
                                        dtype=complex))
     tracemalloc.start()
@@ -863,8 +922,8 @@ def test_modes_loop_holds_at_most_four_trajectories():
     finally:
         tracemalloc.stop()
     assert res.n_used == 4
-    assert peak <= dyson.LIVE_TRAJECTORIES * traj + mats + kernel_extra \
-        + (2 << 20)
+    assert peak <= dyson.LIVE_TRAJECTORIES * traj + mats + folded \
+        + kernel_extra + (2 << 20)
 
 
 def _sites_loop_cases():

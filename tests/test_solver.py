@@ -877,7 +877,7 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
     site (skew_per_site), on site values and on values already in the
     eigen coordinates (xf None: only the steps run, compared in those
     coordinates)."""
-    from hypnl import solver as solver_mod
+    from hypnl import solver as solver_mod, systems as systems_mod
     sys, opts = _solver_case(name)
     grid, f = sys.grid, sys.grid.fiber
     solver = LocalSolver(sys, opts)
@@ -887,6 +887,7 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
     steps = 30
     monkeypatch.setattr(solver_mod, "_CHUNK_VALUES", 7 * grid.sites * f)
     monkeypatch.setattr(solver_mod, "_PER_MODE_FRAMES", 7)
+    monkeypatch.setattr(systems_mod, "_PER_MODE_FRAMES", 7)
     monkeypatch.setattr(solver_mod, "_EIGEN_CHUNK_VALUES", 5 * 7 * f)
     lo, hi = _WINDOWS[window]
     rng = np.random.default_rng(29)
