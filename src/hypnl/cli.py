@@ -65,6 +65,11 @@ _OPTION_TYPES = {
                "cfl": float, "T": float, "data_width": float},
 }
 
+# the option defaults of extended_check, read once (see _check_extended)
+_EXTENDED_DEFAULTS = {
+    key: p.default
+    for key, p in inspect.signature(extended_system_check).parameters.items()}
+
 _KERNEL_KEYS = {"kind", "chi0", "c1", "c2", "delta"}
 
 _SYSTEM_KEYS = {"grid", "A0", "Aj", "S0", "beta", "name"}
@@ -153,13 +158,36 @@ def _validate_coefficient(spec, path: str, fiber: int) -> None:
              f"must be {fiber} rows of {fiber} [re, im] pairs")
 
 
+def _check_memory(size: int, path: str, what: str) -> None:
+    """Refuse the option at `path` when it makes `what`, of `size` bytes,
+    larger than the physical memory, before any array is built."""
+    memory = _physical_memory()
+    _require(size <= memory, path, f"makes {what}, more than the "
+             f"{memory:.3g} B of physical memory")
+
+
 def _check_slice(points: int, dim: int, fiber: int, path: str) -> None:
     """Refuse a grid of `points` per axis whose one slice exceeds the
     physical memory, before any array is built."""
     size = points ** dim * fiber * 16        # bytes in one slice
-    memory = _physical_memory()
-    _require(size <= memory, path, f"makes one {size:.3g} B slice, more "
-             f"than the {memory:.3g} B of physical memory")
+    _check_memory(size, path, f"one {size:.3g} B slice")
+
+
+def _check_extended(options: dict, path: str) -> None:
+    """Refuse extended_check options whose arrays exceed the physical
+    memory, before any is built: the (3 fiber)^2 coefficients of the
+    extended system, one slice of the extended fiber 3 fiber on `points`
+    sites, and a trajectory of `frames` such slices."""
+    points, fiber, frames = (options.get(key, _EXTENDED_DEFAULTS[key])
+                             for key in ("points", "fiber", "frames"))
+    f3 = 3 * fiber
+    size = f3 * f3 * 16
+    _check_memory(size, f"{path}options.fiber",
+                  f"{f3} x {f3} coefficients of {size:.3g} B")
+    _check_slice(points, 1, f3, f"{path}options.points")
+    size = frames * points * f3 * 16
+    _check_memory(size, f"{path}options.frames",
+                  f"a trajectory of {frames} slices, {size:.3g} B")
 
 
 def _validate_system(doc, path: str) -> None:
@@ -203,7 +231,8 @@ def _validate_system(doc, path: str) -> None:
 
 # option ranges, checked for every scenario whose options name the key
 # (after its type, and not on null): the SolveOptions ranges, the grid size,
-# the kernel range and the Maxwell mode table
+# the kernel range, the Maxwell mode table and the sizes of extended_check
+# (the only scenario with n_fields, fiber, frames and rank options)
 _RANGES = {
     "dt": (lambda v: v > 0, "must be positive"),
     "T": (lambda v: v > 0, "must be positive"),
@@ -213,6 +242,10 @@ _RANGES = {
     "n_pot": (lambda v: v >= 1, "must be at least 1"),
     "mode": (lambda v: v in MAXWELL_MODES,
              f"must be one of {sorted(MAXWELL_MODES)}"),
+    "n_fields": (lambda v: v >= 1, "must be at least 1"),
+    "fiber": (lambda v: v >= 1, "must be at least 1"),
+    "frames": (lambda v: v >= 2, "must be at least 2"),
+    "rank": (lambda v: v >= 1, "must be at least 1"),
 }
 
 
@@ -254,6 +287,8 @@ def _validate_doc(doc: dict, path: str = "") -> RunConfig:
         dim, fiber = ((3, 6) if scenario == "maxwell"
                       and mode in ("vacuum_3d", "constraints_3d") else (1, 2))
         _check_slice(options["points"], dim, fiber, f"{path}options.points")
+    if scenario == "extended_check":
+        _check_extended(options, path)
     if scenario == "custom":
         if "system" not in options:
             raise ConfigError(f"'{path}options.system' is required for "
@@ -312,15 +347,20 @@ def _physical_memory() -> int:
 def _build_custom(cfg: RunConfig):
     """(system, kernel-or-None, SolveOptions, T) for a custom config whose
     keys and types are checked. What only the built run can refuse is a
-    ConfigError on its path: A0 not Hermitian positive definite, a lapse
-    that is not positive, v_max = 0 without options.dt, a drude_lorentz
-    memory on fiber 1, T under 2 steps, and a Dyson run whose trajectories
-    exceed the physical memory (checked before the kernel is built)."""
+    ConfigError on its path: a SystemSpec refusal on the field it names
+    (options.system.A0 not Hermitian positive definite, an
+    options.system.Aj[j] that is not Hermitian, a coefficient or lapse that
+    is not finite, a lapse that is not positive), v_max = 0 without
+    options.dt, a drude_lorentz memory on fiber 1, T under 2 steps, and a
+    Dyson run whose trajectories exceed the physical memory (checked before
+    the kernel is built)."""
     opts = cfg.options
     try:
         sys_spec = system_from_json(opts["system"])
     except SystemSpecError as exc:
-        raise ConfigError(f"'{cfg.path}options.system' {exc}") from exc
+        field = "" if exc.field is None else f".{exc.field}"
+        raise ConfigError(f"'{cfg.path}options.system{field}' {exc.what}") \
+            from exc
     dt = opts.get("dt")
     cfl = float(opts.get("cfl", 0.25))
     if dt is None:
@@ -339,12 +379,10 @@ def _build_custom(cfg: RunConfig):
         # steps + 1 frames
         g = sys_spec.grid
         size = LIVE_TRAJECTORIES * (steps + 1) * g.sites * g.fiber * 16
-        memory = _physical_memory()
-        _require(size <= memory, f"{cfg.path}options.T",
-                 f"makes a Dyson run of {steps + 1} frames of options.dt = "
-                 f"{sopts.dt:.6g}, {size:.3g} B in {LIVE_TRAJECTORIES} "
-                 f"trajectories, more than the {memory:.3g} B of physical "
-                 "memory")
+        _check_memory(size, f"{cfg.path}options.T",
+                      f"a Dyson run of {steps + 1} frames of options.dt = "
+                      f"{sopts.dt:.6g}, {size:.3g} B in {LIVE_TRAJECTORIES} "
+                      "trajectories")
         # the memory acts on the first fiber // 2 components (the E field of
         # maxwell_kernel): none at fiber 1
         _require(sys_spec.grid.fiber >= 2, f"{cfg.path}options.kernel.kind",
@@ -728,7 +766,6 @@ def cmd_validate(args) -> int:
     sys_spec, _, _ = _bounds_subject(cfg)
     rep = validate_system(sys_spec, seed=cfg.seed)
     min_eig = min(e for _, e in rep.min_eig_samples)
-    print(f"symmetric {rep.symmetric}")
     print(f"hyperbolic {rep.hyperbolic} (min sampled eigenvalue {min_eig:.6g})")
     print(f"adjoint defect {rep.adjoint_defect:.3e}")
     print("ok" if rep.ok else "FAILED")

@@ -81,19 +81,15 @@ def energy_identity(sys: SystemSpec, tr: Trajectory,
             phi_vals[lo:hi] = source_used.values[lo - off:hi - off]
 
     dnsq = (nsq[2:] - nsq[:-2]) / (2.0 * tr.dt)
-    if sys.constant_in_time:
-        # the balance terms of a whole chunk of frames per call
-        zmat = _sym_part_matrices(sys, 0.0)
-        step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
-        chunks = [(a, min(a + step, F - 1), zmat)
-                  for a in range(1, F - 1, step)]
-    else:
-        chunks = [(i, i + 1, _sym_part_matrices(sys, tr.time(i)))
-                  for i in range(1, F - 1)]
+    # the balance terms of a whole chunk of frames per call
+    zmat = _sym_part_matrices(sys)
+    step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
+    psi = tr.values[1:-1]
+    phi = None if phi_vals is None else phi_vals[1:-1]
     rhs = np.concatenate([
-        _balance_terms(beta, dv, tr.values[a:b],
-                       None if phi_vals is None else phi_vals[a:b], zmat)
-        for a, b, zmat in chunks])
+        _balance_terms(beta, dv, psi[a:a + step],
+                       None if phi is None else phi[a:a + step], zmat)
+        for a in range(0, F - 2, step)])
     return DiagReport(name="energy_identity", values=np.abs(dnsq - rhs),
                       times=tr.times()[1:-1], tolerance=tolerance)
 
@@ -113,10 +109,10 @@ def _balance_terms(beta: np.ndarray, dv: float, psi: np.ndarray,
     return rhs
 
 
-def _sym_part_matrices(sys: SystemSpec, t: float) -> Optional[np.ndarray]:
+def _sym_part_matrices(sys: SystemSpec) -> Optional[np.ndarray]:
     """S0 + S0^dagger + div A in `_fiber_apply` form, or None when zero."""
-    s0 = sys.S0_at(t)
-    acc = symbol_divergence(sys, t)
+    s0 = sys.S0
+    acc = symbol_divergence(sys)
     if s0 is not None:
         acc = acc + s0 + np.conj(np.swapaxes(s0, -1, -2))
     if not np.any(acc):
@@ -137,26 +133,15 @@ def exponential_bound(sys: SystemSpec, tr: Trajectory, D: float, M: float,
                       tolerance=slack)
 
 
-_D_TIMES = 16
-
-
-def measure_D(sys: SystemSpec, window: tuple = (0.0, 0.0)) -> float:
-    """Uniform bound of the zero-order operator over the time window. The
+def measure_D(sys: SystemSpec) -> float:
+    """Bound of the zero-order operator, the same at every time. The
     operator is a per-site multiplication, so its slice-norm is the max over
-    sites of the weight-conjugated matrix spectral norm — computed exactly,
-    at _D_TIMES evenly spaced times for a time-dependent S0."""
-    if sys.constant_in_time:
-        times = [0.0]
-    else:
-        times = np.linspace(window[0], window[1], _D_TIMES)
+    sites of the weight-conjugated matrix spectral norm — computed
+    exactly."""
     root, iroot = inner_weight(sys).roots()
-    best = 0.0
-    for t in times:
-        z = zero_order_matrices(sys, float(t))
-        conj = z if root is None else root @ z @ iroot
-        s = np.linalg.svd(conj, compute_uv=False)
-        best = max(best, float(np.max(s)))
-    return best
+    z = zero_order_matrices(sys)
+    conj = z if root is None else root @ z @ iroot
+    return float(np.max(np.linalg.svd(conj, compute_uv=False)))
 
 
 # pair entries per chunk of _torus_distance rows (0.5 MB of float64)

@@ -130,7 +130,7 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
         raise DysonError("empty residual strip (insufficient padding)")
     if phi is not None and abs(phi.dt - dt) > 1e-12 * dt:
         raise DysonError("source lattice mismatch")
-    v, times = psi.values, psi.times()
+    v = psi.values
     step = max(1, _CHUNK_VALUES // (sys.grid.sites * sys.grid.fiber))
     if solver is not None:
         i_lam = 1j * solver.eigenbasis()[0]
@@ -143,7 +143,7 @@ def _defect_chunks(sys: SystemSpec, b_psi: Optional[np.ndarray],
             e = min(a + step, hi + 1)
             if solver is None:
                 dpsi = (v[a + 1:e + 1] - v[a - 1:e - 1]) / (2.0 * dt)
-                d = apply_S(sys, v[a:e], dpsi, times[a:e])
+                d = apply_S(sys, v[a:e], dpsi)
             else:
                 d, term = buf[:, :e - a]
                 np.subtract(v[a + 1:e + 1], v[a - 1:e - 1], out=d)
@@ -514,7 +514,7 @@ def _measure_constants(sys, k, phi, data, T, constants, window, seed):
     out = dict(constants or {})
     w = inner_weight(sys)
     if "D" not in out:
-        out["D"] = measure_D(sys, window=(window[0], window[1]))
+        out["D"] = measure_D(sys)
     if "C_est" not in out:
         out["C_est"] = estimate_bound(k, sys, t_window=window, D=0.0,
                                       seed=seed).C_est

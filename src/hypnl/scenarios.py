@@ -1028,19 +1028,18 @@ def extended_system_check(n_fields: int = 20, seed: int = 0, points: int = 64,
         ddpsi = np.stack([psi_dt(i * dt, 2) for i in range(frames)])
         dxpsi = diff4(grid, psi_tr.values, 0)
         dxdpsi = diff4(grid, dpsi, 0)
-        times = psi_tr.times()
 
         b_psi = kern.apply_all(psi_tr)
         bdot_psi = kern_gdot.apply_all(psi_tr)
-        phi = apply_S(sys, psi_tr.values, dpsi, times) - b_psi
-        dphi = apply_S(sys, dpsi, ddpsi, times) - bdot_psi
+        phi = apply_S(sys, psi_tr.values, dpsi) - b_psi
+        dphi = apply_S(sys, dpsi, ddpsi) - bdot_psi
         dxphi = diff4(grid, phi, 0)
 
         Psi = np.concatenate([psi_tr.values, dpsi, dxpsi], axis=2)
         dPsi = np.concatenate([dpsi, ddpsi, dxdpsi], axis=2)
         Psi_tr = Trajectory(grid3, dt, 0, Psi)
         b1 = kern1.apply_all(Psi_tr)
-        lhs = apply_S(sys1, Psi, dPsi, times) - b1
+        lhs = apply_S(sys1, Psi, dPsi) - b1
         Phi = np.concatenate([phi, dphi, dxphi], axis=2)
         diff_tr = Trajectory(grid3, dt, 0, lhs - Phi)
         phi_tr = Trajectory(grid3, dt, 0, Phi)

@@ -18,9 +18,9 @@ increasing-time order on the integer lattice i * dt.
 A solve takes one of two paths; the system alone chooses it, and there is
 no setting:
 
-* Linear recurrence (no S0_t, and either no spatial term or every
-  coefficient the same at every site): one RK4 step of the linear
-  autonomous system d_t y = L y + s is exactly
+* Linear recurrence (no spatial term, or every coefficient the same at
+  every site): one RK4 step of the linear autonomous system
+  d_t y = L y + s is exactly
   y+ = R y + P0 s_n + P1 s_n+1, with R, P0 and P1 polynomials in h L
   (_rk4_polys), block-diagonal on the sites or on the Fourier modes of the
   torus. The data are transformed to the basis once per solve and the
@@ -30,11 +30,11 @@ no setting:
     P0 = P1 = (h/2) I, and a step with one end in the source window adds
     (h/6) s, so the frames are the data plus one cumulative sum of these
     increments, without a per-step loop (_source_integral).
-  - "eigen", A0 and every live A^j exactly Hermitian and S0 exactly
-    skew-Hermitian (S0 + S0^H = 0, an absent S0 included, as in Maxwell's
-    and Dirac's equations): L is skew-adjoint in the A0 inner product, so
-    L = V diag(-i lam) V^-1 with real lam (_eigenbasis, one
-    np.linalg.eigh per mode or site, built once per LocalSolver). In that
+  - "eigen", S0 exactly skew-Hermitian (S0 + S0^H = 0, an absent S0
+    included, as in Maxwell's and Dirac's equations): with A0 and every
+    A^j Hermitian, as SystemSpec holds them, L is skew-adjoint in the A0
+    inner product, so L = V diag(-i lam) V^-1 with real lam (_eigenbasis,
+    one np.linalg.eigh per mode or site, built once per LocalSolver). In that
     basis a step is elementwise, and a solve takes the source in and the
     frames out by batched per-mode products over blocks of frames, not one
     product per step (_eigen_recurrence).
@@ -44,10 +44,9 @@ no setting:
     R y alone (_recurrence).
   The frames agree with the per-step loop to round-off: below 1e-14 of the
   largest frame value, tested at 1e-13.
-* Stepping (a time-dependent S0, or a spatial term with a coefficient that
-  varies by site): the RK4 loop, each stage applying the coefficients,
-  writing each frame into one preallocated array; bitwise equal to the
-  per-step loop.
+* Stepping (a spatial term with a coefficient that varies by site): the
+  RK4 loop, each stage applying the coefficients, writing each frame into
+  one preallocated array; bitwise equal to the per-step loop.
 
 Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
@@ -127,16 +126,16 @@ def _lattice_index(t: float, dt: float) -> int:
     return i
 
 
-def _rk4_step(sys: SystemSpec, y: np.ndarray, t: float, h: float,
-              src: tuple, out: np.ndarray) -> np.ndarray:
-    """One RK4 step from y at t, written into `out`; `src` holds the source
-    at t, t + h/2 (shared by the k2 and k3 stages) and t + h, None where it
-    is zero."""
+def _rk4_step(sys: SystemSpec, y: np.ndarray, h: float, src: tuple,
+              out: np.ndarray) -> np.ndarray:
+    """One RK4 step of length h from y, written into `out`; `src` holds the
+    source at the step's start, its midpoint (shared by the k2 and k3
+    stages) and its end, None where it is zero."""
     s_t, s_mid, s_end = src
-    k1 = evolution_rhs(sys, y, t, s_t)
-    k2 = evolution_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, s_mid)
-    k3 = evolution_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, s_mid)
-    k4 = evolution_rhs(sys, y + h * k3, t + h, s_end)
+    k1 = evolution_rhs(sys, y, s_t)
+    k2 = evolution_rhs(sys, y + 0.5 * h * k1, s_mid)
+    k3 = evolution_rhs(sys, y + 0.5 * h * k2, s_mid)
+    k4 = evolution_rhs(sys, y + h * k3, s_end)
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place
     k2 *= 2.0
     k3 *= 2.0
@@ -152,10 +151,7 @@ def _basis(sys: SystemSpec) -> Optional[str]:
     does not couple its blocks: "sites" when it has no spatial term (with no
     S0 either, L = 0: see _source_integral), "modes" (Fourier modes of the
     torus) when every coefficient is the same at every site, None when it has
-    to step (a time-dependent S0, or a spatial term with a coefficient that
-    varies by site)."""
-    if sys.S0_t is not None:
-        return None
+    to step (a spatial term with a coefficient that varies by site)."""
     if not sys.live:
         return "sites"
     coeffs = (sys.A0_inv, sys.S0) + tuple(sys.Aj[j] for j, _ in sys.live)
@@ -164,31 +160,24 @@ def _basis(sys: SystemSpec) -> Optional[str]:
     return None
 
 
-def _exactly_hermitian(m: Optional[np.ndarray], sign: float = 1.0) -> bool:
-    """Whether m equals `sign` times its conjugate transpose bitwise (per
-    site for a stack); None, the identity or zero, passes."""
-    return m is None or np.array_equal(
-        m, sign * np.conj(np.swapaxes(m, -1, -2)))
-
-
 def _recurrence_kind(sys: SystemSpec, basis: Optional[str]) -> Optional[str]:
     """The recurrence a system's solves take in `basis` (None when they
     step): "sum" when L = 0 (no spatial term and no S0, see
-    _source_integral); "eigen" when A0 and every live A^j are exactly
-    Hermitian and S0 exactly skew-Hermitian (S0 + S0^H = 0, an absent S0
-    included), so that L = A0^{-1} (S0 - i sum_j sigma_j A^j) is
-    skew-adjoint in the A0 inner product on every mode or site (see
-    _eigen_recurrence); else "stacked" (K = [R | P0 | P1], see
-    _recurrence), which is built from L as it is. The test is bitwise:
-    np.linalg.eigh reads one triangle of a matrix, so a coefficient that is
-    Hermitian only to round-off would shift the eigenbasis by as much."""
+    _source_integral); "eigen" when S0 is exactly skew-Hermitian
+    (S0 + S0^H = 0, an absent S0 included), so that, with A0 and every A^j
+    exactly Hermitian (as SystemSpec holds them),
+    L = A0^{-1} (S0 - i sum_j sigma_j A^j) is skew-adjoint in the A0 inner
+    product on every mode or site (see _eigen_recurrence); else "stacked"
+    (K = [R | P0 | P1], see _recurrence), which is built from L as it is.
+    The test is bitwise: np.linalg.eigh reads one triangle of a matrix, so
+    an S0 that is skew-Hermitian only to round-off would shift the
+    eigenbasis by as much."""
     if basis is None:
         return None
     if basis == "sites" and sys.S0 is None:
         return "sum"
-    if _exactly_hermitian(sys.S0, -1.0) and all(
-            _exactly_hermitian(c) for c in
-            (sys.A0,) + tuple(sys.Aj[j] for j, _ in sys.live)):
+    if sys.S0 is None or np.array_equal(
+            sys.S0, -np.conj(np.swapaxes(sys.S0, -1, -2))):
         return "eigen"
     return "stacked"
 
@@ -700,10 +689,9 @@ class LocalSolver:
             return _stored(sys, opts, i0, sgn, vals)[0]
 
         y = stored[0]
-        t = ((i0 + sgn * np.arange(n_steps)) * dt).tolist()
         sources = _step_sources(phi, i0, sgn, n_steps)
-        for s, (ts, src) in enumerate(zip(t, sources)):
-            y = _rk4_step(sys, y, ts, h, src, stored[s + 1])
+        for s, src in zip(range(n_steps), sources):
+            y = _rk4_step(sys, y, h, src, stored[s + 1])
             if not np.all(np.isfinite(y.view(float))):
                 raise _aborted(sys, opts, i0, sgn, s, stored[:s + 1][::sgn])
         return _stored(sys, opts, i0, sgn, vals)[0]

@@ -6,8 +6,9 @@ Operator convention (flat product spacetime, coordinates (t, x^j)):
 
     S psi = A0 d_t psi + sum_j A^j D_j psi - S0 psi,
 
-with A0, A^j Hermitian per site, A0 positive definite, and D_j the module's
-4th-order central stencil. The slice inner product uses the weight beta * A0.
+with A0, A^j Hermitian per site, A0 positive definite, every coefficient
+constant in time, and D_j the module's 4th-order central stencil. The slice
+inner product uses the weight beta * A0.
 
 Every fiber operator -- each coefficient, A0^{-1} and the slice weight -- is
 held once, in the form `_fiber_apply` takes: None for the identity, one
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,24 +28,13 @@ from .grids import Grid, InnerWeight, StateField, diff4, diff_upwind
 
 
 class SystemError(ValueError):
-    pass
+    """A refused system. `field` names the input at fault ("A0", "Aj[0]",
+    "S0", "beta", ...; None when no one field is), and the message starts
+    with it."""
 
-
-def _form(grid: Grid, mat) -> Optional[np.ndarray]:
-    """A fiber operator in the form `_fiber_apply` takes, as given: None
-    stays None, else one (f, f) matrix or a per-site (sites, f, f) stack."""
-    if mat is None:
-        return None
-    m = np.asarray(mat, dtype=complex)
-    f = grid.fiber
-    if m.shape not in ((f, f), (grid.sites, f, f)):
-        raise SystemError(f"coefficient shape {m.shape} invalid for fiber {f}")
-    return m
-
-
-def _hermiticity_defect(m: Optional[np.ndarray]) -> float:
-    return 0.0 if m is None else \
-        float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
+    def __init__(self, what: str, field: Optional[str] = None):
+        super().__init__(what if field is None else f"{field} {what}")
+        self.what, self.field = what, field
 
 
 def _fiber_apply(m: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -87,16 +77,32 @@ def _per_mode(m: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
         _rows(out[a:b])[...] = _rows(res).T
 
 
-def _compact(grid: Grid, mat, eye_as_none: bool = True) -> Optional[np.ndarray]:
+def _compact(grid: Grid, mat, field: str,
+             hermitian: bool = True) -> Optional[np.ndarray]:
     """A coefficient held once, in the cheapest form `_fiber_apply` takes:
-    None stays None, one (f, f) matrix when every site holds the same one
-    (None for the identity if `eye_as_none`), else a copy of the stack."""
-    m = _form(grid, mat)
-    if m is not None and m.ndim == 3 and np.all(m == m[0]):
-        m = m[0]
-    if m is None or (eye_as_none and m.ndim == 2
-                     and np.array_equal(m, np.eye(grid.fiber))):
+    None stays None, one (f, f) matrix when every site holds the same one,
+    else a copy of the stack. A `hermitian` coefficient (A0, A^j) must be
+    Hermitian to 1e-12 and is held as its Hermitian part (A + A^H)/2 (as
+    given when it is exactly Hermitian), and as None for the identity.
+    A refusal is a SystemError on `field`."""
+    if mat is None:
         return None
+    m = np.asarray(mat, dtype=complex)
+    f = grid.fiber
+    if m.shape not in ((f, f), (grid.sites, f, f)):
+        raise SystemError(f"shape {m.shape} invalid for fiber {f}", field)
+    if not np.all(np.isfinite(m)):
+        raise SystemError("must be finite", field)
+    if m.ndim == 3 and np.all(m == m[0]):
+        m = m[0]
+    if hermitian:
+        mh = np.conj(np.swapaxes(m, -1, -2))
+        if np.max(np.abs(m - mh)) > 1e-12:
+            raise SystemError("not Hermitian", field)
+        if not np.array_equal(m, mh):
+            m = (m + mh) / 2.0
+        if m.ndim == 2 and np.array_equal(m, np.eye(f)):
+            return None
     return m.copy()
 
 
@@ -137,26 +143,24 @@ def _stacked_columns(grid: Grid, aj: tuple,
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Coefficient data of a symmetric hyperbolic system on a periodic grid.
+    """Coefficient data of a symmetric hyperbolic system on a periodic grid,
+    constant in time: A0 Hermitian positive definite and each A^j Hermitian.
+    A coefficient that is Hermitian only to 1e-12 is held as its Hermitian
+    part, so every held A0 and A^j is exactly Hermitian; any other system
+    is refused with a SystemError on its field (see _compact).
 
     Every fiber operator (A0, A0_inv, each A^j, S0) is held once, in the
     form `_fiber_apply` takes: None for the identity (None for S0: absent
     or zero), one (f, f) matrix when it is the same at every site, else a
     per-site (sites, f, f) stack. The constructor takes A0, A^j and S0 in
     any of these forms.
-
-    S0 may be time dependent through `S0_t(t) -> (f, f) or (sites, f, f)`;
-    A0 time dependence enters only through `dA0_dt` (the d_t A0 term of the
-    symbol divergence). Coefficient callbacks must be pure.
     """
 
     grid: Grid
     A0: Optional[np.ndarray]          # Hermitian > 0
     Aj: tuple                         # dim coefficients, Hermitian
     S0: Optional[np.ndarray] = None
-    S0_t: Optional[Callable[[float], np.ndarray]] = None
     beta: Optional[np.ndarray] = None  # (sites,) positive lapse, default 1
-    dA0_dt: Optional[Callable[[float], np.ndarray]] = None
     name: str = "system"
     A0_inv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     # (axis, _read_columns) of every A^j that is not identically zero
@@ -173,24 +177,22 @@ class SystemSpec:
     def __post_init__(self):
         g = self.grid
         if len(self.Aj) != g.dim:
-            raise SystemError(f"need {g.dim} spatial coefficient(s), got {len(self.Aj)}")
-        a0 = _compact(g, self.A0)
-        aj = tuple(_compact(g, a) for a in self.Aj)
-        s0 = _compact(g, self.S0, eye_as_none=False)
+            raise SystemError(f"must hold {g.dim} coefficient(s), got "
+                              f"{len(self.Aj)}", "Aj")
+        a0 = _compact(g, self.A0, "A0")
+        aj = tuple(_compact(g, a, f"Aj[{j}]") for j, a in enumerate(self.Aj))
+        s0 = _compact(g, self.S0, "S0", hermitian=False)
         b = self.beta
         if b is None:
             b = np.ones(g.sites)
         else:
             b = np.broadcast_to(np.asarray(b, dtype=float), (g.sites,)).copy()
+            if not np.all(np.isfinite(b)):
+                raise SystemError("must be finite", "beta")
             if np.min(b) <= 0:
-                raise SystemError("lapse must be positive")
-        if not all(c is None or np.all(np.isfinite(c))
-                   for c in (a0, b, s0) + aj):
-            raise SystemError("coefficients must be finite")
-        if _hermiticity_defect(a0) > 1e-12:
-            raise SystemError("A0 not Hermitian")
+                raise SystemError("must be positive", "beta")
         if a0 is not None and np.min(np.linalg.eigvalsh(a0)) <= 0:
-            raise SystemError("A0 not positive definite")
+            raise SystemError("not positive definite", "A0")
         a0_inv = None if a0 is None else np.linalg.inv(a0)
         object.__setattr__(self, "A0", a0)
         object.__setattr__(self, "A0_inv", a0_inv)
@@ -210,19 +212,11 @@ class SystemSpec:
             vmax = max(vmax, float(np.max(np.abs(ev))) if ev.size else 0.0)
         object.__setattr__(self, "v_max", vmax)
 
-    @property
-    def constant_in_time(self) -> bool:
-        return self.S0_t is None and self.dA0_dt is None
 
-    def S0_at(self, t: float) -> Optional[np.ndarray]:
-        """S0 at time t in `_fiber_apply` form (None when absent)."""
-        return self.S0 if self.S0_t is None else _form(self.grid, self.S0_t(t))
-
-
-def make_system(grid: Grid, A0, Aj: Sequence, S0=None, S0_t=None, beta=None,
-                dA0_dt=None, name: str = "system") -> SystemSpec:
-    return SystemSpec(grid=grid, A0=A0, Aj=tuple(Aj), S0=S0, S0_t=S0_t,
-                      beta=beta, dA0_dt=dA0_dt, name=name)
+def make_system(grid: Grid, A0, Aj: Sequence, S0=None, beta=None,
+                name: str = "system") -> SystemSpec:
+    return SystemSpec(grid=grid, A0=A0, Aj=tuple(Aj), S0=S0, beta=beta,
+                      name=name)
 
 
 def transport_system(grid: Grid, speed: float = 1.0, name: str = "transport") -> SystemSpec:
@@ -259,17 +253,6 @@ def inner_weight(sys: SystemSpec) -> InnerWeight:
     return sys._weight
 
 
-def _S0_apply(sys: SystemSpec, values: np.ndarray, t) -> Optional[np.ndarray]:
-    """S0 psi, or None when S0 is absent; `t` is one time, or one time per
-    frame when `values` is a (frames, sites, fiber) stack."""
-    if sys.S0_t is None:
-        return None if sys.S0 is None else _fiber_apply(sys.S0, values)
-    if np.ndim(t) == 0:
-        return _fiber_apply(sys.S0_at(t), values)
-    return np.stack([_fiber_apply(sys.S0_at(float(ti)), v)
-                     for ti, v in zip(t, values)])
-
-
 def _spatial_product(sys: SystemSpec,
                      values: np.ndarray) -> Optional[np.ndarray]:
     """sum_j A^j D_j psi as one product: D_j of the fiber columns each live
@@ -285,7 +268,7 @@ def _spatial_product(sys: SystemSpec,
                         else np.concatenate(parts, axis=-1))
 
 
-def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
+def evolution_rhs(sys: SystemSpec, values: np.ndarray,
                   source: Optional[np.ndarray] = None) -> np.ndarray:
     """Method-of-lines right-hand side of S psi = source:
 
@@ -294,38 +277,34 @@ def evolution_rhs(sys: SystemSpec, values: np.ndarray, t: float,
     acc = np.zeros_like(values)
     if source is not None:
         acc += source
-    s0 = _S0_apply(sys, values, t)
-    if s0 is not None:
-        acc += s0
+    if sys.S0 is not None:
+        acc += _fiber_apply(sys.S0, values)
     spatial = _spatial_product(sys, values)
     if spatial is not None:
         acc -= spatial
     return _fiber_apply(sys.A0_inv, acc)
 
 
-def apply_S(sys: SystemSpec, values: np.ndarray, dpsi_dt: np.ndarray,
-            t) -> np.ndarray:
+def apply_S(sys: SystemSpec, values: np.ndarray,
+            dpsi_dt: np.ndarray) -> np.ndarray:
     """S psi given the field and its time derivative on one slice, or on a
-    (frames, sites, fiber) stack with `t` holding one time per frame."""
+    (frames, sites, fiber) stack of them."""
     out = _fiber_apply(sys.A0, dpsi_dt)
     spatial = _spatial_product(sys, values)
     if spatial is not None:
         out = out + spatial
-    s0 = _S0_apply(sys, values, t)
-    if s0 is not None:
-        out = out - s0
+    if sys.S0 is not None:
+        out = out - _fiber_apply(sys.S0, values)
     return out
 
 
-def symbol_divergence(sys: SystemSpec, t: float) -> np.ndarray:
-    """d_mu A^mu: stencil divergence of the site-varying spatial
-    coefficients plus the d_t A0 callback, as one (f, f) matrix (zero for
-    site-constant A^j and constant-in-time A0) or a per-site stack."""
+def symbol_divergence(sys: SystemSpec) -> np.ndarray:
+    """d_mu A^mu: the stencil divergence of the site-varying spatial
+    coefficients (A0 is constant in time), as one (f, f) matrix (zero for
+    site-constant A^j) or a per-site stack."""
     g = sys.grid
     f = g.fiber
     out = np.zeros((f, f), dtype=complex)
-    if sys.dA0_dt is not None:
-        out = out + _form(g, sys.dA0_dt(t))
     for j, a in enumerate(sys.Aj):
         if a is None or a.ndim == 2:
             continue  # constant coefficient, divergence 0 exactly
@@ -335,14 +314,13 @@ def symbol_divergence(sys: SystemSpec, t: float) -> np.ndarray:
     return out
 
 
-def zero_order_matrices(sys: SystemSpec, t: float) -> np.ndarray:
+def zero_order_matrices(sys: SystemSpec) -> np.ndarray:
     """Matrix of the zero-order operator Z (it is a multiplication
     operator), as one (f, f) matrix or a per-site stack; used for exact
     norm measurement."""
-    acc = -symbol_divergence(sys, t)
-    s0 = sys.S0_at(t)
-    if s0 is not None:
-        acc = acc - (s0 + np.conj(np.swapaxes(s0, -1, -2)))
+    acc = -symbol_divergence(sys)
+    if sys.S0 is not None:
+        acc = acc - (sys.S0 + np.conj(np.swapaxes(sys.S0, -1, -2)))
     return _fiber_product(sys.A0_inv, acc)
 
 
@@ -350,10 +328,10 @@ def _plain_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("sf,sf->", np.conj(a), b)) * grid.cell_volume
 
 
-def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField, t: float,
+def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField,
                    stencil: str = "central4") -> float:
-    """|<S a, b> - <a, S^dagger b>| for the spatial part of S at fixed t,
-    with the plain lattice inner product and the closed-form adjoint
+    """|<S a, b> - <a, S^dagger b>| for the spatial part of S, with the
+    plain lattice inner product and the closed-form adjoint
 
         S^dagger b = -sum_j A^j D_j b - (d_j A^j) b - S0^dagger b.
 
@@ -365,13 +343,13 @@ def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField, t: float,
         raise SystemError("nonunit lapse with variable coefficients unsupported")
     deriv = diff4 if stencil == "central4" else diff_upwind
     g = sys.grid
-    s0 = sys.S0_at(t)
+    s0 = sys.S0
 
     sa, sdb = np.zeros_like(a.values), np.zeros_like(b.values)
     for j, m in enumerate(sys.Aj):
         sa += _fiber_apply(m, deriv(g, a.values, j))
         sdb -= _fiber_apply(m, deriv(g, b.values, j))
-    sdb -= _fiber_apply(symbol_divergence(sys, t), b.values)
+    sdb -= _fiber_apply(symbol_divergence(sys), b.values)
     if s0 is not None:
         sa -= _fiber_apply(s0, a.values)
         sdb -= _fiber_apply(np.conj(np.swapaxes(s0, -1, -2)), b.values)
@@ -381,27 +359,22 @@ def adjoint_defect(sys: SystemSpec, a: StateField, b: StateField, t: float,
 
 @dataclass
 class ValidationReport:
-    symmetric: bool
     hyperbolic: bool
     min_eig_samples: list          # (alpha vector, min eigenvalue) pairs
     adjoint_defect: float
 
     @property
     def ok(self) -> bool:
-        return self.symmetric and self.hyperbolic
+        return self.hyperbolic
 
 
 def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> ValidationReport:
-    """Check Hermiticity of the coefficients and positive definiteness of
-    A0 + sum_j alpha_j A^j for sampled |alpha| < 1 at every site (one
-    eigvalsh call; on one (f, f) matrix per direction when every
-    coefficient is the same at every site)."""
+    """Check positive definiteness of A0 + sum_j alpha_j A^j for sampled
+    |alpha| < 1 at every site (one eigvalsh call; on one (f, f) matrix per
+    direction when every coefficient is the same at every site). The
+    coefficients are Hermitian already: SystemSpec refuses any other."""
     if n_dirs < 8:
         raise SystemError("need at least 8 sampled directions")
-    herm = max(_hermiticity_defect(sys.A0),
-               max((_hermiticity_defect(a) for a in sys.Aj), default=0.0))
-    symmetric = herm <= 1e-12
-
     rng = np.random.Generator(np.random.Philox(seed))
     alphas = []
     for _ in range(n_dirs):
@@ -424,11 +397,11 @@ def validate_system(sys: SystemSpec, n_dirs: int = 16, seed: int = 0) -> Validat
     av = rng2.normal(size=(g.sites, g.fiber)) + 1j * rng2.normal(size=(g.sites, g.fiber))
     bv = rng2.normal(size=(g.sites, g.fiber)) + 1j * rng2.normal(size=(g.sites, g.fiber))
     try:
-        defect = adjoint_defect(sys, StateField(g, 0.0, av), StateField(g, 0.0, bv), 0.0)
+        defect = adjoint_defect(sys, StateField(g, 0.0, av), StateField(g, 0.0, bv))
     except SystemError:
         defect = math.nan
-    return ValidationReport(symmetric=symmetric, hyperbolic=hyperbolic,
-                            min_eig_samples=samples, adjoint_defect=defect)
+    return ValidationReport(hyperbolic=hyperbolic, min_eig_samples=samples,
+                            adjoint_defect=defect)
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def _kernel_doc(**kernel):
 
 
 @pytest.mark.parametrize("doc,message", [
-    (_negative_A0_doc(), "'options.system' A0 not positive definite"),
+    (_negative_A0_doc(), "'options.system.A0' not positive definite"),
     (_ode_doc(), "'options.dt' is required"),
     (_ode_doc(dt=0.0625, T=0.09), "'options.T' is 1 step(s)"),
     (_kernel_doc(delta=0.0), "'options.kernel.delta' must be positive"),
@@ -419,7 +419,7 @@ def test_unbuildable_batch_member_fails_before_any_member_runs(tmp_path,
     doc = {"schema": 1, "name": "batch",
            "members": [_base_doc(), _negative_A0_doc()]}
     path = _write(tmp_path, doc)
-    message = "'members[1].options.system' A0 not positive definite"
+    message = "'members[1].options.system.A0' not positive definite"
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert str(exc.value) == message
@@ -427,6 +427,89 @@ def test_unbuildable_batch_member_fails_before_any_member_runs(tmp_path,
     assert cli_run(["run", "--config", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def _damped_doc(field, spec):
+    """configs/transport_damped.json (fiber 2) with options.system.`field`
+    (a key, or "Aj[0]") set to `spec`."""
+    with open(os.path.join(CONFIGS, "transport_damped.json")) as fh:
+        doc = json.load(fh)
+    system = doc["options"]["system"]
+    if field == "Aj[0]":
+        system["Aj"][0] = spec
+    else:
+        system[field] = spec
+    return doc
+
+
+_OVERFLOW = {"profile": "offset_sin",
+             "params": {"c0": 1e308, "c1": 1e308, "k": 1.0}}
+
+
+@pytest.mark.parametrize("field,spec,what", [
+    ("Aj[0]", {"matrix": [[[1.0, 0.0], [1.0, 0.0]],
+                          [[0.0, 0.0], [-1.0, 0.0]]]}, "not Hermitian"),
+    ("A0", {"matrix": [[[1.0, 0.0], [0.0, 1e-9]],
+                       [[0.0, 0.0], [1.0, 0.0]]]}, "not Hermitian"),
+    ("A0", {"matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                       [[0.0, 0.0], [-1.0, 0.0]]]}, "not positive definite"),
+    ("Aj[0]", _OVERFLOW, "must be finite"),
+    ("beta", {"constant": -1.0}, "must be positive"),
+    ("beta", _OVERFLOW, "must be finite"),
+], ids=["Aj_non_hermitian", "A0_non_hermitian", "A0_indefinite",
+        "Aj_overflow", "beta_negative", "beta_overflow"])
+def test_system_refusal_names_its_field(tmp_path, capsys, field, spec, what):
+    """Every SystemSpec refusal of a custom system is a ConfigError on the
+    field at fault, for run and validate alike. A^1 = [[1, 1], [0, -1]] used
+    to run and pass, while validate printed `symmetric False`."""
+    path = _write(tmp_path, _damped_doc(field, spec))
+    message = f"'options.system.{field}' {what}"
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == message
+    for argv in (["run", "--config", path, "--out", str(tmp_path / "o")],
+                 ["validate", "--config", path]):
+        assert cli_run(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("options,path,what", [
+    ({"points": 2 ** 62}, "options.points", "makes one .* B slice"),
+    ({"frames": 2 ** 62}, "options.frames",
+     "makes a trajectory of 4611686018427387904 slices, .* B"),
+    ({"fiber": 2 ** 40}, "options.fiber", "makes .* coefficients of .* B"),
+    ({"frames": 1}, "options.frames", "must be at least 2"),
+    ({"n_fields": 0}, "options.n_fields", "must be at least 1"),
+    ({"rank": 0}, "options.rank", "must be at least 1"),
+    ({"fiber": 0}, "options.fiber", "must be at least 1"),
+], ids=["points", "frames", "fiber", "frames=1", "n_fields=0", "rank=0",
+        "fiber=0"])
+def test_extended_check_options_refused_at_load(tmp_path, monkeypatch,
+                                                capsys, options, path, what):
+    """extended_check options that make arrays larger than the physical
+    memory, or none to check, are a ConfigError on their path at load,
+    before the check runs (points 2^62 used to exit 1 with numpy's 'array
+    is too big', frames 2^62 to run on without output, frames 1 to divide
+    by zero, n_fields and rank 0 to fail in numpy or the kernel build)."""
+    from hypnl import cli
+
+    def ran(**kwargs):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli, "extended_system_check", ran)
+    doc = _write(tmp_path, _scenario_doc("extended_check", **options))
+    assert cli_run(["run", "--config", doc, "--out",
+                    str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"config error: '{re.escape(path)}' {what}", err), err
+    # the largest trajectory that fits memory loads
+    frames = (1 << 20) // (64 * 6 * 16)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 20)
+    assert _validate_doc(_scenario_doc(
+        "extended_check", frames=frames)).options == {"frames": frames}
+    with pytest.raises(ConfigError, match=r"^'options\.frames' makes a "):
+        _validate_doc(_scenario_doc("extended_check", frames=frames + 1))
 
 
 def test_dissipation_option_is_refused_at_load(tmp_path):

@@ -116,29 +116,26 @@ def test_measure_D_weighted():
     assert measure_D(sys) == pytest.approx(3.0, abs=1e-12)
 
 
-def _old_measure_D(sys, window=(0.0, 0.0), probes=16):
+def _old_measure_D(sys):
     """Reference for measure_D: the weight roots built for every weight,
     the identity included, and applied as per-site stacks."""
-    times = [0.0] if sys.constant_in_time else np.linspace(*window, probes)
     g = sys.grid
     evals, vecs = np.linalg.eigh(per_site(g, inner_weight(sys).weight))
     root = np.einsum("sfg,sg,shg->sfh", vecs, np.sqrt(evals), np.conj(vecs))
     iroot = np.einsum("sfg,sg,shg->sfh", vecs, 1.0 / np.sqrt(evals),
                       np.conj(vecs))
-    return max(float(np.max(np.linalg.svd(
-        root @ _old_zero_order_matrices(sys, float(t)) @ iroot,
-        compute_uv=False))) for t in times)
+    return float(np.max(np.linalg.svd(
+        root @ _old_zero_order_matrices(sys) @ iroot, compute_uv=False)))
 
 
-def _old_zero_order_matrices(sys, t):
+def _old_zero_order_matrices(sys):
     """Reference for zero_order_matrices: every term a per-site stack."""
     g = sys.grid
     acc = np.zeros((g.sites, g.fiber, g.fiber), dtype=complex)
-    s0 = sys.S0_at(t)
-    if s0 is not None:
-        s0 = per_site(g, s0)
+    if sys.S0 is not None:
+        s0 = per_site(g, sys.S0)
         acc -= s0 + np.conj(np.swapaxes(s0, 1, 2))
-    acc -= per_site(g, symbol_divergence(sys, t))
+    acc -= per_site(g, symbol_divergence(sys))
     return np.linalg.inv(per_site(g, sys.A0)) @ acc
 
 
@@ -160,9 +157,9 @@ def _D_systems():
                             S0=s0),
         "per_site_lapse": make_system(g1, per_site, [0.5 * per_site],
                                       S0=s0, beta=1.0 + 0.25 * np.cos(x)),
-        "time_dependent": make_system(
+        "per_site_S0": make_system(
             g1, per_site, [np.zeros((2, 2))],
-            S0_t=lambda t: math.cos(t) * s0),
+            S0=np.cos(x)[:, None, None] * s0),
     }
 
 
@@ -172,16 +169,16 @@ def test_measure_D_matches_old_root_form(name):
     per-site stacks; the identity weight skips its roots, a site-constant
     weight and zero-order matrix are one (f, f) matrix each."""
     sys = _D_systems()[name]
-    assert measure_D(sys, window=(0.0, 1.0)) == \
-        _old_measure_D(sys, window=(0.0, 1.0))
-    z = diagnostics.zero_order_matrices(sys, 0.5)
+    assert measure_D(sys) == _old_measure_D(sys)
+    z = diagnostics.zero_order_matrices(sys)
     np.testing.assert_array_equal(per_site(sys.grid, z),
-                                  _old_zero_order_matrices(sys, 0.5))
+                                  _old_zero_order_matrices(sys))
 
 
 def _old_energy_identity(sys, tr, source_used):
-    """Reference for energy_identity: the per-frame loop it replaced for
-    constant-in-time systems, kept verbatim."""
+    """Reference for energy_identity: the per-frame loop it replaced, kept
+    verbatim but for the time argument of the zero-order matrix (the
+    coefficients are constant in time)."""
     F = tr.n_frames
     nsq = frame_norms_sq(tr, inner_weight(sys))
     dv = sys.grid.cell_volume
@@ -195,14 +192,13 @@ def _old_energy_identity(sys, tr, source_used):
             phi_vals[lo:hi] = source_used.values[lo - off:hi - off]
     vals = np.empty(F - 2)
     for i in range(1, F - 1):
-        t = tr.time(i)
         psi = tr.values[i]
         dnsq = (nsq[i + 1] - nsq[i - 1]) / (2.0 * tr.dt)
         rhs = 0.0
         if phi_vals is not None:
             rhs += 2.0 * (np.einsum("s,sf,sf->", beta, np.conj(phi_vals[i]),
                                     psi).real * dv)
-        zmat = diagnostics._sym_part_matrices(sys, t)
+        zmat = diagnostics._sym_part_matrices(sys)
         if zmat is not None:
             rhs += (np.einsum("s,sf,sfg,sg->", beta, np.conj(psi),
                               per_site(sys.grid, zmat), psi).real * dv)
@@ -213,8 +209,8 @@ def _old_energy_identity(sys, tr, source_used):
 @pytest.mark.parametrize("source", [False, True])
 @pytest.mark.parametrize("name", sorted(_D_systems()))
 def test_energy_identity_matches_per_frame_loop(name, source):
-    """The stacked balance terms (one zero-order matrix for the whole run
-    when the system is constant in time, chunks of frames per einsum) agree
+    """The stacked balance terms (one zero-order matrix for the whole run,
+    chunks of frames per einsum) agree
     with the per-frame loop to 1e-15 of the series' scale, max ||psi||^2 / dt
     plus the largest residual (measured: at most 2e-17; bitwise where the
     balance terms vanish)."""

@@ -215,13 +215,16 @@ def test_residual_detects_wrong_solution():
 
 @pytest.mark.parametrize("chunk_frames", [1, 3, 100])
 def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
-    """Stacked apply_S over frame chunks against the per-frame loop, with a
-    time-dependent S0, a memory kernel, a shifted source and a strip."""
+    """Stacked apply_S over frame chunks against the per-frame loop, with an
+    A^1 that varies by site, an S0, a memory kernel, a shifted source and a
+    strip."""
+    from hypnl.systems import PROFILES
     grid = make_grid(1, 2.0, 16, 2)
     rng = np.random.default_rng(np.random.Philox(11))
     sig1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sys = make_system(grid, np.diag([2.0, 1.0]), [sig1],
-                      S0_t=lambda t: np.array([[t, 1j], [-1j, -t]]))
+    a1 = PROFILES["offset_sin"](grid, 1.0, 0.25, math.pi) @ sig1
+    sys = make_system(grid, np.diag([2.0, 1.0]), [a1],
+                      S0=np.array([[0.5, 1j], [-1j, -0.5]]))
     k = make_convolution(lambda u: math.exp(-u), None, grid, t0=0.0)
 
     def traj(index0, n):
@@ -238,8 +241,7 @@ def test_equation_defect_chunks_match_per_frame(monkeypatch, chunk_frames):
     for i in range(2, 11):                        # frames at t = 0 .. 1
         dpsi = (psi.values[i + 1] - psi.values[i - 1]) / (2.0 * psi.dt)
         src = phi.values[i - 3] if 3 <= i < 9 else 0.0
-        ref.append(apply_S(sys, psi.values[i], dpsi, psi.time(i))
-                   - b_all[i] - src)
+        ref.append(apply_S(sys, psi.values[i], dpsi) - b_all[i] - src)
     assert got.index0 == 0 and got.n_frames == len(ref)
     np.testing.assert_allclose(got.values, np.stack(ref), rtol=0,
                                atol=1e-14 * np.max(np.abs(ref)))
@@ -947,8 +949,9 @@ def _sites_loop_cases():
         grid, 1.0, 0.25, 2.0 * math.pi) @ np.array([[0.0, 1.0], [1.0, 0.0]])])
     lapse = make_system(grid, np.eye(2), list(sys.Aj),
                         beta=1.0 + 0.25 * np.cos(2.0 * math.pi * x))
-    stepping = make_system(grid, np.eye(2), list(sys.Aj),
-                           S0_t=lambda t: t * np.eye(2))
+    # the varying A^1 with an A0 that is not I and an S0
+    stepping = make_system(grid, np.diag([2.0, 1.0]), list(varying.Aj),
+                           S0=np.diag([-0.5, 0.25j]))
     return [("profiled", sys, _profiled(k)), ("per_site_M", sys, per_site),
             ("per_site_post", sys, fold_output_op(k, post)),
             ("separable", sys, separable),

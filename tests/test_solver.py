@@ -10,8 +10,9 @@ import pytest
 from conftest import gaussian_pulse
 from hypnl.grids import (StateField, Trajectory, make_grid, norm_strip,
                          sample_trajectory, to_modes)
-from hypnl.systems import (_fiber_apply, evolution_rhs, inner_weight,
-                           make_system, ode_system, transport_system)
+from hypnl.systems import (SystemError, _fiber_apply, evolution_rhs,
+                           inner_weight, make_system, ode_system,
+                           transport_system)
 from hypnl.solver import (LocalSolver, SolveAborted, SolveOptions,
                           SolverError, _lattice_index, _source_window,
                           _transform, evolution_op, green_retarded,
@@ -232,10 +233,10 @@ class _SourceSampler:
 
 def _ref_rk4_step(sys, y, t, h, src):
     mid = src(t + 0.5 * h)      # shared by the k2 and k3 stages
-    k1 = evolution_rhs(sys, y, t, src(t))
-    k2 = evolution_rhs(sys, y + 0.5 * h * k1, t + 0.5 * h, mid)
-    k3 = evolution_rhs(sys, y + 0.5 * h * k2, t + 0.5 * h, mid)
-    k4 = evolution_rhs(sys, y + h * k3, t + h, src(t + h))
+    k1 = evolution_rhs(sys, y, src(t))
+    k2 = evolution_rhs(sys, y + 0.5 * h * k1, mid)
+    k3 = evolution_rhs(sys, y + 0.5 * h * k2, mid)
+    k4 = evolution_rhs(sys, y + h * k3, src(t + h))
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -315,10 +316,6 @@ def _solver_case(name):
         from hypnl.scenarios import dirac_system
         sys = dirac_system(grid2, 0.7)
         return sys, SolveOptions(dt=0.2 * grid2.spacing)
-    if name == "S0_t":
-        sys = make_system(grid2, np.eye(2), [np.zeros((2, 2))],
-                          S0_t=lambda t: np.array([[-1.0, t], [-t, 0.5j]]))
-        return sys, SolveOptions(dt=0.1 / 7)
     if name == "maxwell3d":
         from hypnl.scenarios import maxwell_system_3d
         grid = make_grid(3, 2.0 * math.pi, 8, 6)
@@ -337,18 +334,22 @@ def _solver_case(name):
                           S0=1j * np.array([[0.4, 0.3 - 0.2j],
                                             [0.3 + 0.2j, -0.7]]))
         return sys, SolveOptions(dt=0.2 * grid2.spacing)
-    if name == "Aj_non_hermitian":
-        # no S0, but an A^1 that is not Hermitian, so L is not skew-adjoint
-        # (np.linalg.eigh would read its zero lower triangle)
-        sys = make_system(grid2, np.eye(2), [np.diag([1.0], k=1)])
-        return sys, SolveOptions(dt=0.2 * grid2.spacing)
     if name == "A0_round_off":
-        # skew_A0 with an A0 that is Hermitian only to round-off, as
-        # SystemSpec accepts it
+        # skew_A0 with an A0 that is Hermitian only to round-off, which
+        # SystemSpec holds as its exactly Hermitian part
         sys, opts = _solver_case("skew_A0")
         a0 = sys.A0.copy()
         a0[0, 1] += 1e-13
         return make_system(grid2, a0, list(sys.Aj), S0=sys.S0), opts
+    if name == "Aj_non_hermitian":
+        # no S0, and an A^1 that is Hermitian only to round-off (its upper
+        # triangle is off), which SystemSpec holds as its exactly Hermitian
+        # part, so that np.linalg.eigh never reads the lower triangle alone;
+        # test_non_hermitian_Aj_is_refused has one that is not Hermitian
+        a1 = SIGMA1.copy()
+        a1[0, 1] += 1e-13
+        sys = make_system(grid2, np.eye(2), [a1])
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
     if name == "skew_per_site":
         # no spatial term; A0 and a skew-Hermitian S0 that vary by site
         scale = 1.0 + 0.5 * rng.random(grid2.sites)
@@ -370,17 +371,26 @@ def _solver_case(name):
         a1 = PROFILES["offset_sin"](grid2, 0.5, 0.25, 1.0) @ SIGMA1
         sys = make_system(grid2, np.eye(2), [a1], S0=np.diag([-1.0, 0.5j]))
         return sys, SolveOptions(dt=0.2 * grid2.spacing)
+    if name == "Aj_per_site_A0":
+        # the A0 and S0 of A0_nonnormal_S0 with an A^1 that varies by site
+        from hypnl.systems import PROFILES
+        a0 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.5]])
+        a1 = PROFILES["offset_sin"](grid2, 0.5, 0.25, 1.0) @ np.array(
+            [[0.5, 0.2j], [-0.2j, -0.3]])
+        sys = make_system(grid2, a0, [a1],
+                          S0=np.array([[-0.5, 2.0], [0.0, 0.3j]]))
+        return sys, SolveOptions(dt=0.2 * grid2.spacing)
     raise KeyError(name)
 
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
 # the recurrence in the eigenbasis (a skew-Hermitian S0) and the stacked one
-_EIGEN = ("transport", "dirac", "maxwell3d", "skew_A0", "skew_per_site")
-_STACKED = ("A0_nonnormal_S0", "S0_per_site", "Aj_non_hermitian",
-            "A0_round_off")
+_EIGEN = ("transport", "dirac", "maxwell3d", "skew_A0", "skew_per_site",
+          "A0_round_off", "Aj_non_hermitian")
+_STACKED = ("A0_nonnormal_S0", "S0_per_site")
 _RECURRENCE = _EIGEN + _STACKED
-_STEPPING = ("S0_t", "Aj_per_site")
+_STEPPING = ("Aj_per_site_A0", "Aj_per_site")
 
 
 @pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
@@ -388,11 +398,12 @@ def test_the_system_alone_picks_the_path(name):
     """The basis is "sites" when no A^j is live, "modes" when every
     coefficient is the same at every site, and otherwise the solve steps
     (None). In the basis the recurrence is "sum" when L = 0, "eigen" when
-    A0 and every live A^j are exactly Hermitian and S0 exactly
-    skew-Hermitian, and "stacked" otherwise. No option takes part."""
+    S0 is exactly skew-Hermitian (A0 and every A^j are exactly Hermitian as
+    SystemSpec holds them, those of A0_round_off and Aj_non_hermitian too),
+    and "stacked" otherwise. No option takes part."""
     sys, opts = _solver_case(name)
     modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_nonnormal_S0",
-             "Aj_non_hermitian", "A0_round_off")
+             "A0_round_off", "Aj_non_hermitian")
     want = None if name in _STEPPING else "modes" if name in modes \
         else "sites"
     solver = LocalSolver(sys, opts)
@@ -400,6 +411,16 @@ def test_the_system_alone_picks_the_path(name):
     assert solver.recurrence == ("sum" if name in _STATE_FREE else
                                  "eigen" if name in _EIGEN else
                                  "stacked" if name in _STACKED else None)
+
+
+def test_non_hermitian_Aj_is_refused():
+    """A system whose A^1 is not Hermitian (no S0 and A^1 = [[0, 1], [0, 0]],
+    whose zero lower triangle np.linalg.eigh would read) is refused on its
+    field, so that no path solves it."""
+    grid = make_grid(1, 2.0 * math.pi, 32, 2)
+    with pytest.raises(SystemError, match=r"^Aj\[0\] not Hermitian$") as exc:
+        make_system(grid, np.eye(2), [np.diag([1.0], k=1)])
+    assert exc.value.field == "Aj[0]"
 
 
 # the recurrence reorders the sums of the RK4 loop and runs in Fourier

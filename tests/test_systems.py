@@ -32,7 +32,7 @@ def _rand_field(grid, seed):
 def test_transport_validates():
     g = make_grid(1, 2.0 * math.pi, 64, 1)
     rep = validate_system(transport_system(g))
-    assert rep.symmetric and rep.hyperbolic and rep.ok
+    assert rep.hyperbolic and rep.ok
     assert rep.adjoint_defect <= 1e-12
     assert all(me > 0 for _, me in rep.min_eig_samples)
 
@@ -42,14 +42,50 @@ def test_superluminal_coefficient_fails_hyperbolicity():
     speed 2 transport is caught by the sampled-direction check."""
     g = make_grid(1, 2.0 * math.pi, 64, 1)
     rep = validate_system(transport_system(g, speed=2.0))
-    assert rep.symmetric and not rep.hyperbolic and not rep.ok
+    assert not rep.hyperbolic and not rep.ok
 
 
 def test_nonhermitian_coefficient_fails_symmetry():
+    """A^j not Hermitian to 1e-12, as one matrix or at one site of a stack,
+    is refused with a SystemError on its field, as A0 is."""
     g = make_grid(1, 1.0, 8, 2)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], complex)
-    rep = validate_system(make_system(g, np.eye(2), [bad]))
-    assert not rep.symmetric
+    with pytest.raises(SystemError, match=r"^Aj\[0\] not Hermitian$") as exc:
+        make_system(g, np.eye(2), [bad])
+    assert (exc.value.field, exc.value.what) == ("Aj[0]", "not Hermitian")
+    g3 = make_grid(3, 1.0, 8, 2)
+    stack = np.broadcast_to(SIGMA1, (g3.sites, 2, 2)).copy()
+    stack[5, 0, 1] += 2e-12
+    with pytest.raises(SystemError, match=r"^Aj\[2\] not Hermitian$"):
+        make_system(g3, np.eye(2), [SIGMA1, SIGMA3, stack])
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["one", "per_site"])
+def test_stored_coefficients_are_exactly_hermitian(varying):
+    """A0 and each A^j are held exactly Hermitian: an exactly Hermitian one
+    bitwise as given, one Hermitian only to round-off (defect 1e-13, under
+    the 1e-12 that is refused) as its Hermitian part (A + A^H)/2."""
+    g = make_grid(1, 1.0, 8, 2)
+    rng = np.random.default_rng(np.random.Philox(9))
+    h = _herm(rng, 2)
+    a0 = h @ h.conj().T + 2.0 * np.eye(2)      # Hermitian to round-off
+    a0 = 0.5 * (a0 + a0.conj().T)               # exactly Hermitian
+    a1 = _herm(rng, 2)
+    if varying:
+        scale = (1.0 + 0.5 * np.sin(2.0 * math.pi * g.coords()[:, 0]))
+        a0, a1 = scale[:, None, None] * a0, scale[:, None, None] * a1
+    sys = make_system(g, a0, [a1])
+    assert sys.A0.tobytes() == a0.tobytes()
+    assert sys.Aj[0].tobytes() == a1.tobytes()
+    off = a1.copy()
+    off[..., 0, 1] += 1e-13
+    off0 = a0.copy()
+    off0[..., 1, 0] -= 1e-13j
+    sys = make_system(g, off0, [off])
+    for held, given in ((sys.A0, off0), (sys.Aj[0], off)):
+        herm = (given + np.conj(np.swapaxes(given, -1, -2))) / 2.0
+        assert held.tobytes() == herm.tobytes()
+        assert np.array_equal(held, np.conj(np.swapaxes(held, -1, -2)))
 
 
 def test_v_max_tracks_speed():
@@ -65,7 +101,7 @@ def test_adjoint_identity_exact_dirac_coefficients(seed):
     Hermitian coefficients with the skew-symmetric central stencil."""
     g = make_grid(1, 2.0 * math.pi, 32, 2)
     sys = make_system(g, np.eye(2), [-SIGMA1], S0=-0.5j * SIGMA3)
-    d = adjoint_defect(sys, _rand_field(g, seed), _rand_field(g, seed + 1), 0.0)
+    d = adjoint_defect(sys, _rand_field(g, seed), _rand_field(g, seed + 1))
     assert d <= 1e-11
 
 
@@ -73,14 +109,14 @@ def test_adjoint_identity_fails_upwind():
     g = make_grid(1, 2.0 * math.pi, 32, 1)
     sys = transport_system(g)
     a, b = _rand_field(g, 3), _rand_field(g, 4)
-    assert adjoint_defect(sys, a, b, 0.0, stencil="upwind") > 1e-2
-    assert adjoint_defect(sys, a, b, 0.0) <= 1e-12
+    assert adjoint_defect(sys, a, b, stencil="upwind") > 1e-2
+    assert adjoint_defect(sys, a, b) <= 1e-12
 
 
 def test_symbol_divergence_zero_for_constant_coefficients():
     g = make_grid(1, 1.0, 16, 2)
     sys = make_system(g, np.eye(2), [SIGMA1])
-    assert not np.any(symbol_divergence(sys, 0.0))
+    assert not np.any(symbol_divergence(sys))
 
 
 def test_zero_order_matrices_diag():
@@ -88,7 +124,7 @@ def test_zero_order_matrices_diag():
     uniform bound 2 (identity A0 and unit lapse)."""
     g = make_grid(1, 1.0, 8, 2)
     sys = ode_system(g, np.diag([1.0, 0.0]))
-    z = zero_order_matrices(sys, 0.0)
+    z = zero_order_matrices(sys)
     np.testing.assert_allclose(
         z, np.broadcast_to(np.diag([-2.0, 0.0]), z.shape), atol=1e-14)
 
@@ -139,7 +175,9 @@ def test_indefinite_A0_rejected():
 def test_A0_inv_and_v_max_bitwise_equal_per_site_formulas(varying):
     """A site-constant coefficient is checked and measured once, on its one
     (f, f) matrix; A0_inv and v_max stay bitwise those of the per-site
-    formulas, on constant and on site-varying systems."""
+    formulas, on constant and on site-varying systems. This A0 = x x^H + 3I
+    is Hermitian only to round-off, so the formulas take its Hermitian
+    part (A0 + A0^H)/2, as SystemSpec holds it."""
     g = make_grid(3, 1.0, 8, 3)
     rng = np.random.default_rng(np.random.Philox(3))
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -152,7 +190,8 @@ def test_A0_inv_and_v_max_bitwise_equal_per_site_formulas(varying):
     if varying == "Aj":
         aj[1] = scale * aj[1]
     sys = make_system(g, a0, aj, S0=np.eye(3))
-    inv = np.linalg.inv(per_site(g, a0))
+    a0 = per_site(g, a0)
+    inv = np.linalg.inv((a0 + np.conj(np.swapaxes(a0, -1, -2))) / 2.0)
     assert sys.A0_inv.shape == ((g.sites, 3, 3) if varying == "A0" else (3, 3))
     assert per_site(g, sys.A0_inv).tobytes() == inv.tobytes()
     v_max = max(float(np.max(np.abs(np.linalg.eigvals(inv @ per_site(g, a)))))
@@ -242,25 +281,23 @@ def _site_apply(sys, m, v):
     return np.einsum("sfg,sg->sf", per_site(sys.grid, m), v)
 
 
-def _rhs_reference(sys, values, t, source):
+def _rhs_reference(sys, values, source):
     acc = np.zeros_like(values)
     if source is not None:
         acc += source
-    s0 = sys.S0_at(t)
-    if s0 is not None:
-        acc += _site_apply(sys, s0, values)
+    if sys.S0 is not None:
+        acc += _site_apply(sys, sys.S0, values)
     for j, a in enumerate(sys.Aj):
         acc -= _site_apply(sys, a, diff4(sys.grid, values, j))
     return _site_apply(sys, sys.A0_inv, acc)
 
 
-def _apply_S_reference(sys, values, dpsi_dt, t):
+def _apply_S_reference(sys, values, dpsi_dt):
     out = _site_apply(sys, sys.A0, dpsi_dt)
     for j, a in enumerate(sys.Aj):
         out += _site_apply(sys, a, diff4(sys.grid, values, j))
-    s0 = sys.S0_at(t)
-    if s0 is not None:
-        out -= _site_apply(sys, s0, values)
+    if sys.S0 is not None:
+        out -= _site_apply(sys, sys.S0, values)
     return out
 
 
@@ -289,10 +326,9 @@ def _plan_case(name):
     elif name == "site_A0":
         A0 = (1.5 + np.sin(math.pi * x))[:, None, None] * pos
         kw["S0"] = (np.cos(x)[:, None, None] * _herm(rng, 2)).astype(complex)
-    elif name == "S0_t":
-        s0 = _herm(rng, 2)
-        kw["S0_t"] = lambda t: np.broadcast_to(np.cos(t) * s0 + 1j * t * np.eye(2),
-                                               (g.sites, 2, 2))
+    elif name == "site_Aj":
+        Aj = [(1.2 + np.sin(math.pi * x))[:, None, None] * _herm(rng, 2)]
+        kw["S0"] = _herm(rng, 2) + 0.3j * np.eye(2)
     elif name == "beta":
         A0 = pos
         kw["beta"] = 1.0 + 0.5 * np.cos(math.pi * x)
@@ -305,7 +341,7 @@ def _close(a, b):
 
 
 @pytest.mark.parametrize("name", ["zero_Aj", "zero_axis_3d", "offset_sin",
-                                  "site_A0", "S0_t", "beta"])
+                                  "site_A0", "site_Aj", "beta"])
 def test_plan_matches_per_site_formulas(name):
     sys, rng = _plan_case(name)
     g = sys.grid
@@ -315,15 +351,14 @@ def test_plan_matches_per_site_formulas(name):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     v, src = field(), field()
-    for t, source in ((0.3, None), (0.7, src)):
-        assert _close(evolution_rhs(sys, v, t, source),
-                      _rhs_reference(sys, v, t, source))
+    for source in (None, src):
+        assert _close(evolution_rhs(sys, v, source),
+                      _rhs_reference(sys, v, source))
     stack, dstack = field(4), field(4)
-    times = np.array([-0.5, 0.0, 0.25, 1.5])
-    ref = np.stack([_apply_S_reference(sys, a, b, t)
-                    for a, b, t in zip(stack, dstack, times)])
-    assert _close(apply_S(sys, stack[1], dstack[1], 0.0), ref[1])
-    assert _close(apply_S(sys, stack, dstack, times), ref)
+    ref = np.stack([_apply_S_reference(sys, a, b)
+                    for a, b in zip(stack, dstack)])
+    assert _close(apply_S(sys, stack[1], dstack[1]), ref[1])
+    assert _close(apply_S(sys, stack, dstack), ref)
 
 
 def test_plan_compacts_coefficients():
@@ -414,8 +449,11 @@ def test_spatial_terms_read_only_live_columns():
     cases = [(maxwell_system_3d(g3), ([1, 2, 4, 5], [0, 2, 3, 5], [0, 1, 3, 4])),
              (make_system(g1, np.eye(3), [a]), ([0, 2],)),
              (make_system(g1, np.eye(3), [np.ones((3, 3))]), (None,)),
-             # not Hermitian, so its rows and columns differ: reads column 1
-             (make_system(g1, np.eye(3), [np.diag([1.0, 0.0], k=1)]), ([1],)),
+             # a zero row and column 0: reads columns 1 and 2
+             (make_system(g1, np.eye(3), [np.array([[0.0, 0.0, 0.0],
+                                                    [0.0, 0.5, 0.2j],
+                                                    [0.0, -0.2j, 0.0]])]),
+              ([1, 2],)),
              # a per-site A^1 beside a site-constant A^2 that reads every
              # column: sys.spatial is a per-site stack
              (make_system(g2, np.eye(3), [a2, b2, np.zeros((3, 3))]),
@@ -434,9 +472,8 @@ def test_spatial_terms_read_only_live_columns():
             total, s_psi, rhs = 0.0, d, d
             for term in full:        # in the order of the per-axis sum
                 total, s_psi, rhs = total + term, s_psi + term, rhs - term
-            t = np.zeros(lead) if lead else 0.0
-            got = (_spatial_product(sys, v), apply_S(sys, v, d, t),
-                   evolution_rhs(sys, v, 0.0, d))
+            got = (_spatial_product(sys, v), apply_S(sys, v, d),
+                   evolution_rhs(sys, v, d))
             for have, want in zip(got, (total, s_psi, rhs)):
                 if len(reads) == 1:
                     assert np.all(have == want)
