@@ -177,9 +177,11 @@ def _check_extended(options: dict, path: str) -> None:
     """Refuse extended_check options whose arrays exceed the physical
     memory, before any is built: the (3 fiber)^2 coefficients of the
     extended system, one slice of the extended fiber 3 fiber on `points`
-    sites, and a trajectory of `frames` such slices."""
-    points, fiber, frames = (options.get(key, _EXTENDED_DEFAULTS[key])
-                             for key in ("points", "fiber", "frames"))
+    sites, a trajectory of `frames` such slices, and the extended kernel's
+    10 rank such trajectories."""
+    points, fiber, frames, rank = (
+        options.get(key, _EXTENDED_DEFAULTS[key])
+        for key in ("points", "fiber", "frames", "rank"))
     f3 = 3 * fiber
     size = f3 * f3 * 16
     _check_memory(size, f"{path}options.fiber",
@@ -188,6 +190,10 @@ def _check_extended(options: dict, path: str) -> None:
     size = frames * points * f3 * 16
     _check_memory(size, f"{path}options.frames",
                   f"a trajectory of {frames} slices, {size:.3g} B")
+    size *= 10 * rank
+    _check_memory(size, f"{path}options.rank",
+                  f"kernels of {10 * rank} trajectories of {frames} slices, "
+                  f"{size:.3g} B")
 
 
 def _validate_system(doc, path: str) -> None:
@@ -352,8 +358,8 @@ def _build_custom(cfg: RunConfig):
     options.system.Aj[j] that is not Hermitian, a coefficient or lapse that
     is not finite, a lapse that is not positive), v_max = 0 without
     options.dt, a drude_lorentz memory on fiber 1, T under 2 steps, and a
-    Dyson run whose trajectories exceed the physical memory (checked before
-    the kernel is built)."""
+    run whose trajectories exceed the physical memory (checked before the
+    kernel is built)."""
     opts = cfg.options
     try:
         sys_spec = system_from_json(opts["system"])
@@ -374,15 +380,17 @@ def _build_custom(cfg: RunConfig):
              f"options.dt = {sopts.dt:.6g}; need at least 2")
     kern = None
     kspec = opts.get("kernel")
-    if kspec and kspec.get("kind") == "drude_lorentz":
-        # the Dyson run on [0, T] holds LIVE_TRAJECTORIES trajectories of
-        # steps + 1 frames
-        g = sys_spec.grid
-        size = LIVE_TRAJECTORIES * (steps + 1) * g.sites * g.fiber * 16
-        _check_memory(size, f"{cfg.path}options.T",
-                      f"a Dyson run of {steps + 1} frames of options.dt = "
-                      f"{sopts.dt:.6g}, {size:.3g} B in {LIVE_TRAJECTORIES} "
-                      "trajectories")
+    dyson = bool(kspec) and kspec.get("kind") == "drude_lorentz"
+    # a free run holds one trajectory of steps + 1 frames, the Dyson run on
+    # [0, T] LIVE_TRAJECTORIES of them
+    g = sys_spec.grid
+    count = LIVE_TRAJECTORIES if dyson else 1
+    size = count * (steps + 1) * g.sites * g.fiber * 16
+    _check_memory(size, f"{cfg.path}options.T",
+                  f"a {'Dyson' if dyson else 'free'} run of {steps + 1} "
+                  f"frames of options.dt = {sopts.dt:.6g}, {size:.3g} B in "
+                  f"{count} trajector{'ies' if count > 1 else 'y'}")
+    if dyson:
         # the memory acts on the first fiber // 2 components (the E field of
         # maxwell_kernel): none at fiber 1
         _require(sys_spec.grid.fiber >= 2, f"{cfg.path}options.kernel.kind",

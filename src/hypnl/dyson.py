@@ -16,12 +16,12 @@ partial sum to 1e-12 of each series' maximum).
 Loop basis: a run keeps its iterates, sources, the running sums and the
 partial sum in the eigen coordinates of the generator L on the Fourier
 modes when the system's solves are the eigenbasis recurrence on the modes
-(`LocalSolver.recurrence` "eigen"), the kernel commutes with translations
-(`TimeKernel.translation_invariant`) and the inner weight is the same at
-every site; otherwise on the sites. With y the modes of a field
-(the unitary `grids.to_modes`) and L = V diag(-i lam) V^-1 per mode, an
-iterate or the partial sum is held as u = V^-1 y and a source as
-w = V^-1 A0^-1 s (`LocalSolver.to_eigen`):
+(`LocalSolver.basis` "modes", whose recurrence is "eigen"), the kernel
+commutes with translations (`TimeKernel.translation_invariant`) and the
+inner weight is the same at every site; otherwise on the sites. With y
+the modes of a field (the unitary `grids.to_modes`) and
+L = V diag(-i lam) V^-1 per mode, an iterate or the partial sum is held as
+u = V^-1 y and a source as w = V^-1 A0^-1 s (`LocalSolver.to_eigen`):
   * the local solves only step (`LocalSolver.solve(..., in_basis=True)`);
   * B is one `apply_all` of the loop kernel (_eigen_kernel): k with each
     M folded to the per-mode stack V^-1 A0^-1 M V, which takes u to the
@@ -306,10 +306,10 @@ def _runs_on_modes(sys: SystemSpec, k: Optional[TimeKernel],
                    solver: LocalSolver) -> bool:
     """Whether a Dyson run keeps its iterates in the eigen coordinates of
     the generator on the Fourier modes (see the module docstring): the
-    system's solves are the eigenbasis recurrence on the modes, k commutes
-    with translations and the inner weight is the same at every site."""
-    if (solver.basis != "modes" or solver.recurrence != "eigen" or k is None
-            or not k.translation_invariant):
+    system's solves are the eigenbasis recurrence on the modes (the only
+    recurrence there), k commutes with translations and the inner weight is
+    the same at every site."""
+    if solver.basis != "modes" or k is None or not k.translation_invariant:
         return False
     w = inner_weight(sys).weight
     return w is None or w.ndim == 2

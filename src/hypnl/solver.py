@@ -16,16 +16,15 @@ Backward solves (t1 < t0) are supported; frames are always returned in
 increasing-time order on the integer lattice i * dt.
 
 A solve takes one of two paths; the system alone chooses it, and there is
-no setting:
+no setting (_path):
 
 * Linear recurrence (no spatial term, or every coefficient the same at
-  every site): one RK4 step of the linear autonomous system
-  d_t y = L y + s is exactly
+  every site, and S0 absent or exactly skew-Hermitian): one RK4 step of the
+  linear autonomous system d_t y = L y + s is exactly
   y+ = R y + P0 s_n + P1 s_n+1, with R, P0 and P1 polynomials in h L
-  (_rk4_polys), block-diagonal on the sites or on the Fourier modes of the
-  torus. The data are transformed to the basis once per solve and the
-  frames back once. One rule, on the system alone, picks one of three
-  recurrences (_recurrence_kind):
+  (_eigen_polys), block-diagonal on the sites or on the Fourier modes of
+  the torus. The data are transformed to the basis once per solve and the
+  frames back once. There are two recurrences:
   - "sum", L = 0 (no live A^j and no S0, a state-free system): R = I,
     P0 = P1 = (h/2) I, and a step with one end in the source window adds
     (h/6) s, so the frames are the data plus one cumulative sum of these
@@ -38,15 +37,12 @@ no setting:
     basis a step is elementwise, and a solve takes the source in and the
     frames out by batched per-mode products over blocks of frames, not one
     product per step (_eigen_recurrence).
-  - "stacked", any other system: K = [R | P0 | P1], built once per
-    LocalSolver and direction; a block of steps that reads a source frame
-    is one batched product of K (see _block_product), one without steps
-    R y alone (_recurrence).
   The frames agree with the per-step loop to round-off: below 1e-14 of the
   largest frame value, tested at 1e-13.
-* Stepping (a spatial term with a coefficient that varies by site): the
-  RK4 loop, each stage applying the coefficients, writing each frame into
-  one preallocated array; bitwise equal to the per-step loop.
+* Stepping (a spatial term with a coefficient that varies by site, or an
+  S0 that is not exactly skew-Hermitian, such as a damping term): the RK4
+  loop, each stage applying the coefficients, writing each frame into one
+  preallocated array; bitwise equal to the per-step loop.
 
 Every path stops at the first non-finite frame with SolveAborted, carrying
 the loop's message, partial frames and last_stable
@@ -54,9 +50,9 @@ the loop's message, partial frames and last_stable
 test_non_finite_source_aborts_like_reference_loop). Both paths read the same
 source frames at every step, so a non-finite source frame aborts them at the
 same step. The eigenbasis recurrence steps on past it without warnings and
-finds the first non-finite frame after its transforms back. On the Fourier modes, a solve within a factor of `sites` of
-overflow may abort one step earlier than the loop, and real data picks up
-imaginary round-off.
+finds the first non-finite frame after its transforms back. On the Fourier
+modes, a solve within a factor of `sites` of overflow may abort one step
+earlier than the loop, and real data picks up imaginary round-off.
 
 An eigenbasis recurrence is also split from its transforms:
 `LocalSolver.solve(..., in_basis=True)` takes the data and the source in
@@ -65,9 +61,9 @@ the data and the frames and w = V^-1 A0^-1 s for the source, with y and s
 in the recurrence's basis (on the modes: `grids.to_modes` of the site
 values). Such a solve only steps. `LocalSolver.to_eigen` and
 `LocalSolver.from_eigen` map values between the basis and these
-coordinates; a stacked or state-free recurrence refuses `in_basis`, as a
-solve that steps does. A Dyson run whose kernel commutes with translations
-keeps its iterates in these coordinates (the loop-basis rule in `dyson`).
+coordinates; a state-free recurrence refuses `in_basis`, as a solve that
+steps does. A Dyson run whose kernel commutes with translations keeps its
+iterates in these coordinates (the loop-basis rule in `dyson`).
 """
 
 from __future__ import annotations
@@ -146,40 +142,31 @@ def _rk4_step(sys: SystemSpec, y: np.ndarray, h: float, src: tuple,
     return np.add(y, k1, out=out)
 
 
-def _basis(sys: SystemSpec) -> Optional[str]:
-    """The basis in which the system is a linear autonomous recurrence that
-    does not couple its blocks: "sites" when it has no spatial term (with no
-    S0 either, L = 0: see _source_integral), "modes" (Fourier modes of the
-    torus) when every coefficient is the same at every site, None when it has
-    to step (a spatial term with a coefficient that varies by site)."""
+def _path(sys: SystemSpec) -> tuple:
+    """(basis, recurrence) of the system's solves, (None, None) when they
+    step. "sum" on the sites when L = 0 (no live A^j and no S0, see
+    _source_integral). "eigen" when S0 is absent or exactly skew-Hermitian
+    (S0 + S0^H = 0), so that, with A0 and every A^j exactly Hermitian (as
+    SystemSpec holds them), L = A0^{-1} (S0 - i sum_j sigma_j A^j) is
+    skew-adjoint in the A0 inner product on every mode or site (see
+    _eigen_recurrence): on the sites when no A^j is live, on the Fourier
+    modes of the torus when every coefficient is the same at every site.
+    Any other system steps: a spatial term with a coefficient that varies by
+    site, or an S0 that is not skew-Hermitian. The test is bitwise:
+    np.linalg.eigh reads one triangle of a matrix, so an S0 that is
+    skew-Hermitian only to round-off would shift the eigenbasis by as
+    much."""
+    if sys.S0 is None and not sys.live:
+        return "sites", "sum"
+    if sys.S0 is not None and not np.array_equal(
+            sys.S0, -np.conj(np.swapaxes(sys.S0, -1, -2))):
+        return None, None
     if not sys.live:
-        return "sites"
+        return "sites", "eigen"
     coeffs = (sys.A0_inv, sys.S0) + tuple(sys.Aj[j] for j, _ in sys.live)
     if all(c is None or c.ndim == 2 for c in coeffs):
-        return "modes"
-    return None
-
-
-def _recurrence_kind(sys: SystemSpec, basis: Optional[str]) -> Optional[str]:
-    """The recurrence a system's solves take in `basis` (None when they
-    step): "sum" when L = 0 (no spatial term and no S0, see
-    _source_integral); "eigen" when S0 is exactly skew-Hermitian
-    (S0 + S0^H = 0, an absent S0 included), so that, with A0 and every A^j
-    exactly Hermitian (as SystemSpec holds them),
-    L = A0^{-1} (S0 - i sum_j sigma_j A^j) is skew-adjoint in the A0 inner
-    product on every mode or site (see _eigen_recurrence); else "stacked"
-    (K = [R | P0 | P1], see _recurrence), which is built from L as it is.
-    The test is bitwise: np.linalg.eigh reads one triangle of a matrix, so
-    an S0 that is skew-Hermitian only to round-off would shift the
-    eigenbasis by as much."""
-    if basis is None:
-        return None
-    if basis == "sites" and sys.S0 is None:
-        return "sum"
-    if sys.S0 is None or np.array_equal(
-            sys.S0, -np.conj(np.swapaxes(sys.S0, -1, -2))):
-        return "eigen"
-    return "stacked"
+        return "modes", "eigen"
+    return None, None
 
 
 def _transform(grid: Grid, basis: str, values: np.ndarray,
@@ -215,54 +202,17 @@ def _generator(sys: SystemSpec, basis: str,
     return out
 
 
-def _rk4_polys(z: np.ndarray, h: float) -> np.ndarray:
-    """K = [R | P0 | P1], of shape (..., f, 3f), of one RK4 step of
-    d_t y = L y + s(t) from Z = h L (scaled in place). The step is exactly
-
-        y+ = R y + Q0 s(t) + Q_half s(t + h/2) + Q1 s(t + h),
-
-    with R = I + Z + Z^2/2 + Z^3/6 + Z^4/24, Q0 = (h/6)(I + Z + Z^2/2 + Z^3/4),
-    Q_half = (h/6)(4I + 2Z + Z^2/2) and Q1 = (h/6) I. A step with its source
-    frames s0, s1 at both ends, so that s(t + h/2) = (s0 + s1)/2, adds
-    P0 s0 + P1 s1 with P0 = Q0 + Q_half/2 = (h/6)(3I + 2Z + 3Z^2/4 + Z^3/4)
-    and P1 = Q1 + Q_half/2 = (h/6)(3I + Z + Z^2/4), so the whole step is
-    K [y; s0; s1]."""
-    z *= h
-    eye = np.eye(z.shape[-1])
-    z2 = z @ z
-    z3 = z @ z2
-    c = h / 6.0
-    return np.concatenate([eye + z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0,
-                           c * (3.0 * eye + 2.0 * z + 0.75 * z2 + 0.25 * z3),
-                           c * (3.0 * eye + z + 0.25 * z2)], axis=-1)
-
-
-def _step_matrices(sys: SystemSpec, basis: str, h: float) -> np.ndarray:
-    """K of the system in the basis (see _rk4_polys), (f, 3f) or per site or
-    mode (sites, f, 3f); on the modes it is formed for chunks of modes, so
-    that only the result is the size of a per-mode stack."""
-    if basis == "sites":
-        return _rk4_polys(_generator(sys, basis), h)
-    g = sys.grid
-    out = np.empty((g.sites, g.fiber, 3 * g.fiber), dtype=complex)
-    step = max(1, _CHUNK_VALUES // g.fiber ** 2)
-    for a in range(0, g.sites, step):
-        modes = slice(a, a + step)
-        out[modes] = _rk4_polys(_generator(sys, basis, modes), h)
-    return out
-
-
 def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
     """(lam, V, V^-1, V^-1 A0^-1, A0 V) of a system whose recurrence is
-    "eigen" (see _recurrence_kind), with L = V diag(-i lam) V^-1 in the
+    "eigen" (see _path), with L = V diag(-i lam) V^-1 in the
     basis, per mode or site ((f,) and (f, f) arrays when L is the same at
     every site). With A0 = W^2, W Hermitian,
     H = i W L W^-1 = W^-1 (i S0 + sum_j sigma_j A^j) W^-1 is Hermitian, and
     np.linalg.eigh gives H = Q diag(lam) Q^H, so V = W^-1 Q,
     V^-1 = Q^H W and A0 V = W Q: V is unitary in the A0 inner product.
     With A0 = I, V^-1 and V^-1 A0^-1 are one array, and so are V and A0 V.
-    On the modes, H is formed for chunks of modes, as K is in
-    _step_matrices."""
+    On the modes, H is formed for chunks of modes, so that only the
+    results are the size of a per-mode stack."""
     w = w_inv = None
     if sys.A0 is not None:
         d, u = np.linalg.eigh(sys.A0)
@@ -287,10 +237,29 @@ def _eigenbasis(sys: SystemSpec, basis: str) -> tuple:
 
 
 def _eigen_polys(lam: np.ndarray, h: float) -> np.ndarray:
-    """(r, p0, p1), each shaped as lam: R, P0 and P1 of _rk4_polys on the
-    eigenvalues -i lam of L, as 1 x 1 blocks."""
-    k = _rk4_polys((-1j * lam)[..., None, None], h)[..., 0, :]
-    return np.moveaxis(k, -1, 0).copy()
+    """(r, p0, p1), each shaped as lam: the polynomials of one RK4 step of
+    d_t y = L y + s(t) on the eigenvalues -i lam of L, in z = -i h lam. The
+    step is exactly
+
+        y+ = R y + Q0 s(t) + Q_half s(t + h/2) + Q1 s(t + h),
+
+    with R = 1 + z + z^2/2 + z^3/6 + z^4/24, Q0 = (h/6)(1 + z + z^2/2 + z^3/4),
+    Q_half = (h/6)(4 + 2z + z^2/2) and Q1 = h/6. A step with its source
+    frames s0, s1 at both ends, so that s(t + h/2) = (s0 + s1)/2, adds
+    P0 s0 + P1 s1 with P0 = Q0 + Q_half/2 = (h/6)(3 + 2z + 3z^2/4 + z^3/4)
+    and P1 = Q1 + Q_half/2 = (h/6)(3 + z + z^2/4)."""
+    z = -1j * lam
+    z *= h
+    z2 = z * z
+    z3 = z * z2
+    c = h / 6.0
+    # written into one array: np.stack of the three raised the peak RSS of
+    # the 16^3 x 6 Maxwell run by 1.5 MB
+    out = np.empty((3,) + z.shape, dtype=complex)
+    out[0] = 1.0 + z + z2 / 2.0 + z3 / 6.0 + (z2 * z2) / 24.0
+    out[1] = c * (3.0 + 2.0 * z + 0.75 * z2 + 0.25 * z3)
+    out[2] = c * (3.0 + z + 0.25 * z2)
+    return out
 
 
 # values in one block of frames (see _PER_MODE_FRAMES) of a chunk of modes
@@ -334,17 +303,16 @@ def _source_window(phi: Optional[Trajectory], i0: int, sgn: int,
 
 
 def _window_sources(phi: Trajectory, i0: int, sgn: int, lo: int, hi: int,
-                    p0, p1, h: float, one=1.0) -> tuple:
+                    p0, p1, h: float) -> tuple:
     """(s, q1, q0) of the source frames at solve positions lo .. hi of a
-    recurrence whose steps add P0 s_n + P1 s_n+1 (`one` is the identity in
-    the form of p0 and p1): s the frames, in stepping order (a view of
-    phi.values), and the coefficients of the one source frame read by a
-    step with only one end in the source window. Such a step has no
-    midpoint stage (see _step_sources): the step into the window's first
-    frame adds q1 s = (h/6) s and the step out of its last frame adds
-    q0 s = (P0 - P1 + h/6) s, Q1 and Q0 of _rk4_polys."""
+    recurrence whose steps add p0 s_n + p1 s_n+1: s the frames, in stepping
+    order (a view of phi.values), and the coefficients of the one source
+    frame read by a step with only one end in the source window. Such a
+    step has no midpoint stage (see _step_sources): the step into the
+    window's first frame adds q1 s = (h/6) s and the step out of its last
+    frame adds q0 s = (p0 - p1 + h/6) s, Q1 and Q0 of _eigen_polys."""
     ends = sorted((i0 + sgn * lo - phi.index0, i0 + sgn * hi - phi.index0))
-    q1 = (h / 6.0) * one
+    q1 = h / 6.0
     return phi.values[ends[0]:ends[1] + 1][::sgn], q1, p0 - p1 + q1
 
 
@@ -370,90 +338,21 @@ def _step_sources(phi: Optional[Trajectory], i0: int, sgn: int,
         yield start, mid, end
 
 
-def _block_product(sys: SystemSpec, phi: Trajectory, xf: str, k: np.ndarray,
-                   y: np.ndarray, window: tuple, h: float, i0: int, sgn: int,
-                   a: int, b: int) -> Optional[np.ndarray]:
-    """K V for the block of steps a .. b - 1, one row per step (None when it
-    reads no source frame): V's first column is [y_a; s_a; s_a+1] and each
-    later one [0; s_n; s_n+1], s = A0^{-1} source in the basis (transformed
-    from `xf`), zero outside the window. A step with only one end in the
-    window adds q1 s or q0 s (see _window_sources), where V put P1 or P0."""
-    lo, hi = max(a, window[0]), min(b, window[1])
-    if lo > hi:
-        return None
-    g, f = sys.grid, sys.grid.fiber
-    p0, p1 = k[..., f:2 * f], k[..., 2 * f:]
-    src, q1, q0 = _window_sources(phi, i0, sgn, lo, hi, p0, p1, h, np.eye(f))
-    s = _transform(g, xf, _fiber_apply(sys.A0_inv, src))
-    cols = s.transpose(1, 2, 0)           # frames lo .. hi as columns
-    v = np.zeros((g.sites, 3 * f, b - a), dtype=complex)
-    v[:, :f, 0] = y
-    # the frame at position p is s_n of step p and s_n+1 of step p - 1
-    last = min(hi, b - 1)
-    v[:, f:2 * f, lo - a:last - a + 1] = cols[..., :last - lo + 1]
-    first = max(lo, a + 1)
-    v[:, 2 * f:, first - a - 1:hi - a] = cols[..., first - lo:]
-    out = np.matmul(k, v).transpose(2, 0, 1)
-    for step, pos, q, p in ((window[0] - 1, window[0], q1, p1),
-                            (window[1], window[1], q0, p0)):
-        if a <= step < b:
-            out[step - a] += _fiber_apply(q - p, s[pos - lo])
-    return out
-
-
-def _recurrence(sys: SystemSpec, phi: Optional[Trajectory], data: StateField,
-                xf: str, k: np.ndarray, h: float, i0: int, sgn: int,
-                n_steps: int, stored: np.ndarray) -> int:
-    """The recurrence y+ = K [y; s_n; s_n+1] in blocks of steps, its frames
-    written into `stored` (stepping order, from index 1): a sourced block is
-    one product K V (see _block_product), whose first row is its first frame
-    and whose later rows its later steps add to R y.
-    `xf` is the basis the data, source and frames are transformed to and
-    back from: "modes" for site values of a recurrence on the modes,
-    "sites" (no transform) for values already in K's basis. Returns the
-    number of steps taken before the first non-finite frame."""
-    grid = sys.grid
-    r = k[..., :grid.fiber]
-    y = _transform(grid, xf, data.values)
-    block = max(1, _CHUNK_VALUES // y.size)
-    window = _source_window(phi, i0, sgn, n_steps)
-    n_ok = n_steps
-    for s in range(n_steps):
-        j = s % block
-        if j == 0:
-            kv = None if window is None else _block_product(
-                sys, phi, xf, k, y, window, h, i0, sgn, s,
-                min(s + block, n_steps))
-        y = kv[0] if j == 0 and kv is not None else _fiber_apply(r, y)
-        if j and kv is not None:
-            y += kv[j]
-        if not np.isfinite(y).all():
-            n_ok = s
-            break
-        stored[s + 1] = y
-    if xf == "modes":
-        n_kept = n_ok + 1
-        for a in range(1, n_kept, block):
-            b = min(a + block, n_kept)
-            stored[a:b] = _transform(grid, xf, stored[a:b], inverse=True)
-        # the transform back can overflow a frame that was finite on the modes
-        bad = _first_non_finite(stored[1:n_kept])
-        if bad is not None:
-            n_ok = bad
-    return n_ok
-
-
 def _eigen_recurrence(sys: SystemSpec, phi: Optional[Trajectory],
                       data: StateField, xf: Optional[str], eig: tuple,
                       polys: np.ndarray, h: float, i0: int, sgn: int,
                       n_steps: int, stored: np.ndarray) -> int:
     """The recurrence of a system with a skew-Hermitian S0 in the eigenbasis
-    of L (see _eigenbasis; `polys` from _eigen_polys), with _recurrence's
-    arguments, output and return value. There a step is elementwise,
-    u+ = r u + p0 w_n + p1 w_n+1, with u = V^-1 y and w = V^-1 A0^-1 source;
-    a step with only one end in the source window adds q1 w_n+1 or q0 w_n
-    (see _window_sources). `xf` None means that the data, the source and
-    the frames hold these eigen coordinates: the solve only steps.
+    of L (see _eigenbasis; `polys` from _eigen_polys), its frames written
+    into `stored` (stepping order, from index 1). There a step is
+    elementwise, u+ = r u + p0 w_n + p1 w_n+1, with u = V^-1 y and
+    w = V^-1 A0^-1 source; a step with only one end in the source window
+    adds q1 w_n+1 or q0 w_n (see _window_sources). `xf` is the basis the
+    data, source and frames are transformed to and back from: "modes" for
+    site values of a recurrence on the modes, "sites" (no transform) on the
+    sites, None for values that already hold these eigen coordinates (the
+    solve only steps). Returns the number of steps taken before the first
+    non-finite frame.
 
     `stored` is the work buffer. The source frames are transformed from `xf`
     into it by blocks of frames. Then each chunk of modes (or sites, see
@@ -536,7 +435,7 @@ def _source_integral(sys: SystemSpec, phi: Optional[Trajectory],
                      y0: np.ndarray, h: float, i0: int, sgn: int,
                      n_steps: int, frames: np.ndarray) -> int:
     """The recurrence of a system with L = 0 (R = I, P0 = P1 = (h/2) I), with
-    _recurrence's output and return value: the frames are y0 plus the
+    _eigen_recurrence's output and return value: the frames are y0 plus the
     cumulative sum of the steps' source terms, (h/2)(s_n + s_n+1) inside the
     source window and (h/6) s at a step with one end in it (see
     _window_sources), where s = A0^{-1} source."""
@@ -592,20 +491,18 @@ def _aborted(sys: SystemSpec, opts: SolveOptions, i0: int, sgn: int, s: int,
 
 class LocalSolver:
     """Local solves of one system with one SolveOptions (see solve_local).
-    `basis` is the recurrence's basis ("sites" or "modes", see _basis), None
-    when the solves step RK4. `recurrence` is the recurrence that runs in it
-    (see _recurrence_kind), None when the solves step. What a recurrence
-    builds is built at the first solve that needs it and kept, so that a
-    caller making many solves, such as a Dyson run, builds it once: the
-    eigenbasis once, and its step coefficients, or the stacked step matrix
-    K = [R | P0 | P1], once per direction."""
+    `basis` is the recurrence's basis ("sites" or "modes") and `recurrence`
+    the recurrence that runs in it ("sum" or "eigen"), both None when the
+    solves step RK4 (see _path). What the eigenbasis recurrence builds is
+    built at the first solve that needs it and kept, so that a caller making
+    many solves, such as a Dyson run, builds it once: the eigenbasis once,
+    and its step coefficients once per direction."""
 
     def __init__(self, sys: SystemSpec, opts: SolveOptions):
         self.sys, self.opts = sys, opts
-        self.basis = _basis(sys)
-        self.recurrence = _recurrence_kind(sys, self.basis)
+        self.basis, self.recurrence = _path(sys)
         self._eig: Optional[tuple] = None
-        self._mats: dict = {}         # direction -> K or (r, p0, p1)
+        self._polys: dict = {}        # direction -> (r, p0, p1)
 
     def eigenbasis(self) -> tuple:
         """(lam, V, V^-1, V^-1 A0^-1, A0 V) of an "eigen" recurrence (see
@@ -633,14 +530,11 @@ class LocalSolver:
         return _per_mode_chunks(self.sys.grid, m, values,
                                 np.empty_like(values) if out is None else out)
 
-    def _step_data(self, h: float, sgn: int) -> np.ndarray:
-        """The direction's K, or (r, p0, p1) in the eigenbasis."""
-        if sgn not in self._mats:
-            if self.recurrence == "eigen":
-                self._mats[sgn] = _eigen_polys(self.eigenbasis()[0], h)
-            else:
-                self._mats[sgn] = _step_matrices(self.sys, self.basis, h)
-        return self._mats[sgn]
+    def _step_polys(self, h: float, sgn: int) -> np.ndarray:
+        """The direction's (r, p0, p1) in the eigenbasis."""
+        if sgn not in self._polys:
+            self._polys[sgn] = _eigen_polys(self.eigenbasis()[0], h)
+        return self._polys[sgn]
 
     def solve(self, phi: Optional[Trajectory], data: StateField, t0: float,
               t1: float, in_basis: bool = False) -> Trajectory:
@@ -674,15 +568,11 @@ class LocalSolver:
             if self.recurrence == "sum":
                 n_ok = _source_integral(sys, phi, data.values, h, i0, sgn,
                                         n_steps, stored)
-            elif self.recurrence == "eigen":
-                polys = self._step_data(h, sgn)
+            else:
                 n_ok = _eigen_recurrence(
                     sys, phi, data, None if in_basis else self.basis,
-                    self.eigenbasis(), polys, h, i0, sgn, n_steps, stored)
-            else:
-                n_ok = _recurrence(sys, phi, data, self.basis,
-                                   self._step_data(h, sgn), h, i0, sgn,
-                                   n_steps, stored)
+                    self.eigenbasis(), self._step_polys(h, sgn), h, i0, sgn,
+                    n_steps, stored)
             if n_ok < n_steps:
                 raise _aborted(sys, opts, i0, sgn, n_ok,
                                stored[:n_ok + 1][::sgn])

@@ -479,19 +479,22 @@ def test_system_refusal_names_its_field(tmp_path, capsys, field, spec, what):
     ({"frames": 2 ** 62}, "options.frames",
      "makes a trajectory of 4611686018427387904 slices, .* B"),
     ({"fiber": 2 ** 40}, "options.fiber", "makes .* coefficients of .* B"),
+    ({"rank": 10 ** 12}, "options.rank",
+     "makes kernels of 10000000000000 trajectories of 301 slices, .* B"),
     ({"frames": 1}, "options.frames", "must be at least 2"),
     ({"n_fields": 0}, "options.n_fields", "must be at least 1"),
     ({"rank": 0}, "options.rank", "must be at least 1"),
     ({"fiber": 0}, "options.fiber", "must be at least 1"),
-], ids=["points", "frames", "fiber", "frames=1", "n_fields=0", "rank=0",
-        "fiber=0"])
+], ids=["points", "frames", "fiber", "rank", "frames=1", "n_fields=0",
+        "rank=0", "fiber=0"])
 def test_extended_check_options_refused_at_load(tmp_path, monkeypatch,
                                                 capsys, options, path, what):
     """extended_check options that make arrays larger than the physical
     memory, or none to check, are a ConfigError on their path at load,
     before the check runs (points 2^62 used to exit 1 with numpy's 'array
-    is too big', frames 2^62 to run on without output, frames 1 to divide
-    by zero, n_fields and rank 0 to fail in numpy or the kernel build)."""
+    is too big', frames 2^62 to run on without output, rank 10^12 to build
+    profiles for over a minute, frames 1 to divide by zero, n_fields and
+    rank 0 to fail in numpy or the kernel build)."""
     from hypnl import cli
 
     def ran(**kwargs):
@@ -503,13 +506,23 @@ def test_extended_check_options_refused_at_load(tmp_path, monkeypatch,
                     str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert re.match(f"config error: '{re.escape(path)}' {what}", err), err
-    # the largest trajectory that fits memory loads
-    frames = (1 << 20) // (64 * 6 * 16)
+    # a trajectory larger than memory names options.frames; one that fits
+    # whose kernels of 10 rank trajectories do not names options.rank, and
+    # the largest kernels that fit load
     monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 20)
-    assert _validate_doc(_scenario_doc(
-        "extended_check", frames=frames)).options == {"frames": frames}
+    frames = (1 << 20) // (64 * 6 * 16)
     with pytest.raises(ConfigError, match=r"^'options\.frames' makes a "):
         _validate_doc(_scenario_doc("extended_check", frames=frames + 1))
+    with pytest.raises(ConfigError, match=r"^'options\.rank' makes kernels "
+                       r"of 20 trajectories of 170 slices"):
+        _validate_doc(_scenario_doc("extended_check", frames=frames))
+    fits = {"frames": 8, "rank": (1 << 20) // (10 * 8 * 64 * 6 * 16)}
+    assert fits["rank"] == 2
+    assert _validate_doc(_scenario_doc("extended_check", **fits)).options \
+        == fits
+    with pytest.raises(ConfigError, match=r"^'options\.rank' makes kernels "
+                       r"of 30 trajectories of 8 slices"):
+        _validate_doc(_scenario_doc("extended_check", frames=8, rank=3))
 
 
 def test_dissipation_option_is_refused_at_load(tmp_path):
@@ -624,6 +637,72 @@ def test_dyson_run_larger_than_memory_is_config_error(tmp_path,
     monkeypatch.setattr(cli, "_physical_memory", lambda: size)
     with pytest.raises(AssertionError, match="the kernel was built"):
         load_config(_write(tmp_path, doc))
+
+
+def test_free_run_larger_than_memory_is_config_error(tmp_path, monkeypatch,
+                                                     capsys):
+    """A kernel-free custom run whose one trajectory of T / dt + 1 frames
+    exceeds the physical memory is a ConfigError on options.T, at load and
+    before any solve (T = 1e13 on configs/transport.json used to exit 1
+    with numpy's 'Unable to allocate 5.79 EiB'); a run of exactly that size
+    loads."""
+    from hypnl import cli
+    with open(os.path.join(CONFIGS, "transport.json")) as fh:
+        doc = json.load(fh)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the system was solved")
+
+    monkeypatch.setattr(cli, "solve_local", refused)
+    doc["options"]["T"] = 1e13
+    path = _write(tmp_path, doc)
+    assert cli_run(["run", "--config", path, "--out",
+                    str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"config error: 'options\.T' makes a free run of \d+ "
+                    r"frames of options\.dt = .*, .* B in 1 trajectory, more "
+                    r"than the .* B of physical memory$", err.strip()), err
+    assert not (tmp_path / "o").exists()
+    # the config's own run: 512 steps of dt = pi / 512 on 256 x 1 values
+    doc["options"]["T"] = math.pi
+    size = 513 * 256 * 16
+    monkeypatch.setattr(cli, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match=r"^'options\.T' makes a free run "
+                       r"of 513 frames"):
+        load_config(_write(tmp_path, doc))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: size)
+    assert load_config(_write(tmp_path, doc)).options["T"] == math.pi
+
+
+# the solve path (LocalSolver.basis, LocalSolver.recurrence) of each
+# checked-in config's systems; every config not named takes the eigenbasis
+# recurrence on the Fourier modes
+_CONFIG_PATHS = {"counterexample": ("sites", "sum"),
+                 "transport_damped": (None, None)}
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".json")] for f in os.listdir(CONFIGS)
+    if f.endswith(".json") and f != "extended_check.json"))
+def test_config_solve_paths(name):
+    """Each system a checked-in config solves takes the path of
+    _CONFIG_PATHS, read from its LocalSolver without solving: the system is
+    built as check-bounds builds it (cli._bounds_subject), and a batch's
+    through its members. extended_check builds its systems and never solves
+    them, so it and a batch's extended_check member are left out. A config
+    that reaches another path fails here."""
+    from hypnl.cli import _bounds_subject
+    from hypnl.solver import LocalSolver, SolveOptions
+    cfg = load_config(os.path.join(CONFIGS, f"{name}.json"))
+    members = [m for m in cfg.members or [cfg]
+               if m.scenario != "extended_check"]
+    assert members
+    for member in members:
+        sys_spec, _, _ = _bounds_subject(member)
+        # the system alone picks the path: dt plays no part
+        solver = LocalSolver(sys_spec, SolveOptions(dt=1.0))
+        assert (solver.basis, solver.recurrence) == \
+            _CONFIG_PATHS.get(name, ("modes", "eigen")), member.name
 
 
 def test_manifest_records_environment(tmp_path, monkeypatch):

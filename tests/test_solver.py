@@ -190,12 +190,15 @@ def test_green_retarded_order_floor():
 
 
 def test_nan_abort():
-    """Blowup is reported with the partial trajectory attached."""
+    """Blowup is reported with the partial trajectory attached. The system
+    steps the RK4 loop (its S0 is not skew-Hermitian), where the overflow
+    warns, and so does the inf * 0 of the complex products after it."""
     grid = make_grid(1, 1.0, 8, 1)
     sys = ode_system(grid, np.array([[400.0]]))   # stiff exponential growth
     data = StateField(grid, 0.0, 1e300 * np.ones((grid.sites, 1), complex))
     with pytest.raises(SolveAborted) as exc, \
-            pytest.warns(RuntimeWarning, match="overflow"):
+            pytest.warns(RuntimeWarning, match="overflow"), \
+            np.errstate(invalid="ignore"):
         solve_local(sys, None, data, 0.0, 10.0, SolveOptions(dt=0.1))
     assert isinstance(exc.value.partial, Trajectory)
 
@@ -289,9 +292,8 @@ def _counterexample_case():
 
 def _solver_case(name):
     """(system, options) of a named solver test case: the plans in
-    _STATE_FREE are state-free (the recurrence with L = 0), those in
-    _RECURRENCE are a linear recurrence with L != 0, and those in _STEPPING
-    step."""
+    _STATE_FREE are state-free (the recurrence with L = 0), those in _EIGEN
+    are the eigenbasis recurrence (L != 0), and those in _STEPPING step."""
     grid1 = make_grid(1, 1.0, 16, 1)
     grid2 = make_grid(1, 2.0 * math.pi, 32, 2)
     rng = np.random.default_rng(7)
@@ -385,32 +387,31 @@ def _solver_case(name):
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _STATE_FREE = ("counterexample", "ode_zero_S0", "A0_matrix", "A0_per_site")
-# the recurrence in the eigenbasis (a skew-Hermitian S0) and the stacked one
+# the recurrence in the eigenbasis (a skew-Hermitian S0)
 _EIGEN = ("transport", "dirac", "maxwell3d", "skew_A0", "skew_per_site",
           "A0_round_off", "Aj_non_hermitian")
-_STACKED = ("A0_nonnormal_S0", "S0_per_site")
-_RECURRENCE = _EIGEN + _STACKED
-_STEPPING = ("Aj_per_site_A0", "Aj_per_site")
+# a coefficient that varies by site, or an S0 that is not skew-Hermitian
+_STEPPING = ("Aj_per_site_A0", "Aj_per_site", "A0_nonnormal_S0",
+             "S0_per_site")
 
 
-@pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
+@pytest.mark.parametrize("name", _STATE_FREE + _EIGEN + _STEPPING)
 def test_the_system_alone_picks_the_path(name):
-    """The basis is "sites" when no A^j is live, "modes" when every
-    coefficient is the same at every site, and otherwise the solve steps
-    (None). In the basis the recurrence is "sum" when L = 0, "eigen" when
-    S0 is exactly skew-Hermitian (A0 and every A^j are exactly Hermitian as
-    SystemSpec holds them, those of A0_round_off and Aj_non_hermitian too),
-    and "stacked" otherwise. No option takes part."""
+    """"sum" on the sites when L = 0; "eigen" when S0 is absent or exactly
+    skew-Hermitian (A0 and every A^j are exactly Hermitian as SystemSpec
+    holds them, those of A0_round_off and Aj_non_hermitian too), on the
+    sites when no A^j is live and on the modes when every coefficient is
+    the same at every site; otherwise the solve steps (None, None). No
+    option takes part."""
     sys, opts = _solver_case(name)
-    modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_nonnormal_S0",
-             "A0_round_off", "Aj_non_hermitian")
+    modes = ("transport", "dirac", "maxwell3d", "skew_A0", "A0_round_off",
+             "Aj_non_hermitian")
     want = None if name in _STEPPING else "modes" if name in modes \
         else "sites"
     solver = LocalSolver(sys, opts)
     assert solver.basis == want
     assert solver.recurrence == ("sum" if name in _STATE_FREE else
-                                 "eigen" if name in _EIGEN else
-                                 "stacked" if name in _STACKED else None)
+                                 "eigen" if name in _EIGEN else None)
 
 
 def test_non_hermitian_Aj_is_refused():
@@ -424,7 +425,7 @@ def test_non_hermitian_Aj_is_refused():
 
 
 # the recurrence reorders the sums of the RK4 loop and runs in Fourier
-# space; measured at most 8.8e-15 of the largest frame value (S0_per_site)
+# space or the eigenbasis; measured below 1e-14 of the largest frame value
 _RECURRENCE_RTOL = 1e-13
 
 
@@ -486,7 +487,7 @@ def _count_rk4_steps(monkeypatch):
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
 @pytest.mark.parametrize("kind", ["full", "partial", "inner", "single",
                                   "none"])
-@pytest.mark.parametrize("name", _STATE_FREE + _RECURRENCE + _STEPPING)
+@pytest.mark.parametrize("name", _STATE_FREE + _EIGEN + _STEPPING)
 def test_solve_local_matches_reference_loop(monkeypatch, name, kind, sgn,
                                             solves):
     """Equal to the per-step loop (see _assert_frames_match), as the first
@@ -593,15 +594,14 @@ def _assert_aborts_like_reference_loop(name, sys, opts, phi, data, sgn,
 
 @pytest.mark.parametrize("path", ["recurrence", "loop"])
 def test_source_frame_aborts_the_step_that_reads_it(monkeypatch, path):
-    """S0_per_site, forward, dt = 0.1 / 7, source frame 13 infinite: step 13
-    (from frame 12 to frame 13) is the first to read it, on the recurrence
-    and on the RK4 loop. Sampled at the float position t / dt, the loop
-    blended frame 13 in with a weight of about 1e-16 at the end of step 12
-    and aborted one step early."""
-    from hypnl import solver as solver_mod
-    sys, opts = _solver_case("S0_per_site")
-    if path == "loop":
-        monkeypatch.setattr(solver_mod, "_basis", lambda sys: None)
+    """Forward, dt = 0.1 / 7, source frame 13 infinite: step 13 (from frame
+    12 to frame 13) is the first to read it, on the eigenbasis recurrence on
+    the sites (skew_per_site) and on the RK4 loop (S0_per_site). Sampled at
+    the float position t / dt, the loop blended frame 13 in with a weight of
+    about 1e-16 at the end of step 12 and aborted one step early."""
+    name = "skew_per_site" if path == "recurrence" else "S0_per_site"
+    sys, opts = _solver_case(name)
+    assert (LocalSolver(sys, opts).recurrence is None) == (path == "loop")
     rng = np.random.default_rng(5)
     phi = _source(sys, opts.dt, "full", 1, 30, rng)
     phi.values[13, 3, 0] = complex(np.inf, 0.0)
@@ -719,13 +719,14 @@ def test_state_free_solve_matches_running_sum(name, kind, sgn, solves):
 # solves in the recurrence's basis
 
 @pytest.mark.parametrize("sgn", [1, -1], ids=["forward", "backward"])
-@pytest.mark.parametrize("name", _RECURRENCE)
+@pytest.mark.parametrize("name", _EIGEN + ("A0_nonnormal_S0", "S0_per_site"))
 def test_in_basis_solve_matches_site_solve(name, sgn):
     """An eigenbasis solve on values already in its eigen coordinates
     (LocalSolver.to_eigen of the data, and of the source as a source, in
     the basis) gives the eigen coordinates of the site solve, to
     _RECURRENCE_RTOL of their largest value, and from_eigen takes them back
-    to the basis values; a stacked recurrence refuses in_basis."""
+    to the basis values; a solve that steps, as one with an S0 that is not
+    skew-Hermitian does, refuses in_basis."""
     sys, opts = _solver_case(name)
     solver = LocalSolver(sys, opts)
     rng = np.random.default_rng(13)
@@ -733,7 +734,8 @@ def test_in_basis_solve_matches_site_solve(name, sgn):
     phi = _source(sys, opts.dt, "partial", sgn, steps, rng)
     data = StateField(sys.grid, 0.0, _random_field(rng, sys.grid))
     t1 = sgn * steps * opts.dt
-    if name in _STACKED:
+    if name not in _EIGEN:
+        assert solver.recurrence is None
         with pytest.raises(SolverError, match="basis"):
             solver.solve(phi, data, 0.0, t1, in_basis=True)
         return
@@ -759,10 +761,34 @@ def test_in_basis_solve_matches_site_solve(name, sgn):
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the block product: the recurrence as it was before K V, with
-# (R, P0, P1) held as a stack and each block's source term made by two
-# batched matmuls over a zero-padded frame buffer, kept as it was but for
-# its transform back, made here in one call.
+# Oracle for the recurrences: one RK4 step of d_t y = L y + A0^-1 s as the
+# linear map y+ = R y + P0 s0 + P1 s1, with (R, P0, P1) held as a stack and
+# each block's source term made by two batched matmuls over a zero-padded
+# frame buffer (the stacked recurrence the solver once ran on an S0 that is
+# not skew-Hermitian, kept here as an independent oracle).
+
+def _rk4_mats(z, h):
+    """(R, P0, P1) of one RK4 step from Z = h L. The step is exactly
+    y+ = R y + Q0 s(t) + Q_half s(t + h/2) + Q1 s(t + h), with
+    R = I + Z + Z^2/2 + Z^3/6 + Z^4/24, Q0 = (h/6)(I + Z + Z^2/2 + Z^3/4),
+    Q_half = (h/6)(4I + 2Z + Z^2/2) and Q1 = (h/6) I; with source frames
+    s0, s1 at its ends and their mean at its midpoint it adds P0 s0 + P1 s1,
+    P0 = Q0 + Q_half/2 and P1 = Q1 + Q_half/2."""
+    eye = np.eye(z.shape[-1])
+    z2 = z @ z
+    z3 = z @ z2
+    c = h / 6.0
+    return (eye + z + z2 / 2.0 + z3 / 6.0 + (z2 @ z2) / 24.0,
+            c * (3.0 * eye + 2.0 * z + 0.75 * z2 + 0.25 * z3),
+            c * (3.0 * eye + z + 0.25 * z2))
+
+
+def _stacked_mats(sys, basis, h):
+    """(R, P0, P1) of the system in the basis, per mode or site where L
+    varies."""
+    from hypnl import solver as solver_mod
+    return _rk4_mats(h * solver_mod._generator(sys, basis), h)
+
 
 def _forcings_oracle(sys, phi, xf, mats, h, i0, sgn, n_steps, block):
     window = _source_window(phi, i0, sgn, n_steps)
@@ -839,11 +865,15 @@ _WINDOWS = {"inside-blocks": (10, 17), "block-edges": (7, 21),
                                   "S0_constant", "S0_per_site"])
 def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
                                                sgn, in_basis):
-    """The recurrence by block products K V equals the one by separate
-    R, P0 and P1 products to _RECURRENCE_RTOL of the largest frame value,
-    in blocks of 7 steps, for per-mode K (maxwell3d, dirac, skew_A0), one
-    (f, 3f) K (S0_constant) and a per-site K (S0_per_site), on site values
-    and on values already in the basis."""
+    """A LocalSolver solve over every source window of _WINDOWS equals the
+    forcings oracle, in blocks of 7 steps, to _RECURRENCE_RTOL of the
+    largest frame value: the eigenbasis recurrence in blocks of 7 frames
+    per mode (maxwell3d, dirac, skew_A0), and the RK4 loop of an S0 that is
+    not skew-Hermitian, the same at every site (S0_constant) or per site
+    (S0_per_site). In-basis, the oracle takes values already in the basis
+    and an eigenbasis solve takes them in its eigen coordinates, compared
+    there; a solve that steps refuses in_basis, and its basis is the
+    sites."""
     from hypnl import solver as solver_mod
     if name == "S0_constant":
         grid = make_grid(1, 2.0 * math.pi, 32, 2)
@@ -851,17 +881,17 @@ def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
         opts = SolveOptions(dt=0.1 / 7)
     else:
         sys, opts = _solver_case(name)
-    grid = sys.grid
-    basis = LocalSolver(sys, opts).basis
+    grid, f = sys.grid, sys.grid.fiber
+    solver = LocalSolver(sys, opts)
+    assert solver.recurrence == ("eigen" if name in _EIGEN else None)
+    # the S0 cases have no live A^j
+    assert solver.recurrence or not sys.live
+    basis = solver.basis or "sites"
     h = sgn * opts.dt
-    k = solver_mod._step_matrices(sys, basis, h)
-    assert k.shape[-2:] == (grid.fiber, 3 * grid.fiber)
-    assert k.ndim == (2 if name == "S0_constant" else 3)
-    f = grid.fiber
-    mats = np.stack([k[..., :f], k[..., f:2 * f], k[..., 2 * f:]])
     monkeypatch.setattr(solver_mod, "_CHUNK_VALUES", 7 * grid.sites * f)
 
     steps = 30
+    t1 = sgn * steps * opts.dt
     lo, hi = _WINDOWS[window]
     rng = np.random.default_rng(23)
     vals = _random_field(rng, grid, hi - lo + 1)
@@ -872,13 +902,21 @@ def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
         xf = "sites"
     phi = Trajectory(grid, opts.dt, min(sgn * lo, sgn * hi), vals[::sgn])
     data = StateField(grid, 0.0, values)
-    got = np.empty((steps + 1, grid.sites, f), dtype=complex)
-    want = got.copy()
-    got[0] = want[0] = values
-    assert solver_mod._recurrence(sys, phi, data, xf, k, h, 0, sgn, steps,
-                                  got) == steps
-    assert _recurrence_oracle(sys, phi, data, xf, mats, h, 0, sgn, steps,
-                              want, 7) == steps
+    want = np.empty((steps + 1, grid.sites, f), dtype=complex)
+    want[0] = values
+    assert _recurrence_oracle(sys, phi, data, xf, _stacked_mats(sys, basis, h),
+                              h, 0, sgn, steps, want, 7) == steps
+    if in_basis and solver.recurrence is None:
+        with pytest.raises(SolverError, match="basis"):
+            solver.solve(phi, data, 0.0, t1, in_basis=True)
+        in_basis = False
+    if in_basis:
+        phi = Trajectory(grid, opts.dt, phi.index0,
+                         solver.to_eigen(phi.values, source=True))
+        data = StateField(grid, 0.0, solver.to_eigen(values[None])[0])
+        want = solver.to_eigen(want)
+    got = solver.solve(phi, data, 0.0, t1, in_basis=in_basis).values[::sgn]
+    assert _bits(got[0]) == _bits(data.values)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
 
@@ -891,7 +929,8 @@ def test_block_product_matches_forcings_oracle(monkeypatch, name, window,
                                   "skew_per_site"])
 def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
                                           in_basis):
-    """The recurrence in the eigenbasis equals the stacked K V one to
+    """The recurrence in the eigenbasis equals the stacked one (the
+    forcings oracle in blocks of 7 steps) and the per-step loop to
     _RECURRENCE_RTOL of the largest frame value, over every source window
     of _WINDOWS, in chunks of 5 modes (or sites) and blocks of 7 frames:
     per mode (maxwell3d, dirac, and skew_A0, whose A0 is not I) and per
@@ -917,11 +956,14 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
     phi = Trajectory(grid, opts.dt, min(sgn * lo, sgn * hi), vals[::sgn])
     data = StateField(grid, 0.0, values)
     got = np.empty((steps + 1, grid.sites, f), dtype=complex)
-    want = got.copy()
-    want[0] = values
-    assert solver_mod._recurrence(
-        sys, phi, data, basis, solver_mod._step_matrices(sys, basis, h), h,
-        0, sgn, steps, want) == steps
+    stacked = got.copy()
+    stacked[0] = values
+    assert _recurrence_oracle(sys, phi, data, basis,
+                              _stacked_mats(sys, basis, h), h, 0, sgn, steps,
+                              stacked, 7) == steps
+    # the loop's frames in stepping order
+    loop = _ref_solve_local(sys, phi, data, 0.0, h * steps,
+                            opts).values[::sgn]
     xf = basis
     if in_basis:
         def to(v, source=False):
@@ -929,7 +971,7 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
         phi = Trajectory(grid, opts.dt, phi.index0,
                          to(phi.values, source=True))
         data = StateField(grid, 0.0, to(values[None])[0])
-        want = to(want)
+        stacked, loop = to(stacked), to(loop)
         xf = None
     got[0] = data.values
     eig = solver_mod._eigenbasis(sys, basis)
@@ -937,8 +979,9 @@ def test_eigen_recurrence_matches_stacked(monkeypatch, name, window, sgn,
         sys, phi, data, xf, eig, solver_mod._eigen_polys(eig[0], h), h, 0,
         sgn, steps, got) == steps
     assert _bits(got[0]) == _bits(data.values)
-    scale = float(np.max(np.abs(want)))
-    assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
+    for want in (stacked, loop):
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= _RECURRENCE_RTOL * scale
 
 
 @pytest.mark.parametrize("name", ["skew_A0", "skew_per_site"])
@@ -963,40 +1006,59 @@ def test_eigenbasis_diagonalizes_the_generator(name):
 
 
 def test_step_matrices_built_once_per_direction(monkeypatch):
-    """A LocalSolver builds what its recurrence needs at its first solve in
-    each direction and keeps it: the eigenbasis once and its step
-    coefficients once per direction (dirac), or K once per direction
-    (A0_nonnormal_S0). Its solves equal fresh solve_local ones bitwise."""
+    """A LocalSolver builds what its eigenbasis recurrence needs at its
+    first solve in each direction and keeps it: the eigenbasis once and its
+    step coefficients once per direction (dirac). Its solves equal fresh
+    solve_local ones bitwise."""
     from hypnl import solver as solver_mod
     calls = []
-    for fn in ("_eigenbasis", "_eigen_polys", "_step_matrices"):
+    for fn in ("_eigenbasis", "_eigen_polys"):
         def counted(*args, build=getattr(solver_mod, fn), fn=fn):
             calls.append((fn, args[-1] if fn != "_eigenbasis" else None))
             return build(*args)
         monkeypatch.setattr(solver_mod, fn, counted)
-    for name, builds in (("dirac", ("_eigenbasis", "_eigen_polys")),
-                         ("A0_nonnormal_S0", ("_step_matrices",))):
-        sys, opts = _solver_case(name)
-        solver = LocalSolver(sys, opts)
-        data = StateField(sys.grid, 0.0, _random_field(
-            np.random.default_rng(2), sys.grid))
-        ends = (4 * opts.dt, 6 * opts.dt, -3 * opts.dt, -5 * opts.dt)
-        del calls[:]
-        want = [solve_local(sys, None, data, 0.0, t1, opts) for t1 in ends]
-        assert sorted({fn for fn, _ in calls}) == sorted(builds)
-        del calls[:]
-        for t1, tr in zip(ends, want):
-            assert _bits(solver.solve(None, data, 0.0, t1).values) == \
-                _bits(tr.values)
-        per_direction = [(builds[-1], opts.dt), (builds[-1], -opts.dt)]
-        assert calls == [("_eigenbasis", None)] * (len(builds) - 1) + \
-            per_direction
+    sys, opts = _solver_case("dirac")
+    solver = LocalSolver(sys, opts)
+    data = StateField(sys.grid, 0.0, _random_field(
+        np.random.default_rng(2), sys.grid))
+    ends = (4 * opts.dt, 6 * opts.dt, -3 * opts.dt, -5 * opts.dt)
+    want = [solve_local(sys, None, data, 0.0, t1, opts) for t1 in ends]
+    assert {fn for fn, _ in calls} == {"_eigenbasis", "_eigen_polys"}
+    del calls[:]
+    for t1, tr in zip(ends, want):
+        assert _bits(solver.solve(None, data, 0.0, t1).values) == \
+            _bits(tr.values)
+    assert calls == [("_eigenbasis", None), ("_eigen_polys", opts.dt),
+                     ("_eigen_polys", -opts.dt)]
+
+
+def _matrix_polys(lam, h):
+    """(r, p0, p1) of _eigen_polys as they were formed before, from the RK4
+    step matrices (_rk4_mats) on 1 x 1 blocks Z = -i h lam."""
+    z = (-1j * lam)[..., None, None]
+    z *= h
+    return np.stack([m[..., 0, 0] for m in _rk4_mats(z, h)])
+
+
+@pytest.mark.parametrize("shape", [(2,), (32, 2), (256, 2), (4096, 6)])
+def test_eigen_polys_match_matrix_form(shape):
+    """The scalar polynomials in z = -i h lam equal the 1 x 1-matrix form
+    bitwise, both directions, signed zeros included, on the shapes of a
+    site-constant fiber, a line of modes and the 16^3 x 6 Maxwell modes."""
+    from hypnl.solver import _eigen_polys
+    rng = np.random.default_rng(31)
+    lam = 10.0 * rng.normal(size=shape)
+    lam.flat[0], lam.flat[-1] = 0.0, -0.0
+    for h in (0.01, -0.01, 0.1 / 7, -0.2 * 2.0 * math.pi / 32):
+        got, want = _eigen_polys(lam, h), _matrix_polys(lam, h)
+        assert got.shape == (3,) + shape
+        assert _bits(got) == _bits(want)
 
 
 def test_in_basis_needs_a_recurrence():
     """Only an eigenbasis recurrence solves in its eigen coordinates: a
-    solve that steps and a state-free one refuse in_basis (a stacked one
-    does too, see test_in_basis_solve_matches_site_solve)."""
+    solve that steps (a non-skew-Hermitian S0 included) and a state-free
+    one refuse in_basis."""
     for name in _STEPPING + ("ode_zero_S0",):
         sys, opts = _solver_case(name)
         data = StateField(sys.grid, 0.0, sys.grid.zeros())
